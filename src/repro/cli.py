@@ -7,7 +7,8 @@ Commands
     Generate a TPC-H dataset, load it into self-managed collections and
     write a snapshot file.
 ``info``
-    Describe a snapshot: tables, row counts, memory footprint.
+    Describe a snapshot: format and per-section bytes, load time, tables,
+    row counts, memory footprint.
 ``query``
     Run one of the built-in TPC-H queries (q1–q6, q7/q10/q12/q14)
     against a snapshot and print the result table.
@@ -65,8 +66,10 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
-    from repro.io.snapshot import load_collections
+    from repro.io.snapshot import describe_snapshot, load_collections
 
+    stored = describe_snapshot(args.snapshot)
+    start = time.perf_counter()
     collections = load_collections(
         args.snapshot,
         columnar=args.columnar,
@@ -74,7 +77,9 @@ def _cmd_info(args: argparse.Namespace) -> int:
         memory_budget=args.memory_budget,
         block_shift=args.block_shift,
     )
+    load_seconds = time.perf_counter() - start
     manager = collections.pop("_manager")
+    collections.pop("_entry_ids", None)
     if manager.pager is not None:
         # Enforce the budget once so the residency report reflects it
         # (loading leaves every block hot; demotion is operation-boundary
@@ -85,7 +90,18 @@ def _cmd_info(args: argparse.Namespace) -> int:
         if manager.pager is not None
         else None
     )
-    print(f"snapshot {args.snapshot}:")
+    print(
+        f"snapshot {args.snapshot}: format {stored['format']}, "
+        f"{stored['file_bytes']} bytes, loaded in {load_seconds * 1000:.1f} ms"
+    )
+    for kind, (count, nbytes) in stored.get("sections", {}).items():
+        print(f"  {kind:<11} {count:>5} section(s) {nbytes:>12} bytes")
+    for spec in stored.get("collections", ()):
+        print(
+            f"  stored {spec['name']:<12} {spec['rows']:>9} rows in "
+            f"{spec['blocks']:>4} {'columnar' if spec['columnar'] else 'row'} "
+            f"block image(s)"
+        )
     for name, coll in collections.items():
         line = (
             f"  {name:<12} {len(coll):>9} rows   "

@@ -12,6 +12,7 @@ scan the raw blocks directly (section 4).
 
 from __future__ import annotations
 
+import contextlib
 import threading
 from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple, Type, Union
 
@@ -397,16 +398,20 @@ class Collection:
         """Compact under-occupied blocks (section 5); returns #relocations."""
         from repro.core.compaction import Compactor
 
-        compactor = self.manager.compactor
-        owned = False
-        if compactor is None:
-            compactor = Compactor(self.manager)
-            owned = True
-        try:
-            return compactor.compact_context(self.context, occupancy_threshold)
-        finally:
-            if owned:
-                compactor.detach()
+        # A checkpoint copies raw blocks and holds the mutation-log lock
+        # while it does; relocation must not move objects under it.
+        mlog = self.mutation_log
+        with mlog.hold() if mlog is not None else contextlib.nullcontext():
+            compactor = self.manager.compactor
+            owned = False
+            if compactor is None:
+                compactor = Compactor(self.manager)
+                owned = True
+            try:
+                return compactor.compact_context(self.context, occupancy_threshold)
+            finally:
+                if owned:
+                    compactor.detach()
 
     def memory_bytes(self) -> int:
         """Bytes mapped for this collection's data blocks."""

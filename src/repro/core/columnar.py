@@ -24,7 +24,12 @@ from repro.errors import NullReferenceError, TabularTypeError
 from repro.memory import slots as slotcodec
 from repro.memory import zonemap as _zonemap
 from repro.memory.addressing import NULL_ADDRESS
-from repro.memory.block import BLOCK_HEADER_SIZE, KIND_COLUMNAR, _HEADER_STRUCT
+from repro.memory.block import (
+    BLOCK_HEADER_SIZE,
+    KIND_COLUMNAR,
+    _HEADER_STRUCT,
+    recount,
+)
 from repro.memory.context import MemoryContext
 from repro.memory.indirection import INC_MASK
 from repro.memory.manager import MemoryManager
@@ -157,42 +162,96 @@ class ColumnarBlock:
         context_id: int,
         dict_fields: frozenset = frozenset(),
     ) -> None:
-        self.space = space
-        self.block_id = space.register(self)
-        self.base_address = space.address_of(self.block_id)
-        self.type_id = type_id
-        self.context_id = context_id
-        self.slot_size = layout.slot_size  # nominal, for memory accounting
         # Same per-object budget as a row block of this type would have,
         # shrunk until all columns + metadata segments (with their 8-byte
         # alignment padding) fit the fixed block size.
         n = max(1, (space.block_size - BLOCK_HEADER_SIZE) // (layout.slot_size + 4 + 8))
-        spec = columnar_offsets(layout, dict_fields, n)
-        while spec[4] > space.block_size and n > 1:
+        while columnar_offsets(layout, dict_fields, n)[4] > space.block_size and n > 1:
             n -= 1
-            spec = columnar_offsets(layout, dict_fields, n)
-        cols, dir_off, bp_off, inc_off, total = spec
-        if total > space.block_size:
-            raise ValueError(
-                f"columnar layout of {layout.slot_size}B objects does not "
-                f"fit a {space.block_size}-byte block"
-            )
-        self.slot_count = n
         # All columns and metadata live in ONE flat buffer with a
         # self-describing header, exactly like row blocks, so a worker
         # process can attach the segment and recompute every view from
         # (header, layout) alone.
-        self.segment = space.buffers.create(space.block_size)
-        self.buf = self.segment.buf
+        self._attach(
+            space,
+            space.register(self),
+            space.buffers.create(space.block_size),
+            layout,
+            type_id,
+            context_id,
+            dict_fields,
+            n,
+        )
+        for f in layout.fields:
+            if isinstance(f, RefField):
+                self.columns[f.name + "__w"].fill(NULL_ADDRESS)
+        self.backptrs.fill(-1)
+
+    @classmethod
+    def adopt(
+        cls,
+        space: "AddressSpace",
+        block_id: int,
+        segment,
+        layout,
+        type_id: int,
+        context_id: int,
+        dict_fields: frozenset,
+    ) -> "ColumnarBlock":
+        """Rebuild a block around an existing image (snapshot load); see
+        :meth:`repro.memory.block.Block.adopt`."""
+        __, __, n, stored_size, kind = _HEADER_STRUCT.unpack_from(segment.buf, 0)
+        if kind != KIND_COLUMNAR or stored_size != layout.slot_size or n < 1:
+            raise ValueError(
+                f"image is not a columnar block of {layout.slot_size}-byte "
+                f"objects (kind {kind}, {n} x {stored_size} bytes)"
+            )
+        self = cls.__new__(cls)
+        self._attach(
+            space,
+            space.register(self, block_id),
+            segment,
+            layout,
+            type_id,
+            context_id,
+            dict_fields,
+            n,
+        )
+        recount(self)
+        return self
+
+    def _attach(
+        self,
+        space: "AddressSpace",
+        block_id: int,
+        segment,
+        layout,
+        type_id: int,
+        context_id: int,
+        dict_fields: frozenset,
+        n: int,
+    ) -> None:
+        """Bind this block to its id and buffer; runtime state starts idle."""
+        cols, dir_off, bp_off, inc_off, total = columnar_offsets(layout, dict_fields, n)
+        if total > space.block_size:
+            raise ValueError(
+                f"columnar layout of {n} x {layout.slot_size}B objects does "
+                f"not fit a {space.block_size}-byte block"
+            )
+        self.space = space
+        self.block_id = block_id
+        self.base_address = space.address_of(block_id)
+        self.type_id = type_id
+        self.context_id = context_id
+        self.slot_size = layout.slot_size  # nominal, for memory accounting
+        self.slot_count = n
+        self.segment = segment
+        self.buf = segment.buf
         _HEADER_STRUCT.pack_into(
             self.buf, 0, type_id, context_id, n, layout.slot_size, KIND_COLUMNAR
         )
         self._view_spec = (cols, dir_off, bp_off, inc_off)
         self._bind_views()
-        for f in layout.fields:
-            if isinstance(f, RefField):
-                self.columns[f.name + "__w"].fill(NULL_ADDRESS)
-        self.backptrs.fill(-1)
         self.valid_count = 0
         self.limbo_count = 0
         self.alloc_cursor = 0
@@ -211,6 +270,11 @@ class ColumnarBlock:
         self.tier_offset = -1
         self.read_clock = 0
         self.cool_epoch = -1
+
+    @property
+    def directory_offset(self) -> int:
+        """Byte offset of the slot directory inside the buffer."""
+        return self._view_spec[1]
 
     def _bind_views(self) -> None:
         """(Re)build column and metadata views over the current ``buf``.
@@ -442,10 +506,23 @@ class ColumnarCollection(Collection):
             if self.strdict is not None
             else frozenset()
         )
+        def block_factory(block_id=None, segment=None):
+            if segment is not None:  # snapshot load: adopt an image
+                return ColumnarBlock.adopt(
+                    mgr.space,
+                    block_id,
+                    segment,
+                    layout,
+                    type_id,
+                    context.context_id,
+                    dict_fields,
+                )
+            return ColumnarBlock(
+                mgr.space, layout, type_id, context.context_id, dict_fields
+            )
+
         #: Columnar contexts build columnar blocks instead of row blocks.
-        context.block_factory = lambda: ColumnarBlock(
-            mgr.space, layout, type_id, context.context_id, dict_fields
-        )
+        context.block_factory = block_factory
         #: Recorded so a worker attaching this context's blocks by segment
         #: name can recompute the exact column offsets (columnar_offsets).
         context.dict_fields = dict_fields

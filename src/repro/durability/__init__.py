@@ -9,7 +9,7 @@ saved snapshot.  Three layers:
   records with group commit and a torn-tail/interior-corruption
   classification contract;
 * :mod:`repro.durability.checkpoint` — data-directory layout, the
-  atomically-replaced MANIFEST, and epoch-consistent SMCSNAP1
+  atomically-replaced MANIFEST, and epoch-consistent block-image
   checkpoints that truncate the log;
 * :mod:`repro.durability.recovery` — checkpoint reload + committed
   log-tail replay through the normal mutation paths;

@@ -4,7 +4,7 @@ A data directory is a self-describing on-disk store::
 
     MANIFEST                      JSON, atomically replaced (tmp + fsync
                                   + rename + directory fsync)
-    checkpoint-<lsn>.smcsnap      SMCSNAP1 snapshot cut at <lsn>
+    checkpoint-<lsn>.smcsnap      SMCSNAP2 block images cut at <lsn>
     wal-<lsn>.log                 the active segment, first LSN <lsn>
 
 The MANIFEST is the commit point: a crash anywhere during a checkpoint
@@ -12,14 +12,14 @@ leaves either the old manifest (old checkpoint + old log remain
 authoritative; half-written new files are orphans swept later) or the
 new one (the new checkpoint + empty new segment are authoritative).
 
-Checkpoints are *epoch-consistent*: the snapshot is written inside an
-epoch critical section, which pins the global epoch so no compaction
-relocation phase can start mid-snapshot, and under the WAL's mutation
-lock, so no mutation straddles the cut — the snapshot is exactly the
-state after LSN ``cut_lsn``.  The manifest also records each
-collection's indirection-entry ids in enumeration order; recovery zips
-them with the reloaded rows to translate the entry ids carried by log
-records into post-reload handles.
+Checkpoints are *epoch-consistent*: the images are written inside an
+epoch critical section (``save_collections`` takes it), which pins the
+global epoch so no compaction relocation phase can start mid-snapshot,
+and under the WAL's mutation lock, so no mutation straddles the cut —
+the checkpoint is exactly the state after LSN ``cut_lsn``.  Block images
+keep every object's indirection-entry id, so the entry ids log records
+carry address the reloaded rows as they are; the manifest records no
+per-row state.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ class DataDir:
                 f"{self.manifest_path} is not a {MANIFEST_FORMAT} manifest "
                 f"(format={manifest.get('format')!r})"
             )
-        for key in ("checkpoint", "wal", "cut_lsn", "entries"):
+        for key in ("checkpoint", "wal", "cut_lsn"):
             if key not in manifest:
                 raise RecoveryError(
                     f"{self.manifest_path} is missing the {key!r} field"
@@ -142,69 +142,35 @@ class CheckpointManager:
         self.count = 0
         self.last_duration = 0.0
         self.last_rows = 0
+        self.last_bytes = 0
 
-    def checkpoint(self, wal: WriteAheadLog, translate_entries=None):
-        """Snapshot the collections and start a fresh segment.
+    def checkpoint(self, wal: WriteAheadLog, entry_ids=None):
+        """Write the block images and start a fresh segment.
 
         Must be called with ``wal.hold()`` held.  Returns
         ``(manifest, new_wal)``; the caller swaps its active log.  On any
         failure before the manifest rename the old manifest/log pair
         stays fully authoritative.
 
-        ``translate_entries`` (replication) maps the snapshot's local
-        indirection-entry lists into another node's id space before they
-        are recorded in the manifest: a read replica checkpoints with the
-        *primary's* entry ids so the shipped log records keep resolving
-        after the replica restarts from its own checkpoint.
+        ``entry_ids`` (replication) is stored in the image: a read
+        replica's map from the primary's entry ids to its own, so the
+        shipped log records keep resolving after the replica restarts
+        from its own checkpoint.
         """
-        from repro.io.snapshot import save_collections
-
         start = time.perf_counter()
-        epochs = self.manager.epochs
-        epochs.enter_critical_section()
-        try:
-            cut_lsn = wal.last_lsn
-            if _san.SANITIZER is not None:
-                _san.SANITIZER.event("checkpoint.begin", cut_lsn=cut_lsn)
-            final = self.datadir.checkpoint_path(cut_lsn)
-            tmp = final + ".tmp"
-            entries: Dict[str, List[int]] = {}
-            self.last_rows = save_collections(
-                tmp, self.collections, fsync=True, entry_lists=entries
-            )
-            if translate_entries is not None:
-                entries = translate_entries(entries)
-            if _san.SANITIZER is not None:
-                _san.SANITIZER.event("checkpoint.snapshot_rename", path=tmp)
-            os.replace(tmp, final)
-            fsync_dir(self.datadir.root)
-            new_wal = WriteAheadLog.create(
-                self.datadir.wal_path(cut_lsn + 1),
-                start_lsn=cut_lsn + 1,
-                fsync_policy=wal.fsync_policy,
-            )
-            manifest = {
-                "format": MANIFEST_FORMAT,
-                "checkpoint": os.path.basename(final),
-                "cut_lsn": cut_lsn,
-                "wal": os.path.basename(new_wal.path),
-                "entries": entries,
-                "rows": self.last_rows,
-                **collection_flags(self.collections),
-            }
-            self.datadir.write_manifest(manifest)
-        finally:
-            epochs.exit_critical_section()
+        cut_lsn = wal.last_lsn
+        if _san.SANITIZER is not None:
+            _san.SANITIZER.event("checkpoint.begin", cut_lsn=cut_lsn)
+        manifest, new_wal = self._cut(cut_lsn, wal.fsync_policy, entry_ids)
         wal.close()
-        self.datadir.sweep_orphans(keep=[final, new_wal.path])
-        self.count += 1
+        self.datadir.sweep_orphans(
+            keep=[manifest["checkpoint"], manifest["wal"]]
+        )
         self.last_duration = time.perf_counter() - start
         return manifest, new_wal
 
     def bootstrap(self, fsync_policy: str = "commit"):
         """First checkpoint of a brand-new store (cut at LSN 0)."""
-        from repro.io.snapshot import save_collections
-
         self.datadir.ensure()
         if self.datadir.is_initialized():
             raise DataDirError(
@@ -212,32 +178,37 @@ class CheckpointManager:
                 f"directory; use open()/recover() instead"
             )
         start = time.perf_counter()
-        final = self.datadir.checkpoint_path(0)
+        manifest, wal = self._cut(0, fsync_policy)
+        self.last_duration = time.perf_counter() - start
+        return manifest, wal
+
+    def _cut(self, cut_lsn: int, fsync_policy: str, entry_ids=None):
+        """Checkpoint file, empty segment behind it, manifest naming both."""
+        from repro.io.snapshot import save_collections
+
+        final = self.datadir.checkpoint_path(cut_lsn)
         tmp = final + ".tmp"
-        entries: Dict[str, List[int]] = {}
-        epochs = self.manager.epochs
-        epochs.enter_critical_section()
-        try:
-            self.last_rows = save_collections(
-                tmp, self.collections, fsync=True, entry_lists=entries
-            )
-        finally:
-            epochs.exit_critical_section()
+        self.last_rows = save_collections(
+            tmp, self.collections, fsync=True, entry_ids=entry_ids
+        )
+        if _san.SANITIZER is not None:
+            _san.SANITIZER.event("checkpoint.snapshot_rename", path=tmp)
         os.replace(tmp, final)
         fsync_dir(self.datadir.root)
+        self.last_bytes = os.path.getsize(final)
         wal = WriteAheadLog.create(
-            self.datadir.wal_path(1), start_lsn=1, fsync_policy=fsync_policy
+            self.datadir.wal_path(cut_lsn + 1),
+            start_lsn=cut_lsn + 1,
+            fsync_policy=fsync_policy,
         )
         manifest = {
             "format": MANIFEST_FORMAT,
             "checkpoint": os.path.basename(final),
-            "cut_lsn": 0,
+            "cut_lsn": cut_lsn,
             "wal": os.path.basename(wal.path),
-            "entries": entries,
             "rows": self.last_rows,
             **collection_flags(self.collections),
         }
         self.datadir.write_manifest(manifest)
         self.count += 1
-        self.last_duration = time.perf_counter() - start
         return manifest, wal

@@ -3,16 +3,16 @@
 ``recover(data_dir)`` rebuilds the collections a durable store held at
 the moment of the crash:
 
-1. read the MANIFEST (the atomically-replaced commit point);
-2. load the checkpoint snapshot into a fresh manager;
-3. zip each collection's reloaded rows with the entry-id lists the
-   manifest recorded — snapshot load order equals subsequent enumeration
-   order, so position *i* of both is the same row — giving the
-   ``old entry id -> new handle`` translation map;
-4. replay the committed prefix of the active log segment through the
+1. read the MANIFEST (the atomically-replaced commit point) and adopt
+   the checkpoint's block images into a fresh manager — every row comes
+   back under the indirection-entry id it had, so the entry ids log
+   records carry address the reloaded rows as they are;
+2. replay the committed prefix of the active log segment through the
    normal ``add``/``remove``/``setattr`` paths (so secondary indexes and
-   string dictionaries are maintained as they were live), updating the
-   map as rows are added and removed.
+   string dictionaries are maintained as they were live).  A replayed
+   ``add`` takes whatever entry the allocator hands out; the
+   :class:`EntryMap` remembers the rows whose id so diverged from the
+   logged one.
 
 A torn final record (or a trailing batch whose COMMIT never reached
 disk) is dropped: the crash interrupted an append that was never
@@ -26,7 +26,9 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Dict, Optional
+
+import numpy as np
 
 from repro.durability.checkpoint import DataDir
 from repro.durability.wal import (
@@ -40,6 +42,39 @@ from repro.durability.wal import (
     WalRecord,
     scan_wal,
 )
+
+
+class EntryMap:
+    """Logged entry id → local entry id.
+
+    The identity for every row a checkpoint image holds — images keep
+    entry ids, so nothing is stored per checkpointed row.  Only rows
+    added by replaying log records diverge (the local allocator picks
+    their entry); those are remembered until removed.  A read replica
+    persists its divergent pairs in its own checkpoint image, because
+    its log lineage stays in the primary's id space.
+    """
+
+    def __init__(self, pairs: Optional[np.ndarray] = None) -> None:
+        self._local: Dict[int, int] = (
+            {} if pairs is None else {int(a): int(b) for a, b in pairs}
+        )
+
+    def local(self, logged: int) -> int:
+        return self._local.get(logged, logged)
+
+    def bind(self, logged: int, local: int) -> None:
+        if logged == local:
+            self._local.pop(logged, None)
+        else:
+            self._local[logged] = local
+
+    def drop(self, logged: int) -> None:
+        self._local.pop(logged, None)
+
+    def pairs(self) -> np.ndarray:
+        """The divergent ``(logged, local)`` pairs, for a replica's image."""
+        return np.array(list(self._local.items()), dtype=np.int64).reshape(-1, 2)
 
 
 @dataclass
@@ -58,22 +93,29 @@ class RecoveryReport:
     dropped_open_batch: int
     committed_offset: int
     next_lsn: int
-    duration: float
-    #: ``old entry id -> live handle`` map as of the end of replay.
-    #: Replication keeps applying shipped records through it.
-    entry_map: Dict[int, Any] = field(default_factory=dict, repr=False)
+    #: Seconds spent adopting the checkpoint image / replaying the tail.
+    load_seconds: float
+    replay_seconds: float
+    #: Logged → local entry ids as of the end of replay.  Replication
+    #: keeps applying shipped records through it.
+    entry_map: EntryMap = field(default_factory=EntryMap, repr=False)
     #: Log-local string-id table as of the end of replay.
     strings: Dict[int, str] = field(default_factory=dict, repr=False)
+
+    @property
+    def duration(self) -> float:
+        return self.load_seconds + self.replay_seconds
 
     def summary(self) -> str:
         return (
             f"recovered {self.data_dir}: checkpoint {self.checkpoint} "
-            f"({self.checkpoint_rows} rows, cut LSN {self.cut_lsn}), "
+            f"({self.checkpoint_rows} rows, cut LSN {self.cut_lsn}) loaded "
+            f"in {self.load_seconds * 1000:.1f} ms, "
             f"replayed {self.replayed} of {self.records_scanned} log "
             f"records ({self.interned} interned strings, "
             f"{self.dropped_open_batch} dropped from an open batch, "
             f"{self.dropped_tail_bytes} torn tail bytes) "
-            f"in {self.duration * 1000:.1f} ms"
+            f"in {self.replay_seconds * 1000:.1f} ms"
         )
 
 
@@ -117,26 +159,8 @@ def recover(
             f"cannot read checkpoint {checkpoint_path}: {exc}"
         ) from None
     mgr = collections["_manager"]
-
-    # Entry-id translation: manifest order is snapshot write order is
-    # reload order is enumeration order.
-    entry_map: Dict[int, Any] = {}
-    for name, old_entries in manifest["entries"].items():
-        coll = collections.get(name)
-        if coll is None:
-            raise RecoveryError(
-                f"manifest lists collection {name!r} but the checkpoint "
-                f"does not contain it"
-            )
-        handles = list(coll)
-        if len(handles) != len(old_entries):
-            raise RecoveryError(
-                f"collection {name!r}: checkpoint reloaded "
-                f"{len(handles)} rows but the manifest recorded "
-                f"{len(old_entries)} entry ids"
-            )
-        for old_entry, handle in zip(old_entries, handles):
-            entry_map[old_entry] = handle
+    entry_map = EntryMap(collections.pop("_entry_ids", None))
+    loaded = time.perf_counter()
 
     wal_path = os.path.join(dd.root, manifest["wal"])
     try:
@@ -160,6 +184,14 @@ def recover(
             strings[int(rec.payload["i"])] = rec.payload["t"]
             interned += 1
             continue
+        if "entries" in manifest:
+            # A pre-image checkpoint stored rows, not entry ids: its log
+            # tail addresses rows through a table this version dropped.
+            raise RecoveryError(
+                f"{data_dir} was checkpointed by an older version and has "
+                f"an unreplayed log tail; open it once with that version "
+                f"(a clean shutdown folds the tail into the checkpoint)"
+            )
         apply_record(collections, mgr, entry_map, strings, rec)
         replayed += 1
 
@@ -176,14 +208,15 @@ def recover(
         dropped_open_batch=scan.open_batch_records,
         committed_offset=scan.committed_offset,
         next_lsn=scan.next_lsn,
-        duration=time.perf_counter() - start,
+        load_seconds=loaded - start,
+        replay_seconds=time.perf_counter() - loaded,
         entry_map=entry_map,
         strings=strings,
     )
     return collections, report
 
 
-def apply_record(collections, mgr, entry_map, strings, rec: WalRecord) -> None:
+def apply_record(collections, mgr, entry_map: EntryMap, strings, rec: WalRecord) -> None:
     """Re-execute one mutation record against the reloaded collections.
 
     This is the single apply path shared by crash recovery and live
@@ -193,35 +226,36 @@ def apply_record(collections, mgr, entry_map, strings, rec: WalRecord) -> None:
     payload = rec.payload
     name = payload["c"]
     coll = collections.get(name)
+    logged = int(payload["e"])
     if rec.kind == ADD:
         if coll is None:
             coll = _create_collection(collections, mgr, name, payload["s"])
         values = {
-            key: _decode_value(entry_map, strings, rec, value)
+            key: _decode_value(mgr, entry_map, strings, rec, value)
             for key, value in payload["v"].items()
         }
-        entry_map[int(payload["e"])] = coll.add(**values)
+        entry_map.bind(logged, coll.add(**values).ref.entry)
         return
     if coll is None:
         raise RecoveryError(
             f"LSN {rec.lsn}: {rec.kind_name} targets unknown "
             f"collection {name!r}"
         )
-    handle = entry_map.get(int(payload["e"]))
-    if handle is None:
+    ref = mgr.live_ref(entry_map.local(logged), coll.context)
+    if ref is None:
         raise RecoveryError(
-            f"LSN {rec.lsn}: {rec.kind_name} targets entry "
-            f"{payload['e']} which is not live at this point of the log"
+            f"LSN {rec.lsn}: {rec.kind_name} targets entry {logged} which "
+            f"is not a live row of {name!r} at this point of the log"
         )
     if rec.kind == REMOVE:
-        coll.remove(handle)
-        del entry_map[int(payload["e"])]
+        coll.remove(ref)
+        entry_map.drop(logged)
         return
     if rec.kind == UPDATE:
         setattr(
-            handle,
+            coll._handle(ref),
             payload["f"],
-            _decode_value(entry_map, strings, rec, payload["v"]),
+            _decode_value(mgr, entry_map, strings, rec, payload["v"]),
         )
         return
     raise RecoveryError(
@@ -246,13 +280,13 @@ def _create_collection(collections, mgr, name: str, schema_name: str):
     return coll
 
 
-def _decode_value(entry_map, strings, rec: WalRecord, value):
+def _decode_value(mgr, entry_map: EntryMap, strings, rec: WalRecord, value):
     """Decode one logged field value back into add/setattr input."""
     from repro.service.protocol import decode_value
 
     if isinstance(value, dict):
         if "$r" in value:
-            target = entry_map.get(int(value["$r"]))
+            target = mgr.live_ref(entry_map.local(int(value["$r"])))
             if target is None:
                 raise RecoveryError(
                     f"LSN {rec.lsn}: reference to entry {value['$r']} "

@@ -22,9 +22,10 @@ Protocol (all over the existing length-prefixed service protocol)::
 
 A follower whose position predates the active segment (the primary
 checkpointed and swept the records away) gets ``resync_required`` and
-re-bootstraps from ``{"op":"replicate","resync":true}``, which returns
-the current manifest + checkpoint snapshot; catch-up is then checkpoint
-reload + tail streaming — exactly a restart, but over the wire.
+re-bootstraps from ``{"op":"replicate","resync":true,"offset":o}``,
+which returns the current manifest and the checkpoint file one bounded
+slice per request; catch-up is then checkpoint reload + tail streaming —
+exactly a restart, but over the wire.
 
 LSN watermarks:
 
@@ -38,9 +39,12 @@ LSN watermarks:
 Checkpoint alignment: INTERN string ids are scoped to one log segment,
 so a replica cuts its own checkpoint exactly when the shipped
 ``cut_lsn`` catches up to its applied watermark — segment boundaries
-stay aligned across the fleet, and the replica's manifest records the
-*primary's* entry ids (``translate_entries``) so shipped records keep
-resolving after the replica restarts from its own checkpoint.
+stay aligned across the fleet.  A cloned checkpoint brings the
+primary's entry ids along, so shipped records address those rows as
+they are; rows the replica adds while applying get local ids of its own
+choosing, and the replica's checkpoint image carries that (primary id,
+local id) list so shipped records keep resolving after it restarts from
+its own checkpoint.
 
 Promotion: ``promote(min_lsn)`` refuses (``StalePromotionError``) when
 the replica's watermark is behind ``min_lsn`` — the failover driver
@@ -61,7 +65,7 @@ import threading
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.durability.checkpoint import DataDir
-from repro.durability.recovery import apply_record
+from repro.durability.recovery import EntryMap, apply_record
 from repro.durability.store import DEFAULT_CHECKPOINT_BYTES, DurableStore
 from repro.durability.wal import (
     BEGIN,
@@ -95,19 +99,20 @@ class StalePromotionError(ReplicationError):
 
 
 def bootstrap_from_resync(
-    data_dir: str, payload: Dict[str, Any], fsync_policy: str = "commit"
+    data_dir: str, fetch: Callable[..., Dict[str, Any]], fsync_policy: str = "commit"
 ) -> Dict[str, Any]:
-    """Materialize a primary's resync payload as a local data directory.
+    """Materialize a primary's current checkpoint as a local data directory.
 
-    Writes the shipped checkpoint snapshot and manifest and creates an
-    empty active segment with the same name (and start LSN) as the
-    primary's, so ``DurableStore.open`` recovers it like any local
-    directory.  Any previous generation of files is cleared first.
+    ``fetch(offset, checkpoint)`` returns one resync slice
+    (``DurableStore.resync_chunk``).  Writes the shipped checkpoint and
+    manifest and creates an empty active segment with the same name (and
+    start LSN) as the primary's, so ``DurableStore.open`` recovers it
+    like any local directory.  Any previous generation of files is
+    cleared first; a checkpoint the primary supersedes mid-transfer is
+    fetched again from the start.
     """
     from repro.durability.checkpoint import MANIFEST_NAME
 
-    manifest = dict(payload["manifest"])
-    snap = base64.b64decode(payload["snapshot_b64"])
     dd = DataDir(data_dir)
     dd.ensure()
     for name in os.listdir(dd.root):
@@ -116,12 +121,29 @@ def bootstrap_from_resync(
         ):
             with contextlib.suppress(OSError):
                 os.unlink(os.path.join(dd.root, name))
-    ckpt_path = os.path.join(dd.root, manifest["checkpoint"])
-    tmp = ckpt_path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(snap)
-        fh.flush()
-        os.fsync(fh.fileno())
+    complete = False
+    while not complete:
+        chunk = fetch(0, None)
+        manifest = dict(chunk["manifest"])
+        ckpt_path = os.path.join(dd.root, manifest["checkpoint"])
+        tmp = ckpt_path + ".tmp"
+        with open(tmp, "wb") as fh:
+            while not chunk.get("superseded"):
+                data = base64.b64decode(chunk["data_b64"])
+                fh.write(data)
+                complete = fh.tell() >= chunk["size"]
+                if complete:
+                    fh.flush()
+                    os.fsync(fh.fileno())
+                    break
+                if not data:
+                    raise ReplicationError(
+                        f"resync of {manifest['checkpoint']} stalled at "
+                        f"byte {fh.tell()} of {chunk['size']}"
+                    )
+                chunk = fetch(fh.tell(), manifest["checkpoint"])
+        if not complete:
+            os.unlink(tmp)
     os.replace(tmp, ckpt_path)
     wal = WriteAheadLog.create(
         os.path.join(dd.root, manifest["wal"]),
@@ -193,8 +215,8 @@ class ReplicationClient:
         self.resyncs = 0
         self.local_checkpoints = 0
         self.promotions = 0
-        # Apply state: shipped entry id -> local handle, sid -> text.
-        self._entry_map: Dict[int, Any] = {}
+        # Apply state: shipped entry id -> local entry id, sid -> text.
+        self._entry_map = EntryMap()
         self._strings: Dict[int, str] = {}
         self._collections: Dict[str, Any] = {}
         self._batch_buf: Optional[List[WalRecord]] = None
@@ -232,8 +254,8 @@ class ReplicationClient:
         self.store = store
         self._collections = dict(store.collections)
         self._collections["_manager"] = store.manager
-        self._entry_map = store.report.entry_map if store.report else {}
-        self._strings = dict(store.report.strings) if store.report else {}
+        self._entry_map = store.report.entry_map
+        self._strings = dict(store.report.strings)
         self._local_cut = store.cut_lsn
         self._batch_buf = None
         with self._cond:
@@ -241,13 +263,21 @@ class ReplicationClient:
             self._cond.notify_all()
 
     def _clone(self) -> None:
-        reply = self._call({"op": "replicate", "resync": True})
         if self.store is not None:
             self.store.close(checkpoint=False)
             self.store = None
-        bootstrap_from_resync(
-            self.data_dir, reply["resync"], fsync_policy=self.fsync_policy
-        )
+
+        def fetch(offset: int, checkpoint: Optional[str]) -> Dict[str, Any]:
+            return self._call(
+                {
+                    "op": "replicate",
+                    "resync": True,
+                    "offset": offset,
+                    "checkpoint": checkpoint,
+                }
+            )["resync"]
+
+        bootstrap_from_resync(self.data_dir, fetch, fsync_policy=self.fsync_policy)
         self.resyncs += 1
         self._open_local()
 
@@ -410,17 +440,7 @@ class ReplicationClient:
             self._cond.notify_all()
 
     def _checkpoint_local(self, cut: int) -> None:
-        def translate(entries: Dict[str, List[int]]) -> Dict[str, List[int]]:
-            reverse = {
-                handle.ref.entry: shipped_id
-                for shipped_id, handle in self._entry_map.items()
-            }
-            return {
-                name: [reverse[e] for e in ids]
-                for name, ids in entries.items()
-            }
-
-        self.store.checkpoint(translate_entries=translate)
+        self.store.checkpoint(entry_ids=self._entry_map.pairs())
         # INTERN sids are segment-scoped; the primary's next segment
         # re-interns everything it references.
         self._strings.clear()
@@ -483,10 +503,10 @@ class ReplicationClient:
                 "repl.promote", wal=self.store.wal, applied_lsn=self.applied_lsn
             )
         self.store.attach_mutation_hooks()
-        # Promotion barrier: cut a checkpoint whose manifest records the
-        # node's *own* entry ids.  The shipped-id lineage ends at the
-        # cut, so the segment the new primary now writes can never mix
-        # shipped and local id spaces.
+        # Promotion barrier: cut a checkpoint without the shipped-id
+        # map.  The shipped-id lineage ends at the cut, so the segment
+        # the new primary now writes (in its own entry ids) can never
+        # mix shipped and local id spaces.
         self.store.checkpoint()
         self._local_cut = self.store.cut_lsn
         with self._cond:

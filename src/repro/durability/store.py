@@ -36,6 +36,10 @@ from repro.schema.fields import CharField, RefField, VarStringField
 #: Default log size that triggers ``maybe_checkpoint`` (bytes).
 DEFAULT_CHECKPOINT_BYTES = 16 * 1024 * 1024
 
+#: Most checkpoint bytes one resync reply carries (base64 inflates them
+#: by a third; the reply must stay far below ``protocol.MAX_FRAME``).
+RESYNC_CHUNK_BYTES = 4 * 1024 * 1024
+
 
 class MutationError(SmcError):
     """A malformed or inapplicable mutation op (service: BAD_REQUEST)."""
@@ -67,9 +71,12 @@ class DurableStore:
         self._ckpt = CheckpointManager(
             self.datadir, self.manager, dict(collections)
         )
+        self._ckpt.last_bytes = os.path.getsize(
+            self.datadir.checkpoint_path(self.cut_lsn)
+        )
         # Log-local string-id table, reset at every checkpoint (string
-        # dictionary *codes* are not stable across a reload, log-local
-        # sids are — see the wal module docstring).
+        # dictionary *codes* differ between a primary and its replicas,
+        # log-local sids do not — see the wal module docstring).
         self._sids: Dict[str, int] = {}
         # Counters carried across segment rollovers.
         self._closed_records = 0
@@ -219,37 +226,41 @@ class DurableStore:
         ``None`` means *after_lsn* predates the active segment: the
         intervening records were folded into a checkpoint and their
         segment swept, so a follower at that position must re-bootstrap
-        from :meth:`resync_payload`.
+        through :meth:`resync_chunk`.
         """
         return self._wal.read_tail(after_lsn, max_bytes=max_bytes)
 
-    def resync_payload(self) -> Dict[str, Any]:
-        """The current checkpoint + manifest, packaged for a follower.
+    def resync_chunk(
+        self, offset: int = 0, length: int = 0, checkpoint: Optional[str] = None
+    ) -> Dict[str, Any]:
+        """One slice of the current checkpoint file, for a joining follower.
 
-        Read under the WAL lock so no checkpoint can swap the manifest
-        mid-read; a sweep by a *second* checkpoint racing the file read
-        is retried (the next attempt sees the newer manifest).
+        The first call (``offset`` 0, no *checkpoint*) also carries the
+        manifest; the follower passes the manifest's checkpoint name back
+        with every further offset, and gets ``{"superseded": True}`` —
+        start over — if a newer checkpoint has replaced that file in the
+        meantime.  The file is opened under the WAL lock, so the manifest
+        read and the open see the same checkpoint, and read outside it:
+        an open descriptor outlives a sweep, and a follower joining must
+        not stall writers for the length of a disk read.
         """
         import base64
 
-        last_exc: Optional[BaseException] = None
-        for _ in range(3):
-            with self._wal.hold():
-                manifest = self.datadir.read_manifest()
-                path = os.path.join(self.datadir.root, manifest["checkpoint"])
-                try:
-                    with open(path, "rb") as fh:
-                        snap = fh.read()
-                except FileNotFoundError as exc:  # pragma: no cover - race
-                    last_exc = exc
-                    continue
-            return {
-                "manifest": manifest,
-                "snapshot_b64": base64.b64encode(snap).decode("ascii"),
-            }
-        raise SmcError(
-            f"checkpoint file kept disappearing under resync: {last_exc}"
-        )  # pragma: no cover - requires three back-to-back checkpoints
+        with self._wal.hold():
+            manifest = self.datadir.read_manifest()
+            if checkpoint not in (None, manifest["checkpoint"]):
+                return {"superseded": True}
+            fh = open(os.path.join(self.datadir.root, manifest["checkpoint"]), "rb")
+        with fh:
+            size = os.fstat(fh.fileno()).st_size
+            fh.seek(offset)
+            data = fh.read(min(length, RESYNC_CHUNK_BYTES) or RESYNC_CHUNK_BYTES)
+        return {
+            "manifest": manifest,
+            "size": size,
+            "offset": offset,
+            "data_b64": base64.b64encode(data).decode("ascii"),
+        }
 
     def log_add(self, collection, entry: int, values: Dict[str, Any]) -> int:
         payload_values = {
@@ -333,8 +344,8 @@ class DurableStore:
 
         Pre-registers the text in the segment's INTERN table so the ADD
         or UPDATE record about to reference it reuses the sid.  (The
-        dictionary *code* is deliberately ignored — it is not stable
-        across recovery.)
+        dictionary *code* is deliberately ignored — replaying the log
+        does not reproduce it.)
         """
         del code
         self._sid_for(text)
@@ -414,41 +425,26 @@ class DurableStore:
             entry = int(entry)
         except (TypeError, ValueError):
             raise MutationError(f"invalid entry id {entry!r}") from None
-        if entry < 0:
-            raise MutationError(f"invalid entry id {entry}")
-        manager = self.manager
-        try:
-            ref = Ref(manager, entry, manager.table.incarnation(entry))
-            if not ref.is_alive:
-                raise MutationError(f"entry {entry} is not a live object")
-            address = ref.address()
-            block = manager.space.block_at(address)
-        except MutationError:
-            raise
-        except Exception as exc:  # noqa: BLE001 - any bad id maps the same
+        ref = self.manager.live_ref(entry, coll.context)
+        if ref is None:
             raise MutationError(
-                f"entry {entry} is not a live object ({type(exc).__name__})"
-            ) from None
-        if block.context_id != coll.context.context_id:
-            raise MutationError(
-                f"entry {entry} does not belong to collection {coll.name!r}"
+                f"entry {entry} is not a live object of collection "
+                f"{coll.name!r}"
             )
         return coll._handle(ref)
 
     # -- checkpoints ----------------------------------------------------
 
-    def checkpoint(self, translate_entries=None) -> Dict[str, Any]:
+    def checkpoint(self, entry_ids=None) -> Dict[str, Any]:
         """Write a checkpoint, roll the log, sweep superseded files.
 
-        ``translate_entries`` is forwarded to the checkpoint manager; a
-        read replica uses it to record the primary's entry ids in its
-        manifest (see ``CheckpointManager.checkpoint``).
+        ``entry_ids`` is forwarded to the checkpoint manager; a read
+        replica uses it to keep its map from the primary's entry ids in
+        its image (see ``CheckpointManager.checkpoint``).
         """
         with self._wal.hold():
             old = self._wal
-            manifest, new_wal = self._ckpt.checkpoint(
-                old, translate_entries=translate_entries
-            )
+            manifest, new_wal = self._ckpt.checkpoint(old, entry_ids=entry_ids)
             self._closed_records += old.records
             self._closed_bytes += old.bytes_written
             self._closed_fsyncs += old.fsyncs
@@ -480,6 +476,10 @@ class DurableStore:
             "checkpoints_total": self._ckpt.count,
             "checkpoint_last_duration": self._ckpt.last_duration,
             "checkpoint_last_rows": self._ckpt.last_rows,
+            "checkpoint_last_bytes": self._ckpt.last_bytes,
+            "snapshot_load_seconds": (
+                self.report.load_seconds if self.report else 0.0
+            ),
             "recovery_replayed_total": (
                 self.report.replayed if self.report else 0
             ),

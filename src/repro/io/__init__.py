@@ -1,5 +1,17 @@
-"""Persistence: binary snapshots of self-managed collections."""
+"""Persistence: block-image snapshots of self-managed collections."""
 
-from repro.io.snapshot import SnapshotError, load_collections, save_collections
+from repro.io.snapshot import (
+    SnapshotError,
+    describe_snapshot,
+    export_collections,
+    load_collections,
+    save_collections,
+)
 
-__all__ = ["SnapshotError", "load_collections", "save_collections"]
+__all__ = [
+    "SnapshotError",
+    "describe_snapshot",
+    "export_collections",
+    "load_collections",
+    "save_collections",
+]

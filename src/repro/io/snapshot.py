@@ -1,61 +1,820 @@
-"""Binary snapshots of self-managed collections.
+"""Snapshots of self-managed collections: block images on disk.
 
 The paper's motivating application "on startup, loads a company's most
 recent business data into collections of managed objects" (section 1).
-This module provides that startup path: a compact, versioned binary
-snapshot of any set of collections, including cross-collection
-references, reloadable into a fresh memory manager.
+Objects of a self-managed collection already live in raw, self-describing
+blocks, every stored address is relative to a block id, and every
+reference goes through the indirection table — so block bytes are
+position-independent.  A snapshot therefore *is* the blocks: saving is a
+sequence of buffer writes, loading reads each buffer back into place and
+recounts what the bytes imply.  No object is ever visited.
 
-Format (little-endian)::
+Format ``SMCSNAP2`` (little-endian)::
 
-    magic   b"SMCSNAP1"
-    u32     collection count
-    per collection:
-        str     collection name
-        str     schema (tabular class) name
-        u32     field count
+    magic   b"SMCSNAP2"
+    u32     header length | u32 header CRC32
+    header  UTF-8 JSON:
+              block_shift, string_dict, direct_pointers    manager parameters
+              align                                        section alignment
+              collections: per collection, in save order
+                name, schema, fields [[name, type, meta]]  validated on load
+                columnar, dict_fields                      storage layout
+                blocks [block id]                          enumeration order
+                rows, indexes [[field, kind]]
+              heap: blocks [[block id, bump offset]], bytes_in_use
+              dicts: [schema]                              one per StringDict
+    sections, each a 32-byte frame
+              b"SECT" | u32 kind | i64 id | u64 length | u32 CRC32 | pad
+            placed so that the payload behind it starts on an ``align``
+            boundary (a follow-up can map block images in place):
+
+      kind        id            payload
+      heap-block  block id      raw buffer of one string-heap block
+      heap-free   record count  i64 (size class, address) per reusable record
+      table       entry count   i64 address per entry, then u32 incarnation
+      dict        index         i64 heap address per code, then i64 refcount
+                                (texts are read back from the heap records)
+      block       block id      raw buffer of one data block
+      entry-ids   pair count    i64 (logged id, local id): a replica's map
+                                from the primary's entry ids to its own
+      end         section count empty; anything after it is an error
+
+Saving writes each buffer as it is, with two exceptions that make an
+image a function of the store's content rather than of the writing
+process: state that only protects that process's readers is dropped —
+LIMBO slots are written FREE, entries that are retired but not yet
+recycled (or belong to a collection outside the snapshot) are written
+null, FROZEN/LOCKED bits are cleared, string records and dictionary codes
+in their reuse grace period are written reusable — and block headers are
+stamped with the type and context ids the loader will hand out.  Equal
+stores write equal files, and save → load → save reproduces the file.
+
+Loading *adopts* the image: buffers come from the manager's own policy
+(heap, shared memory, tiered), blocks are mapped at their stored ids, and
+one vectorised pass per block rebuilds what the bytes only imply — valid
+counts and allocation cursors from the slot directory, live counts, the
+table's free list from its null entries, dictionary lookups, secondary
+indexes through their ordinary backfill.  Entry ids and incarnation
+counters carry over, so a reference that was stale before the save is
+stale after the load.  Reclamation queues start empty and the epoch
+restarts at zero.
+
+Every section carries its length and CRC32; truncation, a flipped byte,
+an unknown section kind or two blocks claiming one id raise
+:class:`SnapshotError` naming the section.
+
+``SMCSNAP1``, the field-by-field row format, remains as the portable
+codec (:func:`export_collections`; :func:`load_collections` sniffs the
+magic) and as the conversion path: asking for a layout, string encoding
+or block size other than the image's loads the image aside and copies it
+across row by row.  Its layout::
+
+    magic b"SMCSNAP1" | u32 collection count
+    per collection: str name | str schema | u32 field count
         per field: str name | str type | i32 meta (width or scale, -1)
-        u64     row count
-        rows in enumeration order; per field:
-            scalars   struct-packed raw representation
-            CharField width bytes (NUL padded)
-            VarString u32 length + utf-8 bytes
-            RefField  str target collection (interned id) + i64 ordinal
-                      (-1 for null), ordinal = row position in the target
-                      collection's enumeration
-
-After the last collection an optional index section lists each
-collection's secondary indexes (``u32 count``, then per index:
-collection name | field name | kind).  Loaders recreate and backfill
-them, so an index is never silently empty after a reload; files written
-before the section existed simply end at the rows and load index-free.
-
-References are rebuilt in a second pass after all rows exist, so cyclic
-and forward references round-trip.  Loading validates the stored field
-spec against the current tabular class and refuses mismatches.
+        u64 row count, then rows in enumeration order; per field:
+            scalars struct-packed raw | Char width bytes (NUL padded)
+            VarString u32 length + utf-8 | Ref str target collection +
+            i64 ordinal in the target's enumeration (-1 for null)
+    optional index section: u32 count, per index str collection | str
+        field | str kind (files written before it existed end at the rows)
 """
 
 from __future__ import annotations
 
+import io
+import json
+import mmap
 import os
 import struct
-from typing import Any, BinaryIO, Dict, List, Optional, Tuple
+import zlib
+from typing import Any, BinaryIO, Dict, List, NamedTuple, Optional, Tuple
+
+import numpy as np
 
 from repro.core.collection import Collection
 from repro.core.columnar import ColumnarCollection
 from repro.errors import SmcError
+from repro.memory import slots as slotcodec
+from repro.memory.addressing import NULL_ADDRESS
+from repro.memory.block import _HEADER_STRUCT
+from repro.memory.indirection import INC_MASK
 from repro.memory.manager import MemoryManager
 from repro.schema.fields import CharField, DecimalField, Field, RefField, VarStringField
 from repro.schema.tabular import resolve_tabular
 
-_MAGIC = b"SMCSNAP1"
+_MAGIC = b"SMCSNAP2"
+_MAGIC_ROWS = b"SMCSNAP1"
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
 _I64 = struct.Struct("<q")
+_HEADER_FRAME = struct.Struct("<II")  # length, crc32
+_FRAME = struct.Struct("<4sIqQI4x")  # tag, kind, id, length, crc32
+_FRAME_KEY = struct.Struct("<IqQ")  # the frame fields the CRC also covers
+_FRAME_TAG = b"SECT"
+
+HEAP_BLOCK, HEAP_FREE, TABLE, DICT, BLOCK, ENTRY_IDS, END = range(1, 8)
+_KIND_NAMES = {
+    HEAP_BLOCK: "heap-block",
+    HEAP_FREE: "heap-free",
+    TABLE: "table",
+    DICT: "dict",
+    BLOCK: "block",
+    ENTRY_IDS: "entry-ids",
+    END: "end",
+}
+
+#: What a malformed-but-checksummed image can still trip over while being
+#: adopted (a schema that drifted, a writer bug); reported as SnapshotError.
+_ADOPT_ERRORS = (ValueError, KeyError, IndexError, TypeError, OverflowError, struct.error)
 
 
 class SnapshotError(SmcError):
     """Raised on malformed or incompatible snapshot files."""
+
+
+def _read_exact(fh: BinaryIO, n: int, what: str = "snapshot file") -> bytes:
+    data = fh.read(n)
+    if len(data) != n:
+        raise SnapshotError(f"truncated {what}")
+    return data
+
+
+def _field_meta(field: Field) -> int:
+    if isinstance(field, CharField):
+        return field.width
+    if isinstance(field, DecimalField):
+        return field.scale
+    return -1
+
+
+def _field_spec(layout) -> List[List[Any]]:
+    return [[f.name, type(f).__name__, _field_meta(f)] for f in layout.fields]
+
+
+def _named(collections: Dict[str, Any]) -> Dict[str, Any]:
+    return {k: v for k, v in collections.items() if not k.startswith("_")}
+
+
+# ----------------------------------------------------------------------
+# Saving
+# ----------------------------------------------------------------------
+
+
+def save_collections(
+    path: str,
+    collections: Dict[str, Any],
+    *,
+    fsync: bool = False,
+    entry_ids: Optional[np.ndarray] = None,
+) -> int:
+    """Write *collections* (name → collection) to *path* as block images.
+
+    Returns the number of rows the image holds.  All collections must
+    share one memory manager, and reference fields may only point at
+    objects inside one of the saved collections.  The caller keeps
+    writers of the saved collections out for the duration (the
+    checkpointer holds the WAL lock); blocks are written from whatever
+    buffer they currently live in, so cold blocks are never promoted.
+    With ``fsync`` the file is fsynced before closing (checkpoints need
+    the bytes durable before the manifest rename can point at them).
+    ``entry_ids`` is stored verbatim for a replica's recovery (see the
+    module docstring).
+    """
+    named = _named(collections)
+    manager = collections.get("_manager")
+    for coll in named.values():
+        if manager is None:
+            manager = coll.manager
+        elif coll.manager is not manager:
+            raise SnapshotError(
+                "collections of different memory managers cannot share a snapshot"
+            )
+    if manager is None:
+        raise SnapshotError("nothing to save: no collection and no '_manager'")
+
+    # The critical section keeps a compaction of some *other* collection
+    # from starting its moving phase (and from advancing the epoch twice,
+    # which a demotion would need) while buffers are being copied out.
+    with manager.critical_section():
+        blocks = {name: _settled_blocks(name, coll) for name, coll in named.items()}
+        table_addr, table_inc = manager.table.export()
+        saved_ids = {b.block_id for group in blocks.values() for b in group}
+        if len(named) < len(manager._contexts):
+            _check_references(manager, named, blocks, saved_ids, table_addr, table_inc)
+        # An entry is live iff a valid slot of a saved block points back at
+        # it; all others (retired and not yet recycled, or owned by a
+        # collection that is not being saved) go into the image as null.
+        live = np.zeros(len(table_addr), dtype=bool)
+        live[_entries(blocks.values())] = True
+        table_addr[~live] = NULL_ADDRESS
+        table_inc &= np.uint32(INC_MASK)
+        dicts: Dict[str, Any] = {}
+        for coll in named.values():
+            if coll.strdict is not None:
+                dicts.setdefault(coll.schema.__name__, coll.strdict)
+        heap = manager.strings
+        heap_blocks = heap.blocks()
+        header = {
+            "block_shift": manager.space.block_shift,
+            "string_dict": bool(manager.string_dict),
+            "direct_pointers": bool(manager.direct_pointers),
+            "align": mmap.ALLOCATIONGRANULARITY,
+            "collections": [
+                {
+                    "name": name,
+                    "schema": coll.schema.__name__,
+                    "fields": _field_spec(coll.layout),
+                    "columnar": isinstance(coll, ColumnarCollection),
+                    "dict_fields": sorted(coll.context.dict_fields),
+                    "blocks": [b.block_id for b in blocks[name]],
+                    "rows": len(coll),
+                    "indexes": [list(spec) for spec in coll.index_specs()],
+                }
+                for name, coll in named.items()
+            ],
+            "heap": {
+                "blocks": [[b.block_id, b.bump] for b in heap_blocks],
+                "bytes_in_use": heap.bytes_in_use,
+            },
+            "dicts": list(dicts),
+        }
+        with open(path, "wb") as fh:
+            out = _SectionWriter(fh, header)
+            for block in heap_blocks:
+                out.section(HEAP_BLOCK, block.block_id, block.buf)
+            free = np.array(heap.free_records(), dtype=np.int64).reshape(-1, 2)
+            out.section(HEAP_FREE, len(free), free)
+            out.section(TABLE, len(table_addr), table_addr, table_inc)
+            for index, strdict in enumerate(dicts.values()):
+                addrs, refs = strdict.export_codes()
+                out.section(
+                    DICT,
+                    index,
+                    np.array(addrs, dtype=np.int64),
+                    np.array(refs, dtype=np.int64),
+                )
+            type_ids: Dict[str, int] = {}
+            for context_id, (name, coll) in enumerate(named.items()):
+                type_id = type_ids.setdefault(coll.schema.__name__, len(type_ids) + 1)
+                for block in blocks[name]:
+                    out.section(
+                        BLOCK, block.block_id, _image(block, type_id, context_id)
+                    )
+            if entry_ids is not None:
+                pairs = np.ascontiguousarray(entry_ids, dtype=np.int64).reshape(-1, 2)
+                out.section(ENTRY_IDS, len(pairs), pairs)
+            out.section(END, out.sections)
+            if fsync:
+                fh.flush()
+                os.fsync(fh.fileno())
+    return sum(len(coll) for coll in named.values())
+
+
+class _SectionWriter:
+    """Magic, header, then framed sections whose payloads start aligned."""
+
+    def __init__(self, fh: BinaryIO, header: Dict[str, Any]) -> None:
+        self.fh = fh
+        self.align = header["align"]
+        self.sections = 0
+        data = json.dumps(header, separators=(",", ":")).encode("utf-8")
+        fh.write(_MAGIC)
+        fh.write(_HEADER_FRAME.pack(len(data), zlib.crc32(data)))
+        fh.write(data)
+        self.pos = len(_MAGIC) + _HEADER_FRAME.size + len(data)
+
+    def section(self, kind: int, ident: int, *parts) -> None:
+        # (An empty array has a zero in its shape, which cast() refuses.)
+        views = [
+            view.cast("B") if view.nbytes else memoryview(b"")
+            for view in map(memoryview, parts)
+        ]
+        length = sum(view.nbytes for view in views)
+        crc = zlib.crc32(_FRAME_KEY.pack(kind, ident, length))
+        for view in views:
+            crc = zlib.crc32(view, crc)
+        pad = -(self.pos + _FRAME.size) % self.align
+        self.fh.write(bytes(pad))
+        self.fh.write(_FRAME.pack(_FRAME_TAG, kind, ident, length, crc))
+        for view in views:
+            self.fh.write(view)
+        self.pos += pad + _FRAME.size + length
+        self.sections += 1
+
+
+def _settled_blocks(name: str, coll) -> list:
+    """*coll*'s blocks in enumeration order, refusing a half-moved state.
+
+    Between compaction cycles every live object is VALID in exactly one
+    block of its context (a failed group's moved rows in the attached
+    destination, the rest in the sources), so the raw blocks are the
+    collection.  Mid-cycle that is not true at every instant; durable
+    collections compact under the WAL lock the checkpointer holds, so
+    only an unsynchronised caller can get here.
+    """
+    blocks = coll.context.blocks()
+    for block in blocks:
+        group = block.compaction_group
+        if group is not None and not (group.finished or group.failed):
+            raise SnapshotError(
+                f"collection {name!r} is being compacted; snapshot it "
+                f"after the cycle settles"
+            )
+    return blocks
+
+
+def _image(block, type_id: int, context_id: int):
+    """*block*'s bytes as an image stores them.
+
+    Usually the live buffer itself.  A copy is patched when the block
+    carries state that means nothing to another process: LIMBO words
+    (their removal epochs end with this process; the slots are FREE to
+    whoever adopts the image) and header ids other than the ones the
+    loader will assign — collections are created in file order, so a
+    context id is a position and a type id a first appearance.  Equal
+    stores therefore write equal files, and an adopted image never needs
+    a write before it can be read.
+    """
+    stamp = _HEADER_STRUCT.unpack_from(block.buf, 0)
+    wanted = (type_id, context_id, *stamp[2:])
+    limbo = (block.directory & slotcodec.STATE_MASK) == slotcodec.LIMBO
+    if stamp == wanted and not limbo.any():
+        return block.buf
+    image = bytearray(block.buf)
+    _HEADER_STRUCT.pack_into(image, 0, *wanted)
+    directory = np.frombuffer(
+        image, np.uint32, block.slot_count, block.directory_offset
+    )
+    directory[limbo] = slotcodec.pack(slotcodec.FREE)
+    return image
+
+
+def _ref_columns(block, field: RefField) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-slot ``(word, incarnation)`` arrays of one reference field."""
+    columns = getattr(block, "columns", None)
+    if columns is not None:
+        return columns[field.name + "__w"], columns[field.name + "__i"]
+    mv = memoryview(block.buf)
+    at = block.object_offset + field.offset
+    shape, strides = (block.slot_count,), (block.slot_size,)
+    return (
+        np.ndarray(shape, np.int64, mv, at, strides),
+        np.ndarray(shape, np.uint32, mv, at + 8, strides),
+    )
+
+
+def _check_references(manager, named, blocks, saved_ids, table_addr, table_inc) -> None:
+    """Refuse live references that leave the saved collections.
+
+    Only needed when the manager hosts collections that are not being
+    saved: the image would hold pointers to blocks it does not carry.
+    """
+    shift = manager.space.block_shift
+    direct = manager.direct_pointers
+    saved = np.fromiter(saved_ids, dtype=np.int64, count=len(saved_ids))
+    for name, coll in named.items():
+        for field in coll.layout.ref_fields:
+            for block in blocks[name]:
+                words, incs = _ref_columns(block, field)
+                slots = block.valid_slots()
+                words, incs = words[slots], incs[slots].astype(np.int64) & INC_MASK
+                keep = words != NULL_ADDRESS
+                words, incs = words[keep], incs[keep]
+                if direct:
+                    leaving = np.nonzero(~np.isin(words >> shift, saved))[0]
+                    # A stale direct pointer may name a block long gone;
+                    # only a target whose slot header still matches is live.
+                    leaving = [
+                        k
+                        for k in leaving
+                        if _direct_target_alive(manager, int(words[k]), int(incs[k]))
+                    ]
+                else:
+                    alive = (table_inc[words].astype(np.int64) & INC_MASK) == incs
+                    leaving = np.nonzero(
+                        alive & ~np.isin(table_addr[words] >> shift, saved)
+                    )[0]
+                if len(leaving):
+                    raise SnapshotError(
+                        f"reference field {field.name} of {name!r} points "
+                        f"outside the snapshotted collections"
+                    )
+
+
+def _direct_target_alive(manager, address: int, inc: int) -> bool:
+    block = manager.space.try_block_at(address)
+    if not hasattr(block, "slot_incs"):
+        return False
+    slot = block.slot_of_address(address)
+    return (
+        0 <= slot < block.slot_count
+        and (int(block.slot_incs[slot]) & INC_MASK) == inc
+    )
+
+
+# ----------------------------------------------------------------------
+# Loading
+# ----------------------------------------------------------------------
+
+
+def load_collections(
+    path: str,
+    manager: Optional[MemoryManager] = None,
+    columnar: bool = False,
+    string_dict: bool = True,
+    shm: bool = False,
+    memory_budget: Optional[int] = None,
+    block_shift: Optional[int] = None,
+) -> Dict[str, Any]:
+    """Load a snapshot; returns name → collection (plus ``"_manager"``).
+
+    Tabular classes are resolved by name through the schema registry and
+    validated against the stored field specification.  ``string_dict``,
+    ``shm`` (shared-memory block buffers, for the process executor),
+    ``memory_budget`` (attach a pager keeping the block pool under a byte
+    budget) and ``block_shift`` (log2 block size; default: the image's)
+    shape the fresh manager and are ignored when an explicit *manager* is
+    supplied.
+
+    A block image is adopted in place when it already has the requested
+    shape — layout, string encoding, block size — and the manager is
+    fresh; otherwise it is loaded aside and copied across row by row, as
+    an ``SMCSNAP1`` file always is.  When log records would no longer
+    find the rows under the entry ids they name — a replica's image, or a
+    conversion that handed out other ids — the result also holds
+    ``"_entry_ids"``, the ``(logged id, local id)`` pairs recovery needs.
+    """
+    # Tabular classes are resolved by name: user-defined classes must be
+    # imported before loading.  The built-in TPC-H schema registers here
+    # so snapshots written by the CLI always reload.
+    import repro.tpch.schema  # noqa: F401
+
+    def fresh(**params) -> MemoryManager:
+        return MemoryManager(shm=shm, memory_budget=memory_budget, **params)
+
+    with open(path, "rb") as fh:
+        magic = fh.read(len(_MAGIC))
+        if magic == _MAGIC_ROWS:
+            if manager is None:
+                manager = fresh(
+                    string_dict=string_dict,
+                    **({} if block_shift is None else {"block_shift": block_shift}),
+                )
+            return _load_rows(fh, manager, columnar)
+        if magic != _MAGIC:
+            raise SnapshotError(f"{path} is not an SMC snapshot")
+        header = _read_header(fh)
+        stored = {
+            key: header[key]
+            for key in ("block_shift", "string_dict", "direct_pointers")
+        }
+        if manager is None:
+            wanted = dict(stored, string_dict=string_dict)
+            if block_shift is not None:
+                wanted["block_shift"] = block_shift
+            adoptable = True
+        else:
+            wanted = dict(
+                block_shift=manager.space.block_shift,
+                string_dict=bool(manager.string_dict),
+                direct_pointers=bool(manager.direct_pointers),
+            )
+            # Stored block and entry ids are only free in an unused manager.
+            adoptable = not (
+                manager.table.size
+                or manager.space.live_block_count
+                or manager._contexts
+            )
+        if (
+            adoptable
+            and wanted == stored
+            and all(c["columnar"] == columnar for c in header["collections"])
+        ):
+            return _adopt(fh, header, manager or fresh(**stored), owned=manager is None)
+        # Another shape was asked for: adopt aside, copy across by rows.
+        staging = _adopt(fh, header, fresh(**stored), owned=True)
+        try:
+            rows = io.BytesIO()
+            _write_rows(rows, _named(staging))
+            rows.seek(len(_MAGIC_ROWS))
+            converted = _load_rows(rows, manager or fresh(**wanted), columnar)
+            # The copies took fresh entry ids, in the same enumeration
+            # order; log records still name the stored ones.
+            logged = _entries(_block_groups(staging))
+            prior = staging.get("_entry_ids")
+            if prior is not None and len(prior):
+                primary = dict(zip(prior[:, 1].tolist(), prior[:, 0].tolist()))
+                logged = np.array(
+                    [primary.get(e, e) for e in logged.tolist()], dtype=np.int64
+                )
+            local = _entries(_block_groups(converted))
+            moved = logged != local
+            if moved.any():
+                converted["_entry_ids"] = np.stack(
+                    [logged[moved], local[moved]], axis=1
+                )
+            return converted
+        finally:
+            staging["_manager"].close()
+
+
+def _entries(groups) -> np.ndarray:
+    """Entry ids of the rows in *groups* of blocks, in enumeration order."""
+    parts = [np.empty(0, dtype=np.int64)]
+    for group in groups:
+        parts.extend(block.backptrs[block.valid_slots()] for block in group)
+    return np.concatenate(parts)
+
+
+def _block_groups(collections: Dict[str, Any]):
+    return (coll.context.blocks() for coll in _named(collections).values())
+
+
+def _read_header(fh: BinaryIO) -> Dict[str, Any]:
+    length, crc = _HEADER_FRAME.unpack(_read_exact(fh, _HEADER_FRAME.size, "header"))
+    data = _read_exact(fh, length, "header")
+    if zlib.crc32(data) != crc:
+        raise SnapshotError("header checksum mismatch")
+    try:
+        header = json.loads(data)
+        for key in ("block_shift", "string_dict", "direct_pointers", "align",
+                    "collections", "heap", "dicts"):
+            header[key]
+    except _ADOPT_ERRORS as exc:
+        raise SnapshotError(f"malformed header: {exc}") from None
+    header["offset"] = len(_MAGIC) + _HEADER_FRAME.size + length
+    header["file_bytes"] = os.fstat(fh.fileno()).st_size
+    return header
+
+
+class _Frame(NamedTuple):
+    kind: int
+    ident: int
+    length: int
+    crc: int
+
+    @property
+    def name(self) -> str:
+        return f"{_KIND_NAMES[self.kind]} section {self.ident}"
+
+
+def _read_frame(fh: BinaryIO, pos: int, header: Dict[str, Any]) -> Tuple[_Frame, int]:
+    """Skip to the next frame; returns it and its payload's position."""
+    pad = -(pos + _FRAME.size) % header["align"]
+    raw = _read_exact(fh, pad + _FRAME.size, "snapshot file (no end section)")
+    tag, kind, ident, length, crc = _FRAME.unpack(raw[pad:])
+    pos += pad
+    if tag != _FRAME_TAG:
+        raise SnapshotError(f"no section frame at offset {pos}")
+    if kind not in _KIND_NAMES:
+        raise SnapshotError(f"unknown section kind {kind} at offset {pos}")
+    frame = _Frame(kind, ident, length, crc)
+    if pos + _FRAME.size + length > header["file_bytes"]:
+        raise SnapshotError(f"truncated {frame.name}")
+    return frame, pos + _FRAME.size
+
+
+def _sections(fh: BinaryIO, header: Dict[str, Any]):
+    """Yield ``(frame, payload position)`` per section up to and including
+    the end section, with *fh* at the payload; unread payloads are skipped."""
+    pos = header["offset"]
+    while True:
+        frame, pos = _read_frame(fh, pos, header)
+        yield frame, pos
+        if frame.kind == END:
+            return
+        pos += frame.length
+        fh.seek(pos)
+
+
+def _read_payload(fh: BinaryIO, frame: _Frame, into=None):
+    """One section payload, checksummed; *into* receives it in place."""
+    if into is None:
+        into = bytearray(frame.length)
+    view = memoryview(into).cast("B")
+    if view.nbytes != frame.length:
+        raise SnapshotError(
+            f"{frame.name} holds {frame.length} bytes, expected {view.nbytes}"
+        )
+    if fh.readinto(view) != frame.length:
+        raise SnapshotError(f"truncated {frame.name}")
+    seed = zlib.crc32(_FRAME_KEY.pack(frame.kind, frame.ident, frame.length))
+    if zlib.crc32(view, seed) != frame.crc:
+        raise SnapshotError(f"{frame.name} checksum mismatch")
+    return into
+
+
+def _resolve_schema(name: str, fields: List[List[Any]]):
+    """The registered tabular class *name*, checked against stored *fields*."""
+    schema = resolve_tabular(name)
+    expected = _field_spec(schema.__layout__)
+    if fields != expected:
+        raise SnapshotError(
+            f"snapshot schema for {name} does not match the "
+            f"current tabular class: {fields} != {expected}"
+        )
+    return schema
+
+
+def _validated_collection(spec: Dict[str, Any], manager: MemoryManager):
+    schema = _resolve_schema(spec["schema"], spec["fields"])
+    factory = ColumnarCollection if spec["columnar"] else Collection
+    coll = factory(schema, manager=manager, name=spec["name"])
+    if sorted(coll.context.dict_fields) != spec["dict_fields"]:
+        raise SnapshotError(
+            f"collection {spec['name']!r} stores dictionary codes for "
+            f"{spec['dict_fields']}, the manager for "
+            f"{sorted(coll.context.dict_fields)}"
+        )
+    return coll
+
+
+def _adopt(fh: BinaryIO, header: Dict[str, Any], manager: MemoryManager, owned: bool):
+    try:
+        return _adopt_sections(fh, header, manager)
+    except BaseException:
+        if owned:
+            manager.close()
+        raise
+
+
+def _adopt_sections(fh: BinaryIO, header: Dict[str, Any], manager: MemoryManager):
+    space = manager.space
+    collections: Dict[str, Any] = {}
+    owner: Dict[int, Any] = {}
+    for spec in header["collections"]:
+        coll = collections[spec["name"]] = _validated_collection(spec, manager)
+        for block_id in spec["blocks"]:
+            owner[block_id] = coll
+    bumps = dict(header["heap"]["blocks"])
+    dicts = {
+        index: manager.collections[schema].strdict
+        for index, schema in enumerate(header["dicts"])
+    }
+    # Sections still owed, by what they unlock: a dictionary reads its
+    # texts from heap blocks, a data block is checked against the table
+    # (and the pager may build its zone map the moment it is adopted).
+    table: Optional[Tuple[np.ndarray, np.ndarray]] = None
+    heap_free_pending = True
+
+    def adopt_heap_block(ident: int, segment) -> None:
+        if ident not in bumps:
+            raise ValueError("not a heap block of this image, or sent twice")
+        manager.strings.adopt_block(ident, segment, bumps.pop(ident))
+
+    def adopt_data_block(ident: int, segment) -> None:
+        if ident not in owner:
+            raise ValueError("not a block of any collection, or sent twice")
+        if table is None or dicts:
+            raise ValueError("data block ahead of the table or a dictionary")
+        block = manager.adopt_block(owner.pop(ident).context, ident, segment)
+        slots = block.valid_slots()
+        entries = block.backptrs[slots]
+        if entries.size and not 0 <= entries.min() <= entries.max() < len(table[0]):
+            raise ValueError("back-pointer outside the indirection table")
+        if not np.array_equal(table[0][entries], block.slot_address(slots)):
+            raise ValueError("indirection entries do not point back at its slots")
+
+    for sections, (frame, __) in enumerate(_sections(fh, header)):
+        kind, ident = frame.kind, frame.ident
+        try:
+            if kind == END:
+                if frame.length or ident != sections or fh.read(1):
+                    raise ValueError(
+                        f"closes {sections} sections, with payload or trailing data"
+                    )
+                break
+            if kind in (HEAP_BLOCK, BLOCK):
+                segment = space.buffers.create(space.block_size)
+                try:
+                    _read_payload(fh, frame, into=segment.buf)
+                    (adopt_heap_block if kind == HEAP_BLOCK else adopt_data_block)(
+                        ident, segment
+                    )
+                except BaseException:
+                    segment.release()
+                    raise
+            else:
+                payload = _read_payload(fh, frame)
+                if kind == TABLE:
+                    addr = np.frombuffer(payload, np.int64, ident)
+                    inc = np.frombuffer(payload, np.uint32, ident, addr.nbytes)
+                    if table is not None or addr.nbytes + inc.nbytes != frame.length:
+                        raise ValueError("sent twice, or not one address and "
+                                         "incarnation per entry")
+                    table = (addr, inc)
+                elif kind == DICT:
+                    if bumps:
+                        raise ValueError("dictionary ahead of a heap block")
+                    codes = np.frombuffer(payload, np.int64).reshape(2, -1)
+                    dicts.pop(ident).adopt_codes(codes[0].tolist(), codes[1].tolist())
+                elif kind == HEAP_FREE:
+                    records = np.frombuffer(payload, np.int64).reshape(ident, 2)
+                    manager.strings.adopt_free_records(
+                        records.tolist(), header["heap"]["bytes_in_use"]
+                    )
+                    heap_free_pending = False
+                elif kind == ENTRY_IDS:
+                    collections["_entry_ids"] = np.frombuffer(
+                        payload, np.int64
+                    ).reshape(ident, 2)
+        except SnapshotError:
+            raise
+        except _ADOPT_ERRORS as exc:
+            raise SnapshotError(f"{frame.name}: {exc}") from None
+    missing = (
+        [_Frame(BLOCK, b, 0, 0).name for b in owner]
+        + [_Frame(HEAP_BLOCK, b, 0, 0).name for b in bumps]
+        + [_Frame(DICT, i, 0, 0).name for i in dicts]
+        + ["table section"] * (table is None)
+        + ["heap-free section"] * heap_free_pending
+    )
+    if missing:
+        raise SnapshotError(f"snapshot ends without its {', '.join(missing)}")
+    for spec in header["collections"]:
+        arrived = [b.block_id for b in collections[spec["name"]].context.blocks()]
+        if arrived != spec["blocks"]:
+            raise SnapshotError(
+                f"blocks of collection {spec['name']!r} arrived out of order"
+            )
+    manager.table.adopt(*table)
+    for spec in header["collections"]:
+        _create_indexes(
+            collections, [(spec["name"], *index) for index in spec["indexes"]]
+        )
+    collections["_manager"] = manager
+    return collections
+
+
+def _create_indexes(collections: Dict[str, Any], specs) -> None:
+    """Recreate (and thereby backfill) persisted secondary indexes, so an
+    index is never silently empty after a reload."""
+    for coll_name, field_name, kind in specs:
+        coll = collections.get(coll_name)
+        if coll is None:
+            raise SnapshotError(
+                f"index section names unknown collection {coll_name!r}"
+            )
+        if kind == "hash":
+            coll.create_index(field_name)
+        elif kind == "sorted":
+            coll.create_sorted_index(field_name)
+        else:
+            raise SnapshotError(f"unknown index kind {kind!r}")
+
+
+def describe_snapshot(path: str) -> Dict[str, Any]:
+    """What a snapshot file holds, from its header and section frames
+    alone (no payload is read): format version, manager parameters,
+    per-collection rows and block counts, bytes per section kind."""
+    with open(path, "rb") as fh:
+        magic = fh.read(len(_MAGIC))
+        size = os.fstat(fh.fileno()).st_size
+        if magic == _MAGIC_ROWS:
+            return {"format": _MAGIC_ROWS.decode(), "file_bytes": size}
+        if magic != _MAGIC:
+            raise SnapshotError(f"{path} is not an SMC snapshot")
+        header = _read_header(fh)
+        sections: Dict[str, List[int]] = {}
+        for frame, __ in _sections(fh, header):
+            entry = sections.setdefault(_KIND_NAMES[frame.kind], [0, 0])
+            entry[0] += 1
+            entry[1] += frame.length
+    return {
+        "format": _MAGIC.decode(),
+        "file_bytes": size,
+        "header_bytes": header["offset"],
+        "block_shift": header["block_shift"],
+        "string_dict": header["string_dict"],
+        "direct_pointers": header["direct_pointers"],
+        "collections": [
+            {
+                "name": c["name"],
+                "schema": c["schema"],
+                "columnar": c["columnar"],
+                "rows": c["rows"],
+                "blocks": len(c["blocks"]),
+            }
+            for c in header["collections"]
+        ],
+        "sections": {name: tuple(v) for name, v in sections.items()},
+    }
+
+
+# ----------------------------------------------------------------------
+# SMCSNAP1: the portable row codec
+# ----------------------------------------------------------------------
+
+
+def export_collections(path: str, collections: Dict[str, Any]) -> int:
+    """Write *collections* in the portable row format (``SMCSNAP1``).
+
+    Field by field through the handles — slow, but independent of block
+    size, storage layout and string encoding.  Returns the rows written.
+    """
+    with open(path, "wb") as fh:
+        return _write_rows(fh, _named(collections))
 
 
 def _write_str(fh: BinaryIO, text: str) -> None:
@@ -69,48 +828,7 @@ def _read_str(fh: BinaryIO) -> str:
     return _read_exact(fh, n).decode("utf-8")
 
 
-def _read_exact(fh: BinaryIO, n: int) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise SnapshotError("truncated snapshot file")
-    return data
-
-
-def _field_meta(field: Field) -> int:
-    if isinstance(field, CharField):
-        return field.width
-    if isinstance(field, DecimalField):
-        return field.scale
-    return -1
-
-
-# ----------------------------------------------------------------------
-# Saving
-# ----------------------------------------------------------------------
-
-
-def save_collections(
-    path: str,
-    collections: Dict[str, Any],
-    *,
-    fsync: bool = False,
-    entry_lists: Optional[Dict[str, List[int]]] = None,
-) -> int:
-    """Write *collections* (name → collection) to *path*.
-
-    Returns the number of rows written.  Reference fields may only point
-    at objects inside one of the saved collections.  With ``fsync`` the
-    file is fsynced before closing (checkpoints need the bytes durable
-    before the manifest rename can point at them).  ``entry_lists``, if
-    given, is filled with each collection's indirection-entry ids in row
-    write order — the recovery module zips them with the reloaded rows
-    to translate log records.
-    """
-    named = {
-        name: coll
-        for name, coll in collections.items()
-        if not name.startswith("_")
-    }
+def _write_rows(fh: BinaryIO, named: Dict[str, Any]) -> int:
     # entry index -> (collection name, ordinal), for reference encoding.
     ordinals: Dict[int, Tuple[str, int]] = {}
     handle_lists: Dict[str, list] = {}
@@ -119,41 +837,34 @@ def save_collections(
         handle_lists[name] = handles
         for i, handle in enumerate(handles):
             ordinals[handle.ref.entry] = (name, i)
-        if entry_lists is not None:
-            entry_lists[name] = [h.ref.entry for h in handles]
 
     rows_written = 0
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(_U32.pack(len(named)))
-        for name, coll in named.items():
-            layout = coll.layout
-            _write_str(fh, name)
-            _write_str(fh, coll.schema.__name__)
-            fh.write(_U32.pack(len(layout.fields)))
-            for f in layout.fields:
-                _write_str(fh, f.name)
-                _write_str(fh, type(f).__name__)
-                fh.write(struct.pack("<i", _field_meta(f)))
-            handles = handle_lists[name]
-            fh.write(_U64.pack(len(handles)))
-            for handle in handles:
-                _write_row(fh, layout, handle, ordinals)
-                rows_written += 1
-        # Trailing index section (old loaders stop at the rows).
-        specs = [
-            (name, field_name, kind)
-            for name, coll in named.items()
-            for field_name, kind in coll.index_specs()
-        ]
-        fh.write(_U32.pack(len(specs)))
-        for name, field_name, kind in specs:
-            _write_str(fh, name)
-            _write_str(fh, field_name)
-            _write_str(fh, kind)
-        if fsync:
-            fh.flush()
-            os.fsync(fh.fileno())
+    fh.write(_MAGIC_ROWS)
+    fh.write(_U32.pack(len(named)))
+    for name, coll in named.items():
+        layout = coll.layout
+        _write_str(fh, name)
+        _write_str(fh, coll.schema.__name__)
+        fh.write(_U32.pack(len(layout.fields)))
+        for f in layout.fields:
+            _write_str(fh, f.name)
+            _write_str(fh, type(f).__name__)
+            fh.write(struct.pack("<i", _field_meta(f)))
+        handles = handle_lists[name]
+        fh.write(_U64.pack(len(handles)))
+        for handle in handles:
+            _write_row(fh, layout, handle, ordinals)
+            rows_written += 1
+    # Trailing index section (old loaders stop at the rows).
+    specs = [
+        (name, field_name, kind)
+        for name, coll in named.items()
+        for field_name, kind in coll.index_specs()
+    ]
+    fh.write(_U32.pack(len(specs)))
+    for spec in specs:
+        for text in spec:
+            _write_str(fh, text)
     return rows_written
 
 
@@ -165,8 +876,7 @@ def _write_row(fh: BinaryIO, layout, handle, ordinals) -> None:
                 _write_str(fh, "")
                 fh.write(_I64.pack(-1))
             else:
-                entry = target.ref.entry
-                located = ordinals.get(entry)
+                located = ordinals.get(target.ref.entry)
                 if located is None:
                     raise SnapshotError(
                         f"reference field {f.name} points outside the "
@@ -185,138 +895,73 @@ def _write_row(fh: BinaryIO, layout, handle, ordinals) -> None:
             fh.write(f._struct.pack(f.to_raw(getattr(handle, f.name))))
 
 
-# ----------------------------------------------------------------------
-# Loading
-# ----------------------------------------------------------------------
-
-
-def load_collections(
-    path: str,
-    manager: Optional[MemoryManager] = None,
-    columnar: bool = False,
-    string_dict: bool = True,
-    shm: bool = False,
-    memory_budget: Optional[int] = None,
-    block_shift: Optional[int] = None,
-) -> Dict[str, Any]:
-    """Load a snapshot into fresh collections on *manager*.
-
-    Returns name → collection (plus ``"_manager"``).  Tabular classes are
-    resolved by name through the schema registry and validated against
-    the stored field specification.  Snapshots store decoded text, so a
-    file written with dictionary encoding on reloads fine with it off
-    (and vice versa); ``string_dict``, ``shm`` (shared-memory block
-    buffers, for the process executor), ``memory_budget`` (attach a
-    pager keeping the block pool under a byte budget) and ``block_shift``
-    (log2 block size) only shape the fresh manager and are ignored when
-    an explicit *manager* is supplied.
-    """
-    if manager is None:
-        kwargs: Dict[str, Any] = dict(
-            string_dict=string_dict, shm=shm, memory_budget=memory_budget
-        )
-        if block_shift is not None:
-            kwargs["block_shift"] = block_shift
-        manager = MemoryManager(**kwargs)
+def _load_rows(fh: BinaryIO, manager: MemoryManager, columnar: bool) -> Dict[str, Any]:
+    """Rebuild collections from rows (*fh* is positioned after the magic)."""
     factory = ColumnarCollection if columnar else Collection
-    # Tabular classes are resolved by name: user-defined classes must be
-    # imported before loading.  The built-in TPC-H schema registers here
-    # so snapshots written by the CLI always reload.
-    import repro.tpch.schema  # noqa: F401
+    (n_collections,) = _U32.unpack(_read_exact(fh, 4))
+    collections: Dict[str, Any] = {}
+    pending_refs: List[Tuple[Any, int, str, str, int]] = []
+    handles_by_name: Dict[str, list] = {}
 
-    with open(path, "rb") as fh:
-        if _read_exact(fh, len(_MAGIC)) != _MAGIC:
-            raise SnapshotError(f"{path} is not an SMC snapshot")
-        (n_collections,) = _U32.unpack(_read_exact(fh, 4))
-        collections: Dict[str, Any] = {}
-        pending_refs: List[Tuple[Any, int, str, str, int]] = []
-        handles_by_name: Dict[str, list] = {}
-
-        for __ in range(n_collections):
-            name = _read_str(fh)
-            schema_name = _read_str(fh)
-            schema = resolve_tabular(schema_name)
-            layout = schema.__layout__
-            (n_fields,) = _U32.unpack(_read_exact(fh, 4))
-            spec = []
-            for __f in range(n_fields):
-                fname = _read_str(fh)
-                ftype = _read_str(fh)
-                (meta,) = struct.unpack("<i", _read_exact(fh, 4))
-                spec.append((fname, ftype, meta))
-            expected = [
-                (f.name, type(f).__name__, _field_meta(f))
-                for f in layout.fields
-            ]
-            if spec != expected:
-                raise SnapshotError(
-                    f"snapshot schema for {schema_name} does not match the "
-                    f"current tabular class: {spec} != {expected}"
-                )
-            coll = factory(schema, manager=manager, name=name)
-            collections[name] = coll
-            handles = []
-            (n_rows,) = _U64.unpack(_read_exact(fh, 8))
-            for row_idx in range(n_rows):
-                values: Dict[str, Any] = {}
-                for f in layout.fields:
-                    if isinstance(f, RefField):
-                        target_name = _read_str(fh)
-                        (ordinal,) = _I64.unpack(_read_exact(fh, 8))
-                        if ordinal >= 0:
-                            pending_refs.append(
-                                (coll, row_idx, f.name, target_name, ordinal)
-                            )
-                    elif isinstance(f, VarStringField):
-                        (n,) = _U32.unpack(_read_exact(fh, 4))
-                        values[f.name] = _read_exact(fh, n).decode("utf-8")
-                    elif isinstance(f, CharField):
-                        raw = _read_exact(fh, f.width)
-                        values[f.name] = raw.rstrip(b"\x00 ").decode("utf-8")
-                    else:
-                        (raw,) = f._struct.unpack(
-                            _read_exact(fh, f._struct.size)
+    for __ in range(n_collections):
+        name = _read_str(fh)
+        schema_name = _read_str(fh)
+        (n_fields,) = _U32.unpack(_read_exact(fh, 4))
+        spec = []
+        for __f in range(n_fields):
+            fname = _read_str(fh)
+            ftype = _read_str(fh)
+            (meta,) = struct.unpack("<i", _read_exact(fh, 4))
+            spec.append([fname, ftype, meta])
+        schema = _resolve_schema(schema_name, spec)
+        layout = schema.__layout__
+        coll = factory(schema, manager=manager, name=name)
+        collections[name] = coll
+        handles = []
+        (n_rows,) = _U64.unpack(_read_exact(fh, 8))
+        for row_idx in range(n_rows):
+            values: Dict[str, Any] = {}
+            for f in layout.fields:
+                if isinstance(f, RefField):
+                    target_name = _read_str(fh)
+                    (ordinal,) = _I64.unpack(_read_exact(fh, 8))
+                    if ordinal >= 0:
+                        pending_refs.append(
+                            (coll, row_idx, f.name, target_name, ordinal)
                         )
-                        values[f.name] = f.from_raw(raw)
-                handles.append(coll.add(**values))
-            handles_by_name[name] = handles
-
-        # Second pass: resolve references (forward and cyclic included).
-        for coll, row_idx, field_name, target_name, ordinal in pending_refs:
-            target_handles = handles_by_name.get(target_name)
-            if target_handles is None or ordinal >= len(target_handles):
-                raise SnapshotError(
-                    f"dangling reference {field_name} -> "
-                    f"{target_name}[{ordinal}]"
-                )
-            handle = handles_by_name[coll.name][row_idx]
-            setattr(handle, field_name, target_handles[ordinal])
-
-        # Optional trailing index section: recreate secondary indexes so
-        # they are backfilled from the reloaded rows (a loaded collection
-        # must never have a silently empty index).  Pre-section files end
-        # right here, which reads as zero bytes.
-        head = fh.read(4)
-        if head:
-            if len(head) != 4:
-                raise SnapshotError("truncated index section")
-            (n_indexes,) = _U32.unpack(head)
-            for __ in range(n_indexes):
-                coll_name = _read_str(fh)
-                field_name = _read_str(fh)
-                kind = _read_str(fh)
-                coll = collections.get(coll_name)
-                if coll is None:
-                    raise SnapshotError(
-                        f"index section names unknown collection "
-                        f"{coll_name!r}"
-                    )
-                if kind == "hash":
-                    coll.create_index(field_name)
-                elif kind == "sorted":
-                    coll.create_sorted_index(field_name)
+                elif isinstance(f, VarStringField):
+                    (n,) = _U32.unpack(_read_exact(fh, 4))
+                    values[f.name] = _read_exact(fh, n).decode("utf-8")
+                elif isinstance(f, CharField):
+                    raw = _read_exact(fh, f.width)
+                    values[f.name] = raw.rstrip(b"\x00 ").decode("utf-8")
                 else:
-                    raise SnapshotError(f"unknown index kind {kind!r}")
+                    (raw,) = f._struct.unpack(_read_exact(fh, f._struct.size))
+                    values[f.name] = f.from_raw(raw)
+            handles.append(coll.add(**values))
+        handles_by_name[name] = handles
+
+    # Second pass: resolve references (forward and cyclic included).
+    for coll, row_idx, field_name, target_name, ordinal in pending_refs:
+        target_handles = handles_by_name.get(target_name)
+        if target_handles is None or ordinal >= len(target_handles):
+            raise SnapshotError(
+                f"dangling reference {field_name} -> {target_name}[{ordinal}]"
+            )
+        handle = handles_by_name[coll.name][row_idx]
+        setattr(handle, field_name, target_handles[ordinal])
+
+    # Optional trailing index section.  Pre-section files end right here,
+    # which reads as zero bytes.
+    head = fh.read(4)
+    if head:
+        if len(head) != 4:
+            raise SnapshotError("truncated index section")
+        (n_indexes,) = _U32.unpack(head)
+        _create_indexes(
+            collections,
+            [(_read_str(fh), _read_str(fh), _read_str(fh)) for __ in range(n_indexes)],
+        )
 
     collections["_manager"] = manager
     return collections

@@ -68,19 +68,33 @@ class AddressSpace:
     # Block registration
     # ------------------------------------------------------------------
 
-    def register(self, block: object) -> int:
+    def register(self, block: object, block_id: Optional[int] = None) -> int:
         """Assign a block id to *block* and return it.
 
         The caller stores the id on the block; the address space only keeps
-        the mapping needed for address resolution.
+        the mapping needed for address resolution.  An explicit *block_id*
+        maps the block where a snapshot image says it lived — every stored
+        address embeds its block id, so adopting an image verbatim means
+        adopting its id; a taken id raises :class:`ValueError`.
         """
+        limit = 1 << (63 - self.block_shift)
         with self._lock:
-            if self._free_ids:
+            if block_id is not None:
+                if not 0 < block_id < limit:
+                    raise ValueError(f"block id {block_id} is out of range")
+                while len(self._blocks) <= block_id:
+                    self._free_ids.append(len(self._blocks))
+                    self._blocks.append(None)
+                if self._blocks[block_id] is not None:
+                    raise ValueError(f"block id {block_id} is already mapped")
+                self._free_ids.remove(block_id)
+                self._blocks[block_id] = block
+            elif self._free_ids:
                 block_id = self._free_ids.pop()
                 self._blocks[block_id] = block
             else:
                 block_id = len(self._blocks)
-                if block_id >= (1 << (63 - self.block_shift)):
+                if block_id >= limit:
                     raise MemoryExhaustedError("address space exhausted")
                 self._blocks.append(block)
             return block_id

@@ -52,6 +52,27 @@ KIND_STRING = 1
 KIND_COLUMNAR = 2
 
 
+def _segment_offsets(slot_size: int, slot_count: int):
+    """``(directory offset, back-pointer offset)`` of a row block."""
+    dir_offset = BLOCK_HEADER_SIZE + slot_count * slot_size
+    bp_offset = dir_offset + slot_count * 4
+    # Back-pointers must be 8-byte aligned within the buffer.
+    return dir_offset, bp_offset + (-bp_offset % 8)
+
+
+def recount(block) -> None:
+    """Derive an adopted block's counters from its slot directory.
+
+    The allocation cursor lands after the last occupied slot, so only a
+    never-used tail counts as allocatable.
+    """
+    states = block.directory & slotcodec.STATE_MASK
+    occupied = np.nonzero(states != FREE)[0]
+    block.valid_count = int(np.count_nonzero(states == VALID))
+    block.limbo_count = int(occupied.size) - block.valid_count
+    block.alloc_cursor = int(occupied[-1]) + 1 if occupied.size else 0
+
+
 class Block:
     """A single-type data block in the off-heap address space."""
 
@@ -109,43 +130,96 @@ class Block:
                 f"slot_size {slot_size} does not fit in a "
                 f"{space.block_size}-byte block"
             )
-
-        self.space = space
-        self.block_id = space.register(self)
-        self.base_address = space.address_of(self.block_id)
+        if _segment_offsets(slot_size, slot_count)[1] + slot_count * 8 > space.block_size:
+            # Back-pointer alignment padding overflowed the block:
+            # sacrifice one slot to make room.
+            slot_count -= 1
         # The buffer comes from the space's allocation policy: a process
         # heap bytearray by default, or a named shared-memory segment that
         # worker processes can attach by name (repro.memory.shm).
-        self.segment = space.buffers.create(space.block_size)
-        self.buf = self.segment.buf
+        self._attach(
+            space,
+            space.register(self),
+            space.buffers.create(space.block_size),
+            type_id,
+            context_id,
+            slot_size,
+            slot_count,
+        )
+        self.backptrs.fill(-1)
+
+    @classmethod
+    def adopt(
+        cls,
+        space: "AddressSpace",
+        block_id: int,
+        segment,
+        type_id: int,
+        context_id: int,
+        slot_size: int,
+    ) -> "Block":
+        """Rebuild a block around an existing image (snapshot load).
+
+        *segment* already holds the block's bytes; the header says how
+        many slots they are divided into, and every counter the
+        constructor would start at zero is recounted from the slot
+        directory instead.  The header's type and context ids are
+        re-stamped: they name positions in the *adopting* manager's
+        registries, not the one that wrote the image.
+        """
+        __, __, slot_count, stored_size, kind = _HEADER_STRUCT.unpack_from(
+            segment.buf, 0
+        )
+        if (
+            kind != KIND_ROW
+            or stored_size != slot_size
+            or slot_count < 1
+            or _segment_offsets(slot_size, slot_count)[1] + slot_count * 8
+            > space.block_size
+        ):
+            raise ValueError(
+                f"image is not a row block of {slot_size}-byte slots "
+                f"(kind {kind}, {slot_count} x {stored_size} bytes)"
+            )
+        self = cls.__new__(cls)
+        self._attach(
+            space,
+            space.register(self, block_id),
+            segment,
+            type_id,
+            context_id,
+            slot_size,
+            slot_count,
+        )
+        recount(self)
+        return self
+
+    def _attach(
+        self,
+        space: "AddressSpace",
+        block_id: int,
+        segment,
+        type_id: int,
+        context_id: int,
+        slot_size: int,
+        slot_count: int,
+    ) -> None:
+        """Bind this block to its id and buffer; runtime state starts idle."""
+        self.space = space
+        self.block_id = block_id
+        self.base_address = space.address_of(block_id)
+        self.segment = segment
+        self.buf = segment.buf
         self.type_id = type_id
         self.context_id = context_id
         self.slot_size = slot_size
         self.slot_count = slot_count
         self.object_offset = BLOCK_HEADER_SIZE
-
-        dir_offset = BLOCK_HEADER_SIZE + slot_count * slot_size
-        bp_offset = dir_offset + slot_count * 4
-        # Back-pointers must be 8-byte aligned within the buffer.
-        if bp_offset % 8 != 0:
-            bp_offset += 8 - (bp_offset % 8)
-            if bp_offset + slot_count * 8 > space.block_size:
-                # Sacrifice one slot to make room; recompute segments.
-                slot_count -= 1
-                self.slot_count = slot_count
-                dir_offset = BLOCK_HEADER_SIZE + slot_count * slot_size
-                bp_offset = dir_offset + slot_count * 4
-                if bp_offset % 8 != 0:
-                    bp_offset += 8 - (bp_offset % 8)
-
+        self._dir_offset, self._bp_offset = _segment_offsets(slot_size, slot_count)
         _HEADER_STRUCT.pack_into(
             self.buf, 0, type_id, context_id, slot_count, slot_size, KIND_ROW
         )
-
-        self._dir_offset = dir_offset
-        self._bp_offset = bp_offset
         self._bind_views()
-        self.backptrs.fill(-1)
 
         self.valid_count = 0
         self.limbo_count = 0
@@ -190,6 +264,11 @@ class Block:
         self.read_clock = 0
         #: Epoch at which cooling started (-1 while not cooling).
         self.cool_epoch = -1
+
+    @property
+    def directory_offset(self) -> int:
+        """Byte offset of the slot directory inside the buffer."""
+        return self._dir_offset
 
     def _bind_views(self) -> None:
         """(Re)build the NumPy views over the current ``self.buf``.

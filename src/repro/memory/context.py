@@ -74,6 +74,11 @@ class MemoryContext:
         with self._blocks_lock:
             self._blocks.append(block)
 
+    def adopt_block(self, block: Block) -> None:
+        """Take in a block rebuilt from a snapshot image, objects included."""
+        self._attach_block(block)
+        self.live_count += block.valid_count
+
     def detach_block(self, block: Block) -> None:
         """Remove an emptied block from the context (compaction, section 5.2)."""
         with self._blocks_lock:

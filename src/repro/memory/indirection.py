@@ -33,7 +33,7 @@ enforced by the compactor (``repro.core.compaction``).
 from __future__ import annotations
 
 import threading
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -130,6 +130,42 @@ class IndirectionTable:
         inc[: self._size] = self._inc[: self._size]
         self._addr = addr
         self._inc = inc
+
+    # ------------------------------------------------------------------
+    # Snapshot images (repro.io.snapshot)
+    # ------------------------------------------------------------------
+
+    def export(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Copies of the address and incarnation arrays, up to ``size``."""
+        with self._grow_lock:
+            return (
+                self._addr[: self._size].copy(),
+                self._inc[: self._size].copy(),
+            )
+
+    def adopt(self, addr: np.ndarray, inc: np.ndarray) -> None:
+        """Install the entry arrays of an image into this (empty) table.
+
+        Entry ids and incarnation counters carry over unchanged, which is
+        what keeps a reference that was stale before the save stale after
+        the load.  An image points every entry either at a live object or
+        nowhere; the latter are free at once — their two-epoch grace ended
+        with the writing process — unless their counter is spent.
+        """
+        if self._size:
+            raise ValueError("only an empty indirection table can adopt an image")
+        size = len(addr)
+        capacity = max(len(self._addr), size + _GROW_CHUNK)
+        self._addr = np.full(capacity, NULL_ADDRESS, dtype=np.int64)
+        self._inc = np.zeros(capacity, dtype=np.uint32)
+        self._addr[:size] = addr
+        self._inc[:size] = inc
+        self._size = size
+        dead = addr == NULL_ADDRESS
+        spent = dead & ((inc & np.uint32(INC_MASK)) >= INC_MASK)
+        self._retired = np.nonzero(spent)[0].tolist()
+        # Highest first: pop() hands the lowest free entry out next.
+        self._free = np.nonzero(dead & ~spent)[0][::-1].tolist()
 
     # ------------------------------------------------------------------
     # Plain accessors (hot path: GIL-atomic single-element reads/writes)

@@ -35,6 +35,7 @@ from repro.memory.indirection import (
     IndirectionTable,
 )
 from repro.memory.reference import Ref
+from repro.memory.slots import VALID
 from repro.memory.stringheap import StringHeap
 from repro.sanitizer import hooks as _san
 
@@ -200,6 +201,36 @@ class MemoryManager:
             self.pager.track(block)
         return block
 
+    def adopt_block(self, context: MemoryContext, block_id: int, segment):
+        """Map a data-block image into *context* at its stored block id.
+
+        The snapshot loader's counterpart of :meth:`_acquire_block`: the
+        bytes in *segment* are the block, so nothing is initialised —
+        counters are recounted from the slot directory — and under a
+        memory budget the block joins the pager's clock at once, which
+        evicts as the load goes so it never holds more than the budget
+        plus this one block hot.
+        """
+        factory = getattr(context, "block_factory", None)
+        if factory is not None:
+            block = factory(block_id, segment)
+        else:
+            block = Block.adopt(
+                self.space,
+                block_id,
+                segment,
+                context.type_id,
+                context.context_id,
+                context.slot_size,
+            )
+        self.stats.blocks_allocated += 1
+        context.adopt_block(block)
+        if self.pager is not None:
+            self.pager.track(block)
+            if self.pager.over_budget():
+                self.pager.maintain()
+        return block
+
     def _release_block(self, block) -> None:
         """Return an emptied block to the pool for reuse by any type.
 
@@ -328,6 +359,34 @@ class MemoryManager:
             self.free_object(ref)
         finally:
             epochs.exit_critical_section()
+
+    def live_ref(
+        self, entry: int, context: Optional[MemoryContext] = None
+    ) -> Optional[Ref]:
+        """A reference to the live object behind *entry*, or ``None``.
+
+        For callers holding a bare entry id (a log record, a client
+        request) instead of a :class:`Ref`.  The entry must point at a
+        VALID slot whose back-pointer names it — a freed entry keeps its
+        pointer until its grace period ends, so a non-null pointer alone
+        proves nothing — and, if given, the slot must be *context*'s.
+        """
+        table = self.table
+        if not 0 <= entry < table.size:
+            return None
+        address = table.address_of(entry)
+        block = None if address == NULL_ADDRESS else self.space.try_block_at(address)
+        if not hasattr(block, "backptrs"):
+            return None
+        slot = block.slot_of_address(address)
+        if (
+            not 0 <= slot < block.slot_count
+            or block.state_of(slot) != VALID
+            or int(block.backptrs[slot]) != entry
+            or (context is not None and block.context_id != context.context_id)
+        ):
+            return None
+        return Ref(self, entry, table.incarnation(entry))
 
     def _drain_retired_entries(self) -> None:
         """Recycle indirection entries whose safety epoch has passed."""

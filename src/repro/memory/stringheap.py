@@ -55,13 +55,23 @@ class StringBlock:
 
     __slots__ = ("space", "block_id", "base_address", "segment", "buf", "bump")
 
-    def __init__(self, space: "AddressSpace") -> None:
+    def __init__(
+        self,
+        space: "AddressSpace",
+        block_id: Optional[int] = None,
+        segment=None,
+        bump: int = 0,
+    ) -> None:
+        """A fresh block, or (all of *block_id*, *segment*, *bump* given)
+        one adopted from a snapshot image at its stored id."""
         self.space = space
-        self.block_id = space.register(self)
+        self.block_id = space.register(self, block_id)
         self.base_address = space.address_of(self.block_id)
-        self.segment = space.buffers.create(space.block_size)
+        if segment is None:
+            segment = space.buffers.create(space.block_size)
+        self.segment = segment
         self.buf = self.segment.buf
-        self.bump = 0
+        self.bump = bump
 
     def release(self) -> None:
         self.space.unregister(self.block_id)
@@ -168,6 +178,36 @@ class StringHeap:
         self._limbo.append((self._epochs.global_epoch + 2, cls, addr))
 
     # ------------------------------------------------------------------
+    # Snapshot images (repro.io.snapshot)
+    # ------------------------------------------------------------------
+
+    def blocks(self) -> List[StringBlock]:
+        return list(self._blocks)
+
+    def free_records(self) -> List[Tuple[int, int]]:
+        """``(size class, address)`` of every reusable record, by class.
+
+        Records still in their reuse grace period are included: the
+        grace protects readers of *this* process, and an image is only
+        ever adopted by another one.
+        """
+        by_class = {cls: list(addrs) for cls, addrs in list(self._free.items())}
+        for __, cls, addr in list(self._limbo):
+            by_class.setdefault(cls, []).append(addr)
+        return [(cls, addr) for cls, addrs in by_class.items() for addr in addrs]
+
+    def adopt_block(self, block_id: int, segment, bump: int) -> StringBlock:
+        """Map a string block image at its stored id; the last block
+        adopted carries on as the bump-allocation target."""
+        block = StringBlock(self._space, block_id, segment, bump)
+        self._blocks.append(block)
+        self._current = block
+        return block
+
+    def adopt_free_records(self, records, bytes_in_use: int) -> None:
+        for cls, addr in records:
+            self._free.setdefault(cls, []).append(addr)
+        self.bytes_in_use = bytes_in_use
 
     @property
     def block_count(self) -> int:
@@ -402,6 +442,38 @@ class StringDict:
     def match_set(self, kind: str, arg: object) -> FrozenSet[int]:
         """Frozenset flavor of :meth:`match_codes` for scalar kernels."""
         return self._match(kind, arg)[1]
+
+    # -- snapshot images (repro.io.snapshot) ---------------------------
+
+    def export_codes(self) -> Tuple[List[int], List[int]]:
+        """``(heap address, refcount)`` per code; texts stay in the heap."""
+        with self._lock:
+            return list(self._addrs), list(self._refs)
+
+    def adopt_codes(self, addrs: List[int], refs: List[int]) -> None:
+        """Rebind a fresh dictionary to the code table of an image.
+
+        Texts are read back from the adopted heap records.  A code with
+        no references left is free at once, whether it was free or in
+        its reuse grace period when the image was written.
+        """
+        read = self._heap.read
+        with self._lock:
+            self._addrs = list(addrs)
+            self._refs = list(refs)
+            self._texts = [read(a) if r > 0 else "" for a, r in zip(addrs, refs)]
+            self._refs[0] = 1  # code 0 stays pinned to ""
+            self._by_text = {
+                text: code
+                for code, (text, r) in enumerate(zip(self._texts, self._refs))
+                if r > 0
+            }
+            # Highest first: pop() hands the lowest free code out next.
+            self._free_codes = [
+                code for code in range(len(refs) - 1, 0, -1) if refs[code] <= 0
+            ]
+            self._limbo.clear()
+            self.version += 1
 
     # -- stats ---------------------------------------------------------
 

@@ -527,6 +527,16 @@ def instrument_durability(registry: MetricsRegistry, store) -> None:
         "Rows written by the most recent checkpoint",
         callback=lambda: float(store.stats()["checkpoint_last_rows"]),
     )
+    registry.gauge(
+        "smc_checkpoint_bytes",
+        "Size of the current checkpoint file",
+        callback=lambda: float(store.stats()["checkpoint_last_bytes"]),
+    )
+    registry.gauge(
+        "smc_snapshot_load_seconds",
+        "Time recovery spent adopting the checkpoint image (replay excluded)",
+        callback=lambda: float(store.stats()["snapshot_load_seconds"]),
+    )
 
 
 def instrument_replication(registry: MetricsRegistry, replication) -> None:

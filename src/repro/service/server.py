@@ -658,7 +658,11 @@ class QueryService:
             self._ship_requests.inc(kind="resync")
             return {
                 "ok": True,
-                "resync": self.store.resync_payload(),
+                "resync": self.store.resync_chunk(
+                    int(message.get("offset", 0)),
+                    int(message.get("length", 0)),
+                    message.get("checkpoint"),
+                ),
                 "committed_lsn": self.store.committed_lsn,
             }
         after_lsn = int(message.get("after_lsn", 0))

@@ -35,6 +35,10 @@ def test_info(snapshot):
     assert proc.returncode == 0, proc.stderr
     assert "lineitem" in proc.stdout
     assert "MemoryManager" in proc.stdout
+    # Format version, measured load time, per-section bytes, stored blocks.
+    assert "format SMCSNAP2" in proc.stdout and "loaded in" in proc.stdout
+    assert "block " in proc.stdout and "section(s)" in proc.stdout
+    assert "stored lineitem" in proc.stdout and "block image(s)" in proc.stdout
 
 
 def test_query_compiled(snapshot):
@@ -97,6 +101,8 @@ def test_recover_reports_state(data_dir):
     assert proc.returncode == 0, proc.stderr
     assert "recovered" in proc.stdout
     assert "lineitem" in proc.stdout
+    # Image load and log replay are reported apart.
+    assert "loaded in" in proc.stdout and "replayed 0 of 0" in proc.stdout
 
 
 def test_recover_uninitialized_dir_rejected(tmp_path):

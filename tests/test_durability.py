@@ -254,6 +254,109 @@ class TestStoreRecovery:
         assert len(index.get(2)) == 6  # 5 checkpointed + 1 replayed
         loaded["_manager"].close()
 
+    def test_entry_ids_survive_restart_and_manifest_is_small(self, data_dir):
+        """Block-image checkpoints keep entry ids: a client-held id still
+        names its row after a restart, log records need no translation
+        table, and the manifest carries no per-row state."""
+        import json
+
+        store, colls, manager = _fresh_store(data_dir)
+        people = [colls["persons"].add(name=f"p{i}", age=i) for i in range(50)]
+        store.checkpoint()
+        held = people[17].ref.entry
+        colls["persons"].remove(people[3])       # tail: a remove,
+        people[20].age = 99                      # an update,
+        late = colls["persons"].add(name="late", age=7)  # and an add
+        colls["orders"].add(orderkey=1, owner=late)
+        expected = _state(colls)
+        store.close()
+        manager.close()
+
+        with open(os.path.join(data_dir, "MANIFEST")) as fh:
+            manifest = json.load(fh)
+        assert "entries" not in manifest
+        assert os.path.getsize(os.path.join(data_dir, "MANIFEST")) < 1024
+
+        reopened = DurableStore.open(data_dir)
+        assert _state(reopened.collections) == expected
+        assert reopened.report.replayed == 4
+        reopened.apply(
+            [
+                {
+                    "op": "update",
+                    "collection": "persons",
+                    "entry": held,
+                    "values": {"age": 1717},
+                }
+            ]
+        )
+        assert [h.name for h in reopened.collections["persons"] if h.age == 1717] == [
+            "p17"
+        ]
+        with pytest.raises(MutationError):  # removed before the restart
+            reopened.apply(
+                [{"op": "remove", "collection": "persons", "entry": people[3].ref.entry}]
+            )
+        reopened.close()
+
+    @pytest.mark.parametrize(
+        "shape", [{"columnar": True}, {"string_dict": False}], ids=["columnar", "nodict"]
+    )
+    def test_tail_replays_onto_a_converted_checkpoint(self, data_dir, shape):
+        """Recovering into another layout copies the checkpoint row by
+        row, so rows take other entry ids; the log tail, written against
+        the stored ids, must still find them."""
+        store, colls, manager = _fresh_store(data_dir)
+        people = [colls["persons"].add(name=f"p{i}", age=i) for i in range(30)]
+        for h in people[:10]:
+            colls["persons"].remove(h)  # stored ids 10.. become copies 0..
+        store.checkpoint()
+        people[17].age = 1717
+        colls["persons"].remove(people[25])
+        colls["orders"].add(orderkey=1, owner=people[12])
+        colls["orders"].add(orderkey=2, owner=colls["persons"].add(name="late", age=7))
+        expected = _state(colls)
+        store.close(checkpoint=False)
+        manager.close()
+
+        recovered, report = recover(data_dir, **shape)
+        assert report.replayed == 5
+        assert _state(recovered) == expected
+        recovered["_manager"].close()
+
+    def test_pre_image_checkpoint_with_log_tail_refused(self, data_dir):
+        """A data directory of the row-snapshot era recovers only when
+        its log tail is empty: the tail's entry ids need the per-row
+        table this version no longer reads."""
+        import json
+
+        from repro.io import export_collections
+
+        store, colls, manager = _fresh_store(data_dir)
+        colls["persons"].add(name="a", age=1)
+        store.checkpoint()
+        checkpoint = store.datadir.checkpoint_path(store.cut_lsn)
+        store.close()
+        # Rewrite the directory the way the previous version left it.
+        export_collections(checkpoint, colls)
+        manifest_path = os.path.join(data_dir, "MANIFEST")
+        with open(manifest_path) as fh:
+            manifest = json.load(fh)
+        manifest["entries"] = {"persons": [0], "orders": [], "notes": []}
+        with open(manifest_path, "w") as fh:
+            json.dump(manifest, fh)
+        manager.close()
+
+        loaded, report = recover(data_dir)  # empty tail: fine
+        assert [h.name for h in loaded["persons"]] == ["a"]
+        loaded["_manager"].close()
+
+        reopened = DurableStore.open(data_dir)
+        reopened.collections["persons"].add(name="b", age=2)
+        reopened.close()
+        with pytest.raises(RecoveryError, match="older version"):
+            recover(data_dir)
+
     def test_uninitialized_dir_refused(self, tmp_path):
         with pytest.raises(RecoveryError):
             recover(str(tmp_path / "nothing"))
@@ -511,6 +614,8 @@ class TestServicePersistence:
         metrics = service.metrics.expose()
         assert "smc_wal_bytes_total" in metrics
         assert "smc_checkpoint_duration_seconds" in metrics
+        assert "smc_checkpoint_bytes" in metrics
+        assert "smc_snapshot_load_seconds" in metrics
         assert "smc_recovery_replayed_total" in metrics
         service.close()  # checkpoints + closes the store
         manager.close()

@@ -22,6 +22,7 @@ monotonic across redirects.
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 
@@ -319,8 +320,8 @@ class TestCatchUp:
                 what="replica checkpoint alignment",
             )
             # The replica's own data dir must recover standalone — its
-            # manifest records primary entry ids (translated), and its
-            # tail belongs to the aligned segment.
+            # image carries the (primary id, local id) pairs of the rows
+            # it added itself, and its tail belongs to the aligned segment.
             restarted = fleet.restart_replica(replica)
             assert restarted.replication.resyncs == 0
             fleet.wait_caught_up()
@@ -328,6 +329,70 @@ class TestCatchUp:
             assert len(_notes(restarted.store)) == 20
         finally:
             fleet.close()
+
+    def test_join_ships_checkpoint_in_bounded_chunks(self, tmp_path, monkeypatch):
+        """A checkpoint larger than the protocol's frame limit still
+        joins: resync ships it in bounded slices (it used to travel
+        base64-encoded in a single frame)."""
+        from repro.durability import store as store_module
+        from repro.service import protocol
+
+        collections = _note_collections()
+        for i in range(300):
+            collections["notes"].add(text=f"seed-{i}", stars=i % 5)
+        monkeypatch.setattr(protocol, "MAX_FRAME", 256 * 1024)
+        monkeypatch.setattr(store_module, "RESYNC_CHUNK_BYTES", 96 * 1024)
+        fleet = Fleet(
+            str(tmp_path / "fleet"),
+            collections=collections,
+            replicas=1,
+            fsync_policy="commit",
+            poll_wait=0.05,
+        ).start()
+        try:
+            primary = fleet.primary.store
+            checkpoint = primary.datadir.checkpoint_path(primary.cut_lsn)
+            assert os.path.getsize(checkpoint) > 4 * protocol.MAX_FRAME
+            fleet.wait_caught_up()
+            replica = fleet.nodes[1]
+            assert replica.replication.resyncs == 1
+            cloned = replica.store.datadir.checkpoint_path(replica.store.cut_lsn)
+            assert open(cloned, "rb").read() == open(checkpoint, "rb").read()
+            with fleet.client() as router:
+                router.add("notes", text="after-join", stars=1)
+            fleet.wait_caught_up()
+            assert _notes(replica.store) == _notes(primary)
+            assert len(_notes(replica.store)) == 301
+        finally:
+            fleet.close()
+
+    def test_resync_restarts_when_the_checkpoint_is_superseded(self, tmp_path):
+        """A checkpoint swept mid-transfer makes the follower start over
+        with the new one rather than splice two files together."""
+        from repro.durability.replication import bootstrap_from_resync
+
+        collections = _note_collections()
+        collections["notes"].add(text="a", stars=1)
+        store = DurableStore.create(str(tmp_path / "p"), collections=collections)
+        calls = []
+
+        def fetch(offset, checkpoint):
+            calls.append((offset, checkpoint))
+            if len(calls) == 2:  # between the first and the second slice
+                collections["notes"].add(text="b", stars=2)
+                store.checkpoint()
+            return store.resync_chunk(offset, 64 * 1024, checkpoint)
+
+        manifest = bootstrap_from_resync(str(tmp_path / "r"), fetch)
+        assert manifest["cut_lsn"] == store.cut_lsn > 0
+        assert [c for c in calls if c[0] == 0 and c[1] is None] == [(0, None)] * 2
+        recovered, __ = recover(str(tmp_path / "r"))
+        assert sorted(h.text for h in recovered["notes"]) == ["a", "b"]
+        assert os.listdir(str(tmp_path / "r")).count(manifest["checkpoint"]) == 1
+        assert not [n for n in os.listdir(str(tmp_path / "r")) if n.endswith(".tmp")]
+        recovered["_manager"].close()
+        store.close()
+        collections["_manager"].close()
 
     def test_fall_behind_forces_resync_then_recovers(self, tmp_path):
         """A replica paused across a primary checkpoint loses its

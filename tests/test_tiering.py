@@ -204,6 +204,64 @@ def test_tpch_budgeted_results_identical(tpch_small):
         tiered["_manager"].close()
 
 
+def test_image_load_and_checkpoint_stay_under_budget(tpch_small, tmp_path, monkeypatch):
+    """Adopting a block image under a quarter-of-the-pool budget never
+    holds more than budget + one block hot, a checkpoint of the loaded
+    store writes cold blocks from their tier mapping (zero faults), and
+    the answers match the all-hot store."""
+    from repro.durability import DurableStore
+    from repro.io import load_collections, save_collections
+    from repro.memory.pager import Pager
+
+    plain = load_smc(tpch_small, manager=MemoryManager(block_shift=16))
+    image = str(tmp_path / "tpch.smcsnap")
+    save_collections(image, plain)
+    pool = sum(c.memory_bytes() for k, c in plain.items() if not k.startswith("_"))
+    budget = pool // 4
+
+    peaks = []
+    track = Pager.track
+
+    def tracking(self, block):
+        track(self, block)
+        peaks.append(self.hot_bytes())
+
+    monkeypatch.setattr(Pager, "track", tracking)
+    tiered = load_collections(image, memory_budget=budget)
+    pager = tiered["_manager"].pager
+    try:
+        assert len(peaks) == pool // pager.block_size  # every block was tracked
+        assert max(peaks) <= budget + pager.block_size
+        assert pager.hot_bytes() <= budget
+        assert pager.residency_counts()["cold"] > 0
+
+        store = DurableStore.create(str(tmp_path / "dd"), collections=tiered)
+        # (A checkpoint needs a log record to cut behind.)
+        tiered["region"].remove(tiered["region"].add(regionkey=99, name="ATLANTIS"))
+        pager.maintain()
+        faults, evictions = pager.faults, pager.evictions
+        store.checkpoint()
+        assert (pager.faults, pager.evictions) == (faults, evictions)
+        assert pager.hot_bytes() <= budget
+        checkpoint = store.datadir.checkpoint_path(store.cut_lsn)
+        store.close()
+
+        again = load_collections(checkpoint, memory_budget=budget)
+        try:
+            for name, builder in sorted(ALL_QUERIES.items()):
+                want = _canonical(builder(plain).run(params=DEFAULT_PARAMS))
+                assert _canonical(builder(tiered).run(params=DEFAULT_PARAMS)) == want, name
+                assert _canonical(builder(again).run(params=DEFAULT_PARAMS)) == want, name
+                pager.maintain()
+                again["_manager"].pager.maintain()
+        finally:
+            again["_manager"].close()
+        assert max(peaks) <= budget + pager.block_size  # the second load too
+    finally:
+        plain["_manager"].close()
+        tiered["_manager"].close()
+
+
 def test_fully_pruned_scan_touches_zero_cold_bytes():
     m = _budgeted(1)
     pager = m.pager
