@@ -16,367 +16,21 @@ collections (the paper describes relocation for row blocks only).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple, Type, Union
+from typing import Any, Dict, Iterator, Optional, Tuple, Type, Union
 
 import numpy as np
 
 from repro.errors import NullReferenceError, TabularTypeError
-from repro.memory import slots as slotcodec
 from repro.memory import zonemap as _zonemap
 from repro.memory.addressing import NULL_ADDRESS
-from repro.memory.block import (
-    BLOCK_HEADER_SIZE,
-    KIND_COLUMNAR,
-    _HEADER_STRUCT,
-    recount,
-)
+from repro.memory.block import ColumnarBlock
 from repro.memory.context import MemoryContext
 from repro.memory.indirection import INC_MASK
 from repro.memory.manager import MemoryManager
 from repro.memory.reference import Ref
-from repro.memory.slots import FREE, LIMBO, VALID
-from repro.sanitizer import hooks as _san
 from repro.core.collection import Collection, default_manager
-from repro.schema.fields import (
-    BoolField,
-    CharField,
-    DateField,
-    DecimalField,
-    Field,
-    Float64Field,
-    Int8Field,
-    Int16Field,
-    Int32Field,
-    Int64Field,
-    RefField,
-    VarStringField,
-)
+from repro.schema.fields import CharField, Field, RefField, VarStringField
 from repro.schema.tabular import Tabular, TabularMeta
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.memory.addressing import AddressSpace
-
-
-def column_dtype(field: Field, dict_codes: bool = False) -> Union[np.dtype, str]:
-    """NumPy dtype storing *field*'s raw representation in a column.
-
-    With *dict_codes*, varstring columns hold fixed-width dictionary codes
-    (int32) instead of 8-byte string-heap addresses.
-    """
-    if isinstance(field, VarStringField):
-        return np.int32 if dict_codes else np.int64
-    if isinstance(field, (DecimalField, Int64Field)):
-        return np.int64
-    if isinstance(field, (DateField, Int32Field)):
-        return np.int32
-    if isinstance(field, Int16Field):
-        return np.int16
-    if isinstance(field, (Int8Field, BoolField)):
-        return np.int8
-    if isinstance(field, Float64Field):
-        return np.float64
-    if isinstance(field, CharField):
-        return f"S{field.width}"
-    raise TypeError(f"no column dtype for {type(field).__name__}")
-
-
-def columnar_offsets(
-    layout, dict_fields: frozenset, n: int
-) -> Tuple[List[Tuple[str, np.dtype, int]], int, int, int, int]:
-    """Byte layout of an *n*-slot columnar block buffer.
-
-    Returns ``(columns, dir_off, bp_off, inc_off, total)`` where *columns*
-    is ``[(name, dtype, offset)]`` in field order (ref fields contribute a
-    ``__w`` int64 and ``__i`` uint32 pair).  The function is purely
-    deterministic in ``(layout, dict_fields, n)`` so a worker process that
-    read ``n`` out of the block header recomputes the exact same offsets
-    and rebuilds its views over the attached segment.
-    """
-
-    def _align(off: int, a: int = 8) -> int:
-        return off + (-off % a)
-
-    cols: List[Tuple[str, np.dtype, int]] = []
-    off = BLOCK_HEADER_SIZE
-    for f in layout.fields:
-        if isinstance(f, RefField):
-            for suffix, dt in ((f.name + "__w", np.int64), (f.name + "__i", np.uint32)):
-                dt = np.dtype(dt)
-                off = _align(off)
-                cols.append((suffix, dt, off))
-                off += n * dt.itemsize
-        else:
-            dt = np.dtype(column_dtype(f, f.name in dict_fields))
-            off = _align(off)
-            cols.append((f.name, dt, off))
-            off += n * dt.itemsize
-    dir_off = _align(off)
-    bp_off = _align(dir_off + 4 * n)
-    inc_off = _align(bp_off + 8 * n)
-    total = inc_off + 4 * n
-    return cols, dir_off, bp_off, inc_off, total
-
-
-class ColumnarBlock:
-    """A block whose object data lives in per-field column arrays."""
-
-    __slots__ = (
-        "space",
-        "block_id",
-        "base_address",
-        "segment",
-        "buf",
-        "type_id",
-        "context_id",
-        "slot_size",
-        "slot_count",
-        "columns",
-        "directory",
-        "backptrs",
-        "slot_incs",
-        "valid_count",
-        "limbo_count",
-        "alloc_cursor",
-        "is_active",
-        "compacting",
-        "queued_for_reclaim",
-        "reclaim_ready_epoch",
-        "relocation_list",
-        "compaction_group",
-        "zones",
-        "zone_version",
-        "residency",
-        "pin_count",
-        "tier_dirty",
-        "tier_offset",
-        "read_clock",
-        "cool_epoch",
-        "_view_spec",
-    )
-
-    def __init__(
-        self,
-        space: "AddressSpace",
-        layout,
-        type_id: int,
-        context_id: int,
-        dict_fields: frozenset = frozenset(),
-    ) -> None:
-        # Same per-object budget as a row block of this type would have,
-        # shrunk until all columns + metadata segments (with their 8-byte
-        # alignment padding) fit the fixed block size.
-        n = max(1, (space.block_size - BLOCK_HEADER_SIZE) // (layout.slot_size + 4 + 8))
-        while columnar_offsets(layout, dict_fields, n)[4] > space.block_size and n > 1:
-            n -= 1
-        # All columns and metadata live in ONE flat buffer with a
-        # self-describing header, exactly like row blocks, so a worker
-        # process can attach the segment and recompute every view from
-        # (header, layout) alone.
-        self._attach(
-            space,
-            space.register(self),
-            space.buffers.create(space.block_size),
-            layout,
-            type_id,
-            context_id,
-            dict_fields,
-            n,
-        )
-        for f in layout.fields:
-            if isinstance(f, RefField):
-                self.columns[f.name + "__w"].fill(NULL_ADDRESS)
-        self.backptrs.fill(-1)
-
-    @classmethod
-    def adopt(
-        cls,
-        space: "AddressSpace",
-        block_id: int,
-        segment,
-        layout,
-        type_id: int,
-        context_id: int,
-        dict_fields: frozenset,
-    ) -> "ColumnarBlock":
-        """Rebuild a block around an existing image (snapshot load); see
-        :meth:`repro.memory.block.Block.adopt`."""
-        __, __, n, stored_size, kind = _HEADER_STRUCT.unpack_from(segment.buf, 0)
-        if kind != KIND_COLUMNAR or stored_size != layout.slot_size or n < 1:
-            raise ValueError(
-                f"image is not a columnar block of {layout.slot_size}-byte "
-                f"objects (kind {kind}, {n} x {stored_size} bytes)"
-            )
-        self = cls.__new__(cls)
-        self._attach(
-            space,
-            space.register(self, block_id),
-            segment,
-            layout,
-            type_id,
-            context_id,
-            dict_fields,
-            n,
-        )
-        recount(self)
-        return self
-
-    def _attach(
-        self,
-        space: "AddressSpace",
-        block_id: int,
-        segment,
-        layout,
-        type_id: int,
-        context_id: int,
-        dict_fields: frozenset,
-        n: int,
-    ) -> None:
-        """Bind this block to its id and buffer; runtime state starts idle."""
-        cols, dir_off, bp_off, inc_off, total = columnar_offsets(layout, dict_fields, n)
-        if total > space.block_size:
-            raise ValueError(
-                f"columnar layout of {n} x {layout.slot_size}B objects does "
-                f"not fit a {space.block_size}-byte block"
-            )
-        self.space = space
-        self.block_id = block_id
-        self.base_address = space.address_of(block_id)
-        self.type_id = type_id
-        self.context_id = context_id
-        self.slot_size = layout.slot_size  # nominal, for memory accounting
-        self.slot_count = n
-        self.segment = segment
-        self.buf = segment.buf
-        _HEADER_STRUCT.pack_into(
-            self.buf, 0, type_id, context_id, n, layout.slot_size, KIND_COLUMNAR
-        )
-        self._view_spec = (cols, dir_off, bp_off, inc_off)
-        self._bind_views()
-        self.valid_count = 0
-        self.limbo_count = 0
-        self.alloc_cursor = 0
-        self.is_active = False
-        self.compacting = False
-        self.queued_for_reclaim = False
-        self.reclaim_ready_epoch = -1
-        self.relocation_list = None
-        self.compaction_group = None
-        self.zones = None
-        self.zone_version = 0
-        # --- memory tiering (repro.memory.pager); see Block -------------
-        self.residency = "hot"
-        self.pin_count = 0
-        self.tier_dirty = False
-        self.tier_offset = -1
-        self.read_clock = 0
-        self.cool_epoch = -1
-
-    @property
-    def directory_offset(self) -> int:
-        """Byte offset of the slot directory inside the buffer."""
-        return self._view_spec[1]
-
-    def _bind_views(self) -> None:
-        """(Re)build column and metadata views over the current ``buf``.
-
-        Write-free, so the pager can call it over a read-only cold
-        mapping; see :meth:`repro.memory.block.Block._bind_views`.
-        """
-        cols, dir_off, bp_off, inc_off = self._view_spec
-        n = self.slot_count
-        mv = memoryview(self.buf)
-        self.columns: Dict[str, np.ndarray] = {
-            name: np.frombuffer(mv, dtype=dt, count=n, offset=off)
-            for name, dt, off in cols
-        }
-        self.directory = np.frombuffer(mv, dtype=np.uint32, count=n, offset=dir_off)
-        self.backptrs = np.frombuffer(mv, dtype=np.int64, count=n, offset=bp_off)
-        self.slot_incs = np.frombuffer(mv, dtype=np.uint32, count=n, offset=inc_off)
-
-    # -- address arithmetic: offset part IS the slot id ------------------
-
-    def slot_address(self, slot: int) -> int:
-        return self.base_address | slot
-
-    def slot_of_address(self, address: int) -> int:
-        return self.space.offset_of(address)
-
-    # -- slot directory (same protocol as row blocks) --------------------
-
-    def state_of(self, slot: int) -> int:
-        return int(self.directory[slot]) & slotcodec.STATE_MASK
-
-    def mark_valid(self, slot: int) -> None:
-        if _san.SANITIZER is not None:
-            _san.SANITIZER.event(
-                "slot.valid", block=self, slot=slot, word=int(self.directory[slot])
-            )
-        prev = int(self.directory[slot]) & slotcodec.STATE_MASK
-        self.directory[slot] = slotcodec.pack(VALID)
-        if prev == LIMBO:
-            self.limbo_count -= 1
-        self.valid_count += 1
-        self.zone_version += 1  # invalidate the zone map (see Block.mark_valid)
-
-    def mark_limbo(self, slot: int, epoch: int) -> None:
-        if _san.SANITIZER is not None:
-            _san.SANITIZER.event(
-                "slot.limbo",
-                block=self,
-                slot=slot,
-                word=int(self.directory[slot]),
-                epoch=epoch,
-            )
-        if self.state_of(slot) != VALID:
-            raise ValueError(f"slot {slot} is not valid")
-        self.directory[slot] = slotcodec.pack(LIMBO, epoch)
-        self.valid_count -= 1
-        self.limbo_count += 1
-
-    def valid_slots(self) -> np.ndarray:
-        return np.nonzero((self.directory & slotcodec.STATE_MASK) == VALID)[0]
-
-    def valid_mask(self) -> np.ndarray:
-        return (self.directory & slotcodec.STATE_MASK) == VALID
-
-    def iter_valid_slots(self) -> Iterator[int]:
-        for slot in self.valid_slots():
-            yield int(slot)
-
-    def find_allocatable(self, start: int, global_epoch: int) -> Optional[int]:
-        directory = self.directory
-        for slot in range(start, self.slot_count):
-            word = int(directory[slot])
-            state = word & slotcodec.STATE_MASK
-            if state == FREE:
-                return slot
-            if state == LIMBO and global_epoch >= slotcodec.epoch_of(word) + 2:
-                return slot
-        return None
-
-    @property
-    def limbo_fraction(self) -> float:
-        return self.limbo_count / self.slot_count
-
-    @property
-    def occupancy(self) -> float:
-        return self.valid_count / self.slot_count
-
-    def release(self) -> None:
-        self.space.unregister(self.block_id)
-        # Views must die before the backing segment can be unmapped.
-        self.columns = None
-        self.directory = None
-        self.backptrs = None
-        self.slot_incs = None
-        self.buf = None
-        self.segment.release()
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return (
-            f"<ColumnarBlock id={self.block_id} type={self.type_id} "
-            f"valid={self.valid_count}/{self.slot_count}>"
-        )
 
 
 class ColumnarHandle:
@@ -497,35 +151,12 @@ class ColumnarCollection(Collection):
         name: Optional[str] = None,
     ) -> None:
         super().__init__(schema, manager, name)
-        layout = self.layout
-        mgr = self.manager
-        type_id = self.context.type_id
-        context = self.context
-        dict_fields = (
-            frozenset(f.name for f in layout.var_fields)
-            if self.strdict is not None
-            else frozenset()
-        )
-        def block_factory(block_id=None, segment=None):
-            if segment is not None:  # snapshot load: adopt an image
-                return ColumnarBlock.adopt(
-                    mgr.space,
-                    block_id,
-                    segment,
-                    layout,
-                    type_id,
-                    context.context_id,
-                    dict_fields,
-                )
-            return ColumnarBlock(
-                mgr.space, layout, type_id, context.context_id, dict_fields
-            )
-
         #: Columnar contexts build columnar blocks instead of row blocks.
-        context.block_factory = block_factory
-        #: Recorded so a worker attaching this context's blocks by segment
-        #: name can recompute the exact column offsets (columnar_offsets).
-        context.dict_fields = dict_fields
+        self.context.block_class = ColumnarBlock
+        if self.strdict is not None:
+            self.context.dict_fields = frozenset(
+                f.name for f in self.layout.var_fields
+            )
 
     # -- row construction --------------------------------------------------
 

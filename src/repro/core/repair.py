@@ -50,31 +50,19 @@ def repair_references(manager: "MemoryManager") -> Dict[str, int]:
             continue
         for block in coll.context.blocks():
             with manager.critical_section():
-                columns = getattr(block, "columns", None)
+                words = [
+                    (block.column(f.name + "__w"), block.column(f.name + "__i"))
+                    for f in ref_fields
+                ]
                 for slot in block.valid_slots():
-                    slot = int(slot)
                     scanned += 1
-                    for f in ref_fields:
-                        if columns is not None:
-                            word = int(columns[f.name + "__w"][slot])
-                            inc = int(columns[f.name + "__i"][slot])
-                        else:
-                            off = (
-                                block.object_offset
-                                + slot * block.slot_size
-                                + f.offset
-                            )
-                            word, inc = f.decode_words(block.buf, off)
+                    for word_col, inc_col in words:
+                        word = int(word_col[slot])
                         if word == NULL_ADDRESS:
                             continue
-                        if _is_stale(table, space, direct, word, inc):
-                            if columns is not None:
-                                columns[f.name + "__w"][slot] = NULL_ADDRESS
-                                columns[f.name + "__i"][slot] = 0
-                            else:
-                                f.encode_words(
-                                    block.buf, off, NULL_ADDRESS, 0
-                                )
+                        if _is_stale(table, space, direct, word, int(inc_col[slot])):
+                            word_col[slot] = NULL_ADDRESS
+                            inc_col[slot] = 0
                             nulled += 1
 
     reclaimed = table.reclaim_retired()

@@ -350,20 +350,6 @@ def _image(block, type_id: int, context_id: int):
     return image
 
 
-def _ref_columns(block, field: RefField) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-slot ``(word, incarnation)`` arrays of one reference field."""
-    columns = getattr(block, "columns", None)
-    if columns is not None:
-        return columns[field.name + "__w"], columns[field.name + "__i"]
-    mv = memoryview(block.buf)
-    at = block.object_offset + field.offset
-    shape, strides = (block.slot_count,), (block.slot_size,)
-    return (
-        np.ndarray(shape, np.int64, mv, at, strides),
-        np.ndarray(shape, np.uint32, mv, at + 8, strides),
-    )
-
-
 def _check_references(manager, named, blocks, saved_ids, table_addr, table_inc) -> None:
     """Refuse live references that leave the saved collections.
 
@@ -376,7 +362,8 @@ def _check_references(manager, named, blocks, saved_ids, table_addr, table_inc) 
     for name, coll in named.items():
         for field in coll.layout.ref_fields:
             for block in blocks[name]:
-                words, incs = _ref_columns(block, field)
+                words = block.column(field.name + "__w")
+                incs = block.column(field.name + "__i")
                 slots = block.valid_slots()
                 words, incs = words[slots], incs[slots].astype(np.int64) & INC_MASK
                 keep = words != NULL_ADDRESS

@@ -57,7 +57,7 @@ class AddressSpace:
         #: Worker-side hook: ``attach_miss(block_id) -> Optional[block]``.
         #: A forked worker resolving an address minted *after* the fork has
         #: no Python object for the block; this hook lets it attach the
-        #: backing shared segment by name and adopt a read-only view.
+        #: backing shared segment by name and bind the block over it.
         self.attach_miss: Optional[Callable[[int], Optional[object]]] = None
         # Index 0 is reserved so that address 0 is never valid.
         self._blocks: List[Optional[object]] = [None]
@@ -73,9 +73,10 @@ class AddressSpace:
 
         The caller stores the id on the block; the address space only keeps
         the mapping needed for address resolution.  An explicit *block_id*
-        maps the block where a snapshot image says it lived — every stored
-        address embeds its block id, so adopting an image verbatim means
-        adopting its id; a taken id raises :class:`ValueError`.
+        maps the block where its image says it lives (a snapshot, or the
+        parent space a scan worker mirrors) — every stored address embeds
+        its block id, so binding an image verbatim means taking its id; a
+        taken id raises :class:`ValueError`.
         """
         limit = 1 << (63 - self.block_shift)
         with self._lock:
@@ -108,18 +109,6 @@ class AddressSpace:
                 raise ValueError(f"block id {block_id} already unregistered")
             self._blocks[block_id] = None
             self._free_ids.append(block_id)
-
-    def adopt(self, block_id: int, block: object) -> None:
-        """Install an attached block under a specific id (worker side).
-
-        Unlike :meth:`register`, the id is dictated by the parent space the
-        worker is mirroring; the local table is grown as needed.  Never used
-        in the owning process.
-        """
-        with self._lock:
-            while len(self._blocks) <= block_id:
-                self._blocks.append(None)
-            self._blocks[block_id] = block
 
     # ------------------------------------------------------------------
     # Address arithmetic

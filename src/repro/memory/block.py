@@ -8,7 +8,9 @@ of raw memory divided into four consecutive segments::
     +-------------+----------------------+----------------+---------------+
 
 * The *block header* stores per-block (hence per-type) metadata once,
-  instead of with every object — the paper's vtable-sharing trick.
+  instead of with every object — the paper's vtable-sharing trick.  It is
+  self-describing: kind, slot size and slot count are all a reader needs,
+  besides the hosting context's layout, to find every byte of the block.
 * The *object store* holds ``slot_count`` fixed-size object slots.  The
   first 8 bytes of every slot are the slot header: a 32-bit incarnation
   word (used in direct-pointer mode, section 6) plus 4 reserved bytes.
@@ -19,23 +21,33 @@ of raw memory divided into four consecutive segments::
   references to qualifying objects (section 4) and the compactor can find
   the entries to re-point (section 5).
 
-The backing store is a ``bytearray``; the slot directory, back-pointers and
-slot headers are exposed as writable NumPy views for fast scans.
+:class:`Block` is the one implementation of that protocol: a set of NumPy
+views bound over a buffer it does not care about the origin of — a heap
+``bytearray``, a named shared-memory segment (the owner's or one a worker
+process attached by name), a read-only mapping of a tier-file region, or
+a snapshot image.  Binding (:meth:`Block.__init__`, :meth:`Block.rebind`)
+never writes, so it works over read-only mappings, whose views come out
+non-writable.  The columnar option (section 4.1) is a *layout* of the
+same block: :class:`ColumnarBlock` overrides the geometry — where the
+segments lie, how a slot maps to an address, the initial fill — and
+nothing else.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import TYPE_CHECKING, Iterator, List, Optional
+from typing import TYPE_CHECKING, Dict, Iterator, Optional
 
 import numpy as np
 
 from repro.memory import slots as slotcodec
+from repro.memory.addressing import NULL_ADDRESS
 from repro.memory.slots import FREE, LIMBO, VALID
 from repro.sanitizer import hooks as _san
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.memory.addressing import AddressSpace
+    from repro.memory.context import MemoryContext
 
 #: Reserved bytes at the start of every block for the block header.
 BLOCK_HEADER_SIZE = 64
@@ -46,35 +58,19 @@ SLOT_HEADER_SIZE = 8
 
 _HEADER_STRUCT = struct.Struct("<iiiii")  # type_id, context_id, slot_count, slot_size, kind
 
-#: Block kinds (stored in the header for debugging/validation).
+#: Block kinds.  Data blocks stamp theirs in the header; string-heap
+#: blocks are all payload and carry no header at all.
 KIND_ROW = 0
 KIND_STRING = 1
 KIND_COLUMNAR = 2
 
 
-def _segment_offsets(slot_size: int, slot_count: int):
-    """``(directory offset, back-pointer offset)`` of a row block."""
-    dir_offset = BLOCK_HEADER_SIZE + slot_count * slot_size
-    bp_offset = dir_offset + slot_count * 4
-    # Back-pointers must be 8-byte aligned within the buffer.
-    return dir_offset, bp_offset + (-bp_offset % 8)
-
-
-def recount(block) -> None:
-    """Derive an adopted block's counters from its slot directory.
-
-    The allocation cursor lands after the last occupied slot, so only a
-    never-used tail counts as allocatable.
-    """
-    states = block.directory & slotcodec.STATE_MASK
-    occupied = np.nonzero(states != FREE)[0]
-    block.valid_count = int(np.count_nonzero(states == VALID))
-    block.limbo_count = int(occupied.size) - block.valid_count
-    block.alloc_cursor = int(occupied[-1]) + 1 if occupied.size else 0
+def _align8(offset: int) -> int:
+    return offset + (-offset % 8)
 
 
 class Block:
-    """A single-type data block in the off-heap address space."""
+    """A single-type data block in the off-heap address space (row layout)."""
 
     __slots__ = (
         "space",
@@ -82,14 +78,17 @@ class Block:
         "base_address",
         "segment",
         "buf",
+        "context",
         "type_id",
         "context_id",
         "slot_size",
         "slot_count",
         "object_offset",
+        "directory_offset",
         "directory",
         "backptrs",
         "slot_incs",
+        "columns",
         "valid_count",
         "limbo_count",
         "alloc_cursor",
@@ -107,120 +106,203 @@ class Block:
         "tier_offset",
         "read_clock",
         "cool_epoch",
-        "_dir_offset",
-        "_bp_offset",
     )
+
+    kind = KIND_ROW
 
     def __init__(
         self,
         space: "AddressSpace",
-        slot_size: int,
-        type_id: int,
-        context_id: int,
+        block_id: Optional[int],
+        segment,
+        context: "MemoryContext",
     ) -> None:
+        """Bind a block around the image *segment* already holds.
+
+        The one constructor every container goes through — the owner's
+        fresh segment (:meth:`create`), a snapshot image (:meth:`adopt`),
+        a segment a worker process attached by name, a tier-file mapping.
+        It reads the header, checks it against the geometry *context*
+        implies and builds views; it never writes.  ``block_id=None``
+        takes the next free id, anything else maps the block where its
+        stored addresses say it lives.
+        """
+        __, __, slot_count, slot_size, kind = _HEADER_STRUCT.unpack_from(
+            segment.buf, 0
+        )
+        if (
+            kind != self.kind
+            or slot_size != context.slot_size
+            or slot_count < 1
+            or self._geometry(context, slot_count)[-1] > space.block_size
+        ):
+            raise ValueError(
+                f"block {block_id}: image is not a kind-{self.kind} block of "
+                f"{context.slot_size}-byte slots for context "
+                f"{context.name!r} (kind {kind}, {slot_count} x {slot_size} "
+                f"bytes)"
+            )
+        self.space = space
+        self.context = context
+        self.type_id = context.type_id
+        self.context_id = context.context_id
+        self.slot_size = slot_size
+        self.slot_count = slot_count
+        self.object_offset = BLOCK_HEADER_SIZE
+        self.rebind(segment)  # before registering: a short buffer raises here
+        self._reset_state()
+        self.block_id = space.register(self, block_id)
+        self.base_address = space.address_of(self.block_id)
+
+    @classmethod
+    def create(cls, space: "AddressSpace", context: "MemoryContext") -> "Block":
+        """A fresh, empty block for *context* in a new buffer.
+
+        The buffer comes from the space's allocation policy: a process
+        heap bytearray by default, or a named shared-memory segment that
+        worker processes can attach by name (repro.memory.shm).
+        """
+        slot_size = context.slot_size
         if slot_size % 8 != 0:
             raise ValueError(f"slot_size must be 8-byte aligned, got {slot_size}")
         if slot_size < SLOT_HEADER_SIZE + 8:
             raise ValueError(f"slot_size {slot_size} too small for slot header")
-        usable = space.block_size - BLOCK_HEADER_SIZE
-        # Per slot we need the slot itself + 4 directory bytes + 8 back-pointer bytes.
-        slot_count = usable // (slot_size + 4 + 8)
+        # Per slot: the object itself + 4 directory bytes + 8 back-pointer
+        # bytes; shrink while alignment padding overflows the block.
+        slot_count = (space.block_size - BLOCK_HEADER_SIZE) // (slot_size + 4 + 8)
+        while (
+            slot_count >= 1
+            and cls._geometry(context, slot_count)[-1] > space.block_size
+        ):
+            slot_count -= 1
         if slot_count < 1:
             raise ValueError(
                 f"slot_size {slot_size} does not fit in a "
                 f"{space.block_size}-byte block"
             )
-        if _segment_offsets(slot_size, slot_count)[1] + slot_count * 8 > space.block_size:
-            # Back-pointer alignment padding overflowed the block:
-            # sacrifice one slot to make room.
-            slot_count -= 1
-        # The buffer comes from the space's allocation policy: a process
-        # heap bytearray by default, or a named shared-memory segment that
-        # worker processes can attach by name (repro.memory.shm).
-        self._attach(
-            space,
-            space.register(self),
-            space.buffers.create(space.block_size),
-            type_id,
-            context_id,
-            slot_size,
+        segment = space.buffers.create(space.block_size)
+        _HEADER_STRUCT.pack_into(
+            segment.buf,
+            0,
+            context.type_id,
+            context.context_id,
             slot_count,
+            slot_size,
+            cls.kind,
         )
-        self.backptrs.fill(-1)
+        block = cls(space, None, segment, context)
+        block._fill()
+        return block
 
     @classmethod
     def adopt(
-        cls,
-        space: "AddressSpace",
-        block_id: int,
-        segment,
-        type_id: int,
-        context_id: int,
-        slot_size: int,
+        cls, space: "AddressSpace", block_id: int, segment, context: "MemoryContext"
     ) -> "Block":
         """Rebuild a block around an existing image (snapshot load).
 
-        *segment* already holds the block's bytes; the header says how
-        many slots they are divided into, and every counter the
-        constructor would start at zero is recounted from the slot
-        directory instead.  The header's type and context ids are
-        re-stamped: they name positions in the *adopting* manager's
-        registries, not the one that wrote the image.
+        *segment* already holds the block's bytes, so nothing is
+        initialised: every counter a fresh block starts at zero is
+        recounted from the slot directory, with the allocation cursor
+        after the last occupied slot so only a never-used tail counts as
+        allocatable.  The header's type and context ids are re-stamped:
+        they name positions in the *adopting* manager's registries, not
+        the one that wrote the image.
         """
-        __, __, slot_count, stored_size, kind = _HEADER_STRUCT.unpack_from(
-            segment.buf, 0
-        )
-        if (
-            kind != KIND_ROW
-            or stored_size != slot_size
-            or slot_count < 1
-            or _segment_offsets(slot_size, slot_count)[1] + slot_count * 8
-            > space.block_size
-        ):
-            raise ValueError(
-                f"image is not a row block of {slot_size}-byte slots "
-                f"(kind {kind}, {slot_count} x {stored_size} bytes)"
-            )
-        self = cls.__new__(cls)
-        self._attach(
-            space,
-            space.register(self, block_id),
-            segment,
-            type_id,
-            context_id,
-            slot_size,
-            slot_count,
-        )
-        recount(self)
-        return self
+        block = cls(space, block_id, segment, context)
+        block._stamp_header()
+        states = block.directory & slotcodec.STATE_MASK
+        occupied = np.nonzero(states != FREE)[0]
+        block.valid_count = int(np.count_nonzero(states == VALID))
+        block.limbo_count = int(occupied.size) - block.valid_count
+        block.alloc_cursor = int(occupied[-1]) + 1 if occupied.size else 0
+        return block
 
-    def _attach(
-        self,
-        space: "AddressSpace",
-        block_id: int,
-        segment,
-        type_id: int,
-        context_id: int,
-        slot_size: int,
-        slot_count: int,
-    ) -> None:
-        """Bind this block to its id and buffer; runtime state starts idle."""
-        self.space = space
-        self.block_id = block_id
-        self.base_address = space.address_of(block_id)
+    # ------------------------------------------------------------------
+    # Geometry: where the segments lie (layout-specific)
+    # ------------------------------------------------------------------
+
+    @staticmethod
+    def _geometry(context: "MemoryContext", n: int):
+        """Byte layout of an *n*-slot block of *context*:
+        ``(columns, directory offset, back-pointer offset, incarnation
+        offset, incarnation stride, end)`` with *columns* the contiguous
+        ``[(name, dtype, offset)]`` arrays bound eagerly.
+
+        Purely a function of ``(context, n)``, so whoever reads *n* out of
+        a header — in whatever process — finds the same bytes.  Row slots
+        interleave their fields, so a row block binds no column eagerly
+        (:meth:`column` builds strided views on demand) and the
+        incarnation words are the first four bytes of every slot.
+        """
+        slot_size = context.slot_size
+        dir_offset = BLOCK_HEADER_SIZE + n * slot_size
+        bp_offset = _align8(dir_offset + n * 4)
+        return (), dir_offset, bp_offset, BLOCK_HEADER_SIZE, slot_size, bp_offset + n * 8
+
+    def rebind(self, segment) -> None:
+        """Point the block at *segment* — the same image in another
+        container — and rebuild every view over it.
+
+        The pager swaps buffers this way (demotion to a read-only tier
+        mapping, promotion back into a writable segment).  Performs no
+        writes, so it is safe over a read-only mapping: the arrays simply
+        come out non-writable.  ``buf`` is published before the fresh
+        ``columns`` cache so a racing :meth:`column` can only ever file a
+        view of the new buffer under the new cache.
+        """
+        n = self.slot_count
+        columns, dir_offset, bp_offset, inc_offset, inc_stride, __ = self._geometry(
+            self.context, n
+        )
         self.segment = segment
         self.buf = segment.buf
-        self.type_id = type_id
-        self.context_id = context_id
-        self.slot_size = slot_size
-        self.slot_count = slot_count
-        self.object_offset = BLOCK_HEADER_SIZE
-        self._dir_offset, self._bp_offset = _segment_offsets(slot_size, slot_count)
-        _HEADER_STRUCT.pack_into(
-            self.buf, 0, type_id, context_id, slot_count, slot_size, KIND_ROW
-        )
-        self._bind_views()
+        mv = memoryview(self.buf)
+        self.directory_offset = dir_offset
+        self.directory = np.frombuffer(mv, np.uint32, n, dir_offset)
+        self.backptrs = np.frombuffer(mv, np.int64, n, bp_offset)
+        self.slot_incs = np.ndarray((n,), np.uint32, mv, inc_offset, (inc_stride,))
+        self.columns: Dict[str, np.ndarray] = {
+            name: np.frombuffer(mv, dtype, n, offset)
+            for name, dtype, offset in columns
+        }
 
+    def column(self, name: str) -> np.ndarray:
+        """Per-slot array of one stored column (``field``, or a reference
+        field's ``field__w`` / ``field__i`` words).
+
+        For a row block that is a strided view over the slots, built on
+        first use and cached until the next :meth:`rebind`.
+        """
+        columns = self.columns  # before reading buf; see rebind
+        col = columns.get(name)
+        if col is None:
+            dtype, offset = self.context.layout.columns[name]
+            col = columns[name] = np.ndarray(
+                (self.slot_count,),
+                dtype,
+                memoryview(self.buf),
+                self.object_offset + offset,
+                (self.slot_size,),
+            )
+        return col
+
+    def _fill(self) -> None:
+        """What an all-zero image still lacks to be an empty block."""
+        self.backptrs.fill(-1)
+
+    def _stamp_header(self) -> None:
+        _HEADER_STRUCT.pack_into(
+            self.buf,
+            0,
+            self.type_id,
+            self.context_id,
+            self.slot_count,
+            self.slot_size,
+            self.kind,
+        )
+
+    def _reset_state(self) -> None:
+        """Runtime (non-image) state of an idle, empty, resident block."""
         self.valid_count = 0
         self.limbo_count = 0
         self.alloc_cursor = 0
@@ -265,37 +347,6 @@ class Block:
         #: Epoch at which cooling started (-1 while not cooling).
         self.cool_epoch = -1
 
-    @property
-    def directory_offset(self) -> int:
-        """Byte offset of the slot directory inside the buffer."""
-        return self._dir_offset
-
-    def _bind_views(self) -> None:
-        """(Re)build the NumPy views over the current ``self.buf``.
-
-        Called at construction and by the pager whenever the backing
-        buffer is swapped (demotion to a read-only tier mapping, or
-        promotion back into a writable segment).  Performs no writes, so
-        it is safe over a read-only cold mapping — the resulting arrays
-        simply come out non-writable.
-        """
-        mv = memoryview(self.buf)
-        self.directory = np.frombuffer(
-            mv, dtype=np.uint32, count=self.slot_count, offset=self._dir_offset
-        )
-        self.backptrs = np.frombuffer(
-            mv, dtype=np.int64, count=self.slot_count, offset=self._bp_offset
-        )
-        # Strided view over the first 4 bytes of every slot: the incarnation
-        # word of the slot header (authoritative in direct-pointer mode).
-        self.slot_incs = np.ndarray(
-            shape=(self.slot_count,),
-            dtype=np.uint32,
-            buffer=mv,
-            offset=self.object_offset,
-            strides=(self.slot_size,),
-        )
-
     # ------------------------------------------------------------------
     # Address arithmetic
     # ------------------------------------------------------------------
@@ -307,6 +358,11 @@ class Block:
     def slot_of_address(self, address: int) -> int:
         """Inverse of :meth:`slot_address` for addresses inside this block."""
         return (self.space.offset_of(address) - self.object_offset) // self.slot_size
+
+    def slot_of_offset(self, offset):
+        """Slot of an in-block byte offset (an address with the block id
+        masked off); takes an int or a whole NumPy array of offsets."""
+        return (offset - self.object_offset) // self.slot_size
 
     # ------------------------------------------------------------------
     # Slot directory transitions
@@ -409,51 +465,94 @@ class Block:
         its buffer.
         """
         self.space.unregister(self.block_id)
+        self.columns = None
         self.directory = None
         self.backptrs = None
         self.slot_incs = None
         self.buf = None
         self.segment.release()
 
-    def reset(self, type_id: int, context_id: int) -> None:
+    def reset(self, context: "MemoryContext") -> None:
         """Reinitialise the block for reuse by a (possibly different) type.
 
-        Single-type blocks may be recycled for different types once empty
-        (section 3.2) because incarnation state lives in the indirection
-        table; we clear all segments.
+        Single-type blocks may be recycled for different types of the
+        same slot size once empty (section 3.2) because incarnation state
+        lives in the indirection table; we clear all segments.
         """
         if self.valid_count:
             raise ValueError("cannot reset a block with live objects")
         if self.residency != "hot":
             raise ValueError("cannot reset a non-resident block")
-        self.type_id = type_id
-        self.context_id = context_id
-        _HEADER_STRUCT.pack_into(
-            self.buf, 0, type_id, context_id, self.slot_count, self.slot_size, KIND_ROW
-        )
+        if context.slot_size != self.slot_size:
+            raise ValueError("cannot reset a block to another slot size")
+        self.context = context
+        self.type_id = context.type_id
+        self.context_id = context.context_id
+        self._stamp_header()
+        self.rebind(self.segment)  # drops the old type's column views
         self.directory.fill(0)
-        self.backptrs.fill(-1)
         self.slot_incs.fill(0)
-        self.valid_count = 0
-        self.limbo_count = 0
-        self.alloc_cursor = 0
-        self.is_active = False
-        self.compacting = False
-        self.queued_for_reclaim = False
-        self.reclaim_ready_epoch = -1
-        self.relocation_list = None
-        self.compaction_group = None
-        self.zones = None
-        self.zone_version = 0
-        self.pin_count = 0
-        self.tier_dirty = False
-        self.tier_offset = -1
-        self.read_clock = 0
-        self.cool_epoch = -1
+        self._fill()
+        self._reset_state()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"<Block id={self.block_id} type={self.type_id} "
+            f"<{type(self).__name__} id={self.block_id} type={self.type_id} "
             f"valid={self.valid_count} limbo={self.limbo_count} "
             f"slots={self.slot_count}x{self.slot_size}B>"
         )
+
+
+class ColumnarBlock(Block):
+    """A block whose object data lives in per-field column arrays
+    (paper section 4.1).
+
+    Header, slot directory, back-pointers and per-slot incarnation words
+    are the row block's; between header and directory lie one contiguous
+    array per stored column instead of interleaved slots.  An object's
+    address is its *(block, slot)* pair: the offset part of the
+    block-aligned address is the slot index.
+    """
+
+    __slots__ = ()
+
+    kind = KIND_COLUMNAR
+
+    @staticmethod
+    def _geometry(context: "MemoryContext", n: int):
+        """Columns in field order (a reference field contributes its
+        ``__w`` int64 and ``__i`` uint32 words; dictionary-coded
+        varstrings hold int32 codes instead of 8-byte heap addresses),
+        each 8-byte aligned, then directory, back-pointers and
+        incarnation words as contiguous arrays."""
+        columns = []
+        offset = BLOCK_HEADER_SIZE
+        for name, (dtype, __) in context.layout.columns.items():
+            if name in context.dict_fields:
+                dtype = np.dtype(np.int32)
+            offset = _align8(offset)
+            columns.append((name, dtype, offset))
+            offset += n * dtype.itemsize
+        dir_offset = _align8(offset)
+        bp_offset = _align8(dir_offset + 4 * n)
+        inc_offset = _align8(bp_offset + 8 * n)
+        return columns, dir_offset, bp_offset, inc_offset, 4, inc_offset + 4 * n
+
+    def column(self, name: str) -> np.ndarray:
+        return self.columns[name]
+
+    def _fill(self) -> None:
+        self.backptrs.fill(-1)
+        for field in self.context.layout.ref_fields:
+            self.columns[field.name + "__w"].fill(NULL_ADDRESS)
+
+    # -- address arithmetic: the offset part IS the slot id --------------
+
+    def slot_address(self, slot: int) -> int:
+        return self.base_address | slot
+
+    def slot_of_address(self, address: int) -> int:
+        return self.space.offset_of(address)
+
+    def slot_of_offset(self, offset):
+        return offset

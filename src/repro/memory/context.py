@@ -40,14 +40,17 @@ class MemoryContext:
         self._blocks_lock = threading.Lock()
         self._tl_blocks = ThreadLocalBlocks()
         self._reclaim = ReclamationQueue()
-        #: Optional custom block constructor (columnar collections).
-        self.block_factory = None
+        #: The block layout of this context: :class:`Block` (rows) or its
+        #: columnar subclass (set by columnar collections).  Together with
+        #: ``layout`` and ``dict_fields`` it fixes the geometry of every
+        #: block of the context, so any process can bind one from its
+        #: header alone.
+        self.block_class = Block
         #: Slot layout of the hosted type (set by the owning collection);
-        #: used by the vectorised query engine to build field views.
+        #: blocks build their per-field column views from it.
         self.layout = None
         #: Varstring fields stored as dictionary codes (set by columnar
-        #: collections); part of the deterministic column-offset recipe a
-        #: worker process needs to attach this context's blocks.
+        #: collections).
         self.dict_fields = frozenset()
         #: Blocks whose owner thread abandoned them (exhausted); candidates
         #: for the reclamation queue as their limbo fraction grows.

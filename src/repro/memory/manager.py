@@ -24,7 +24,7 @@ from repro.errors import (
     NullReferenceError,
 )
 from repro.memory.addressing import AddressSpace, NULL_ADDRESS
-from repro.memory.block import Block
+from repro.memory.block import KIND_ROW, Block, _HEADER_STRUCT
 from repro.memory.context import MemoryContext
 from repro.memory.epoch import EpochManager
 from repro.memory.indirection import (
@@ -177,26 +177,16 @@ class MemoryManager:
     # ------------------------------------------------------------------
 
     def _acquire_block(self, context: MemoryContext) -> Block:
-        factory = getattr(context, "block_factory", None)
-        if factory is not None:
-            # Columnar (and other custom) contexts build their own blocks;
-            # those are not pooled across types.
-            self.stats.blocks_allocated += 1
-            block = factory()
-            if self.pager is not None:
-                self.pager.track(block)
-            return block
-        with self._pool_lock:
-            pool = self._pool.get(context.slot_size)
-            block = pool.pop() if pool else None
-        if block is not None:
-            block.reset(context.type_id, context.context_id)
-            self.stats.blocks_pooled += 1
-            return block
+        if context.block_class.kind == KIND_ROW:  # the only kind pooled
+            with self._pool_lock:
+                pool = self._pool.get(context.slot_size)
+                block = pool.pop() if pool else None
+            if block is not None:
+                block.reset(context)
+                self.stats.blocks_pooled += 1
+                return block
         self.stats.blocks_allocated += 1
-        block = Block(
-            self.space, context.slot_size, context.type_id, context.context_id
-        )
+        block = context.block_class.create(self.space, context)
         if self.pager is not None:
             self.pager.track(block)
         return block
@@ -211,18 +201,7 @@ class MemoryManager:
         evicts as the load goes so it never holds more than the budget
         plus this one block hot.
         """
-        factory = getattr(context, "block_factory", None)
-        if factory is not None:
-            block = factory(block_id, segment)
-        else:
-            block = Block.adopt(
-                self.space,
-                block_id,
-                segment,
-                context.type_id,
-                context.context_id,
-                context.slot_size,
-            )
+        block = context.block_class.adopt(self.space, block_id, segment, context)
         self.stats.blocks_allocated += 1
         context.adopt_block(block)
         if self.pager is not None:
@@ -231,20 +210,38 @@ class MemoryManager:
                 self.pager.maintain()
         return block
 
+    def attach_block(self, block_id: int, segment) -> Block:
+        """Bind the data block whose image *segment* maps, where the
+        image's owner lives in another address space (a scan worker
+        attaching what its parent mapped after the fork).
+
+        Write-free.  The header names the hosting context, the context
+        fixes class and geometry, and a header that does not fit them
+        raises :class:`ValueError`.  The block belongs to no context's
+        block list and no pager: it is a reader's view.
+        """
+        context_id = _HEADER_STRUCT.unpack_from(segment.buf, 0)[1]
+        if not 0 <= context_id < len(self._contexts):
+            raise ValueError(
+                f"block {block_id}: header names unknown context {context_id}"
+            )
+        context = self._contexts[context_id]
+        return context.block_class(self.space, block_id, segment, context)
+
     def _release_block(self, block) -> None:
         """Return an emptied block to the pool for reuse by any type.
 
-        Only row blocks are pooled; custom block kinds (columnar) release
-        their address range immediately.  Under a memory budget nothing
-        is pooled: a pooled block would hold hot bytes invisible to the
-        pager's accounting, so paged managers release buffers (and the
-        block's tier region, if any) outright.
+        Only row blocks are pooled; columnar blocks release their address
+        range immediately.  Under a memory budget nothing is pooled: a
+        pooled block would hold hot bytes invisible to the pager's
+        accounting, so paged managers release buffers (and the block's
+        tier region, if any) outright.
         """
         if self.pager is not None:
             self.pager.untrack(block)
             block.release()
             return
-        if not isinstance(block, Block):
+        if block.kind != KIND_ROW:
             block.release()
             return
         with self._pool_lock:

@@ -137,9 +137,9 @@ class TierStore:
                 self.path = path
             return self._fd
 
-    def spill(self, data: bytes, offset: int = -1) -> int:
-        """Write one block image to *offset* (or a fresh region); returns
-        the region offset."""
+    def spill(self, data, offset: int = -1) -> int:
+        """Write one block image (any bytes-like object) to *offset* (or
+        a fresh region); returns the region offset."""
         if len(data) > self.region_size:
             raise ValueError("block image exceeds tier region size")
         fd = self._ensure_file()
@@ -393,8 +393,6 @@ class Pager:
         """
         if os.getpid() != self._pid:
             return False
-        if getattr(block, "residency", None) is None:
-            return False
         events: List[tuple] = []
         with self._lock:
             block.read_clock = min(block.read_clock + 1, CLOCK_CAP)
@@ -414,8 +412,6 @@ class Pager:
         epoch critical section*, which is what makes the two-epoch cooling
         grace a proof that no writer still trusts a demoted buffer."""
         if os.getpid() != self._pid:  # pragma: no cover - workers never write
-            return
-        if getattr(block, "residency", None) is None:
             return
         events: List[tuple] = []
         with self._lock:
@@ -596,14 +592,11 @@ class Pager:
         store = self.buffers.store_for(self.block_size)
         spilled = False
         if block.tier_offset < 0 or block.tier_dirty:
-            block.tier_offset = store.spill(bytes(block.buf), block.tier_offset)
+            block.tier_offset = store.spill(block.buf, block.tier_offset)
             self.spills += 1
             spilled = True
-        cold = store.map_region(block.tier_offset, self.block_size)
         old = block.segment
-        block.segment = cold
-        block.buf = cold.buf
-        block._bind_views()
+        block.rebind(store.map_region(block.tier_offset, self.block_size))
         block.residency = "cold"
         block.tier_dirty = False
         cool_epoch, block.cool_epoch = block.cool_epoch, -1
@@ -649,13 +642,10 @@ class Pager:
         self._reclaim_ready(events)
         self._evict_for(self.block_size, events)
         self._reclaim_ready(events)
-        data = bytes(block.buf)
         seg = self.buffers.create(self.block_size)
-        seg.buf[: len(data)] = data
+        seg.buf[: len(block.buf)] = block.buf
         old = block.segment
-        block.segment = seg
-        block.buf = seg.buf
-        block._bind_views()
+        block.rebind(seg)
         block.residency = "hot"
         block.tier_dirty = False  # image in the tier file is still current
         block.cool_epoch = -1

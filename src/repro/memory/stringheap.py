@@ -39,6 +39,7 @@ from typing import (
 import numpy as np
 
 from repro.memory.addressing import NULL_ADDRESS
+from repro.memory.block import KIND_STRING
 from repro.sanitizer import hooks as _san
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -51,9 +52,15 @@ _MIN_CLASS = 16
 
 
 class StringBlock:
-    """A bump-allocated block holding string records."""
+    """A bump-allocated block holding string records.
+
+    All payload: unlike data blocks it has no header, so whoever binds
+    one over a foreign buffer has to be told it is a string block.
+    """
 
     __slots__ = ("space", "block_id", "base_address", "segment", "buf", "bump")
+
+    kind = KIND_STRING
 
     def __init__(
         self,
@@ -63,7 +70,8 @@ class StringBlock:
         bump: int = 0,
     ) -> None:
         """A fresh block, or (all of *block_id*, *segment*, *bump* given)
-        one adopted from a snapshot image at its stored id."""
+        one bound write-free over an existing image at its stored id — a
+        snapshot's, or a segment a worker process attached by name."""
         self.space = space
         self.block_id = space.register(self, block_id)
         self.base_address = space.address_of(self.block_id)

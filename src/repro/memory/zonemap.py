@@ -60,19 +60,6 @@ _ELIGIBLE_FIELDS = frozenset(
     }
 )
 
-#: NumPy dtypes for strided row-block views, by field class (mirrors the
-#: raw column dtypes of the columnar layout).
-_VIEW_DTYPES = {
-    "Int8Field": np.int8,
-    "Int16Field": np.int16,
-    "Int32Field": np.int32,
-    "Int64Field": np.int64,
-    "BoolField": np.int8,
-    "Float64Field": np.float64,
-    "DecimalField": np.int64,
-    "DateField": np.int32,
-}
-
 
 #: Distinct-code threshold below which a block's zone map keeps the exact
 #: set of dictionary codes present (a "small-domain code bitmap") instead
@@ -131,17 +118,14 @@ class ZoneMap:
         return f"<ZoneMap v={self.version} stale={self.stale} {spans}>"
 
 
-def zone_specs(
-    context: "MemoryContext",
-) -> List[Tuple[str, np.dtype, int, str]]:
-    """Cached ``(name, dtype, offset, kind)`` list of zoned fields.
+def zone_specs(context: "MemoryContext") -> List[Tuple[str, str]]:
+    """Cached ``(name, kind)`` list of zoned fields.
 
-    The dtype/offset pair builds a strided view over a row block's slot
-    bytes; columnar builds only need the names.  ``kind`` is ``"num"``
-    for ordered scalars (min/max envelope), ``"code"`` for
-    dictionary-coded varstring columns (envelope plus small-domain code
-    sets) and ``"char"`` for fixed-width Char columns (small-domain
-    value sets only — padded bytes have no useful numeric envelope).
+    ``kind`` is ``"num"`` for ordered scalars (min/max envelope),
+    ``"code"`` for dictionary-coded varstring columns (envelope plus
+    small-domain code sets) and ``"char"`` for fixed-width Char columns
+    (small-domain value sets only — padded bytes have no useful numeric
+    envelope).
     Contexts without a layout (e.g. the string store) have no zoned
     fields.
     """
@@ -151,19 +135,17 @@ def zone_specs(
         if layout is None:  # string store etc.: nothing to zone, no cache
             return []
         specs = [
-            (f.name, _VIEW_DTYPES[type(f).__name__], f.offset, "num")
+            (f.name, "num")
             for f in layout.fields
             if type(f).__name__ in _ELIGIBLE_FIELDS
         ]
         specs.extend(
-            (f.name, np.dtype(f"S{f.width}"), f.offset, "char")
+            (f.name, "char")
             for f in layout.fields
             if type(f).__name__ == "CharField"
         )
         if getattr(context, "strdict", None) is not None:
-            specs.extend(
-                (f.name, np.int64, f.offset, "code") for f in layout.var_fields
-            )
+            specs.extend((f.name, "code") for f in layout.var_fields)
         context._zone_specs = specs
     return specs
 
@@ -184,20 +166,8 @@ def _compute(context: "MemoryContext", block, version: int) -> Optional[ZoneMap]
     if valid.size == 0:
         return None
     zones = ZoneMap(version)
-    columns = getattr(block, "columns", None)
-    mv = None if columns is not None else memoryview(block.buf)
-    for name, dtype, off, kind in specs:
-        if columns is not None:
-            col = columns[name]
-        else:
-            col = np.ndarray(
-                shape=(block.slot_count,),
-                dtype=dtype,
-                buffer=mv,
-                offset=block.object_offset + off,
-                strides=(block.slot_size,),
-            )
-        vals = col[valid]
+    for name, kind in specs:
+        vals = block.column(name)[valid]
         if kind == "code":
             # Row templates store NULL_ADDRESS (-1) for unset varstrings;
             # both -1 and 0 decode to "", so fold them before bounding.

@@ -74,7 +74,6 @@ from repro.query.expressions import (
 from repro.query import planner as _planner
 from repro.query.runtime import scan_blocks
 from repro.schema.fields import (
-    CharField,
     RefField,
     VarStringField,
     date_to_days,
@@ -82,52 +81,6 @@ from repro.schema.fields import (
 )
 
 _PYOBJ = ("any", None)
-
-_ROW_DTYPES = {
-    "DecimalField": np.int64,
-    "Int64Field": np.int64,
-    "VarStringField": np.int64,
-    "DateField": np.int32,
-    "Int32Field": np.int32,
-    "Int16Field": np.int16,
-    "Int8Field": np.int8,
-    "BoolField": np.int8,
-    "Float64Field": np.float64,
-}
-
-
-def _row_view(block, layout, name: str) -> np.ndarray:
-    """Strided NumPy view over one field of a row block's slots."""
-    if name.endswith("__w"):
-        field = layout.by_name[name[:-3]]
-        dtype, off = np.int64, field.offset
-    elif name.endswith("__i"):
-        field = layout.by_name[name[:-3]]
-        dtype, off = np.uint32, field.offset + 8
-    else:
-        field = layout.by_name[name]
-        if isinstance(field, CharField):
-            dtype, off = f"S{field.width}", field.offset
-        else:
-            dtype, off = _ROW_DTYPES[type(field).__name__], field.offset
-    return np.ndarray(
-        shape=(block.slot_count,),
-        dtype=dtype,
-        buffer=memoryview(block.buf),
-        offset=block.object_offset + off,
-        strides=(block.slot_size,),
-    )
-
-
-def _column_of(manager, block, name: str) -> np.ndarray:
-    """Column accessor: real arrays for columnar blocks, strided views for
-    row blocks (resolved through the block's context layout)."""
-    columns = getattr(block, "columns", None)
-    if columns is not None:
-        return columns[name]
-    layout = manager.context_by_id(block.context_id).layout
-    return _row_view(block, layout, name)
-
 
 def build_scan_plan(
     query: Query,
@@ -475,16 +428,7 @@ def _run_index_lookup(plan: _ScanPlan) -> Tuple["_Accumulator", int, int]:
             ctx = _BlockCtx(manager, plan.source, block, plan.params)
             if ctx.idx.size == 0:
                 continue
-            if hasattr(block, "columns"):
-                slots = np.array(sorted(offsets), dtype=np.int64)
-            else:
-                slots = np.array(
-                    sorted(
-                        (off - block.object_offset) // block.slot_size
-                        for off in offsets
-                    ),
-                    dtype=np.int64,
-                )
+            slots = block.slot_of_offset(np.array(offsets, dtype=np.int64))
             ctx.refine(np.isin(ctx.idx, slots))
             if ctx.idx.size == 0:
                 continue
@@ -666,22 +610,15 @@ class _BlockCtx:
             return arr
         parent = self.addresses(steps[:-1])
         field = steps[-1]
-        manager = self.manager
         if parent is None:
-            w = _column_of(manager, self.block, field.name + "__w")[
-                self.idx
-            ].astype(np.int64)
-            inc = _column_of(manager, self.block, field.name + "__i")[self.idx]
+            w = self.block.column(field.name + "__w")[self.idx].astype(np.int64)
+            inc = self.block.column(field.name + "__i")[self.idx]
         else:
             w = self._gather(
-                parent,
-                lambda b: _column_of(manager, b, field.name + "__w"),
-                key=steps[:-1],
+                parent, lambda b: b.column(field.name + "__w"), key=steps[:-1]
             )
             inc = self._gather(
-                parent,
-                lambda b: _column_of(manager, b, field.name + "__i"),
-                key=steps[:-1],
+                parent, lambda b: b.column(field.name + "__i"), key=steps[:-1]
             )
         if np.any(w == NULL_ADDRESS):
             raise NullReferenceError(
@@ -705,11 +642,8 @@ class _BlockCtx:
     def column(self, steps: Tuple[RefField, ...], name: str) -> np.ndarray:
         addrs = self.addresses(steps)
         if addrs is None:
-            return _column_of(self.manager, self.block, name)[self.idx]
-        manager = self.manager
-        return self._gather(
-            addrs, lambda b: _column_of(manager, b, name), key=steps
-        )
+            return self.block.column(name)[self.idx]
+        return self._gather(addrs, lambda b: b.column(name), key=steps)
 
     # -- expression evaluation ---------------------------------------------
 
@@ -976,11 +910,7 @@ class _AddressGrouping:
         for i, bid in enumerate(uniq.tolist()):
             lo, hi = int(bounds[i]), int(bounds[i + 1])
             blk = space.block_by_id(int(bid))
-            offs = sorted_offsets[lo:hi]
-            if hasattr(blk, "columns"):
-                idxs = offs  # columnar: offset part IS the slot id
-            else:
-                idxs = (offs - blk.object_offset) // blk.slot_size
+            idxs = blk.slot_of_offset(sorted_offsets[lo:hi])
             self.runs.append((blk, lo, hi, idxs))
 
     def fetch(self, manager, getter) -> np.ndarray:

@@ -15,10 +15,13 @@ Protocol overview (full write-up in ``docs/parallel_execution.md``):
   every block mapped *before* the fork is readable through inherited
   mappings of the shared segments (live bytes, not copies).  Blocks
   mapped *after* the fork are resolved through the per-query *space
-  map* — ``{block_id: (segment_name, kind)}`` — via the address space's
-  ``attach_miss`` hook: the worker attaches the named segment, rebuilds
-  the NumPy views read-only from the self-describing block header, and
-  adopts the block under its parent-dictated id.
+  map* — ``{block_id: segment name | tier-file offset}`` — via the
+  address space's ``attach_miss`` hook: the worker maps the segment and
+  binds the block's own class over it (``MemoryManager.attach_block``).
+  This module holds no block code: kind, slot count and hosting context
+  come from the self-describing block header, are validated by the
+  block's one write-free constructor, and a segment that does not fit
+  fails the query over to the thread executor.
 
 * **Cross-process epochs.**  Each worker publishes a reader section —
   ``(flag, epoch, pid, qid)`` int64 rows in a shared slot segment —
@@ -69,9 +72,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.memory import slots as slotcodec
-from repro.memory.block import BLOCK_HEADER_SIZE, _HEADER_STRUCT
-from repro.memory.slots import VALID
+from repro.memory.block import KIND_STRING
+from repro.memory.stringheap import StringBlock
 from repro.query import plansnap
 from repro.query.parallel import MORSELS_PER_WORKER, MorselDispatcher
 from repro.query.runtime import GROUP_DEFERRED, GROUP_PINNED, resolve_group
@@ -82,11 +84,6 @@ _LEN = struct.Struct("<I")
 #: int64 words per worker row in the shared slot segment:
 #: ``flag, epoch, pid, qid``.
 _SLOT_ROW = 4
-
-#: Segment kinds in the space map shipped with every query.
-_KIND_ROW = "r"
-_KIND_COLUMNAR = "c"
-_KIND_STRING = "s"
 
 
 # ----------------------------------------------------------------------
@@ -139,234 +136,64 @@ def _parse_frames(rec: dict) -> List[tuple]:
 
 
 # ----------------------------------------------------------------------
-# Worker-side block attach (segment name -> read-only views)
+# Worker-side block attach (segment name / tier offset -> the real block)
 # ----------------------------------------------------------------------
 
 
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
-
-
-class _AttachedRowBlock:
-    """Read-only stand-in for a row block mapped after the fork.
-
-    Rebuilt purely from the self-describing block header plus the
-    context's layout, exactly mirroring ``Block``'s offset recipe.  No
-    ``columns`` attribute on purpose: the gather kernels distinguish
-    layouts with ``hasattr(block, "columns")``.
-    """
-
-    __slots__ = (
-        "space",
-        "block_id",
-        "base_address",
-        "segment",
-        "buf",
-        "type_id",
-        "context_id",
-        "slot_size",
-        "slot_count",
-        "object_offset",
-        "directory",
-        "backptrs",
-        "slot_incs",
-        "compaction_group",
-    )
-
-    def __init__(self, space, block_id: int, segment) -> None:
-        self.space = space
-        self.block_id = block_id
-        self.base_address = space.address_of(block_id)
-        self.segment = segment
-        self.buf = segment.buf
-        type_id, context_id, n, slot_size, __ = _HEADER_STRUCT.unpack_from(
-            self.buf, 0
-        )
-        self.type_id = type_id
-        self.context_id = context_id
-        self.slot_size = slot_size
-        self.slot_count = n
-        self.object_offset = BLOCK_HEADER_SIZE
-        # The header stores the final slot count (after any alignment
-        # sacrifice), so the segment offsets recompute deterministically.
-        dir_offset = BLOCK_HEADER_SIZE + n * slot_size
-        bp_offset = dir_offset + n * 4
-        if bp_offset % 8 != 0:
-            bp_offset += 8 - (bp_offset % 8)
-        mv = memoryview(self.buf)
-        self.directory = _readonly(
-            np.frombuffer(mv, dtype=np.uint32, count=n, offset=dir_offset)
-        )
-        self.backptrs = _readonly(
-            np.frombuffer(mv, dtype=np.int64, count=n, offset=bp_offset)
-        )
-        self.slot_incs = _readonly(
-            np.ndarray(
-                shape=(n,),
-                dtype=np.uint32,
-                buffer=mv,
-                offset=self.object_offset,
-                strides=(slot_size,),
-            )
-        )
-        self.compaction_group = None
-
-    def valid_slots(self) -> np.ndarray:
-        return np.nonzero((self.directory & slotcodec.STATE_MASK) == VALID)[0]
-
-    def slot_of_address(self, address: int) -> int:
-        return (
-            self.space.offset_of(address) - self.object_offset
-        ) // self.slot_size
-
-
-class _AttachedColumnarBlock:
-    """Read-only stand-in for a columnar block mapped after the fork."""
-
-    __slots__ = (
-        "space",
-        "block_id",
-        "base_address",
-        "segment",
-        "buf",
-        "type_id",
-        "context_id",
-        "slot_size",
-        "slot_count",
-        "columns",
-        "directory",
-        "backptrs",
-        "slot_incs",
-        "compaction_group",
-    )
-
-    def __init__(self, space, block_id: int, segment, manager) -> None:
-        from repro.core.columnar import columnar_offsets
-
-        self.space = space
-        self.block_id = block_id
-        self.base_address = space.address_of(block_id)
-        self.segment = segment
-        self.buf = segment.buf
-        type_id, context_id, n, slot_size, __ = _HEADER_STRUCT.unpack_from(
-            self.buf, 0
-        )
-        self.type_id = type_id
-        self.context_id = context_id
-        self.slot_size = slot_size
-        self.slot_count = n
-        context = manager.context_by_id(context_id)
-        cols, dir_off, bp_off, inc_off, __ = columnar_offsets(
-            context.layout, context.dict_fields, n
-        )
-        mv = memoryview(self.buf)
-        self.columns = {
-            name: _readonly(np.frombuffer(mv, dtype=dt, count=n, offset=off))
-            for name, dt, off in cols
-        }
-        self.directory = _readonly(
-            np.frombuffer(mv, dtype=np.uint32, count=n, offset=dir_off)
-        )
-        self.backptrs = _readonly(
-            np.frombuffer(mv, dtype=np.int64, count=n, offset=bp_off)
-        )
-        self.slot_incs = _readonly(
-            np.frombuffer(mv, dtype=np.uint32, count=n, offset=inc_off)
-        )
-        self.compaction_group = None
-
-    def valid_slots(self) -> np.ndarray:
-        return np.nonzero((self.directory & slotcodec.STATE_MASK) == VALID)[0]
-
-    def slot_of_address(self, address: int) -> int:
-        return self.space.offset_of(address)
-
-
-class _AttachedStringBlock:
-    """Minimal attached view of a string block (heap reads only)."""
-
-    __slots__ = ("space", "block_id", "base_address", "segment", "buf")
-
-    def __init__(self, space, block_id: int, segment) -> None:
-        self.space = space
-        self.block_id = block_id
-        self.base_address = space.address_of(block_id)
-        self.segment = segment
-        self.buf = segment.buf
-
-
-def _attach_block(manager, block_id: int, kind: str, segment):
-    space = manager.space
-    if kind == _KIND_COLUMNAR:
-        return _AttachedColumnarBlock(space, block_id, segment, manager)
-    if kind == _KIND_ROW:
-        return _AttachedRowBlock(space, block_id, segment)
-    return _AttachedStringBlock(space, block_id, segment)
-
-
-def _make_attach_miss(manager, space_map: Dict[int, tuple], cache):
+def _make_attach_miss(manager, space_map: Dict[int, object], heap_map: Dict[int, str]):
     """Build the worker's ``AddressSpace.attach_miss`` hook for one query.
 
-    The cache outlives the query: attached blocks stay adopted for the
-    worker's lifetime, which is safe because any allocation, free or
-    residency change in the parent respawns the workers before the next
-    process query.
+    A block the worker has no object for is mapped — by segment name, or
+    for a cold block by its region of the tier file (the TierStore fd is
+    inherited across the fork; offsets are the wire format) — and bound
+    write-free by the same class that owns it in the parent; the
+    constructor registers it in the worker's space, so each block misses
+    once.  Attached blocks stay bound for the worker's lifetime, which is
+    safe because any allocation, free or residency change in the parent
+    respawns the workers before the next process query.
     """
+    space = manager.space
 
     def attach_miss(block_id: int):
-        block = cache.get(block_id)
-        if block is not None:
-            return block
-        entry = space_map.get(block_id)
-        if entry is None:
+        name = heap_map.get(block_id)
+        if name is not None:
+            # String-heap blocks are all payload, no header; the full
+            # bump offset marks them closed to allocation.
+            return StringBlock(
+                space, block_id, space.buffers.attach(name), space.block_size
+            )
+        where = space_map.get(block_id)
+        if where is None:
             return None
-        if len(entry) == 3:
-            # Cold block: no segment name to attach — map the block's
-            # region of the tier file through the worker's own mapping
-            # (the TierStore fd is inherited across the fork; offsets
-            # are the wire format).
-            __, kind, offset = entry
-            store = manager.space.buffers.store
+        if isinstance(where, str):
+            segment = space.buffers.attach(where)
+        else:
+            store = space.buffers.store
             if store is None:
                 return None
-            segment = store.map_region(offset, manager.space.block_size)
-        else:
-            name, kind = entry
-            segment = manager.space.buffers.attach(name)
-        block = _attach_block(manager, block_id, kind, segment)
-        manager.space.adopt(block_id, block)
-        cache[block_id] = block
-        return block
+            segment = store.map_region(where, space.block_size)
+        return manager.attach_block(block_id, segment)
 
     return attach_miss
 
 
-def _space_map(manager) -> Dict[int, tuple]:
-    """``{block_id: (segment_name, kind)}`` for every live block.
-
-    Cold blocks (no attachable segment name) travel by tier-file
-    coordinates instead: ``(None, kind, tier_offset)``.
-    """
-    out: Dict[int, tuple] = {}
+def _space_map(manager) -> Dict[str, Dict[int, object]]:
+    """The wire's view of the address space: ``space_map`` is
+    ``{block_id: segment name | tier-file offset}`` for every data block
+    (kind and geometry are in the block header; a cold block has no
+    attachable segment and travels by the offset of its tier region) and
+    ``heap_map`` is ``{block_id: segment name}`` for the string heap."""
+    space_map: Dict[int, object] = {}
+    heap_map: Dict[int, str] = {}
     for block in manager.space.live_blocks():
-        segment = getattr(block, "segment", None)
-        name = getattr(segment, "name", None)
-        if getattr(block, "columns", None) is not None:
-            kind = _KIND_COLUMNAR
-        elif hasattr(block, "directory"):
-            kind = _KIND_ROW
-        else:
-            kind = _KIND_STRING
-        if name is None:
-            if (
-                getattr(block, "residency", None) == "cold"
-                and block.tier_offset >= 0
-            ):
-                out[block.block_id] = (None, kind, block.tier_offset)
-            continue
-        out[block.block_id] = (name, kind)
-    return out
+        name = block.segment.name
+        if block.kind == KIND_STRING:
+            heap_map[block.block_id] = name
+        elif name is not None:
+            space_map[block.block_id] = name
+        elif block.residency == "cold" and block.tier_offset >= 0:
+            space_map[block.block_id] = block.tier_offset
+    return {"space_map": space_map, "heap_map": heap_map}
 
 
 # ----------------------------------------------------------------------
@@ -377,7 +204,6 @@ def _space_map(manager) -> Dict[int, tuple]:
 def _worker_main(manager, slots: np.ndarray, index: int, rfd: int, wfd: int):
     space = manager.space
     row = index * _SLOT_ROW
-    attach_cache: dict = {}
     pid = os.getpid()
     while True:
         frame = _recv_frame(rfd)
@@ -395,7 +221,7 @@ def _worker_main(manager, slots: np.ndarray, index: int, rfd: int, wfd: int):
         slots[row] = 1
         try:
             space.attach_miss = _make_attach_miss(
-                manager, wire["space_map"], attach_cache
+                manager, wire["space_map"], wire["heap_map"]
             )
             plan = plansnap.decode_plan(manager, wire["plan"])
             probes = plan.make_probes()
@@ -745,7 +571,7 @@ class ProcessScanPool:
 
                 wire = {
                     "plan": plansnap.encode_plan(manager, plan),
-                    "space_map": _space_map(manager),
+                    **_space_map(manager),
                 }
                 for rec in workers:
                     assigned = assignments.get(rec["pid"])

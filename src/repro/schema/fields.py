@@ -33,7 +33,9 @@ from __future__ import annotations
 import datetime as _dt
 import struct
 from decimal import Decimal
-from typing import TYPE_CHECKING, Any, Optional, Type, Union
+from typing import TYPE_CHECKING, Any, Optional, Tuple, Type, Union
+
+import numpy as np
 
 from repro.memory.addressing import NULL_ADDRESS
 
@@ -111,6 +113,12 @@ class Field:
     def default(self) -> Any:
         """Value used when a field is not supplied at ``add`` time."""
         return 0
+
+    def columns(self) -> Tuple[Tuple[str, np.dtype, int], ...]:
+        """``(column name, dtype, byte offset inside the field)`` of every
+        NumPy column the stored representation is read as — the one
+        field-to-dtype table behind row views and columnar blocks alike."""
+        return ((self.name, np.dtype(self.fmt), 0),)
 
     # ------------------------------------------------------------------
     # Expression building (LINQ surface)
@@ -333,6 +341,9 @@ class CharField(Field):
     def raw_from(self, buf, off: int) -> bytes:
         return self._struct.unpack_from(buf, off)[0]
 
+    def columns(self):
+        return ((self.name, np.dtype(f"S{self.width}"), 0),)
+
     @property
     def default(self) -> str:
         return ""
@@ -450,6 +461,12 @@ class RefField(Field):
 
     def decode_words(self, buf, off: int):
         return self._WORDS.unpack_from(buf, off)
+
+    def columns(self):
+        return (
+            (self.name + "__w", np.dtype(np.int64), 0),
+            (self.name + "__i", np.dtype(np.uint32), 8),
+        )
 
     def encode_into(self, buf, off: int, value: Any, manager=None) -> None:
         # ``None`` clears the reference; Ref / handle values are resolved by

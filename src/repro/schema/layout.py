@@ -42,6 +42,13 @@ class SlotLayout:
             self.by_name[f.name] = f
 
         self.slot_size = _align(offset, 8)
+        #: ``column name -> (dtype, byte offset in the slot)`` in field
+        #: order; blocks build their per-field NumPy views from this.
+        self.columns: Dict[str, Tuple[Any, int]] = {
+            name: (dtype, f.offset + delta)
+            for f in self.fields
+            for name, dtype, delta in f.columns()
+        }
         self.var_fields: List[VarStringField] = [
             f for f in self.fields if isinstance(f, VarStringField)
         ]

@@ -6,7 +6,7 @@ from decimal import Decimal
 import pytest
 
 from repro.core.collection import Collection
-from repro.core.columnar import ColumnarCollection, ColumnarHandle, column_dtype
+from repro.core.columnar import ColumnarCollection, ColumnarHandle
 from repro.errors import NullReferenceError
 from repro.schema.fields import CharField, DecimalField, Int32Field
 
@@ -21,9 +21,13 @@ def persons(manager):
 def test_column_dtypes():
     import numpy as np
 
-    assert column_dtype(DecimalField(2)) == np.int64
-    assert column_dtype(Int32Field()) == np.int32
-    assert column_dtype(CharField(7)) == "S7"
+    def dtype(field):
+        ((__, dtype, __),) = field.columns()
+        return dtype
+
+    assert dtype(DecimalField(2)) == np.int64
+    assert dtype(Int32Field()) == np.int32
+    assert dtype(CharField(7)) == "S7"
 
 
 def test_add_and_read(persons):

@@ -116,6 +116,83 @@ def test_differential_process_pool(pooled_smc, name):
     assert manager.stats.extra.get("exec_process_queries", 0) == before + 1
 
 
+def _empty_mirror(columnar):
+    """A second manager with the same (empty) collections: what a worker
+    holds for blocks its parent mapped after the fork — the contexts,
+    but no block objects."""
+    from repro.core.collection import Collection
+    from repro.core.columnar import ColumnarCollection
+    from repro.tpch import schema as tpch_schema
+
+    mirror = MemoryManager(shm=True)
+    factory = ColumnarCollection if columnar else Collection
+    for name in tpch_schema.TABLES:
+        factory(tpch_schema.SCHEMAS[name], manager=mirror)
+    return mirror
+
+
+def _attach(mirror, wire, block_id):
+    """Run the worker's attach hook in-process for one block."""
+    from multiprocessing import resource_tracker
+
+    from repro.query.procexec import _make_attach_miss
+
+    name = wire["heap_map"].get(block_id) or wire["space_map"][block_id]
+    try:
+        return _make_attach_miss(mirror, wire["space_map"], wire["heap_map"])(
+            block_id
+        )
+    finally:
+        # Attachers untrack what they map; in ONE process that also
+        # drops the owner's registration, so put it back.
+        resource_tracker.register("/" + name, "shared_memory")
+
+
+def test_attach_hook_binds_the_owners_classes(pooled_smc):
+    """procexec owns no block code: what the hook returns for a segment
+    name is the class that owns the block in the parent."""
+    from repro.memory.block import Block, ColumnarBlock
+    from repro.memory.stringheap import StringBlock
+    from repro.query.procexec import _space_map
+
+    manager = pooled_smc["_manager"]
+    columnar = pooled_smc["lineitem"].compiled_flavor == "columnar"
+    mirror = _empty_mirror(columnar)
+    try:
+        wire = _space_map(manager)
+        assert all(isinstance(v, str) for v in wire["space_map"].values())
+        classes = set()
+        for block in manager.space.live_blocks():
+            attached = _attach(mirror, wire, block.block_id)
+            assert type(attached) is type(block)
+            assert mirror.space.block_by_id(block.block_id) is attached
+            assert bytes(attached.buf[:64]) == bytes(block.buf[:64])
+            classes.add(type(attached))
+        assert classes == {ColumnarBlock if columnar else Block, StringBlock}
+        attached = None
+    finally:
+        mirror.close()
+
+
+def test_attach_hook_rejects_foreign_header(pooled_smc):
+    """A segment whose header does not fit the context it names (here:
+    the other layout) raises, naming the block; in a worker that is the
+    error frame that sends the query back to the thread executor."""
+    from repro.query.procexec import _space_map
+
+    manager = pooled_smc["_manager"]
+    columnar = pooled_smc["lineitem"].compiled_flavor == "columnar"
+    mirror = _empty_mirror(not columnar)
+    try:
+        wire = _space_map(manager)
+        block_id = next(iter(wire["space_map"]))
+        with pytest.raises(ValueError, match=f"block {block_id}:"):
+            _attach(mirror, wire, block_id)
+        assert mirror.space.live_block_count == 0
+    finally:
+        mirror.close()
+
+
 def test_enumeration_falls_back_to_threads(pooled_smc):
     """Plans without a terminal (handle enumeration) stay in-process."""
     manager = pooled_smc["_manager"]

@@ -96,7 +96,7 @@ def test_residency_lifecycle_budget_and_cold_reads():
     with pytest.raises(TypeError):
         cold.buf[0:1] = b"x"
     with pytest.raises(ValueError):
-        cold.reset(cold.type_id, cold.context_id)
+        cold.reset(cold.context)
 
     # A write promotes (ensure_hot inside the writer's critical section),
     # marks the tier image stale, and the next demotion re-spills.
