@@ -152,8 +152,9 @@ def _cmd_info(args: argparse.Namespace) -> int:
             f"{t['hot_blocks']} hot / {t['cooling_blocks']} cooling / "
             f"{t['cold_blocks']} cold blocks, "
             f"tier file {t['tier_file_bytes'] / 2**20:.1f} MiB, "
-            f"{t['faults']} faults, {t['evictions']} evictions, "
-            f"{t['spills']} spills"
+            f"{t['faults']} write faults, {t['evictions']} evictions, "
+            f"{t['spills']} spills, {t['cold_reads']} cold block reads, "
+            f"{t['zombie_mappings']} zombie mappings"
         )
     if args.metrics:
         print()
@@ -665,8 +666,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="BYTES",
         help="hot-tier byte budget for the block pool: a pager demotes "
-        "cold blocks to a file-backed tier and faults them back on "
-        "access (snapshot serving only)",
+        "cold blocks to a file-backed tier; queries read them there, "
+        "writers fault them back (snapshot serving only)",
     )
     serve.add_argument(
         "--governor-budget",

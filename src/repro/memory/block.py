@@ -104,7 +104,7 @@ class Block:
         "pin_count",
         "tier_dirty",
         "tier_offset",
-        "read_clock",
+        "write_clock",
         "cool_epoch",
     )
 
@@ -335,15 +335,15 @@ class Block:
         #: to a cold block raises (the views are read-only) instead of
         #: corrupting the spilled image.
         self.residency = "hot"
-        #: Explicit pin count (scan admission / tests); pinned blocks are
-        #: never chosen for demotion, independent of the epoch argument.
+        #: Explicit pin count (``Pager.pin``); pinned blocks are never
+        #: chosen for demotion, independent of the epoch argument.
         self.pin_count = 0
         #: True when the hot bytes may differ from the spilled tier image.
         self.tier_dirty = False
         #: Byte offset of this block's region in the tier file (-1: none).
         self.tier_offset = -1
-        #: Clock-replacement reference counter, bumped on scan admission.
-        self.read_clock = 0
+        #: Clock-replacement reference counter, bumped by ``Pager.ensure_hot``.
+        self.write_clock = 0
         #: Epoch at which cooling started (-1 while not cooling).
         self.cool_epoch = -1
 

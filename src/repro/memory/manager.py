@@ -96,7 +96,8 @@ class MemoryManager:
             buffers = SharedBuffers()
         #: Hot-tier byte budget for the block pool.  When set, the block
         #: pool is paged: blocks exceeding the budget are demoted to a
-        #: tier file and faulted back on access (``repro.memory.pager``).
+        #: tier file, read there in place and faulted back only to be
+        #: written (``repro.memory.pager``).
         self.memory_budget = memory_budget
         if memory_budget is not None:
             from repro.memory.pager import TieredBuffers
@@ -104,6 +105,7 @@ class MemoryManager:
             buffers = TieredBuffers(inner=buffers)
         self.space = AddressSpace(block_shift, buffers=buffers)
         self.epochs = EpochManager()
+        self.stats = MemoryStats()
         #: The pager governing block residency, or None when unbudgeted.
         self.pager = None
         if memory_budget is not None:
@@ -140,8 +142,6 @@ class MemoryManager:
         #: attached (``repro.query.procexec.ProcessScanPool``); consulted
         #: by the vectorised engine when routing parallel queries.
         self.exec_pool = None
-
-        self.stats = MemoryStats()
 
         if _san.SANITIZER is not None:
             _san.SANITIZER.event("manager.created", manager=self)
@@ -480,8 +480,8 @@ class MemoryManager:
                     f"  tier: {t['hot_blocks']} hot / {t['cooling_blocks']} "
                     f"cooling / {t['cold_blocks']} cold blocks, budget "
                     f"{t['budget_bytes'] / 2**20:.1f} MiB, "
-                    f"{t['faults']} faults, {t['evictions']} evictions, "
-                    f"{t['spills']} spills"
+                    f"{t['faults']} write faults, {t['evictions']} evictions, "
+                    f"{t['spills']} spills, {t['cold_reads']} cold block reads"
                 ]
                 if (t := self.pager.telemetry() if self.pager else None)
                 else []

@@ -3,9 +3,9 @@
 The paper's collections manage their own memory so queries dominate; this
 module removes the remaining assumption that every block fits in RAM.  A
 :class:`Pager` attached to a :class:`~repro.memory.manager.MemoryManager`
-keeps the *block pool* — the layout-bearing row and columnar blocks of
-every collection — under a byte budget by demoting cold blocks to a
-*tier file* and mapping them back read-only:
+keeps the *writable* part of the block pool — the layout-bearing row and
+columnar blocks of every collection — under a byte budget by demoting
+cold blocks to a *tier file* and mapping them back read-only:
 
 * **hot** — the block owns a writable buffer from the space's inner
   allocation policy (process heap or named shared memory); the only
@@ -25,10 +25,29 @@ every collection — under a byte budget by demoting cold blocks to a
   frozen — writes promote first — so the zone map built at demotion
   answers pruning with **zero cold byte reads**.
 
-Replacement is Clock-style: scan admission bumps a per-block reference
-counter (:meth:`Pager.touch`, which also faults cold blocks back in);
-the sweep hand halves counters as it passes and demotes the first
-unpinned, non-active, non-compacting block whose counter reached zero.
+Residency is a *write* concern.  Readers — serial and thread scans,
+index lookups, handle reads, process-pool workers, checkpoints — use
+whatever buffer a block has and never change its state: a scan reads a
+cold block where it lies, through the mapping, and the page cache decides
+which of those clean pages stay in RAM.  ``cold -> hot`` happens only
+from :meth:`Pager.ensure_hot` (writers) and :meth:`Pager.pin`;
+:meth:`Pager.touch`, the scan-admission hook, only counts.  So the budget
+bounds writable anonymous memory, not the bytes a query may look at.
+
+Why a reader of a cold mapping is safe against a writer: the reader holds
+its views only inside an epoch critical section entered at ``s``.  A
+writer may fault the block and write the *new* hot buffer; the reader
+keeps the pre-write image (bag semantics, as if it had scanned the block
+first) and the replaced mapping stays alive on ``TierStore._zombies``
+until those views die.  The only thing that could change the bytes under
+the reader is a re-demotion spilling over the same tier region, and that
+needs the global epoch at ``cool_epoch + 2 >= s + 2``, which the reader's
+open section forbids.
+
+Replacement is Clock-style and keyed on writes: :meth:`Pager.ensure_hot`
+bumps a per-block reference counter; the sweep hand halves counters as it
+passes and demotes the first unpinned, non-active, non-compacting block
+whose counter reached zero — the block least recently *written*.
 Dirty blocks are spilled (written) to the tier file before demotion;
 blocks whose spilled image is still current are demoted without a
 write.  Freed tier regions are recycled only two epochs after the free,
@@ -118,8 +137,9 @@ class TierStore:
         self._next = 0
         self._free: List[int] = []
         self._lock = threading.Lock()
-        #: Mappings whose close() hit BufferError (stale NumPy views still
-        #: export them); retried at close, else the kernel reclaims them.
+        #: Mappings whose close() hit BufferError: a reader still holds
+        #: NumPy views of a cold image a writer has since faulted hot.
+        #: Retried by :meth:`retry_zombies` (every ``Pager.maintain``).
         self._zombies: List[object] = []
         self._closed = False
         self._pid = os.getpid()
@@ -171,6 +191,23 @@ class TierStore:
             with self._lock:
                 self._zombies.append(mm)
 
+    def retry_zombies(self) -> int:
+        """Close every parked mapping whose views have died; returns how
+        many are still exported (each pins one region of address space)."""
+        if not self._zombies:
+            return 0
+        with self._lock:
+            zombies, self._zombies = self._zombies, []
+        alive = []
+        for mm in zombies:
+            try:
+                mm.close()
+            except BufferError:
+                alive.append(mm)
+        with self._lock:
+            self._zombies.extend(alive)
+            return len(self._zombies)
+
     # -- introspection -------------------------------------------------
 
     @property
@@ -184,6 +221,12 @@ class TierStore:
         with self._lock:
             return self._next
 
+    @property
+    def zombie_count(self) -> int:
+        """Replaced mappings still exported by some reader's views."""
+        with self._lock:
+            return len(self._zombies)
+
     # -- lifecycle -----------------------------------------------------
 
     def close(self) -> None:
@@ -193,13 +236,8 @@ class TierStore:
             self._closed = True
             fd, self._fd = self._fd, None
             path, self.path = self.path, None
-            zombies, self._zombies = self._zombies, []
             self._free.clear()
-        for mm in zombies:
-            try:
-                mm.close()
-            except BufferError:  # pragma: no cover - kernel reclaims at exit
-                pass
+        self.retry_zombies()  # survivors: the kernel reclaims them at exit
         if fd is not None:
             os.close(fd)
         if path is not None:
@@ -304,7 +342,19 @@ class Pager:
         self.faults = 0
         self.evictions = 0
         self.spills = 0
+        #: Scan admissions; none promotes.
         self.touch_hits = 0
+        #: The lifetime counters also ride ``stats.extra`` (exported as
+        #: ``smc_tier_*_total``); seeded so a series exists before its
+        #: first event — a read-only pool never faults.
+        self._extra = manager.stats.extra
+        for key in (
+            "tier_faults",
+            "tier_evictions",
+            "tier_spills",
+            "tier_cold_block_reads",
+        ):
+            self._extra.setdefault(key, 0)
 
     # ------------------------------------------------------------------
     # Tracking
@@ -351,7 +401,7 @@ class Pager:
             if block.residency == "cooling":
                 self._cancel_cooling(block)
             if block.residency == "cold":
-                self._fault(block, events)
+                self._fault(block, events, "pin")
             block.pin_count += 1
         self._emit(events)
 
@@ -384,28 +434,20 @@ class Pager:
     # Access paths
     # ------------------------------------------------------------------
 
-    def touch(self, block) -> bool:
-        """Scan admission: reference *block*, faulting it in if cold.
+    def touch(self, block) -> None:
+        """Scan admission: count *block*, and whether it is read cold.
 
-        Returns True when a fault (cold -> hot promotion) happened.  In a
-        forked worker this is a no-op — workers read cold blocks through
-        their own tier-file mappings and never mutate residency.
+        Never changes residency — the scan reads the block through
+        whatever buffer it has (see the module docstring for why that is
+        safe inside the scan's critical section).  A no-op in a forked
+        worker, which reads cold blocks through its own mappings.
         """
         if os.getpid() != self._pid:
-            return False
-        events: List[tuple] = []
+            return
         with self._lock:
-            block.read_clock = min(block.read_clock + 1, CLOCK_CAP)
-            if block.residency == "cooling":
-                self._cancel_cooling(block)
+            self.touch_hits += 1
             if block.residency == "cold":
-                self._fault(block, events)
-                faulted = True
-            else:
-                self.touch_hits += 1
-                faulted = False
-        self._emit(events)
-        return faulted
+                self._extra["tier_cold_block_reads"] += 1
 
     def ensure_hot(self, block) -> None:
         """Make *block* writable; every write path calls this *inside its
@@ -415,10 +457,11 @@ class Pager:
             return
         events: List[tuple] = []
         with self._lock:
+            block.write_clock = min(block.write_clock + 1, CLOCK_CAP)
             if block.residency == "cooling":
                 self._cancel_cooling(block)
             if block.residency == "cold":
-                self._fault(block, events)
+                self._fault(block, events, "write")
             if block.tier_offset >= 0:
                 # The spilled image is about to go stale.
                 block.tier_dirty = True
@@ -437,7 +480,9 @@ class Pager:
         return self.hot_bytes()
 
     def governor_counters(self) -> Tuple[int, int]:
-        """(hits, misses) for the governor's miss-growth weighting."""
+        """(hits, misses) for the governor's miss-growth weighting: scan
+        admissions, none of which promotes, and write faults — so only
+        write traffic over a cold pool pulls budget towards the pager."""
         with self._lock:
             return self.touch_hits, self.faults
 
@@ -445,7 +490,8 @@ class Pager:
         return self.hot_bytes() > self.budget
 
     def maintain(self, max_rounds: int = 4) -> None:
-        """Operation-boundary upkeep: finish cooling, evict down to budget.
+        """Operation-boundary upkeep: finish cooling, evict down to budget,
+        close replaced mappings whose readers have gone.
 
         Advances the global epoch (when no critical section blocks it) so
         pending demotions can cross their two-epoch grace; after this
@@ -455,6 +501,9 @@ class Pager:
         if os.getpid() != self._pid:  # pragma: no cover - fork guard
             return
         events: List[tuple] = []
+        store = self.buffers.store
+        if store is not None:
+            store.retry_zombies()
         for _ in range(max_rounds):
             with self._lock:
                 self._drain_retired_regions()
@@ -492,7 +541,7 @@ class Pager:
         blocks = self._blocks
         n = len(blocks)
         scanned = 0
-        # A block referenced up to CLOCK_CAP needs bit_length(CLOCK_CAP)
+        # A block written up to CLOCK_CAP times needs bit_length(CLOCK_CAP)
         # halvings before its counter reaches zero, plus one more visit to
         # be returned — bound the sweep so a victim is always found when
         # an eligible block exists, no matter how hot the pool ran.
@@ -505,8 +554,8 @@ class Pager:
             scanned += 1
             if not self._eligible(block):
                 continue
-            if block.read_clock > 0:
-                block.read_clock >>= 1  # second chance, aging
+            if block.write_clock > 0:
+                block.write_clock >>= 1  # second chance, aging
                 continue
             return block
         return None
@@ -600,15 +649,14 @@ class Pager:
         block.residency = "cold"
         block.tier_dirty = False
         cool_epoch, block.cool_epoch = block.cool_epoch, -1
-        block.read_clock = 0
+        block.write_clock = 0
         if block in self._cooling:
             self._cooling.remove(block)
         self._cold_count += 1
         self.evictions += 1
-        extra = manager.stats.extra
-        extra["tier_evictions"] = extra.get("tier_evictions", 0) + 1
+        self._extra["tier_evictions"] += 1
         if spilled:
-            extra["tier_spills"] = extra.get("tier_spills", 0) + 1
+            self._extra["tier_spills"] += 1
         old.release()
         events.append(
             (
@@ -632,8 +680,9 @@ class Pager:
             )
         )
 
-    def _fault(self, block, events: List[tuple]) -> None:
-        """Promote a cold block back into a writable hot segment."""
+    def _fault(self, block, events: List[tuple], cause: str) -> None:
+        """Promote a cold block back into a writable hot segment; *cause*
+        is ``"write"`` or ``"pin"`` — reads never promote."""
         manager = self.manager
         start = time.perf_counter()
         # Make room first (evict-then-fault), completing any cooling
@@ -651,8 +700,7 @@ class Pager:
         block.cool_epoch = -1
         self._cold_count -= 1
         self.faults += 1
-        extra = manager.stats.extra
-        extra["tier_faults"] = extra.get("tier_faults", 0) + 1
+        self._extra["tier_faults"] += 1
         old.release()
         elapsed = time.perf_counter() - start
         timer = self.fault_timer
@@ -668,6 +716,7 @@ class Pager:
                     tier_offset=block.tier_offset,
                     pin_count=block.pin_count,
                     seconds=elapsed,
+                    cause=cause,
                 ),
             )
         )
@@ -738,6 +787,8 @@ class Pager:
             "evictions": self.evictions,
             "spills": self.spills,
             "touch_hits": self.touch_hits,
+            "cold_reads": self._extra["tier_cold_block_reads"],
+            "zombie_mappings": store.zombie_count if store is not None else 0,
         }
 
     def close(self) -> None:

@@ -160,11 +160,6 @@ def run_columnar(
     plan, post = build_scan_plan(query, params, prune=prune, planner=planner)
     manager = plan.manager
     zone_tests = plan.zone_tests
-    faults_before = (
-        manager.stats.extra.get("tier_faults", 0)
-        if manager.pager is not None
-        else 0
-    )
 
     nworkers = max(1, int(workers or 1))
     if plan.index_choice is not None:
@@ -228,12 +223,6 @@ def run_columnar(
     else:
         extra["zone_untested_blocks"] = (
             extra.get("zone_untested_blocks", 0) + scanned
-        )
-    if manager.pager is not None:
-        # Per-query fault count, so benchmarks can assert a fully-pruned
-        # scan faulted in zero cold blocks.
-        extra["last_scan_tier_faults"] = (
-            extra.get("tier_faults", 0) - faults_before
         )
     # Observed per-query selectivity (ppm), for the feedback loop and
     # the metrics bridge.
@@ -372,13 +361,13 @@ def _run_serial(plan: _ScanPlan) -> Tuple["_Accumulator", int, int]:
     try:
         for block in scan_blocks(manager, plan.source.context):
             if not plan.admits(block):
-                # Pruned blocks are never referenced: a fully-pruned
-                # scan over a cold context touches zero cold bytes.
+                # Pruned blocks are never admitted: a fully-pruned scan
+                # over a cold context reads zero cold blocks.
                 pruned += 1
                 continue
             scanned += 1
             if pager is not None:
-                pager.touch(block)
+                pager.touch(block)  # counts; the block is read where it lies
             plan.process_block(block, probes, acc)
     finally:
         manager.epochs.exit_critical_section()

@@ -37,9 +37,14 @@ rules from sections 3.2–3.4 and 5.1 of the paper:
 ``evict-before-grace``
     a cooling block is only demoted two epochs after cooling began, so
     no writer whose critical section validated residency can still be
-    in flight (the epoch-visible-dirty rule);
+    in flight (the epoch-visible-dirty rule) — and, since a dirty
+    demotion re-spills over the block's own tier region, no scan that
+    is still reading the previous image through its mapping;
 ``fault-left-cold``
-    a fault leaves the block hot with its tier region retained.
+    a fault leaves the block hot with its tier region retained;
+``fault-on-read``
+    only a writer (``Pager.ensure_hot``) or ``Pager.pin`` promotes a
+    cold block; scan admission reads it where it lies.
 
 Every event is appended to a bounded trace ring; a violation raises
 :class:`~repro.errors.ProtocolViolation` carrying the trace tail.
@@ -359,11 +364,19 @@ class Sanitizer:
                 f"block#{block.block_id} demoted at epoch {data['epoch']} "
                 f"but began cooling at {data['cool_epoch']} (demotable at "
                 f"{data['cool_epoch'] + 2}); a writer's critical section "
-                f"may still trust the hot buffer",
+                f"may still trust the hot buffer, or a scan the image the "
+                f"re-spill overwrites",
             )
 
     def _check_tier_fault(self, data: Dict[str, Any]) -> None:
         block = data["block"]
+        if data.get("cause") not in ("write", "pin"):
+            self._violate(
+                "fault-on-read",
+                f"block#{block.block_id} faulted with cause "
+                f"{data.get('cause')!r}; residency changes only for a "
+                f"writer or a pin, never for a reader",
+            )
         if data["residency"] != "hot":
             self._violate(
                 "fault-left-cold",

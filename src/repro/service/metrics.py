@@ -433,7 +433,9 @@ def instrument_tiering(registry: MetricsRegistry, pager) -> None:
     (``smc_tier_faults_total``, ``smc_tier_evictions_total``,
     ``smc_tier_spills_total``) already ride ``manager.stats.extra``
     through :func:`instrument_manager`.  Fault latency lands in a
-    histogram via the pager's ``fault_timer`` hook.
+    histogram via the pager's ``fault_timer`` hook.  Faults are write
+    faults; what reads cost the tier shows as
+    ``smc_tier_cold_reads_total`` (blocks scanned in place while cold).
     """
     registry.gauge(
         "smc_tier_budget_bytes",
@@ -454,6 +456,18 @@ def instrument_tiering(registry: MetricsRegistry, pager) -> None:
         "smc_tier_file_bytes",
         "Size of the tier spill file backing cold blocks",
         callback=lambda: float(pager.telemetry()["tier_file_bytes"]),
+    )
+
+    registry.gauge(
+        "smc_tier_zombie_mappings",
+        "Replaced cold mappings kept alive by a reader's views",
+        callback=lambda: float(pager.telemetry()["zombie_mappings"]),
+    )
+    registry.add_snapshot(
+        "tiering",
+        lambda: {
+            "smc_tier_cold_reads_total": float(pager.telemetry()["cold_reads"])
+        },
     )
 
     def _residency_series() -> Dict[LabelItems, float]:
@@ -485,7 +499,7 @@ def instrument_tiering(registry: MetricsRegistry, pager) -> None:
 
     faults = registry.histogram(
         "smc_tier_fault_seconds",
-        "Wall-clock latency of cold-block faults (promotion to hot)",
+        "Wall-clock latency of cold-block write faults (promotion to hot)",
     )
     pager.fault_timer = faults.observe
 

@@ -4,11 +4,15 @@ Differential guarantees first: a budgeted manager must answer every query
 byte-identically to an unbudgeted one while ``hot_bytes() <= budget``
 holds at every operation boundary, and a fully-pruned scan must touch
 zero cold bytes (the zone map built at demotion answers for the spilled
-block).  Then the protocol pieces: the hot/cooling/cold state machine,
-the two-epoch demotion grace under a live reader, pin/unpin, eviction
-versus compaction ownership, the clean-spill-skip optimisation, the tier
-store's region recycling, the sanitizer's tiering invariants, and the
-zero-leftover ``smc_tier_*`` file contract.
+block).  Residency is a write concern: scans read cold blocks through
+their mapping and leave faults, evictions and hot bytes where they were;
+only a writer (or a pin) promotes.  Then the protocol pieces: the
+hot/cooling/cold state machine, the two-epoch demotion grace under a
+live reader — including a reader still inside a cold image a writer has
+since faulted and the pager wants to re-spill — pin/unpin, eviction
+versus compaction ownership, the clean-spill-skip optimisation, zombie
+mappings, the tier store's region recycling, the sanitizer's tiering
+invariants, and the zero-leftover ``smc_tier_*`` file contract.
 
 All tests here are sanitizer-compatible (``pytest --sanitize``).
 """
@@ -124,12 +128,16 @@ def test_clean_redemotion_skips_the_spill():
     spills = pager.spills
     assert spills >= 4
 
-    # Fault a block back via a read reference: the tier image stays
-    # current (tier_dirty=False, region retained) ...
+    # Scan admission leaves a cold block where it lies ...
     cold = next(b for b in persons.context.blocks() if b.residency == "cold")
-    assert pager.touch(cold) is True
-    assert cold.residency == "hot" and cold.tier_offset >= 0
-    assert not cold.tier_dirty
+    pager.touch(cold)
+    assert cold.residency == "cold" and pager.faults == 0
+
+    # ... a pin promotes it without a write: the tier image stays
+    # current (tier_dirty=False, region retained) ...
+    with pager.pinned(cold):
+        assert cold.residency == "hot" and cold.tier_offset >= 0
+        assert not cold.tier_dirty
 
     # ... so demoting it again writes nothing.
     pager.maintain()
@@ -177,31 +185,104 @@ def test_tier_files_are_unlinked_at_close():
 
 
 def test_tpch_budgeted_results_identical(tpch_small):
+    """All ten queries over an all-cold pool, serial and thread-parallel,
+    are byte-identical to always-hot and never change residency."""
     plain = load_smc(tpch_small, columnar=True)
-    # Small blocks so the pool has many non-active (evictable) blocks at
-    # this scale factor: every context keeps its active block hot, so the
-    # budget must sit above that floor for maintain() to reach it.
+    # Small blocks so the pool has many blocks at this scale factor; the
+    # minimum budget demotes every one but each context's active block.
     tiered = load_smc(
         tpch_small,
         columnar=True,
         manager=MemoryManager(block_shift=16, memory_budget=1),
     )
-    pager = tiered["_manager"].pager
-    pager.set_budget(max(pager.block_size, pager.hot_bytes() // 4))
+    manager = tiered["_manager"]
+    pager = manager.pager
     pager.maintain()
     try:
-        assert pager.hot_bytes() <= pager.budget
-        assert pager.residency_counts()["cold"] > 0
-        for name, builder in sorted(ALL_QUERIES.items()):
-            want = _canonical(builder(plain).run(params=DEFAULT_PARAMS))
-            got = _canonical(builder(tiered).run(params=DEFAULT_PARAMS))
-            assert got == want, name
-            pager.maintain()  # operation boundary
-            assert pager.hot_bytes() <= pager.budget, name
-        assert pager.faults > 0  # the budget was actually exercised
+        counts = pager.residency_counts()
+        assert counts["cold"] > 0 and counts["cooling"] == 0
+        assert all(
+            b.residency == "cold" or b.is_active
+            for c in manager._contexts
+            for b in c.blocks()
+        )
+        before = (pager.faults, pager.evictions, pager.hot_bytes())
+        for workers in (1, 2):
+            cold_reads = manager.stats.extra.get("tier_cold_block_reads", 0)
+            for name, builder in sorted(ALL_QUERIES.items()):
+                want = _canonical(builder(plain).run(params=DEFAULT_PARAMS))
+                got = _canonical(
+                    builder(tiered).run(params=DEFAULT_PARAMS, workers=workers)
+                )
+                assert got == want, (name, workers)
+                pager.maintain()  # operation boundary
+                assert (pager.faults, pager.evictions, pager.hot_bytes()) == before, (
+                    name,
+                    workers,
+                )
+            # The pool really was read in place.
+            assert manager.stats.extra["tier_cold_block_reads"] > cold_reads
+        assert pager.telemetry()["zombie_mappings"] == 0
     finally:
         plain["_manager"].close()
-        tiered["_manager"].close()
+        manager.close()
+
+
+def test_write_to_cold_block_faults_once_and_scans_see_it():
+    m = _budgeted(1)
+    pager = m.pager
+    persons = ColumnarCollection(TPerson, manager=m)
+    handles = _fill_blocks(persons, 4, age=5)
+    pager.maintain()
+    victim = next(h for h in handles if _block_of(m, h).residency == "cold")
+    block = _block_of(m, victim)
+    faults = pager.faults
+
+    assert len(persons.query().where(TPerson.age == 5).run().rows) == len(handles)
+    assert pager.faults == faults and block.residency == "cold"
+
+    victim.age = 77  # the writer faults, exactly once
+    victim.age = 78
+    assert pager.faults == faults + 1
+    assert block.residency == "hot" and block.tier_dirty
+
+    assert len(persons.query().where(TPerson.age == 78).run().rows) == 1
+    assert len(persons.query().where(TPerson.age == 5).run().rows) == len(handles) - 1
+    pager.maintain()  # re-demoted (re-spilled); scans read the new image
+    assert block.residency == "cold" and pager.faults == faults + 1
+    assert len(persons.query().where(TPerson.age == 78).run().rows) == 1
+    m.close()
+
+
+def test_zombie_mappings_are_retried_and_counted():
+    """A reader's view of a cold image outlives the writer's fault: the
+    replaced mapping is parked, counted, and closed by the next
+    ``maintain()`` after the view dies."""
+    m = _budgeted(1)
+    pager = m.pager
+    persons = ColumnarCollection(TPerson, manager=m)
+    handles = _fill_blocks(persons, 4, age=5)
+    pager.maintain()
+    victim = next(h for h in handles if _block_of(m, h).residency == "cold")
+    block = _block_of(m, victim)
+    slot = block.slot_of_address(victim.ref.address())
+
+    held = block.column("age")
+    assert not held.flags.writeable and held[slot] == 5
+    victim.age = 99  # ensure_hot swaps the buffer under the held view
+    assert held[slot] == 5  # the pre-write image, still mapped
+    assert block.column("age")[slot] == 99
+    assert pager.telemetry()["zombie_mappings"] == 1
+
+    # No critical section protects this view, so maintain() is free to
+    # re-spill over the region it maps; what it cannot do is unmap it.
+    pager.maintain()
+    assert pager.telemetry()["zombie_mappings"] == 1  # still exported
+    del held
+    pager.maintain()
+    assert pager.telemetry()["zombie_mappings"] == 0
+    assert victim.age == 99
+    m.close()
 
 
 def test_image_load_and_checkpoint_stay_under_budget(tpch_small, tmp_path, monkeypatch):
@@ -274,19 +355,20 @@ def test_fully_pruned_scan_touches_zero_cold_bytes():
     assert pager.residency_counts()["cold"] >= 3
 
     # Every block's zone map says age <= 9: the predicate prunes them all
-    # without faulting a single cold block (zone maps are built at
+    # without reading a single cold block (zone maps are built at
     # demotion and frozen while cold).
     faults = pager.faults
     result = persons.query().where(TPerson.age >= 1000).run()
     assert len(result.rows) == 0
-    assert pager.faults == faults
-    assert m.stats.extra.get("last_scan_tier_faults") == 0
+    assert m.stats.extra.get("tier_cold_block_reads", 0) == 0
 
-    # Control: a selective-but-matching scan does fault cold blocks.
+    # Control: a matching scan does read the cold blocks — in place.
+    cold = pager.residency_counts()["cold"]
     result = persons.query().where(TPerson.age >= 0).run()
     assert len(result.rows) == n
-    assert pager.faults > faults
-    assert m.stats.extra["last_scan_tier_faults"] > 0
+    assert m.stats.extra["tier_cold_block_reads"] == cold
+    assert pager.faults == faults
+    assert pager.residency_counts()["cold"] == cold
     m.close()
 
 
@@ -387,6 +469,77 @@ def test_reader_critical_section_defers_demotion():
         m.close()
 
 
+def test_scan_inside_cold_block_outlasts_write_fault_and_redemotion():
+    """A scan parked inside a cold block while a writer faults and
+    updates it and the pager wants it demoted again: the re-spill (over
+    the very region the scan maps) waits for the scan's critical section,
+    and the scan sees the pre-write rows only — never a mix."""
+    schedule = sanitizer.ScheduleController(seed=29)
+    print(f"schedule seed={schedule.seed}")
+    with sanitizer.enabled(schedule=schedule) as san:
+        m = _budgeted(1)
+        pager = m.pager
+        persons = ColumnarCollection(TPerson, manager=m)
+        handles = _fill_blocks(persons, 4, age=5)
+        pager.maintain()
+        # The first block: later ones give the reader a gate to park at.
+        target = persons.context.blocks()[0]
+        assert target.residency == "cold"
+        in_target = [h for h in handles if _block_of(m, h) is target]
+        slots = [target.slot_of_address(h.ref.address()) for h in in_target]
+        half = len(slots) // 2
+        assert half >= 1
+
+        inside = []  # set once the reader holds views of the cold image
+        gate = schedule.pause_at(
+            "scan.block", thread="tier-reader", filter=lambda info: bool(inside)
+        )
+        rows = []
+
+        def reader():
+            from repro.query import runtime
+
+            with m.critical_section():
+                for blk in runtime.scan_blocks(m, persons.context):
+                    if inside:  # resumed: finish the block we were in
+                        ages = inside.pop()
+                        rows.extend(int(ages[s]) for s in slots[half:])
+                    if blk is target:
+                        ages = blk.column("age")
+                        rows.extend(int(ages[s]) for s in slots[:half])
+                        inside.append(ages)
+
+        t = threading.Thread(target=reader, name="tier-reader")
+        t.start()
+        assert gate.wait_parked(timeout=10.0), "reader never parked mid-block"
+
+        faults, spills = pager.faults, pager.spills
+        for h in in_target:
+            h.age = 99  # the first write faults; all land in the hot buffer
+        assert pager.faults == faults + 1
+        assert target.residency == "hot" and target.tier_dirty
+        assert pager.telemetry()["zombie_mappings"] == 1
+
+        # Over budget again, so maintain() puts the block back into
+        # cooling — but cannot reach cool_epoch + 2 past the open section.
+        pager.maintain()
+        assert target.residency == "cooling"
+        assert pager.spills == spills
+
+        gate.release()
+        t.join(timeout=10.0)
+        assert not t.is_alive()
+        assert rows == [5] * len(slots)  # pre-write image throughout
+
+        pager.maintain()
+        assert target.residency == "cold" and pager.spills == spills + 1
+        assert pager.telemetry()["zombie_mappings"] == 0
+        assert sorted(h.age for h in in_target) == [99] * len(in_target)
+        assert pager.faults == faults + 1
+        san.assert_clean()
+        m.close()
+
+
 def test_compaction_owned_blocks_are_not_evicted():
     """Blocks claimed by an in-flight compaction are ineligible victims;
     eviction waits for the compactor to finish (the sanitizer's
@@ -461,6 +614,20 @@ def _evict_event(**overrides):
     return data
 
 
+def _fault_event(**overrides):
+    data = dict(
+        manager=None,
+        block=_FakeBlock(),
+        residency="hot",
+        tier_offset=4096,
+        pin_count=0,
+        seconds=0.0,
+        cause="write",
+    )
+    data.update(overrides)
+    return data
+
+
 def test_sanitizer_rejects_bad_tier_transitions():
     with sanitizer.enabled():
         san = _hooks.SANITIZER
@@ -473,34 +640,23 @@ def test_sanitizer_rejects_bad_tier_transitions():
             san.event("tier.evict", **_evict_event(was_compacting=True))
         with pytest.raises(ProtocolViolation, match="evict-before-grace"):
             san.event("tier.evict", **_evict_event(cool_epoch=5, epoch=6))
-        san.event(
-            "tier.fault",
-            manager=None,
-            block=_FakeBlock(),
-            residency="hot",
-            tier_offset=4096,
-            pin_count=0,
-            seconds=0.0,
-        )
+        san.event("tier.fault", **_fault_event(cause="write"))
+        san.event("tier.fault", **_fault_event(cause="pin"))
         with pytest.raises(ProtocolViolation, match="fault-left-cold"):
-            san.event(
-                "tier.fault",
-                manager=None,
-                block=_FakeBlock(),
-                residency="cold",
-                tier_offset=4096,
-                pin_count=0,
-                seconds=0.0,
-            )
+            san.event("tier.fault", **_fault_event(residency="cold"))
         with pytest.raises(ProtocolViolation, match="fault-left-cold"):
+            san.event("tier.fault", **_fault_event(tier_offset=-1))
+        # Only writers and pins promote: a fault out of scan admission
+        # (or one that does not say why) is a violation.
+        with pytest.raises(ProtocolViolation, match="fault-on-read"):
+            san.event("tier.fault", **_fault_event(cause="scan"))
+        with pytest.raises(ProtocolViolation, match="fault-on-read"):
+            san.event("tier.fault", **_fault_event(cause=None))
+        # A dirty re-demotion spills over the block's own region, under
+        # whoever still reads the old image: same two-epoch grace.
+        with pytest.raises(ProtocolViolation, match="evict-before-grace"):
             san.event(
-                "tier.fault",
-                manager=None,
-                block=_FakeBlock(),
-                residency="hot",
-                tier_offset=-1,
-                pin_count=0,
-                seconds=0.0,
+                "tier.evict", **_evict_event(cool_epoch=6, epoch=7, was_dirty=True)
             )
 
 
@@ -620,6 +776,17 @@ def test_pager_as_governor_tenant():
     pager.maintain()
     assert pager.hot_bytes() <= pager.budget
     assert gov.usage_bytes() >= pager.hot_bytes()
+
+    # The counters the governor weighs: (scan admissions, write faults).
+    # Reading a cold pool is all hits — only a write to it is a miss.
+    pager.set_budget(BS)
+    pager.maintain()
+    handles = list(persons)
+    hits, misses = pager.governor_counters()
+    assert len(persons.query().run().rows) == len(handles)
+    assert pager.governor_counters() == (hits + persons.context.block_count(), misses)
+    next(h for h in handles if _block_of(m, h).residency == "cold").age = 3
+    assert pager.governor_counters()[1] == misses + 1
     gov.unregister("block_pool")
     m.close()
 
