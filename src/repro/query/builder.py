@@ -31,11 +31,11 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.query.expressions import Expr, FieldRef, RefIdentity
+from repro.query.expressions import Expr, FieldRef, RefIdentity, Signed
 from repro.schema.fields import Field
 
 
-class Agg:
+class Agg(Signed):
     """An aggregate specification: kind + optional input expression."""
 
     __slots__ = ("kind", "expr")
@@ -50,7 +50,7 @@ class Agg:
         self.kind = kind
         self.expr = expr
 
-    def signature(self) -> str:
+    def _signature(self) -> str:
         inner = self.expr.signature() if self.expr is not None else ""
         return f"{self.kind}({inner})"
 
@@ -80,11 +80,8 @@ def Max(expr) -> Agg:
 # ----------------------------------------------------------------------
 
 
-class Op:
+class Op(Signed):
     __slots__ = ()
-
-    def signature(self) -> str:
-        raise NotImplementedError
 
 
 class Where(Op):
@@ -93,16 +90,18 @@ class Where(Op):
     def __init__(self, pred: Expr) -> None:
         self.pred = pred
 
-    def signature(self) -> str:
+    def _signature(self) -> str:
         return f"where[{self.pred.signature()}]"
 
 
 class WhereIn(Op):
-    """Membership of an expression tuple in a materialised subquery.
+    """Membership of an expression tuple in a subquery's result.
 
-    The subquery runs first (with the same engine) and its result tuples
-    become a hash set the main query probes — the hash semi-join that
-    implements EXISTS-style TPC-H predicates (e.g. Query 4).
+    The subquery runs first (with the same engine) and the main query
+    probes its result — the semi-join that implements EXISTS-style TPC-H
+    predicates (e.g. Query 4).  The vectorised engine keeps the result
+    as raw key columns and probes them with one array membership test
+    per block; the scalar flavours build a hash set of key tuples.
     """
 
     __slots__ = ("exprs", "subquery", "negated")
@@ -112,7 +111,7 @@ class WhereIn(Op):
         self.subquery = subquery
         self.negated = negated
 
-    def signature(self) -> str:
+    def _signature(self) -> str:
         inner = ",".join(e.signature() for e in self.exprs)
         return f"wherein[{inner};{self.subquery.signature()};{self.negated}]"
 
@@ -123,7 +122,7 @@ class Select(Op):
     def __init__(self, outputs: Sequence[Tuple[str, Expr]]) -> None:
         self.outputs = list(outputs)
 
-    def signature(self) -> str:
+    def _signature(self) -> str:
         inner = ",".join(f"{n}={e.signature()}" for n, e in self.outputs)
         return f"select[{inner}]"
 
@@ -139,7 +138,7 @@ class GroupBy(Op):
         self.keys = list(keys)
         self.aggs = list(aggs)
 
-    def signature(self) -> str:
+    def _signature(self) -> str:
         keys = ",".join(f"{n}={e.signature()}" for n, e in self.keys)
         aggs = ",".join(f"{n}={a.signature()}" for n, a in self.aggs)
         return f"groupby[{keys};{aggs}]"
@@ -152,7 +151,7 @@ class OrderBy(Op):
         #: (output column name, descending?) pairs
         self.items = list(items)
 
-    def signature(self) -> str:
+    def _signature(self) -> str:
         inner = ",".join(f"{n}:{'d' if d else 'a'}" for n, d in self.items)
         return f"orderby[{inner}]"
 
@@ -163,7 +162,7 @@ class Take(Op):
     def __init__(self, n: int) -> None:
         self.n = n
 
-    def signature(self) -> str:
+    def _signature(self) -> str:
         return f"take[{self.n}]"
 
 
@@ -193,7 +192,7 @@ class Having(Op):
         fn = self._OPS[self.op]
         return [r for r in rows if fn(r[idx], self.value)]
 
-    def signature(self) -> str:
+    def _signature(self) -> str:
         return f"having[{self.column}{self.op}{self.value!r}]"
 
 
@@ -212,7 +211,7 @@ class Distinct(Op):
                 out.append(row)
         return out
 
-    def signature(self) -> str:
+    def _signature(self) -> str:
         return "distinct[]"
 
 
@@ -271,7 +270,7 @@ class _Grouped:
         return self._query._extend(GroupBy(self._keys, list(aggs.items())))
 
 
-class Query:
+class Query(Signed):
     """An immutable logical query over one source."""
 
     __slots__ = ("source", "ops")
@@ -331,7 +330,7 @@ class Query:
 
     # -- execution --------------------------------------------------------
 
-    def signature(self) -> str:
+    def _signature(self) -> str:
         source_kind = type(self.source).__name__
         schema = getattr(self.source, "schema", None)
         schema_name = schema.__name__ if schema is not None else "?"

@@ -53,6 +53,7 @@ from repro.query.compiler import (
     _field_dtype,
     _to_raw,
     derive_zone_tests,
+    flavor_for,
 )
 from repro.query.expressions import (
     Between,
@@ -101,18 +102,17 @@ def build_scan_plan(
     manager = source.manager
 
     filters: List[Expr] = []
-    inset_ops: List[Tuple[WhereIn, Result]] = []
+    inset_ops: List[Tuple[WhereIn, "_KeyColumns"]] = []
     terminal = None
     post: List[Any] = []
     for op in query.ops:
         if isinstance(op, Where):
             filters.append(op.pred)
         elif isinstance(op, WhereIn):
-            # Subqueries are materialised up front on the driver thread;
-            # each scan worker probes its own _InsetProbe over the shared
-            # (read-only) subquery result.
-            sub = op.subquery.run(engine="compiled", params=params)
-            inset_ops.append((op, sub))
+            # Subqueries run up front on the driver thread; each scan
+            # worker probes its own _InsetProbe over the shared
+            # (read-only) raw key columns.
+            inset_ops.append((op, _subquery_keys(op.subquery, params)))
         elif isinstance(op, (Select, GroupBy)):
             if terminal is not None:
                 raise CompileError("only one projection/aggregation allowed")
@@ -158,10 +158,34 @@ def run_columnar(
     planner: Optional[bool] = None,
 ) -> Result:
     plan, post = build_scan_plan(query, params, prune=prune, planner=planner)
+    acc = _execute(plan, max(1, int(workers or 1)))
+    return _finish(plan, acc, post)
+
+
+def _subquery_keys(subquery: Query, params: Dict[str, Any]) -> "_KeyColumns":
+    """Run a semi-join subquery; its result as raw key columns.
+
+    Over an SMC source it scans on this engine (through :func:`_execute`,
+    feeding the same telemetry as any scan) and hands over the arrays the
+    kernels produced.  A result that only exists as decoded rows
+    (post-scan operators, a managed source) converts back to raw columns
+    once, so the probe has a single input form.
+    """
+    if flavor_for(subquery.source) not in ("columnar", "smc-unsafe"):
+        result = subquery.run(engine="compiled", params=params)
+        return _KeyColumns.from_rows(result.rows)
+    plan, post = build_scan_plan(subquery, params)
+    acc = _execute(plan, 1)
+    keys = None if post else acc.raw_columns()
+    if keys is None:
+        keys = _KeyColumns.from_rows(_finish(plan, acc, post).rows)
+    return keys
+
+
+def _execute(plan: "_ScanPlan", nworkers: int) -> "_Accumulator":
+    """Scan *plan* on the executor its shape selects; record telemetry."""
     manager = plan.manager
     zone_tests = plan.zone_tests
-
-    nworkers = max(1, int(workers or 1))
     if plan.index_choice is not None:
         # Access-path substitution: the hash index names the candidate
         # rows, only their blocks are touched, every filter re-applies.
@@ -240,8 +264,12 @@ def run_columnar(
             block_count=plan.source.context.block_count(),
             workers=nworkers,
         )
+    return acc
 
-    columns, rows = acc.finish(manager)
+
+def _finish(plan: "_ScanPlan", acc: "_Accumulator", post: List[Any]) -> Result:
+    """Decode the scan's output and run the post-scan operators."""
+    columns, rows = acc.finish(plan.manager)
     for op in post:
         if isinstance(op, OrderBy):
             for name, desc in reversed(op.items):
@@ -261,7 +289,7 @@ class _ScanPlan:
 
     Shared (read-only) between the serial path and the parallel morsel
     workers; the only per-worker state is the ``_InsetProbe`` list (its
-    lazily materialised key sets are not thread-safe) and the partial
+    lazily aligned key arrays are not thread-safe) and the partial
     :class:`_Accumulator` each worker folds blocks into.
     """
 
@@ -331,9 +359,14 @@ class _ScanPlan:
                 return False
         return True
 
-    def process_block(self, block, probes, acc: "_Accumulator") -> None:
-        """Run the filter kernels over *block*, folding rows into *acc*."""
+    def process_block(
+        self, block, probes, acc: "_Accumulator", slots=None
+    ) -> None:
+        """Run the filter kernels over *block* (only its candidate
+        *slots*, when an index named them), folding rows into *acc*."""
         ctx = _BlockCtx(self.manager, self.source, block, self.params)
+        if slots is not None and ctx.idx.size:
+            ctx.refine(np.isin(ctx.idx, slots))
         if ctx.idx.size == 0:
             return
         acc.rows_scanned += int(ctx.idx.size)
@@ -414,121 +447,178 @@ def _run_index_lookup(plan: _ScanPlan) -> Tuple["_Accumulator", int, int]:
             if offsets is None:
                 continue
             scanned += 1
-            ctx = _BlockCtx(manager, plan.source, block, plan.params)
-            if ctx.idx.size == 0:
-                continue
             slots = block.slot_of_offset(np.array(offsets, dtype=np.int64))
-            ctx.refine(np.isin(ctx.idx, slots))
-            if ctx.idx.size == 0:
-                continue
-            acc.rows_scanned += int(ctx.idx.size)
-            empty = False
-            for pred in plan.filters:
-                arr, __ = ctx.eval(pred)
-                ctx.refine(np.asarray(arr, dtype=bool))
-                if ctx.idx.size == 0:
-                    empty = True
-                    break
-            if empty:
-                continue
-            for probe in probes:
-                ctx.refine(probe.mask(ctx))
-                if ctx.idx.size == 0:
-                    empty = True
-                    break
-            if empty:
-                continue
-            acc.rows_matched += int(ctx.idx.size)
-            acc.absorb(ctx)
+            plan.process_block(block, probes, acc, slots)
     finally:
         manager.epochs.exit_critical_section()
     return acc, total - scanned, scanned
 
 
-def _nav_depth(expr: Expr) -> int:
-    """Deepest reference navigation inside *expr* (filter-ordering key)."""
-    depth = 0
-    if isinstance(expr, FieldRef):
-        depth = len(expr.steps)
-    elif isinstance(expr, RefIdentity):
-        depth = len(expr.steps) - 1
-    for child in expr.children():
-        depth = max(depth, _nav_depth(child))
-    return depth
+class _KeyColumns:
+    """A semi-join subquery's result: one raw NumPy column per output,
+    with the engine's ``(kind, meta)`` dtype of each — what the kernels
+    produced (dictionary codes, scaled decimals, day numbers, reference
+    words), never Python row objects."""
+
+    __slots__ = ("columns", "dtypes")
+
+    def __init__(self, columns: List[np.ndarray], dtypes: List[tuple]) -> None:
+        self.columns = columns
+        self.dtypes = dtypes
+
+    def __len__(self) -> int:
+        return len(self.columns[0]) if self.columns else 0
+
+    @classmethod
+    def from_rows(cls, rows: List[Any]) -> "_KeyColumns":
+        """Raw columns of decoded result rows: the one conversion point
+        for a subquery whose output only exists decoded."""
+        if not rows:
+            return cls([], [])
+        if not isinstance(rows[0], tuple):
+            rows = [(row,) for row in rows]
+        pairs = [_raw_column(list(values)) for values in zip(*rows)]
+        return cls([col for col, __ in pairs], [dtype for __, dtype in pairs])
+
+
+def _raw_column(values: List[Any]) -> Tuple[np.ndarray, Tuple[str, Any]]:
+    """Inverse of :func:`_decode_column` for one column of Python values."""
+    first = values[0]
+    if isinstance(first, Decimal):
+        scale = max(0, *(-v.as_tuple().exponent for v in values))
+        raw = [int(v.scaleb(scale).to_integral_value()) for v in values]
+        return np.array(raw, dtype=np.int64), ("decimal", scale)
+    if isinstance(first, _dt.date):
+        days = [date_to_days(v) for v in values]
+        return np.array(days, dtype=np.int64), ("date", None)
+    arr = np.asarray(values)
+    kinds = {"U": ("str", "py"), "f": ("float", None), "O": _PYOBJ}
+    return arr, kinds.get(arr.dtype.kind, ("int", None))
+
+
+def _key_bytes(col: np.ndarray, dtype: Tuple[str, Any]) -> np.ndarray:
+    """A string key column as padding-free UTF-8 bytes."""
+    kind, meta = dtype
+    if kind == "strcode":
+        col = meta.decode_array(col)
+    if col.dtype.kind != "S":
+        return np.char.encode(col.astype(str), "utf-8")
+    if isinstance(meta, int) and meta < 0:
+        return col  # batch-decoded varstring: trailing spaces are data
+    return np.char.rstrip(col, b" \x00")
+
+
+def _common_form(col: np.ndarray, dtype, other) -> np.ndarray:
+    """*col* in the raw form in which it compares equal, value for value,
+    to a column of dtype *other* put through this same function: strings
+    as bytes, decimals at the wider of the two scales."""
+    kind, meta = dtype
+    okind, ometa = other
+    if kind in ("str", "strcode") or okind in ("str", "strcode"):
+        return _key_bytes(col, dtype)
+    if kind == "decimal" or okind == "decimal":
+        mine = meta if kind == "decimal" else 0
+        scale = max(mine, ometa if okind == "decimal" else 0)
+        if scale != mine:
+            return col * 10 ** (scale - mine)
+    return col
+
+
+def _translate_codes(col: np.ndarray, dtype, strdict) -> np.ndarray:
+    """Key column *col* as codes of *strdict*, one lookup per unique key
+    (``-2``, which no stored code equals, for a string it lacks)."""
+    if dtype[0] != "strcode":
+        uniq, inverse = np.unique(_key_bytes(col, dtype), return_inverse=True)
+        texts = np.char.decode(uniq, "utf-8").tolist()
+    elif dtype[1] is strdict:
+        return col
+    else:
+        present = np.flatnonzero(np.bincount(col))
+        inverse = np.searchsorted(present, col)
+        texts = dtype[1].decode_array(present).tolist()
+    codes = [strdict.code_of(text) for text in texts]
+    return np.array([-2 if c is None else c for c in codes], np.int64)[inverse]
+
+
+def _record(cols: List[np.ndarray], dtype: np.dtype) -> np.ndarray:
+    out = np.empty(len(cols[0]), dtype=dtype)
+    for name, col in zip(dtype.names, cols):
+        out[name] = col
+    return out
 
 
 class _InsetProbe:
-    """One WhereIn probe with its key set materialised exactly once."""
+    """One WhereIn probe: a vectorised membership test of the block's
+    key columns in the subquery's raw key columns.
 
-    def __init__(self, op: WhereIn, sub: Result) -> None:
+    The key columns move into the probe columns' raw domain once, on the
+    first block (where the probe expressions' dtypes are known); every
+    block is then one array test, never a per-row loop.
+    """
+
+    def __init__(self, op: WhereIn, keys: _KeyColumns) -> None:
         self.op = op
-        self.sub = sub
-        self._keys = None
-        self._probe_array = None
+        self.keys = keys
+        self._aligned: Optional[List[np.ndarray]] = None
+        #: ``(lo, bool table)`` for a single integer key of small span:
+        #: ``np.isin``'s table method, built once instead of per block
+        self._table: Optional[Tuple[int, np.ndarray]] = None
+        #: multi-column keys as one record array per record dtype
+        self._records: Dict[np.dtype, np.ndarray] = {}
 
-    def _materialise(self, specs) -> None:
-        rows = self.sub.rows
-        if len(specs) == 1 and specs[0][0] in ("int", "ref"):
-            # Fast path: plain integer keys need no raw conversion.
-            self._keys = {
-                (row[0] if isinstance(row, tuple) else row) for row in rows
-            }
-            return
-        keys = set()
-        for row in rows:
-            values = row if isinstance(row, tuple) else (row,)
-            converted = tuple(_raw_key(v, s) for v, s in zip(values, specs))
-            keys.add(converted if len(converted) > 1 else converted[0])
-        self._keys = keys
+    def _align(self, specs: List[Tuple[str, Any]]) -> None:
+        keys = self.keys
+        self._aligned = aligned = [
+            _translate_codes(col, dtype, spec[1])
+            if spec[0] == "strcode"
+            else _common_form(col, dtype, spec)
+            for col, dtype, spec in zip(keys.columns, keys.dtypes, specs)
+        ]
+        if len(aligned) == 1 and aligned[0].dtype.kind in "iu":
+            col = aligned[0]
+            lo, hi = int(col.min()), int(col.max())
+            if hi - lo < max(8 * col.size, _DENSE_FLOOR):
+                table = np.zeros(hi - lo + 1, dtype=bool)
+                table[col - lo] = True
+                self._table = (lo, table)
 
     def mask(self, ctx: "_BlockCtx") -> np.ndarray:
-        op = self.op
-        specs: List[Tuple[str, Any]] = []
+        n = ctx.idx.size
+        keys = self.keys
+        if not len(keys):
+            return np.full(n, bool(self.op.negated))
         arrays: List[np.ndarray] = []
-        for e in op.exprs:
-            arr, dtype = ctx.eval(e)
-            arrays.append(np.asarray(arr))
-            specs.append(dtype)
-        if self._keys is None:
-            self._materialise(specs)
-        keys = self._keys
-        if len(arrays) == 1:
-            if keys:
-                if self._probe_array is None:
-                    self._probe_array = np.array(
-                        sorted(keys), dtype=arrays[0].dtype
-                    )
-                mask = np.isin(arrays[0], self._probe_array)
-            else:
-                mask = np.zeros(ctx.idx.size, dtype=bool)
+        specs: List[Tuple[str, Any]] = []
+        for e in self.op.exprs:
+            arr, spec = ctx.eval(e)
+            arrays.append(_as_column(arr, n))
+            specs.append(spec)
+        if self._aligned is None:
+            self._align(specs)
+        aligned = self._aligned
+        arrays = [
+            arr if spec[0] == "strcode" else _common_form(arr, spec, dtype)
+            for arr, spec, dtype in zip(arrays, specs, keys.dtypes)
+        ]
+        if self._table is not None:
+            lo, table = self._table
+            rel = arrays[0].astype(np.int64, copy=False) - lo
+            inside = (rel >= 0) & (rel < table.size)
+            hit = inside & table[np.where(inside, rel, 0)]
+        elif len(arrays) == 1:
+            hit = np.isin(arrays[0], aligned[0])
         else:
-            mask = np.fromiter(
-                (
-                    tuple(a[i] for a in arrays) in keys
-                    for i in range(ctx.idx.size)
-                ),
-                dtype=bool,
-                count=ctx.idx.size,
+            dtype = np.dtype(
+                [
+                    (f"f{j}", np.result_type(arr.dtype, key.dtype))
+                    for j, (arr, key) in enumerate(zip(arrays, aligned))
+                ]
             )
-        return ~mask if op.negated else mask
-
-
-def _raw_key(value, spec):
-    """Like :func:`_to_raw` but NUL-padded for NumPy ``S`` columns.
-
-    Columnar char columns are NUL-padded by NumPy, unlike the
-    space-padded row-layout CHAR slots; plain bytes keys let ``np.isin``
-    apply the correct padding.  Dictionary-coded probe columns translate
-    subquery strings to codes (``-2`` for strings absent from the
-    dictionary, which no stored code can equal).
-    """
-    kind, meta = spec
-    if kind == "strcode":
-        code = meta.code_of(value if isinstance(value, str) else str(value))
-        return -2 if code is None else code
-    if kind == "str" and isinstance(meta, int) and isinstance(value, str):
-        return value.encode("utf-8")
-    return _to_raw(value, spec)
+            record = self._records.get(dtype)
+            if record is None:
+                record = self._records[dtype] = _record(aligned, dtype)
+            hit = np.isin(_record(arrays, dtype), record)
+        return ~hit if self.op.negated else hit
 
 
 # ----------------------------------------------------------------------
@@ -542,11 +632,17 @@ class _BlockCtx:
         self.source = source
         self.block = block
         self.params = params
-        self.idx = block.valid_slots()
+        self.idx = idx = block.valid_slots()
+        #: the valid slots as one ``lo:hi`` run while they are unbroken
+        #: (every loaded or bulk-filled block) and unrefined: base columns
+        #: are then strided views of the block, not ``idx`` gathers
+        self._run: Optional[slice] = None
+        if idx.size and int(idx[-1]) - int(idx[0]) + 1 == idx.size:
+            self._run = slice(int(idx[0]), int(idx[-1]) + 1)
         #: navigation cache: steps tuple -> (address array, version)
         self._addrs: Dict[tuple, Tuple[np.ndarray, int]] = {}
-        #: per-address-array block grouping (argsort + slot ids), shared by
-        #: every field gathered through the same navigation path
+        #: per-navigation-path target-block grouping of the address
+        #: array, shared by every field gathered through the same path
         self._groupings: Dict[tuple, "_AddressGrouping"] = {}
         #: value cache: expr signature -> (array, dtype, version)
         self._vals: Dict[str, Tuple[np.ndarray, Any, int]] = {}
@@ -558,8 +654,15 @@ class _BlockCtx:
 
     def refine(self, keep: np.ndarray) -> None:
         self.idx = self.idx[keep]
+        self._run = None
         self._keeps.append(keep)
         self._groupings.clear()  # groupings index the pre-refine arrays
+
+    def detach(self) -> None:
+        """Stop handing out views of the block: whatever is evaluated
+        from here on may outlive the scan's critical section (the
+        accumulator keeps it), so it must be a gathered copy."""
+        self._run = None
 
     def _catch_up(self, arr: np.ndarray, version: int) -> np.ndarray:
         for i in range(version, len(self._keeps)):
@@ -573,18 +676,29 @@ class _BlockCtx:
 
     # -- navigation -----------------------------------------------------
 
-    def _grouping(self, key: tuple, addrs: np.ndarray) -> "_AddressGrouping":
-        grouping = self._groupings.get(key)
+    def _base(self, name: str) -> np.ndarray:
+        """Column *name* of the scanned block at the candidate rows."""
+        column = self.block.column(name)
+        return column[self.idx] if self._run is None else column[self._run]
+
+    def _gather(
+        self, addrs: np.ndarray, steps: Tuple[RefField, ...], name: Optional[str]
+    ) -> np.ndarray:
+        """Column *name* (None: the slot incarnation words) of the
+        objects at *addrs*, which navigating *steps* led to."""
+        grouping = self._groupings.get(steps)
         if grouping is None:
             grouping = _AddressGrouping(self.manager.space, addrs)
-            self._groupings[key] = grouping
-        return grouping
-
-    def _gather(self, addrs: np.ndarray, getter, key: tuple = None) -> np.ndarray:
-        """Fetch per-object data across target blocks by address."""
-        if key is None:
-            key = ("adhoc", id(addrs))
-        return self._grouping(key, addrs).fetch(self.manager, getter)
+            self._groupings[steps] = grouping
+        if grouping.runs:
+            return grouping.fetch(name)
+        if name is None:
+            return np.empty(0, dtype=np.uint32)
+        target = steps[-1].resolve_target().__name__
+        context = self.manager.collections[target].context
+        if name in context.dict_fields:
+            return np.empty(0, dtype=np.int32)
+        return np.empty(0, dtype=context.layout.columns[name][0])
 
     def addresses(self, steps: Tuple[RefField, ...]) -> Optional[np.ndarray]:
         """Target addresses after navigating *steps* (None = base block)."""
@@ -600,15 +714,11 @@ class _BlockCtx:
         parent = self.addresses(steps[:-1])
         field = steps[-1]
         if parent is None:
-            w = self.block.column(field.name + "__w")[self.idx].astype(np.int64)
-            inc = self.block.column(field.name + "__i")[self.idx]
+            w = self._base(field.name + "__w").astype(np.int64)
+            inc = self._base(field.name + "__i")
         else:
-            w = self._gather(
-                parent, lambda b: b.column(field.name + "__w"), key=steps[:-1]
-            )
-            inc = self._gather(
-                parent, lambda b: b.column(field.name + "__i"), key=steps[:-1]
-            )
+            w = self._gather(parent, steps[:-1], field.name + "__w")
+            inc = self._gather(parent, steps[:-1], field.name + "__i")
         if np.any(w == NULL_ADDRESS):
             raise NullReferenceError(
                 f"null reference navigating {field.name} (columnar engine "
@@ -617,7 +727,7 @@ class _BlockCtx:
         table = self.manager.table
         if self.manager.direct_pointers:
             addrs = w
-            live = self._gather(addrs, lambda b: b.slot_incs, key=steps) & INC_MASK
+            live = self._gather(addrs, steps, None) & INC_MASK
             if not np.array_equal(live, inc & INC_MASK):
                 raise NullReferenceError("direct pointer incarnation mismatch")
         else:
@@ -631,8 +741,8 @@ class _BlockCtx:
     def column(self, steps: Tuple[RefField, ...], name: str) -> np.ndarray:
         addrs = self.addresses(steps)
         if addrs is None:
-            return self.block.column(name)[self.idx]
-        return self._gather(addrs, lambda b: b.column(name), key=steps)
+            return self._base(name)
+        return self._gather(addrs, steps, name)
 
     # -- expression evaluation ---------------------------------------------
 
@@ -699,15 +809,7 @@ class _BlockCtx:
             if ldt[0] == "strcode" or rdt[0] == "strcode":
                 return self._cmp_strcode(expr.op, l, ldt, r, rdt)
             l, r, __ = _align(l, ldt, r, rdt, "cmp")
-            ops = {
-                "==": np.equal,
-                "!=": np.not_equal,
-                "<": np.less,
-                "<=": np.less_equal,
-                ">": np.greater,
-                ">=": np.greater_equal,
-            }
-            return ops[expr.op](l, r), ("bool", None)
+            return self._CMP_OPS[expr.op](l, r), ("bool", None)
         if isinstance(expr, BoolOp):
             result = None
             for part in expr.parts:
@@ -876,42 +978,49 @@ def _align(l, ldt, r, rdt, op):
 
 
 class _AddressGrouping:
-    """Sorted block grouping of an address array, reused across gathers.
+    """An address array split by target block, reused across gathers.
 
-    Grouping costs one argsort; each subsequent field fetched through the
-    same navigation path reuses the per-block slot indices, making a
-    k-field navigation O(n log n + k·n) instead of O(k·#blocks·n).
+    No sort: target blocks are peeled off one comparison pass at a time
+    (``ids == first remaining id``).  A hop whose references all land in
+    one block — the common case: rows loaded together point at rows
+    loaded together — costs one compare and gathers as ``column[slots]``
+    with no permutation; ``k`` target blocks cost ``k`` shrinking passes
+    and no table is ever sized by the id span.  A run is ``(block,
+    positions it fills or None for all, slot ids)``, shared by every
+    field fetched through the same navigation path.
     """
 
-    __slots__ = ("order", "runs")
+    __slots__ = ("size", "runs")
 
     def __init__(self, space, addrs: np.ndarray) -> None:
-        shift = space.block_shift
-        mask = space.block_size - 1
-        bids = addrs >> shift
-        offsets = addrs & mask
-        self.order = np.argsort(bids, kind="stable")
-        sorted_bids = bids[self.order]
-        sorted_offsets = offsets[self.order]
-        uniq, starts = np.unique(sorted_bids, return_index=True)
-        bounds = np.append(starts, len(addrs))
-        self.runs = []
-        for i, bid in enumerate(uniq.tolist()):
-            lo, hi = int(bounds[i]), int(bounds[i + 1])
-            blk = space.block_by_id(int(bid))
-            idxs = blk.slot_of_offset(sorted_offsets[lo:hi])
-            self.runs.append((blk, lo, hi, idxs))
+        offsets = addrs & (space.block_size - 1)
+        self.size = len(addrs)
+        self.runs: List[tuple] = []
+        left = addrs >> space.block_shift  # ids of the ungrouped positions
+        rest = None  # ... and the positions themselves (None: all)
+        while left.size:
+            blk = space.block_by_id(int(left[0]))
+            same = left == left[0]
+            if same.all():
+                slots = offsets if rest is None else offsets[rest]
+                self.runs.append((blk, rest, blk.slot_of_offset(slots)))
+                break
+            pos = np.flatnonzero(same) if rest is None else rest[same]
+            self.runs.append((blk, pos, blk.slot_of_offset(offsets[pos])))
+            other = ~same
+            left = left[other]
+            rest = np.flatnonzero(other) if rest is None else rest[other]
 
-    def fetch(self, manager, getter) -> np.ndarray:
+    def fetch(self, name: Optional[str]) -> np.ndarray:
+        """Column *name* (None: slot incarnation words) at the addresses."""
         out = None
-        order = self.order
-        for blk, lo, hi, idxs in self.runs:
-            col = getter(blk)
+        for blk, pos, slots in self.runs:
+            col = blk.slot_incs if name is None else blk.column(name)
+            if pos is None:
+                return col[slots]
             if out is None:
-                out = np.empty(len(order), dtype=col.dtype)
-            out[order[lo:hi]] = col[idxs]
-        if out is None:
-            out = np.empty(0, dtype=np.int64)
+                out = np.empty(self.size, dtype=col.dtype)
+            out[pos] = col[slots]
         return out
 
 
@@ -924,44 +1033,98 @@ def _concat(chunks: List[np.ndarray]) -> np.ndarray:
     return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
 
 
-def _group_factorize(cols: List[np.ndarray]) -> Tuple[List[tuple], np.ndarray]:
-    """``(uniq_keys, inverse)`` lexicographic grouping of key columns.
+def _as_column(arr, n: int) -> np.ndarray:
+    """*arr* as an ``n``-row column (a constant broadcasts)."""
+    arr = np.asarray(arr)
+    return np.full(n, arr[()]) if arr.ndim == 0 else arr
 
-    A single column factorizes directly.  Multiple columns factorize
-    independently and combine their per-column ranks into one integer
-    key space (cardinalities multiply), which groups with cheap int64
-    sorts instead of a structured-dtype sort; only a (pathological)
-    combined space that could overflow int64 falls back to the record
-    sort.
+
+#: Tables the sort-free kernels index by key value (offset codes, the
+#: presence/remap tables, the semi-join lookup) stay within the row count
+#: they serve, or this floor when that is smaller.
+_DENSE_FLOOR = 1 << 12
+
+
+def _offset_codes(col: np.ndarray, limit: int):
+    """``(lo, span, col - lo)`` when *col* holds integers — CHAR(1) bytes
+    count — spanning at most *limit* values, else None.
+
+    The codes are order-preserving like ``np.unique``'s ranks, and cost
+    a min/max instead of a sort.
     """
-    if len(cols) == 1:
-        uniq, inverse = np.unique(cols[0], return_inverse=True)
-        return [(k,) for k in uniq.tolist()], inverse
-    uniqs, invs, sizes = [], [], []
-    span = 1
+    if col.dtype == np.dtype("S1"):
+        ints = np.ascontiguousarray(col).view(np.uint8)
+    elif col.dtype.kind == "i" or (col.dtype.kind == "u" and col.itemsize < 8):
+        ints = col
+    else:
+        return None
+    lo, hi = int(ints.min()), int(ints.max())
+    if hi - lo >= limit:
+        return None
+    return lo, hi - lo + 1, ints.astype(np.int64) - lo
+
+
+def _group_factorize(
+    cols: List[np.ndarray],
+) -> Tuple[List[np.ndarray], np.ndarray]:
+    """``(unique key columns, inverse)`` lexicographic grouping of *cols*.
+
+    Each column becomes order-preserving integer codes — offsets from the
+    column minimum when its domain is small (dictionary codes, CHAR(1),
+    years, priorities, dense keys), ``np.unique`` ranks otherwise — which
+    combine into one integer key space (sizes multiply).  A space no
+    larger than the input is compacted through a presence table and its
+    running count, a larger one is sorted once; groups come out in
+    ascending raw-key order either way.  Only a (pathological) space that
+    could overflow int64 falls back to the record sort.
+    """
+    n = len(cols[0])
+    if n == 0:
+        return [col[:0] for col in cols], np.zeros(0, dtype=np.int64)
+    limit = max(n, _DENSE_FLOOR)
+    codes, sizes, decoders = [], [], []
     for col in cols:
-        u, inv = np.unique(col, return_inverse=True)
-        uniqs.append(u)
-        invs.append(inv.astype(np.int64, copy=False))
-        sizes.append(max(1, len(u)))
-        span *= max(1, len(u))
-    if span < 2 ** 62:
-        codes = invs[0]
-        for inv, size in zip(invs[1:], sizes[1:]):
-            codes = codes * size + inv
-        ucodes, inverse = np.unique(codes, return_inverse=True)
-        parts = []
-        rem = ucodes
-        for size in reversed(sizes[1:]):
-            parts.append(rem % size)
-            rem = rem // size
-        parts.append(rem)
-        parts.reverse()
-        columns = [uniqs[j][parts[j]].tolist() for j in range(len(cols))]
-        return list(zip(*columns)), inverse
-    rec = np.rec.fromarrays(cols)
-    uniq, inverse = np.unique(rec, return_inverse=True)
-    return [tuple(u) for u in uniq.tolist()], inverse
+        dense = _offset_codes(col, limit)
+        if dense is None:
+            uniq, inverse = np.unique(col, return_inverse=True)
+            if len(cols) == 1:
+                return [uniq], inverse
+            codes.append(inverse.astype(np.int64, copy=False))
+            sizes.append(len(uniq))
+            decoders.append(uniq)
+        else:
+            lo, span, code = dense
+            codes.append(code)
+            sizes.append(span)
+            decoders.append(lo)
+    total = 1
+    for size in sizes:
+        total *= size
+    if total >= 2 ** 62:
+        rec = np.rec.fromarrays(cols)
+        uniq, inverse = np.unique(rec, return_inverse=True)
+        return [uniq[name] for name in uniq.dtype.names], inverse
+    combined = codes[0]
+    for code, size in zip(codes[1:], sizes[1:]):
+        combined = combined * size + code
+    if total <= limit:
+        present = np.zeros(total, dtype=bool)
+        present[combined] = True
+        ucodes = np.flatnonzero(present)
+        inverse = (np.cumsum(present) - 1)[combined]
+    else:
+        ucodes, inverse = np.unique(combined, return_inverse=True)
+    uniq_cols = []
+    rem = ucodes
+    for col, size, decoder in zip(cols[::-1], sizes[::-1], decoders[::-1]):
+        part, rem = rem % size, rem // size
+        if isinstance(decoder, np.ndarray):
+            uniq_cols.append(decoder[part])
+        elif col.dtype.kind == "S":
+            uniq_cols.append((part + decoder).astype(np.uint8).view("S1"))
+        else:
+            uniq_cols.append((part + decoder).astype(col.dtype))
+    return uniq_cols[::-1], inverse
 
 
 def _grouped_sums(
@@ -1007,10 +1170,12 @@ class _Accumulator:
         self.terminal = terminal
         self.rows: List[tuple] = []
         self.groups: Dict[Any, list] = {}
+        #: dtypes of the group-by keys, or of a projection's outputs
         self.key_dtypes: Optional[List[Tuple[str, Any]]] = None
         self.agg_dtypes: Optional[List[Tuple[str, Any]]] = None
-        #: Deferred group-by input: per-block ``(n, key_arrays,
-        #: agg_arrays)`` vectors, folded once by :meth:`_collapse`.
+        #: Deferred scan output: per-block ``(n, key_arrays, agg_arrays)``
+        #: raw vectors (a projection's outputs are its key arrays),
+        #: folded or decoded once by :meth:`_collapse`.
         self._pending: List[Tuple[int, list, list]] = []
         #: Valid rows examined before filtering (scan-volume telemetry).
         self.rows_scanned = 0
@@ -1018,6 +1183,7 @@ class _Accumulator:
         self.rows_matched = 0
 
     def absorb(self, ctx: _BlockCtx) -> None:
+        ctx.detach()  # what is kept from here on outlives the scan
         terminal = self.terminal
         if terminal is None:
             self._absorb_enumeration(ctx)
@@ -1035,12 +1201,17 @@ class _Accumulator:
             self.rows.append(Ref(ctx.manager, entry, table.incarnation(entry)))
 
     def _absorb_select(self, ctx: _BlockCtx) -> None:
+        """Defer a block's projection: raw columns now, decoding once."""
         n = ctx.idx.size
-        columns = []
+        arrays = []
+        dtypes = []
         for __, e in self.terminal.outputs:
             arr, dtype = ctx.eval(e)
-            columns.append(_decode_column(arr, dtype, n))
-        self.rows.extend(zip(*columns))
+            arrays.append(_as_column(arr, n))
+            dtypes.append(dtype)
+        self.key_dtypes = dtypes
+        if n:
+            self._pending.append((n, arrays, []))
 
     def _absorb_groupby(self, ctx: _BlockCtx) -> None:
         """Defer a block's group-by input: evaluate and append, don't fold.
@@ -1056,10 +1227,7 @@ class _Accumulator:
         key_dtypes = []
         for __, e in op.keys:
             arr, dtype = ctx.eval(e)
-            arr = np.asarray(arr)
-            if arr.ndim == 0:  # constant key: broadcast to the row count
-                arr = np.full(n, arr[()])
-            key_arrays.append(arr)
+            key_arrays.append(_as_column(arr, n))
             key_dtypes.append(dtype)
         self.key_dtypes = key_dtypes
         agg_arrays: List[Optional[np.ndarray]] = []
@@ -1077,77 +1245,64 @@ class _Accumulator:
                 # min/max order by text, not by allocation-ordered code.
                 arr = dtype[1].decode_array(arr)
                 dtype = ("str", "py")
-            if arr.ndim == 0:
-                arr = np.full(n, arr[()])
             agg_dtypes.append(dtype)
-            agg_arrays.append(arr)
+            agg_arrays.append(_as_column(arr, n))
         self.agg_dtypes = agg_dtypes
         if n:  # empty blocks set dtypes but contribute no groups
             self._pending.append((n, key_arrays, agg_arrays))
 
-    def _collapse(self) -> None:
-        """Fold the deferred group-by vectors into the ``groups`` dict.
+    def _take_pending(self) -> Tuple[list, List[np.ndarray]]:
+        """Pop the deferred vectors: ``(chunks, whole key columns)``."""
+        pending, self._pending = self._pending, []
+        width = len(self.key_dtypes)
+        return pending, [
+            _concat([p[1][i] for p in pending]) for i in range(width)
+        ]
 
-        Runs once per accumulator (at finish, merge or wire encoding):
-        one key factorization plus one vectorised fold per aggregate
-        over the concatenated scan output.  Sums fold chunk by chunk in
-        block order, reproducing exactly the partial-sum addition order
-        (and the float64/int64 exactness guard) of the former per-block
-        path.
+    def _fold(self) -> Tuple[List[np.ndarray], List[Any]]:
+        """Fold the deferred group-by vectors: ``(unique key columns,
+        per-aggregate cells)`` over the concatenated scan output.
+
+        One key factorization plus one vectorised fold per aggregate.
+        Sums fold chunk by chunk in block order, reproducing exactly the
+        partial-sum addition order (and the float64/int64 exactness
+        guard) of a per-block fold.  An aggregate's cells are one array
+        with a value per group — ``(sums, counts)`` for an average.
         """
-        pending = self._pending
-        if not pending:
-            return
-        self._pending = []
+        pending, cols = self._take_pending()
         op: GroupBy = self.terminal
-        total = sum(p[0] for p in pending)
-        nkeys = len(op.keys)
-        if nkeys:
-            cols = [
-                _concat([p[1][i] for p in pending]) for i in range(nkeys)
-            ]
-            uniq_keys, inverse = _group_factorize(cols)
+        if cols:
+            uniq_cols, inverse = _group_factorize(cols)
+            nuniq = len(uniq_cols[0])
         else:
-            uniq_keys = [()]
-            inverse = np.zeros(total, dtype=np.int64)
-        nuniq = len(uniq_keys)
+            uniq_cols = []
+            inverse = np.zeros(sum(p[0] for p in pending), dtype=np.int64)
+            nuniq = 1
         counts = np.bincount(inverse, minlength=nuniq)
-        count_list = counts.tolist()
-        cells_per_agg: List[list] = []
+        cells_per_agg: List[Any] = []
         for i, (__, agg) in enumerate(op.aggs):
             kind = agg.kind
             if kind == "count":
-                cells_per_agg.append(count_list)
+                cells_per_agg.append(counts)
                 continue
             chunks = [p[2][i] for p in pending]
             if kind in ("sum", "avg"):
-                sums = _grouped_sums(chunks, inverse, nuniq).tolist()
-                if kind == "sum":
-                    cells_per_agg.append(sums)
-                else:
-                    cells_per_agg.append(
-                        [[s, c] for s, c in zip(sums, count_list)]
-                    )
+                sums = _grouped_sums(chunks, inverse, nuniq)
+                cells_per_agg.append(sums if kind == "sum" else (sums, counts))
                 continue
             arr = _concat(chunks)
             if arr.dtype.kind in "iuf":
-                if kind == "min":
-                    fill = (
-                        np.iinfo(arr.dtype).max
-                        if arr.dtype.kind in "iu"
-                        else np.inf
-                    )
-                    out = np.full(nuniq, fill, dtype=arr.dtype)
-                    np.minimum.at(out, inverse, arr)
+                if arr.dtype.kind == "f":
+                    lowest, highest = -np.inf, np.inf
                 else:
-                    fill = (
-                        np.iinfo(arr.dtype).min
-                        if arr.dtype.kind in "iu"
-                        else -np.inf
-                    )
-                    out = np.full(nuniq, fill, dtype=arr.dtype)
-                    np.maximum.at(out, inverse, arr)
-                cells_per_agg.append(out.tolist())
+                    info = np.iinfo(arr.dtype)
+                    lowest, highest = info.min, info.max
+                fold = np.minimum if kind == "min" else np.maximum
+                out = np.full(
+                    nuniq, highest if kind == "min" else lowest, dtype=arr.dtype
+                )
+                fold.at(out, inverse, arr)
+                cells_per_agg.append(out)
             else:
                 # Strings (object or bytes): per-group Python fold.
                 cells: List[Any] = [None] * nuniq
@@ -1156,18 +1311,54 @@ class _Accumulator:
                     cur = cells[g]
                     if cur is None or (v < cur if lt else v > cur):
                         cells[g] = v
-                cells_per_agg.append(cells)
-        groups = self.groups
-        kinds = [agg.kind for __, agg in op.aggs]
-        if not groups:
-            for g, key in enumerate(uniq_keys):
-                groups[key] = [
-                    self._init_cell(kinds[i], cells_per_agg[i][g])
-                    for i in range(len(kinds))
-                ]
+                cells_per_agg.append(np.array(cells))
+        return uniq_cols, cells_per_agg
+
+    def raw_columns(self) -> Optional[_KeyColumns]:
+        """The scan's whole output as raw columns — what a semi-join
+        probes — or None when only decoded rows can express it (merged-in
+        wire partials, an average's sum/count pairs)."""
+        if self.rows or self.groups or self.terminal is None:
+            return None
+        if not self._pending:
+            return _KeyColumns([], [])
+        if isinstance(self.terminal, Select):
+            return _KeyColumns(self._take_pending()[1], self.key_dtypes)
+        if any(agg.kind == "avg" for __, agg in self.terminal.aggs):
+            return None
+        uniq_cols, cells_per_agg = self._fold()
+        return _KeyColumns(
+            uniq_cols + cells_per_agg, self.key_dtypes + self.agg_dtypes
+        )
+
+    def _collapse(self) -> None:
+        """Decode or fold the deferred vectors into ``rows`` / ``groups``.
+
+        Runs once per accumulator (at finish, merge or wire encoding).
+        """
+        if not self._pending:
             return
-        # Rare path: deferred vectors folding into groups that already
-        # hold merged-in (wire-decoded) partials.
+        if isinstance(self.terminal, Select):
+            columns = [
+                _decode_column(col, dtype)
+                for col, dtype in zip(self._take_pending()[1], self.key_dtypes)
+            ]
+            self.rows.extend(zip(*columns))
+            return
+        uniq_cols, cells_per_agg = self._fold()
+        if uniq_cols:
+            uniq_keys = list(zip(*[col.tolist() for col in uniq_cols]))
+        else:
+            uniq_keys = [()]
+        cells_per_agg = [
+            [[s, c] for s, c in zip(cells[0].tolist(), cells[1].tolist())]
+            if isinstance(cells, tuple)  # an average's (sums, counts)
+            else cells.tolist()
+            for cells in cells_per_agg
+        ]
+        groups = self.groups
+        kinds = [agg.kind for __, agg in self.terminal.aggs]
+        # ``groups`` may already hold merged-in (wire-decoded) partials.
         for g, key in enumerate(uniq_keys):
             acc = groups.get(key)
             if acc is None:
@@ -1192,6 +1383,8 @@ class _Accumulator:
         merges them in block order, so rows concatenate and group cells
         combine exactly as the serial scan would have produced them.
         """
+        if self._pending and other.rows:
+            self._collapse()  # deferred rows decode before later ones join
         self.rows.extend(other.rows)
         self.rows_scanned += other.rows_scanned
         self.rows_matched += other.rows_matched
@@ -1211,17 +1404,7 @@ class _Accumulator:
                 self.groups[key] = cells
                 continue
             for i, kind in enumerate(kinds):
-                if kind in ("sum", "count"):
-                    mine[i] += cells[i]
-                elif kind == "avg":
-                    mine[i][0] += cells[i][0]
-                    mine[i][1] += cells[i][1]
-                elif kind == "min":
-                    if cells[i] < mine[i]:
-                        mine[i] = cells[i]
-                else:  # max
-                    if cells[i] > mine[i]:
-                        mine[i] = cells[i]
+                self._merge_cell(mine, i, kind, cells[i])
 
     @staticmethod
     def _merge_cell(acc: list, i: int, kind: str, value) -> None:
@@ -1239,10 +1422,10 @@ class _Accumulator:
         terminal = self.terminal
         if terminal is None:
             return ["*"], self.rows
+        self._collapse()
         if isinstance(terminal, Select):
             return [name for name, __ in terminal.outputs], self.rows
         op: GroupBy = terminal
-        self._collapse()
         columns = [n for n, __ in op.keys] + [n for n, __ in op.aggs]
         rows: List[tuple] = []
         if self.key_dtypes is None:
@@ -1271,11 +1454,9 @@ class _Accumulator:
         return columns, rows
 
 
-def _decode_column(arr, dtype: Tuple[str, Any], n: int) -> List[Any]:
+def _decode_column(arr: np.ndarray, dtype: Tuple[str, Any]) -> List[Any]:
     """Decode a whole output column to Python values (vectorised paths
-    for the common types; scalar broadcast for constants)."""
-    if not isinstance(arr, np.ndarray):
-        return [_decode(arr, dtype)] * n
+    for the common types)."""
     kind, meta = dtype
     if kind == "strcode":
         return meta.decode_array(arr).tolist()

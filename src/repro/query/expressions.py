@@ -40,7 +40,28 @@ from repro.schema.fields import (
 )
 
 
-class Expr:
+class Signed:
+    """A node whose structural ``signature()`` is computed once.
+
+    Expression and plan nodes are immutable, so the signature string is
+    memoised on the node itself (never in an ``id()``-keyed table: ids
+    are recycled as soon as a node dies).
+    """
+
+    __slots__ = ("_sig",)
+
+    def signature(self) -> str:
+        try:
+            return self._sig
+        except AttributeError:
+            sig = self._sig = self._signature()
+            return sig
+
+    def _signature(self) -> str:
+        raise NotImplementedError
+
+
+class Expr(Signed):
     """Base class of all expression nodes."""
 
     __slots__ = ()
@@ -129,9 +150,6 @@ class Expr:
     def evaluate(self, row: Any, params: Dict[str, Any]) -> Any:
         raise NotImplementedError
 
-    def signature(self) -> str:
-        raise NotImplementedError
-
     def children(self) -> Sequence["Expr"]:
         return ()
 
@@ -147,7 +165,7 @@ class Const(Expr):
     def evaluate(self, row, params):
         return self.value
 
-    def signature(self) -> str:
+    def _signature(self) -> str:
         return f"const({self.value!r})"
 
 
@@ -167,7 +185,7 @@ class Param(Expr):
     def evaluate(self, row, params):
         return params[self.name]
 
-    def signature(self) -> str:
+    def _signature(self) -> str:
         return f"param({self.name})"
 
 
@@ -211,7 +229,7 @@ class FieldRef(Expr):
                 return None
         return getattr(obj, self.field.name)
 
-    def signature(self) -> str:
+    def _signature(self) -> str:
         path = ".".join(s.name for s in self.steps)
         owner = self.field.owner.__name__ if self.field.owner else "?"
         return f"field({path}{'.' if path else ''}{owner}.{self.field.name})"
@@ -250,7 +268,7 @@ class RefIdentity(Expr):
         # Handles hash by reference; managed records hash by identity.
         return final
 
-    def signature(self) -> str:
+    def _signature(self) -> str:
         return "refid(" + ".".join(s.name for s in self.steps) + ")"
 
 
@@ -274,7 +292,7 @@ class BinOp(Expr):
             self.left.evaluate(row, params), self.right.evaluate(row, params)
         )
 
-    def signature(self) -> str:
+    def _signature(self) -> str:
         return f"({self.left.signature()}{self.op}{self.right.signature()})"
 
     def children(self):
@@ -303,7 +321,7 @@ class Cmp(Expr):
             self.left.evaluate(row, params), self.right.evaluate(row, params)
         )
 
-    def signature(self) -> str:
+    def _signature(self) -> str:
         return f"({self.left.signature()}{self.op}{self.right.signature()})"
 
     def children(self):
@@ -329,7 +347,7 @@ class BoolOp(Expr):
             return all(p.evaluate(row, params) for p in self.parts)
         return any(p.evaluate(row, params) for p in self.parts)
 
-    def signature(self) -> str:
+    def _signature(self) -> str:
         inner = f" {self.op} ".join(p.signature() for p in self.parts)
         return f"({inner})"
 
@@ -346,7 +364,7 @@ class Not(Expr):
     def evaluate(self, row, params):
         return not self.inner.evaluate(row, params)
 
-    def signature(self) -> str:
+    def _signature(self) -> str:
         return f"not({self.inner.signature()})"
 
     def children(self):
@@ -363,7 +381,7 @@ class InSet(Expr):
     def evaluate(self, row, params):
         return self.inner.evaluate(row, params) in self.values
 
-    def signature(self) -> str:
+    def _signature(self) -> str:
         return f"in({self.inner.signature()},{sorted(map(repr, self.values))})"
 
     def children(self):
@@ -384,7 +402,7 @@ class Between(Expr):
             row, params
         )
 
-    def signature(self) -> str:
+    def _signature(self) -> str:
         return (
             f"between({self.inner.signature()},{self.lo.signature()},"
             f"{self.hi.signature()})"
@@ -404,7 +422,7 @@ class StrPrefix(Expr):
     def evaluate(self, row, params):
         return self.inner.evaluate(row, params).startswith(self.prefix)
 
-    def signature(self) -> str:
+    def _signature(self) -> str:
         return f"prefix({self.inner.signature()},{self.prefix!r})"
 
     def children(self):
@@ -421,7 +439,7 @@ class StrContains(Expr):
     def evaluate(self, row, params):
         return self.needle in self.inner.evaluate(row, params)
 
-    def signature(self) -> str:
+    def _signature(self) -> str:
         return f"contains({self.inner.signature()},{self.needle!r})"
 
     def children(self):
@@ -447,7 +465,7 @@ class CaseWhen(Expr):
             return self.then.evaluate(row, params)
         return self.otherwise.evaluate(row, params)
 
-    def signature(self) -> str:
+    def _signature(self) -> str:
         return (
             f"case({self.cond.signature()},{self.then.signature()},"
             f"{self.otherwise.signature()})"
@@ -474,7 +492,7 @@ class YearOf(Expr):
         value = self.inner.evaluate(row, params)
         return value.year if value is not None else None
 
-    def signature(self) -> str:
+    def _signature(self) -> str:
         return f"year({self.inner.signature()})"
 
     def children(self):

@@ -9,11 +9,12 @@ tuples and are re-bound against the worker's (fork-inherited) manager:
 a field is named by ``(owner schema name, field name)`` and resolved
 through ``manager.collections`` on arrival.
 
-Accumulators travel as plain Python containers.  The only non-picklable
-piece of their state is the ``("strcode", StringDict)`` dtype metadata;
-it is translated to ``("strcode", collection_name)`` on the wire and
-re-bound to the receiving process's dictionary — safe because worker
-dictionaries are copy-on-write snapshots of the parent's and the
+Accumulators travel as plain Python containers, semi-join keys as the
+raw NumPy columns the subquery's kernels produced.  The only
+non-picklable piece of either is the ``("strcode", StringDict)`` dtype
+metadata; it is translated to ``("strcode", collection_name)`` on the
+wire and re-bound to the receiving process's dictionary — safe because
+worker dictionaries are copy-on-write snapshots of the parent's and the
 executor's fingerprint protocol discards results whenever a dictionary
 changed mid-query.
 """
@@ -23,7 +24,7 @@ from __future__ import annotations
 from types import SimpleNamespace
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.query.builder import Agg, GroupBy, Result, Select
+from repro.query.builder import Agg, GroupBy, Select
 from repro.query.expressions import (
     Between,
     BinOp,
@@ -175,6 +176,7 @@ def encode_plan(manager, plan) -> dict:
             break
     if source_name is None:
         raise ValueError("scan source is not a registered collection")
+    names = _strdict_names(manager)
     return {
         "source": source_name,
         "params": plan.params,
@@ -183,10 +185,10 @@ def encode_plan(manager, plan) -> dict:
             (
                 [encode_expr(e) for e in op.exprs],
                 bool(op.negated),
-                sub.columns,
-                sub.rows,
+                keys.columns,
+                [_enc_dtype(d, names) for d in keys.dtypes],
             )
-            for op, sub in plan.inset_ops
+            for op, keys in plan.inset_ops
         ],
         "terminal": _encode_terminal(plan.terminal),
     }
@@ -211,7 +213,7 @@ def _encode_terminal(terminal):
 
 def decode_plan(manager, wire: dict):
     """Rebuild a ``_ScanPlan`` against the worker's manager."""
-    from repro.query.columnar_exec import _ScanPlan
+    from repro.query.columnar_exec import _KeyColumns, _ScanPlan
 
     schemas = _schema_map(manager)
     source = manager.collections[wire["source"]]
@@ -222,9 +224,9 @@ def decode_plan(manager, wire: dict):
                 exprs=tuple(decode_expr(schemas, e) for e in exprs),
                 negated=negated,
             ),
-            Result(columns, rows),
+            _KeyColumns(columns, [_dec_dtype(d, manager) for d in dtypes]),
         )
-        for exprs, negated, columns, rows in wire["insets"]
+        for exprs, negated, columns, dtypes in wire["insets"]
     ]
     terminal = _decode_terminal(schemas, wire["terminal"])
     return _ScanPlan(

@@ -116,6 +116,41 @@ def test_differential_process_pool(pooled_smc, name):
     assert manager.stats.extra.get("exec_process_queries", 0) == before + 1
 
 
+def test_two_column_semijoin_through_the_pool(pooled_smc):
+    """A q2-shaped ``(reference, decimal)`` semi-join: the subquery's
+    group-by output reaches the workers as two raw arrays, and every
+    part's cheapest offer comes back exactly as the serial scan finds it."""
+    from repro.query import plansnap
+    from repro.query.builder import Min, ref_key
+    from repro.query.columnar_exec import build_scan_plan
+    from repro.tpch.schema import PartSupp as ps
+
+    manager = pooled_smc["_manager"]
+    partsupp = pooled_smc["partsupp"]
+    cheapest = (
+        partsupp.query()
+        .group_by(part=ref_key(ps.part))
+        .aggregate(cost=Min(ps.supplycost))
+    )
+    query = (
+        partsupp.query()
+        .where_in((ref_key(ps.part), ps.supplycost), cheapest)
+        .select(partkey=ps.part.ref("partkey"), cost=ps.supplycost)
+    )
+    expected = query.run(engine="interpreted")
+    assert len(expected.rows) >= len(pooled_smc["part"])
+    before = manager.stats.extra.get("exec_process_queries", 0)
+    got = query.run(workers=2)
+    assert _canonical(got) == _canonical(expected)
+    assert _canonical(query.run(workers=1)) == _canonical(expected)
+    assert manager.stats.extra.get("exec_process_queries", 0) == before + 1
+
+    plan, __ = build_scan_plan(query, {})
+    ((__, __, columns, dtypes),) = plansnap.encode_plan(manager, plan)["insets"]
+    assert [c.dtype.kind for c in columns] == ["i", "i"]
+    assert [d[0] for d in dtypes] == ["ref", "decimal"]
+
+
 def _empty_mirror(columnar):
     """A second manager with the same (empty) collections: what a worker
     holds for blocks its parent mapped after the fork — the contexts,
