@@ -273,7 +273,10 @@ class _Grouped:
 class Query(Signed):
     """An immutable logical query over one source."""
 
-    __slots__ = ("source", "ops")
+    #: ``_prepared`` memoises the vectorised engine's prepared scans on
+    #: the node (``columnar_exec.build_scan_plan``), as ``_sig`` does the
+    #: signature
+    __slots__ = ("source", "ops", "_prepared")
 
     def __init__(self, source: Any, ops: Tuple[Op, ...] = ()) -> None:
         self.source = source

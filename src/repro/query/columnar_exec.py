@@ -97,57 +97,130 @@ def build_scan_plan(
     splitting/ordering and access-path choice (None = process default);
     with the planner off, predicates run in declaration order — the
     ablation baseline.
+
+    Two steps, the paper's compile-once-run-many (section 4): the query
+    is *prepared* once — everything that does not depend on the
+    parameters, memoised on the ``Query`` node — and every request only
+    *binds* its parameters to that.
     """
-    source = query.source
-    manager = source.manager
-
-    filters: List[Expr] = []
-    inset_ops: List[Tuple[WhereIn, "_KeyColumns"]] = []
-    terminal = None
-    post: List[Any] = []
-    for op in query.ops:
-        if isinstance(op, Where):
-            filters.append(op.pred)
-        elif isinstance(op, WhereIn):
-            # Subqueries run up front on the driver thread; each scan
-            # worker probes its own _InsetProbe over the shared
-            # (read-only) raw key columns.
-            inset_ops.append((op, _subquery_keys(op.subquery, params)))
-        elif isinstance(op, (Select, GroupBy)):
-            if terminal is not None:
-                raise CompileError("only one projection/aggregation allowed")
-            terminal = op
-        elif isinstance(op, (OrderBy, Take, Having, Distinct)):
-            post.append(op)
-        else:
-            raise CompileError(f"cannot run op {op!r} on the columnar engine")
-
-    # Cost-based filter ordering (repro.query.planner): conjunctions are
-    # split and conjuncts ranked cheapest-and-most-selective-first from
-    # zone-map / dictionary statistics, so expensive navigating kernels
-    # see already-reduced row sets.  With the planner disabled (the
-    # ablation) predicates run exactly as declared.
     use_planner = _planner.enabled() if planner is None else bool(planner)
-    index_choice = None
-    info = None
-    if use_planner:
-        filters, index_choice, info = _planner.plan_scan(
-            query.signature(), filters, params, source, prune=prune
+    stamp = _planner.stats_stamp(query.source.manager)
+    try:
+        memo = query._prepared
+    except AttributeError:
+        memo = query._prepared = {}
+    key = (bool(prune), use_planner)
+    prepared = memo.get(key)
+    if prepared is None or (
+        prepared.stamp is not stamp and prepared.stamp != stamp
+    ):
+        # The statistics moved since it was made (or it never was).
+        # Racing threads may both prepare; the plans are equivalent and
+        # the last one stays.
+        prepared = memo[key] = _PreparedScan(
+            query, params, key[0], use_planner, stamp
         )
+    return prepared.bind(params), prepared.post
 
-    zone_tests = derive_zone_tests(filters, params, source) if prune else []
-    plan = _ScanPlan(
-        manager,
-        source,
-        params,
-        filters,
-        inset_ops,
-        terminal,
-        zone_tests,
-        index_choice,
-        info,
+
+class _PreparedScan:
+    """The part of a scan plan that no request's parameters change.
+
+    Made once per (query, prune, planner) and shared by every thread
+    that runs the query, so it holds no per-request state: the walk of
+    the ops, the split and cost-ordered conjuncts (ranked with the
+    parameters of the first request — order never changes a result, only
+    how early rows drop out), the access-path candidate, the zone tests
+    as templates, the planner's estimates for the feedback registry.
+    Semi-join subqueries are ``Query`` nodes with prepared scans of
+    their own.
+    """
+
+    __slots__ = (
+        "stamp",
+        "source",
+        "filters",
+        "inset_ops",
+        "terminal",
+        "post",
+        "zone_templates",
+        "index_choice",
+        "info",
     )
-    return plan, post
+
+    def __init__(
+        self, query: Query, params, prune: bool, use_planner: bool, stamp
+    ) -> None:
+        self.stamp = stamp
+        self.source = source = query.source
+        filters: List[Expr] = []
+        self.inset_ops: List[WhereIn] = []
+        self.terminal = None
+        self.post: List[Any] = []
+        for op in query.ops:
+            if isinstance(op, Where):
+                filters.append(op.pred)
+            elif isinstance(op, WhereIn):
+                self.inset_ops.append(op)
+            elif isinstance(op, (Select, GroupBy)):
+                if self.terminal is not None:
+                    raise CompileError(
+                        "only one projection/aggregation allowed"
+                    )
+                self.terminal = op
+            elif isinstance(op, (OrderBy, Take, Having, Distinct)):
+                self.post.append(op)
+            else:
+                raise CompileError(
+                    f"cannot run op {op!r} on the columnar engine"
+                )
+
+        #: planner access-path candidate (``planner.IndexChoice``)
+        self.index_choice = None
+        #: planner estimates (``planner.PlanInfo``) — None with planner off
+        self.info = None
+        # Cost-based filter ordering (repro.query.planner): conjunctions
+        # are split and conjuncts ranked cheapest-and-most-selective-
+        # first from zone-map / dictionary statistics, so expensive
+        # navigating kernels see already-reduced row sets.  With the
+        # planner disabled (the ablation) predicates run exactly as
+        # declared.
+        if use_planner:
+            filters, self.index_choice, self.info = _planner.plan_scan(
+                query.signature(), filters, params, source, prune=prune
+            )
+        self.filters = filters
+        self.zone_templates = derive_zone_tests(filters, source) if prune else []
+
+    def bind(self, params: Dict[str, Any]) -> "_ScanPlan":
+        """This request's plan: the zone bounds, dictionary code sets
+        and index key its parameters name, its subqueries' keys."""
+        zone_tests = []
+        for template in self.zone_templates:
+            test = template.bind(params)
+            if test is not None:
+                zone_tests.append(test)
+        choice = self.index_choice
+        if choice is not None:
+            choice = choice.bind(params)
+        # Subqueries run up front on the driver thread; each scan worker
+        # probes its own _InsetProbe over the shared (read-only) raw key
+        # columns.
+        inset_ops = [
+            (op, _subquery_keys(op.subquery, params)) for op in self.inset_ops
+        ]
+        source = self.source
+        return _ScanPlan(
+            source.manager,
+            source,
+            params,
+            self.filters,
+            inset_ops,
+            self.terminal,
+            zone_tests,
+            choice,
+            self.info,
+        )
 
 
 def run_columnar(
@@ -166,10 +239,11 @@ def _subquery_keys(subquery: Query, params: Dict[str, Any]) -> "_KeyColumns":
     """Run a semi-join subquery; its result as raw key columns.
 
     Over an SMC source it scans on this engine (through :func:`_execute`,
-    feeding the same telemetry as any scan) and hands over the arrays the
-    kernels produced.  A result that only exists as decoded rows
-    (post-scan operators, a managed source) converts back to raw columns
-    once, so the probe has a single input form.
+    feeding the same telemetry as any scan, under a prepared scan of its
+    own) and hands over the arrays the kernels produced.  A result that
+    only exists as decoded rows (post-scan operators, a managed source)
+    converts back to raw columns once, so the probe has a single input
+    form.
     """
     if flavor_for(subquery.source) not in ("columnar", "smc-unsafe"):
         result = subquery.run(engine="compiled", params=params)
@@ -287,10 +361,12 @@ def _finish(plan: "_ScanPlan", acc: "_Accumulator", post: List[Any]) -> Result:
 class _ScanPlan:
     """Everything a scan worker needs to process one block.
 
-    Shared (read-only) between the serial path and the parallel morsel
-    workers; the only per-worker state is the ``_InsetProbe`` list (its
-    lazily aligned key arrays are not thread-safe) and the partial
-    :class:`_Accumulator` each worker folds blocks into.
+    One request's binding of a :class:`_PreparedScan`: made per request,
+    immutable from then on and shared (read-only) between the serial
+    path and the parallel morsel workers; the only per-worker state is
+    the ``_InsetProbe`` list (its lazily aligned key arrays are not
+    thread-safe) and the partial :class:`_Accumulator` each worker folds
+    blocks into.
     """
 
     __slots__ = (
@@ -324,15 +400,21 @@ class _ScanPlan:
         self.inset_ops = inset_ops
         self.terminal = terminal
         self.zone_tests = zone_tests
-        #: planner access-path substitution (``planner.IndexChoice``)
+        #: planner access-path substitution (``planner.IndexChoice``
+        #: bound to this request's key)
         self.index_choice = index_choice
-        #: planner estimates (``planner.PlanInfo``) — None with planner off
+        #: the prepared scan's estimates (``planner.PlanInfo``, shared and
+        #: read-only) — None with planner off
         self.info = info
 
     @property
     def morsel_hint(self):
-        """Adaptive morsel width from execution feedback (None = default)."""
-        return self.info.morsel_hint if self.info is not None else None
+        """Adaptive morsel width from execution feedback (None = default),
+        read when a parallel executor asks: it is this request's, the
+        shared ``info`` holds none."""
+        if self.info is None:
+            return None
+        return _planner.morsel_hint(self.info.signature)
 
     def make_probes(self) -> List["_InsetProbe"]:
         return [_InsetProbe(op, sub) for op, sub in self.inset_ops]

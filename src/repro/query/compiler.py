@@ -354,20 +354,99 @@ class CodeZoneTest:
         return f"<CodeZoneTest {self.name} in {len(self.codes)} codes>"
 
 
-def derive_zone_tests(
-    predicates: List[Expr], params: Dict[str, Any], source: Any = None
-) -> List[ZoneTest]:
-    """Lower a conjunction of filter predicates to block zone tests.
+class ZoneTemplate:
+    """A :class:`ZoneTest` with its literals still open.
 
-    *source* (the scanned collection) supplies the string dictionary for
-    code-space tests over varstring predicates; without it only numeric
-    tests are derived.
+    Prepared once per query from one conjunct: the field, its dtype, the
+    operator's bounds and strictness, and per bound either the raw image
+    of a ``Const`` (converted here, once) or the ``Param`` whose value
+    every request supplies.  :meth:`bind` yields the request's test, or
+    None when a parameter is absent or has no exact raw image — no test
+    is the conservative answer, as it is at derivation.
     """
-    tests: List[ZoneTest] = []
+
+    __slots__ = ("name", "spec", "lo", "hi", "lo_strict", "hi_strict", "negated")
+
+    def __init__(
+        self,
+        name: str,
+        spec: Tuple[str, Any],
+        lo,
+        hi,
+        lo_strict: bool = False,
+        hi_strict: bool = False,
+        negated: bool = False,
+    ) -> None:
+        self.name = name
+        self.spec = spec
+        #: None (open), a raw value, or a ``Param``; a point test passes
+        #: the same operand as both bounds
+        self.lo = lo
+        self.hi = hi
+        self.lo_strict = lo_strict
+        self.hi_strict = hi_strict
+        self.negated = negated
+
+    def bind(self, params: Dict[str, Any]) -> Optional[ZoneTest]:
+        lo, hi = self.lo, self.hi
+        point = hi is lo
+        if isinstance(lo, Param):
+            lo = _zone_raw(params.get(lo.name), self.spec)
+            if lo is None:
+                return None
+        if point:
+            hi = lo
+        elif isinstance(hi, Param):
+            hi = _zone_raw(params.get(hi.name), self.spec)
+            if hi is None:
+                return None
+        return ZoneTest(
+            self.name, lo, hi, self.lo_strict, self.hi_strict, self.negated
+        )
+
+
+class CodeZoneTemplate:
+    """A :class:`CodeZoneTest` with its code set still open.
+
+    The dictionary moves under writers — a literal absent today is
+    interned tomorrow — so the matching codes are looked up by every
+    request (the ``StringDict`` caches them per dictionary version),
+    never frozen into the prepared scan.  ``arg`` is the constant the
+    match kind takes, or the ``Param`` of an equality.
+    """
+
+    __slots__ = ("name", "strdict", "kind", "arg")
+
+    def __init__(self, name: str, strdict, kind: str, arg) -> None:
+        self.name = name
+        self.strdict = strdict
+        self.kind = kind
+        self.arg = arg
+
+    def bind(self, params: Dict[str, Any]) -> Optional[CodeZoneTest]:
+        arg = self.arg
+        if isinstance(arg, Param):
+            value = params.get(arg.name)
+            if not isinstance(value, str):
+                return None
+            arg = frozenset((value,))
+        return CodeZoneTest(self.name, self.strdict.match_codes(self.kind, arg))
+
+
+def derive_zone_tests(predicates: List[Expr], source: Any = None) -> list:
+    """Lower a conjunction of filter predicates to zone-test templates.
+
+    A prepare-time call: the templates depend on the predicates alone,
+    and each request binds them to its parameters
+    (:meth:`ZoneTemplate.bind`).  *source* (the scanned collection)
+    supplies the string dictionary for code-space tests over varstring
+    predicates; without it only numeric tests are derived.
+    """
+    templates: list = []
     strdict = getattr(source, "strdict", None)
     for pred in predicates:
-        _derive_zone_test(pred, params, tests, strdict)
-    return tests
+        _derive_zone_test(pred, templates, strdict)
+    return templates
 
 
 def _string_zone_field(expr: Expr) -> Optional[Field]:
@@ -381,63 +460,70 @@ def _string_zone_field(expr: Expr) -> Optional[Field]:
     return None
 
 
-def _derive_zone_test(
-    expr: Expr, params: Dict[str, Any], out: List[ZoneTest], strdict=None
-) -> None:
+def _zone_operand(expr: Expr, spec: Tuple[str, Any]):
+    """The literal side of a zone-testable conjunct: a ``Param`` as
+    itself, a ``Const`` as its exact raw image, else ``_NO_LITERAL``."""
+    if isinstance(expr, Param):
+        return expr
+    if isinstance(expr, Const):
+        raw = _zone_raw(expr.value, spec)
+        if raw is not None:
+            return raw
+    return _NO_LITERAL
+
+
+def _derive_zone_test(expr: Expr, out: list, strdict=None) -> None:
     if isinstance(expr, BoolOp) and expr.op == "and":
         for part in expr.parts:
-            _derive_zone_test(part, params, out, strdict)
+            _derive_zone_test(part, out, strdict)
         return
     if isinstance(expr, Cmp):
-        field, value, op = None, None, expr.op
+        field, literal, op = None, None, expr.op
         if _zone_field(expr.left) is not None:
             field = _zone_field(expr.left)
-            value = _literal(expr.right, params)
+            literal = expr.right
         elif _zone_field(expr.right) is not None:
             field = _zone_field(expr.right)
-            value = _literal(expr.left, params)
+            literal = expr.left
             op = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}.get(op, op)
-        if field is None or value is _NO_LITERAL:
+        if field is None:
             return
         if isinstance(field, VarStringField):
-            if strdict is not None and op == "==" and isinstance(value, str):
-                out.append(
-                    CodeZoneTest(
-                        field.name,
-                        strdict.match_codes("inset", frozenset((value,))),
-                    )
-                )
+            if strdict is None or op != "==":
+                return
+            if isinstance(literal, Const) and isinstance(literal.value, str):
+                literal = frozenset((literal.value,))
+            elif not isinstance(literal, Param):
+                return
+            out.append(CodeZoneTemplate(field.name, strdict, "inset", literal))
             return
-        raw = _zone_raw(value, _field_dtype(field))
-        if raw is None:
+        spec = _field_dtype(field)
+        raw = _zone_operand(literal, spec)
+        if raw is _NO_LITERAL:
             return
         name = field.name
         if op == "==":
-            out.append(ZoneTest(name, raw, raw))
+            out.append(ZoneTemplate(name, spec, raw, raw))
         elif op == "!=":
-            out.append(ZoneTest(name, raw, raw, negated=True))
+            out.append(ZoneTemplate(name, spec, raw, raw, negated=True))
         elif op == "<":
-            out.append(ZoneTest(name, None, raw, hi_strict=True))
+            out.append(ZoneTemplate(name, spec, None, raw, hi_strict=True))
         elif op == "<=":
-            out.append(ZoneTest(name, None, raw))
+            out.append(ZoneTemplate(name, spec, None, raw))
         elif op == ">":
-            out.append(ZoneTest(name, raw, None, lo_strict=True))
+            out.append(ZoneTemplate(name, spec, raw, None, lo_strict=True))
         elif op == ">=":
-            out.append(ZoneTest(name, raw, None))
+            out.append(ZoneTemplate(name, spec, raw, None))
         return
     if isinstance(expr, Between):
         field = _zone_field(expr.inner)
         if field is None or isinstance(field, VarStringField):
             return
-        lo = _literal(expr.lo, params)
-        hi = _literal(expr.hi, params)
-        if lo is _NO_LITERAL or hi is _NO_LITERAL:
-            return
         spec = _field_dtype(field)
-        rlo, rhi = _zone_raw(lo, spec), _zone_raw(hi, spec)
-        if rlo is None or rhi is None:
+        rlo, rhi = _zone_operand(expr.lo, spec), _zone_operand(expr.hi, spec)
+        if rlo is _NO_LITERAL or rhi is _NO_LITERAL:
             return
-        out.append(ZoneTest(field.name, rlo, rhi))
+        out.append(ZoneTemplate(field.name, spec, rlo, rhi))
         return
     if isinstance(expr, InSet):
         field = _zone_field(expr.inner)
@@ -448,9 +534,8 @@ def _derive_zone_test(
                 isinstance(v, str) for v in expr.values
             ):
                 out.append(
-                    CodeZoneTest(
-                        field.name,
-                        strdict.match_codes("inset", frozenset(expr.values)),
+                    CodeZoneTemplate(
+                        field.name, strdict, "inset", frozenset(expr.values)
                     )
                 )
             return
@@ -459,24 +544,20 @@ def _derive_zone_test(
         if any(r is None for r in raws):
             return
         # Conservative envelope of the probe set.
-        out.append(ZoneTest(field.name, min(raws), max(raws)))
+        out.append(ZoneTemplate(field.name, spec, min(raws), max(raws)))
         return
     if isinstance(expr, StrPrefix):
         field = _string_zone_field(expr.inner)
         if field is not None and strdict is not None:
             out.append(
-                CodeZoneTest(
-                    field.name, strdict.match_codes("prefix", expr.prefix)
-                )
+                CodeZoneTemplate(field.name, strdict, "prefix", expr.prefix)
             )
         return
     if isinstance(expr, StrContains):
         field = _string_zone_field(expr.inner)
         if field is not None and strdict is not None:
             out.append(
-                CodeZoneTest(
-                    field.name, strdict.match_codes("contains", expr.needle)
-                )
+                CodeZoneTemplate(field.name, strdict, "contains", expr.needle)
             )
 
 

@@ -96,6 +96,45 @@ def enabled() -> bool:
 
 
 # ----------------------------------------------------------------------
+# The coarse statistics stamp: the one staleness rule
+# ----------------------------------------------------------------------
+
+
+def _collection_stamp(coll) -> tuple:
+    """Block count, log2 bucket of the string dictionary's live
+    cardinality, and the index set of one collection."""
+    sd = coll.strdict
+    return (
+        coll.context.block_count(),
+        sd.live_count.bit_length() if sd is not None else 0,
+        tuple(coll._indexes),
+    )
+
+
+def stats_stamp(manager) -> tuple:
+    """The coarse statistics stamp of the store on *manager*.
+
+    One :func:`_collection_stamp` per registered collection (the
+    planner's statistics universe: navigation resolves fields through
+    the same registry).  Everything decided from statistics — conjunct
+    order, access path, the table statistics themselves — is valid while
+    the stamp is unchanged: the memo of prepared scans on a ``Query``,
+    the service's plan cache and :func:`table_stats` all compare it and
+    nothing else.  It is exactly coarse enough that steady-state churn
+    (slot reuse inside existing blocks, refcount traffic on existing
+    strings) leaves it alone while real growth — a new block, a
+    cardinality doubling, an index — moves it.  An unchanged stamp is
+    returned as the *same* tuple, so holders compare by identity first.
+    """
+    stamp = tuple([_collection_stamp(c) for c in manager.collections.values()])
+    last = getattr(manager, "_stats_stamp", None)
+    if stamp == last:
+        return last
+    manager._stats_stamp = stamp
+    return stamp
+
+
+# ----------------------------------------------------------------------
 # Table statistics (from zone maps, cached per memory context)
 # ----------------------------------------------------------------------
 
@@ -109,17 +148,22 @@ class TableStats:
     published only when *every* zoned block contributed a set — a block
     whose per-block domain overflowed the zone map's set limit means the
     field's true cardinality is unknown, so the field is dropped rather
-    than under-counted.
+    than under-counted.  ``rows`` is read live from the source: the
+    envelope is cached across mutations, the row count need not be.
     """
 
-    __slots__ = ("rows", "blocks", "lo", "hi", "distinct")
+    __slots__ = ("source", "blocks", "lo", "hi", "distinct")
 
-    def __init__(self) -> None:
-        self.rows = 0
+    def __init__(self, source) -> None:
+        self.source = source
         self.blocks = 0
         self.lo: Dict[str, Any] = {}
         self.hi: Dict[str, Any] = {}
         self.distinct: Dict[str, int] = {}
+
+    @property
+    def rows(self) -> int:
+        return len(self.source)
 
     def bounds(self, name: str) -> Optional[Tuple[Any, Any]]:
         lo = self.lo.get(name)
@@ -142,7 +186,7 @@ def _collect_stats(source) -> TableStats:
     from repro.query.runtime import scan_blocks
 
     manager = source.manager
-    stats = TableStats()
+    stats = TableStats(source)
     sets: Dict[str, set] = {}
     contrib: Dict[str, int] = {}
     zoned_blocks = 0
@@ -174,27 +218,25 @@ def _collect_stats(source) -> TableStats:
     for name, values in sets.items():
         if contrib.get(name) == zoned_blocks and values:
             stats.distinct[name] = len(values)
-    stats.rows = len(source)
     return stats
 
 
 def table_stats(source) -> Optional[TableStats]:
     """Cached :class:`TableStats` for a collection-like source.
 
-    Invalidation is coarse on purpose: the cache key is (block count,
-    row count), which catches loads, bulk deletes and compaction; pure
-    in-place updates that move a column's envelope are picked up the
-    next time the shape changes (estimates tolerate that staleness —
-    the service-level plan-cache fingerprint handles drift for cached
-    plans).
+    A prepare-time and EXPLAIN-time call: no served request reaches it
+    once its scan is prepared.  The cache is keyed on the collection's
+    coarse stamp (:func:`_collection_stamp`), so adds and removes inside
+    existing blocks — a refresh cycle — keep it, and a reader beside a
+    writer does not re-fold every block's zone map per query; a new
+    block or a dictionary-cardinality doubling refreshes it.  In-place
+    movement of a column's envelope is picked up at the next such change
+    (estimates tolerate that staleness; the row count is always live).
     """
     context = getattr(source, "context", None)
     if context is None or getattr(source, "manager", None) is None:
         return None
-    try:
-        key = (context.block_count(), len(source))
-    except TypeError:
-        return None
+    key = _collection_stamp(source)
     cached = getattr(context, "_planner_stats", None)
     if cached is not None and cached[0] == key:
         return cached[1]
@@ -625,14 +667,27 @@ def order_filters(
 
 
 class IndexChoice:
-    """A point predicate answerable by a hash index."""
+    """A point predicate answerable by a hash index.
 
-    __slots__ = ("index", "key", "pred_index")
+    Chosen once, at prepare, as the access-path *candidate*: the index
+    and the literal operand (``Const`` or ``Param``) its key comes from.
+    ``key`` is the operand's value under the params the choice was made
+    or bound with; :meth:`bind` gives another request's choice.
+    """
 
-    def __init__(self, index, key, pred_index: int) -> None:
+    __slots__ = ("index", "operand", "pred_index", "key")
+
+    def __init__(self, index, operand: Expr, pred_index: int, key) -> None:
         self.index = index
-        self.key = key          # decoded key value (HashIndex key domain)
+        self.operand = operand
         self.pred_index = pred_index  # position in the ordered filter list
+        self.key = key          # decoded key value (HashIndex key domain)
+
+    def bind(self, params: Dict[str, Any]) -> Optional["IndexChoice"]:
+        key = _literal(self.operand, params)
+        if key is _NO_LITERAL:
+            return None  # no key this request: scan
+        return IndexChoice(self.index, self.operand, self.pred_index, key)
 
 
 def choose_index(
@@ -652,20 +707,21 @@ def choose_index(
     for i, expr in enumerate(ordered):
         if not isinstance(expr, Cmp) or expr.op != "==":
             continue
-        field, value = None, None
+        field, operand = None, None
         if isinstance(expr.left, FieldRef) and not expr.left.steps:
-            field = expr.left.field
-            value = _literal(expr.right, params)
+            field, operand = expr.left.field, expr.right
         elif isinstance(expr.right, FieldRef) and not expr.right.steps:
-            field = expr.right.field
-            value = _literal(expr.left, params)
-        if field is None or value is _NO_LITERAL:
+            field, operand = expr.right.field, expr.left
+        if field is None:
+            continue
+        value = _literal(operand, params)
+        if value is _NO_LITERAL:
             continue
         for index in indexed.get(field.name, ()):
             if index.kind != "hash":
                 continue
             if plans[i].selectivity <= INDEX_SELECTIVITY_LIMIT:
-                return IndexChoice(index, value, i)
+                return IndexChoice(index, operand, i, value)
     return None
 
 
@@ -857,6 +913,11 @@ def record_observation(info: Optional[PlanInfo], **kwargs) -> None:
 
 def observation(signature: str) -> Optional[Dict[str, Any]]:
     return _feedback.observation(signature)
+
+
+def morsel_hint(signature: str) -> Optional[int]:
+    """Adaptive morsel width for the next execution of *signature*."""
+    return _feedback.morsel_hint(signature)
 
 
 def clear_feedback() -> None:

@@ -1,20 +1,22 @@
 """Prepared-plan cache keyed on (query, layout, encoding, engine).
 
 Query plans are parameterised at run time (``Query.run(params=...)``),
-so one built plan serves every request for the same query shape.  The
-cache sits above the compiler's compiled-function cache: a plan-cache
-hit skips plan construction entirely, and because the underlying
-``Query.signature()`` is stable, repeated compiles across sessions also
-hit ``repro.query.compiler._CACHE``.  Hit/miss counters feed the
-service metrics registry.
+so one built plan serves every request for the same query shape.  What
+an entry holds is the ``Query`` tree *and the prepared scans memoised on
+it* by the vectorised engine (``columnar_exec.build_scan_plan``):
+predicate order, access path, zone-test templates.  A hit therefore
+skips plan construction and planning alike — the request only binds its
+parameters.  Hit/miss counters feed the service metrics registry.
 
-Plans built by the cost-based planner embed statistics decisions —
-predicate order, access path, morsel width — that go stale as the store
-mutates.  Each cached plan therefore carries the coarse **stats
-fingerprint** (per-collection block count and log2 dictionary-cardinality
-bucket, computed by the service per request) it was planned under; a
-lookup whose fingerprint drifted evicts the entry and rebuilds, counted
-by ``smc_plancache_stale_evictions_total``.
+Those decisions come from statistics and go stale as the store grows.
+Each entry carries the coarse **stats stamp**
+(``repro.query.planner.stats_stamp``: per collection, block count, log2
+dictionary-cardinality bucket and index set; read by the service once
+per request) it was built under — the one staleness rule, and the same
+interned object the engine checks the prepared scans against.  A lookup whose stamp
+moved evicts the entry and rebuilds, counted by
+``smc_plancache_stale_evictions_total``; adds and removes inside
+existing blocks move nothing.
 
 The cache is also a governor tenant: plans are charged a nominal byte
 cost and evicted oldest-first when the installed budget shrinks below
@@ -26,7 +28,7 @@ from __future__ import annotations
 import threading
 from typing import Any, Callable, Dict, Optional, Tuple
 
-PlanKey = Tuple[str, str, str, str]
+PlanKey = Tuple[str, str, str, Any]
 
 #: Nominal bytes charged per cached plan.  Plans are small object graphs
 #: (expression trees + compiled-function references) whose true footprint
@@ -67,8 +69,10 @@ class PlanCache:
 
     @staticmethod
     def key_for(
-        query_name: str, layout: str, encoding: str, engine: str
+        query_name: str, layout: str, encoding: str, engine: Any
     ) -> PlanKey:
+        """*engine* is whatever hashable names the execution options
+        (engine, flavour, workers, pruning, planner)."""
         return (query_name, layout, encoding, engine)
 
     def _evict_to_budget_locked(self) -> None:
@@ -91,7 +95,8 @@ class PlanCache:
         with self._lock:
             plan = self._plans.get(key)
             if plan is not None and fingerprint is not None:
-                if self._fingerprints.get(key) != fingerprint:
+                held = self._fingerprints.get(key)
+                if held is not fingerprint and held != fingerprint:
                     del self._plans[key]
                     self._fingerprints.pop(key, None)
                     self.stale_evictions += 1

@@ -40,6 +40,7 @@ import time
 from typing import Any, Dict, List, Optional
 
 from repro.durability.replication import StalePromotionError
+from repro.query import planner as _planner
 from repro.schema import Int64Field, Tabular, VarStringField
 from repro.service import protocol
 from repro.service.admission import AdmissionController, OverloadedError
@@ -58,6 +59,7 @@ from repro.service.session import (
     SessionExpiredError,
     SessionRegistry,
 )
+from repro.tpch.queries import DEFAULT_PARAMS, EXTRA_QUERIES, QUERIES
 
 
 class _ServiceChurn(Tabular):
@@ -202,6 +204,18 @@ class QueryService:
             metrics=self.metrics,
         )
         self.plans = PlanCache(metrics=self.metrics)
+        #: Layout and string encoding of the served store, for plan-cache
+        #: keys; neither changes after start-up.
+        self._layout = next(
+            (
+                getattr(coll, "compiled_flavor", "smc-unsafe")
+                for coll in self.collections.values()
+            ),
+            "smc-unsafe",
+        )
+        self._encoding = (
+            "dict" if getattr(self.manager, "string_dict", False) else "plain"
+        )
         self._requests = self.metrics.counter(
             "service_requests_total", "Requests handled, by op and status"
         )
@@ -298,36 +312,6 @@ class QueryService:
         if self.store is not None:
             return self.store.committed_lsn
         return 0
-
-    # -- layout/encoding fingerprint for plan-cache keys ---------------
-
-    def _layout(self) -> str:
-        for coll in self.collections.values():
-            return getattr(coll, "compiled_flavor", "smc-unsafe")
-        return "smc-unsafe"
-
-    def _encoding(self) -> str:
-        return "dict" if getattr(self.manager, "string_dict", False) else "plain"
-
-    def _stats_fingerprint(self) -> tuple:
-        """Coarse store-statistics fingerprint for plan-cache staleness.
-
-        Per collection: block count plus the log2 bucket of the string
-        dictionary's live cardinality.  Cheap to compute per request and
-        exactly coarse enough that steady-state churn (slot reuse inside
-        existing blocks, refcount traffic on existing strings) leaves it
-        unchanged while real growth — new blocks, a cardinality
-        doubling — evicts the plans whose statistics it invalidates.
-        """
-        parts = []
-        for name in sorted(self.collections):
-            coll = self.collections[name]
-            ctx = getattr(coll, "context", None)
-            blocks = ctx.block_count() if ctx is not None else 0
-            sd = getattr(coll, "strdict", None)
-            card = sd.live_count if sd is not None else 0
-            parts.append((name, blocks, int(card).bit_length()))
-        return tuple(parts)
 
     # -- churn ---------------------------------------------------------
 
@@ -436,8 +420,6 @@ class QueryService:
         return {"ok": True, "released": released}
 
     def _op_query(self, message: Dict[str, Any]) -> Dict[str, Any]:
-        from repro.tpch.queries import DEFAULT_PARAMS, EXTRA_QUERIES, QUERIES
-
         name = message.get("query")
         builder = QUERIES.get(name) or EXTRA_QUERIES.get(name)
         if builder is None:
@@ -490,18 +472,19 @@ class QueryService:
         # guaranteed to reflect at least this LSN, never less.
         lsn_at_start = self._current_lsn()
         use_planner = bool(message.get("planner", self.planner_enabled))
-        engine_key = (
-            f"{engine}:{flavor or ''}:w{workers}:p{int(prune)}"
-            f":pl{int(use_planner)}"
-        )
         key = PlanCache.key_for(
-            str(name), self._layout(), self._encoding(), engine_key
+            str(name),
+            self._layout,
+            self._encoding,
+            (engine, flavor, workers, prune, use_planner),
         )
-        # Planned plans embed statistics decisions; key them under the
-        # store's coarse stats fingerprint so drift evicts them.
-        fingerprint = self._stats_fingerprint() if use_planner else None
+        # A cached query carries its prepared scans (conjunct order,
+        # access path), decided from statistics; it lives while the
+        # store's coarse stats stamp — the one the engine validates those
+        # scans against — is the one it was built under.
+        stamp = _planner.stats_stamp(self.manager) if use_planner else None
         plan = self.plans.get_or_build(
-            key, lambda: builder(self.collections), fingerprint=fingerprint
+            key, lambda: builder(self.collections), fingerprint=stamp
         )
 
         # Serve-path worker routing: a query the planner estimates to
@@ -509,8 +492,6 @@ class QueryService:
         # run it on one worker and leave the pool to the big scans.
         effective_workers = workers
         if use_planner and workers > 1:
-            from repro.query import planner as _planner
-
             est = _planner.estimate_query_rows(plan, params)
             effective_workers = _planner.route_workers(est, workers)
             if effective_workers != workers:
@@ -554,8 +535,6 @@ class QueryService:
 
     def _op_explain(self, message: Dict[str, Any]) -> Dict[str, Any]:
         """EXPLAIN surface: the planner's view of a query, no execution."""
-        from repro.tpch.queries import DEFAULT_PARAMS, EXTRA_QUERIES, QUERIES
-
         name = message.get("query")
         builder = QUERIES.get(name) or EXTRA_QUERIES.get(name)
         if builder is None:
