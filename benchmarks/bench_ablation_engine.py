@@ -1,8 +1,7 @@
 """Ablation benches for the design choices DESIGN.md calls out.
 
-1. **Execution strategy** for the raw-block ("unsafe") backend: the
-   block-vectorised engine (strided NumPy views) versus the per-row
-   generated-``struct`` code (``smc-unsafe-scalar``) versus handle-level
+1. **Execution strategy**: the raw-block ("unsafe") backend's
+   block-vectorised engine (strided NumPy views) versus handle-level
    decoding (``smc-safe``).  The vectorised engine is why the repo's
    Figure 11 shape holds; this bench quantifies the choice.
 2. **Block size**: per-block overhead vs block-at-a-time efficiency.
@@ -61,19 +60,13 @@ def test_ablation_engine_strategy(report, benchmark):
         q = _query(coll)
         params = {"q": 40}
         vectorised = time_callable(lambda: q.run(params=params), repeat=3)
-        scalar = time_callable(
-            lambda: q.run(flavor="smc-unsafe-scalar", params=params), repeat=3
-        )
         safe = time_callable(
             lambda: q.run(flavor="smc-safe", params=params), repeat=3
         )
         report.record("vectorised (default)", "strategy", vectorised * 1000)
-        report.record("scalar codegen", "strategy", scalar * 1000)
         report.record("handle-level (safe)", "strategy", safe * 1000)
-        # The vectorised engine must justify its existence...
-        assert vectorised < scalar
-        # ...and raw access must beat per-field boxing by a wide margin.
-        assert scalar < safe
+        # Raw vectorised access must beat per-field boxing.
+        assert vectorised < safe
         manager.close()
 
     benchmark.pedantic(_run, rounds=1, iterations=1)
@@ -98,7 +91,7 @@ def test_ablation_block_size(report, benchmark):
     benchmark.pedantic(_run, rounds=1, iterations=1)
 
 
-@pytest.mark.parametrize("flavor", ["smc-unsafe", "smc-unsafe-scalar", "smc-safe"])
+@pytest.mark.parametrize("flavor", ["smc-unsafe", "smc-safe"])
 def test_ablation_flavor_benchmark(benchmark, flavor):
     manager, coll = _collection()
     q = _query(coll)

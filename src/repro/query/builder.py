@@ -409,10 +409,7 @@ class Query(Signed):
         if backend in ("columnar", "smc-unsafe"):
             from repro.query import planner as _planner
 
-            use_planner = (
-                _planner.enabled() if planner is None else bool(planner)
-            )
-            if use_planner:
+            if planner is None or planner:
                 filters = [
                     op.pred for op in self.ops if isinstance(op, Where)
                 ]

@@ -13,15 +13,20 @@ accessor.  Columnar blocks expose real per-field arrays (contiguous, the
 fastest case); row blocks expose *strided* views into the slot bytes, so
 the row layout pays the cache-unfriendly stride the paper's Figure 12
 measures against true columnar storage.  The logical plans, parameters
-and results are exactly those of the scalar backends, so all engines stay
-interchangeable and cross-checkable (the per-row scalar code generator
-remains available as the ``smc-unsafe-scalar`` ablation flavour).
+and results are exactly those of the generated ``managed`` / ``smc-safe``
+code and the interpreter, so all engines stay interchangeable and
+cross-checkable.
+
+Results stay raw until the end: every executor hands the driver chunks
+of NumPy columns (:class:`_Accumulator`) — a process worker folds its
+unit and ships arrays — and :meth:`_Accumulator.finish` folds them once
+and decodes each output column once.
 
 Scaled-decimal arithmetic note: decimal columns hold int64 fixed-point
 values; products of two decimals carry the summed scale.  TPC-H's
 ``price * (1-disc) * (1+tax)`` reaches scale 6 (~1e11 per row), far inside
-int64, and per-block partial sums are accumulated in Python ints, which
-are unbounded.
+int64, and grouped sums fold in int64 (through float64 ``bincount`` only
+while that is exact).
 """
 
 from __future__ import annotations
@@ -94,16 +99,16 @@ def build_scan_plan(
     The plan is what executors (serial, thread pool, process pool)
     consume; the post ops (order/limit/having/distinct) always run on
     the driver after the merge.  ``planner`` toggles cost-based conjunct
-    splitting/ordering and access-path choice (None = process default);
-    with the planner off, predicates run in declaration order — the
-    ablation baseline.
+    splitting/ordering and access-path choice (None = on); with the
+    planner off, predicates run in declaration order — the ablation
+    baseline.
 
     Two steps, the paper's compile-once-run-many (section 4): the query
     is *prepared* once — everything that does not depend on the
     parameters, memoised on the ``Query`` node — and every request only
     *binds* its parameters to that.
     """
-    use_planner = _planner.enabled() if planner is None else bool(planner)
+    use_planner = planner is None or bool(planner)
     stamp = _planner.stats_stamp(query.source.manager)
     try:
         memo = query._prepared
@@ -1212,7 +1217,8 @@ def _group_factorize(
 def _grouped_sums(
     chunks: List[np.ndarray], inverse: np.ndarray, nuniq: int
 ) -> np.ndarray:
-    """Per-group sums folded chunk by chunk (chunk = one scanned block).
+    """Per-group sums folded chunk by chunk (a chunk is one scanned block
+    or a folded unit of blocks).
 
     Dense-group-code scatter: ``np.add.at`` is an unbuffered (hence
     slow) scatter; bincount-with-weights is the vectorised fast path.
@@ -1247,77 +1253,88 @@ def _grouped_sums(
     return total
 
 
+def _grouped_extremes(
+    kind: str, arr: np.ndarray, inverse: np.ndarray, nuniq: int
+) -> np.ndarray:
+    """Per-group minimum (*kind* ``"min"``) or maximum of *arr*."""
+    if arr.dtype.kind in "iuf":
+        if arr.dtype.kind == "f":
+            lowest, highest = -np.inf, np.inf
+        else:
+            info = np.iinfo(arr.dtype)
+            lowest, highest = info.min, info.max
+        fold = np.minimum if kind == "min" else np.maximum
+        out = np.full(nuniq, highest if kind == "min" else lowest, dtype=arr.dtype)
+        fold.at(out, inverse, arr)
+        return out
+    # Strings (text or bytes): per-row Python fold.
+    cells: List[Any] = [None] * nuniq
+    lt = kind == "min"
+    for g, v in zip(inverse.tolist(), arr.tolist()):
+        cur = cells[g]
+        if cur is None or (v < cur if lt else v > cur):
+            cells[g] = v
+    return np.array(cells)
+
+
 class _Accumulator:
+    """A scan's output, kept as raw column chunks until :meth:`finish`.
+
+    A chunk is ``(rows, key columns, cells)`` — one absorbed block, or
+    the fold of many.  A projection's outputs are its key columns and it
+    has no cells; a group-by has one cell per aggregate: a count's
+    weights (None: one per row), the values of a sum, min or max, an
+    average's ``(values, weights)``.  :meth:`fold` returns a chunk of the
+    same shape with one row per group, so its output folds again: a
+    process worker folds its unit and ships the arrays, :meth:`merge`
+    appends chunk lists in sequence order, and :meth:`finish` folds once
+    and decodes each output column once.
+    """
+
     def __init__(self, terminal) -> None:
         self.terminal = terminal
-        self.rows: List[tuple] = []
-        self.groups: Dict[Any, list] = {}
-        #: dtypes of the group-by keys, or of a projection's outputs
+        #: the key expressions (a projection's outputs) and the aggregates
+        self.keys = []
+        self.aggs = []
+        if isinstance(terminal, Select):
+            self.keys = terminal.outputs
+        elif terminal is not None:
+            self.keys, self.aggs = terminal.keys, terminal.aggs
+        #: an enumeration's live references (never cross a process)
+        self.refs: List[Any] = []
+        self.chunks: List[tuple] = []
+        #: raw dtypes of the key columns and the aggregates, set by the
+        #: first block that matched a row
         self.key_dtypes: Optional[List[Tuple[str, Any]]] = None
         self.agg_dtypes: Optional[List[Tuple[str, Any]]] = None
-        #: Deferred scan output: per-block ``(n, key_arrays, agg_arrays)``
-        #: raw vectors (a projection's outputs are its key arrays),
-        #: folded or decoded once by :meth:`_collapse`.
-        self._pending: List[Tuple[int, list, list]] = []
         #: Valid rows examined before filtering (scan-volume telemetry).
         self.rows_scanned = 0
         #: Rows surviving every filter/probe (observed selectivity).
         self.rows_matched = 0
 
     def absorb(self, ctx: _BlockCtx) -> None:
+        """Append a block's matched rows as a chunk of raw columns."""
         ctx.detach()  # what is kept from here on outlives the scan
-        terminal = self.terminal
-        if terminal is None:
-            self._absorb_enumeration(ctx)
-        elif isinstance(terminal, Select):
-            self._absorb_select(ctx)
-        else:
-            self._absorb_groupby(ctx)
+        if self.terminal is None:
+            from repro.memory.reference import Ref
 
-    def _absorb_enumeration(self, ctx: _BlockCtx) -> None:
-        from repro.memory.reference import Ref
-
-        table = ctx.manager.table
-        for entry in ctx.block.backptrs[ctx.idx]:
-            entry = int(entry)
-            self.rows.append(Ref(ctx.manager, entry, table.incarnation(entry)))
-
-    def _absorb_select(self, ctx: _BlockCtx) -> None:
-        """Defer a block's projection: raw columns now, decoding once."""
+            table = ctx.manager.table
+            for entry in ctx.block.backptrs[ctx.idx].tolist():
+                self.refs.append(Ref(ctx.manager, entry, table.incarnation(entry)))
+            return
         n = ctx.idx.size
-        arrays = []
-        dtypes = []
-        for __, e in self.terminal.outputs:
-            arr, dtype = ctx.eval(e)
-            arrays.append(_as_column(arr, n))
-            dtypes.append(dtype)
-        self.key_dtypes = dtypes
-        if n:
-            self._pending.append((n, arrays, []))
-
-    def _absorb_groupby(self, ctx: _BlockCtx) -> None:
-        """Defer a block's group-by input: evaluate and append, don't fold.
-
-        Per-block grouping used to pay a unique + a Python merge per
-        (block x group); instead the key/aggregate vectors are stashed
-        and :meth:`_collapse` factorizes and folds the whole scan's
-        output once, vectorised end to end.
-        """
-        op: GroupBy = self.terminal
-        n = ctx.idx.size
-        key_arrays = []
+        keys = []
         key_dtypes = []
-        for __, e in op.keys:
+        for __, e in self.keys:
             arr, dtype = ctx.eval(e)
-            key_arrays.append(_as_column(arr, n))
+            keys.append(_as_column(arr, n))
             key_dtypes.append(dtype)
-        self.key_dtypes = key_dtypes
-        agg_arrays: List[Optional[np.ndarray]] = []
+        cells = []
         agg_dtypes = []
-        for __, agg in op.aggs:
+        for __, agg in self.aggs:
             if agg.kind == "count":
+                cells.append(None)
                 agg_dtypes.append(("int", None))
-                agg_arrays.append(None)
                 continue
             arr, dtype = ctx.eval(agg.expr)
             arr = np.asarray(arr)
@@ -1327,219 +1344,129 @@ class _Accumulator:
                 # min/max order by text, not by allocation-ordered code.
                 arr = dtype[1].decode_array(arr)
                 dtype = ("str", "py")
+            arr = _as_column(arr, n)
+            cells.append((arr, None) if agg.kind == "avg" else arr)
             agg_dtypes.append(dtype)
-            agg_arrays.append(_as_column(arr, n))
+        self.key_dtypes = key_dtypes
         self.agg_dtypes = agg_dtypes
-        if n:  # empty blocks set dtypes but contribute no groups
-            self._pending.append((n, key_arrays, agg_arrays))
+        self.chunks.append((n, keys, cells))
 
-    def _take_pending(self) -> Tuple[list, List[np.ndarray]]:
-        """Pop the deferred vectors: ``(chunks, whole key columns)``."""
-        pending, self._pending = self._pending, []
-        width = len(self.key_dtypes)
-        return pending, [
-            _concat([p[1][i] for p in pending]) for i in range(width)
-        ]
-
-    def _fold(self) -> Tuple[List[np.ndarray], List[Any]]:
-        """Fold the deferred group-by vectors: ``(unique key columns,
-        per-aggregate cells)`` over the concatenated scan output.
+    def fold(self) -> tuple:
+        """The chunks as one: a projection's concatenated, a group-by's
+        with one row per group, in ascending raw-key order.
 
         One key factorization plus one vectorised fold per aggregate.
-        Sums fold chunk by chunk in block order, reproducing exactly the
-        partial-sum addition order (and the float64/int64 exactness
-        guard) of a per-block fold.  An aggregate's cells are one array
-        with a value per group — ``(sums, counts)`` for an average.
+        Sums fold chunk by chunk in sequence order, so float sums add in
+        the order a serial per-block fold adds them whether a chunk is one
+        block or a worker's folded unit.  The unweighted group count is
+        computed once and shared by the count and every average.
         """
-        pending, cols = self._take_pending()
-        op: GroupBy = self.terminal
+        chunks = self.chunks
+        rows = sum(chunk[0] for chunk in chunks)
+        cols = [
+            _concat([chunk[1][i] for chunk in chunks])
+            for i in range(len(self.keys))
+        ]
+        if isinstance(self.terminal, Select):
+            return rows, cols, []
         if cols:
-            uniq_cols, inverse = _group_factorize(cols)
-            nuniq = len(uniq_cols[0])
+            keys, inverse = _group_factorize(cols)
+            nuniq = len(keys[0])
         else:
-            uniq_cols = []
-            inverse = np.zeros(sum(p[0] for p in pending), dtype=np.int64)
-            nuniq = 1
-        counts = np.bincount(inverse, minlength=nuniq)
-        cells_per_agg: List[Any] = []
-        for i, (__, agg) in enumerate(op.aggs):
-            kind = agg.kind
-            if kind == "count":
-                cells_per_agg.append(counts)
-                continue
-            chunks = [p[2][i] for p in pending]
-            if kind in ("sum", "avg"):
-                sums = _grouped_sums(chunks, inverse, nuniq)
-                cells_per_agg.append(sums if kind == "sum" else (sums, counts))
-                continue
-            arr = _concat(chunks)
-            if arr.dtype.kind in "iuf":
-                if arr.dtype.kind == "f":
-                    lowest, highest = -np.inf, np.inf
-                else:
-                    info = np.iinfo(arr.dtype)
-                    lowest, highest = info.min, info.max
-                fold = np.minimum if kind == "min" else np.maximum
-                out = np.full(
-                    nuniq, highest if kind == "min" else lowest, dtype=arr.dtype
+            keys, inverse, nuniq = [], np.zeros(rows, dtype=np.int64), 1
+        counts = None
+
+        def weights(parts):
+            nonlocal counts
+            if any(w is not None for w in parts):
+                return _grouped_sums(
+                    [
+                        np.ones(chunk[0], dtype=np.int64) if w is None else w
+                        for w, chunk in zip(parts, chunks)
+                    ],
+                    inverse,
+                    nuniq,
                 )
-                fold.at(out, inverse, arr)
-                cells_per_agg.append(out)
+            if counts is None:
+                counts = np.bincount(inverse, minlength=nuniq)
+            return counts
+
+        cells: List[Any] = []
+        for i, (__, agg) in enumerate(self.aggs):
+            parts = [chunk[2][i] for chunk in chunks]
+            if agg.kind == "count":
+                cells.append(weights(parts))
+            elif agg.kind == "avg":
+                sums = _grouped_sums([p[0] for p in parts], inverse, nuniq)
+                cells.append((sums, weights([p[1] for p in parts])))
+            elif agg.kind == "sum":
+                cells.append(_grouped_sums(parts, inverse, nuniq))
             else:
-                # Strings (object or bytes): per-group Python fold.
-                cells: List[Any] = [None] * nuniq
-                lt = kind == "min"
-                for g, v in zip(inverse.tolist(), arr.tolist()):
-                    cur = cells[g]
-                    if cur is None or (v < cur if lt else v > cur):
-                        cells[g] = v
-                cells_per_agg.append(np.array(cells))
-        return uniq_cols, cells_per_agg
+                cells.append(
+                    _grouped_extremes(agg.kind, _concat(parts), inverse, nuniq)
+                )
+        return nuniq, keys, cells
 
     def raw_columns(self) -> Optional[_KeyColumns]:
         """The scan's whole output as raw columns — what a semi-join
-        probes — or None when only decoded rows can express it (merged-in
-        wire partials, an average's sum/count pairs)."""
-        if self.rows or self.groups or self.terminal is None:
+        probes — or None when only decoded rows can express it (an
+        enumeration's references, an average's totals and weights)."""
+        if self.terminal is None or any(a.kind == "avg" for __, a in self.aggs):
             return None
-        if not self._pending:
+        if not self.chunks:
             return _KeyColumns([], [])
-        if isinstance(self.terminal, Select):
-            return _KeyColumns(self._take_pending()[1], self.key_dtypes)
-        if any(agg.kind == "avg" for __, agg in self.terminal.aggs):
-            return None
-        uniq_cols, cells_per_agg = self._fold()
-        return _KeyColumns(
-            uniq_cols + cells_per_agg, self.key_dtypes + self.agg_dtypes
-        )
-
-    def _collapse(self) -> None:
-        """Decode or fold the deferred vectors into ``rows`` / ``groups``.
-
-        Runs once per accumulator (at finish, merge or wire encoding).
-        """
-        if not self._pending:
-            return
-        if isinstance(self.terminal, Select):
-            columns = [
-                _decode_column(col, dtype)
-                for col, dtype in zip(self._take_pending()[1], self.key_dtypes)
-            ]
-            self.rows.extend(zip(*columns))
-            return
-        uniq_cols, cells_per_agg = self._fold()
-        if uniq_cols:
-            uniq_keys = list(zip(*[col.tolist() for col in uniq_cols]))
-        else:
-            uniq_keys = [()]
-        cells_per_agg = [
-            [[s, c] for s, c in zip(cells[0].tolist(), cells[1].tolist())]
-            if isinstance(cells, tuple)  # an average's (sums, counts)
-            else cells.tolist()
-            for cells in cells_per_agg
-        ]
-        groups = self.groups
-        kinds = [agg.kind for __, agg in self.terminal.aggs]
-        # ``groups`` may already hold merged-in (wire-decoded) partials.
-        for g, key in enumerate(uniq_keys):
-            acc = groups.get(key)
-            if acc is None:
-                groups[key] = [
-                    self._init_cell(kinds[i], cells_per_agg[i][g])
-                    for i in range(len(kinds))
-                ]
-            else:
-                for i, kind in enumerate(kinds):
-                    self._merge_cell(acc, i, kind, cells_per_agg[i][g])
-
-    @staticmethod
-    def _init_cell(kind: str, value):
-        if kind == "avg":
-            return list(value)  # [total, count], mutable running pair
-        return value  # count / sum / min / max
+        __, keys, cells = self.fold()
+        return _KeyColumns(keys + cells, self.key_dtypes + self.agg_dtypes)
 
     def merge(self, other: "_Accumulator") -> None:
-        """Fold another partial accumulator into this one (barrier merge).
+        """Append another partial's output (barrier merge).
 
-        The parallel executor gives every morsel its own accumulator and
-        merges them in block order, so rows concatenate and group cells
-        combine exactly as the serial scan would have produced them.
+        The executors merge partials in block (sequence) order, so the
+        chunk list is the serial scan's and :meth:`finish` produces
+        exactly its rows, in its order.
         """
-        if self._pending and other.rows:
-            self._collapse()  # deferred rows decode before later ones join
-        self.rows.extend(other.rows)
+        self.refs.extend(other.refs)
+        self.chunks.extend(other.chunks)
         self.rows_scanned += other.rows_scanned
         self.rows_matched += other.rows_matched
         if other.key_dtypes is not None:
             self.key_dtypes = other.key_dtypes
             self.agg_dtypes = other.agg_dtypes
-        # Deferred group-by vectors concatenate in merge order, so the
-        # final collapse folds them exactly as one serial scan would.
-        self._pending.extend(other._pending)
-        other._pending = []
-        if not other.groups:
-            return
-        kinds = [agg.kind for __, agg in self.terminal.aggs]
-        for key, cells in other.groups.items():
-            mine = self.groups.get(key)
-            if mine is None:
-                self.groups[key] = cells
-                continue
-            for i, kind in enumerate(kinds):
-                self._merge_cell(mine, i, kind, cells[i])
-
-    @staticmethod
-    def _merge_cell(acc: list, i: int, kind: str, value) -> None:
-        if kind in ("sum", "count"):
-            acc[i] += value
-        elif kind == "avg":
-            acc[i][0] += value[0]
-            acc[i][1] += value[1]
-        elif kind == "min":
-            acc[i] = value if acc[i] is None else min(acc[i], value)
-        elif kind == "max":
-            acc[i] = value if acc[i] is None else max(acc[i], value)
 
     def finish(self, manager) -> Tuple[List[str], List[tuple]]:
-        terminal = self.terminal
-        if terminal is None:
-            return ["*"], self.rows
-        self._collapse()
-        if isinstance(terminal, Select):
-            return [name for name, __ in terminal.outputs], self.rows
-        op: GroupBy = terminal
-        columns = [n for n, __ in op.keys] + [n for n, __ in op.aggs]
-        rows: List[tuple] = []
-        if self.key_dtypes is None:
-            return columns, rows
-        for key, acc in self.groups.items():
-            parts = [
-                _decode(k, d) for k, d in zip(key, self.key_dtypes)
-            ]
-            for i, (__, agg) in enumerate(op.aggs):
-                dtype = self.agg_dtypes[i]
-                if agg.kind == "count":
-                    parts.append(acc[i])
-                elif agg.kind == "avg":
-                    total, count = acc[i]
-                    if not count:
-                        parts.append(None)
-                    elif dtype[0] == "decimal":
-                        parts.append(
-                            (Decimal(int(total)) / count).scaleb(-dtype[1])
-                        )
-                    else:
-                        parts.append(total / count)
-                else:
-                    parts.append(_decode(acc[i], dtype))
-            rows.append(tuple(parts))
-        return columns, rows
+        """Column names and decoded rows: one fold, one decode per column."""
+        if self.terminal is None:
+            return ["*"], self.refs
+        names = [name for name, __ in self.keys] + [n for n, __ in self.aggs]
+        if not self.chunks:
+            return names, []
+        __, keys, cells = self.fold()
+        columns = [_decode_column(c, d) for c, d in zip(keys, self.key_dtypes)]
+        for (__, agg), cell, dtype in zip(self.aggs, cells, self.agg_dtypes):
+            if agg.kind == "count":
+                columns.append(cell.tolist())
+            elif agg.kind == "avg":
+                columns.append(_decode_column(cell[0], dtype, cell[1]))
+            else:
+                columns.append(_decode_column(cell, dtype))
+        return names, list(zip(*columns))
 
 
-def _decode_column(arr: np.ndarray, dtype: Tuple[str, Any]) -> List[Any]:
+def _decode_column(
+    arr: np.ndarray, dtype: Tuple[str, Any], counts: Optional[np.ndarray] = None
+) -> List[Any]:
     """Decode a whole output column to Python values (vectorised paths
-    for the common types)."""
+    for the common types).  With *counts*, *arr* holds an average's
+    per-group totals and the column is their means."""
     kind, meta = dtype
+    if counts is not None:
+        pairs = zip(arr.tolist(), counts.tolist())
+        if kind == "decimal":
+            return [
+                (Decimal(int(t)) / c).scaleb(-meta) if c else None
+                for t, c in pairs
+            ]
+        return [t / c if c else None for t, c in pairs]
     if kind == "strcode":
         return meta.decode_array(arr).tolist()
     if kind == "decimal":
@@ -1559,23 +1486,3 @@ def _decode_column(arr: np.ndarray, dtype: Tuple[str, Any]) -> List[Any]:
             for v in arr.tolist()
         ]
     return arr.tolist()
-
-
-def _decode(value: Any, dtype: Tuple[str, Any]) -> Any:
-    kind, meta = dtype
-    if isinstance(value, np.generic):
-        value = value.item()
-    if kind == "strcode":
-        return meta.text_of(int(value))
-    if kind == "decimal":
-        return Decimal(int(value)).scaleb(-meta)
-    if kind == "date":
-        return days_to_date(int(value))
-    if kind == "str" and isinstance(meta, int):
-        if isinstance(value, bytes):
-            pad = b"\x00" if meta < 0 else b" \x00"
-            return value.rstrip(pad).decode("utf-8")
-        return value
-    if kind == "str" and isinstance(value, bytes):
-        return value.rstrip(b" \x00").decode("utf-8")
-    return value

@@ -18,18 +18,19 @@ Backends ("flavours"), mirroring the evaluation series of the paper:
     scans SMC blocks via the slot directory but decodes every field into
     Python objects (Decimal, date, str) — the paper's *SMC (C#)* series:
     compiled code equivalent to the managed one except for enumeration;
-``smc-unsafe``
-    operates on the raw stored representation: scaled-int64 fixed-point
-    decimal arithmetic, integer day dates, padded-byte strings — the
-    paper's *SMC (unsafe C#)* series with direct pointer access to
-    primitive values;
-``columnar``
-    vectorised NumPy kernels over columnar collections (section 4.1),
-    dispatched to :mod:`repro.query.columnar_exec`.
+``smc-unsafe`` / ``columnar``
+    the raw stored representation (scaled-int64 decimals, day-number
+    dates, padded bytes, dictionary codes) in vectorised NumPy kernels
+    over row or columnar blocks — the paper's *SMC (unsafe C#)* series
+    and section 4.1 — dispatched to :mod:`repro.query.columnar_exec`.
+    No source is generated for them; this module supplies their zone
+    tests and literal conversions.
 
-When the memory manager runs in **direct-pointer mode** (section 6) the
-SMC backends navigate references through raw slot addresses validated
-against slot-header incarnations, skipping the indirection-table lookup.
+Both generated flavours operate on Python values, so they need no raw
+dtype algebra.  When the memory manager runs in **direct-pointer mode**
+(section 6) the ``smc-safe`` code navigates references through raw slot
+addresses validated against slot-header incarnations, skipping the
+indirection-table lookup.
 
 Null navigation note: the interpreter evaluates a navigation through a
 null reference to ``None``; the compiled backends *filter out* such rows
@@ -77,7 +78,6 @@ from repro.query.expressions import (
     StrContains,
     StrPrefix,
     YearOf,
-    dtype_of_const,
 )
 from repro.schema.fields import (
     CharField,
@@ -126,34 +126,23 @@ def run_compiled(
     flavor = flavor or flavor_for(query.source)
     if flavor in ("columnar", "smc-unsafe"):
         # Both SMC layouts run on the vectorised block engine; row blocks
-        # are accessed through strided views (see columnar_exec).  The
-        # per-row generated-code backend remains available as the
-        # "smc-unsafe-scalar" ablation flavour.
+        # are accessed through strided views (see columnar_exec).
         from repro.query.columnar_exec import run_columnar
 
         return run_columnar(
             query, params, workers=workers, prune=prune, planner=planner
         )
-    if flavor == "smc-unsafe-scalar":
-        flavor = "smc-unsafe"
     compiled = get_compiled(query, flavor)
-    insets = _materialise_insets(query, params, flavor, compiled)
-    columns, rows = compiled.fn(query.source, params, insets)
+    columns, rows = compiled.fn(
+        query.source, params, _materialise_insets(query, params)
+    )
     return Result(columns, rows)
 
 
 def get_compiled(query: Query, flavor: str) -> "_Compiled":
     direct = bool(getattr(query.source, "manager", None))
     direct = direct and query.source.manager.direct_pointers
-    # Dictionary-encoded managers compile to code-space string kernels, so
-    # the cached function is specialised on the encoding as well.  The
-    # manager-level flag (not the source's own ``strdict``) decides:
-    # navigation can reach dict-encoded collections from a source that has
-    # no varstring fields of its own.
-    dicted = bool(
-        getattr(getattr(query.source, "manager", None), "string_dict", False)
-    )
-    key = (flavor, direct, dicted, query.signature())
+    key = (flavor, direct, query.signature())
     global _CACHE_HITS, _CACHE_MISSES
     with _CACHE_LOCK:
         hit = _CACHE.get(key)
@@ -161,7 +150,7 @@ def get_compiled(query: Query, flavor: str) -> "_Compiled":
             _CACHE_HITS += 1
     if hit is not None:
         return hit
-    generator = _Generator(query, flavor, direct, dicted)
+    generator = _Generator(query, flavor, direct)
     compiled = generator.build()
     with _CACHE_LOCK:
         _CACHE[key] = compiled
@@ -193,27 +182,17 @@ def cache_stats() -> Dict[str, int]:
         }
 
 
-def _materialise_insets(
-    query: Query, params: Dict[str, Any], flavor: str, compiled: "_Compiled"
-) -> List[frozenset]:
-    """Execute WhereIn subqueries and convert their keys to raw form."""
-    insets: List[frozenset] = []
-    index = 0
-    for op in query.ops:
-        if not isinstance(op, WhereIn):
-            continue
-        sub = op.subquery.run(engine="compiled", params=params)
-        specs = compiled.probe_specs[index]
-        keys = set()
-        for row in sub.rows:
-            values = row if isinstance(row, tuple) else (row,)
-            converted = tuple(
-                _to_raw(v, spec) for v, spec in zip(values, specs)
-            )
-            keys.add(converted if len(converted) > 1 else converted[0])
-        insets.append(frozenset(keys))
-        index += 1
-    return insets
+def _materialise_insets(query: Query, params: Dict[str, Any]) -> List[frozenset]:
+    """Run each WhereIn subquery; its rows as a set (one-column rows as
+    their value, which is what a single-expression probe yields)."""
+    return [
+        frozenset(
+            row[0] if isinstance(row, tuple) and len(row) == 1 else row
+            for row in op.subquery.run(engine="compiled", params=params).rows
+        )
+        for op in query.ops
+        if isinstance(op, WhereIn)
+    ]
 
 
 def _to_raw(value: Any, spec: Tuple[str, Any]) -> Any:
@@ -229,14 +208,11 @@ def _to_raw(value: Any, spec: Tuple[str, Any]) -> Any:
 
 
 # ----------------------------------------------------------------------
-# dtype algebra for the unsafe backend
+# Raw dtypes (the vectorised engine's and the zone tests')
 # ----------------------------------------------------------------------
 # dtypes are (kind, meta): ("int", None), ("float", None),
 # ("decimal", scale), ("date", None), ("bool", None), ("ref", None),
-# ("str", width:int) for padded CHAR bytes, ("str", "py") for Python str,
-# ("any", None) for python-object backends.
-
-_PYOBJ = ("any", None)
+# ("str", width:int) for padded CHAR bytes, ("str", "py") for Python str.
 
 
 def _field_dtype(field: Field) -> Tuple[str, Any]:
@@ -611,15 +587,13 @@ def _zone_raw(value: Any, spec: Tuple[str, Any]):
 
 
 class _Compiled:
-    """A cached compiled query: the function plus its metadata."""
+    """A cached compiled query: the function plus its source."""
 
-    __slots__ = ("fn", "source", "probe_specs", "columns")
+    __slots__ = ("fn", "source")
 
-    def __init__(self, fn, source: str, probe_specs, columns) -> None:
+    def __init__(self, fn, source: str) -> None:
         self.fn = fn
         self.source = source
-        self.probe_specs = probe_specs
-        self.columns = columns
 
 
 def _slow_entry_deref(manager, entry: int, inc: int) -> int:
@@ -645,27 +619,18 @@ def _slow_direct_deref(manager, address: int, inc: int) -> int:
 
 
 class _Generator:
-    def __init__(
-        self, query: Query, flavor: str, direct: bool, dicted: bool = False
-    ) -> None:
-        if flavor not in ("managed", "smc-safe", "smc-unsafe"):
-            raise CompileError(f"unknown compiled flavour {flavor!r}")
+    def __init__(self, query: Query, flavor: str, direct: bool) -> None:
+        if flavor not in ("managed", "smc-safe"):
+            raise CompileError(f"no generated code for flavour {flavor!r}")
         self.query = query
         self.flavor = flavor
         self.direct = direct
-        self.dicted = dicted
         self.schema = query.source.schema
         self.layout = self.schema.__layout__
         self.env: Dict[str, Any] = {
-            "_Decimal": Decimal,
-            "_days_to_date": __import__(
-                "repro.schema.fields", fromlist=["days_to_date"]
-            ).days_to_date,
-            "_date_to_days": date_to_days,
             "_scan": _runtime.scan_blocks,
             "_slow_entry": _slow_entry_deref,
             "_slow_direct": _slow_direct_deref,
-            "_NRE": NullReferenceError,
         }
         self._uid = 0
         self.prelude: List[str] = []
@@ -673,10 +638,6 @@ class _Generator:
         self.finale: List[str] = []
         #: per-row navigation cache: steps tuple -> (bufvar, offvar)
         self._nav_cache: Dict[tuple, Tuple[str, str]] = {}
-        self._param_cache: Dict[tuple, str] = {}
-        #: per-schema string-dictionary prelude bindings (dict mode)
-        self._sdict_vars: Dict[Tuple[str, str], str] = {}
-        self.probe_specs: List[List[Tuple[str, Any]]] = []
         self._inset_count = 0
 
     # -- small helpers ---------------------------------------------------
@@ -695,59 +656,6 @@ class _Generator:
         if key not in self.env:
             self.env[key] = struct.Struct("<" + fmt).unpack_from
         return key
-
-    def _sdict_bind(self, cls_name: str, attr: str) -> str:
-        """Prelude-bind a schema's string dictionary (or an attribute of
-        it), resolved from ``_mgr`` per call — never baked into the env."""
-        key = (cls_name, attr)
-        var = self._sdict_vars.get(key)
-        if var is None:
-            var = self.uid("sd")
-            expr = f"_mgr.collections[{cls_name!r}].strdict"
-            if attr:
-                expr += f".{attr}"
-            self.prelude.append(f"{var} = {expr}")
-            self._sdict_vars[key] = var
-        return var
-
-    def _strcode_probe(
-        self, inner: Expr, row_lines: List[str]
-    ) -> Optional[Tuple[str, str]]:
-        """Raw dictionary-code access for code-space string predicates.
-
-        Returns ``(code_expr, class_name)`` when *inner* is a direct
-        varstring field read in the unsafe flavour of a dict-encoded
-        source, else ``None`` (caller falls back to decoded text).
-        """
-        if self.flavor != "smc-unsafe" or not self.dicted:
-            return None
-        if not isinstance(inner, FieldRef) or not isinstance(
-            inner.field, VarStringField
-        ):
-            return None
-        bufvar, offvar = self._navigate(inner.steps, row_lines)
-        u = self.unpacker("q")
-        field = inner.field
-        # max(..., 0) folds the NULL_ADDRESS row template to code 0 ("").
-        code = f"max({u}({bufvar}, {offvar} + {field.offset})[0], 0)"
-        return code, field.owner.__name__
-
-    def _strcode_member(
-        self, probe: Tuple[str, str], kind: str, arg: Any
-    ) -> Tuple[str, Tuple[str, Any]]:
-        """Rewrite a string predicate as code-set membership.
-
-        The matching-code set is fetched once per call in the prelude
-        (``StringDict.match_set`` is version-cached, so steady-state cost
-        is a dict lookup) and the per-row test collapses to ``code in
-        set`` — no heap read, no decode.
-        """
-        code, cls_name = probe
-        matcher = self._sdict_bind(cls_name, "match_set")
-        argvar = self.bind(arg, "marg")
-        var = self.uid("ms")
-        self.prelude.append(f"{var} = {matcher}({kind!r}, {argvar})")
-        return f"({code} in {var})", ("bool", None)
 
     # -- entry point -------------------------------------------------------
 
@@ -780,7 +688,7 @@ class _Generator:
         self._emit_filters(row_lines, filters, insets)
         columns = self._emit_terminal(row_lines, terminal)
         self._emit_loop(row_lines)
-        self._emit_post(post, columns, terminal)
+        self._emit_post(post, columns)
 
         src_lines = ["def __query(source, params, insets):"]
         src_lines += ["    " + ln for ln in self.prelude]
@@ -790,7 +698,7 @@ class _Generator:
         source = "\n".join(src_lines)
         scope: Dict[str, Any] = dict(self.env)
         exec(compile(source, f"<query:{self.flavor}>", "exec"), scope)
-        return _Compiled(scope["__query"], source, self.probe_specs, columns)
+        return _Compiled(scope["__query"], source)
 
     # -- prelude -----------------------------------------------------------
 
@@ -807,9 +715,6 @@ class _Generator:
             p.append("_taddr = _table._addr")
             p.append("_shift = _space.block_shift")
             p.append("_mask = _space.block_size - 1")
-            # Resolved per call: compiled functions are cached and shared
-            # across managers, so the heap cannot be baked into the env.
-            p.append("_heap = _mgr.strings")
         p.append("_rows = []")
 
     # -- row loop ------------------------------------------------------------
@@ -839,16 +744,9 @@ class _Generator:
         self, row_lines: List[str], filters: List[Expr], insets: List[WhereIn]
     ) -> None:
         for pred in filters:
-            code, dtype = self._expr(pred, row_lines)
-            row_lines.append(f"if not ({code}): continue")
+            row_lines.append(f"if not ({self._expr(pred, row_lines)}): continue")
         for op in insets:
-            specs: List[Tuple[str, Any]] = []
-            codes: List[str] = []
-            for e in op.exprs:
-                code, dtype = self._expr(e, row_lines)
-                codes.append(code)
-                specs.append(dtype)
-            self.probe_specs.append(specs)
+            codes = [self._expr(e, row_lines) for e in op.exprs]
             set_name = f"insets[{self._inset_count}]"
             self._inset_count += 1
             probe = codes[0] if len(codes) == 1 else "(" + ", ".join(codes) + ")"
@@ -880,42 +778,28 @@ class _Generator:
         return ["*"]
 
     def _emit_select(self, row_lines: List[str], op: Select) -> List[str]:
-        parts = []
-        for __, expr in op.outputs:
-            code, dtype = self._expr(expr, row_lines)
-            parts.append(self._decode(code, dtype))
+        parts = [self._expr(expr, row_lines) for __, expr in op.outputs]
         row_lines.append("_rows.append((" + ", ".join(parts) + ",))")
         return [name for name, __ in op.outputs]
 
     def _emit_groupby(self, row_lines: List[str], op: GroupBy) -> List[str]:
         self.prelude.append("_groups = {}")
-        key_dtypes: List[Tuple[str, Any]] = []
-        key_codes: List[str] = []
-        for __, expr in op.keys:
-            code, dtype = self._expr(expr, row_lines)
-            key_codes.append(code)
-            key_dtypes.append(dtype)
-        if key_codes:
-            key = (
-                key_codes[0]
-                if len(key_codes) == 1
-                else "(" + ", ".join(key_codes) + ")"
-            )
+        key_codes = [self._expr(expr, row_lines) for __, expr in op.keys]
+        if len(key_codes) == 1:
+            key, key_parts = key_codes[0], ["_k"]
         else:
-            key = "None"
+            key = "(" + ", ".join(key_codes) + ",)" if key_codes else "None"
+            key_parts = [f"_k[{i}]" for i in range(len(key_codes))]
 
         agg_updates: List[str] = []
         inits: List[str] = []
-        agg_dtypes: List[Tuple[str, Any]] = []
         for i, (__, agg) in enumerate(op.aggs):
             if agg.kind == "count":
                 inits.append("0")
                 agg_updates.append(f"_acc[{i}] += 1")
-                agg_dtypes.append(("int", None))
                 continue
-            code, dtype = self._expr(agg.expr, row_lines)
             val = self.uid("v")
-            row_lines.append(f"{val} = {code}")
+            row_lines.append(f"{val} = {self._expr(agg.expr, row_lines)}")
             if agg.kind == "sum":
                 inits.append("0")
                 agg_updates.append(f"_acc[{i}] += {val}")
@@ -934,7 +818,6 @@ class _Generator:
                 agg_updates.append(
                     f"if _acc[{i}] is None or {val} > _acc[{i}]: _acc[{i}] = {val}"
                 )
-            agg_dtypes.append(dtype)
 
         row_lines.append(f"_k = {key}")
         row_lines.append("_acc = _groups.get(_k)")
@@ -942,33 +825,21 @@ class _Generator:
         row_lines.append(f"    _groups[_k] = _acc = [{', '.join(inits)}]")
         row_lines.extend(agg_updates)
 
-        # Finalisation: decode raw keys and aggregate values.
-        f = self.finale
-        f.append("for _k, _acc in _groups.items():")
-        key_parts = []
-        if len(op.keys) == 1:
-            key_parts.append(self._decode("_k", key_dtypes[0]))
-        else:
-            for i in range(len(op.keys)):
-                key_parts.append(self._decode(f"_k[{i}]", key_dtypes[i]))
-        agg_parts = []
-        for i, (__, agg) in enumerate(op.aggs):
-            dtype = agg_dtypes[i]
-            if agg.kind == "count":
-                agg_parts.append(f"_acc[{i}]")
-            elif agg.kind == "avg":
-                agg_parts.append(self._decode_avg(f"_acc[{i}]", dtype))
-            elif agg.kind == "sum":
-                agg_parts.append(self._decode(f"_acc[{i}]", dtype))
-            else:  # min / max
-                agg_parts.append(self._decode(f"_acc[{i}]", dtype))
-        all_parts = ", ".join(key_parts + agg_parts)
-        f.append(f"    _rows.append(({all_parts},))")
+        agg_parts = [
+            f"(_acc[{i}][0] / _acc[{i}][1] if _acc[{i}][1] else None)"
+            if agg.kind == "avg"
+            else f"_acc[{i}]"
+            for i, (__, agg) in enumerate(op.aggs)
+        ]
+        self.finale.append("for _k, _acc in _groups.items():")
+        self.finale.append(
+            f"    _rows.append(({', '.join(key_parts + agg_parts)},))"
+        )
         return [name for name, __ in op.keys] + [name for name, __ in op.aggs]
 
     # -- post ops -----------------------------------------------------------
 
-    def _emit_post(self, post, columns: List[str], terminal) -> None:
+    def _emit_post(self, post, columns: List[str]) -> None:
         for op in post:
             if isinstance(op, OrderBy):
                 for name, desc in reversed(op.items):
@@ -987,165 +858,68 @@ class _Generator:
                 self.env.setdefault("_distinct", Distinct.apply)
                 self.finale.append("_rows = _distinct(_rows)")
 
-    # -- value decoding (raw -> python) --------------------------------------
-
-    def _decode(self, code: str, dtype: Tuple[str, Any]) -> str:
-        if self.flavor != "smc-unsafe":
-            return code
-        kind, meta = dtype
-        if kind == "decimal":
-            return f"_Decimal({code}).scaleb(-{meta})"
-        if kind == "date":
-            return f"_days_to_date({code})"
-        if kind == "str" and isinstance(meta, int):
-            return f"({code}).rstrip(b' \\x00').decode()"
-        return code
-
-    def _decode_avg(self, acc: str, dtype: Tuple[str, Any]) -> str:
-        if self.flavor == "smc-unsafe" and dtype[0] == "decimal":
-            return (
-                f"(_Decimal({acc}[0]) / {acc}[1]).scaleb(-{dtype[1]})"
-                f" if {acc}[1] else None"
-            )
-        return f"({acc}[0] / {acc}[1] if {acc}[1] else None)"
-
     # ======================================================================
-    # Expression compilation
+    # Expression compilation: operands are Python values, so an
+    # expression lowers to the same Python operator it describes.
     # ======================================================================
 
-    def _expr(self, expr: Expr, row_lines: List[str]) -> Tuple[str, Tuple[str, Any]]:
+    def _expr(self, expr: Expr, row_lines: List[str]) -> str:
         if isinstance(expr, Const):
-            return self._const(expr.value)
+            return self.bind(expr.value)
         if isinstance(expr, Param):
-            return f"params[{expr.name!r}]", ("param", expr.name)
+            return f"params[{expr.name!r}]"
         if isinstance(expr, FieldRef):
             return self._field_access(expr, row_lines)
         if isinstance(expr, RefIdentity):
             return self._ref_identity(expr, row_lines)
-        if isinstance(expr, BinOp):
-            return self._binop(expr, row_lines)
-        if isinstance(expr, Cmp):
-            return self._cmp(expr, row_lines)
+        if isinstance(expr, (BinOp, Cmp)):
+            left = self._expr(expr.left, row_lines)
+            right = self._expr(expr.right, row_lines)
+            return f"({left} {expr.op} {right})"
         if isinstance(expr, BoolOp):
-            parts = [self._expr(p, row_lines)[0] for p in expr.parts]
-            joiner = f" {expr.op} "
-            return "(" + joiner.join(parts) + ")", ("bool", None)
+            parts = [self._expr(p, row_lines) for p in expr.parts]
+            return "(" + f" {expr.op} ".join(parts) + ")"
         if isinstance(expr, Not):
-            inner, __ = self._expr(expr.inner, row_lines)
-            return f"(not {inner})", ("bool", None)
+            return f"(not {self._expr(expr.inner, row_lines)})"
         if isinstance(expr, Between):
-            value, vdt = self._expr(expr.inner, row_lines)
-            lo, ldt = self._expr(expr.lo, row_lines)
-            hi, hdt = self._expr(expr.hi, row_lines)
-            lo, value1 = self._unify(lo, ldt, value, vdt)
-            hi, value2 = self._unify(hi, hdt, value, vdt)
-            # value1/value2 identical unless scales differed; recompute value
-            return f"({value1} >= {lo} and {value2} <= {hi})", ("bool", None)
+            value = self._expr(expr.inner, row_lines)
+            lo = self._expr(expr.lo, row_lines)
+            hi = self._expr(expr.hi, row_lines)
+            return f"({lo} <= {value} <= {hi})"
         if isinstance(expr, InSet):
-            if all(isinstance(v, str) for v in expr.values):
-                probe = self._strcode_probe(expr.inner, row_lines)
-                if probe is not None:
-                    return self._strcode_member(
-                        probe, "inset", frozenset(expr.values)
-                    )
-            inner, dtype = self._expr(expr.inner, row_lines)
-            values = frozenset(self._raw_const(v, dtype) for v in expr.values)
-            name = self.bind(values, "set")
-            return f"({inner} in {name})", ("bool", None)
+            inner = self._expr(expr.inner, row_lines)
+            return f"({inner} in {self.bind(frozenset(expr.values), 'set')})"
         if isinstance(expr, CaseWhen):
-            cond, __ = self._expr(expr.cond, row_lines)
-            then, tdt = self._expr(expr.then, row_lines)
-            other, odt = self._expr(expr.otherwise, row_lines)
-            then, other, dtype = self._align(then, tdt, other, odt, "+")
-            return f"(({then}) if ({cond}) else ({other}))", dtype
+            cond = self._expr(expr.cond, row_lines)
+            then = self._expr(expr.then, row_lines)
+            other = self._expr(expr.otherwise, row_lines)
+            return f"(({then}) if ({cond}) else ({other}))"
         if isinstance(expr, YearOf):
-            inner, idt = self._expr(expr.inner, row_lines)
-            if self.flavor == "smc-unsafe":
-                return f"_days_to_date({inner}).year", ("int", None)
-            return f"({inner}).year", ("int", None)
+            return f"({self._expr(expr.inner, row_lines)}).year"
         if isinstance(expr, StrPrefix):
-            probe = self._strcode_probe(expr.inner, row_lines)
-            if probe is not None:
-                return self._strcode_member(probe, "prefix", expr.prefix)
-            inner, dtype = self._expr(expr.inner, row_lines)
-            if self.flavor == "smc-unsafe" and isinstance(dtype[1], int):
-                prefix = self.bind(expr.prefix.encode("utf-8"), "pre")
-            else:
-                prefix = self.bind(expr.prefix, "pre")
-            return f"({inner}.startswith({prefix}))", ("bool", None)
+            inner = self._expr(expr.inner, row_lines)
+            return f"({inner}.startswith({self.bind(expr.prefix, 'pre')}))"
         if isinstance(expr, StrContains):
-            probe = self._strcode_probe(expr.inner, row_lines)
-            if probe is not None:
-                return self._strcode_member(probe, "contains", expr.needle)
-            inner, dtype = self._expr(expr.inner, row_lines)
-            if self.flavor == "smc-unsafe" and isinstance(dtype[1], int):
-                needle = self.bind(expr.needle.encode("utf-8"), "ndl")
-            else:
-                needle = self.bind(expr.needle, "ndl")
-            return f"({needle} in {inner})", ("bool", None)
+            inner = self._expr(expr.inner, row_lines)
+            return f"({self.bind(expr.needle, 'ndl')} in {inner})"
         raise CompileError(f"cannot compile expression {expr!r}")
-
-    # -- constants / params -------------------------------------------------
-
-    def _const(self, value: Any) -> Tuple[str, Tuple[str, Any]]:
-        kind = dtype_of_const(value)
-        if self.flavor != "smc-unsafe":
-            return self.bind(value), _PYOBJ if kind == "str" else (kind, None)
-        if kind == "decimal":
-            scale = max(0, -value.as_tuple().exponent)
-            raw = int(value.scaleb(scale).to_integral_value())
-            return self.bind(raw), ("decimal", scale)
-        if kind == "date":
-            return self.bind(date_to_days(value)), ("date", None)
-        if kind == "str":
-            return self.bind(value), ("str", "py")
-        if kind == "float":
-            return self.bind(value), ("float", None)
-        return self.bind(value), ("int", None)
-
-    def _raw_const(self, value: Any, dtype: Tuple[str, Any]) -> Any:
-        """Convert a literal to the raw form matching *dtype*."""
-        if self.flavor != "smc-unsafe":
-            return value
-        return _to_raw(value, dtype)
 
     # -- field access ----------------------------------------------------
 
-    def _field_access(
-        self, expr: FieldRef, row_lines: List[str]
-    ) -> Tuple[str, Tuple[str, Any]]:
-        field = expr.field
+    def _field_access(self, expr: FieldRef, row_lines: List[str]) -> str:
         if self.flavor == "managed":
             path = ".".join(s.name for s in expr.steps)
             prefix = f"_r.{path}." if path else "_r."
-            dtype = _PYOBJ if not isinstance(field, RefField) else ("ref", None)
-            return f"{prefix}{field.name}", dtype
+            return f"{prefix}{expr.field.name}"
         bufvar, offvar = self._navigate(expr.steps, row_lines)
-        return self._read_field(field, bufvar, offvar, row_lines)
+        return self._read_field(expr.field, bufvar, offvar)
 
-    def _read_field(
-        self, field: Field, bufvar: str, offvar: str, row_lines: List[str]
-    ) -> Tuple[str, Tuple[str, Any]]:
+    def _read_field(self, field: Field, bufvar: str, offvar: str) -> str:
         off = f"{offvar} + {field.offset}"
         if isinstance(field, RefField):
             # The stored reference word is the object's identity token.
-            u = self.unpacker("q")
-            return f"{u}({bufvar}, {off})[0]", ("ref", None)
-        if self.flavor == "smc-safe":
-            fname = self.bind(field, "F")
-            return f"{fname}.decode_from({bufvar}, {off}, _mgr)", _PYOBJ
-        # smc-unsafe: raw representation.
-        if isinstance(field, CharField):
-            u = self.unpacker(f"{field.width}s")
-            return f"{u}({bufvar}, {off})[0]", ("str", field.width)
-        if isinstance(field, VarStringField):
-            u = self.unpacker("q")
-            if self.dicted:
-                reader = self._sdict_bind(field.owner.__name__, "text_of")
-                return f"{reader}({u}({bufvar}, {off})[0])", ("str", "py")
-            return f"_heap.read({u}({bufvar}, {off})[0])", ("str", "py")
-        u = self.unpacker(field.fmt)
-        return f"{u}({bufvar}, {off})[0]", _field_dtype(field)
+            return f"{self.unpacker('q')}({bufvar}, {off})[0]"
+        return f"{self.bind(field, 'F')}.decode_from({bufvar}, {off}, _mgr)"
 
     # -- navigation --------------------------------------------------------
 
@@ -1198,125 +972,8 @@ class _Generator:
         self._nav_cache[steps] = (bufvar, offvar)
         return bufvar, offvar
 
-    def _ref_identity(
-        self, expr: RefIdentity, row_lines: List[str]
-    ) -> Tuple[str, Tuple[str, Any]]:
+    def _ref_identity(self, expr: RefIdentity, row_lines: List[str]) -> str:
         if self.flavor == "managed":
-            path = ".".join(s.name for s in expr.steps)
-            return f"_r.{path}", ("ref", None)
+            return "_r." + ".".join(s.name for s in expr.steps)
         bufvar, offvar = self._navigate(expr.steps[:-1], row_lines)
-        return self._read_field(expr.steps[-1], bufvar, offvar, row_lines)
-
-    # -- operators -----------------------------------------------------------
-
-    def _binop(self, expr: BinOp, row_lines: List[str]) -> Tuple[str, Tuple[str, Any]]:
-        lcode, ldt = self._expr(expr.left, row_lines)
-        rcode, rdt = self._expr(expr.right, row_lines)
-        lcode, rcode, dtype = self._align(lcode, ldt, rcode, rdt, expr.op)
-        return f"({lcode} {expr.op} {rcode})", dtype
-
-    def _cmp(self, expr: Cmp, row_lines: List[str]) -> Tuple[str, Tuple[str, Any]]:
-        lcode, ldt = self._expr(expr.left, row_lines)
-        rcode, rdt = self._expr(expr.right, row_lines)
-        lcode, rcode, __ = self._align(lcode, ldt, rcode, rdt, "cmp")
-        return f"({lcode} {expr.op} {rcode})", ("bool", None)
-
-    def _unify(self, acode, adt, bcode, bdt):
-        a2, b2, __ = self._align(acode, adt, bcode, bdt, "cmp")
-        return a2, b2
-
-    def _align(
-        self,
-        lcode: str,
-        ldt: Tuple[str, Any],
-        rcode: str,
-        rdt: Tuple[str, Any],
-        op: str,
-    ) -> Tuple[str, str, Tuple[str, Any]]:
-        """Coerce two compiled operands to a common raw representation."""
-        if self.flavor != "smc-unsafe":
-            # Python objects interoperate directly; dates/Decimals compare
-            # natively and params arrive as the caller's Python values.
-            dtype = ldt if ldt != ("param", ldt[1]) else rdt
-            return lcode, rcode, _PYOBJ
-        # Resolve params against the other side's dtype.
-        if ldt[0] == "param" and rdt[0] == "param":
-            return lcode, rcode, _PYOBJ
-        if ldt[0] == "param":
-            lcode = self._param_raw(lcode, ldt[1], rdt)
-            ldt = rdt
-        if rdt[0] == "param":
-            rcode = self._param_raw(rcode, rdt[1], ldt)
-            rdt = ldt
-        lk, lm = ldt
-        rk, rm = rdt
-        if lk == "decimal" or rk == "decimal":
-            if op == "*":
-                if lk == "decimal" and rk == "decimal":
-                    return lcode, rcode, ("decimal", lm + rm)
-                if lk == "decimal":
-                    return lcode, rcode, ("decimal", lm)
-                return lcode, rcode, ("decimal", rm)
-            if op == "/":
-                return (
-                    f"(({lcode}) / {10 ** (lm or 0)})"
-                    if lk == "decimal"
-                    else lcode,
-                    f"(({rcode}) / {10 ** (rm or 0)})"
-                    if rk == "decimal"
-                    else rcode,
-                    ("float", None),
-                )
-            # +, -, comparisons: align scales.
-            ls = lm if lk == "decimal" else 0
-            rs = rm if rk == "decimal" else 0
-            scale = max(ls, rs)
-            if ls < scale:
-                lcode = f"({lcode} * {10 ** (scale - ls)})"
-            if rs < scale:
-                rcode = f"({rcode} * {10 ** (scale - rs)})"
-            return lcode, rcode, ("decimal", scale)
-        if lk == "str" or rk == "str":
-            # Align CHAR bytes with Python strings.
-            if isinstance(lm, int) and rm == "py":
-                rcode = f"({rcode}).encode().ljust({lm}, b'\\x00')"
-                return lcode, rcode, ("str", lm)
-            if isinstance(rm, int) and lm == "py":
-                lcode = f"({lcode}).encode().ljust({rm}, b'\\x00')"
-                return lcode, rcode, ("str", rm)
-            return lcode, rcode, ldt
-        if lk == "float" or rk == "float":
-            return lcode, rcode, ("float", None)
-        return lcode, rcode, ldt
-
-    def _param_raw(self, code: str, name: str, target: Tuple[str, Any]) -> str:
-        """Bind a raw-converted parameter in the prelude (cached per use)."""
-        key = (name, target)
-        cached = self._param_cache.get(key)
-        if cached is not None:
-            return cached
-        var = self.uid("p")
-        kind, meta = target
-        if kind == "date":
-            self.prelude.append(f"{var} = _date_to_days(params[{name!r}])")
-        elif kind == "decimal":
-            self.env.setdefault("_dec_raw", _decimal_raw)
-            self.prelude.append(f"{var} = _dec_raw(params[{name!r}], {meta})")
-        elif kind == "str" and isinstance(meta, int):
-            self.prelude.append(
-                f"{var} = str(params[{name!r}]).encode().ljust({meta}, b'\\x00')"
-            )
-        else:
-            self.prelude.append(f"{var} = params[{name!r}]")
-        self._param_cache[key] = var
-        return var
-
-
-def _decimal_raw(value: Any, scale: int) -> int:
-    if isinstance(value, Decimal):
-        return int(value.scaleb(scale).to_integral_value())
-    if isinstance(value, int):
-        return value * 10**scale
-    if isinstance(value, float):
-        return round(value * 10**scale)
-    return int(Decimal(str(value)).scaleb(scale).to_integral_value())
+        return self._read_field(expr.steps[-1], bufvar, offvar)

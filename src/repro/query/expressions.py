@@ -25,8 +25,6 @@ Every node supports
 
 from __future__ import annotations
 
-import datetime as _dt
-from decimal import Decimal
 from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
 
 from repro.schema.fields import (
@@ -505,7 +503,7 @@ def year_of(expr) -> YearOf:
 
 
 # ----------------------------------------------------------------------
-# dtype helpers (used by the compiler's scaled-decimal algebra)
+# dtype helper (FieldRef.dtype)
 # ----------------------------------------------------------------------
 
 
@@ -520,20 +518,6 @@ def dtype_of_field(field: Field) -> str:
         return "float"
     if isinstance(field, RefField):
         return "ref"
-    return "int"
-
-
-def dtype_of_const(value: Any) -> str:
-    if isinstance(value, Decimal):
-        return "decimal"
-    if isinstance(value, _dt.date):
-        return "date"
-    if isinstance(value, str):
-        return "str"
-    if isinstance(value, bool):
-        return "int"
-    if isinstance(value, float):
-        return "float"
     return "int"
 
 

@@ -79,23 +79,6 @@ INDEX_SELECTIVITY_LIMIT = 0.02
 
 
 # ----------------------------------------------------------------------
-# Global toggle (ablation surface; per-query `planner=` overrides it)
-# ----------------------------------------------------------------------
-
-_enabled = True
-
-
-def set_enabled(flag: bool) -> None:
-    """Process-wide planner default (per-query ``planner=`` still wins)."""
-    global _enabled
-    _enabled = bool(flag)
-
-
-def enabled() -> bool:
-    return _enabled
-
-
-# ----------------------------------------------------------------------
 # The coarse statistics stamp: the one staleness rule
 # ----------------------------------------------------------------------
 
@@ -897,10 +880,6 @@ class _Feedback:
         hint = math.ceil(block_count * max(admit, 1.0 / block_count) / target_units)
         return max(1, hint)
 
-    def clear(self) -> None:
-        with self._lock:
-            self._by_sig.clear()
-
 
 _feedback = _Feedback()
 
@@ -918,10 +897,6 @@ def observation(signature: str) -> Optional[Dict[str, Any]]:
 def morsel_hint(signature: str) -> Optional[int]:
     """Adaptive morsel width for the next execution of *signature*."""
     return _feedback.morsel_hint(signature)
-
-
-def clear_feedback() -> None:
-    _feedback.clear()
 
 
 def route_workers(est_rows: Optional[int], workers: int) -> int:

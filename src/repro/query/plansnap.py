@@ -1,4 +1,4 @@
-"""Wire encoding of compiled scan plans and partial accumulators.
+"""Wire encoding of scan plans and partial accumulators.
 
 The process executor (``repro.query.procexec``) ships a query's scan
 plan to forked worker processes and receives partial accumulators back.
@@ -9,8 +9,10 @@ tuples and are re-bound against the worker's (fork-inherited) manager:
 a field is named by ``(owner schema name, field name)`` and resolved
 through ``manager.collections`` on arrival.
 
-Accumulators travel as plain Python containers, semi-join keys as the
-raw NumPy columns the subquery's kernels produced.  The only
+Accumulators travel as one folded chunk of raw NumPy columns (keys and
+per-group cells, see ``columnar_exec._Accumulator``), semi-join keys as
+the raw columns the subquery's kernels produced: arrays and their
+``(kind, meta)`` dtypes, never Python rows.  The only
 non-picklable piece of either is the ``("strcode", StringDict)`` dtype
 metadata; it is translated to ``("strcode", collection_name)`` on the
 wire and re-bound to the receiving process's dictionary — safe because
@@ -261,7 +263,7 @@ def _strdict_names(manager) -> Dict[int, str]:
 
 
 def _enc_dtype(dtype, names: Dict[int, str]):
-    if dtype is not None and dtype[0] == "strcode":
+    if dtype[0] == "strcode":
         # A real strcode meta is a StringDict instance, never a str, so
         # the collection name is an unambiguous wire stand-in.
         return ("strcode", names[id(dtype[1])])
@@ -269,42 +271,35 @@ def _enc_dtype(dtype, names: Dict[int, str]):
 
 
 def _dec_dtype(dtype, manager):
-    if dtype is not None and dtype[0] == "strcode" and isinstance(dtype[1], str):
+    if dtype[0] == "strcode" and isinstance(dtype[1], str):
         return ("strcode", manager.collections[dtype[1]].strdict)
     return dtype
 
 
 def encode_accumulator(manager, acc) -> dict:
+    """A worker's partial: its unit folded to one chunk of arrays (None
+    when no row matched), the chunk's dtypes and the scan counters."""
     names = _strdict_names(manager)
-    acc._collapse()  # fold deferred group-by chunks into `groups`
-    return {
-        "rows": acc.rows,
-        "groups": list(acc.groups.items()),
-        "key_dtypes": (
-            None
-            if acc.key_dtypes is None
-            else [_enc_dtype(d, names) for d in acc.key_dtypes]
-        ),
-        "agg_dtypes": (
-            None
-            if acc.agg_dtypes is None
-            else [_enc_dtype(d, names) for d in acc.agg_dtypes]
-        ),
+    wire = {
+        "chunk": None,
         "rows_scanned": acc.rows_scanned,
         "rows_matched": acc.rows_matched,
     }
+    if acc.chunks:
+        wire["chunk"] = acc.fold()
+        wire["key_dtypes"] = [_enc_dtype(d, names) for d in acc.key_dtypes]
+        wire["agg_dtypes"] = [_enc_dtype(d, names) for d in acc.agg_dtypes]
+    return wire
 
 
 def decode_accumulator(manager, terminal, wire: dict):
     from repro.query.columnar_exec import _Accumulator
 
     acc = _Accumulator(terminal)
-    acc.rows = list(wire["rows"])
-    acc.groups = dict(wire["groups"])
-    if wire["key_dtypes"] is not None:
+    if wire["chunk"] is not None:
+        acc.chunks.append(wire["chunk"])
         acc.key_dtypes = [_dec_dtype(d, manager) for d in wire["key_dtypes"]]
-    if wire["agg_dtypes"] is not None:
         acc.agg_dtypes = [_dec_dtype(d, manager) for d in wire["agg_dtypes"]]
     acc.rows_scanned = int(wire["rows_scanned"])
-    acc.rows_matched = int(wire.get("rows_matched", 0))
+    acc.rows_matched = int(wire["rows_matched"])
     return acc

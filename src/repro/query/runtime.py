@@ -12,15 +12,11 @@ protocol for compaction groups (section 5.2):
   the scan; if the moving phase has begun by then the reader helps,
   otherwise it pins the group's pre-relocation state with the group's
   query counter and scans the source blocks.
-
-The module also provides the small data-structure helpers the generated
-code uses (grouped aggregation accumulators, top-k selection), so that the
-generated source stays compact and readable.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, List
+from typing import TYPE_CHECKING, Iterator
 
 from repro.sanitizer import hooks as _san
 
@@ -152,30 +148,3 @@ def _emit_resolved(group, kind, members, emit) -> Iterator["Block"]:
         for block in members:
             if emit(block):
                 yield block
-
-
-# ----------------------------------------------------------------------
-# Helpers used by generated query code
-# ----------------------------------------------------------------------
-
-
-def top_k(rows: List[tuple], k: int) -> List[tuple]:
-    """First *k* rows of an already-sorted row list (LIMIT)."""
-    return rows[:k]
-
-
-class AvgAcc:
-    """Streaming average accumulator (sum + count)."""
-
-    __slots__ = ("total", "count")
-
-    def __init__(self) -> None:
-        self.total = 0
-        self.count = 0
-
-    def add(self, value) -> None:
-        self.total += value
-        self.count += 1
-
-    def result(self):
-        return self.total / self.count if self.count else None

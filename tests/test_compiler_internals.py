@@ -1,4 +1,4 @@
-"""Compiler internals: scaled-decimal algebra, caching, ablation flavour."""
+"""Compiler internals: value semantics, caching, flavour names."""
 
 import datetime
 from decimal import Decimal
@@ -8,10 +8,9 @@ import pytest
 from repro.core.collection import Collection
 from repro.query.builder import Count, Sum
 from repro.query.compiler import (
-    _decimal_raw,
+    CompileError,
     _to_raw,
     clear_cache,
-    compiled_source,
     get_compiled,
 )
 from repro.query.expressions import param
@@ -99,29 +98,16 @@ def test_float_arithmetic(rows):
     assert compiled[0][0] == pytest.approx(interp[0][0])
 
 
-def test_scalar_ablation_flavor_agrees(rows):
-    q = (
-        rows.query()
-        .where(TEverything.i32 >= param("lo"))
-        .group_by(code=TEverything.code)
-        .aggregate(total=Sum(TEverything.price), n=Count())
-        .order_by("code")
-    )
-    vectorised = q.run(params={"lo": 10}).rows
-    scalar = q.run(flavor="smc-unsafe-scalar", params={"lo": 10}).rows
-    assert scalar == vectorised
-
-
-def test_scalar_flavor_source_contains_struct_calls(rows):
-    q = rows.query().where(TEverything.i32 > 1).select(v=TEverything.i32)
-    src = compiled_source(q, "smc-unsafe")
-    assert "_u_i(" in src or "unpack" in src  # raw struct reads
-    assert "enter_critical_section" in src
+def test_retired_scalar_flavor_is_unknown(rows):
+    """The per-row raw-struct flavour is gone, not aliased."""
+    q = rows.query().where(TEverything.i32 >= param("lo")).select(v=TEverything.i32)
+    with pytest.raises(CompileError):
+        q.run(flavor="smc-unsafe-scalar", params={"lo": 10})
 
 
 def test_cache_distinguishes_flavors(rows):
     q = rows.query().select(v=TEverything.i32)
-    a = get_compiled(q, "smc-unsafe")
+    a = get_compiled(q, "managed")
     b = get_compiled(q, "smc-safe")
     assert a is not b
     assert get_compiled(q, "smc-safe") is b
@@ -146,13 +132,6 @@ def test_clear_cache(rows):
     a = get_compiled(q, "smc-safe")
     clear_cache()
     assert get_compiled(q, "smc-safe") is not a
-
-
-def test_decimal_raw_helper():
-    assert _decimal_raw(Decimal("1.25"), 2) == 125
-    assert _decimal_raw(3, 2) == 300
-    assert _decimal_raw(1.5, 2) == 150
-    assert _decimal_raw("0.07", 2) == 7
 
 
 def test_to_raw_helper():

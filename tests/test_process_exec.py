@@ -105,15 +105,45 @@ def pooled_smc(request, tpch_tiny):
 
 @pytest.mark.parametrize("name", sorted(ALL_QUERIES))
 def test_differential_process_pool(pooled_smc, name):
-    """Process-pool scans return exactly the serial in-process rows."""
+    """Process-pool scans return exactly the serial in-process rows, in
+    the serial order, down to each ``Decimal``'s exponent."""
     manager = pooled_smc["_manager"]
     query = ALL_QUERIES[name](pooled_smc)
-    expected = _canonical(query.run(params=DEFAULT_PARAMS, workers=1))
+    expected = repr(query.run(params=DEFAULT_PARAMS, workers=1).rows)
     before = manager.stats.extra.get("exec_process_queries", 0)
     got = query.run(params=DEFAULT_PARAMS, workers=2)
-    assert _canonical(got) == expected
+    assert repr(got.rows) == expected
     # The query really took the process path, not the thread fallback.
     assert manager.stats.extra.get("exec_process_queries", 0) == before + 1
+
+
+def test_unordered_group_by_keeps_the_serial_order(tpch_small):
+    """A group-by without ``order_by`` whose keys fall as blocks rise:
+    the thread and the process pool return the serial scan's rows in the
+    serial scan's order, not merely the same set — partial aggregates
+    merge as arrays in block order and fold once."""
+    from repro.query.builder import Count, Sum
+    from repro.tpch.schema import Lineitem as L
+
+    manager = MemoryManager(block_shift=16, shm=True)
+    collections = load_smc(tpch_small, manager=manager)
+    try:
+        assert collections["lineitem"].context.block_count() >= 4
+        query = (
+            collections["lineitem"].query()
+            .group_by(k=L.orderkey * -1)
+            .aggregate(n=Count(), revenue=Sum(L.extendedprice))
+        )
+        serial = query.run(workers=1).rows
+        threads = query.run(workers=2).rows  # no pool attached yet
+        manager.exec_pool = ProcessScanPool(manager, workers=2)
+        processes = query.run(workers=2).rows
+        assert manager.stats.extra.get("exec_process_queries", 0) == 1
+        assert len(serial) == len(collections["orders"])
+        assert repr(threads) == repr(serial)
+        assert repr(processes) == repr(serial)
+    finally:
+        manager.close()
 
 
 def test_two_column_semijoin_through_the_pool(pooled_smc):
@@ -359,6 +389,57 @@ def test_plan_wire_roundtrip_executes(tpch_tiny):
                 decoded.process_block(block, probes, acc)
             columns, rows = acc.finish(manager)
             assert (tuple(columns), sorted(map(tuple, rows))) == expected, name
+    finally:
+        manager.close()
+
+
+def _leaves(obj):
+    if isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from _leaves(item)
+    else:
+        yield obj
+
+
+@pytest.mark.parametrize("name", ["q1", "q3", "q10"])
+def test_accumulator_wire_is_arrays(tpch_tiny, name):
+    """An encoded partial is one folded chunk of ndarrays plus ``(kind,
+    meta)`` dtype tuples — no Python rows, no dictionary objects — and,
+    decoded and merged after a serial partial, yields the serial rows."""
+    import pickle
+
+    from repro.query import plansnap
+    from repro.query.columnar_exec import build_scan_plan
+
+    collections = load_smc(tpch_tiny, manager=MemoryManager(block_shift=16))
+    manager = collections["_manager"]
+    try:
+        plan, __ = build_scan_plan(ALL_QUERIES[name](collections), DEFAULT_PARAMS)
+        blocks = [b for b in plan.source.context.blocks() if plan.admits(b)]
+        assert len(blocks) >= 2
+        probes = plan.make_probes()
+
+        def scan(part):
+            acc = plan.make_accumulator()
+            for block in part:
+                plan.process_block(block, probes, acc)
+            return acc
+
+        half = len(blocks) // 2
+        wire = pickle.loads(pickle.dumps(
+            plansnap.encode_accumulator(manager, scan(blocks[half:]))
+        ))
+        rows, keys, cells = wire["chunk"]
+        assert isinstance(rows, int) and rows > 0
+        assert all(isinstance(a, np.ndarray) for a in _leaves([keys, cells]))
+        for kind, meta in wire["key_dtypes"] + wire["agg_dtypes"]:
+            assert isinstance(kind, str) and isinstance(meta, (type(None), int, str))
+
+        merged = scan(blocks[:half])
+        merged.merge(plansnap.decode_accumulator(manager, plan.terminal, wire))
+        want = scan(blocks).finish(manager)
+        assert repr(merged.finish(manager)) == repr(want)
+        assert want[1]
     finally:
         manager.close()
 

@@ -277,12 +277,13 @@ def test_compiled_source_is_cached_and_inspectable(manager):
     persons = Collection(TPerson, manager=manager)
     persons.add(name="x", age=1)
     q = persons.query().where(TPerson.age > param("n")).select(a=TPerson.age)
-    src = compiled_source(q)
+    src = compiled_source(q, "smc-safe")
     assert "def __query" in src
     assert "valid_slots" in src
+    assert "decode_from" in src
     from repro.query.compiler import get_compiled
 
-    assert get_compiled(q, "smc-unsafe") is get_compiled(q, "smc-unsafe")
+    assert get_compiled(q, "smc-safe") is get_compiled(q, "smc-safe")
 
 
 def test_double_projection_rejected(manager):

@@ -489,10 +489,12 @@ def test_subquery_keys_stay_arrays(tpch_two_block_sizes, counters, name):
     counters.clear()
     before = dict(manager.stats.extra)
     query.run(params=DEFAULT_PARAMS)
-    # No Python set of subquery rows; q4's subquery is never decoded (q2's
-    # outer projection decodes its own handful of result rows, once).
+    # No Python set of subquery rows, and the subquery is never decoded:
+    # the only decodes are the outer query's output columns, once each
+    # (q2's five projected columns, q4's priority key; a count column
+    # needs no decoding).
     assert counters["set"] == counters["frozenset"] == 0
-    assert counters["_decode_column"] == (0 if name == "q4" else 5)
+    assert counters["_decode_column"] == (1 if name == "q4" else 5)
     # The subquery's scan is still a scan to the telemetry.
     extra = manager.stats.extra
     scanned = extra["scan_rows"] - before["scan_rows"]
@@ -500,3 +502,23 @@ def test_subquery_keys_stay_arrays(tpch_two_block_sizes, counters, name):
     inner = subquery.source
     assert scanned >= len(inner) and blocks >= inner.context.block_count()
     assert planner.observation(subquery.signature())["rows_scanned"] == len(inner)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name", ["q3", "q10"])
+def test_finish_decodes_once_per_column(tpch_two_block_sizes, counters, name, workers):
+    """Grouped results decode column by column, never key by key:
+    ``finish()`` calls ``_decode_column`` once per non-count output column,
+    whatever the group count and however many blocks (or morsels) the
+    scan's partial aggregates came from."""
+    for colls in tpch_two_block_sizes.values():
+        query = ALL_QUERIES[name](colls)
+        (groupby,) = [op for op in query.ops if isinstance(op, GroupBy)]
+        decoded = len(groupby.keys) + sum(
+            agg.kind != "count" for __, agg in groupby.aggs
+        )
+        query.run(params=DEFAULT_PARAMS, workers=workers)
+        counters.clear()
+        result = query.run(params=DEFAULT_PARAMS, workers=workers)
+        assert counters["_decode_column"] == decoded
+        assert result.rows

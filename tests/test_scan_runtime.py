@@ -5,7 +5,7 @@ import pytest
 from repro.core.collection import Collection
 from repro.core.compaction import CompactionGroup, Compactor
 from repro.memory.manager import MemoryManager
-from repro.query.runtime import AvgAcc, scan_blocks, top_k
+from repro.query.runtime import scan_blocks
 
 from tests.schemas import TPerson
 
@@ -101,14 +101,3 @@ def test_scan_counts_objects_exactly_once_mid_compaction():
     compactor.detach()
     m.close()
 
-
-def test_top_k_helper():
-    assert top_k([(3,), (2,), (1,)], 2) == [(3,), (2,)]
-
-
-def test_avg_acc_helper():
-    acc = AvgAcc()
-    assert acc.result() is None
-    acc.add(10)
-    acc.add(20)
-    assert acc.result() == 15
