@@ -730,7 +730,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=_parse_workers,
         default=1,
-        help="morsel-parallel scan workers (vectorised engines only); "
+        help="parallel scan workers (vectorised engines only); "
         "'auto' uses os.cpu_count()",
     )
     query.add_argument(
@@ -746,8 +746,8 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument(
         "--no-planner",
         action="store_true",
-        help="disable cost-based predicate ordering, access-path choice "
-        "and adaptive morsel sizing (ablation)",
+        help="disable cost-based predicate ordering and access-path "
+        "choice (ablation)",
     )
     query.set_defaults(fn=_cmd_query)
 

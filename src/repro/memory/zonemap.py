@@ -2,7 +2,7 @@
 
 Blocks are the natural statistics granularity in an SMC: fixed-size,
 single-type, slot-directory-enumerated — the same granularity the scan
-protocol (section 5.2) and the parallel morsel dispatcher already work
+protocol (section 5.2) and every executor's block cursor already work
 at.  A :class:`ZoneMap` records, per numeric/date/scaled-decimal field,
 the minimum and maximum *raw* value over the block's valid slots, plus a
 staleness counter.  The query planner derives interval tests from

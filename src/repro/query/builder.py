@@ -357,7 +357,7 @@ class Query(Signed):
         overrides the compiled backend (e.g. ``"smc-safe"`` to model the
         paper's SMC (C#) series on a collection that defaults to the
         unsafe backend).  ``workers`` > 1 fans the scan out over the
-        morsel-parallel executor; ``prune=False`` disables block-level
+        parallel executors; ``prune=False`` disables block-level
         zone-map pruning; ``planner=False`` disables cost-based conjunct
         ordering and access-path choice (all three only affect the
         vectorised SMC backends).  Dynamic parameters may be passed via

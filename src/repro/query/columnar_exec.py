@@ -340,8 +340,6 @@ def _execute(plan: "_ScanPlan", nworkers: int) -> "_Accumulator":
             rows_matched=acc.rows_matched,
             blocks_scanned=scanned,
             blocks_pruned=pruned,
-            block_count=plan.source.context.block_count(),
-            workers=nworkers,
         )
     return acc
 
@@ -368,7 +366,7 @@ class _ScanPlan:
 
     One request's binding of a :class:`_PreparedScan`: made per request,
     immutable from then on and shared (read-only) between the serial
-    path and the parallel morsel workers; the only per-worker state is
+    path and the parallel scan workers; the only per-worker state is
     the ``_InsetProbe`` list (its lazily aligned key arrays are not
     thread-safe) and the partial :class:`_Accumulator` each worker folds
     blocks into.
@@ -411,15 +409,6 @@ class _ScanPlan:
         #: the prepared scan's estimates (``planner.PlanInfo``, shared and
         #: read-only) — None with planner off
         self.info = info
-
-    @property
-    def morsel_hint(self):
-        """Adaptive morsel width from execution feedback (None = default),
-        read when a parallel executor asks: it is this request's, the
-        shared ``info`` holds none."""
-        if self.info is None:
-            return None
-        return _planner.morsel_hint(self.info.signature)
 
     def make_probes(self) -> List["_InsetProbe"]:
         return [_InsetProbe(op, sub) for op, sub in self.inset_ops]
@@ -469,29 +458,38 @@ class _ScanPlan:
         acc.rows_matched += int(ctx.idx.size)
         acc.absorb(ctx)
 
+    def scan(self, block, probes, acc: "_Accumulator") -> bool:
+        """One block of a scan, the step every executor runs: the zone
+        test, the residency count, the kernels.  False if pruned — a
+        pruned block is never admitted, so a fully-pruned scan over a
+        cold context reads zero cold blocks."""
+        if not self.admits(block):
+            return False
+        pager = self.manager.pager
+        if pager is not None:
+            pager.touch(block)  # counts; the block is read where it lies
+        self.process_block(block, probes, acc)
+        return True
+
 
 def _run_serial(plan: _ScanPlan) -> Tuple["_Accumulator", int, int]:
-    """Single-threaded scan: one critical section over all blocks."""
+    """Single-threaded scan: one critical section over all blocks.
+
+    Returns ``(accumulator, pruned_blocks, scanned_blocks)``, the shape
+    every executor returns.
+    """
     manager = plan.manager
     acc = plan.make_accumulator()
     probes = plan.make_probes()
-    pager = manager.pager
-    pruned = scanned = 0
+    visited = scanned = 0
     manager.epochs.enter_critical_section()
     try:
         for block in scan_blocks(manager, plan.source.context):
-            if not plan.admits(block):
-                # Pruned blocks are never admitted: a fully-pruned scan
-                # over a cold context reads zero cold blocks.
-                pruned += 1
-                continue
-            scanned += 1
-            if pager is not None:
-                pager.touch(block)  # counts; the block is read where it lies
-            plan.process_block(block, probes, acc)
+            visited += 1
+            scanned += plan.scan(block, probes, acc)
     finally:
         manager.epochs.exit_critical_section()
-    return acc, pruned, scanned
+    return acc, visited - scanned, scanned
 
 
 def _run_index_lookup(plan: _ScanPlan) -> Tuple["_Accumulator", int, int]:

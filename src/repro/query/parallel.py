@@ -1,12 +1,12 @@
-"""Morsel-driven parallel scans over SMC blocks.
+"""Parallel scans over SMC blocks on a persistent thread pool.
 
 The block is the natural unit of parallel work distribution in an SMC —
 fixed-size, single-type and enumerated by the slot directory — so the
-parallel executor partitions the scan's block list into *morsels* (small
-runs of consecutive blocks) and fans them out over a persistent thread
-pool.  The per-block NumPy kernels in :mod:`repro.query.columnar_exec`
-release the GIL, which is what makes thread-level parallelism a real
-speedup for query-dominated workloads in Python.
+parallel executor lets N pool threads drain one
+:class:`~repro.query.runtime.BlockCursor`, one block per unit.  The
+per-block NumPy kernels in :mod:`repro.query.columnar_exec` release the
+GIL, which is what makes thread-level parallelism a real speedup for
+query-dominated workloads in Python.
 
 Protocol discipline (paper section 5.2):
 
@@ -16,22 +16,16 @@ Protocol discipline (paper section 5.2):
 * every **worker** additionally enters its own critical section — each
   scanning thread is an independent reader as far as epoch-based
   reclamation and the compactor's waiting phase are concerned;
-* **compaction groups are claimed atomically** by the dispatcher: the
-  first worker to reach any block of a group takes the whole group and
-  resolves it through :func:`repro.query.runtime.resolve_group` — the
-  identical decision procedure the serial scan uses — so helping,
-  pre-state pinning and deferral never double-scan a group across
-  workers.  Pre-state pins are held for exactly the duration of the
-  claiming worker's kernel runs over the group's sources;
-* a shared *emitted* set (block ids) guarantees every block is scanned
-  at most once even when a group dissolves mid-scan and its former
-  sources reappear as plain blocks.
+* the cursor hands a **compaction group** to exactly one worker, which
+  resolves it (helping, pre-state pinning, deferral) and holds any pin
+  for exactly as long as it scans the group's blocks; the cursor's
+  emitted set guarantees every block is scanned at most once.
 
-Results stay deterministic: each work unit carries the sequence number
-of its position in the block snapshot, and the driver merges the partial
-accumulators in sequence order — the same order the serial scan visits
-blocks — so grouped aggregation, selection and enumeration produce
-bit-identical results at any worker count.
+Results stay deterministic: every unit carries its sequence number in
+scan order, each worker keeps one partial accumulator per unit, and the
+driver merges the partials in sequence order — the order the serial scan
+visits blocks — so grouped aggregation, selection and enumeration
+produce bit-identical results at any worker count.
 """
 
 from __future__ import annotations
@@ -39,18 +33,9 @@ from __future__ import annotations
 import atexit
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
-from repro.query.runtime import (
-    GROUP_DEFERRED,
-    GROUP_PINNED,
-    resolve_group,
-)
-from repro.sanitizer import hooks as _san
-
-#: Morsels per worker the dispatcher aims for; small enough to balance
-#: load, large enough to amortise per-morsel accumulator overhead.
-MORSELS_PER_WORKER = 4
+from repro.query.runtime import BlockCursor
 
 _POOL: Optional[ThreadPoolExecutor] = None
 _POOL_LOCK = threading.Lock()
@@ -63,7 +48,7 @@ def _get_pool(workers: int) -> ThreadPoolExecutor:
         if _POOL is None or _POOL._max_workers < workers:
             old = _POOL
             _POOL = ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="smc-morsel"
+                max_workers=workers, thread_name_prefix="smc-scan"
             )
             if old is not None:
                 old.shutdown(wait=False)
@@ -87,174 +72,40 @@ def shutdown_pool() -> None:
 atexit.register(shutdown_pool)
 
 
-class MorselDispatcher:
-    """Thread-safe partitioner of one scan's block list.
-
-    Hands out two kinds of work units under a single lock:
-
-    * ``("blocks", seq, [block, ...])`` — a morsel of consecutive
-      group-free blocks, already emission-claimed;
-    * ``("group", seq, group)`` / ``("deferred", seq, group)`` — a whole
-      compaction group, claimed by exactly one worker, which resolves
-      its state itself (outside the dispatcher lock, since helping a
-      relocation does real work).
-
-    Deferred groups are queued behind the main block list, mirroring the
-    serial scan's end-of-scan revisit; a deferring worker keeps pulling
-    units afterwards, so a deferred group can never be orphaned.
-    """
-
-    def __init__(self, context, morsel_size: int) -> None:
-        self._lock = threading.Lock()
-        self._blocks = context.blocks()
-        self._pos = 0
-        self._emitted = set()
-        self._seen_groups = set()
-        self._deferred: List[Tuple[int, object]] = []
-        self.morsel_size = max(1, morsel_size)
-        # Deferred units sort after every main-list unit.
-        self._defer_seq_base = len(self._blocks) + 1
-        self._defer_count = 0
-
-    @property
-    def block_count(self) -> int:
-        return len(self._blocks)
-
-    def next_unit(self):
-        with self._lock:
-            blocks = self._blocks
-            while self._pos < len(blocks):
-                group = blocks[self._pos].compaction_group
-                if group is not None:
-                    seq = self._pos
-                    self._pos += 1
-                    if id(group) in self._seen_groups:
-                        continue
-                    self._seen_groups.add(id(group))
-                    return ("group", seq, group)
-                seq = self._pos
-                run = []
-                while (
-                    self._pos < len(blocks)
-                    and len(run) < self.morsel_size
-                ):
-                    block = blocks[self._pos]
-                    if block.compaction_group is not None:
-                        break
-                    self._pos += 1
-                    if block.block_id not in self._emitted:
-                        self._emitted.add(block.block_id)
-                        run.append(block)
-                if run:
-                    return ("blocks", seq, run)
-            if self._deferred:
-                seq, group = self._deferred.pop(0)
-                return ("deferred", seq, group)
-            return None
-
-    def defer(self, group) -> None:
-        with self._lock:
-            self._deferred.append(
-                (self._defer_seq_base + self._defer_count, group)
-            )
-            self._defer_count += 1
-
-    def claim_emit(self, block) -> bool:
-        """Atomically claim *block* for emission; False if already scanned."""
-        with self._lock:
-            if block.block_id in self._emitted:
-                return False
-            self._emitted.add(block.block_id)
-            return True
-
-
-def _scan_worker(dispatcher: MorselDispatcher, plan):
-    """One worker: pull morsels until the dispatcher runs dry.
+def _drain(cursor: BlockCursor, plan):
+    """One pool thread: one block per unit, one partial per unit.
 
     Returns ``(partials, pruned, scanned)`` where *partials* is a list of
     ``(seq, accumulator)`` pairs for the driver's ordered merge.
     """
-    manager = plan.manager
-    epochs = manager.epochs
-    pager = manager.pager
+    epochs = plan.manager.epochs
     probes = plan.make_probes()
     partials = []
-    pruned = scanned = 0
+    visited = scanned = 0
     epochs.enter_critical_section()
     try:
-        while True:
-            unit = dispatcher.next_unit()
-            if unit is None:
-                break
-            kind, seq, payload = unit
-            if kind == "blocks":
-                acc = plan.make_accumulator()
-                for block in payload:
-                    if _san.SANITIZER is not None:
-                        _san.SANITIZER.event("scan.block", block=block)
-                    if not plan.admits(block):
-                        pruned += 1
-                        continue
-                    scanned += 1
-                    if pager is not None:
-                        pager.touch(block)
-                    plan.process_block(block, probes, acc)
-                partials.append((seq, acc))
-                continue
-            # Whole compaction group, claimed by this worker alone.
-            group = payload
-            gkind, members = resolve_group(
-                manager, group, defer_ok=(kind == "group")
-            )
-            if gkind == GROUP_DEFERRED:
-                dispatcher.defer(group)
-                continue
+        while (unit := cursor.next_unit(1)) is not None:
+            seq, blocks = unit
             acc = plan.make_accumulator()
-            try:
-                for block in members:
-                    if dispatcher.claim_emit(block):
-                        if _san.SANITIZER is not None:
-                            _san.SANITIZER.event("scan.block", block=block)
-                        if not plan.admits(block):
-                            pruned += 1
-                            continue
-                        scanned += 1
-                        if pager is not None:
-                            pager.touch(block)
-                        plan.process_block(block, probes, acc)
-            finally:
-                if gkind == GROUP_PINNED:
-                    group.unpin_prestate()
+            for block in blocks:
+                visited += 1
+                scanned += plan.scan(block, probes, acc)
             partials.append((seq, acc))
     finally:
+        cursor.release()
         epochs.exit_critical_section()
-    return partials, pruned, scanned
+    return partials, visited - scanned, scanned
 
 
 def run_parallel(plan, workers: int):
-    """Fan a scan out over *workers* threads; returns the merged result.
-
-    The return shape matches ``columnar_exec._run_serial``:
-    ``(accumulator, pruned_blocks, scanned_blocks)``.
-    """
+    """Fan a scan out over *workers* threads; returns the merged result
+    as ``(accumulator, pruned_blocks, scanned_blocks)``."""
     manager = plan.manager
     pool = _get_pool(workers)
     manager.epochs.enter_critical_section()
     try:
-        context = plan.source.context
-        # Adaptive morsel width: feedback from earlier runs of the same
-        # query shrinks morsels when zone pruning admits few blocks, so
-        # each dispatch unit still carries work (repro.query.planner).
-        morsel_size = getattr(plan, "morsel_hint", None)
-        if morsel_size is None:
-            morsel_size = -(
-                -context.block_count() // (workers * MORSELS_PER_WORKER)
-            )
-        dispatcher = MorselDispatcher(context, morsel_size)
-        futures = [
-            pool.submit(_scan_worker, dispatcher, plan)
-            for __ in range(workers)
-        ]
+        cursor = BlockCursor(manager, plan.source.context)
+        futures = [pool.submit(_drain, cursor, plan) for __ in range(workers)]
         partials: List[tuple] = []
         pruned = scanned = 0
         for future in futures:

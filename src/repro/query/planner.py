@@ -20,9 +20,6 @@ every admitted block the same way.  This module closes the loop
 * **Access-path choice**: a point predicate over a hash-indexed field
   turns the scan into an index lookup that touches only the blocks
   holding matches; otherwise the plan stays a (pruned) scan.
-* **Adaptive morsel width**: per-query feedback (block admit rate) from
-  previous executions shrinks the morsel size when pruning leaves few
-  admitted blocks per chunk, keeping every worker busy.
 * **Serve-path routing**: tiny estimated scans skip the process pool
   (`exec_workers`) — fan-out costs more than the scan saves.
 
@@ -36,7 +33,6 @@ predicate evaluation with no conjunction splitting.
 
 from __future__ import annotations
 
-import math
 import threading
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -714,7 +710,7 @@ def choose_index(
 
 
 class PlanInfo:
-    """Everything EXPLAIN (and the adaptive feedback loop) wants to show."""
+    """Everything EXPLAIN wants to show (and the feedback registry keys on)."""
 
     __slots__ = (
         "signature",
@@ -723,7 +719,6 @@ class PlanInfo:
         "table_rows",
         "est_selectivity",
         "est_rows",
-        "morsel_hint",
         "index_field",
     )
 
@@ -734,7 +729,6 @@ class PlanInfo:
         self.table_rows = 0
         self.est_selectivity = 1.0
         self.est_rows = 0
-        self.morsel_hint: Optional[int] = None
         self.index_field: Optional[str] = None
 
     def explain_lines(self) -> List[str]:
@@ -749,8 +743,6 @@ class PlanInfo:
                 f"    [{i}] sel={p.selectivity:.4f} cost={p.cost:.1f} "
                 f"rank={p.rank:.2f}  {p.expr.signature()}"
             )
-        if self.morsel_hint is not None:
-            lines.append(f"    morsel hint: {self.morsel_hint} blocks/unit")
         return lines
 
 
@@ -778,7 +770,6 @@ def plan_scan(
         info.index_field = choice.index.field_name
     elif prune and any(p.selectivity < 1.0 for p in plans):
         info.access_path = "pruned-scan"
-    info.morsel_hint = _feedback.morsel_hint(query_signature)
     return ordered, choice, info
 
 
@@ -803,55 +794,25 @@ def estimate_query_rows(query, params: Dict[str, Any]) -> Optional[int]:
 
 
 # ----------------------------------------------------------------------
-# Execution feedback (adaptive morsel width, observed selectivity)
+# Execution feedback (observed selectivity)
 # ----------------------------------------------------------------------
 
 
 class _Feedback:
-    """Per-query-signature observations from completed executions.
-
-    Feeds two consumers: EXPLAIN's estimated-vs-actual comparison, and
-    the adaptive morsel hint (block admit rate shrinks the morsel so
-    each dispatch unit still carries work after pruning).
-    """
+    """Per-query-signature observations from completed executions, for
+    EXPLAIN's estimated-vs-actual comparison."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._by_sig: Dict[str, Dict[str, Any]] = {}
 
-    def record(
-        self,
-        signature: str,
-        est_rows: int,
-        rows_scanned: int,
-        rows_matched: int,
-        blocks_scanned: int,
-        blocks_pruned: int,
-        block_count: int,
-        workers: int,
-    ) -> None:
+    def record(self, signature: str, **observed: int) -> None:
+        """Keep the latest run's numbers (``est_rows``, rows scanned and
+        matched, blocks scanned and pruned) and count the runs."""
         with self._lock:
-            obs = self._by_sig.setdefault(
-                signature,
-                {
-                    "runs": 0,
-                    "est_rows": 0,
-                    "rows_scanned": 0,
-                    "rows_matched": 0,
-                    "blocks_scanned": 0,
-                    "blocks_pruned": 0,
-                    "block_count": 0,
-                    "workers": 1,
-                },
-            )
-            obs["runs"] += 1
-            obs["est_rows"] = est_rows
-            obs["rows_scanned"] = rows_scanned
-            obs["rows_matched"] = rows_matched
-            obs["blocks_scanned"] = blocks_scanned
-            obs["blocks_pruned"] = blocks_pruned
-            obs["block_count"] = block_count
-            obs["workers"] = max(1, workers)
+            prior = self._by_sig.get(signature)
+            observed["runs"] = prior["runs"] + 1 if prior is not None else 1
+            self._by_sig[signature] = observed
             if len(self._by_sig) > 512:  # bound the registry
                 self._by_sig.pop(next(iter(self._by_sig)))
 
@@ -860,43 +821,18 @@ class _Feedback:
             obs = self._by_sig.get(signature)
             return dict(obs) if obs is not None else None
 
-    def morsel_hint(self, signature: str) -> Optional[int]:
-        """Admitted-block-aware morsel width from the last execution."""
-        from repro.query.parallel import MORSELS_PER_WORKER
-
-        with self._lock:
-            obs = self._by_sig.get(signature)
-            if obs is None:
-                return None
-            considered = obs["blocks_scanned"] + obs["blocks_pruned"]
-            if considered == 0 or obs["blocks_pruned"] == 0:
-                return None
-            admit = obs["blocks_scanned"] / considered
-            workers = obs["workers"]
-            block_count = max(obs["block_count"], considered)
-        if admit >= 0.95:
-            return None
-        target_units = max(1, workers) * MORSELS_PER_WORKER
-        hint = math.ceil(block_count * max(admit, 1.0 / block_count) / target_units)
-        return max(1, hint)
-
 
 _feedback = _Feedback()
 
 
-def record_observation(info: Optional[PlanInfo], **kwargs) -> None:
+def record_observation(info: Optional[PlanInfo], **observed: int) -> None:
     if info is None:
         return
-    _feedback.record(info.signature, info.est_rows, **kwargs)
+    _feedback.record(info.signature, est_rows=info.est_rows, **observed)
 
 
 def observation(signature: str) -> Optional[Dict[str, Any]]:
     return _feedback.observation(signature)
-
-
-def morsel_hint(signature: str) -> Optional[int]:
-    """Adaptive morsel width for the next execution of *signature*."""
-    return _feedback.morsel_hint(signature)
 
 
 def route_workers(est_rows: Optional[int], workers: int) -> int:

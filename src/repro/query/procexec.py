@@ -1,6 +1,6 @@
 """Multi-process scatter-gather execution over shared-memory block pools.
 
-Thread-level morsel parallelism (:mod:`repro.query.parallel`) is bounded
+Thread-level parallelism (:mod:`repro.query.parallel`) is bounded
 by the GIL wherever a kernel is not pure NumPy.  This module adds the
 other half of the paper's "scalable query-dominated collections" story: a
 pool of **forked worker processes** that attach the same shared-memory
@@ -44,14 +44,14 @@ Protocol overview (full write-up in ``docs/parallel_execution.md``):
   protocol and the parent's critical section keeps every dispatched
   block mapped, so scans under compaction churn remain exact.
 
-* **Scatter-gather.**  The parent drives the same
-  :class:`~repro.query.parallel.MorselDispatcher` the thread executor
-  uses, prunes with its authoritative zone maps, stripes the admitted
-  block morsels round-robin across workers, and processes compaction
-  groups itself (group resolution pins pre-states, which is inherently
-  parent-side work).  Partials merge in sequence order; units lost to a
-  dead worker are re-executed by the parent and counted as
-  ``exec_morsels_redispatched``.
+* **Scatter-gather.**  The parent drains the scan's
+  :class:`~repro.query.runtime.BlockCursor` itself — the block walk
+  every executor shares — prunes with its authoritative zone maps and
+  scans a pinned compaction-group pre-state locally (the pin is
+  parent-side state).  The admitted blocks are cut into one contiguous
+  run per worker, so each worker folds and returns one partial per
+  query.  Partials merge in scan order; runs lost to a dead worker are
+  re-executed by the parent and counted as ``exec_morsels_redispatched``.
 
 Any worker error, death-induced inconsistency or end-fingerprint
 mismatch makes :func:`run_process_scan` return ``None``; the caller
@@ -75,8 +75,7 @@ import numpy as np
 from repro.memory.block import KIND_STRING
 from repro.memory.stringheap import StringBlock
 from repro.query import plansnap
-from repro.query.parallel import MORSELS_PER_WORKER, MorselDispatcher
-from repro.query.runtime import GROUP_DEFERRED, GROUP_PINNED, resolve_group
+from repro.query.runtime import BlockCursor
 from repro.sanitizer import hooks as _san
 
 _LEN = struct.Struct("<I")
@@ -427,18 +426,20 @@ class ProcessScanPool:
             )
         return True
 
-    def _handle_death(self, rec: dict) -> None:
-        """A worker died mid-query: expire its pin, reap, drop its fds."""
+    def _handle_death(self, rec: dict, reaped: bool = False) -> None:
+        """A worker died mid-query: expire its pin, reap it (unless a
+        ``waitpid`` already did), drop its fds."""
         rec["alive"] = False
         for fd_key in ("rfd", "wfd"):
             try:
                 os.close(rec[fd_key])
             except OSError:
                 pass
-        try:
-            os.waitpid(rec["pid"], 0)
-        except ChildProcessError:
-            pass
+        if not reaped:
+            try:
+                os.waitpid(rec["pid"], 0)
+            except ChildProcessError:
+                pass
         # Lease-watchdog machinery: revocation expires the dead worker's
         # pin; its shared slot row is cleared so the external source stops
         # reporting a reader section that no longer exists.
@@ -497,78 +498,55 @@ class ProcessScanPool:
         probes = plan.make_probes()
 
         local_partials: List[tuple] = []
-        pruned = scanned = redispatched = 0
+        visited = scanned = redispatched = 0
         failed = False
         participants: List[dict] = []
         entered: List = []
 
         epoch = epochs.enter_critical_section()
         try:
-            context = plan.source.context
-            workers = [rec for rec in self._procs if rec["alive"]]
-            # Adaptive morsel width (planner feedback), same as the
-            # thread executor; None falls back to the static split.
-            morsel_size = getattr(plan, "morsel_hint", None)
-            if morsel_size is None:
-                morsel_size = -(
-                    -context.block_count()
-                    // (len(workers) * MORSELS_PER_WORKER)
-                )
-            dispatcher = MorselDispatcher(context, morsel_size)
-
-            # Drain the dispatcher on the parent: prune with authoritative
-            # zone maps, ship plain-block morsels, resolve compaction
-            # groups locally (pre-state pinning is parent-side work).
-            units: List[Tuple[int, List[int]]] = []
-            while True:
-                unit = dispatcher.next_unit()
-                if unit is None:
-                    break
-                kind, seq, payload = unit
-                if kind == "blocks":
-                    admitted = []
-                    for block in payload:
-                        if _san.SANITIZER is not None:
-                            _san.SANITIZER.event("scan.block", block=block)
+            # Drain the cursor on the parent: prune with authoritative
+            # zone maps, and scan a pinned pre-state here — with the step
+            # every executor runs, before the next call unpins it.  Part
+            # numbers keep scan order: the blocks shipped between two
+            # local partials share one.
+            ship: List[Tuple[int, int]] = []  # (part, block id)
+            part = 0
+            cursor = BlockCursor(manager, plan.source.context)
+            try:
+                while (unit := cursor.next_unit()) is not None:
+                    blocks = unit[1]
+                    visited += len(blocks)
+                    if cursor.pinned:
+                        acc = plan.make_accumulator()
+                        for block in blocks:
+                            scanned += plan.scan(block, probes, acc)
+                        local_partials.append(((part + 1, 0), acc))
+                        part += 2
+                        continue
+                    for block in blocks:
                         if plan.admits(block):
-                            scanned += 1
-                            admitted.append(block.block_id)
-                        else:
-                            pruned += 1
-                    if admitted:
-                        units.append((seq, admitted))
-                    continue
-                gkind, members = resolve_group(
-                    manager, payload, defer_ok=(kind == "group")
-                )
-                if gkind == GROUP_DEFERRED:
-                    dispatcher.defer(payload)
-                    continue
-                acc = plan.make_accumulator()
-                try:
-                    for block in members:
-                        if dispatcher.claim_emit(block):
-                            if _san.SANITIZER is not None:
-                                _san.SANITIZER.event("scan.block", block=block)
-                            if not plan.admits(block):
-                                pruned += 1
-                                continue
-                            scanned += 1
-                            plan.process_block(block, probes, acc)
-                finally:
-                    if gkind == GROUP_PINNED:
-                        payload.unpin_prestate()
-                local_partials.append((seq, acc))
+                            ship.append((part, block.block_id))
+            finally:
+                cursor.release()
+            scanned += len(ship)
+
+            # One contiguous run of the admitted blocks per worker, cut
+            # into units only where a local partial falls inside it.
+            # Every assignment is remembered so a dead worker's unacked
+            # units can be re-executed locally.
+            workers = [rec for rec in self._procs if rec["alive"]]
+            width = -(-len(ship) // len(workers))
+            assignments: Dict[int, Dict[tuple, List[int]]] = {}
+            units = 0
+            for i, (part, block_id) in enumerate(ship):
+                assigned = assignments.setdefault(workers[i // width]["pid"], {})
+                if i % width == 0 or ship[i - 1][0] != part:
+                    run = assigned[(part, i)] = []
+                    units += 1
+                run.append(block_id)
 
             if units:
-                # Static striping: morsel i goes to worker i % n.  Every
-                # assignment is remembered so a dead worker's unacked
-                # units can be re-executed locally.
-                assignments: Dict[int, Dict[int, List[int]]] = {}
-                for i, (seq, block_ids) in enumerate(units):
-                    rec = workers[i % len(workers)]
-                    assignments.setdefault(rec["pid"], {})[seq] = block_ids
-
                 wire = {
                     "plan": plansnap.encode_plan(manager, plan),
                     **_space_map(manager),
@@ -625,9 +603,7 @@ class ProcessScanPool:
                             )
                             if pid:
                                 done[rec["pid"]] = True
-                                self._reap_mid_query(
-                                    rec, assignments, received, reaped=True
-                                )
+                                self._handle_death(rec, reaped=True)
                         continue
                     for fd in ready:
                         rec = next(
@@ -636,7 +612,7 @@ class ProcessScanPool:
                         data = os.read(fd, 1 << 16)
                         if not data:
                             done[rec["pid"]] = True
-                            self._reap_mid_query(rec, assignments, received)
+                            self._handle_death(rec)
                             continue
                         rec["buf"] += data
                         for frame in _parse_frames(rec):
@@ -687,7 +663,7 @@ class ProcessScanPool:
 
             extra = manager.stats.extra
             extra["exec_morsels_dispatched"] = (
-                extra.get("exec_morsels_dispatched", 0) + len(units)
+                extra.get("exec_morsels_dispatched", 0) + units
             )
             if redispatched:
                 extra["exec_morsels_redispatched"] = (
@@ -707,30 +683,14 @@ class ProcessScanPool:
         acc = plan.make_accumulator()
         for __, partial in local_partials:
             acc.merge(partial)
-        return acc, pruned, scanned
-
-    def _reap_mid_query(self, rec, assignments, received, reaped=False):
-        if reaped:
-            # waitpid already collected it; skip the second wait.
-            rec["alive"] = False
-            for fd_key in ("rfd", "wfd"):
-                try:
-                    os.close(rec[fd_key])
-                except OSError:
-                    pass
-            rec["lease"].revoke()
-            if self._slots is not None:
-                base = rec["index"] * _SLOT_ROW
-                self._slots[base : base + _SLOT_ROW] = 0
-        else:
-            self._handle_death(rec)
+        return acc, visited - scanned, scanned
 
 
 def run_process_scan(plan, pool: ProcessScanPool) -> Optional[tuple]:
     """Scatter *plan* over the process pool; ``None`` = thread fallback.
 
-    Return shape matches ``columnar_exec._run_serial``:
-    ``(accumulator, pruned_blocks, scanned_blocks)``.
+    Returns ``(accumulator, pruned_blocks, scanned_blocks)``, the shape
+    every executor returns.
     """
     if pool is None or plan.manager is not pool.manager:
         return None

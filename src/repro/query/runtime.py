@@ -1,22 +1,26 @@
-"""Runtime helpers shared by the interpreter and the generated query code.
+"""The block walk every SMC scan goes through.
 
-The central piece is :func:`scan_blocks`: the block enumerator every SMC
-scan goes through.  It implements the paper's block-access consistency
-protocol for compaction groups (section 5.2):
+:class:`BlockCursor` is the one implementation of the paper's
+block-access consistency protocol for compaction groups (section 5.2);
+the serial scan, the index lookup, the interpreter, the generated code,
+collection enumeration, the thread pool and the process-pool parent all
+drain one:
 
-* blocks that belong to no compaction group are yielded as-is;
+* blocks that belong to no compaction group are visited as-is;
 * a *finished* group contributes its compacted destination block (once);
 * a group reached during the compactor's **moving phase** is relocated by
   the reader ("helping") and the destination block is scanned;
 * a group reached during the **waiting phase** is deferred to the end of
   the scan; if the moving phase has begun by then the reader helps,
   otherwise it pins the group's pre-relocation state with the group's
-  query counter and scans the source blocks.
+  query counter and scans the source blocks;
+* every block is visited exactly once.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator
+import threading
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
 from repro.sanitizer import hooks as _san
 
@@ -41,8 +45,8 @@ def resolve_group(manager: "MemoryManager", group, defer_ok: bool = True):
       or destination, or a moving-phase group the caller just helped
       relocate);
     * ``GROUP_PINNED`` — *blocks* are the group's pre-state members and
-      the group's query counter is **held**: the caller must call
-      ``group.unpin_prestate()`` once done with them;
+      the group's query counter is **held** until the caller is done
+      with them;
     * ``GROUP_DEFERRED`` — the reader's local epoch conflicts with the
       upcoming relocation epoch; re-resolve with ``defer_ok=False`` after
       every other block has been processed.
@@ -52,9 +56,6 @@ def resolve_group(manager: "MemoryManager", group, defer_ok: bool = True):
     source slot), unmoved rows sit VALID in the sources, so the union
     holds exactly one live copy of every object.  The per-scan emitted
     set de-duplicates blocks that also appear in the scan's snapshot.
-
-    Shared by the serial generator below and the parallel morsel
-    dispatcher, so both paths follow the identical protocol.
     """
     while True:
         if group.failed:
@@ -94,57 +95,130 @@ def resolve_group(manager: "MemoryManager", group, defer_ok: bool = True):
                 return GROUP_BLOCKS, [dest]
 
 
+class BlockCursor:
+    """One scan's walk over a context's blocks, shared by its consumers.
+
+    A consumer is a thread inside its own critical section; any number
+    may drain one cursor.  :meth:`next_unit` hands each a *unit* — a run
+    of consecutive group-free blocks, or one compaction group resolved
+    by the thread that claimed it (outside the cursor lock, since
+    helping a relocation does real work) — numbered in scan order.
+    Deferred groups are queued behind the block snapshot and numbered
+    after every unit of it; a deferring consumer keeps pulling units, so
+    a deferred group is never orphaned.  A pinned pre-state stays pinned
+    while its unit is out: until the same consumer's next call, or its
+    :meth:`release`, which every consumer runs in a ``finally``.
+
+    Under the protocol sanitizer a run is one block long, so each
+    ``scan.block`` event fires as its consumer reaches the block and a
+    schedule gate parked there stops the scan between two blocks.
+    """
+
+    def __init__(self, manager: "MemoryManager", context: "MemoryContext") -> None:
+        self._manager = manager
+        self._lock = threading.Lock()
+        self._blocks = context.blocks()
+        self._pos = 0
+        self._seq = 0
+        self._emitted = set()
+        self._seen_groups = set()
+        self._deferred: List[object] = []
+        #: consumer thread id -> the group whose pre-state it holds pinned
+        self._held: Dict[int, object] = {}
+
+    @property
+    def pinned(self) -> bool:
+        """Is the calling consumer's current unit a pinned pre-state,
+        valid only until its next call?"""
+        return threading.get_ident() in self._held
+
+    def release(self) -> None:
+        """Unpin the calling consumer's current unit, if it holds one."""
+        if self._held:
+            group = self._held.pop(threading.get_ident(), None)
+            if group is not None:
+                group.unpin_prestate()
+
+    def next_unit(
+        self, max_blocks: Optional[int] = None
+    ) -> Optional[Tuple[int, List["Block"]]]:
+        """The calling consumer's next ``(seq, blocks)`` — at most
+        *max_blocks* plain blocks (None: the whole run up to the next
+        group) or one group's blocks — or None once the scan is done."""
+        self.release()
+        if _san.SANITIZER is not None:
+            max_blocks = 1
+        while True:
+            with self._lock:
+                seq = self._seq
+                self._seq += 1
+                run, group, defer_ok = self._claim(max_blocks)
+            if group is not None:
+                kind, members = resolve_group(self._manager, group, defer_ok)
+                if kind == GROUP_DEFERRED:
+                    with self._lock:
+                        self._deferred.append(group)
+                    continue
+                if kind == GROUP_PINNED:
+                    self._held[threading.get_ident()] = group
+                with self._lock:
+                    run = [b for b in members if b.block_id not in self._emitted]
+                    self._emitted.update(b.block_id for b in run)
+                if not run:
+                    self.release()
+                    continue
+            elif run is None:
+                return None
+            if _san.SANITIZER is not None:
+                for block in run:
+                    _san.SANITIZER.event("scan.block", block=block)
+            return seq, run
+
+    def _claim(self, max_blocks: Optional[int]):
+        """Under the lock: ``(run, None, _)`` for plain blocks, ``(None,
+        group, defer_ok)`` for a group to resolve, ``(None, None, _)``
+        when nothing is left."""
+        blocks, emitted = self._blocks, self._emitted
+        pos, end = self._pos, len(blocks)
+        claimed = None, None, True
+        while pos < end:
+            block = blocks[pos]
+            pos += 1
+            group = block.compaction_group
+            if group is not None:
+                if group not in self._seen_groups:
+                    self._seen_groups.add(group)
+                    claimed = None, group, True
+                    break
+            elif block.block_id not in emitted:
+                emitted.add(block.block_id)
+                run = [block]
+                stop = end if max_blocks is None else min(end, pos + max_blocks - 1)
+                while pos < stop and blocks[pos].compaction_group is None:
+                    block = blocks[pos]
+                    pos += 1
+                    if block.block_id not in emitted:
+                        emitted.add(block.block_id)
+                        run.append(block)
+                claimed = run, None, True
+                break
+        else:
+            if self._deferred:
+                claimed = None, self._deferred.pop(0), False
+        self._pos = pos
+        return claimed
+
+
 def scan_blocks(manager: "MemoryManager", context: "MemoryContext") -> Iterator["Block"]:
     """Yield the blocks a scan of *context* must visit, exactly once each.
 
-    Must be driven to completion (or closed) by the caller: pre-state pins
-    on compaction groups are released in a ``finally`` when the generator
-    is exhausted or closed.
+    The single-consumer drain of a :class:`BlockCursor`.  Must be driven
+    to completion (or closed) by the caller: a pre-state pin is released
+    when the generator moves past the group, is exhausted or is closed.
     """
-    blocks = context.blocks()
-    emitted = set()
-    seen_groups = set()
-    deferred = []
-
-    def emit(block: "Block"):
-        if block.block_id not in emitted:
-            emitted.add(block.block_id)
-            if _san.SANITIZER is not None:
-                _san.SANITIZER.event("scan.block", block=block)
-            return True
-        return False
-
-    for block in blocks:
-        group = block.compaction_group
-        if group is None:
-            if emit(block):
-                yield block
-            continue
-        if id(group) in seen_groups:
-            continue
-        seen_groups.add(id(group))
-        kind, members = resolve_group(manager, group)
-        if kind == GROUP_DEFERRED:
-            deferred.append(group)
-            continue
-        yield from _emit_resolved(group, kind, members, emit)
-
-    for group in deferred:
-        kind, members = resolve_group(manager, group, defer_ok=False)
-        yield from _emit_resolved(group, kind, members, emit)
-
-
-def _emit_resolved(group, kind, members, emit) -> Iterator["Block"]:
-    """Yield a resolved group's blocks, releasing the pre-state pin (if
-    held) once the caller is done consuming them."""
-    if kind == GROUP_PINNED:
-        try:
-            for block in members:
-                if emit(block):
-                    yield block
-        finally:
-            group.unpin_prestate()
-    else:
-        for block in members:
-            if emit(block):
-                yield block
+    cursor = BlockCursor(manager, context)
+    try:
+        while (unit := cursor.next_unit()) is not None:
+            yield from unit[1]
+    finally:
+        cursor.release()

@@ -51,9 +51,9 @@ def select_in(
 
 
 #: Plan-time toggle for the adaptive build-side choice in
-#: :func:`hash_join`.  The planner ablation (``--no-planner``) turns it
-#: off, forcing the declared build side (hash the unique-key side), which
-#: is what every hand-written plan did before the cost-based planner.
+#: :func:`hash_join`.  The join-side ablation turns it off, forcing the
+#: declared build side (hash the unique-key side), which is what every
+#: hand-written plan did before the cost-based planner.
 ADAPTIVE_JOINS = True
 
 #: Lifetime join decisions, scraped into benchmark/service stats.

@@ -13,7 +13,7 @@ Two instrumentation bridges tie the registry to the engine:
   of the manager's lifetime stats (allocation/compaction rates fall out
   of scraping those counters over time).
 * :func:`engine_snapshot` folds the query engines' counters (rows
-  scanned, blocks pruned, morsel counts from ``stats.extra``) and the
+  scanned, blocks pruned, parallel unit counts from ``stats.extra``) and the
   compiled-function cache's hit/miss numbers into the same exposition.
 """
 

@@ -8,15 +8,11 @@ predicate order, access path, zone-test templates.  A hit therefore
 skips plan construction and planning alike — the request only binds its
 parameters.  Hit/miss counters feed the service metrics registry.
 
-Those decisions come from statistics and go stale as the store grows.
-Each entry carries the coarse **stats stamp**
-(``repro.query.planner.stats_stamp``: per collection, block count, log2
-dictionary-cardinality bucket and index set; read by the service once
-per request) it was built under — the one staleness rule, and the same
-interned object the engine checks the prepared scans against.  A lookup whose stamp
-moved evicts the entry and rebuilds, counted by
-``smc_plancache_stale_evictions_total``; adds and removes inside
-existing blocks move nothing.
+Those decisions come from statistics and go stale as the store grows;
+the staleness rule lives with them, not here: a prepared scan records
+the coarse stats stamp it was made under
+(``repro.query.planner.stats_stamp``) and the engine re-prepares it when
+the stamp moves, so a cached ``Query`` never needs evicting for it.
 
 The cache is also a governor tenant: plans are charged a nominal byte
 cost and evicted oldest-first when the installed budget shrinks below
@@ -41,11 +37,9 @@ class PlanCache:
     def __init__(self, metrics=None, budget_bytes: Optional[int] = None) -> None:
         self._lock = threading.Lock()
         self._plans: Dict[PlanKey, Any] = {}
-        self._fingerprints: Dict[PlanKey, Any] = {}
         self._budget = budget_bytes
         self._hits = 0
         self._misses = 0
-        self.stale_evictions = 0
         self.capacity_evictions = 0
         if metrics is not None:
             self._hit_counter = metrics.counter(
@@ -54,10 +48,6 @@ class PlanCache:
             self._miss_counter = metrics.counter(
                 "service_plan_cache_misses_total", "Prepared-plan cache misses"
             )
-            self._stale_counter = metrics.counter(
-                "smc_plancache_stale_evictions_total",
-                "Plans evicted because their stats fingerprint drifted",
-            )
             metrics.gauge(
                 "service_plan_cache_size",
                 "Prepared plans currently cached",
@@ -65,7 +55,6 @@ class PlanCache:
             )
         else:
             self._hit_counter = self._miss_counter = None
-            self._stale_counter = None
 
     @staticmethod
     def key_for(
@@ -82,34 +71,14 @@ class PlanCache:
         while len(self._plans) > limit:
             oldest = next(iter(self._plans))
             del self._plans[oldest]
-            self._fingerprints.pop(oldest, None)
             self.capacity_evictions += 1
 
-    def get_or_build(
-        self,
-        key: PlanKey,
-        build: Callable[[], Any],
-        fingerprint: Any = None,
-    ) -> Any:
-        stale = False
+    def get_or_build(self, key: PlanKey, build: Callable[[], Any]) -> Any:
         with self._lock:
             plan = self._plans.get(key)
-            if plan is not None and fingerprint is not None:
-                held = self._fingerprints.get(key)
-                if held is not fingerprint and held != fingerprint:
-                    del self._plans[key]
-                    self._fingerprints.pop(key, None)
-                    self.stale_evictions += 1
-                    stale = True
-                    plan = None
             if plan is not None:
                 self._hits += 1
-                hit = True
-            else:
-                hit = False
-        if stale and self._stale_counter is not None:
-            self._stale_counter.inc(query=key[0])
-        if hit:
+        if plan is not None:
             if self._hit_counter is not None:
                 self._hit_counter.inc(query=key[0])
             return plan
@@ -119,8 +88,6 @@ class PlanCache:
         plan = build()
         with self._lock:
             self._plans[key] = plan
-            if fingerprint is not None:
-                self._fingerprints[key] = fingerprint
             self._misses += 1
             self._evict_to_budget_locked()
         if self._miss_counter is not None:
@@ -130,7 +97,6 @@ class PlanCache:
     def invalidate(self) -> None:
         with self._lock:
             self._plans.clear()
-            self._fingerprints.clear()
 
     # -- governor tenant hooks ------------------------------------------
 
@@ -158,6 +124,5 @@ class PlanCache:
                 "hits": self._hits,
                 "misses": self._misses,
                 "size": len(self._plans),
-                "stale_evictions": self.stale_evictions,
                 "capacity_evictions": self.capacity_evictions,
             }

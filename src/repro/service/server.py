@@ -230,9 +230,6 @@ class QueryService:
         #: Server-side default for cost-based planning; per-request
         #: ``planner`` flags override it (and key the plan cache).
         self.planner_enabled = bool(planner)
-        from repro.rdbms import engine as _rdbms_engine
-
-        _rdbms_engine.set_adaptive_joins(self.planner_enabled)
         #: Unified memory governor over the service's caches.  One byte
         #: budget is split across the plan cache, the collections'
         #: string-dictionary match caches and the WAL group-commit
@@ -479,13 +476,9 @@ class QueryService:
             (engine, flavor, workers, prune, use_planner),
         )
         # A cached query carries its prepared scans (conjunct order,
-        # access path), decided from statistics; it lives while the
-        # store's coarse stats stamp — the one the engine validates those
-        # scans against — is the one it was built under.
-        stamp = _planner.stats_stamp(self.manager) if use_planner else None
-        plan = self.plans.get_or_build(
-            key, lambda: builder(self.collections), fingerprint=stamp
-        )
+        # access path); the engine re-prepares them itself when the
+        # store's coarse stats stamp moves.
+        plan = self.plans.get_or_build(key, lambda: builder(self.collections))
 
         # Serve-path worker routing: a query the planner estimates to
         # touch only a handful of rows is not worth a parallel fan-out —

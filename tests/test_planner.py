@@ -2,7 +2,7 @@
 
 The identity tests pin the planner's core contract: turning the planner
 on (conjunct splitting, predicate reordering, access-path choice,
-adaptive join sides, morsel hints) never changes what a query returns —
+adaptive join sides) never changes what a query returns —
 results are byte-identical to the ``--no-planner`` ablation across both
 SMC layouts, worker counts, and compaction churn.  The unit tests pin
 the cost model's arithmetic, the governor's rebalance invariants, and
@@ -24,7 +24,6 @@ from repro.query import planner
 from repro.query.expressions import BoolOp, param
 from repro.rdbms import engine as rdbms_engine
 from repro.rdbms.queries import run_plan
-from repro.service.metrics import MetricsRegistry
 from repro.service.plancache import NOMINAL_PLAN_BYTES, PlanCache
 from repro.tpch import load_rdbms, load_smc
 from repro.tpch.queries import DEFAULT_PARAMS, EXTRA_QUERIES, QUERIES
@@ -339,29 +338,8 @@ def test_governor_weight_biases_initial_split():
 
 
 # ----------------------------------------------------------------------
-# Plan cache: stats fingerprint + byte budget
+# Plan cache: byte budget
 # ----------------------------------------------------------------------
-
-
-def test_plancache_fingerprint_drift_evicts():
-    reg = MetricsRegistry()
-    cache = PlanCache(reg)
-    builds = []
-    key = PlanCache.key_for("q1", "smc", "dict", "compiled")
-
-    def build():
-        builds.append(1)
-        return object()
-
-    p1 = cache.get_or_build(key, build, fingerprint=("lineitem", 10, 3))
-    p2 = cache.get_or_build(key, build, fingerprint=("lineitem", 10, 3))
-    assert p1 is p2 and len(builds) == 1
-    p3 = cache.get_or_build(key, build, fingerprint=("lineitem", 14, 3))
-    assert p3 is not p1 and len(builds) == 2
-    stats = cache.stats()
-    assert stats["stale_evictions"] == 1
-    assert stats["hits"] == 1 and stats["misses"] == 2
-    assert 'smc_plancache_stale_evictions_total{query="q1"} 1' in reg.expose()
 
 
 def test_plancache_budget_caps_entries():
@@ -501,6 +479,22 @@ def test_hash_join_identical_either_build_side():
     # Output is ordered by many-side position with duplicates preserved.
     assert adaptive[1].tolist() == [0, 1, 2, 3, 4, 5]
     assert adaptive[0].tolist() == [50, 50, 30, 990, 420, 50]
+
+
+def test_query_service_leaves_the_join_toggle_alone(manager):
+    """A service's planner default is its own: building one with the
+    planner off must not flip the comparator's process-wide join side."""
+    from repro.service.server import QueryService
+
+    people = Collection(TPerson, manager=manager)
+    prev = rdbms_engine.set_adaptive_joins(True)
+    try:
+        service = QueryService({"people": people}, manager, planner=False)
+        service.close()
+        assert not service.planner_enabled
+        assert rdbms_engine.ADAPTIVE_JOINS is True
+    finally:
+        rdbms_engine.set_adaptive_joins(prev)
 
 
 @pytest.mark.parametrize("qname", ["q3", "q5", "q10", "q12"])

@@ -1,11 +1,25 @@
-"""Block-scan runtime: compaction-group protocol of section 5.2."""
+"""Block-scan runtime: compaction-group protocol of section 5.2.
+
+Every rule is checked for both ways a scan drains its
+:class:`~repro.query.runtime.BlockCursor` (each test runs every drain in
+``DRAINS`` on a fresh store): the single-consumer generator
+(``scan_blocks``: the serial scan, index lookups, generated code,
+enumeration) and two threads sharing one cursor a block at a time (the
+thread pool).
+"""
+
+import sys
+import threading
 
 import pytest
 
+from repro import sanitizer
 from repro.core.collection import Collection
-from repro.core.compaction import CompactionGroup, Compactor
+from repro.core.compaction import Compactor
+from repro.memory.indirection import FROZEN
 from repro.memory.manager import MemoryManager
-from repro.query.runtime import scan_blocks
+from repro.query import runtime
+from repro.query.runtime import BlockCursor, scan_blocks
 
 from tests.schemas import TPerson
 
@@ -23,27 +37,148 @@ def _worn(blocks=4):
     return m, persons, keep
 
 
+def _one_consumer(m, context, visit=None):
+    """``scan_blocks`` inside one critical section; the blocks in scan
+    order, *visit* called on each while its unit is out."""
+    seen = []
+    with m.critical_section():
+        for block in scan_blocks(m, context):
+            if visit is not None:
+                visit(block)
+            seen.append(block)
+    return seen
+
+
+def _two_threads(m, context, visit=None, threads=2):
+    """Two (or *threads*) threads, each in its own critical section,
+    drain one cursor a block per unit as the thread pool does; the
+    blocks in unit order."""
+    cursor = BlockCursor(m, context)
+    units = []
+    errors = []
+
+    def consumer():
+        try:
+            with m.critical_section():
+                try:
+                    while (unit := cursor.next_unit(1)) is not None:
+                        for block in unit[1]:
+                            if visit is not None:
+                                visit(block)
+                        units.append(unit)
+                finally:
+                    cursor.release()
+        except BaseException as exc:  # noqa: BLE001 - re-raised below
+            errors.append(exc)
+
+    consumers = [threading.Thread(target=consumer) for __ in range(threads)]
+    for t in consumers:
+        t.start()
+    for t in consumers:
+        t.join(timeout=30.0)
+    assert not any(t.is_alive() for t in consumers), "consumer hung"
+    if errors:
+        raise errors[0]
+    return [b for __, blocks in sorted(units, key=lambda u: u[0]) for b in blocks]
+
+
+DRAINS = (_one_consumer, _two_threads)
+
+
+def _live(blocks):
+    return sum(len(b.valid_slots()) for b in blocks)
+
+
 def test_plain_scan_covers_all_blocks(manager):
     persons = Collection(TPerson, manager=manager)
     persons.add(name="x", age=1)
-    blocks = list(scan_blocks(manager, persons.context))
-    assert blocks == persons.context.blocks()
+    for drain in DRAINS:
+        blocks = drain(manager, persons.context)
+        assert blocks == persons.context.blocks(), drain.__name__
 
 
 def test_scan_deduplicates_block_ids(manager):
     persons = Collection(TPerson, manager=manager)
     persons.add(name="x", age=1)
-    seen = [b.block_id for b in scan_blocks(manager, persons.context)]
-    assert len(seen) == len(set(seen))
+    for drain in DRAINS:
+        seen = [b.block_id for b in drain(manager, persons.context)]
+        assert len(seen) == len(set(seen)), drain.__name__
 
 
 def test_scan_of_finished_group_yields_dest_once():
-    m, persons, keep = _worn()
-    persons.compact(occupancy_threshold=0.9)
-    ids = [b.block_id for b in scan_blocks(m, persons.context)]
-    assert len(ids) == len(set(ids))
-    total = sum(len(b.valid_slots()) for b in scan_blocks(m, persons.context))
-    assert total == len(keep)
+    for drain in DRAINS:
+        m, persons, keep = _worn()
+        persons.compact(occupancy_threshold=0.9)
+        blocks = drain(m, persons.context)
+        ids = [b.block_id for b in blocks]
+        assert len(ids) == len(set(ids)), drain.__name__
+        assert _live(blocks) == len(keep), drain.__name__
+        m.close()
+
+
+def test_failed_group_scans_sources():
+    """A failed group yields its sources — once each, even when all but
+    one of them already read as plain blocks (markers half cleared)."""
+    for drain in DRAINS:
+        m, persons, keep = _worn()
+        compactor = Compactor(m)
+        groups = compactor._plan_groups(persons.context, 0.9)
+        assert any(len(g.sources) > 1 for g in groups)
+        for g in groups:
+            g.failed = True
+            for b in g.sources[:-1]:
+                b.compaction_group = None
+        blocks = drain(m, persons.context)
+        ids = [b.block_id for b in blocks]
+        assert len(ids) == len(set(ids)), drain.__name__
+        assert {b.block_id for g in groups for b in g.sources} <= set(ids)
+        assert _live(blocks) == len(keep), drain.__name__
+        compactor.detach()
+        m.close()
+
+
+def test_scan_counts_objects_exactly_once_mid_compaction():
+    """Even with dest attached early and sources half-moved, a scan sees
+    each live object exactly once (moved slots are limbo in the source)."""
+    for drain in DRAINS:
+        m, persons, keep = _worn(blocks=5)
+        compactor = Compactor(m)
+        groups = compactor._plan_groups(persons.context, 0.9)
+        compactor._build_relocation_lists(groups)
+        group = groups[0]
+        # Move half of the group's items by hand (moving-phase mechanics).
+        for item in group.items[: len(group.items) // 2]:
+            m.table.set_flags(item.entry, FROZEN)
+            compactor._move_item_locked(item)
+        counts = []
+        drain(m, persons.context, lambda b: counts.append(len(b.valid_slots())))
+        assert sum(counts) == len(keep), drain.__name__
+        assert group.reader_count == 0, drain.__name__
+        compactor.detach()
+        m.close()
+
+
+def test_eight_threads_visit_every_block_exactly_once():
+    """More consumers than cores, switching every few microseconds, over
+    plain blocks and pinned groups: no block is lost or visited twice and
+    every pin is returned."""
+    m, persons, keep = _worn(blocks=40)
+    compactor = Compactor(m)
+    groups = compactor._plan_groups(persons.context, 0.9)
+    assert groups
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for __ in range(5):
+            blocks = _two_threads(m, persons.context, threads=8)
+            ids = [b.block_id for b in blocks]
+            assert len(ids) == len(set(ids))
+            assert set(ids) == {b.block_id for b in persons.context.blocks()}
+            assert _live(blocks) == len(keep)
+            assert all(g.reader_count == 0 for g in groups)
+    finally:
+        sys.setswitchinterval(interval)
+    compactor.detach()
     m.close()
 
 
@@ -65,39 +200,82 @@ def test_prestate_pin_released_on_generator_close():
     m.close()
 
 
-def test_failed_group_scans_sources():
-    m, persons, keep = _worn()
-    compactor = Compactor(m)
-    groups = compactor._plan_groups(persons.context, 0.9)
-    for g in groups:
-        g.failed = True
-        for b in g.sources:
-            b.compaction_group = g  # leave markers in place
-    total = sum(len(b.valid_slots()) for b in scan_blocks(m, persons.context))
-    assert total == len(keep)
-    compactor.detach()
-    m.close()
+def test_prestate_pin_released_when_the_consumer_raises():
+    for drain in DRAINS:
+        m, persons, keep = _worn()
+        compactor = Compactor(m)
+        group = compactor._plan_groups(persons.context, 0.9)[0]
+        held = []
+
+        def visit(block):
+            if block.compaction_group is group:
+                held.append(group.reader_count)
+                raise RuntimeError("consumer failed inside the group")
+
+        with pytest.raises(RuntimeError, match="inside the group"):
+            drain(m, persons.context, visit)
+        assert held == [1], drain.__name__
+        assert group.reader_count == 0, drain.__name__
+        compactor.detach()
+        m.close()
 
 
-def test_scan_counts_objects_exactly_once_mid_compaction():
-    """Even with dest attached early and sources half-moved, a scan sees
-    each live object exactly once (moved slots are limbo in the source)."""
-    m, persons, keep = _worn(blocks=5)
-    compactor = Compactor(m)
-    groups = compactor._plan_groups(persons.context, 0.9)
-    compactor._build_relocation_lists(groups)
-    group = groups[0]
-    # Move half of the group's items by hand (moving-phase mechanics).
-    for item in group.items[: len(group.items) // 2]:
-        from repro.memory.indirection import FROZEN
+def test_waiting_phase_group_is_deferred_then_visited_once(monkeypatch):
+    """A scan that enters while the compactor is parked in its waiting
+    phase defers every group, visits all plain blocks first, then
+    revisits each group exactly once and pins its pre-state."""
+    resolutions = []
+    resolve = runtime.resolve_group
 
-        m.table.set_flags(item.entry, FROZEN)
-        compactor._move_item_locked(item)
-    with m.critical_section():
-        total = sum(
-            len(b.valid_slots()) for b in scan_blocks(m, persons.context)
-        )
-    assert total == len(keep)
-    compactor.detach()
-    m.close()
+    def counting(manager, group, defer_ok=True):
+        kind, members = resolve(manager, group, defer_ok)
+        resolutions.append((group, defer_ok, kind))
+        return kind, members
 
+    monkeypatch.setattr(runtime, "resolve_group", counting)
+    schedule = sanitizer.ScheduleController(seed=31)
+    print(f"schedule seed={schedule.seed}")
+    with sanitizer.enabled(schedule=schedule) as san:
+        for drain in DRAINS:
+            resolutions.clear()
+            m, persons, keep = _worn(blocks=6)
+            gate = schedule.pause_at("compact.waiting")
+            compactor = threading.Thread(
+                target=lambda: persons.compact(occupancy_threshold=0.9),
+                name="smc-compactor",
+            )
+            compactor.start()
+            try:
+                assert gate.wait_parked(timeout=10.0), "compactor never waited"
+                assert m.epochs.global_epoch == m.next_relocation_epoch
+                marked = {}
+                blocks = drain(
+                    m,
+                    persons.context,
+                    lambda b: marked.setdefault(
+                        b.block_id,
+                        (b.compaction_group is not None, len(b.valid_slots())),
+                    ),
+                )
+            finally:
+                schedule.remove_gate(gate)
+                compactor.join(timeout=10.0)
+            assert not compactor.is_alive()
+
+            groups = {g for g, __, __ in resolutions}
+            assert groups, drain.__name__
+            for group in groups:
+                mine = [(ok, kind) for g, ok, kind in resolutions if g is group]
+                assert mine == [
+                    (True, runtime.GROUP_DEFERRED),
+                    (False, runtime.GROUP_PINNED),
+                ], drain.__name__
+            ids = [b.block_id for b in blocks]
+            assert len(ids) == len(set(ids)), drain.__name__
+            order = [marked[i][0] for i in ids]
+            # Every group after every plain block.
+            assert order == sorted(order), drain.__name__
+            assert sum(live for __, live in marked.values()) == len(keep)
+            assert sorted(h.age for h in persons) == sorted(h.age for h in keep)
+            m.close()
+        san.assert_clean()

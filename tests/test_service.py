@@ -179,7 +179,6 @@ def test_plan_cache_hits_and_misses():
         "hits": 1,
         "misses": 1,
         "size": 1,
-        "stale_evictions": 0,
         "capacity_evictions": 0,
     }
     other = PlanCache.key_for("q1", "columnar", "dict", "compiled")
