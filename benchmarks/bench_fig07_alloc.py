@@ -12,6 +12,10 @@ The GC-mode split is produced by the cost model of
 is augmented with the simulated collector time for the allocated volume
 (CPython's refcounting has no generational pauses to measure natively;
 see DESIGN.md).
+
+Two SMC series: ``smc`` is one ``Collection.add`` per object (the batch
+of one), ``smc add_many`` hands each thread's objects to ``add_many``
+``_BATCH`` at a time — the write path a served ``mutate`` takes.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from repro.tpch.schema import Lineitem
 _COUNT = 40_000
 _OBJ_SIZE = 184  # lineitem slot size, used by the GC cost model
 _THREADS = (1, 2, 4)
+_BATCH = 1000
 
 
 def _gc_overhead(mode: str, count: int) -> float:
@@ -93,10 +98,19 @@ def _dict_sink():
     return d, add_one
 
 
-def _smc_throughput(threads: int) -> float:
+def _smc_throughput(threads: int, batch: int = 1) -> float:
+    """Objects/second: ``add`` one at a time, or ``add_many`` *batch* at
+    a time (each call's row dicts are built inside the timed region, as
+    the single series builds its keyword arguments)."""
     manager = MemoryManager()
     coll = Collection(Lineitem, manager=manager)
-    rate = allocation_throughput(lambda i: coll.add(orderkey=i), _COUNT, threads)
+    if batch == 1:
+        def add_one(i):
+            coll.add(orderkey=i)
+    else:
+        def add_one(i):
+            coll.add_many([{"orderkey": i * batch + j} for j in range(batch)])
+    rate = allocation_throughput(add_one, _COUNT // batch, threads) * batch
     manager.close()
     return rate
 
@@ -124,6 +138,9 @@ def test_fig07_throughput_matrix(report, benchmark):
                 results[("dict", "batch", threads)] = batch
                 results[("dict", "interactive", threads)] = interactive
                 results[("smc", "any", threads)] = _smc_throughput(threads)
+                results[("smc add_many", "any", threads)] = _smc_throughput(
+                    threads, _BATCH
+                )
             for (series, mode, threads), rate in results.items():
                 report.record(f"{series} ({mode})", f"{threads}T", rate)
             for threads in _THREADS:
@@ -150,9 +167,10 @@ def test_fig07_throughput_matrix(report, benchmark):
 
     benchmark.pedantic(_run, rounds=1, iterations=1)
 
-@pytest.mark.parametrize("kind", ["pure", "bag", "dict", "smc"])
+@pytest.mark.parametrize("kind", ["pure", "bag", "dict", "smc", "smc-add_many"])
 def test_fig07_single_thread_benchmark(benchmark, kind):
-    if kind == "smc":
+    """One object per call; ``smc-add_many`` adds ``_BATCH`` per call."""
+    if kind.startswith("smc"):
         manager = MemoryManager()
         coll = Collection(Lineitem, manager=manager)
         counter = iter(range(10**9))
@@ -160,7 +178,10 @@ def test_fig07_single_thread_benchmark(benchmark, kind):
         def unit():
             coll.add(orderkey=next(counter))
 
-        benchmark(unit)
+        def batch():
+            coll.add_many([{"orderkey": next(counter)} for __ in range(_BATCH)])
+
+        benchmark(unit if kind == "smc" else batch)
         manager.close()
         return
     sinks = {"pure": _pure_sink, "bag": _bag_sink, "dict": _dict_sink}

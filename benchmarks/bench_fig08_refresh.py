@@ -5,6 +5,10 @@ initial lineitem population, and single-enumeration removals of 0.1%
 picked by ``orderkey`` through a hash set.  The paper reports streams per
 minute for 1/2/4 threads; SMCs beat ConcurrentDictionary (List<T> is not
 thread-safe and only appears in the single-threaded column).
+
+Two SMC series: ``SMC`` hands each stream to ``add_many`` /
+``remove_many`` (one call per stream, the write path a served ``mutate``
+takes), ``SMC (add)`` adds and removes object by object.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ _SECONDS = 0.6
 _THREADS = (1, 2, 4)
 
 
-def _smc_streams():
+def _smc_streams(batch: bool = True):
     manager = MemoryManager()
     coll = Collection(Lineitem, manager=manager)
     rnd = random.Random(4)
@@ -39,14 +43,18 @@ def _smc_streams():
         return [h.orderkey for h in coll]
 
     def remove_by_orderkeys(victims):
-        removed = 0
-        for h in list(coll):
-            if h.orderkey in victims:
+        doomed = [h for h in list(coll) if h.orderkey in victims]
+        if batch:
+            coll.remove_many(doomed)
+        else:
+            for h in doomed:
                 coll.remove(h)
-                removed += 1
-        return removed
+        return len(doomed)
 
-    streams = RefreshStreams(insert, keys, remove_by_orderkeys, _POPULATION)
+    streams = RefreshStreams(
+        insert, keys, remove_by_orderkeys, _POPULATION,
+        insert_many=coll.add_many if batch else None,
+    )
     return manager, streams
 
 
@@ -105,8 +113,10 @@ def test_fig08_streams(report, benchmark):
             for threads in _THREADS:
                 manager, smc = _smc_streams()
                 results[("SMC", threads)] = smc.throughput(_SECONDS, threads)
-                if manager:
-                    manager.close()
+                manager.close()
+                manager, smc = _smc_streams(batch=False)
+                results[("SMC (add)", threads)] = smc.throughput(_SECONDS, threads)
+                manager.close()
                 __, md = _dict_streams()
                 results[("C. Dictionary", threads)] = md.throughput(_SECONDS, threads)
                 if threads == 1:  # List<T> is not thread-safe (paper note)
@@ -125,10 +135,11 @@ def test_fig08_streams(report, benchmark):
 
     benchmark.pedantic(_run, rounds=1, iterations=1)
 
-@pytest.mark.parametrize("kind", ["smc", "dict", "list"])
+@pytest.mark.parametrize("kind", ["smc", "smc-add", "dict", "list"])
 def test_fig08_single_stream_benchmark(benchmark, kind):
     factories = {
         "smc": _smc_streams,
+        "smc-add": lambda: _smc_streams(batch=False),
         "dict": _dict_streams,
         "list": _list_streams,
     }

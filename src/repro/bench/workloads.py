@@ -80,7 +80,8 @@ class RefreshStreams:
     managed dictionaries and managed lists:
 
     ``insert(values)``
-        add one lineitem-shaped object;
+        add one lineitem-shaped object (or, when ``insert_many`` is
+        given, ``insert_many(rows)`` adds a stream's rows in one call);
     ``keys()``
         orderkeys currently present (sampled to pick removal victims);
     ``remove_by_orderkeys(keyset)``
@@ -95,8 +96,10 @@ class RefreshStreams:
         remove_by_orderkeys: Callable[[set], int],
         initial_population: int,
         seed: int = 99,
+        insert_many: Optional[Callable[[List[Dict[str, Any]]], Any]] = None,
     ) -> None:
         self.insert = insert
+        self.insert_many = insert_many
         self.keys = keys
         self.remove_by_orderkeys = remove_by_orderkeys
         self.batch = max(1, initial_population // 1000)  # 0.1%
@@ -104,9 +107,15 @@ class RefreshStreams:
         self._next_orderkey = 10_000_000
 
     def run_insert_stream(self) -> int:
+        rows = []
         for __ in range(self.batch):
             self._next_orderkey += 1
-            self.insert(lineitem_values(self.rnd, self._next_orderkey))
+            rows.append(lineitem_values(self.rnd, self._next_orderkey))
+        if self.insert_many is not None:
+            self.insert_many(rows)
+        else:
+            for values in rows:
+                self.insert(values)
         return self.batch
 
     def run_delete_stream(self) -> int:

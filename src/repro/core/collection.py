@@ -13,20 +13,38 @@ scan the raw blocks directly (section 4).
 from __future__ import annotations
 
 import contextlib
+import struct
 import threading
-from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple, Type, Union
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Type,
+    Union,
+)
 
 from repro.errors import TabularTypeError
 from repro.memory.addressing import NULL_ADDRESS
+from repro.memory.block import SLOT_HEADER_SIZE
 from repro.memory.manager import MemoryManager
 from repro.memory.reference import Ref
 from repro.core.handle import Handle
 from repro.schema.fields import RefField
-from repro.schema.tabular import Tabular, TabularMeta, resolve_tabular
+from repro.schema.layout import EncodedRow
+from repro.schema.tabular import Tabular, TabularMeta
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.memory.block import Block
     from repro.query.builder import Query
+
+#: A varstring field's slot word (dictionary code or heap address).
+_WORD = struct.Struct("<q")
 
 _default_manager: Optional[MemoryManager] = None
 _default_manager_lock = threading.Lock()
@@ -54,6 +72,27 @@ def reset_default_manager() -> None:
         _default_manager = None
 
 
+#: Rows one ``add_many`` call of a bulk load checks and converts at once
+#: (bounds the converted rows held in memory at a time).
+BULK_CHUNK = 4096
+
+
+def bulk_add(collection: "Collection", rows: Iterable[Any]) -> List[Any]:
+    """Add *rows* through ``collection.add_many``, ``BULK_CHUNK`` at a
+    time; returns every handle, in row order.  For loaders: a bad row
+    aborts its chunk only, so earlier chunks stay added."""
+    handles: List[Any] = []
+    chunk: List[Any] = []
+    for row in rows:
+        chunk.append(row)
+        if len(chunk) == BULK_CHUNK:
+            handles += collection.add_many(chunk)
+            chunk = []
+    if chunk:
+        handles += collection.add_many(chunk)
+    return handles
+
+
 class Collection:
     """A self-managed collection of one tabular class."""
 
@@ -61,6 +100,9 @@ class Collection:
     #: in the paper's Figure 11); pass ``flavor="smc-safe"`` to Query.run
     #: for the handle-level "SMC (C#)" series.
     compiled_flavor = "smc-unsafe"
+
+    #: The handle type ``add`` returns and reference navigation builds.
+    handle_class = Handle
 
     def __init__(
         self,
@@ -122,9 +164,9 @@ class Collection:
         self._indexes: List["HashIndex"] = []
         self._indexed_fields: Dict[str, List["HashIndex"]] = {}
         #: Durability hook (a :class:`~repro.durability.store.DurableStore`
-        #: or None).  When set, every mutation holds ``mutation_log.hold()``
-        #: across *apply + append*, so checkpoints cut between whole
-        #: mutations, never through one.
+        #: or None).  When set, every mutation holds the lock
+        #: ``mutation_log.hold()`` returns across *apply + append*, so
+        #: checkpoints cut between whole mutations, never through one.
         self.mutation_log = None
 
     # ------------------------------------------------------------------
@@ -157,7 +199,7 @@ class Collection:
         del target_cls  # validated for effect
         from repro.memory.indirection import INC_MASK
 
-        return address, int(block.slot_incs[slot]) & INC_MASK
+        return address, block.slot_incs.item(slot) & INC_MASK
 
     def target_collection(self, field: RefField) -> "Collection":
         """Collection hosting *field*'s target class (for navigation)."""
@@ -180,80 +222,137 @@ class Collection:
 
         Maps directly onto the memory manager's ``alloc`` (section 2): the
         object is constructed in place in the collection's private blocks.
-        Construction is two-speed: a wide row is written with one combined
-        struct pack; a sparse one blits the default template and patches
-        only the supplied fields.
+        The batch of one: ``add_many([values])[0]``.
         """
-        mlog = self.mutation_log
-        if mlog is None:
-            return self._add_impl(values)
-        with mlog.hold():
-            handle = self._add_impl(values)
-            mlog.log_add(self, handle.ref.entry, values)
-            return handle
+        return self.add_many((values,))[0]
 
-    def _add_impl(self, values: Dict[str, Any]) -> Handle:
-        layout = self.layout
-        by_name = layout.by_name
-        for key in values:
-            if key not in by_name:
-                raise TypeError(f"{self.schema.__name__} has no field {key!r}")
+    def add_many(self, rows: Sequence[Any]) -> List[Handle]:
+        """Create one object per row, in order; returns their handles.
+
+        A row is a mapping of field values, or the tuple the layout's
+        codec encoded it to (:data:`~repro.schema.layout.EncodedRow`,
+        already checked).  Every row is checked and converted before the
+        first is allocated, so a bad row adds nothing.  The rows then take
+        slots and entries in the order as many ``add`` calls would, each
+        allocated, constructed and published on its own (paper section 2),
+        under one hold of the mutation log; a durable collection logs each
+        row's ADD record right after it.  Constructing a row reads another
+        object only in direct-pointer mode (a reference stores its
+        target's address and slot incarnation), so only there does the
+        batch run inside an epoch critical section — one for the call.
+        """
+        encode = self.layout.codec.encode
+        encoded = []
+        for row in rows:
+            encoded.append(row if type(row) is tuple else encode(row))
         manager = self.manager
-        block, slot, ref = manager.allocate_object(
-            self.context, defer_publish=True
-        )
-        off = block.object_offset + slot * layout.slot_size
+        context = self.context
+        mlog = self.mutation_log
+        hold = mlog.hold() if mlog is not None else None
+        section = manager.direct_pointers and self.layout.ref_fields
+        handles = []
+        if hold is not None:
+            hold.acquire()
+        if section:
+            manager.epochs.enter_critical_section()
+        try:
+            for row in encoded:
+                block, slot, ref = manager.allocate_object(context, True)
+                self._place(block, slot, row)
+                # Publish only the fully constructed object.
+                context.commit_slot(block, slot)
+                handle = self.handle_class(self, ref)
+                for index in self._indexes:
+                    index._insert(ref.entry, getattr(handle, index.field_name))
+                if mlog is not None:
+                    mlog.log_add(self, ref.entry, row)
+                handles.append(handle)
+        finally:
+            if section:
+                manager.epochs.exit_critical_section()
+            if hold is not None:
+                hold.release()
+        return handles
+
+    def _place(self, block: "Block", slot: int, row: EncodedRow) -> None:
+        """Construct *row* in the claimed, unpublished *slot*."""
+        __, raws, body, strings = row
+        size = self.layout.slot_size
+        off = block.object_offset + slot * size
         buf = block.buf
-        if len(values) * 2 >= len(layout.fields):
-            layout.pack_full_row(buf, off, values, manager, self._ref_words)
-        else:
-            buf[off + 8 : off + layout.slot_size] = layout.template_body
-            for key, value in values.items():
-                field = by_name[key]
-                if isinstance(field, RefField):
-                    value = self._ref_words(field, value)
-                layout.write_field(buf, off, key, value, manager)
-        # Publish only the fully constructed object (paper section 2).
-        self.context.commit_slot(block, slot)
-        handle = Handle(self, ref)
-        for index in self._indexes:
-            index._insert(ref.entry, getattr(handle, index.field_name))
-        return handle
+        buf[off + SLOT_HEADER_SIZE : off + size] = body
+        for index, offset in strings:
+            _WORD.pack_into(buf, off + offset, self._store_text(raws[index]))
+        manager = self.manager
+        if manager.direct_pointers:
+            for index, field in self.layout.codec.refs:
+                if raws[index] != NULL_ADDRESS:
+                    ref = Ref(manager, raws[index], raws[index + 1])
+                    field.encode_words(
+                        buf, off + field.offset, *self._ref_words(field, ref)
+                    )
+
+    def _store_text(self, text: str) -> int:
+        """Store one varstring; returns its slot word."""
+        sd = self.strdict
+        if sd is not None:
+            return sd.intern(text)
+        return self.manager.strings.alloc(text)
 
     def remove(self, obj: Union[Handle, Ref]) -> None:
         """End *obj*'s lifetime; all references to it become null.
 
         Maps onto the memory manager's ``free``.  Strings owned by the
-        object are reclaimed with it (section 2).
+        object are reclaimed with it (section 2).  The batch of one:
+        ``remove_many([obj])``.
         """
-        ref = obj.ref if isinstance(obj, Handle) else obj
-        mlog = self.mutation_log
-        if mlog is None:
-            self._remove_impl(ref)
-            return
-        with mlog.hold():
-            self._remove_impl(ref)
-            mlog.log_remove(self, ref.entry)
+        self.remove_many((obj,))
 
-    def _remove_impl(self, ref: Ref) -> None:
-        epochs = self.manager.epochs
-        epochs.enter_critical_section()
+    def remove_many(self, objs: Sequence[Union[Handle, Ref]]) -> None:
+        """End the lifetime of every object in *objs*, in order.
+
+        One hold of the mutation log and one epoch critical section for
+        the lot; a durable collection logs each REMOVE right after its
+        free.  Raises :class:`~repro.errors.NullReferenceError` at the
+        first object already gone (the ones before it stay removed).
+        """
+        refs = [obj if isinstance(obj, Ref) else obj.ref for obj in objs]
+        manager = self.manager
+        space = manager.space
+        pager = manager.pager
+        mlog = self.mutation_log
+        hold = mlog.hold() if mlog is not None else None
+        if hold is not None:
+            hold.acquire()
         try:
-            address = ref.address()  # raises NullReferenceError if gone
-            block = self.manager.space.block_at(address)
-            if self.manager.pager is not None:
-                # release_owned writes tombstones into the slot; a cold
-                # block's buffer is a read-only tier mapping.
-                self.manager.pager.ensure_hot(block)
-            off = self.manager.space.offset_of(address)
-            self.layout.release_owned(block.buf, off, self.manager)
-            self.manager.free_object(ref)
+            manager.epochs.enter_critical_section()
+            try:
+                for ref in refs:
+                    address = ref.address()  # raises NullReferenceError if gone
+                    block = space.block_at(address)
+                    if pager is not None:
+                        # The release below writes into the slot; a cold
+                        # block's buffer is a read-only tier mapping.
+                        pager.ensure_hot(block)
+                    self._release(block, address)
+                    manager.free_object(ref)
+                    for index in self._indexes:
+                        index._delete(ref.entry)
+                    if mlog is not None:
+                        mlog.log_remove(self, ref.entry)
+            finally:
+                manager.epochs.exit_critical_section()
+            if self.auto_compact_occupancy is not None:
+                self._maybe_auto_compact(batch=len(refs))
         finally:
-            epochs.exit_critical_section()
-        for index in self._indexes:
-            index._delete(ref.entry)
-        if self.auto_compact_occupancy is not None:
-            self._maybe_auto_compact()
+            if hold is not None:
+                hold.release()
+
+    def _release(self, block: "Block", address: int) -> None:
+        """Free what the object at *address* owns outside its slot."""
+        self.layout.release_owned(
+            block.buf, self.manager.space.offset_of(address), self.manager
+        )
 
     def create_index(self, field_name: str):
         """Create (and keep maintained) a hash index on *field_name*."""
@@ -300,11 +399,9 @@ class Collection:
 
     def clear(self) -> int:
         """Remove every object; returns the number removed."""
-        removed = 0
-        for handle in list(self):
-            self.remove(handle)
-            removed += 1
-        return removed
+        handles = list(self)
+        self.remove_many(handles)
+        return len(handles)
 
     def remove_where(self, pred) -> int:
         """Remove every object matching *pred* (an expression).
@@ -314,24 +411,8 @@ class Collection:
         references — the paper's single-enumeration predicate removal.
         """
         refs = self.query().where(pred).run().rows
-        removed = 0
-        mlog = self.mutation_log
-        for ref in refs:
-            if mlog is None:
-                self._free_matched(ref)
-            else:
-                with mlog.hold():
-                    self._free_matched(ref)
-                    mlog.log_remove(self, ref.entry)
-            removed += 1
-        if self.auto_compact_occupancy is not None:
-            self._maybe_auto_compact(batch=removed)
-        return removed
-
-    def _free_matched(self, ref: Ref) -> None:
-        self.manager.free_object_with_strings(self, ref)
-        for index in self._indexes:
-            index._delete(ref.entry)
+        self.remove_many(refs)
+        return len(refs)
 
     def update_where(self, pred, **values: Any) -> int:
         """Set *values* on every object matching *pred*; returns the count."""
@@ -378,7 +459,7 @@ class Collection:
 
     def _handle(self, ref: Ref) -> Handle:
         """Wrap *ref* in this collection's handle type (navigation hook)."""
-        return Handle(self, ref)
+        return self.handle_class(self, ref)
 
     # ------------------------------------------------------------------
     # Query surface (language-integrated query)

@@ -16,7 +16,7 @@ collections (the paper describes relocation for row blocks only).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, Optional, Tuple, Type, Union
+from typing import Any, Iterator, Optional, Tuple, Type
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from repro.memory.manager import MemoryManager
 from repro.memory.reference import Ref
 from repro.core.collection import Collection, default_manager
 from repro.schema.fields import CharField, Field, RefField, VarStringField
+from repro.schema.layout import FIELD_REF, FIELD_VAR, EncodedRow
 from repro.schema.tabular import Tabular, TabularMeta
 
 
@@ -143,6 +144,7 @@ class ColumnarCollection(Collection):
     """A self-managed collection with columnar object storage."""
 
     compiled_flavor = "columnar"
+    handle_class = ColumnarHandle
 
     def __init__(
         self,
@@ -160,34 +162,29 @@ class ColumnarCollection(Collection):
 
     # -- row construction --------------------------------------------------
 
-    def add(self, **values: Any):
-        mlog = self.mutation_log
-        if mlog is None:
-            return self._add_impl(values)
-        with mlog.hold():
-            handle = self._add_impl(values)
-            mlog.log_add(self, handle.ref.entry, values)
-            return handle
-
-    def _add_impl(self, values: Dict[str, Any]):
-        converted: Dict[str, Any] = {}
-        for key, value in values.items():
-            field = self.layout.by_name.get(key)
-            if field is None:
-                raise TypeError(f"{self.schema.__name__} has no field {key!r}")
-            converted[key] = value
-        block, slot, ref = self.manager.allocate_object(
-            self.context, defer_publish=True
-        )
-        for field in self.layout.fields:
-            self._write_field(
-                block, slot, field, converted.get(field.name, field.default)
-            )
-        self.context.commit_slot(block, slot)
-        handle = ColumnarHandle(self, ref)
-        for index in self._indexes:
-            index._insert(ref.entry, getattr(handle, index.field_name))
-        return handle
+    def _place(self, block: ColumnarBlock, slot: int, row: EncodedRow) -> None:
+        """Write *row*'s raws into the claimed slot of every column, in
+        field order (strings too: a missing one is stored as ``""``)."""
+        columns = block.columns
+        __, raws, __, __ = row
+        direct = self.manager.direct_pointers
+        for name, kind, index in self.layout.codec.columns:
+            raw = raws[index]
+            if kind == FIELD_REF:
+                if direct and raw != NULL_ADDRESS:
+                    field = self.layout.by_name[name]
+                    ref = Ref(self.manager, raw, raws[index + 1])
+                    raw, inc = self._ref_words(field, ref)
+                else:
+                    inc = raws[index + 1]
+                columns[name + "__w"][slot] = raw
+                columns[name + "__i"][slot] = inc
+            elif kind == FIELD_VAR:
+                columns[name][slot] = self._store_text(
+                    raw if type(raw) is str else ""
+                )
+            else:
+                columns[name][slot] = raw
 
     def _write_field(
         self, block: ColumnarBlock, slot: int, field: Field, value: Any
@@ -225,46 +222,20 @@ class ColumnarCollection(Collection):
             return
         block.columns[field.name][slot] = field.to_raw(value)
 
-    def remove(self, obj: Union[ColumnarHandle, Ref]) -> None:
-        ref = obj.ref if isinstance(obj, ColumnarHandle) else obj
-        mlog = self.mutation_log
-        if mlog is None:
-            self._remove_impl(ref)
-            return
-        with mlog.hold():
-            self._remove_impl(ref)
-            mlog.log_remove(self, ref.entry)
-
-    def _remove_impl(self, ref: Ref) -> None:
-        epochs = self.manager.epochs
-        epochs.enter_critical_section()
-        try:
-            address = ref.address()
-            block = self.manager.space.block_at(address)
-            slot = block.slot_of_address(address)
-            pager = self.manager.pager
-            if pager is not None:
-                pager.ensure_hot(block)  # the column zeroing below writes
-            sd = self.strdict
-            for field in self.layout.var_fields:
-                raw = int(block.columns[field.name][slot])
-                if sd is not None:
-                    if raw > 0:
-                        sd.release(raw)
-                    block.columns[field.name][slot] = 0
-                elif raw != NULL_ADDRESS and raw != 0:
-                    self.manager.strings.free(raw)
-                    block.columns[field.name][slot] = NULL_ADDRESS
-            self.manager.free_object(ref)
-        finally:
-            epochs.exit_critical_section()
-        for index in self._indexes:
-            index._delete(ref.entry)
+    def _release(self, block: ColumnarBlock, address: int) -> None:
+        slot = block.slot_of_address(address)
+        sd = self.strdict
+        for field in self.layout.var_fields:
+            raw = int(block.columns[field.name][slot])
+            if sd is not None:
+                if raw > 0:
+                    sd.release(raw)
+                block.columns[field.name][slot] = 0
+            elif raw != NULL_ADDRESS and raw != 0:
+                self.manager.strings.free(raw)
+                block.columns[field.name][slot] = NULL_ADDRESS
 
     # -- enumeration --------------------------------------------------------
-
-    def _handle(self, ref: Ref) -> ColumnarHandle:
-        return ColumnarHandle(self, ref)
 
     def __iter__(self) -> Iterator[ColumnarHandle]:
         manager = self.manager

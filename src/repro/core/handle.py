@@ -36,8 +36,9 @@ class Handle:
     __slots__ = ("_collection", "_ref")
 
     def __init__(self, collection: "Collection", ref: "Ref") -> None:
-        object.__setattr__(self, "_collection", collection)
-        object.__setattr__(self, "_ref", ref)
+        # Straight to the slot descriptors: __setattr__ means field writes.
+        _set_collection(self, collection)
+        _set_ref(self, ref)
 
     # ------------------------------------------------------------------
     # Identity
@@ -154,6 +155,10 @@ class Handle:
         )
         more = "..." if len(self._collection.layout.fields) > 4 else ""
         return f"<{name} {fields}{more}>"
+
+
+_set_collection = Handle._collection.__set__
+_set_ref = Handle._ref.__set__
 
 
 def _read_ref_field(

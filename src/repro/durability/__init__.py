@@ -28,7 +28,7 @@ from repro.durability.checkpoint import (
     DataDirError,
     MANIFEST_NAME,
 )
-from repro.durability.recovery import RecoveryReport, apply_record, recover
+from repro.durability.recovery import RecoveryReport, apply_batch, recover
 from repro.durability.replication import (
     ReplicationClient,
     ReplicationError,
@@ -59,7 +59,7 @@ __all__ = [
     "WalCorruptionError",
     "WalRecord",
     "WriteAheadLog",
-    "apply_record",
+    "apply_batch",
     "bootstrap_from_resync",
     "recover",
     "scan_wal",

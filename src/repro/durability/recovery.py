@@ -7,12 +7,12 @@ the moment of the crash:
    the checkpoint's block images into a fresh manager — every row comes
    back under the indirection-entry id it had, so the entry ids log
    records carry address the reloaded rows as they are;
-2. replay the committed prefix of the active log segment through the
-   normal ``add``/``remove``/``setattr`` paths (so secondary indexes and
-   string dictionaries are maintained as they were live).  A replayed
-   ``add`` takes whatever entry the allocator hands out; the
-   :class:`EntryMap` remembers the rows whose id so diverged from the
-   logged one.
+2. replay the committed prefix of the active log segment through
+   :func:`apply_batch`, i.e. the normal ``add_many``/``remove_many``/
+   ``setattr`` paths (so secondary indexes and string dictionaries are
+   maintained as they were live).  A replayed ``add`` takes whatever
+   entry the allocator hands out; the :class:`EntryMap` remembers the
+   rows whose id so diverged from the logged one.
 
 A torn final record (or a trailing batch whose COMMIT never reached
 disk) is dropped: the crash interrupted an append that was never
@@ -23,10 +23,11 @@ because skipping it would silently lose acknowledged mutations.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -175,25 +176,22 @@ def recover(
             f"checkpoint was cut at LSN {manifest['cut_lsn']}"
         )
 
-    replayed = interned = 0
+    records = scan.committed_records()
+    interned = sum(1 for rec in records if rec.kind == INTERN)
+    if "entries" in manifest and any(
+        rec.kind not in (BEGIN, COMMIT, INTERN) for rec in records
+    ):
+        # A pre-image checkpoint stored rows, not entry ids: its log
+        # tail addresses rows through a table this version dropped.
+        raise RecoveryError(
+            f"{data_dir} was checkpointed by an older version and has "
+            f"an unreplayed log tail; open it once with that version "
+            f"(a clean shutdown folds the tail into the checkpoint)"
+        )
     strings: Dict[int, str] = {}
-    for rec in scan.committed_records():
-        if rec.kind in (BEGIN, COMMIT):
-            continue  # batch atomicity is enforced by the committed cut
-        if rec.kind == INTERN:
-            strings[int(rec.payload["i"])] = rec.payload["t"]
-            interned += 1
-            continue
-        if "entries" in manifest:
-            # A pre-image checkpoint stored rows, not entry ids: its log
-            # tail addresses rows through a table this version dropped.
-            raise RecoveryError(
-                f"{data_dir} was checkpointed by an older version and has "
-                f"an unreplayed log tail; open it once with that version "
-                f"(a clean shutdown folds the tail into the checkpoint)"
-            )
-        apply_record(collections, mgr, entry_map, strings, rec)
-        replayed += 1
+    # Batch atomicity is enforced by the committed cut: everything in
+    # it is committed, so the tail replays as one batch.
+    replayed = apply_batch(collections, mgr, entry_map, strings, records)
 
     report = RecoveryReport(
         data_dir=dd.root,
@@ -216,51 +214,188 @@ def recover(
     return collections, report
 
 
-def apply_record(collections, mgr, entry_map: EntryMap, strings, rec: WalRecord) -> None:
-    """Re-execute one mutation record against the reloaded collections.
+def apply_batch(
+    collections, mgr, entry_map: EntryMap, strings: Dict[int, str],
+    records: Sequence[WalRecord],
+) -> int:
+    """Re-execute committed log records against the reloaded collections;
+    returns how many mutations (ADD / REMOVE / UPDATE) it applied.
 
     This is the single apply path shared by crash recovery and live
-    replication: a read replica feeds every shipped record through here
-    so its in-memory state is rebuilt exactly the way a restart would.
+    replication: a read replica hands every shipped batch to it, so its
+    in-memory state is rebuilt exactly the way a restart would.  INTERN
+    records bind their sid in *strings*; BEGIN / COMMIT are skipped.
+    Each run of ADD records for one collection is one ``add_many``, each
+    run of REMOVE records one ``remove_many`` — the calls the writer
+    made — so a replayed row takes the slot and entry the same sequence
+    of single adds would.
     """
-    payload = rec.payload
-    name = payload["c"]
-    coll = collections.get(name)
-    logged = int(payload["e"])
-    if rec.kind == ADD:
+    replay = _Replay(collections, mgr, entry_map, strings)
+    for rec in records:
+        kind = rec.kind
+        if kind == ADD:
+            replay.add(rec)
+        elif kind == REMOVE:
+            replay.remove(rec)
+        elif kind == UPDATE:
+            replay.update(rec)
+        elif kind == INTERN:
+            strings[int(rec.payload["i"])] = rec.payload["t"]
+        elif kind not in (BEGIN, COMMIT):
+            raise RecoveryError(f"LSN {rec.lsn}: unknown record kind {kind}")
+    replay.flush()
+    return replay.applied
+
+
+class _Flush(Exception):
+    """A row references a row still pending in the same ADD run."""
+
+
+class _Replay:
+    """Groups consecutive ADD / REMOVE records into batch calls."""
+
+    def __init__(self, collections, mgr, entry_map: EntryMap, strings) -> None:
+        self.collections = collections
+        self.mgr = mgr
+        self.entry_map = entry_map
+        self.strings = strings
+        self.applied = 0
+        self.lsn = 0
+        #: The open run: kind, collection, logged entries, items.
+        self._kind: Optional[int] = None
+        self._coll = None
+        self._logged: List[int] = []
+        self._items: List[Any] = []
+        self._pending: set = set()
+        #: Logged entry -> live Ref, for ``$r`` values; entries a flushed
+        #: REMOVE run ended are dropped.
+        self._refs: Dict[int, Any] = {}
+
+    def _collection(self, rec: WalRecord):
+        name = rec.payload["c"]
+        coll = self.collections.get(name)
         if coll is None:
-            coll = _create_collection(collections, mgr, name, payload["s"])
-        values = {
-            key: _decode_value(mgr, entry_map, strings, rec, value)
-            for key, value in payload["v"].items()
-        }
-        entry_map.bind(logged, coll.add(**values).ref.entry)
-        return
-    if coll is None:
-        raise RecoveryError(
-            f"LSN {rec.lsn}: {rec.kind_name} targets unknown "
-            f"collection {name!r}"
-        )
-    ref = mgr.live_ref(entry_map.local(logged), coll.context)
-    if ref is None:
-        raise RecoveryError(
-            f"LSN {rec.lsn}: {rec.kind_name} targets entry {logged} which "
-            f"is not a live row of {name!r} at this point of the log"
-        )
-    if rec.kind == REMOVE:
-        coll.remove(ref)
-        entry_map.drop(logged)
-        return
-    if rec.kind == UPDATE:
-        setattr(
-            coll._handle(ref),
-            payload["f"],
-            _decode_value(mgr, entry_map, strings, rec, payload["v"]),
-        )
-        return
-    raise RecoveryError(
-        f"LSN {rec.lsn}: unknown record kind {rec.kind}"
-    )
+            if rec.kind != ADD:
+                raise RecoveryError(
+                    f"LSN {rec.lsn}: {rec.kind_name} targets unknown "
+                    f"collection {name!r}"
+                )
+            coll = _create_collection(
+                self.collections, self.mgr, name, rec.payload["s"]
+            )
+        return coll
+
+    def _join(self, kind: int, coll) -> None:
+        if self._kind != kind or self._coll is not coll:
+            self.flush()
+            self._kind, self._coll = kind, coll
+
+    def add(self, rec: WalRecord) -> None:
+        coll = self._collection(rec)
+        self._join(ADD, coll)
+        self.lsn = rec.lsn
+        try:
+            row = self._encode(coll, rec.payload["v"])
+        except _Flush:
+            # A reference to a row this run has yet to add: add the run
+            # so far first, as the writer had when it logged this row.
+            self.flush()
+            self._kind, self._coll = ADD, coll
+            row = self._encode(coll, rec.payload["v"])
+        logged = int(rec.payload["e"])
+        self._logged.append(logged)
+        self._items.append(row)
+        self._pending.add(logged)
+
+    def remove(self, rec: WalRecord) -> None:
+        coll = self._collection(rec)
+        self._join(REMOVE, coll)
+        logged = int(rec.payload["e"])
+        if logged in self._pending:
+            self.flush()  # named twice in one run: fail on the second
+            self._kind, self._coll = REMOVE, coll
+        self._items.append(self._live(rec, coll, logged))
+        self._logged.append(logged)
+        self._pending.add(logged)
+
+    def update(self, rec: WalRecord) -> None:
+        self.flush()
+        coll = self._collection(rec)
+        self.lsn = rec.lsn
+        ref = self._live(rec, coll, int(rec.payload["e"]))
+        name, value = rec.payload["f"], rec.payload["v"]
+        with self._malformed():
+            value = coll.layout.codec.field_value(
+                name, value, self._ref_of, self.strings
+            )
+        setattr(coll._handle(ref), name, value)
+        self.applied += 1
+
+    def flush(self) -> None:
+        kind, coll, logged, items = self._kind, self._coll, self._logged, self._items
+        self._kind = self._coll = None
+        self._logged, self._items, self._pending = [], [], set()
+        if not items:
+            return
+        if kind == ADD:
+            for entry, handle in zip(logged, coll.add_many(items)):
+                self.entry_map.bind(entry, handle.ref.entry)
+        else:
+            coll.remove_many(items)
+            for entry in logged:
+                self.entry_map.drop(entry)
+                self._refs.pop(entry, None)
+        self.applied += len(items)
+
+    def _encode(self, coll, values):
+        with self._malformed():
+            return coll.layout.codec.encode(values, self._ref_of, self.strings)
+
+    @contextlib.contextmanager
+    def _malformed(self):
+        """A value the codec refuses, as a RecoveryError naming the LSN."""
+        try:
+            yield
+        except KeyError as exc:  # the codec's only lookup: a log sid
+            raise RecoveryError(
+                f"LSN {self.lsn}: string id {exc} was never interned in "
+                f"this log segment"
+            ) from None
+        except (TypeError, ValueError, ArithmeticError) as exc:
+            raise RecoveryError(f"LSN {self.lsn}: {exc}") from None
+
+    def _live(self, rec: WalRecord, coll, logged: int):
+        ref = self.mgr.live_ref(self.entry_map.local(logged), coll.context)
+        if ref is None:
+            raise RecoveryError(
+                f"LSN {rec.lsn}: {rec.kind_name} targets entry {logged} which "
+                f"is not a live row of {rec.payload['c']!r} at this point of "
+                f"the log"
+            )
+        return ref
+
+    def _ref_of(self, field, value):
+        """The codec's ``ref_of`` for logged ``{"$r": entry}`` values."""
+        if value is None:
+            return None
+        if type(value) is not dict or "$r" not in value:
+            raise RecoveryError(
+                f"LSN {self.lsn}: field {field.name!r} holds {value!r}, "
+                f"not a logged reference"
+            )
+        logged = int(value["$r"])
+        if self._kind == ADD and logged in self._pending:
+            raise _Flush
+        ref = self._refs.get(logged)
+        if ref is None:
+            ref = self.mgr.live_ref(self.entry_map.local(logged))
+            if ref is None:
+                raise RecoveryError(
+                    f"LSN {self.lsn}: reference to entry {logged} which "
+                    f"is not live at this point of the log"
+                )
+            self._refs[logged] = ref
+        return ref
 
 
 def _create_collection(collections, mgr, name: str, schema_name: str):
@@ -279,26 +414,3 @@ def _create_collection(collections, mgr, name: str, schema_name: str):
     collections[name] = coll
     return coll
 
-
-def _decode_value(mgr, entry_map: EntryMap, strings, rec: WalRecord, value):
-    """Decode one logged field value back into add/setattr input."""
-    from repro.service.protocol import decode_value
-
-    if isinstance(value, dict):
-        if "$r" in value:
-            target = mgr.live_ref(entry_map.local(int(value["$r"])))
-            if target is None:
-                raise RecoveryError(
-                    f"LSN {rec.lsn}: reference to entry {value['$r']} "
-                    f"which is not live at this point of the log"
-                )
-            return target
-        if "$s" in value:
-            sid = int(value["$s"])
-            if sid not in strings:
-                raise RecoveryError(
-                    f"LSN {rec.lsn}: string id {sid} was never interned "
-                    f"in this log segment"
-                )
-            return strings[sid]
-    return decode_value(value)

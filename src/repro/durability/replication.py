@@ -4,8 +4,8 @@ The replication unit is the write-ahead log itself.  The CRC-framed,
 LSN-stamped records the durability layer already writes are a complete,
 wire-ready serialization of every mutation, so a follower that appends
 the shipped frames verbatim into its own segment (``append_shipped``
-keeps the primary's LSNs) and feeds them through the same
-``recovery.apply_record`` path a restart would use ends up with a data
+keeps the primary's LSNs) and hands each committed batch to the same
+``recovery.apply_batch`` a restart uses ends up with a data
 directory *byte-identical* to the primary's — every single-process
 crash guarantee extends to the fleet for free.
 
@@ -65,12 +65,11 @@ import threading
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.durability.checkpoint import DataDir
-from repro.durability.recovery import EntryMap, apply_record
+from repro.durability.recovery import EntryMap, apply_batch
 from repro.durability.store import DEFAULT_CHECKPOINT_BYTES, DurableStore
 from repro.durability.wal import (
     BEGIN,
     COMMIT,
-    INTERN,
     WalRecord,
     WriteAheadLog,
     fsync_dir,
@@ -384,38 +383,19 @@ class ReplicationClient:
             wal.append_shipped(lsn, kind, payload, sync=False)
             if kind == BEGIN:
                 self._batch_buf = []
-            elif kind == COMMIT:
-                buffered = self._batch_buf or []
-                self._batch_buf = None
-                for rec in buffered:
-                    apply_record(
-                        self._collections,
-                        mgr,
-                        self._entry_map,
-                        self._strings,
-                        rec,
-                    )
-                    self.applied_records += 1
+                continue
+            if kind == COMMIT:
+                batch, self._batch_buf = self._batch_buf or [], None
                 self.applied_batches += 1
-                self._advance(lsn)
-            elif kind == INTERN:
-                self._strings[int(payload["i"])] = payload["t"]
-                if self._batch_buf is None:
-                    self._advance(lsn)
+            elif self._batch_buf is not None:
+                self._batch_buf.append(WalRecord(lsn, kind, payload, 0, 0))
+                continue
             else:
-                rec = WalRecord(lsn, kind, payload, 0, 0)
-                if self._batch_buf is not None:
-                    self._batch_buf.append(rec)
-                else:
-                    apply_record(
-                        self._collections,
-                        mgr,
-                        self._entry_map,
-                        self._strings,
-                        rec,
-                    )
-                    self.applied_records += 1
-                    self._advance(lsn)
+                batch = [WalRecord(lsn, kind, payload, 0, 0)]
+            self.applied_records += apply_batch(
+                self._collections, mgr, self._entry_map, self._strings, batch
+            )
+            self._advance(lsn)
         if self.fsync_policy != "none":
             wal.sync()
         self._register_new_collections()

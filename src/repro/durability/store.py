@@ -15,23 +15,24 @@ itself as every durable collection's ``mutation_log``, so the normal
     store = DurableStore.open("state/")   # recover after a crash
 
 Mutation/logging atomicity: durable collections hold the WAL lock
-across *apply + append* (see ``Collection.add``), and the checkpointer
-holds the same lock for the whole checkpoint, so the snapshot cut is
-exact — no mutation can be half in the checkpoint and half in the next
-log segment.
+across *apply + append* (see ``Collection.add_many``), and the
+checkpointer holds the same lock for the whole checkpoint, so the
+snapshot cut is exact — no mutation can be half in the checkpoint and
+half in the next log segment.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.durability.checkpoint import CheckpointManager, DataDir, DataDirError
 from repro.durability.recovery import RecoveryReport, recover
 from repro.durability.wal import ADD, INTERN, REMOVE, UPDATE, WriteAheadLog
 from repro.errors import SmcError
 from repro.memory.reference import Ref
-from repro.schema.fields import CharField, RefField, VarStringField
+from repro.schema.fields import RefField
+from repro.schema.layout import EncodedRow
 
 #: Default log size that triggers ``maybe_checkpoint`` (bytes).
 DEFAULT_CHECKPOINT_BYTES = 16 * 1024 * 1024
@@ -43,6 +44,61 @@ RESYNC_CHUNK_BYTES = 4 * 1024 * 1024
 
 class MutationError(SmcError):
     """A malformed or inapplicable mutation op (service: BAD_REQUEST)."""
+
+
+class _RequestRefs:
+    """The entry ids one ``mutate`` request names, resolved once each.
+
+    Entries resolve against the rows live before the request; one the
+    request removes is gone for its later ops.  Called as the codec's
+    ``ref_of`` for ``{"$r": entry}`` wire values.
+    """
+
+    def __init__(self, manager) -> None:
+        self.manager = manager
+        self._live: Dict[Tuple[int, int], Ref] = {}
+        self._removed: set = set()
+        self._targets: Dict[RefField, Any] = {}
+
+    def live(self, coll, entry: Any) -> Ref:
+        try:
+            entry = int(entry)
+        except (TypeError, ValueError):
+            raise MutationError(f"invalid entry id {entry!r}") from None
+        if entry in self._removed:
+            raise MutationError(
+                f"entry {entry} is removed by an earlier op of this request"
+            )
+        key = (coll.context.context_id, entry)
+        ref = self._live.get(key)
+        if ref is None:
+            ref = self.manager.live_ref(entry, coll.context)
+            if ref is None:
+                raise MutationError(
+                    f"entry {entry} is not a live object of collection "
+                    f"{coll.name!r}"
+                )
+            self._live[key] = ref
+        return ref
+
+    def take(self, coll, entry: Any) -> Ref:
+        """Resolve a ``remove`` target; later ops no longer see it."""
+        ref = self.live(coll, entry)
+        self._removed.add(ref.entry)
+        return ref
+
+    def __call__(self, field: RefField, value: Any) -> Optional[Ref]:
+        if value is None:
+            return None
+        if type(value) is not dict or "$r" not in value:
+            raise MutationError(
+                f"field {field.name!r} takes {{\"$r\": entry}} or null"
+            )
+        target = self._targets.get(field)
+        if target is None:
+            owner = self.manager.collections[field.owner.__name__]
+            target = self._targets[field] = owner.target_collection(field)
+        return self.live(target, value["$r"])
 
 
 class DurableStore:
@@ -262,20 +318,16 @@ class DurableStore:
             "data_b64": base64.b64encode(data).decode("ascii"),
         }
 
-    def log_add(self, collection, entry: int, values: Dict[str, Any]) -> int:
-        payload_values = {
-            key: self._encode_value(
-                collection, collection.layout.by_name[key], value
-            )
-            for key, value in values.items()
-        }
+    def log_add(self, collection, entry: int, row: EncodedRow) -> int:
+        """Append the ADD record of a row just placed at *entry*; its
+        values are derived from the row's raws (the codec's ``logged``)."""
         return self._wal.append(
             ADD,
             {
                 "c": self._name_of(collection),
                 "s": collection.schema.__name__,
                 "e": entry,
-                "v": payload_values,
+                "v": collection.layout.codec.logged(row, self._sid_for),
             },
         )
 
@@ -287,48 +339,28 @@ class DurableStore:
     def log_update(
         self, collection, entry: int, field_name: str, value: Any
     ) -> int:
-        field = collection.layout.by_name[field_name]
+        """Append the UPDATE record of one field just written.
+
+        References are logged as ``{"$r": entry}``, non-empty varstrings
+        as ``{"$s": sid}`` against the segment's INTERN table, scalars
+        through the field codec so replay writes bit-identical raw values
+        (e.g. Decimals pick up their declared scale).
+        """
         return self._wal.append(
             UPDATE,
             {
                 "c": self._name_of(collection),
                 "e": entry,
                 "f": field_name,
-                "v": self._encode_value(collection, field, value),
+                "v": collection.layout.codec.log_value(
+                    field_name, value, self._sid_for
+                ),
             },
         )
 
     def batch(self):
         """Group-commit scope: one BEGIN/COMMIT pair, one fsync."""
         return self._wal.batch()
-
-    def _encode_value(self, collection, field, value):
-        """One field value as its log representation.
-
-        References become ``{"$r": entry}``, non-empty varstrings become
-        ``{"$s": sid}`` against the segment's INTERN table, scalars are
-        normalized through the field codec so replay writes bit-identical
-        raw values (e.g. Decimals pick up their declared scale).
-        """
-        if isinstance(field, RefField):
-            if value is None:
-                return None
-            ref = value if isinstance(value, Ref) else getattr(value, "ref", None)
-            if not isinstance(ref, Ref):
-                raise MutationError(
-                    f"field {field.name} expects a handle, Ref or None"
-                )
-            return {"$r": ref.entry}
-        if isinstance(field, VarStringField):
-            text = "" if value is None else str(value)
-            if not text:
-                return ""
-            return {"$s": self._sid_for(text)}
-        if isinstance(field, CharField):
-            return str(value)
-        from repro.service.protocol import encode_value
-
-        return encode_value(field.from_raw(field.to_raw(value)))
 
     def _sid_for(self, text: str) -> int:
         with self._wal.hold():
@@ -353,24 +385,63 @@ class DurableStore:
     # -- service-facing mutation batches --------------------------------
 
     def apply(self, ops: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
-        """Apply a batch of mutation ops with group commit.
+        """Apply one ``mutate`` request: check all of it, then apply it.
 
         Each op is ``{"op": "add"|"remove"|"update", "collection": name,
-        ...}``; ``add`` takes ``values`` (references encoded as
-        ``{"$r": entry}``), ``remove`` takes ``entry``, ``update`` takes
-        ``entry`` and ``values``.  Returns one result dict per op.  The
-        whole batch is one BEGIN/COMMIT unit: a crash mid-batch recovers
-        to the state before it.
+        ...}``; ``add`` takes ``values`` (tagged wire values, references
+        as ``{"$r": entry}``), ``remove`` takes ``entry``, ``update``
+        takes ``entry`` and ``values``.  Returns one result dict per op.
+
+        The whole request is checked and converted before its first
+        mutation, under the WAL lock: every field, value and entry id,
+        with entries resolved against the rows live before the request
+        (so a row removed by an earlier op cannot be named again, by a
+        later ``remove``, ``update`` or ``$r``).  A request rejected with
+        :class:`MutationError` at any op leaves the collections and the
+        WAL exactly as they were.  An accepted one runs as one
+        BEGIN/COMMIT unit — a crash mid-batch recovers to the state
+        before it — with each run of adds (or removes) on one collection
+        as one ``add_many`` (or ``remove_many``).
         """
         if not isinstance(ops, list) or not ops:
             raise MutationError("ops must be a non-empty list")
-        results = []
-        with self.batch():
-            for op in ops:
-                results.append(self._apply_op(op))
+        with self._wal.hold():
+            runs = self._check(ops)
+            results: List[Dict[str, Any]] = []
+            with self.batch():
+                for kind, coll, items in runs:
+                    if kind == "add":
+                        results.extend(
+                            {"entry": h.ref.entry} for h in coll.add_many(items)
+                        )
+                    elif kind == "remove":
+                        coll.remove_many(items)
+                        results.extend({"removed": True} for __ in items)
+                    else:
+                        for ref, values in items:
+                            handle = coll._handle(ref)
+                            for name, value in values:
+                                setattr(handle, name, value)
+                            results.append({"updated": len(values)})
         return results
 
-    def _apply_op(self, op: Dict[str, Any]) -> Dict[str, Any]:
+    def _check(self, ops: List[Any]) -> List[Tuple[str, Any, List[Any]]]:
+        """Check and convert every op; ``(kind, collection, items)`` runs
+        of consecutive ops of one kind on one collection."""
+        refs = _RequestRefs(self.manager)
+        runs: List[Tuple[str, Any, List[Any]]] = []
+        for index, op in enumerate(ops):
+            try:
+                kind, coll, item = self._check_op(op, refs)
+            except (MutationError, TypeError, ValueError, ArithmeticError) as exc:
+                raise MutationError(f"op {index}: {exc}") from None
+            if runs and runs[-1][0] == kind and runs[-1][1] is coll:
+                runs[-1][2].append(item)
+            else:
+                runs.append((kind, coll, [item]))
+        return runs
+
+    def _check_op(self, op: Any, refs: "_RequestRefs") -> Tuple[str, Any, Any]:
         if not isinstance(op, dict):
             raise MutationError("each op must be an object")
         kind = op.get("op")
@@ -380,58 +451,21 @@ class DurableStore:
                 f"unknown collection {op.get('collection')!r}; "
                 f"known: {sorted(self.collections)}"
             )
-        if kind == "add":
-            decoded = self._decode_op_values(coll, op.get("values") or {})
-            handle = coll.add(**decoded)
-            return {"entry": handle.ref.entry}
+        if kind not in ("add", "remove", "update"):
+            raise MutationError(f"unknown mutation op {kind!r}")
         if kind == "remove":
-            handle = self._live_handle(coll, op.get("entry"))
-            coll.remove(handle)
-            return {"removed": True}
-        if kind == "update":
-            handle = self._live_handle(coll, op.get("entry"))
-            decoded = self._decode_op_values(coll, op.get("values") or {})
-            for key, value in decoded.items():
-                setattr(handle, key, value)
-            return {"updated": len(decoded)}
-        raise MutationError(f"unknown mutation op {kind!r}")
-
-    def _decode_op_values(
-        self, coll, values: Dict[str, Any]
-    ) -> Dict[str, Any]:
-        from repro.service.protocol import decode_value
-
-        decoded = {}
-        for key, value in values.items():
-            field = coll.layout.by_name.get(key)
-            if field is None:
-                raise MutationError(
-                    f"{coll.schema.__name__} has no field {key!r}"
-                )
-            if isinstance(value, dict) and "$r" in value:
-                if not isinstance(field, RefField):
-                    raise MutationError(
-                        f"field {key!r} is not a reference field"
-                    )
-                target = coll.target_collection(field)
-                decoded[key] = self._live_handle(target, int(value["$r"]))
-            else:
-                decoded[key] = decode_value(value)
-        return decoded
-
-    def _live_handle(self, coll, entry) -> Any:
-        """Entry id -> checked live handle of *coll* (client addressing)."""
-        try:
-            entry = int(entry)
-        except (TypeError, ValueError):
-            raise MutationError(f"invalid entry id {entry!r}") from None
-        ref = self.manager.live_ref(entry, coll.context)
-        if ref is None:
-            raise MutationError(
-                f"entry {entry} is not a live object of collection "
-                f"{coll.name!r}"
-            )
-        return coll._handle(ref)
+            return kind, coll, refs.take(coll, op.get("entry"))
+        values = op.get("values") or {}
+        if not isinstance(values, dict):
+            raise MutationError("values must be an object")
+        codec = coll.layout.codec
+        if kind == "add":
+            return kind, coll, codec.encode(values, refs)
+        ref = refs.live(coll, op.get("entry"))
+        return kind, coll, (
+            ref,
+            [(name, codec.field_value(name, v, refs)) for name, v in values.items()],
+        )
 
     # -- checkpoints ----------------------------------------------------
 

@@ -74,6 +74,9 @@ _CRC_BODY = struct.Struct("<QB")  # lsn, kind (the CRC'd prefix)
 #: Sanity bound on one record's payload (matches the wire protocol's cap).
 MAX_RECORD = 64 * 1024 * 1024
 
+#: Compact JSON, built once (``json.dumps`` with options builds one per call).
+_ENCODER = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False)
+
 BEGIN = 1
 COMMIT = 2
 ADD = 3
@@ -407,9 +410,7 @@ class WriteAheadLog:
         ``always`` syncs here, ``commit`` syncs unless a batch is open
         (the batch's COMMIT syncs instead), ``none`` never does.
         """
-        body = json.dumps(
-            payload, separators=(",", ":"), ensure_ascii=False
-        ).encode("utf-8")
+        body = _ENCODER.encode(payload).encode("utf-8")
         with self._lock:
             if self._crashed:
                 # Injected-crash model: the process is dead; cleanup

@@ -92,7 +92,7 @@ from typing import Any, BinaryIO, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from repro.core.collection import Collection
+from repro.core.collection import Collection, bulk_add
 from repro.core.columnar import ColumnarCollection
 from repro.errors import SmcError
 from repro.memory import slots as slotcodec
@@ -904,29 +904,31 @@ def _load_rows(fh: BinaryIO, manager: MemoryManager, columnar: bool) -> Dict[str
         layout = schema.__layout__
         coll = factory(schema, manager=manager, name=name)
         collections[name] = coll
-        handles = []
         (n_rows,) = _U64.unpack(_read_exact(fh, 8))
-        for row_idx in range(n_rows):
-            values: Dict[str, Any] = {}
-            for f in layout.fields:
-                if isinstance(f, RefField):
-                    target_name = _read_str(fh)
-                    (ordinal,) = _I64.unpack(_read_exact(fh, 8))
-                    if ordinal >= 0:
-                        pending_refs.append(
-                            (coll, row_idx, f.name, target_name, ordinal)
-                        )
-                elif isinstance(f, VarStringField):
-                    (n,) = _U32.unpack(_read_exact(fh, 4))
-                    values[f.name] = _read_exact(fh, n).decode("utf-8")
-                elif isinstance(f, CharField):
-                    raw = _read_exact(fh, f.width)
-                    values[f.name] = raw.rstrip(b"\x00 ").decode("utf-8")
-                else:
-                    (raw,) = f._struct.unpack(_read_exact(fh, f._struct.size))
-                    values[f.name] = f.from_raw(raw)
-            handles.append(coll.add(**values))
-        handles_by_name[name] = handles
+
+        def rows(coll=coll, layout=layout, n_rows=n_rows):
+            for row_idx in range(n_rows):
+                values: Dict[str, Any] = {}
+                for f in layout.fields:
+                    if isinstance(f, RefField):
+                        target_name = _read_str(fh)
+                        (ordinal,) = _I64.unpack(_read_exact(fh, 8))
+                        if ordinal >= 0:
+                            pending_refs.append(
+                                (coll, row_idx, f.name, target_name, ordinal)
+                            )
+                    elif isinstance(f, VarStringField):
+                        (n,) = _U32.unpack(_read_exact(fh, 4))
+                        values[f.name] = _read_exact(fh, n).decode("utf-8")
+                    elif isinstance(f, CharField):
+                        raw = _read_exact(fh, f.width)
+                        values[f.name] = raw.rstrip(b"\x00 ").decode("utf-8")
+                    else:
+                        (raw,) = f._struct.unpack(_read_exact(fh, f._struct.size))
+                        values[f.name] = f.from_raw(raw)
+                yield values
+
+        handles_by_name[name] = bulk_add(coll, rows())
 
     # Second pass: resolve references (forward and cyclic included).
     for coll, row_idx, field_name, target_name, ordinal in pending_refs:

@@ -16,6 +16,7 @@ Section 3.5 of the paper:
 from __future__ import annotations
 
 import threading
+from threading import get_ident
 from collections import deque
 from typing import TYPE_CHECKING, Deque, Dict, Optional
 
@@ -129,10 +130,10 @@ class ThreadLocalBlocks:
         self._lock = threading.Lock()
 
     def get(self) -> Optional["Block"]:
-        return self._by_thread.get(threading.get_ident())
+        return self._by_thread.get(get_ident())
 
     def set(self, block: Optional["Block"]) -> None:
-        tid = threading.get_ident()
+        tid = get_ident()
         with self._lock:
             if block is None:
                 self._by_thread.pop(tid, None)

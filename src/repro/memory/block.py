@@ -369,15 +369,16 @@ class Block:
     # ------------------------------------------------------------------
 
     def state_of(self, slot: int) -> int:
-        return int(self.directory[slot]) & slotcodec.STATE_MASK
+        return self.directory.item(slot) & slotcodec.STATE_MASK
 
-    def mark_valid(self, slot: int) -> None:
+    def mark_valid(self, slot: int) -> int:
+        """Publish *slot*; returns the state it left (FREE or LIMBO)."""
         if _san.SANITIZER is not None:
             _san.SANITIZER.event(
-                "slot.valid", block=self, slot=slot, word=int(self.directory[slot])
+                "slot.valid", block=self, slot=slot, word=self.directory.item(slot)
             )
-        prev = int(self.directory[slot]) & slotcodec.STATE_MASK
-        self.directory[slot] = slotcodec.pack(VALID)
+        prev = self.directory.item(slot) & slotcodec.STATE_MASK
+        self.directory[slot] = VALID  # == slotcodec.pack(VALID)
         if prev == LIMBO:
             self.limbo_count -= 1
         self.valid_count += 1
@@ -386,6 +387,7 @@ class Block:
         # through mark_valid — allocation commits AND relocation copies —
         # is exactly the set of writes zone maps must observe.
         self.zone_version += 1
+        return prev
 
     def mark_limbo(self, slot: int, epoch: int) -> None:
         if _san.SANITIZER is not None:
@@ -393,10 +395,10 @@ class Block:
                 "slot.limbo",
                 block=self,
                 slot=slot,
-                word=int(self.directory[slot]),
+                word=self.directory.item(slot),
                 epoch=epoch,
             )
-        if (int(self.directory[slot]) & slotcodec.STATE_MASK) != VALID:
+        if (self.directory.item(slot) & slotcodec.STATE_MASK) != VALID:
             raise ValueError(f"slot {slot} is not valid; cannot move to limbo")
         self.directory[slot] = slotcodec.pack(LIMBO, epoch)
         self.valid_count -= 1
@@ -427,7 +429,7 @@ class Block:
         """
         directory = self.directory
         for slot in range(start, self.slot_count):
-            word = int(directory[slot])
+            word = directory.item(slot)
             state = word & slotcodec.STATE_MASK
             if state == FREE:
                 return slot

@@ -16,6 +16,7 @@ from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple
 from repro.memory import zonemap
 from repro.memory.allocator import ReclamationQueue, ThreadLocalBlocks
 from repro.memory.block import Block
+from repro.memory.slots import FREE
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.memory.manager import MemoryManager
@@ -100,9 +101,15 @@ class MemoryContext:
         observe a slot whose back-pointer and field values are still
         being written (the paper's Add publishes the object last).
         """
+        block = self._tl_blocks.get()
+        if block is not None:
+            # The common case: the cursor sits on a never-used slot.
+            slot = block.alloc_cursor
+            if slot < block.slot_count and block.directory.item(slot) == FREE:
+                block.alloc_cursor = slot + 1
+                return block, slot
         manager = self.manager
         epochs = manager.epochs
-        block = self._tl_blocks.get()
         while True:
             if block is not None:
                 slot = block.find_allocatable(block.alloc_cursor, epochs.global_epoch)
@@ -142,9 +149,9 @@ class MemoryContext:
 
     def commit_slot(self, block: Block, slot: int) -> None:
         """Publish a claimed slot: directory -> VALID, counters updated."""
-        if block.state_of(slot) != 0:  # LIMBO slot recycled in place
+        # mark_valid also invalidates the block's zone map.
+        if block.mark_valid(slot) != FREE:  # LIMBO slot recycled in place
             self.manager.stats.limbo_reuses += 1
-        block.mark_valid(slot)  # also invalidates the block's zone map
         self.live_count += 1
 
     def _retire_active_block(self, block: Block) -> None:

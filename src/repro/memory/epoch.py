@@ -24,6 +24,7 @@ is otherwise identical.
 from __future__ import annotations
 
 import threading
+from threading import get_ident
 from typing import Dict, Iterator, Optional
 
 from repro.errors import ConcurrencyProtocolError
@@ -294,7 +295,8 @@ class EpochManager:
         enter refreshes the thread-local epoch, so a nested section never
         observes a newer epoch than its enclosing one.
         """
-        ctx = self._context()
+        # The hottest call in the runtime: the registry lookup is inlined.
+        ctx = self._contexts.get(get_ident()) or self._context()
         if ctx.depth == 0:
             ctx.epoch = self._global_epoch
             if _san.SANITIZER is not None:
@@ -303,8 +305,8 @@ class EpochManager:
         return ctx.epoch
 
     def exit_critical_section(self) -> None:
-        ctx = self._context()
-        if ctx.depth == 0:
+        ctx = self._contexts.get(get_ident())
+        if ctx is None or ctx.depth == 0:
             raise ConcurrencyProtocolError(
                 "exit_critical_section without matching enter"
             )

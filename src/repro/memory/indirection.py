@@ -114,7 +114,7 @@ class IndirectionTable:
         """
         if _san.SANITIZER is not None:
             _san.SANITIZER.event("entry.release", table=self, entry=idx)
-        word = int(self._inc[idx])
+        word = self._inc.item(idx)
         if (word & INC_MASK) >= INC_MASK:
             with self._grow_lock:
                 self._retired.append(idx)
@@ -172,7 +172,7 @@ class IndirectionTable:
     # ------------------------------------------------------------------
 
     def address_of(self, idx: int) -> int:
-        return int(self._addr[idx])
+        return self._addr.item(idx)
 
     def set_address(self, idx: int, address: int) -> None:
         if _san.SANITIZER is not None:
@@ -182,10 +182,10 @@ class IndirectionTable:
         self._addr[idx] = address
 
     def incarnation_word(self, idx: int) -> int:
-        return int(self._inc[idx])
+        return self._inc.item(idx)
 
     def incarnation(self, idx: int) -> int:
-        return int(self._inc[idx]) & INC_MASK
+        return self._inc.item(idx) & INC_MASK
 
     # ------------------------------------------------------------------
     # Incarnation updates
@@ -199,7 +199,7 @@ class IndirectionTable:
         freeze bit exists, section 5.1 footnote).
         """
         with self._stripes[idx % _LOCK_STRIPES]:
-            word = int(self._inc[idx])
+            word = self._inc.item(idx)
             counter = (word & INC_MASK) + 1
             if counter > INC_MASK:
                 raise IncarnationOverflowError(f"entry {idx} overflowed")
@@ -220,7 +220,7 @@ class IndirectionTable:
     def cas_inc(self, idx: int, expected: int, new: int) -> bool:
         """Compare-and-swap the full incarnation word of entry *idx*."""
         with self._stripes[idx % _LOCK_STRIPES]:
-            if int(self._inc[idx]) != expected:
+            if self._inc.item(idx) != expected:
                 return False
             if _san.SANITIZER is not None:
                 _san.SANITIZER.event(

@@ -263,10 +263,12 @@ class MemoryManager:
         object is fully constructed — the paper's Add sequence: allocate,
         run the constructor, then add to the collection (section 2).
         """
-        self._ensure_open()
+        if self._closed:
+            self._ensure_open()
         if _san.SANITIZER is not None:
             _san.SANITIZER.event("alloc.start", manager=self, context=context.name)
-        self._drain_retired_entries()
+        if self._retired_entries:
+            self._drain_retired_entries()
         block, slot = context.allocate_slot()
         address = block.slot_address(slot)
         entry = self.table.allocate(address)
@@ -331,7 +333,7 @@ class MemoryManager:
             # demotion grace argument covers this free.
             self.pager.ensure_hot(block)
         # Slot-header incarnation protects direct pointers (section 6).
-        block.slot_incs[slot] = (int(block.slot_incs[slot]) + 1) & 0xFFFFFFFF
+        block.slot_incs[slot] = (block.slot_incs.item(slot) + 1) & 0xFFFFFFFF
         # The entry's pointer stays intact: a concurrent reader that passed
         # the incarnation check at the start of its grace period may still
         # follow it, and the slot itself is limbo-protected (section 3.4).
@@ -343,19 +345,6 @@ class MemoryManager:
         self.stats.frees += 1
         if _san.SANITIZER is not None:
             _san.SANITIZER.event("free.done", manager=self, entry=entry, slot=slot)
-
-    def free_object_with_strings(self, collection, ref: Ref) -> None:
-        """Free *ref* including its owned strings (bulk-removal helper)."""
-        epochs = self.epochs
-        epochs.enter_critical_section()
-        try:
-            address = ref.address()
-            block = self.space.block_at(address)
-            off = self.space.offset_of(address)
-            collection.layout.release_owned(block.buf, off, self)
-            self.free_object(ref)
-        finally:
-            epochs.exit_critical_section()
 
     def live_ref(
         self, entry: int, context: Optional[MemoryContext] = None
@@ -379,7 +368,7 @@ class MemoryManager:
         if (
             not 0 <= slot < block.slot_count
             or block.state_of(slot) != VALID
-            or int(block.backptrs[slot]) != entry
+            or block.backptrs.item(slot) != entry
             or (context is not None and block.context_id != context.context_id)
         ):
             return None

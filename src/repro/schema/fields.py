@@ -375,14 +375,6 @@ class VarStringField(Field):
             return None
         return getattr(registry.get(owner.__name__), "strdict", None)
 
-    def store_raw(self, value: Any, manager) -> int:
-        """Store *value*, returning the slot word (dict code or address)."""
-        text = "" if value is None else str(value)
-        sd = self._dict_of(manager)
-        if sd is not None:
-            return sd.intern(text)
-        return manager.strings.alloc(text)
-
     def encode_into(self, buf, off: int, value: Any, manager=None) -> None:
         if manager is None:
             raise TypeError("VarStringField requires a memory manager")

@@ -9,11 +9,25 @@ paper requires of tabular types (section 2).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
+import datetime as _dt
+import struct
+from decimal import Decimal
+from functools import cached_property
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.memory.addressing import NULL_ADDRESS
 from repro.memory.block import SLOT_HEADER_SIZE
-from repro.schema.fields import CharField, Field, RefField, VarStringField
+from repro.memory.reference import Ref
+from repro.schema.fields import (
+    CharField,
+    DateField,
+    DecimalField,
+    Field,
+    RefField,
+    VarStringField,
+    days_to_date,
+)
+from repro.tagged import decode_value, encode_value
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.memory.manager import MemoryManager
@@ -61,94 +75,10 @@ class SlotLayout:
             if not isinstance(f, (RefField, VarStringField))
         ]
 
-        self._template_body: Optional[bytes] = None
-        self._full_struct = None
-        self._default_raws: Optional[List[Any]] = None
-
-    # ------------------------------------------------------------------
-    # Fast row construction
-    # ------------------------------------------------------------------
-
-    @property
-    def template_body(self) -> bytes:
-        """Default-initialised slot bytes (excluding the 8-byte header).
-
-        ``Collection.add`` blits this template with one slice assignment —
-        the Python analogue of the default constructor running over
-        freshly allocated memory — and then overwrites only the supplied
-        fields.
-        """
-        if self._template_body is None:
-            buf = bytearray(self.slot_size)
-            for f in self.fields:
-                if isinstance(f, RefField):
-                    f.encode_words(buf, f.offset, NULL_ADDRESS, 0)
-                elif isinstance(f, VarStringField):
-                    f._struct.pack_into(buf, f.offset, NULL_ADDRESS)
-                else:
-                    f.encode_into(buf, f.offset, f.default)
-            self._template_body = bytes(buf[SLOT_HEADER_SIZE:])
-        return self._template_body
-
-    def _ensure_full_struct(self) -> None:
-        """One combined Struct covering every field (with pad bytes)."""
-        if self._full_struct is not None:
-            return
-        import struct as _struct
-
-        fmt = ["<"]
-        pos = SLOT_HEADER_SIZE
-        for f in self.fields:
-            if f.offset > pos:
-                fmt.append(f"{f.offset - pos}x")
-                pos = f.offset
-            if isinstance(f, RefField):
-                fmt.append("qi4x")
-                pos += 16
-            elif isinstance(f, CharField):
-                fmt.append(f"{f.width}s")
-                pos += f.width
-            else:
-                fmt.append(f.fmt)
-                pos += f.size
-        if self.slot_size > pos:
-            fmt.append(f"{self.slot_size - pos}x")
-        self._full_struct = _struct.Struct("".join(fmt))
-
-    def pack_full_row(
-        self,
-        buf,
-        slot_off: int,
-        values: Dict[str, Any],
-        manager: "MemoryManager",
-        ref_encoder,
-    ) -> None:
-        """Write a whole row with a single combined struct pack.
-
-        ``ref_encoder(field, value)`` converts user reference values to
-        stored ``(word, inc)`` pairs (collection-supplied, mode-aware).
-        """
-        self._ensure_full_struct()
-        raws: List[Any] = []
-        for f in self.fields:
-            if isinstance(f, RefField):
-                pair = None
-                if f.name in values:
-                    pair = ref_encoder(f, values[f.name])
-                raws.extend(pair if pair is not None else (NULL_ADDRESS, 0))
-            elif isinstance(f, VarStringField):
-                raws.append(f.store_raw(values.get(f.name, ""), manager))
-            elif isinstance(f, CharField):
-                data = str(values.get(f.name, "")).encode("utf-8")
-                if len(data) > f.width:
-                    raise ValueError(
-                        f"string of {len(data)} bytes exceeds "
-                        f"CharField({f.width})"
-                    )
-                raws.append(data)
-            else:
-                raws.append(f.to_raw(values.get(f.name, f.default)))
-        self._full_struct.pack_into(buf, slot_off + SLOT_HEADER_SIZE, *raws)
+    @cached_property
+    def codec(self) -> "RowCodec":
+        """The layout's value codec, built on first use."""
+        return RowCodec(self)
 
     # ------------------------------------------------------------------
     # Row writing
@@ -246,3 +176,317 @@ class SlotLayout:
     def __repr__(self) -> str:  # pragma: no cover
         cols = ", ".join(f"{f.name}@{f.offset}" for f in self.fields)
         return f"<SlotLayout {self.type_name} size={self.slot_size} [{cols}]>"
+
+
+# ----------------------------------------------------------------------
+# Row codec: every value to its slot raw, once
+# ----------------------------------------------------------------------
+
+#: How the codec treats a field: stored as given (ints, floats), stored
+#: through ``to_raw``, a CHAR, a varstring, a reference.
+FIELD_PLAIN, FIELD_SCALAR, FIELD_CHAR, FIELD_VAR, FIELD_REF = range(5)
+
+#: ``DateField`` raws count days from 1970-01-01.
+_DAY0 = _dt.date(1970, 1, 1).toordinal()
+
+#: What :meth:`RowCodec.encode` returns: ``(supplied, raws, body,
+#: strings)``.  ``raws`` holds one value per argument of the codec's row
+#: struct: a scalar's stored raw, a ``CHAR`` field's bytes, a reference's
+#: ``(entry, incarnation)`` pair (``(NULL_ADDRESS, 0)`` for null) and a
+#: varstring's text.  ``body`` is the slot body packed from them with
+#: every string word still null; ``strings`` lists ``(raw index, field
+#: offset)`` of the words placement stores, in the order it stores them.
+#: ``supplied`` is the caller's mapping: its keys, in its order, are the
+#: fields the ADD record lists.  A plain tuple — one is built per added
+#: row — so it is told from a mapping of values by its type.
+EncodedRow = Tuple[Mapping[str, Any], List[Any], bytes, Sequence[Tuple[int, int]]]
+
+
+class RowCodec:
+    """Converts a row's values to slot raws, and raws to logged values.
+
+    One codec per layout, built once.  ``encode`` takes a mapping of
+    field values in any of the three forms a row arrives in — Python
+    values (``Collection.add``), the service's tagged wire values
+    (``{"$d": "1.50"}``, ``{"$t": "1998-09-02"}``) or the log's (the
+    same, plus ``{"$s": sid}`` for strings) — and converts each value
+    exactly once, to what the slot stores.  It checks the whole row
+    (unknown fields, ``CHAR`` widths, integer ranges) before anything is
+    allocated, so a row that encodes can be placed without failing.
+
+    What the write-ahead log records for a field is a function of the
+    raw alone (:meth:`log_value`): the entry for a reference, the sid of
+    the text for a varstring, the tagged form of ``from_raw(raw)`` for a
+    scalar.
+
+    Rows with fewer than half their fields supplied keep every string
+    they were not given null (no heap record, no dictionary code) and
+    store the supplied strings in the caller's order; fuller rows store
+    every string field in field order, ``""`` for the missing ones.
+    """
+
+    def __init__(self, layout: SlotLayout) -> None:
+        self.type_name = layout.type_name
+        self._nfields = len(layout.fields)
+        fmt = ["<"]
+        defaults: List[Any] = []
+        #: field name -> (raw index, kind, field, convert, log)
+        self._spec: Dict[str, Tuple[int, int, Field, Any, Any]] = {}
+        #: (field name, kind, raw index) in field order (columnar placement).
+        self.columns: List[Tuple[str, int, int]] = []
+        #: (raw index, field) of every reference field.
+        self.refs: List[Tuple[int, RefField]] = []
+        var_slots = []
+        pos = SLOT_HEADER_SIZE
+        for f in layout.fields:
+            if f.offset > pos:
+                fmt.append(f"{f.offset - pos}x")
+            pos = f.offset + f.size
+            index = len(defaults)
+            if isinstance(f, RefField):
+                kind, convert, log = FIELD_REF, None, None
+                fmt.append("qi4x")
+                defaults += [NULL_ADDRESS, 0]
+                self.refs.append((index, f))
+            elif isinstance(f, VarStringField):
+                kind, convert, log = FIELD_VAR, None, None
+                fmt.append("q")
+                defaults.append(NULL_ADDRESS)
+                var_slots.append((index, f.offset))
+            elif isinstance(f, CharField):
+                kind, convert, log = FIELD_CHAR, _char_convert(f), _char_log
+                fmt.append(f"{f.width}s")
+                defaults.append(b"")
+            else:
+                plain = type(f).to_raw is Field.to_raw
+                kind = FIELD_PLAIN if plain else FIELD_SCALAR
+                convert, log = _scalar_convert(f), _scalar_log(f)
+                fmt.append(f.fmt)
+                defaults.append(f.to_raw(f.default))
+            self._spec[f.name] = (index, kind, f, convert, log)
+            self.columns.append((f.name, kind, index))
+        if layout.slot_size > pos:
+            fmt.append(f"{layout.slot_size - pos}x")
+        self.struct = struct.Struct("".join(fmt))
+        self._defaults = defaults
+        self._var_slots = tuple(var_slots)
+
+    # -- values -> raws ---------------------------------------------------
+
+    def encode(self, values: Mapping[str, Any], ref_of=None, texts=None) -> EncodedRow:
+        """Check and convert one row; nothing is stored yet.
+
+        ``ref_of(field, value)`` turns a reference value into a
+        :class:`~repro.memory.reference.Ref` or ``None`` (default: the
+        value is a handle, a ``Ref`` or ``None``); ``texts`` maps log
+        sids to strings.  Raises ``TypeError`` / ``ValueError`` (or an
+        ``ArithmeticError`` from a decimal) naming the offending field.
+        """
+        spec = self._spec
+        raws = self._defaults.copy()
+        given = None
+        for name, value in values.items():
+            try:
+                index, kind, field, convert, __ = spec[name]
+            except KeyError:
+                raise TypeError(
+                    f"{self.type_name} has no field {name!r}"
+                ) from None
+            if kind == FIELD_PLAIN and type(value) is not dict:
+                raws[index] = value
+            elif kind <= FIELD_CHAR:
+                raws[index] = convert(value)
+            elif kind == FIELD_VAR:
+                if given is None:
+                    given = []
+                given.append((index, field.offset, _text(field, value, texts)))
+            else:
+                ref = (ref_of or _ref_of)(field, value)
+                if ref is not None:
+                    raws[index] = ref.entry
+                    raws[index + 1] = ref.inc
+        try:
+            body = self.struct.pack(*raws)
+        except struct.error:
+            raise self._pack_error(raws) from None
+        if len(values) * 2 >= self._nfields:
+            strings = self._var_slots
+            for index, __ in strings:
+                raws[index] = ""
+            if given:
+                for index, __, text in given:
+                    raws[index] = text
+        elif given:
+            strings = []
+            for index, offset, text in given:
+                raws[index] = text
+                strings.append((index, offset))
+        else:
+            strings = ()
+        return values, raws, body, strings
+
+    def _pack_error(self, raws: List[Any]) -> ValueError:
+        for index, kind, field, __, __ in self._spec.values():
+            if kind <= FIELD_CHAR:
+                try:
+                    field._struct.pack(raws[index])
+                except struct.error as exc:
+                    return ValueError(
+                        f"{self.type_name}.{field.name}: cannot store "
+                        f"{raws[index]!r} ({exc})"
+                    )
+        return ValueError(f"{self.type_name}: row does not pack")
+
+    def field_value(self, name: str, value: Any, ref_of=None, texts=None) -> Any:
+        """One field's value checked and converted for a handle update:
+        a ``Ref`` (or ``None``), a string, or ``from_raw`` of the raw."""
+        try:
+            __, kind, field, convert, __ = self._spec[name]
+        except KeyError:
+            raise TypeError(f"{self.type_name} has no field {name!r}") from None
+        if kind == FIELD_REF:
+            return (ref_of or _ref_of)(field, value)
+        if kind == FIELD_VAR:
+            return _text(field, value, texts)
+        raw = convert(value)
+        try:
+            field._struct.pack(raw)
+        except struct.error as exc:
+            raise ValueError(
+                f"{self.type_name}.{name}: cannot store {raw!r} ({exc})"
+            ) from None
+        return raw.decode("utf-8") if kind == FIELD_CHAR else field.from_raw(raw)
+
+    # -- raws -> log ------------------------------------------------------
+
+    def logged(self, row: EncodedRow, sid_of) -> Dict[str, Any]:
+        """The ADD record's field values, in the caller's field order."""
+        spec = self._spec
+        supplied, raws, __, __ = row
+        out = {}
+        for name in supplied:
+            index, kind, __, __, log = spec[name]
+            raw = raws[index]
+            if kind == FIELD_VAR:
+                out[name] = {"$s": sid_of(raw)} if raw else ""
+            elif kind == FIELD_REF:
+                out[name] = None if raw == NULL_ADDRESS else {"$r": raw}
+            else:
+                out[name] = log(raw)
+        return out
+
+    def log_value(self, name: str, value: Any, sid_of) -> Any:
+        """The logged form of one Python field value (UPDATE records)."""
+        __, kind, field, convert, log = self._spec[name]
+        if kind == FIELD_REF:
+            ref = _ref_of(field, value)
+            return None if ref is None else {"$r": ref.entry}
+        if kind == FIELD_VAR:
+            text = _text(field, value, None)
+            return {"$s": sid_of(text)} if text else ""
+        return log(convert(value))
+
+
+def _ref_of(field: RefField, value: Any) -> Optional[Ref]:
+    """A Python reference value (handle, ``Ref`` or ``None``) as a Ref."""
+    if value is None or isinstance(value, Ref):
+        return value
+    ref = getattr(value, "ref", None)
+    if not isinstance(ref, Ref):
+        raise TypeError(
+            f"field {field.name} expects a handle, Ref or None; "
+            f"got {type(value).__name__}"
+        )
+    return ref
+
+
+def _untag(field: Field, value: dict) -> Any:
+    """A tagged wire/log value as the Python value it stands for."""
+    if "$r" in value:
+        raise TypeError(f"field {field.name!r} is not a reference field")
+    return decode_value(value)
+
+
+def _text(field: VarStringField, value: Any, texts) -> str:
+    if type(value) is not str:
+        if value is None:
+            return ""
+        if type(value) is dict:
+            if texts is not None and "$s" in value:
+                return texts[int(value["$s"])]
+            value = _untag(field, value)
+        value = str(value)
+    if not value.isascii():
+        value.encode("utf-8")  # a lone surrogate fails here, not in the log
+    return value
+
+
+def _char_convert(field: CharField):
+    width = field.width
+
+    def convert(value: Any) -> bytes:
+        if type(value) is dict:
+            value = _untag(field, value)
+        data = str(value).encode("utf-8")
+        if len(data) > width:
+            raise ValueError(
+                f"{field.name}: string of {len(data)} bytes exceeds "
+                f"CharField({width})"
+            )
+        return data
+
+    return convert
+
+
+def _char_log(raw: bytes) -> str:
+    return raw.decode("utf-8")
+
+
+def _scalar_convert(field: Field):
+    to_raw = field.to_raw
+    if isinstance(field, DecimalField):
+        scale = field.scale
+
+        def convert(value: Any) -> int:
+            if type(value) is dict:
+                if len(value) == 1 and "$d" in value:
+                    return int(
+                        Decimal(value["$d"]).scaleb(scale).to_integral_value()
+                    )
+                value = _untag(field, value)
+            return to_raw(value)
+
+    elif isinstance(field, DateField):
+
+        def convert(value: Any) -> int:
+            if type(value) is dict:
+                if len(value) == 1 and "$t" in value:
+                    return _dt.date.fromisoformat(value["$t"]).toordinal() - _DAY0
+                value = _untag(field, value)
+            return to_raw(value)
+
+    else:
+
+        def convert(value: Any) -> Any:
+            if type(value) is dict:
+                value = _untag(field, value)
+            return to_raw(value)
+
+    return convert
+
+
+def _scalar_log(field: Field):
+    if isinstance(field, DecimalField):
+        quantum = field._quantum
+        return lambda raw: {"$d": str(Decimal(raw) * quantum)}
+    if isinstance(field, DateField):
+        return lambda raw: {"$t": days_to_date(raw).isoformat()}
+    if type(field).from_raw is Field.from_raw:
+        return _plain_log
+    from_raw = field.from_raw
+    return lambda raw: encode_value(from_raw(raw))
+
+
+def _plain_log(raw: Any) -> Any:
+    """``encode_value(raw)``, without the call for the common JSON types."""
+    return raw if type(raw) is int or type(raw) is float else encode_value(raw)

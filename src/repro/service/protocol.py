@@ -12,6 +12,7 @@ type and value intact.  They are encoded as tagged objects:
   exact round trip),
 * ``date(1998, 9, 2)`` → ``{"$t": "1998-09-02"}``.
 
+(``repro.tagged`` holds that encoding; the write-ahead log uses it too.)
 Floats round-trip exactly through ``repr`` (Python's ``json`` uses
 ``float.__repr__``, which is shortest-exact); ints and strings are
 trivially exact.  Row tuples become JSON arrays and are re-tupled on
@@ -20,12 +21,12 @@ decode.
 
 from __future__ import annotations
 
-import datetime as _dt
 import json
 import socket
 import struct
-from decimal import Decimal
 from typing import Any, Dict, List, Optional, Tuple
+
+from repro.tagged import decode_value, encode_value
 
 #: Refuse frames above this size (64 MiB): protects against garbage
 #: length prefixes from a confused peer.
@@ -41,35 +42,6 @@ class ProtocolError(Exception):
 # ----------------------------------------------------------------------
 # Value encoding
 # ----------------------------------------------------------------------
-
-
-def encode_value(value: Any) -> Any:
-    if isinstance(value, Decimal):
-        return {"$d": str(value)}
-    if isinstance(value, _dt.datetime):  # before date: datetime is a date
-        return {"$dt": value.isoformat()}
-    if isinstance(value, _dt.date):
-        return {"$t": value.isoformat()}
-    if isinstance(value, (list, tuple)):
-        return [encode_value(v) for v in value]
-    if isinstance(value, dict):
-        return {k: encode_value(v) for k, v in value.items()}
-    return value
-
-
-def decode_value(value: Any) -> Any:
-    if isinstance(value, dict):
-        if len(value) == 1:
-            if "$d" in value:
-                return Decimal(value["$d"])
-            if "$t" in value:
-                return _dt.date.fromisoformat(value["$t"])
-            if "$dt" in value:
-                return _dt.datetime.fromisoformat(value["$dt"])
-        return {k: decode_value(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [decode_value(v) for v in value]
-    return value
 
 
 def encode_rows(rows: List[Tuple[Any, ...]]) -> List[List[Any]]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
-from repro.core.collection import Collection
+from repro.core.collection import Collection, bulk_add
 from repro.core.columnar import ColumnarCollection
 from repro.managed.collections_ import ManagedBag, ManagedDictionary, ManagedList
 from repro.memory.manager import MemoryManager
@@ -54,45 +54,44 @@ def load_smc(
         for name in tpch_schema.TABLES
     }
 
-    regions = {
-        row["regionkey"]: collections["region"].add(**row) for row in data.region
-    }
-    nations = {}
-    for row in data.nation:
-        nations[row["nationkey"]] = collections["nation"].add(
-            region=regions[row["regionkey"]], **row
+    def load(name, rows, key=None, **refs):
+        """Add one table's rows; ``refs`` maps a reference field to
+        ``(foreign key column, handles by key)``.  Returns the handles
+        by *key* column, when given."""
+        added = bulk_add(
+            collections[name],
+            (
+                dict(row, **{f: by_key[row[col]] for f, (col, by_key) in refs.items()})
+                for row in rows
+            ),
         )
-    suppliers = {}
-    for row in data.supplier:
-        suppliers[row["suppkey"]] = collections["supplier"].add(
-            nation=nations[row["nationkey"]], **row
-        )
-    customers = {}
-    for row in data.customer:
-        customers[row["custkey"]] = collections["customer"].add(
-            nation=nations[row["nationkey"]], **row
-        )
-    parts = {}
-    for row in data.part:
-        parts[row["partkey"]] = collections["part"].add(**row)
-    for row in data.partsupp:
-        collections["partsupp"].add(
-            part=parts[row["partkey"]],
-            supplier=suppliers[row["suppkey"]],
-            **row,
-        )
-    orders = {}
-    for row in data.orders:
-        orders[row["orderkey"]] = collections["orders"].add(
-            customer=customers[row["custkey"]], **row
-        )
-    for row in data.lineitem:
-        collections["lineitem"].add(
-            order=orders[row["orderkey"]],
-            part=parts[row["partkey"]],
-            supplier=suppliers[row["suppkey"]],
-            **row,
-        )
+        if key is not None:
+            return {row[key]: handle for row, handle in zip(rows, added)}
+        return None
+
+    regions = load("region", data.region, "regionkey")
+    nations = load("nation", data.nation, "nationkey", region=("regionkey", regions))
+    suppliers = load(
+        "supplier", data.supplier, "suppkey", nation=("nationkey", nations)
+    )
+    customers = load(
+        "customer", data.customer, "custkey", nation=("nationkey", nations)
+    )
+    parts = load("part", data.part, "partkey")
+    load(
+        "partsupp",
+        data.partsupp,
+        part=("partkey", parts),
+        supplier=("suppkey", suppliers),
+    )
+    orders = load("orders", data.orders, "orderkey", customer=("custkey", customers))
+    load(
+        "lineitem",
+        data.lineitem,
+        order=("orderkey", orders),
+        part=("partkey", parts),
+        supplier=("suppkey", suppliers),
+    )
 
     collections["_manager"] = manager
     return collections

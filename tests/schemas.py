@@ -63,3 +63,16 @@ class TNode(Tabular):
 
     value = Int64Field()
     next = RefField("TNode")
+
+
+class TLedger(Tabular):
+    """Self-referencing type with a scale-0 decimal (write-path codec tests)."""
+
+    units = DecimalField(0)
+    amount = DecimalField(2)
+    day = DateField()
+    flag = BoolField()
+    ratio = Float64Field()
+    tag = CharField(8)
+    memo = VarStringField()
+    parent = RefField("TLedger")

@@ -6,6 +6,7 @@ from decimal import Decimal
 
 from hypothesis import given, settings, strategies as st
 
+from repro.core.collection import Collection
 from repro.memory.manager import MemoryManager
 from repro.schema.fields import (
     BoolField,
@@ -20,6 +21,7 @@ from repro.schema.fields import (
     VarStringField,
 )
 from repro.schema.layout import SlotLayout
+from repro.schema.tabular import Tabular, TabularMeta
 
 _counter = itertools.count()
 
@@ -99,32 +101,26 @@ def test_random_layout_roundtrip(data):
 @settings(max_examples=60, deadline=None)
 @given(data=schema_and_rows())
 def test_template_and_full_pack_agree_with_write_new(data):
-    """The fast row writers produce byte-identical rows to write_new."""
+    """Rows the codec packs and ``add_many`` places — full rows, and
+    sparse ones holding only their first field — decode like the rows
+    ``write_new`` writes field by field."""
     fields, rows = data
-    for name, field in fields:
-        field.name = name
-        field.index = 0
-        field.owner = object
-        if field.fmt:
-            import struct as _struct
-
-            field._struct = _struct.Struct("<" + field.fmt)
-        elif isinstance(field, CharField):
-            import struct as _struct
-
-            field._struct = _struct.Struct(f"<{field.width}s")
-    layout = SlotLayout([f for __, f in fields], f"Rand{next(_counter)}")
+    schema = TabularMeta(f"Rand{next(_counter)}", (Tabular,), dict(fields))
+    layout = schema.__layout__
     manager = MemoryManager(block_shift=12)
     try:
-        for row in rows:
-            a = bytearray(layout.slot_size)
-            layout.write_new(a, 0, dict(row), manager)
-            b = bytearray(layout.slot_size)
-            layout.pack_full_row(b, 0, dict(row), manager, lambda f, v: None)
+        first = fields[0][0]
+        batch = [dict(row) for row in rows] + [{first: row[first]} for row in rows]
+        handles = Collection(schema, manager=manager).add_many(batch)
+        for values, handle in zip(batch, handles):
+            expected = bytearray(layout.slot_size)
+            layout.write_new(expected, 0, dict(values), manager)
+            address = handle.ref.address()
+            block = manager.space.block_at(address)
             # Variable strings allocate separate heap records, so compare
             # decoded rows rather than raw bytes.
-            assert layout.read_row(a, 0, manager) == layout.read_row(
-                b, 0, manager
-            )
+            assert layout.read_row(
+                block.buf, manager.space.offset_of(address), manager
+            ) == layout.read_row(expected, 0, manager)
     finally:
         manager.close()

@@ -176,6 +176,11 @@ class TestFleetDifferential:
         thread = threading.Thread(target=churn, daemon=True)
         thread.start()
         try:
+            # Reads start once the replicas hold a churned write, so the
+            # router observes a positive LSN however the threads are
+            # scheduled; the churn goes on beside every read.
+            _wait_until(lambda: churned or errors, what="a churned write")
+            fleet.wait_caught_up()
             with fleet.client(staleness_bound=8) as router:
                 for __ in range(2):
                     for name, baseline in tpch_fleet["baselines"].items():
