@@ -7,12 +7,20 @@ the moment of the crash:
    the checkpoint's block images into a fresh manager — every row comes
    back under the indirection-entry id it had, so the entry ids log
    records carry address the reloaded rows as they are;
-2. replay the committed prefix of the active log segment through
-   :func:`apply_batch`, i.e. the normal ``add_many``/``remove_many``/
-   ``setattr`` paths (so secondary indexes and string dictionaries are
-   maintained as they were live).  A replayed ``add`` takes whatever
-   entry the allocator hands out; the :class:`EntryMap` remembers the
-   rows whose id so diverged from the logged one.
+2. read the active log segment once: the framing pass
+   (:func:`~repro.durability.wal.scan_wal`) checks every frame and finds
+   the committed boundary, then the committed payloads are decoded, each
+   once;
+3. replay the committed prefix through :func:`apply_batch`, i.e. the
+   normal ``add_many``/``remove_many``/``setattr`` paths (so secondary
+   indexes and string dictionaries are maintained as they were live).
+   A replayed ``add`` takes whatever entry the allocator hands out; the
+   :class:`EntryMap` remembers the rows whose id so diverged from the
+   logged one.
+
+The report carries the boundary (``committed_offset``, ``next_lsn``),
+which ``DurableStore.open`` hands to the appender instead of reading the
+segment a second time.
 
 A torn final record (or a trailing batch whose COMMIT never reached
 disk) is dropped: the crash interrupted an append that was never
@@ -94,8 +102,11 @@ class RecoveryReport:
     dropped_open_batch: int
     committed_offset: int
     next_lsn: int
-    #: Seconds spent adopting the checkpoint image / replaying the tail.
+    #: Seconds spent adopting the checkpoint image, reading the log
+    #: segment (framing, CRC, decoding the committed payloads) and
+    #: applying the committed records.
     load_seconds: float
+    scan_seconds: float
     replay_seconds: float
     #: Logged → local entry ids as of the end of replay.  Replication
     #: keeps applying shipped records through it.
@@ -105,13 +116,14 @@ class RecoveryReport:
 
     @property
     def duration(self) -> float:
-        return self.load_seconds + self.replay_seconds
+        return self.load_seconds + self.scan_seconds + self.replay_seconds
 
     def summary(self) -> str:
         return (
             f"recovered {self.data_dir}: checkpoint {self.checkpoint} "
             f"({self.checkpoint_rows} rows, cut LSN {self.cut_lsn}) loaded "
-            f"in {self.load_seconds * 1000:.1f} ms, "
+            f"in {self.load_seconds * 1000:.1f} ms, log read "
+            f"in {self.scan_seconds * 1000:.1f} ms, "
             f"replayed {self.replayed} of {self.records_scanned} log "
             f"records ({self.interned} interned strings, "
             f"{self.dropped_open_batch} dropped from an open batch, "
@@ -177,6 +189,7 @@ def recover(
         )
 
     records = scan.committed_records()
+    scanned = time.perf_counter()
     interned = sum(1 for rec in records if rec.kind == INTERN)
     if "entries" in manifest and any(
         rec.kind not in (BEGIN, COMMIT, INTERN) for rec in records
@@ -199,7 +212,7 @@ def recover(
         cut_lsn=int(manifest["cut_lsn"]),
         checkpoint_rows=int(manifest.get("rows", 0)),
         wal_path=wal_path,
-        records_scanned=len(scan.records),
+        records_scanned=len(scan.frames),
         replayed=replayed,
         interned=interned,
         dropped_tail_bytes=scan.torn_bytes,
@@ -207,7 +220,8 @@ def recover(
         committed_offset=scan.committed_offset,
         next_lsn=scan.next_lsn,
         load_seconds=loaded - start,
-        replay_seconds=time.perf_counter() - loaded,
+        scan_seconds=scanned - loaded,
+        replay_seconds=time.perf_counter() - scanned,
         entry_map=entry_map,
         strings=strings,
     )

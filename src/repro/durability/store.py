@@ -203,9 +203,16 @@ class DurableStore:
         collections, report = recover(
             data_dir, columnar=columnar, string_dict=string_dict
         )
-        # Reopening truncates the torn tail / uncommitted trailing batch
-        # recovery skipped, so appends resume at the committed boundary.
-        wal = WriteAheadLog.open(report.wal_path, fsync_policy=fsync_policy)
+        # Appends resume at the committed boundary recovery's read of the
+        # segment found; the torn tail / uncommitted trailing batch it
+        # skipped is truncated, and the segment is not read again.
+        wal = WriteAheadLog.resume(
+            report.wal_path,
+            start_lsn=report.cut_lsn + 1,
+            next_lsn=report.next_lsn,
+            committed_offset=report.committed_offset,
+            fsync_policy=fsync_policy,
+        )
         return cls(
             DataDir(data_dir),
             collections,

@@ -13,7 +13,9 @@ File format (little-endian)::
     header   b"SMCWAL1\\n" | u64 start_lsn
     record   u32 crc32 | u32 payload_len | u64 lsn | u8 kind | payload
 
-The CRC covers ``lsn | kind | payload``.  Payloads are compact JSON
+The CRC covers ``lsn | kind | payload`` — one contiguous run of the
+file, from the header's ``lsn`` field to the frame's end.  Payloads are
+compact JSON
 (the service protocol's tagged encoding, so ``Decimal`` and ``date``
 values round-trip exactly).  Record kinds:
 
@@ -46,7 +48,18 @@ Torn-tail contract (see ``docs/durability.md`` for the crash matrix):
   interior corruption — :class:`WalCorruptionError` naming the LSN;
 * a trailing BEGIN without its COMMIT is an unacknowledged batch —
   its records are dropped whole and the file is truncated back to the
-  last committed boundary before appends resume.
+  last committed boundary before appends resume.  They are dropped
+  after framing and CRC alone: their payloads are never decoded;
+* a payload inside the committed prefix whose CRC holds but which is
+  not one JSON document is interior corruption, named by its LSN.
+
+Reading a segment is two steps.  :func:`scan_wal` is the framing pass:
+it checks every header, the length bound, the CRC and LSN continuity,
+applies the rules above and finds the committed boundary, decoding no
+payload.  :meth:`WalScan.committed_records` then decodes the committed
+payloads, each one once.  A restart runs both on one read of the file
+(:func:`repro.durability.recovery.recover`) and hands the boundary it
+found to :meth:`WriteAheadLog.resume`, which never reads the file.
 """
 
 from __future__ import annotations
@@ -58,7 +71,8 @@ import struct
 import threading
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional
+from functools import cached_property
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import SmcError
 from repro.sanitizer import hooks as _san
@@ -70,12 +84,19 @@ FILE_HEADER_SIZE = len(FILE_MAGIC) + _FILE_HEADER.size  # 16
 _RECORD_HEADER = struct.Struct("<IIQB")  # crc32, payload_len, lsn, kind
 RECORD_HEADER_SIZE = _RECORD_HEADER.size  # 17
 _CRC_BODY = struct.Struct("<QB")  # lsn, kind (the CRC'd prefix)
+#: Where the CRC'd run starts inside a frame: after ``crc32 | payload_len``.
+_CRC_FROM = RECORD_HEADER_SIZE - _CRC_BODY.size  # 8
 
 #: Sanity bound on one record's payload (matches the wire protocol's cap).
 MAX_RECORD = 64 * 1024 * 1024
 
 #: Compact JSON, built once (``json.dumps`` with options builds one per call).
 _ENCODER = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False)
+#: Decodes one payload; ``decode`` refuses anything after the document.
+_DECODER = json.JSONDecoder()
+
+#: One framed record, payload not decoded: ``(lsn, kind, offset, end_offset)``.
+Frame = Tuple[int, int, int, int]
 
 BEGIN = 1
 COMMIT = 2
@@ -132,11 +153,16 @@ class WalRecord:
 
 @dataclass
 class WalScan:
-    """Result of scanning one log segment."""
+    """The framing pass over one log segment: frames and boundaries.
+
+    Keeps the bytes it read, so the payloads decode from that one read.
+    """
 
     path: str
     start_lsn: int
-    records: List[WalRecord] = field(default_factory=list)
+    data: bytes = field(repr=False)
+    #: Every structurally valid record, in LSN order, payload not decoded.
+    frames: List[Frame] = field(default_factory=list)
     #: End offset of the last structurally valid record.
     good_offset: int = FILE_HEADER_SIZE
     #: End offset of the durable prefix — excludes a trailing open batch.
@@ -152,15 +178,24 @@ class WalScan:
     def next_lsn(self) -> int:
         """First LSN to append after truncating to the committed prefix."""
         if self.committed_count:
-            return self.records[self.committed_count - 1].lsn + 1
+            return self.frames[self.committed_count - 1][0] + 1
         return self.start_lsn
 
     def committed_records(self) -> List[WalRecord]:
-        return self.records[: self.committed_count]
+        """The committed prefix, decoded: what recovery replays."""
+        return _decode(self.data, self.frames[: self.committed_count], self.path)
+
+    @cached_property
+    def records(self) -> List[WalRecord]:
+        """Every structurally valid record, decoded, a trailing open batch
+        included (``repro log-dump``)."""
+        return _decode(self.data, self.frames, self.path)
 
 
 def scan_wal(path: str) -> WalScan:
-    """Parse a log segment, classifying torn tails vs interior corruption."""
+    """The framing pass: read a segment once, classify torn tails against
+    interior corruption and find the committed boundary.  No payload is
+    decoded here (see :meth:`WalScan.committed_records`)."""
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < FILE_HEADER_SIZE or data[: len(FILE_MAGIC)] != FILE_MAGIC:
@@ -168,90 +203,112 @@ def scan_wal(path: str) -> WalScan:
             f"{path} is not an SMC write-ahead log", lsn=0, offset=0
         )
     (start_lsn,) = _FILE_HEADER.unpack_from(data, len(FILE_MAGIC))
-    scan = WalScan(path=path, start_lsn=start_lsn)
-    size = len(data)
-    pos = FILE_HEADER_SIZE
-    expected = start_lsn
-    while pos < size:
-        if size - pos < RECORD_HEADER_SIZE:
-            break  # torn header at the tail
-        crc, length, lsn, kind = _RECORD_HEADER.unpack_from(data, pos)
-        end = pos + RECORD_HEADER_SIZE + length
-        if length > MAX_RECORD:
-            if end >= size:
-                break  # garbage length in a torn tail write
-            raise WalCorruptionError(
-                f"{path}: record at offset {pos} (LSN {expected}) claims "
-                f"an impossible payload of {length} bytes",
-                lsn=expected,
-                offset=pos,
-            )
-        if end > size:
-            break  # torn final record: frame runs past EOF
-        payload = data[pos + RECORD_HEADER_SIZE : end]
-        if zlib.crc32(_CRC_BODY.pack(lsn, kind) + payload) != crc:
-            if end == size:
-                break  # torn final record: partially overwritten tail
-            raise WalCorruptionError(
-                f"{path}: CRC mismatch at LSN {expected} "
-                f"(offset {pos}) with valid records behind it — "
-                f"refusing to recover past interior corruption",
-                lsn=expected,
-                offset=pos,
-            )
-        if lsn != expected:
-            raise WalCorruptionError(
-                f"{path}: LSN discontinuity at offset {pos}: "
-                f"expected LSN {expected}, found {lsn}",
-                lsn=expected,
-                offset=pos,
-            )
-        try:
-            decoded = json.loads(payload.decode("utf-8"))
-        except (UnicodeDecodeError, ValueError) as exc:
-            raise WalCorruptionError(
-                f"{path}: undecodable payload at LSN {expected}: {exc}",
-                lsn=expected,
-                offset=pos,
-            ) from None
-        scan.records.append(WalRecord(lsn, kind, decoded, pos, end))
-        scan.good_offset = end
-        pos = end
-        expected += 1
-    scan.torn_bytes = size - scan.good_offset
+    frames = list(
+        _frames(memoryview(data), FILE_HEADER_SIZE, len(data), start_lsn, path)
+    )
+    scan = WalScan(path=path, start_lsn=start_lsn, data=data, frames=frames)
+    if frames:
+        scan.good_offset = frames[-1][3]
+    scan.torn_bytes = len(data) - scan.good_offset
 
     # Committed prefix: everything up to (and including) the last record
     # that is not part of a trailing open batch.
     in_batch = False
-    for i, rec in enumerate(scan.records):
-        if rec.kind == BEGIN:
+    for i, (lsn, kind, offset, end) in enumerate(frames):
+        if kind == BEGIN:
             if in_batch:
                 raise WalCorruptionError(
-                    f"{path}: nested BEGIN at LSN {rec.lsn}",
-                    lsn=rec.lsn,
-                    offset=rec.offset,
+                    f"{path}: nested BEGIN at LSN {lsn}", lsn=lsn, offset=offset
                 )
             in_batch = True
-        elif rec.kind == COMMIT:
+        elif kind == COMMIT:
             if not in_batch:
                 raise WalCorruptionError(
-                    f"{path}: COMMIT without BEGIN at LSN {rec.lsn}",
-                    lsn=rec.lsn,
-                    offset=rec.offset,
+                    f"{path}: COMMIT without BEGIN at LSN {lsn}",
+                    lsn=lsn,
+                    offset=offset,
                 )
             in_batch = False
             scan.committed_count = i + 1
-            scan.committed_offset = rec.end_offset
+            scan.committed_offset = end
         elif not in_batch:
             scan.committed_count = i + 1
-            scan.committed_offset = rec.end_offset
-    scan.open_batch_records = len(scan.records) - scan.committed_count
+            scan.committed_offset = end
+    scan.open_batch_records = len(frames) - scan.committed_count
     return scan
 
 
-def dump_records(path: str) -> Iterator[WalRecord]:
-    """Yield every structurally valid record (``repro log-dump``)."""
-    yield from scan_wal(path).records
+def _frames(view, pos: int, end: int, lsn: int, path: str) -> Iterator[Frame]:
+    """Walk the frames of ``view[pos:end]``, the first of which carries *lsn*.
+
+    Yields every frame whose header, length bound, CRC and LSN hold, and
+    decodes nothing.  Stops at a torn tail (a frame *end* cuts short, or
+    one whose CRC fails and that ends exactly at *end*); raises
+    :class:`WalCorruptionError` on interior corruption.  Offsets are
+    indexes into *view*.
+    """
+    unpack, crc32 = _RECORD_HEADER.unpack_from, zlib.crc32
+    while pos < end:
+        if end - pos < RECORD_HEADER_SIZE:
+            return  # torn header at the tail
+        crc, length, found, kind = unpack(view, pos)
+        stop = pos + RECORD_HEADER_SIZE + length
+        if length > MAX_RECORD:
+            if stop >= end:
+                return  # garbage length in a torn tail write
+            raise WalCorruptionError(
+                f"{path}: record at offset {pos} (LSN {lsn}) claims "
+                f"an impossible payload of {length} bytes",
+                lsn=lsn,
+                offset=pos,
+            )
+        if stop > end:
+            return  # torn final record: frame runs past EOF
+        if crc32(view[pos + _CRC_FROM : stop]) != crc:
+            if stop == end:
+                return  # torn final record: partially overwritten tail
+            raise WalCorruptionError(
+                f"{path}: CRC mismatch at LSN {lsn} "
+                f"(offset {pos}) with valid records behind it — "
+                f"refusing to recover past interior corruption",
+                lsn=lsn,
+                offset=pos,
+            )
+        if found != lsn:
+            raise WalCorruptionError(
+                f"{path}: LSN discontinuity at offset {pos}: "
+                f"expected LSN {lsn}, found {found}",
+                lsn=lsn,
+                offset=pos,
+            )
+        yield lsn, kind, pos, stop
+        pos = stop
+        lsn += 1
+
+
+def _decode(
+    data, frames: Sequence[Frame], path: str, base: int = 0
+) -> List[WalRecord]:
+    """Decode the payloads of *frames* (offsets into *data*), each once.
+
+    A payload that is not exactly one UTF-8 JSON document raises
+    :class:`WalCorruptionError` naming its LSN.  *base* is the file
+    offset of ``data[0]``.
+    """
+    view = memoryview(data)
+    decode = _DECODER.decode
+    records = []
+    for lsn, kind, offset, end in frames:
+        try:
+            payload = decode(str(view[offset + RECORD_HEADER_SIZE : end], "utf-8"))
+        except ValueError as exc:  # UnicodeDecodeError, JSONDecodeError
+            raise WalCorruptionError(
+                f"{path}: undecodable payload at LSN {lsn}: {exc}",
+                lsn=lsn,
+                offset=base + offset,
+            ) from None
+        records.append(WalRecord(lsn, kind, payload, base + offset, base + end))
+    return records
 
 
 class WriteAheadLog:
@@ -337,28 +394,50 @@ class WriteAheadLog:
 
     @classmethod
     def open(cls, path: str, fsync_policy: str = "commit") -> "WriteAheadLog":
-        """Reopen a segment for appending.
-
-        Scans the whole file first; a torn tail and any trailing
-        uncommitted batch are truncated away so new appends continue
-        from the last committed boundary with a contiguous LSN run.
-        """
+        """Reopen a segment for appending: the framing pass
+        (:func:`scan_wal`), then :meth:`resume` at the boundary it found."""
         scan = scan_wal(path)
+        return cls.resume(
+            path,
+            start_lsn=scan.start_lsn,
+            next_lsn=scan.next_lsn,
+            committed_offset=scan.committed_offset,
+            fsync_policy=fsync_policy,
+        )
+
+    @classmethod
+    def resume(
+        cls,
+        path: str,
+        *,
+        start_lsn: int,
+        next_lsn: int,
+        committed_offset: int,
+        fsync_policy: str = "commit",
+    ) -> "WriteAheadLog":
+        """Append to a segment whose committed boundary is already known.
+
+        A torn tail and any trailing uncommitted batch past
+        *committed_offset* are truncated away, so new appends continue
+        from the last committed boundary with a contiguous LSN run.  The
+        file is not read: *next_lsn* is the LSN after the last committed
+        record, as the framing pass that found *committed_offset* saw it.
+        """
         fh = open(path, "r+b", buffering=0)
         try:
-            if scan.committed_offset < os.path.getsize(path):
-                fh.truncate(scan.committed_offset)
+            if committed_offset < os.fstat(fh.fileno()).st_size:
+                fh.truncate(committed_offset)
                 os.fsync(fh.fileno())
-            fh.seek(scan.committed_offset)
+            fh.seek(committed_offset)
         except BaseException:
             fh.close()
             raise
         return cls(
             path,
             fh,
-            next_lsn=scan.next_lsn,
-            offset=scan.committed_offset,
-            start_lsn=scan.start_lsn,
+            next_lsn=next_lsn,
+            offset=committed_offset,
+            start_lsn=start_lsn,
             fsync_policy=fsync_policy,
         )
 
@@ -559,40 +638,30 @@ class WriteAheadLog:
             committed = self._committed_lsn
             if after_lsn >= committed:
                 return []
-            start = self._cursors.get(after_lsn + 1)
+            first = after_lsn + 1
+            start = self._cursors.get(first)
             if start is None:
-                start = FILE_HEADER_SIZE
+                start, first = FILE_HEADER_SIZE, self.start_lsn
             end_offset = self._committed_offset
             with open(self.path, "rb") as fh:
                 fh.seek(start)
                 data = fh.read(end_offset - start)
-        records: List[WalRecord] = []
-        pos = 0
-        emitted_start: Optional[int] = None
+        # A cursor sits on a batch boundary; from the segment start, the
+        # frames walked up to *after_lsn* tell whether it is inside a batch.
+        frames: List[Frame] = []
         depth = 0
-        while pos < len(data):
-            _, length, lsn, kind = _RECORD_HEADER.unpack_from(data, pos)
-            end = pos + RECORD_HEADER_SIZE + length
-            if lsn > after_lsn:
-                payload = json.loads(
-                    data[pos + RECORD_HEADER_SIZE : end].decode("utf-8")
-                )
-                records.append(
-                    WalRecord(lsn, kind, payload, start + pos, start + end)
-                )
-                if emitted_start is None:
-                    emitted_start = pos
-                if kind == BEGIN:
-                    depth = 1
-                elif kind == COMMIT:
-                    depth = 0
-            pos = end
-            if (
-                records
-                and depth == 0
-                and pos - (emitted_start or 0) >= max_bytes
-            ):
+        for frame in _frames(memoryview(data), 0, len(data), first, self.path):
+            lsn, kind, __, end = frame
+            if kind == BEGIN:
+                depth = 1
+            elif kind == COMMIT:
+                depth = 0
+            if lsn <= after_lsn:
+                continue
+            frames.append(frame)
+            if depth == 0 and end - frames[0][2] >= max_bytes:
                 break
+        records = _decode(data, frames, self.path, base=start)
         if records:
             with self._lock:
                 self._cursors[records[-1].lsn + 1] = records[-1].end_offset

@@ -8,8 +8,14 @@ must be dropped silently, and interior corruption must be refused with
 an error naming the LSN.
 """
 
+import builtins
 import datetime
+import json
 import os
+import re
+import shutil
+import struct
+import zlib
 from decimal import Decimal
 
 import pytest
@@ -25,11 +31,13 @@ from repro.durability import (
     recover,
     scan_wal,
 )
+from repro.durability import wal as wal_module
 from repro.durability.wal import (
     ADD,
     BEGIN,
     COMMIT,
     FILE_HEADER_SIZE,
+    INTERN,
     RECORD_HEADER_SIZE,
 )
 from repro.errors import InjectedFaultError
@@ -58,6 +66,64 @@ def _fresh_store(data_dir, **kwargs):
     }
     store = DurableStore.create(data_dir, collections=collections, **kwargs)
     return store, collections, manager
+
+
+def _tail_store(data_dir):
+    """A closed data dir whose log holds batches, bare records and
+    interned strings after an empty checkpoint; returns the log path."""
+    store, colls, manager = _fresh_store(data_dir, fsync_policy="none")
+    alice = colls["persons"].add(name="alice", age=30, balance=Decimal("1.50"))
+    bob = colls["persons"].add(name="bob", age=40)
+    with store.batch():
+        colls["orders"].add(
+            orderkey=1,
+            owner=alice,
+            total=Decimal("9.99"),
+            placed=datetime.date(2024, 5, 17),
+        )
+        colls["notes"].add(text="hello world", stars=5)
+        colls["notes"].add(text="hello world", stars=1)
+    alice.age = 31
+    with store.batch():
+        colls["persons"].remove(bob)
+        colls["orders"].add(orderkey=2, owner=None)
+    path = store.wal.path
+    store.close()
+    manager.close()
+    return path
+
+
+def _raw_frame(lsn, kind, body):
+    """One frame with a valid CRC around *body*, whatever *body* holds."""
+    crc = zlib.crc32(struct.pack("<QB", lsn, kind) + body)
+    return struct.pack("<IIQB", crc, len(body), lsn, kind) + body
+
+
+def _append_raw(path, *frames):
+    """Append ``(kind, body)`` frames with valid CRCs and continuing LSNs."""
+    lsn = scan_wal(path).next_lsn
+    with open(path, "ab") as fh:
+        for i, (kind, body) in enumerate(frames):
+            fh.write(_raw_frame(lsn + i, kind, body))
+
+
+def _open_batch(path):
+    """Leave a trailing BEGIN + ADD whose COMMIT never landed."""
+    wal = WriteAheadLog.open(path, fsync_policy="none")
+    wal.append(BEGIN, {"n": 99})
+    wal.append(ADD, {"c": "notes", "s": "TNote", "e": 7, "v": {"stars": 2}})
+    wal.close()
+
+
+class _CountingDecoder:
+    """Stands in for the log's payload decoder and counts its calls."""
+
+    def __init__(self):
+        self.texts = []
+
+    def decode(self, text):
+        self.texts.append(text)
+        return json.JSONDecoder().decode(text)
 
 
 def _state(collections):
@@ -169,6 +235,303 @@ class TestWal:
                 wal.append(ADD, {"e": i})
         assert wal.fsyncs == 1
         wal.close()
+
+
+# ----------------------------------------------------------------------
+# Shipping: read_tail walks the same frames as scan_wal
+# ----------------------------------------------------------------------
+
+
+def _as_tuples(records):
+    return [(r.lsn, r.kind, r.payload, r.offset, r.end_offset) for r in records]
+
+
+class TestReadTail:
+    START_LSN = 11
+
+    def _log(self, path):
+        """Batches of several sizes, each followed by a bare record."""
+        wal = WriteAheadLog.create(path, start_lsn=self.START_LSN, fsync_policy="none")
+        for n in (3, 1, 5, 2):
+            with wal.batch():
+                for i in range(n):
+                    wal.append(ADD, {"c": "x", "e": i, "pad": "y" * 40})
+            wal.append(INTERN, {"i": n, "t": f"bare {n}"})
+        return wal
+
+    @pytest.mark.parametrize("cap", ["one-byte", "mid-batch", "4-mib"])
+    def test_every_position_ships_the_committed_prefix(self, wal_path, cap):
+        wal = self._log(wal_path)
+        committed = _as_tuples(scan_wal(wal_path).committed_records())
+        # Offsets a shipment may end at: a COMMIT or a record outside a batch.
+        boundaries, depth = set(), 0
+        for lsn, kind, __, __, end in committed:
+            depth = 1 if kind == BEGIN else 0 if kind == COMMIT else depth
+            if depth == 0:
+                boundaries.add(end)
+        first_batch = committed[: [r[1] for r in committed].index(COMMIT) + 1]
+        max_bytes = {
+            "one-byte": 1,
+            "mid-batch": (first_batch[-1][4] - first_batch[0][3]) // 2,
+            "4-mib": 4 * 1024 * 1024,
+        }[cap]
+
+        assert wal.read_tail(self.START_LSN - 2, max_bytes) is None
+        for after in range(self.START_LSN - 1, committed[-1][0] + 1):
+            want = [r for r in committed if r[0] > after]
+            got = _as_tuples(wal.read_tail(after, max_bytes))
+            assert got == want[: len(got)]
+            assert bool(got) == bool(want)
+            if not got:
+                continue
+            assert got[-1][4] in boundaries
+            # The cap is soft: the shipment stops at the first boundary
+            # at or past it, so only a cut shipment reaches it.
+            start = got[0][3]
+            for r in got[:-1]:
+                assert r[4] not in boundaries or r[4] - start < max_bytes
+            if len(got) < len(want):
+                assert got[-1][4] - start >= max_bytes
+
+        # A follower polling from the segment start receives it all.
+        shipped, after = [], self.START_LSN - 1
+        while True:
+            batch = _as_tuples(wal.read_tail(after, max_bytes))
+            if not batch:
+                break
+            shipped += batch
+            after = batch[-1][0]
+        assert shipped == committed
+        wal.close()
+
+
+# ----------------------------------------------------------------------
+# A restart reads its log once
+# ----------------------------------------------------------------------
+
+
+def _damage(path, case):
+    if case == "torn-record":
+        with open(path, "r+b") as fh:
+            fh.truncate(os.path.getsize(path) - 4)  # into the last payload
+    elif case == "torn-header":
+        with open(path, "ab") as fh:
+            fh.write(b"\x01\x02\x03")  # 3 bytes of a never-finished header
+    elif case == "open-batch":
+        _open_batch(path)
+
+
+def _committed_texts(path):
+    """The committed payloads of a segment, as the decoder receives them."""
+    scan = scan_wal(path)
+    return [
+        scan.data[offset + RECORD_HEADER_SIZE : end].decode("utf-8")
+        for __, __, offset, end in scan.frames[: scan.committed_count]
+    ]
+
+
+class TestSingleRead:
+    def test_open_reads_the_segment_once_and_decodes_each_payload_once(
+        self, data_dir, monkeypatch
+    ):
+        path = _tail_store(data_dir)
+        _open_batch(path)
+        committed = _committed_texts(path)
+        modes = []
+        real_open = builtins.open
+
+        def counting_open(file, mode="r", *args, **kwargs):
+            if file == path:
+                modes.append(mode)
+            return real_open(file, mode, *args, **kwargs)
+
+        decoder = _CountingDecoder()
+        monkeypatch.setattr(builtins, "open", counting_open)
+        monkeypatch.setattr(wal_module, "_DECODER", decoder)
+        store = DurableStore.open(data_dir)
+        monkeypatch.undo()
+        assert modes == ["rb", "r+b"]  # one read; the appender only writes
+        assert decoder.texts == committed  # each once, the open batch never
+        assert store.report.dropped_open_batch == 2
+        assert store.report.records_scanned == len(committed) + 2
+        store.close()
+
+    @pytest.mark.parametrize(
+        "case", ["clean", "torn-record", "torn-header", "open-batch"]
+    )
+    def test_resumes_where_a_reopen_would(self, data_dir, tmp_path, case):
+        path = _tail_store(data_dir)
+        _damage(path, case)
+        damaged_size = os.path.getsize(path)
+        reference_dir = str(tmp_path / "reference")
+        shutil.copytree(data_dir, reference_dir)
+        reference = WriteAheadLog.open(
+            os.path.join(reference_dir, os.path.basename(path)),
+            fsync_policy="none",
+        )
+        store = DurableStore.open(data_dir, fsync_policy="none")
+        resumed = store.wal
+        assert resumed.next_lsn == reference.next_lsn
+        assert resumed.committed_lsn == reference.committed_lsn
+        assert resumed.start_lsn == reference.start_lsn
+        assert resumed.size == reference.size == os.path.getsize(path)
+        assert (resumed.size == damaged_size) == (case == "clean")
+        probe = {"i": 999, "t": "probe"}
+        assert resumed.append(INTERN, probe) == reference.append(INTERN, probe)
+        store.close()
+        reference.close()
+        with open(path, "rb") as a, open(reference.path, "rb") as b:
+            assert a.read() == b.read()
+
+    @pytest.mark.parametrize(
+        "body",
+        [b'{"c": "persons", "e"', b"\xff\xfe{}", b"{} {}", b""],
+        ids=["truncated-json", "not-utf8", "two-documents", "empty"],
+    )
+    def test_undecodable_committed_payload_names_its_lsn(self, data_dir, body):
+        path = _tail_store(data_dir)
+        lsn = scan_wal(path).next_lsn
+        # CRC-valid, inside the committed prefix, with a record behind it.
+        _append_raw(path, (INTERN, body), (INTERN, b'{"i":50,"t":"after"}'))
+        with pytest.raises(WalCorruptionError) as err:
+            recover(data_dir)
+        assert err.value.lsn == lsn
+        assert f"LSN {lsn}" in str(err.value)
+
+    def test_payloads_never_merge(self, data_dir):
+        """Invalid apart, valid JSON joined: a decoder that batched the
+        payloads of two records could take them for two documents."""
+        halves = [b'{"a":"x', b'y"},{"b":1}']
+        assert len(json.loads(b"[" + b",".join(halves) + b"]")) == 2
+        path = _tail_store(data_dir)
+        lsn = scan_wal(path).next_lsn
+        _append_raw(path, *((INTERN, half) for half in halves))
+        with pytest.raises(WalCorruptionError) as err:
+            DurableStore.open(data_dir)
+        assert err.value.lsn == lsn
+
+    def test_open_batch_dropped_after_framing_alone(self, data_dir, monkeypatch):
+        """Records of a trailing open batch are never decoded, so one
+        that would not decode is dropped with its batch."""
+        path = _tail_store(data_dir)
+        committed = _committed_texts(path)
+        _append_raw(path, (BEGIN, b'{"n":99}'), (ADD, b"not json"), (ADD, b"\xff"))
+        decoder = _CountingDecoder()
+        monkeypatch.setattr(wal_module, "_DECODER", decoder)
+        store = DurableStore.open(data_dir)
+        assert decoder.texts == committed
+        assert store.report.dropped_open_batch == 3
+        store.close()
+        assert _committed_texts(path) == committed
+        assert scan_wal(path).open_batch_records == 0  # truncated away
+
+    @pytest.mark.parametrize(
+        "point,power_loss", [("wal.append.mid", False), ("wal.fsync", True)]
+    )
+    def test_crash_residue_is_classified_by_framing_alone(
+        self, data_dir, monkeypatch, point, power_loss
+    ):
+        from repro import sanitizer
+
+        store, colls, manager = _fresh_store(data_dir, fsync_policy="commit")
+        colls["persons"].add(name="before", age=1)
+        path = store.wal.path
+        plan = sanitizer.FaultPlan().crash_at(
+            point, after=3, power_loss=power_loss
+        )
+        with sanitizer.enabled(faults=plan):
+            with pytest.raises(InjectedFaultError):
+                for i in range(10):
+                    with store.batch():
+                        colls["persons"].add(name=f"p{i}", age=i)
+                        colls["notes"].add(text=f"n{i}", stars=i)
+        manager.close()
+        scan = scan_wal(path)
+        if point == "wal.append.mid":
+            assert scan.torn_bytes > 0 and scan.open_batch_records > 0
+        committed = _committed_texts(path)
+        decoder = _CountingDecoder()
+        monkeypatch.setattr(wal_module, "_DECODER", decoder)
+        loaded, report = recover(data_dir)
+        assert decoder.texts == committed
+        assert report.records_scanned == len(scan.frames)
+        names = sorted(h.name for h in loaded["persons"])
+        assert names == sorted(
+            ["before"] + [f"p{i}" for i in range(len(names) - 1)]
+        )
+        loaded["_manager"].close()
+
+
+# ----------------------------------------------------------------------
+# log-dump / recover output
+# ----------------------------------------------------------------------
+
+#: ``repro log-dump`` of :func:`_cli_fixture`'s data dir, recorded: how
+#: the reader walks and decodes the log must not change what it lists.
+#: ``<dir>`` stands for the data dir.
+LOG_DUMP = """\
+<dir>/wal-0000000000000001.log: segment starts at LSN 1
+         1  ADD     {"c": "persons", "e": 0, "s": "TPerson", "v": {"age": 30, "balance": {"$d": "1.50"}, "name": "alice"}}
+         2  ADD     {"c": "persons", "e": 1, "s": "TPerson", "v": {"age": 40, "name": "bob"}}
+         3  BEGIN   {"n": 1}
+         4  ADD     {"c": "orders", "e": 2, "s": "TOrder", "v": {"orderkey": 1, "owner": {"$r": 0}, "placed": {"$t": "2024-05-17"}, "total": {"$d": "9.99"}}}
+         5  INTERN  {"i": 1, "t": "hello world"}
+         6  ADD     {"c": "notes", "e": 3, "s": "TNote", "v": {"stars": 5, "text": {"$s": 1}}}
+         7  ADD     {"c": "notes", "e": 4, "s": "TNote", "v": {"stars": 1, "text": {"$s": 1}}}
+         8  COMMIT  {"n": 1}
+         9  UPDATE  {"c": "persons", "e": 0, "f": "age", "v": 31}
+        10  BEGIN   {"n": 2}
+        11  REMOVE  {"c": "persons", "e": 1}
+        12  ADD     {"c": "orders", "e": 5, "s": "TOrder", "v": {"orderkey": 2, "owner": null}}
+        13  COMMIT  {"n": 2}
+        14  BEGIN   {"n": 99}  [uncommitted]
+        15  ADD     {"c": "notes", "e": 7, "s": "TNote", "v": {"stars": 2}}  [uncommitted]
+15 records (13 committed), 3 torn tail bytes
+"""
+
+#: ``repro recover`` of the same dir: the replay counts and the row
+#: listing (the summary's timings are left out).
+RECOVER = """\
+replayed 8 of 15 log records (1 interned strings, 2 dropped from an open batch, 3 torn tail bytes)
+  notes                2 rows
+  orders               2 rows
+  persons              1 rows
+"""
+
+
+def _cli_fixture(data_dir):
+    """A data dir whose log ends in an open batch and a torn header."""
+    path = _tail_store(data_dir)
+    _open_batch(path)
+    _damage(path, "torn-header")
+
+
+def _run_cli(capsys, *argv):
+    from repro.cli import main
+
+    assert main(list(argv)) == 0
+    return capsys.readouterr().out
+
+
+class TestLogCommands:
+    def test_log_dump_lists_every_structurally_valid_record(
+        self, data_dir, capsys
+    ):
+        _cli_fixture(data_dir)
+        out = _run_cli(capsys, "log-dump", data_dir)
+        assert out.replace(data_dir, "<dir>") == LOG_DUMP
+
+    def test_recover_counts_and_rows(self, data_dir, capsys):
+        _cli_fixture(data_dir)
+        out = _run_cli(capsys, "recover", data_dir)
+        summary, *rows = out.splitlines()
+        counts = re.search(r"replayed .*torn tail bytes\)", summary).group(0)
+        assert "\n".join([counts, *rows]) + "\n" == RECOVER
+        assert re.search(
+            r"loaded in [\d.]+ ms, log read in [\d.]+ ms, replayed .* "
+            r"in [\d.]+ ms$",
+            summary,
+        )
 
 
 # ----------------------------------------------------------------------
