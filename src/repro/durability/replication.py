@@ -72,6 +72,7 @@ from repro.durability.wal import (
     COMMIT,
     WalRecord,
     WriteAheadLog,
+    encode_payload,
     fsync_dir,
 )
 from repro.errors import InjectedFaultError, SmcError
@@ -380,7 +381,7 @@ class ReplicationClient:
                 )
             if _san.SANITIZER is not None:
                 _san.SANITIZER.event("repl.apply", wal=wal, lsn=lsn, kind=kind)
-            wal.append_shipped(lsn, kind, payload, sync=False)
+            wal.append_shipped(lsn, kind, encode_payload(payload), sync=False)
             if kind == BEGIN:
                 self._batch_buf = []
                 continue

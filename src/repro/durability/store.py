@@ -24,6 +24,7 @@ half in the next log segment.
 from __future__ import annotations
 
 import os
+from json.encoder import encode_basestring
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.durability.checkpoint import CheckpointManager, DataDir, DataDirError
@@ -326,22 +327,18 @@ class DurableStore:
         }
 
     def log_add(self, collection, entry: int, row: EncodedRow) -> int:
-        """Append the ADD record of a row just placed at *entry*; its
-        values are derived from the row's raws (the codec's ``logged``)."""
-        return self._wal.append(
-            ADD,
-            {
-                "c": self._name_of(collection),
-                "s": collection.schema.__name__,
-                "e": entry,
-                "v": collection.layout.codec.logged(row, self._sid_for),
-            },
+        """Append the ADD record of a row just placed at *entry*, written
+        from the row's raws by the codec's field emitters."""
+        head = '{"c":%s,"s":%s,"e":' % (
+            encode_basestring(self._name_of(collection)),
+            encode_basestring(collection.schema.__name__),
         )
+        codec = collection.layout.codec
+        return self._wal.append(ADD, codec.add_payload(head, entry, row, self._sid_for))
 
     def log_remove(self, collection, entry: int) -> int:
-        return self._wal.append(
-            REMOVE, {"c": self._name_of(collection), "e": entry}
-        )
+        name = encode_basestring(self._name_of(collection))
+        return self._wal.append(REMOVE, b'{"c":%s,"e":%d}' % (name.encode(), entry))
 
     def log_update(
         self, collection, entry: int, field_name: str, value: Any
@@ -353,17 +350,14 @@ class DurableStore:
         through the field codec so replay writes bit-identical raw values
         (e.g. Decimals pick up their declared scale).
         """
-        return self._wal.append(
-            UPDATE,
-            {
-                "c": self._name_of(collection),
-                "e": entry,
-                "f": field_name,
-                "v": collection.layout.codec.log_value(
-                    field_name, value, self._sid_for
-                ),
-            },
+        text = collection.layout.codec.log_text(field_name, value, self._sid_for)
+        body = '{"c":%s,"e":%d,"f":%s,"v":%s}' % (
+            encode_basestring(self._name_of(collection)),
+            entry,
+            encode_basestring(field_name),
+            text,
         )
+        return self._wal.append(UPDATE, body.encode())
 
     def batch(self):
         """Group-commit scope: one BEGIN/COMMIT pair, one fsync."""
@@ -374,7 +368,8 @@ class DurableStore:
             sid = self._sids.get(text)
             if sid is None:
                 sid = len(self._sids) + 1
-                self._wal.append(INTERN, {"i": sid, "t": text})
+                body = '{"i":%d,"t":%s}' % (sid, encode_basestring(text))
+                self._wal.append(INTERN, body.encode())
                 self._sids[text] = sid
             return sid
 

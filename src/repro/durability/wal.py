@@ -15,9 +15,12 @@ File format (little-endian)::
 
 The CRC covers ``lsn | kind | payload`` — one contiguous run of the
 file, from the header's ``lsn`` field to the frame's end.  Payloads are
-compact JSON
-(the service protocol's tagged encoding, so ``Decimal`` and ``date``
-values round-trip exactly).  Record kinds:
+compact JSON (the service protocol's tagged encoding, so ``Decimal``
+and ``date`` values round-trip exactly), handed to
+:meth:`WriteAheadLog.append` as bytes: the durability store writes each
+record's text from fixed templates and, for ADD, from the row's raws
+(``RowCodec.add_payload``); a payload held as a dict goes through
+:func:`encode_payload`.  Record kinds:
 
 ======  =======  ====================================================
 value   name     payload
@@ -76,6 +79,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import SmcError
 from repro.sanitizer import hooks as _san
+from repro.tagged import log_json
 
 FILE_MAGIC = b"SMCWAL1\n"
 _FILE_HEADER = struct.Struct("<Q")  # start_lsn
@@ -90,8 +94,6 @@ _CRC_FROM = RECORD_HEADER_SIZE - _CRC_BODY.size  # 8
 #: Sanity bound on one record's payload (matches the wire protocol's cap).
 MAX_RECORD = 64 * 1024 * 1024
 
-#: Compact JSON, built once (``json.dumps`` with options builds one per call).
-_ENCODER = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False)
 #: Decodes one payload; ``decode`` refuses anything after the document.
 _DECODER = json.JSONDecoder()
 
@@ -121,6 +123,12 @@ FSYNC_POLICIES = ("always", "commit", "none")
 #: memory up to this many bytes before being pushed to the file in one
 #: write (the memory governor may resize it per segment).
 DEFAULT_BUFFER_CAPACITY = 256 * 1024
+
+
+def encode_payload(payload: Dict[str, Any]) -> bytes:
+    """A record payload given as a dict (a shipped record, a test's), as
+    the bytes :meth:`WriteAheadLog.append` takes."""
+    return log_json(payload).encode("utf-8")
 
 
 class RecoveryError(SmcError):
@@ -480,16 +488,15 @@ class WriteAheadLog:
 
     # -- appending ------------------------------------------------------
 
-    def append(
-        self, kind: int, payload: Dict[str, Any], sync: Optional[bool] = None
-    ) -> int:
-        """Append one record; returns its LSN.
+    def append(self, kind: int, body: bytes, sync: Optional[bool] = None) -> int:
+        """Append one record whose payload is *body*; returns its LSN.
 
-        ``sync`` overrides the fsync policy for this record; by default
-        ``always`` syncs here, ``commit`` syncs unless a batch is open
-        (the batch's COMMIT syncs instead), ``none`` never does.
+        *body* is the payload's UTF-8 JSON, written by the caller (a
+        dict goes through :func:`encode_payload`).  ``sync`` overrides
+        the fsync policy for this record; by default ``always`` syncs
+        here, ``commit`` syncs unless a batch is open (the batch's COMMIT
+        syncs instead), ``none`` never does.
         """
-        body = _ENCODER.encode(payload).encode("utf-8")
         with self._lock:
             if self._crashed:
                 # Injected-crash model: the process is dead; cleanup
@@ -498,32 +505,35 @@ class WriteAheadLog:
             if self._dead:
                 raise SmcError(f"write-ahead log {self.path} is closed")
             lsn = self._next_lsn
-            crc = zlib.crc32(_CRC_BODY.pack(lsn, kind) + body)
-            frame = _RECORD_HEADER.pack(crc, len(body), lsn, kind) + body
+            size = len(body)
+            crc = zlib.crc32(body, zlib.crc32(_CRC_BODY.pack(lsn, kind)))
+            header = _RECORD_HEADER.pack(crc, size, lsn, kind)
             if _san.SANITIZER is not None:
                 # Split the write so an injected crash between the halves
                 # leaves a genuinely torn record on disk.  Buffering is
                 # off under the sanitizer, whose crash points must find
                 # every previously appended byte already in the file.
-                split = min(len(frame), RECORD_HEADER_SIZE + len(body) // 2)
-                self._fh.write(frame[:split])
-                self._offset += split
+                half = size // 2
+                self._fh.write(header + body[:half])
+                self._offset += RECORD_HEADER_SIZE + half
                 _san.SANITIZER.event(
                     "wal.append.mid", wal=self, lsn=lsn, kind=kind
                 )
-                self._fh.write(frame[split:])
-                self._offset += len(frame) - split
+                self._fh.write(body[half:])
+                self._offset += size - half
             else:
-                self._buffer += frame
-                self._offset += len(frame)
+                buffer = self._buffer
+                buffer += header
+                buffer += body
+                self._offset += RECORD_HEADER_SIZE + size
                 if self._batch_depth > 0:
                     self.buffered_records += 1
-                    if len(self._buffer) >= self.buffer_capacity:
+                    if len(buffer) >= self.buffer_capacity:
                         self._flush_buffer()
                         self.buffer_capacity_flushes += 1
             self._next_lsn = lsn + 1
             self.records += 1
-            self.bytes_written += len(frame)
+            self.bytes_written += RECORD_HEADER_SIZE + size
             # COMMIT is appended after batch() drops the depth to zero,
             # so "depth == 0 here" marks exactly the committed boundary.
             # The flush before the boundary advances keeps the invariant
@@ -583,7 +593,7 @@ class WriteAheadLog:
                 # Open the batch before appending BEGIN, so BEGIN itself
                 # defers its fsync to the COMMIT like every batched record.
                 self._batch_depth = 1
-                self.append(BEGIN, {"n": self._batch_seq})
+                self.append(BEGIN, b'{"n":%d}' % self._batch_seq)
             else:
                 self._batch_depth += 1
             try:
@@ -593,22 +603,24 @@ class WriteAheadLog:
                 if self._batch_depth == 0:
                     self.append(
                         COMMIT,
-                        {"n": self._batch_seq},
+                        b'{"n":%d}' % self._batch_seq,
                         sync=self.fsync_policy in ("always", "commit"),
                     )
         finally:
             self._lock.release()
 
     def append_shipped(
-        self, lsn: int, kind: int, payload: Dict[str, Any], sync: bool = False
+        self, lsn: int, kind: int, body: bytes, sync: bool = False
     ) -> int:
         """Append a record shipped from a primary, keeping its LSN.
 
         Replication is physical log shipping: a follower re-appends the
         primary's committed records verbatim into its own segment, so
-        the two logs stay byte-identical.  The shipped LSN must be the
-        exact next LSN of this segment — a gap means the follower lost
-        its position and must resync.
+        the two logs stay byte-identical (the shipped payload dict
+        re-encodes, through :func:`encode_payload`, to the primary's
+        bytes).  The shipped LSN must be the exact next LSN of this
+        segment — a gap means the follower lost its position and must
+        resync.
         """
         with self._lock:
             if not self._crashed and not self._dead and lsn != self._next_lsn:
@@ -616,7 +628,7 @@ class WriteAheadLog:
                     f"shipped record LSN {lsn} does not follow "
                     f"{self.path} (next LSN is {self._next_lsn})"
                 )
-            return self.append(kind, payload, sync=sync)
+            return self.append(kind, body, sync=sync)
 
     def read_tail(
         self, after_lsn: int, max_bytes: int = 4 * 1024 * 1024

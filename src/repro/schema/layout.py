@@ -13,7 +13,18 @@ import datetime as _dt
 import struct
 from decimal import Decimal
 from functools import cached_property
-from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from json.encoder import encode_basestring
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.memory.addressing import NULL_ADDRESS
 from repro.memory.block import SLOT_HEADER_SIZE
@@ -25,9 +36,8 @@ from repro.schema.fields import (
     Field,
     RefField,
     VarStringField,
-    days_to_date,
 )
-from repro.tagged import decode_value, encode_value
+from repro.tagged import decode_value, encode_value, log_json
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.memory.manager import MemoryManager
@@ -188,6 +198,7 @@ FIELD_PLAIN, FIELD_SCALAR, FIELD_CHAR, FIELD_VAR, FIELD_REF = range(5)
 
 #: ``DateField`` raws count days from 1970-01-01.
 _DAY0 = _dt.date(1970, 1, 1).toordinal()
+_date = _dt.date.fromordinal
 
 #: What :meth:`RowCodec.encode` returns: ``(supplied, raws, body,
 #: strings)``.  ``raws`` holds one value per argument of the codec's row
@@ -201,9 +212,13 @@ _DAY0 = _dt.date(1970, 1, 1).toordinal()
 #: row — so it is told from a mapping of values by its type.
 EncodedRow = Tuple[Mapping[str, Any], List[Any], bytes, Sequence[Tuple[int, int]]]
 
+#: A field's log text emitter: ``emit(raw, sid_of)`` -> JSON text, where
+#: ``sid_of(text)`` binds a varstring's log sid.
+Emitter = Callable[[Any, Callable[[str], int]], str]
+
 
 class RowCodec:
-    """Converts a row's values to slot raws, and raws to logged values.
+    """Converts a row's values to slot raws, and raws to log text.
 
     One codec per layout, built once.  ``encode`` takes a mapping of
     field values in any of the three forms a row arrives in — Python
@@ -215,9 +230,17 @@ class RowCodec:
     allocated, so a row that encodes can be placed without failing.
 
     What the write-ahead log records for a field is a function of the
-    raw alone (:meth:`log_value`): the entry for a reference, the sid of
-    the text for a varstring, the tagged form of ``from_raw(raw)`` for a
-    scalar.
+    raw alone, written straight to its JSON text by one emitter per
+    field kind: ``{"$r":entry}`` or ``null`` for a reference,
+    ``{"$s":sid}`` or ``""`` for a varstring, the JSON string of a
+    ``CHAR``'s bytes, ``{"$d":…}`` / ``{"$t":…}`` for a decimal or a date,
+    the tagged form of ``from_raw(raw)`` for any other scalar.  Each
+    field has two emitters, built once: one writes the bare text (an
+    UPDATE's value, :meth:`log_text`), the other the ``"name":text``
+    member an ADD record lists (:meth:`add_payload`).  No record is
+    built as a dict, and the text is byte for byte what the compact
+    JSON encoder makes of the tagged values
+    (``tests/test_log_records.py`` holds the dict path as the oracle).
 
     Rows with fewer than half their fields supplied keep every string
     they were not given null (no heap record, no dictionary code) and
@@ -230,8 +253,10 @@ class RowCodec:
         self._nfields = len(layout.fields)
         fmt = ["<"]
         defaults: List[Any] = []
-        #: field name -> (raw index, kind, field, convert, log)
-        self._spec: Dict[str, Tuple[int, int, Field, Any, Any]] = {}
+        #: field name -> (raw index, kind, field, convert, text emitter)
+        self._spec: Dict[str, Tuple[int, int, Field, Any, Emitter]] = {}
+        #: field name -> (raw index, ``"name":text`` emitter)
+        self._members: Dict[str, Tuple[int, Emitter]] = {}
         #: (field name, kind, raw index) in field order (columnar placement).
         self.columns: List[Tuple[str, int, int]] = []
         #: (raw index, field) of every reference field.
@@ -244,26 +269,28 @@ class RowCodec:
             pos = f.offset + f.size
             index = len(defaults)
             if isinstance(f, RefField):
-                kind, convert, log = FIELD_REF, None, None
+                kind, convert = FIELD_REF, None
                 fmt.append("qi4x")
                 defaults += [NULL_ADDRESS, 0]
                 self.refs.append((index, f))
             elif isinstance(f, VarStringField):
-                kind, convert, log = FIELD_VAR, None, None
+                kind, convert = FIELD_VAR, None
                 fmt.append("q")
                 defaults.append(NULL_ADDRESS)
                 var_slots.append((index, f.offset))
             elif isinstance(f, CharField):
-                kind, convert, log = FIELD_CHAR, _char_convert(f), _char_log
+                kind, convert = FIELD_CHAR, _char_convert(f)
                 fmt.append(f"{f.width}s")
                 defaults.append(b"")
             else:
                 plain = type(f).to_raw is Field.to_raw
                 kind = FIELD_PLAIN if plain else FIELD_SCALAR
-                convert, log = _scalar_convert(f), _scalar_log(f)
+                convert = _scalar_convert(f)
                 fmt.append(f.fmt)
                 defaults.append(f.to_raw(f.default))
-            self._spec[f.name] = (index, kind, f, convert, log)
+            self._spec[f.name] = (index, kind, f, convert, _emitter(f, kind))
+            member = _emitter(f, kind, encode_basestring(f.name) + ":")
+            self._members[f.name] = (index, member)
             self.columns.append((f.name, kind, index))
         if layout.slot_size > pos:
             fmt.append(f"{layout.slot_size - pos}x")
@@ -357,34 +384,32 @@ class RowCodec:
             ) from None
         return raw.decode("utf-8") if kind == FIELD_CHAR else field.from_raw(raw)
 
-    # -- raws -> log ------------------------------------------------------
+    # -- raws -> log text -------------------------------------------------
 
-    def logged(self, row: EncodedRow, sid_of) -> Dict[str, Any]:
-        """The ADD record's field values, in the caller's field order."""
-        spec = self._spec
+    def add_payload(self, head: str, entry: int, row: EncodedRow, sid_of) -> bytes:
+        """An ADD record's payload, written from *row*'s raws.
+
+        *head* is the record's ``{"c":…,"s":…,"e":`` prefix; then come
+        the entry and ``,"v":{…}}`` listing each supplied field's
+        ``"name":text`` member, in the caller's order.
+        """
+        members = self._members
         supplied, raws, __, __ = row
-        out = {}
+        parts = []
         for name in supplied:
-            index, kind, __, __, log = spec[name]
-            raw = raws[index]
-            if kind == FIELD_VAR:
-                out[name] = {"$s": sid_of(raw)} if raw else ""
-            elif kind == FIELD_REF:
-                out[name] = None if raw == NULL_ADDRESS else {"$r": raw}
-            else:
-                out[name] = log(raw)
-        return out
+            index, member = members[name]
+            parts.append(member(raws[index], sid_of))
+        return f'{head}{entry},"v":{{{",".join(parts)}}}}}'.encode()
 
-    def log_value(self, name: str, value: Any, sid_of) -> Any:
-        """The logged form of one Python field value (UPDATE records)."""
-        __, kind, field, convert, log = self._spec[name]
+    def log_text(self, name: str, value: Any, sid_of) -> str:
+        """The log text of one Python field value (UPDATE records)."""
+        __, kind, field, convert, emit = self._spec[name]
         if kind == FIELD_REF:
             ref = _ref_of(field, value)
-            return None if ref is None else {"$r": ref.entry}
+            return "null" if ref is None else emit(ref.entry, sid_of)
         if kind == FIELD_VAR:
-            text = _text(field, value, None)
-            return {"$s": sid_of(text)} if text else ""
-        return log(convert(value))
+            return emit(_text(field, value, None), sid_of)
+        return emit(convert(value), sid_of)
 
 
 def _ref_of(field: RefField, value: Any) -> Optional[Ref]:
@@ -438,10 +463,6 @@ def _char_convert(field: CharField):
     return convert
 
 
-def _char_log(raw: bytes) -> str:
-    return raw.decode("utf-8")
-
-
 def _scalar_convert(field: Field):
     to_raw = field.to_raw
     if isinstance(field, DecimalField):
@@ -475,18 +496,33 @@ def _scalar_convert(field: Field):
     return convert
 
 
-def _scalar_log(field: Field):
+def _emitter(field: Field, kind: int, key: str = "") -> Emitter:
+    """*field*'s log text emitter: ``emit(raw, sid_of)`` is *key* (``""``,
+    or an ADD member's ``"name":``) followed by the raw's JSON text.
+
+    A raw stored as given (a plain field whose ``from_raw`` is the
+    identity) is ``int.__repr__`` for an exact ``int`` and the encoder's
+    text for anything else (``bool``, floats and their NaN/Infinity,
+    NumPy scalars).
+    """
+    if kind == FIELD_REF:
+        null, ref = key + "null", key + '{"$r":%d}'
+        return lambda raw, sid_of: null if raw == NULL_ADDRESS else ref % raw
+    if kind == FIELD_VAR:
+        empty, sid = key + '""', key + '{"$s":%d}'
+        return lambda raw, sid_of: sid % sid_of(raw) if raw else empty
+    if kind == FIELD_CHAR:
+        return lambda raw, sid_of: key + encode_basestring(raw.decode("utf-8"))
     if isinstance(field, DecimalField):
-        quantum = field._quantum
-        return lambda raw: {"$d": str(Decimal(raw) * quantum)}
+        quantum, decimal = field._quantum, key + '{"$d":"%s"}'
+        return lambda raw, sid_of: decimal % (Decimal(raw) * quantum)
     if isinstance(field, DateField):
-        return lambda raw: {"$t": days_to_date(raw).isoformat()}
+        # ``str`` of a date is its ISO form; the ordinal is convert's inverse.
+        date = key + '{"$t":"%s"}'
+        return lambda raw, sid_of: date % _date(raw + _DAY0)
     if type(field).from_raw is Field.from_raw:
-        return _plain_log
+        return lambda raw, sid_of: key + (
+            repr(raw) if type(raw) is int else log_json(encode_value(raw))
+        )
     from_raw = field.from_raw
-    return lambda raw: encode_value(from_raw(raw))
-
-
-def _plain_log(raw: Any) -> Any:
-    """``encode_value(raw)``, without the call for the common JSON types."""
-    return raw if type(raw) is int or type(raw) is float else encode_value(raw)
+    return lambda raw, sid_of: key + log_json(encode_value(from_raw(raw)))

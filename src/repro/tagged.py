@@ -16,8 +16,14 @@ service protocol and the durability layer all import it directly.
 from __future__ import annotations
 
 import datetime as _dt
+import json
 from decimal import Decimal
 from typing import Any
+
+#: The write-ahead log's JSON text: compact separators, non-ASCII text
+#: kept as is (the log stores it UTF-8 encoded).  Built once —
+#: ``json.dumps`` with options builds an encoder per call.
+log_json = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False).encode
 
 
 def encode_value(value: Any) -> Any:

@@ -39,6 +39,7 @@ from repro.durability.wal import (
     FILE_HEADER_SIZE,
     INTERN,
     RECORD_HEADER_SIZE,
+    encode_payload,
 )
 from repro.errors import InjectedFaultError
 from repro.memory.manager import MemoryManager
@@ -110,8 +111,8 @@ def _append_raw(path, *frames):
 def _open_batch(path):
     """Leave a trailing BEGIN + ADD whose COMMIT never landed."""
     wal = WriteAheadLog.open(path, fsync_policy="none")
-    wal.append(BEGIN, {"n": 99})
-    wal.append(ADD, {"c": "notes", "s": "TNote", "e": 7, "v": {"stars": 2}})
+    wal.append(BEGIN, encode_payload({"n": 99}))
+    wal.append(ADD, encode_payload({"c": "notes", "s": "TNote", "e": 7, "v": {"stars": 2}}))
     wal.close()
 
 
@@ -147,7 +148,7 @@ def _state(collections):
 class TestWal:
     def test_append_scan_roundtrip(self, wal_path):
         wal = WriteAheadLog.create(wal_path, fsync_policy="none")
-        lsns = [wal.append(ADD, {"c": "x", "e": i}) for i in range(5)]
+        lsns = [wal.append(ADD, encode_payload({"c": "x", "e": i})) for i in range(5)]
         wal.close()
         scan = scan_wal(wal_path)
         assert lsns == [1, 2, 3, 4, 5]
@@ -159,7 +160,7 @@ class TestWal:
     def test_torn_final_record_dropped(self, wal_path):
         wal = WriteAheadLog.create(wal_path, fsync_policy="none")
         for i in range(3):
-            wal.append(ADD, {"c": "x", "e": i})
+            wal.append(ADD, encode_payload({"c": "x", "e": i}))
         wal.close()
         size = os.path.getsize(wal_path)
         with open(wal_path, "r+b") as fh:
@@ -170,7 +171,7 @@ class TestWal:
 
     def test_torn_header_dropped(self, wal_path):
         wal = WriteAheadLog.create(wal_path, fsync_policy="none")
-        wal.append(ADD, {"c": "x", "e": 0})
+        wal.append(ADD, encode_payload({"c": "x", "e": 0}))
         end = wal.size
         wal.close()
         with open(wal_path, "ab") as fh:
@@ -184,7 +185,7 @@ class TestWal:
         wal = WriteAheadLog.create(wal_path, fsync_policy="none")
         offsets = {}
         for i in range(4):
-            lsn = wal.append(ADD, {"c": "x", "e": i})
+            lsn = wal.append(ADD, encode_payload({"c": "x", "e": i}))
             offsets[lsn] = wal.size
         wal.close()
         # Flip one payload byte of LSN 2 (an interior record).
@@ -202,11 +203,11 @@ class TestWal:
     def test_trailing_open_batch_excluded_and_truncated(self, wal_path):
         wal = WriteAheadLog.create(wal_path, fsync_policy="none")
         with wal.batch():
-            wal.append(ADD, {"e": 0})
+            wal.append(ADD, encode_payload({"e": 0}))
         # A batch whose COMMIT never lands: append BEGIN + one record by
         # hand, then "crash" without the COMMIT.
-        wal.append(BEGIN, {"n": 99})
-        wal.append(ADD, {"e": 1})
+        wal.append(BEGIN, encode_payload({"n": 99}))
+        wal.append(ADD, encode_payload({"e": 1}))
         wal.close()
         scan = scan_wal(wal_path)
         assert scan.open_batch_records == 2
@@ -215,7 +216,7 @@ class TestWal:
 
         reopened = WriteAheadLog.open(wal_path, fsync_policy="none")
         assert reopened.next_lsn == 4  # LSNs 4-5 were dropped
-        lsn = reopened.append(ADD, {"e": 2})
+        lsn = reopened.append(ADD, encode_payload({"e": 2}))
         assert lsn == 4
         reopened.close()
         again = scan_wal(wal_path)
@@ -232,7 +233,7 @@ class TestWal:
         wal = WriteAheadLog.create(wal_path, fsync_policy="commit")
         with wal.batch():
             for i in range(10):
-                wal.append(ADD, {"e": i})
+                wal.append(ADD, encode_payload({"e": i}))
         assert wal.fsyncs == 1
         wal.close()
 
@@ -255,8 +256,8 @@ class TestReadTail:
         for n in (3, 1, 5, 2):
             with wal.batch():
                 for i in range(n):
-                    wal.append(ADD, {"c": "x", "e": i, "pad": "y" * 40})
-            wal.append(INTERN, {"i": n, "t": f"bare {n}"})
+                    wal.append(ADD, encode_payload({"c": "x", "e": i, "pad": "y" * 40}))
+            wal.append(INTERN, encode_payload({"i": n, "t": f"bare {n}"}))
         return wal
 
     @pytest.mark.parametrize("cap", ["one-byte", "mid-batch", "4-mib"])
@@ -376,7 +377,7 @@ class TestSingleRead:
         assert resumed.start_lsn == reference.start_lsn
         assert resumed.size == reference.size == os.path.getsize(path)
         assert (resumed.size == damaged_size) == (case == "clean")
-        probe = {"i": 999, "t": "probe"}
+        probe = encode_payload({"i": 999, "t": "probe"})
         assert resumed.append(INTERN, probe) == reference.append(INTERN, probe)
         store.close()
         reference.close()

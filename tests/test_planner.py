@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.core.collection import Collection
-from repro.durability.wal import ADD, WriteAheadLog, scan_wal
+from repro.durability.wal import ADD, WriteAheadLog, encode_payload, scan_wal
 from repro.memory.governor import MemoryGovernor
 from repro.memory.manager import MemoryManager
 from repro.query import planner
@@ -409,7 +409,7 @@ class TestWalGroupCommit:
         base = os.path.getsize(path)
         with wal.batch():
             for i in range(10):
-                wal.append(ADD, {"c": "x", "e": i})
+                wal.append(ADD, encode_payload({"c": "x", "e": i}))
             # Mid-batch: frames are staged in memory, not in the file.
             assert wal.buffered_bytes > 0
             assert os.path.getsize(path) == base
@@ -430,7 +430,7 @@ class TestWalGroupCommit:
         wal.set_buffer_capacity(4096)
         with wal.batch():
             for i in range(300):
-                wal.append(ADD, {"c": "x", "e": i, "pad": "y" * 64})
+                wal.append(ADD, encode_payload({"c": "x", "e": i, "pad": "y" * 64}))
         assert wal.buffer_capacity_flushes >= 1
         wal.close()
         assert scan_wal(path).committed_count == 302
@@ -439,12 +439,12 @@ class TestWalGroupCommit:
         path = str(tmp_path / "pl.log")
         wal = WriteAheadLog.create(path, fsync_policy="commit")
         with wal.batch():
-            wal.append(ADD, {"c": "x", "e": 0})
-        wal.append(ADD, {"c": "x", "e": 1})  # auto-commit, flushed
+            wal.append(ADD, encode_payload({"c": "x", "e": 0}))
+        wal.append(ADD, encode_payload({"c": "x", "e": 1}))  # auto-commit, flushed
         committed = scan_wal(path).committed_count
         try:
             wal._batch_depth = 1  # hold a batch open by hand
-            wal.append(ADD, {"c": "x", "e": 2})
+            wal.append(ADD, encode_payload({"c": "x", "e": 2}))
             assert wal.buffered_bytes > 0
             wal.simulate_power_loss()
         finally:
