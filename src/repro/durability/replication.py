@@ -75,27 +75,11 @@ from repro.durability.wal import (
     encode_payload,
     fsync_dir,
 )
-from repro.errors import InjectedFaultError, SmcError
+from repro.errors import InjectedFaultError, ReplicationError, StalePromotionError
 from repro.sanitizer import hooks as _san
 
 #: Epoch-advance cadence while applying (mirrors the primary's churn).
 EPOCH_EVERY_BATCHES = 32
-
-
-class ReplicationError(SmcError):
-    """A replication-protocol failure a caller must handle."""
-
-
-class StalePromotionError(ReplicationError):
-    """Promotion refused: a fresher replica exists."""
-
-    def __init__(self, applied_lsn: int, min_lsn: int) -> None:
-        super().__init__(
-            f"refusing promotion at applied LSN {applied_lsn}: a fresher "
-            f"replica is at LSN {min_lsn}"
-        )
-        self.applied_lsn = applied_lsn
-        self.min_lsn = min_lsn
 
 
 def bootstrap_from_resync(

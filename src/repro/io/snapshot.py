@@ -33,7 +33,7 @@ Format ``SMCSNAP2`` (little-endian)::
       heap-free   record count  i64 (size class, address) per reusable record
       table       entry count   i64 address per entry, then u32 incarnation
       dict        index         i64 heap address per code, then i64 refcount
-                                (texts are read back from the heap records)
+                                (texts live in the heap records only)
       block       block id      raw buffer of one data block
       entry-ids   pair count    i64 (logged id, local id): a replica's map
                                 from the primary's entry ids to its own
@@ -53,8 +53,10 @@ Loading *adopts* the image: buffers come from the manager's own policy
 (heap, shared memory, tiered), blocks are mapped at their stored ids, and
 one vectorised pass per block rebuilds what the bytes only imply — valid
 counts and allocation cursors from the slot directory, live counts, the
-table's free list from its null entries, dictionary lookups, secondary
-indexes through their ordinary backfill.  Entry ids and incarnation
+table's free list from its null entries, secondary indexes through their
+ordinary backfill.  A dictionary adopts its two code arrays as they are
+and reads no text: texts stay in the heap records until a write or a
+string lookup needs them (``StringDict``).  Entry ids and incarnation
 counters carry over, so a reference that was stale before the save is
 stale after the load.  Reclamation queues start empty and the epoch
 restarts at zero.
@@ -639,8 +641,8 @@ def _adopt_sections(fh: BinaryIO, header: Dict[str, Any], manager: MemoryManager
         index: manager.collections[schema].strdict
         for index, schema in enumerate(header["dicts"])
     }
-    # Sections still owed, by what they unlock: a dictionary reads its
-    # texts from heap blocks, a data block is checked against the table
+    # Sections still owed, by what they unlock: a dictionary's codes name
+    # records of the heap blocks, a data block is checked against the table
     # (and the pager may build its zone map the moment it is adopted).
     table: Optional[Tuple[np.ndarray, np.ndarray]] = None
     heap_free_pending = True
@@ -683,7 +685,10 @@ def _adopt_sections(fh: BinaryIO, header: Dict[str, Any], manager: MemoryManager
                     segment.release()
                     raise
             else:
-                payload = _read_payload(fh, frame)
+                # A dictionary keeps its payload as its two code arrays:
+                # read it into an array buffer, not a bytearray.
+                into = np.empty(frame.length, np.uint8) if kind == DICT else None
+                payload = _read_payload(fh, frame, into)
                 if kind == TABLE:
                     addr = np.frombuffer(payload, np.int64, ident)
                     inc = np.frombuffer(payload, np.uint32, ident, addr.nbytes)
@@ -695,7 +700,7 @@ def _adopt_sections(fh: BinaryIO, header: Dict[str, Any], manager: MemoryManager
                     if bumps:
                         raise ValueError("dictionary ahead of a heap block")
                     codes = np.frombuffer(payload, np.int64).reshape(2, -1)
-                    dicts.pop(ident).adopt_codes(codes[0].tolist(), codes[1].tolist())
+                    dicts.pop(ident).adopt_codes(codes[0], codes[1])
                 elif kind == HEAP_FREE:
                     records = np.frombuffer(payload, np.int64).reshape(ident, 2)
                     manager.strings.adopt_free_records(

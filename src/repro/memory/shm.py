@@ -33,7 +33,9 @@ Python's ``multiprocessing.resource_tracker`` would unlink every
 segment at interpreter exit (and spam warnings about ones we already
 unlinked), so each create/attach is immediately unregistered from it:
 the address space owns the lifecycle, with an ``atexit`` safety net for
-crashed tests.
+crashed tests.  ``multiprocessing.shared_memory`` itself is imported by
+:class:`SharedBuffers` only, so a process that never asks for shared
+buffers never loads it.
 """
 
 from __future__ import annotations
@@ -43,13 +45,6 @@ import os
 import threading
 import uuid
 from typing import Dict, List, Optional
-
-try:  # pragma: no cover - always present on CPython >= 3.8
-    from multiprocessing import resource_tracker as _resource_tracker
-    from multiprocessing.shared_memory import SharedMemory
-except ImportError:  # pragma: no cover - exotic builds
-    SharedMemory = None  # type: ignore[assignment]
-    _resource_tracker = None  # type: ignore[assignment]
 
 #: Prefix shared by every segment this process creates; the CI leak check
 #: asserts ``/dev/shm`` holds no file starting with this after a run.
@@ -66,10 +61,10 @@ def _untrack(shm) -> None:
     left tracked: ``unlink()`` pairs their unregister, and the tracker
     doubles as a crash net that keeps ``/dev/shm`` clean.
     """
-    if _resource_tracker is None:
-        return
+    from multiprocessing import resource_tracker
+
     try:
-        _resource_tracker.unregister(shm._name, "shared_memory")
+        resource_tracker.unregister(shm._name, "shared_memory")
     except Exception:  # pragma: no cover - tracker already gone
         pass
 
@@ -154,11 +149,14 @@ class SharedBuffers:
     shared = True
 
     def __init__(self) -> None:
-        if SharedMemory is None:  # pragma: no cover - exotic builds
+        try:  # always present on CPython >= 3.8
+            from multiprocessing.shared_memory import SharedMemory
+        except ImportError:  # pragma: no cover - exotic builds
             raise RuntimeError(
                 "multiprocessing.shared_memory is unavailable; "
                 "shared-memory block pools require it"
-            )
+            ) from None
+        self._shared_memory = SharedMemory
         self._pid = os.getpid()
         self.prefix = f"{SEGMENT_PREFIX}{self._pid}_{uuid.uuid4().hex[:6]}"
         self._serial = 0
@@ -181,7 +179,7 @@ class SharedBuffers:
                 raise ValueError("shared buffer pool is closed")
             name = f"{self.prefix}_{self._serial}"
             self._serial += 1
-        shm = SharedMemory(name=name, create=True, size=size)
+        shm = self._shared_memory(name=name, create=True, size=size)
         seg = SharedSegment(self, shm, owner=True)
         with self._lock:
             self._owned[name] = seg
@@ -193,7 +191,7 @@ class SharedBuffers:
             seg = self._attached.get(name) or self._owned.get(name)
             if seg is not None:
                 return seg
-        shm = SharedMemory(name=name)
+        shm = self._shared_memory(name=name)
         _untrack(shm)
         seg = SharedSegment(self, shm, owner=False)
         with self._lock:

@@ -33,6 +33,7 @@ from typing import (
     FrozenSet,
     List,
     Optional,
+    Sequence,
     Tuple,
 )
 
@@ -165,6 +166,38 @@ class StringHeap:
             "utf-8"
         )
 
+    def read_many(self, addrs) -> List[str]:
+        """``[self.read(a) for a in addrs]``, one pass per string block.
+
+        Each block's record lengths come from one gather over a ``uint32``
+        view of its buffer (records start on multiples of the 16-byte
+        minimum class, so every length word is aligned), and its texts
+        are sliced from one ``bytes`` copy of the block.
+        """
+        addrs = np.asarray(addrs, dtype=np.int64)
+        texts = [""] * len(addrs)
+        at = np.flatnonzero(addrs != NULL_ADDRESS)
+        if not at.size:
+            return texts
+        shift = self._space.block_shift
+        ids = addrs[at] >> shift
+        order = np.argsort(ids, kind="stable")
+        at, ids = at[order], ids[order]
+        starts = np.flatnonzero(np.diff(ids, prepend=-1))
+        ends = np.append(starts[1:], len(ids))
+        mask = self._space.block_size - 1
+        for lo, hi in zip(starts.tolist(), ends.tolist()):
+            buf = self._space.block_at(int(ids[lo]) << shift).buf
+            group = at[lo:hi]
+            offs = addrs[group] & mask
+            lengths = np.frombuffer(buf, "<u4")[offs >> 2]
+            raw = bytes(buf)
+            for i, start, n in zip(
+                group.tolist(), (offs + _LEN.size).tolist(), lengths.tolist()
+            ):
+                texts[i] = raw[start : start + n].decode("utf-8")
+        return texts
+
     def read_bytes(self, addr: int) -> bytes:
         """Raw utf-8 payload at *addr* without the decode step."""
         if addr == NULL_ADDRESS:
@@ -255,6 +288,17 @@ class StringDict:
     therefore never observe a code remapped under it.  ``version`` ticks on
     every binding change; kernels use it to cache per-dictionary artifacts
     (decode arrays, predicate match sets).
+
+    A dictionary adopted from an image (:meth:`adopt_codes`) is that
+    image's two arrays — heap address and refcount per code — plus a count
+    of live strings; its texts stay in the heap records.  :meth:`text_of`
+    reads one record, :attr:`live_count` is the count and
+    :meth:`export_codes` hands the arrays back, so a loaded store that only
+    answers queries holds no per-string Python state.  The first operation
+    that needs more — :meth:`intern`, :meth:`release`, :meth:`code_of`, a
+    match set or a decode array — builds the code lists and the text →
+    code map once, under the lock and before any refcount moves (see
+    :meth:`_build`); from then on the dictionary is an ordinary one.
     """
 
     def __init__(self, heap: StringHeap, epochs: "EpochManager") -> None:
@@ -266,6 +310,11 @@ class StringDict:
         self._addrs: List[int] = [NULL_ADDRESS]
         self._refs: List[int] = [1]
         self._free_codes: List[int] = []
+        #: An adopted image's ``(heap address, refcount)`` arrays until the
+        #: first operation that needs the structures above builds them;
+        #: ``None`` once they are built (they mean nothing before).
+        self._image: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._live = 0
         # retired codes awaiting the reuse grace period: (ready_epoch, code)
         self._limbo: Deque[Tuple[int, int]] = deque()
         self.version = 0
@@ -289,6 +338,39 @@ class StringDict:
         self.match_hits = 0
         self.match_misses = 0
 
+    # -- the adopted image --------------------------------------------
+
+    def _build(self) -> None:
+        """Turn the adopted image into the Python structures (lock held).
+
+        Runs before the first refcount move, never after: the text → code
+        map must come from the image's refcounts.  Built from counts a
+        release had already dropped, it would miss the retired text, and
+        the release would then unbind the pinned empty string instead.
+        """
+        addrs, refs = self._image
+        live = refs > 0
+        texts = self._heap.read_many(np.where(live, addrs, NULL_ADDRESS))
+        self._addrs = addrs.tolist()
+        self._refs = refs.tolist()
+        self._by_text = {texts[code]: code for code in np.flatnonzero(live).tolist()}
+        # Highest first: pop() hands the lowest free code out next.
+        self._free_codes = (np.flatnonzero(~live[1:])[::-1] + 1).tolist()
+        self._texts = texts
+        self._image = None
+
+    def _ensure_built(self) -> None:
+        if self._image is not None:
+            with self._lock:
+                if self._image is not None:
+                    self._build()
+
+    @property
+    def built(self) -> bool:
+        """Whether the Python structures exist (always, unless adopted
+        from an image and not yet needed)."""
+        return self._image is None
+
     # -- write side ----------------------------------------------------
 
     def _reclaim_limbo(self) -> None:
@@ -304,6 +386,8 @@ class StringDict:
         reference per stored occurrence and must :meth:`release` it.
         """
         with self._lock:
+            if self._image is not None:
+                self._build()
             code = self._by_text.get(text)
             if code is not None:
                 if code:
@@ -322,6 +406,7 @@ class StringDict:
                 self._addrs.append(addr)
                 self._refs.append(1)
             self._by_text[text] = code
+            self._live += 1
             self.version += 1
         if _san.SANITIZER is not None:
             _san.SANITIZER.event("strdict.bind", code=code, text=text)
@@ -334,6 +419,8 @@ class StringDict:
         if code <= 0:
             return
         with self._lock:
+            if self._image is not None:
+                self._build()
             n = self._refs[code] - 1
             self._refs[code] = n
             if n:
@@ -344,22 +431,34 @@ class StringDict:
             self._heap.free(self._addrs[code])
             self._addrs[code] = NULL_ADDRESS
             self._limbo.append((self._epochs.global_epoch + 2, code))
+            self._live -= 1
             self.version += 1
 
     # -- read side -----------------------------------------------------
 
     def text_of(self, code: int) -> str:
-        return self._texts[code] if code > 0 else ""
+        if code <= 0:
+            return ""
+        image = self._image
+        if image is None:
+            return self._texts[code]
+        # Adopted and unbuilt: no refcount has moved, so a live code's
+        # record is the image's.
+        addrs, refs = image
+        return self._heap.read(int(addrs[code])) if refs[code] > 0 else ""
 
     def code_of(self, text: str) -> Optional[int]:
         """Code currently bound to *text*, or ``None`` (never interns)."""
+        self._ensure_built()
         return self._by_text.get(text)
 
     def refcount(self, code: int) -> int:
-        return self._refs[code]
+        image = self._image
+        return self._refs[code] if image is None else int(image[1][code])
 
     def text_array(self) -> np.ndarray:
         """Object ndarray mapping code -> text, cached per version."""
+        self._ensure_built()
         arr = self._text_array
         if arr is None or self._text_array_version != self.version:
             arr = np.array(self._texts, dtype=object)
@@ -410,6 +509,7 @@ class StringDict:
             self.match_hits += 1
             return cached[1], cached[2]
         self.match_misses += 1
+        self._ensure_built()
         texts, refs = self._texts, self._refs
         if kind == "prefix":
             sel = [
@@ -453,33 +553,37 @@ class StringDict:
 
     # -- snapshot images (repro.io.snapshot) ---------------------------
 
-    def export_codes(self) -> Tuple[List[int], List[int]]:
-        """``(heap address, refcount)`` per code; texts stay in the heap."""
+    def export_codes(self) -> Tuple[Sequence[int], Sequence[int]]:
+        """``(heap address, refcount)`` per code; texts stay in the heap.
+
+        A dictionary not built since its adoption hands back the adopted
+        arrays themselves: a checkpoint of a collection nobody wrote builds
+        nothing.
+        """
         with self._lock:
+            if self._image is not None:
+                return self._image
             return list(self._addrs), list(self._refs)
 
-    def adopt_codes(self, addrs: List[int], refs: List[int]) -> None:
+    def adopt_codes(self, addrs: np.ndarray, refs: np.ndarray) -> None:
         """Rebind a fresh dictionary to the code table of an image.
 
-        Texts are read back from the adopted heap records.  A code with
-        no references left is free at once, whether it was free or in
-        its reuse grace period when the image was written.
+        Keeps the two arrays as they are and reads no heap record: texts
+        stay in the adopted records until an operation needs the Python
+        structures (see the class docstring).  A code with no references
+        left is free, whether it was free or in its reuse grace period
+        when the image was written.
         """
-        read = self._heap.read
+        addrs = np.asarray(addrs, dtype=np.int64)
+        refs = np.asarray(refs, dtype=np.int64)
+        if not len(refs) or len(addrs) != len(refs):
+            raise ValueError("not one heap address and refcount per code")
+        if refs[0] != 1:  # code 0 stays pinned to ""
+            refs = refs.copy()
+            refs[0] = 1
         with self._lock:
-            self._addrs = list(addrs)
-            self._refs = list(refs)
-            self._texts = [read(a) if r > 0 else "" for a, r in zip(addrs, refs)]
-            self._refs[0] = 1  # code 0 stays pinned to ""
-            self._by_text = {
-                text: code
-                for code, (text, r) in enumerate(zip(self._texts, self._refs))
-                if r > 0
-            }
-            # Highest first: pop() hands the lowest free code out next.
-            self._free_codes = [
-                code for code in range(len(refs) - 1, 0, -1) if refs[code] <= 0
-            ]
+            self._image = (addrs, refs)
+            self._live = int(np.count_nonzero(refs[1:] > 0))
             self._limbo.clear()
             self.version += 1
 
@@ -488,4 +592,4 @@ class StringDict:
     @property
     def live_count(self) -> int:
         """Distinct live strings (excluding the pinned empty string)."""
-        return len(self._by_text) - 1
+        return self._live

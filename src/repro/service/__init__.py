@@ -23,26 +23,33 @@ The service layer turns the query engines into a serving system:
     One writer + N WAL-shipping read replicas in one process
     (``repro fleet``), with promote-on-failure drills.
 
+The client and the fleet are imported on first use (PEP 562): a server
+needs neither, and the fleet pulls in the whole durability package.
+
 See ``docs/service.md`` for the protocol and policies, and
 ``docs/replication.md`` for the fleet.
 """
 
+import importlib
+
 from repro.service.admission import AdmissionController, OverloadedError
-from repro.service.client import (
-    LoopbackClient,
-    RoutedClient,
-    ServiceClient,
-    ServiceError,
-    ServiceNotPrimary,
-    ServiceOverloadedError,
-    ServiceSessionExpired,
-    ServiceStaleRead,
-)
-from repro.service.fleet import Fleet, FleetNode
 from repro.service.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.service.plancache import PlanCache
 from repro.service.server import QueryService, ServiceServer
 from repro.service.session import Session, SessionRegistry
+
+_LAZY = {
+    "LoopbackClient": "repro.service.client",
+    "RoutedClient": "repro.service.client",
+    "ServiceClient": "repro.service.client",
+    "ServiceError": "repro.service.client",
+    "ServiceNotPrimary": "repro.service.client",
+    "ServiceOverloadedError": "repro.service.client",
+    "ServiceSessionExpired": "repro.service.client",
+    "ServiceStaleRead": "repro.service.client",
+    "Fleet": "repro.service.fleet",
+    "FleetNode": "repro.service.fleet",
+}
 
 __all__ = [
     "AdmissionController",
@@ -67,3 +74,10 @@ __all__ = [
     "Session",
     "SessionRegistry",
 ]
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(module), name)

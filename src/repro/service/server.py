@@ -39,7 +39,7 @@ import threading
 import time
 from typing import Any, Dict, List, Optional
 
-from repro.durability.replication import StalePromotionError
+from repro.errors import StalePromotionError
 from repro.query import planner as _planner
 from repro.schema import Int64Field, Tabular, VarStringField
 from repro.service import protocol

@@ -1,8 +1,21 @@
-"""TPC-H workload: schema, generator, loaders, queries."""
+"""TPC-H workload: schema, generator, loaders, queries.
 
-from repro.tpch.datagen import TpchData, generate
-from repro.tpch.loader import load_managed, load_rdbms, load_smc
+The generator and the loaders are imported on first use (PEP 562): a
+server answering queries over a snapshot needs only the schema and the
+queries.
+"""
+
+import importlib
+
 from repro.tpch.queries import DEFAULT_PARAMS, QUERIES, run_query
+
+_LAZY = {
+    "TpchData": "repro.tpch.datagen",
+    "generate": "repro.tpch.datagen",
+    "load_managed": "repro.tpch.loader",
+    "load_rdbms": "repro.tpch.loader",
+    "load_smc": "repro.tpch.loader",
+}
 
 __all__ = [
     "TpchData",
@@ -14,3 +27,10 @@ __all__ = [
     "QUERIES",
     "run_query",
 ]
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(module), name)

@@ -9,12 +9,17 @@ advancement, and limbo slots become reclaimable once its lease expires.
 """
 
 import datetime
+import os
+import subprocess
+import sys
 import threading
 import time
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.memory.manager import MemoryManager
 from repro.service.admission import AdmissionController, OverloadedError
 from repro.service.metrics import (
@@ -496,3 +501,55 @@ def test_info_reports_plan_cache_and_telemetry(tpch_service):
     stats = info["plan_cache"]
     assert stats["misses"] >= 1
     assert stats["hits"] >= 1
+
+
+# ----------------------------------------------------------------------
+# Start-up: what a snapshot server imports
+# ----------------------------------------------------------------------
+
+#: Modules a server answering queries over a snapshot never runs: the
+#: durability package, the fleet and client, the TPC-H generator and
+#: loaders, and the managed / RDBMS baselines the loaders pull in.
+_NOT_SERVED = {
+    "repro.durability",
+    "repro.durability.checkpoint",
+    "repro.durability.recovery",
+    "repro.durability.replication",
+    "repro.durability.store",
+    "repro.durability.wal",
+    "repro.service.fleet",
+    "repro.service.client",
+    "repro.tpch.loader",
+    "repro.tpch.datagen",
+    "repro.managed",
+    "repro.managed.collections_",
+    "repro.rdbms",
+    "repro.rdbms.table",
+    "multiprocessing.shared_memory",
+}
+
+
+def test_serve_imports_only_what_a_snapshot_server_runs():
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    out = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, repro.cli, repro.service.server; print(*sys.modules)",
+        ],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout.split()
+    assert "repro.service.server" in out
+    assert not _NOT_SERVED & set(out)
+    # The lazy package attributes still resolve on first use.
+    from repro.service import ServiceClient
+    from repro.tpch import load_smc
+
+    assert ServiceClient.__module__ == "repro.service.client"
+    assert load_smc.__module__ == "repro.tpch.loader"

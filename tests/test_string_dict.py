@@ -7,18 +7,34 @@ compaction cycle.  Then the :class:`~repro.memory.stringheap.StringDict`
 unit contract: interning dedups heap records, refcounts track stored
 occurrences, retired codes wait out the two-epoch grace period before
 rebinding, and predicate match sets follow the dictionary version.
+Last, the adopted-dictionary contract: a dictionary loaded from an image
+is its two code arrays until a write or a string lookup needs more; it
+reads like the dictionary that wrote the image at every step, and
+loading, serving the read mixes and re-saving read no text.
 
 All tests here are sanitizer-compatible (``pytest --sanitize``).
 """
 
 from __future__ import annotations
 
+import importlib.util
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.collection import Collection
 from repro.core.columnar import ColumnarCollection
+from repro.io.snapshot import load_collections, save_collections
+from repro.memory import shm
 from repro.memory.manager import MemoryManager
+from repro.memory.stringheap import StringHeap
+from repro.query import planner
 from repro.query.builder import Count
+from repro.tpch.datagen import generate
 from repro.tpch.loader import load_smc
 from repro.tpch.queries import DEFAULT_PARAMS, EXTRA_QUERIES, QUERIES
 from tests.schemas import TNote, TPerson
@@ -218,6 +234,19 @@ def test_empty_string_is_pinned_code_zero():
     m.close()
 
 
+def _assert_retired_code_waits_two_epochs(manager, sd, code, text):
+    # Inside the grace period: still decodable, never rebound.
+    assert sd.text_of(code) == text
+    assert sd.intern("early") != code
+    assert manager.epochs.try_advance()
+    assert sd.text_of(code) == text
+    assert sd.intern("still early") != code
+    assert manager.epochs.try_advance()
+    # Past the grace period the retired code is recycled.
+    assert sd.intern("late") == code
+    assert sd.text_of(code) == "late"
+
+
 def test_retired_code_waits_two_epochs_before_reuse():
     m = MemoryManager()
     notes = Collection(TNote, manager=m)
@@ -225,16 +254,7 @@ def test_retired_code_waits_two_epochs_before_reuse():
     h = notes.add(text="ephemeral", stars=0)
     code = sd.code_of("ephemeral")
     notes.remove(h)
-
-    # Inside the grace period: still decodable, never rebound.
-    assert sd.text_of(code) == "ephemeral"
-    assert sd.intern("early") != code
-
-    assert m.epochs.try_advance()
-    assert m.epochs.try_advance()
-    # Past the grace period the retired code is recycled.
-    assert sd.intern("late") == code
-    assert sd.text_of(code) == "late"
+    _assert_retired_code_waits_two_epochs(m, sd, code, "ephemeral")
     m.close()
 
 
@@ -292,3 +312,349 @@ def test_collections_of_same_schema_share_one_dictionary(tpch_tiny):
         assert part.strdict.live_count >= len(seen)
     finally:
         manager.close()
+
+
+# ----------------------------------------------------------------------
+# Adopted dictionaries: the image's arrays until a write or lookup
+# ----------------------------------------------------------------------
+
+
+def _save(tmp_path, collections, name="image.smcsnap"):
+    path = str(tmp_path / name)
+    save_collections(path, collections)
+    return path
+
+
+def _dicts(collections):
+    """The string dictionaries of a store, by collection name."""
+    return {
+        name: coll.strdict
+        for name, coll in collections.items()
+        if not name.startswith("_") and coll.strdict is not None
+    }
+
+
+def _count_heap_reads(monkeypatch):
+    """Count calls of ``StringHeap.read`` and ``read_many`` from now on."""
+    calls = [0]
+    for name in ("read", "read_many"):
+        real = getattr(StringHeap, name)
+
+        def counting(heap, *args, _real=real):
+            calls[0] += 1
+            return _real(heap, *args)
+
+        monkeypatch.setattr(StringHeap, name, counting)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def tpch_image(tpch_tiny, tmp_path_factory):
+    collections = load_smc(tpch_tiny)
+    path = _save(tmp_path_factory.mktemp("tpch"), collections, "tpch.smcsnap")
+    collections["_manager"].close()
+    return path
+
+
+def test_adopted_first_mutation_releases_a_unique_text(tmp_path):
+    """The first mutation after adoption removes the one row holding a
+    text.  Its release builds the text → code map from the image's
+    refcounts before it drops one: built after, the map would miss the
+    retired text, and the release would unbind the pinned ``""``."""
+    m = MemoryManager()
+    notes = Collection(TNote, manager=m)
+    notes.add(text="shared", stars=0)
+    notes.add(text="shared", stars=1)
+    notes.add(text="unique", stars=2)
+    path = _save(tmp_path, {"notes": notes})
+    m.close()
+
+    loaded = load_collections(path)
+    lm, ln = loaded["_manager"], loaded["notes"]
+    sd = ln.strdict
+    try:
+        refs = sd.export_codes()[1]
+        [code] = [c for c in range(1, len(refs)) if sd.text_of(c) == "unique"]
+        [victim] = [h for h in ln if h.text == "unique"]
+        assert sd.live_count == 2 and sd.refcount(code) == 1
+        assert not sd.built  # text_of, handle reads and counts need no map
+        ln.remove(victim)
+        assert sd.built
+        assert sd.code_of("") == 0
+        assert sd.code_of("unique") is None
+        assert sd.refcount(sd.code_of("shared")) == 2
+        assert sd.live_count == 1
+        _assert_retired_code_waits_two_epochs(lm, sd, code, "unique")
+    finally:
+        lm.close()
+
+
+def test_retired_code_waits_two_epochs_before_reuse_adopted(tmp_path):
+    m = MemoryManager()
+    notes = Collection(TNote, manager=m)
+    notes.add(text="ephemeral", stars=0)
+    notes.add(text="kept", stars=1)
+    path = _save(tmp_path, {"notes": notes})
+    m.close()
+
+    loaded = load_collections(path)
+    lm, ln = loaded["_manager"], loaded["notes"]
+    sd = ln.strdict
+    try:
+        [h] = [h for h in ln if h.text == "ephemeral"]
+        code = sd.code_of("ephemeral")
+        ln.remove(h)
+        _assert_retired_code_waits_two_epochs(lm, sd, code, "ephemeral")
+    finally:
+        lm.close()
+
+
+_VOCAB = ["", "alpha", "alphabet", "beta", "gamma", "ünïcödé ✓", "nul\x00inside", "x" * 300]
+_MATCHES = [
+    ("prefix", "alpha"),
+    ("contains", "a"),
+    ("inset", frozenset({"beta", "ünïcödé ✓", "absent"})),
+]
+
+
+def _assert_reads_alike(writer, lazy, eager, probe):
+    """The *lazy* adopted dictionary reads like the *writer*'s and like an
+    *eager* twin built at adoption: always through the reads that need no
+    Python structures, and with *probe* also through the lookups that
+    build them.  Heap addresses and block counts are compared with the
+    twin only: an adopted context places its next row in a new block, so
+    every adopted store allocates at other addresses than its writer."""
+    w, z, e = writer.strdict, lazy.strdict, eager.strdict
+    arrays = [np.asarray(a).tolist() for a in e.export_codes()]
+    assert [np.asarray(a).tolist() for a in z.export_codes()] == arrays
+    assert planner.stats_stamp(lazy.manager) == planner.stats_stamp(eager.manager)
+    every = range(len(arrays[1]))
+    for sd in (z, e):
+        assert [sd.text_of(c) for c in every] == [w.text_of(c) for c in every]
+        assert [sd.refcount(c) for c in every] == [w.refcount(c) for c in every]
+        assert sd.live_count == w.live_count
+    if probe:
+        for sd in (z, e):
+            assert [sd.code_of(t) for t in _VOCAB] == [w.code_of(t) for t in _VOCAB]
+            arange = np.arange(len(arrays[1]))
+            assert sd.decode_array(arange).tolist() == w.decode_array(arange).tolist()
+            for kind, arg in _MATCHES:
+                got = sd.match_codes(kind, arg).tolist()
+                assert got == w.match_codes(kind, arg).tolist()
+
+
+@settings(
+    max_examples=30,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    texts=st.lists(st.sampled_from(_VOCAB), min_size=1, max_size=12),
+    steps=st.lists(
+        st.tuples(
+            st.sampled_from(["add", "remove", "intern", "release", "advance"]),
+            st.integers(0, 1000),
+            st.booleans(),
+        ),
+        max_size=25,
+    ),
+)
+def test_adopted_dictionary_reads_like_its_writer(tmp_path_factory, texts, steps):
+    """Adopt an image twice — one dictionary left lazy, one built at
+    once, as adoption used to — then apply the same random adds,
+    removes, interns, releases and epoch advances to both and to the
+    store that wrote the image.  At every step the three dictionaries
+    agree, and the lazy one is built exactly when a step needed it."""
+    writer_m = MemoryManager(block_shift=12)
+    writer = Collection(TNote, manager=writer_m)
+    for i, text in enumerate(texts):
+        writer.add(text=text, stars=i % 5)
+    path = _save(tmp_path_factory.mktemp("adopt"), {"notes": writer})
+    stores = [writer, load_collections(path)["notes"], load_collections(path)["notes"]]
+    lazy, eager = stores[1:]
+    eager.strdict.code_of("")
+    try:
+        rows = [list(coll) for coll in stores]
+        held = []  # codes interned outside any row, one reference each
+        needed = False
+        _assert_reads_alike(*stores, probe=False)
+        for op, k, probe in steps:
+            text = _VOCAB[k % len(_VOCAB)]
+            if op == "add":
+                for coll, handles in zip(stores, rows):
+                    handles.append(coll.add(text=text, stars=k % 5))
+                needed = True
+            elif op == "remove" and rows[0]:
+                i = k % len(rows[0])
+                needed |= rows[1][i].text != ""  # code 0 is never released
+                for coll, handles in zip(stores, rows):
+                    coll.remove(handles.pop(i))
+            elif op == "intern":
+                codes = {coll.strdict.intern(text) for coll in stores}
+                assert len(codes) == 1
+                held.extend(codes)
+                needed = True
+            elif op == "release" and held:
+                code = held.pop(k % len(held))
+                for coll in stores:
+                    coll.strdict.release(code)
+            elif op == "advance":
+                assert len({coll.manager.epochs.try_advance() for coll in stores}) == 1
+            assert lazy.strdict.built == needed
+            _assert_reads_alike(*stores, probe)
+            needed |= probe
+        for handles in rows[1:]:
+            assert [h.text for h in handles] == [h.text for h in rows[0]]
+    finally:
+        for coll in stores:
+            coll.manager.close()
+
+
+def test_unbuilt_store_saves_its_source_image(tpch_image, tmp_path):
+    loaded = load_collections(tpch_image)
+    try:
+        again = _save(tmp_path, loaded, "again.smcsnap")
+        assert not any(sd.built for sd in _dicts(loaded).values())
+    finally:
+        loaded["_manager"].close()
+    with open(tpch_image, "rb") as a, open(again, "rb") as b:
+        assert a.read() == b.read()
+
+
+# -- count gates -------------------------------------------------------
+
+
+def test_load_reads_no_string_record(tpch_image, monkeypatch):
+    reads = _count_heap_reads(monkeypatch)
+    loaded = load_collections(tpch_image)
+    try:
+        assert reads == [0]
+        dicts = _dicts(loaded)
+        assert dicts and not any(sd.built for sd in dicts.values())
+        # Reading a value reads its one record, and builds nothing.
+        [h] = [h for h in loaded["region"] if h.regionkey == 0]
+        assert h.comment and reads == [1]
+        assert not dicts["region"].built
+    finally:
+        loaded["_manager"].close()
+
+
+def test_durable_open_adopts_without_reading_a_string(tpch_image, tmp_path, monkeypatch):
+    """Recovery reads no text while it adopts the checkpoint; the replayed
+    tail builds the one dictionary it writes."""
+    from repro.durability import DurableStore, recovery
+
+    data_dir = str(tmp_path / "data")
+    store = DurableStore.create(data_dir, snapshot=tpch_image)
+    assert not any(sd.built for sd in _dicts(store.collections).values())
+    store.apply(
+        [
+            {
+                "op": "add",
+                "collection": "region",
+                "values": {"regionkey": 99, "name": "ATLANTIS", "comment": "sunken"},
+            }
+        ]
+    )
+    store.close()  # no checkpoint: the add stays in the log tail
+
+    reads = _count_heap_reads(monkeypatch)
+    at_replay = []
+    replay = recovery.apply_batch
+
+    def counting_replay(*args, **kwargs):
+        at_replay.append(reads[0])
+        return replay(*args, **kwargs)
+
+    monkeypatch.setattr(recovery, "apply_batch", counting_replay)
+    store = DurableStore.open(data_dir)
+    try:
+        assert at_replay == [0]
+        built = {name for name, sd in _dicts(store.collections).items() if sd.built}
+        assert built == {"region"}
+        assert store.collections["region"].strdict.code_of("sunken") is not None
+    finally:
+        store.close()
+
+
+def _suite_workloads():
+    """The served benchmark's workload definitions (no ``src`` imports)."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "suite" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_suite_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("tiered", [False, True], ids=["hot", "tiered"])
+def test_read_mixes_build_no_dictionary(tpch_image, tiered):
+    """Every grid point of ``scan_mix`` and ``short_mix`` through the
+    in-process service, all hot and under a pager holding a quarter of
+    the pool: no dictionary is built."""
+    from repro.service.server import QueryService
+
+    wl = _suite_workloads()
+    budget = None
+    if tiered:
+        probe = load_collections(tpch_image)
+        budget = probe["_manager"].total_bytes() // 4
+        probe["_manager"].close()
+    collections = load_collections(tpch_image, memory_budget=budget)
+    service = QueryService(collections)
+    try:
+        for name in ("scan_mix", "short_mix"):
+            for grid, i in wl.every_point(wl.WORKLOADS[name]["mix"]):
+                reply = service.handle(
+                    {
+                        "op": "query",
+                        "query": wl.query_of(grid),
+                        "engine": "compiled",
+                        "workers": 1,
+                        "prune": True,
+                        "params": wl.GRIDS[grid][i],
+                    }
+                )
+                assert reply["ok"], (grid, i, reply)
+        assert not any(sd.built for sd in _dicts(collections).values())
+    finally:
+        service.close()
+        collections["_manager"].close()
+
+
+def _load_footprint(path):
+    """``(Python-object bytes, array bytes)`` a load leaves allocated.
+
+    tracemalloc's own domain, block buffers excluded, is what the Python
+    heap holds; NumPy array buffers (their own domain) are counted apart:
+    like block buffers they are raw bytes that hold no object.
+    """
+    before = tracemalloc.take_snapshot()
+    loaded = load_collections(path)
+    after = tracemalloc.take_snapshot()
+    grown = [0, 0]
+    for snap, sign in ((after, 1), (before, -1)):
+        for trace in snap.filter_traces([tracemalloc.Filter(False, shm.__file__)]).traces:
+            grown[trace.domain != 0] += sign * trace.size
+    codes = sum(len(sd.export_codes()[1]) for sd in _dicts(loaded).values())
+    entries = loaded["_manager"].table.size
+    loaded["_manager"].close()
+    return grown, codes + entries
+
+
+def test_load_python_heap_does_not_grow_with_strings(tmp_path):
+    """SF 0.001 vs SF 0.004: four times the rows and distinct strings,
+    the same Python heap after the load; the arrays grow by their bytes
+    per indirection entry and dictionary code only."""
+    paths = []
+    for sf in (0.001, 0.004):
+        collections = load_smc(generate(sf, seed=42))
+        paths.append(_save(tmp_path, collections, f"sf{sf}.smcsnap"))
+        collections["_manager"].close()
+    tracemalloc.start()
+    try:
+        (small, small_n), (large, large_n) = map(_load_footprint, paths)
+    finally:
+        tracemalloc.stop()
+    assert large_n > 3 * small_n
+    assert large[0] - small[0] < 256 * 1024
+    assert large[1] - small[1] < 16 * (large_n - small_n)

@@ -106,3 +106,34 @@ def test_many_roundtrips_property(texts):
     addrs = [heap.alloc(t) for t in texts]
     for t, a in zip(texts, addrs):
         assert heap.read(a) == t
+
+
+def test_read_many_matches_read_at_the_edges():
+    """``read_many`` against ``read``: the empty text, non-ASCII, NUL
+    bytes inside a text, the largest size class (a record that is a whole
+    block) and records at both ends of a block, in any order, repeated."""
+    space = AddressSpace(block_shift=10)
+    heap = StringHeap(space, EpochManager())
+    largest = "y" * (space.block_size - 4)
+    full_block = [f"r{i:02d}" for i in range(space.block_size // 16)]
+    texts = ["", "ünïcödé ✓", "nul\x00in\x00side", largest, *full_block, "tail"]
+    addrs = [heap.alloc(t) for t in texts]
+    offsets = {space.offset_of(a) for a in addrs if a != NULL_ADDRESS}
+    assert {0, space.block_size - 16} <= offsets
+    assert heap.size_class(len(largest.encode())) == space.block_size
+    probe = addrs[::-1] + addrs[::3] + [NULL_ADDRESS]
+    assert heap.read_many(probe) == [heap.read(a) for a in probe]
+    assert heap.read_many([]) == []
+    assert heap.read_many([NULL_ADDRESS] * 3) == ["", "", ""]
+    heap.close()
+
+
+@settings(max_examples=50)
+@given(st.lists(st.text(max_size=200), min_size=1, max_size=40), st.randoms())
+def test_read_many_matches_read_property(texts, rnd):
+    space = AddressSpace(block_shift=10)
+    heap = StringHeap(space, EpochManager())
+    addrs = [heap.alloc(t) for t in texts]
+    rnd.shuffle(addrs)
+    assert heap.read_many(addrs) == [heap.read(a) for a in addrs]
+    heap.close()
