@@ -533,11 +533,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     bench_dir = Path(__file__).resolve().parent.parent.parent / "benchmarks"
-    matches = sorted(bench_dir.glob(f"bench_{args.figure}*.py"))
+    # Only the figure benches are pytest modules; the rest are scripts.
+    figures = sorted(bench_dir.glob("bench_fig*.py"))
+    matches = [p for p in figures if p.stem.startswith(f"bench_{args.figure}")]
     if not matches:
         print(
             f"no bench matches {args.figure!r}; available: "
-            + ", ".join(p.stem.replace("bench_", "") for p in sorted(bench_dir.glob("bench_*.py"))),
+            + ", ".join(p.stem.replace("bench_", "") for p in figures),
             file=sys.stderr,
         )
         return 2
@@ -752,7 +754,7 @@ def build_parser() -> argparse.ArgumentParser:
     query.set_defaults(fn=_cmd_query)
 
     bench = sub.add_parser("bench", help="run a figure bench (e.g. fig11)")
-    bench.add_argument("figure", help="fig06..fig13 or ablation")
+    bench.add_argument("figure", help="fig06..fig13")
     bench.set_defaults(fn=_cmd_bench)
 
     recover_p = sub.add_parser(

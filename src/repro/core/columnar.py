@@ -83,14 +83,18 @@ class ColumnarHandle:
             word = int(block.columns[name + "__w"][slot])
             if word == NULL_ADDRESS:
                 return None
+            # The stored incarnation decides, as for a row handle: a
+            # reference to a removed object never reaches the entry's or
+            # the slot's next occupant.
+            inc = int(block.columns[name + "__i"][slot])
             target = collection.target_collection(field)
-            if manager.direct_pointers:
-                t_addr = word
-                t_block = manager.space.block_at(t_addr)
-                t_slot = t_block.slot_of_address(t_addr)
-                entry = int(t_block.backptrs[t_slot])
-            else:
-                entry = word
+            if not manager.direct_pointers:
+                return target._handle(Ref(manager, word, inc))
+            t_block = manager.space.try_block_at(word)
+            t_slot = -1 if t_block is None else t_block.slot_of_address(word)
+            if t_block is None or (int(t_block.slot_incs[t_slot]) ^ inc) & INC_MASK:
+                raise NullReferenceError("direct pointer to a freed slot")
+            entry = int(t_block.backptrs[t_slot])
             return target._handle(Ref(manager, entry, manager.table.incarnation(entry)))
         raw = block.columns[name][slot]
         if isinstance(field, CharField):

@@ -191,16 +191,6 @@ def recover(
     records = scan.committed_records()
     scanned = time.perf_counter()
     interned = sum(1 for rec in records if rec.kind == INTERN)
-    if "entries" in manifest and any(
-        rec.kind not in (BEGIN, COMMIT, INTERN) for rec in records
-    ):
-        # A pre-image checkpoint stored rows, not entry ids: its log
-        # tail addresses rows through a table this version dropped.
-        raise RecoveryError(
-            f"{data_dir} was checkpointed by an older version and has "
-            f"an unreplayed log tail; open it once with that version "
-            f"(a clean shutdown folds the tail into the checkpoint)"
-        )
     strings: Dict[int, str] = {}
     # Batch atomicity is enforced by the committed cut: everything in
     # it is committed, so the tail replays as one batch.

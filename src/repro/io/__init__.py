@@ -3,7 +3,6 @@
 from repro.io.snapshot import (
     SnapshotError,
     describe_snapshot,
-    export_collections,
     load_collections,
     save_collections,
 )
@@ -11,7 +10,6 @@ from repro.io.snapshot import (
 __all__ = [
     "SnapshotError",
     "describe_snapshot",
-    "export_collections",
     "load_collections",
     "save_collections",
 ]

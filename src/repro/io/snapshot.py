@@ -65,26 +65,14 @@ Every section carries its length and CRC32; truncation, a flipped byte,
 an unknown section kind or two blocks claiming one id raise
 :class:`SnapshotError` naming the section.
 
-``SMCSNAP1``, the field-by-field row format, remains as the portable
-codec (:func:`export_collections`; :func:`load_collections` sniffs the
-magic) and as the conversion path: asking for a layout, string encoding
-or block size other than the image's loads the image aside and copies it
-across row by row.  Its layout::
-
-    magic b"SMCSNAP1" | u32 collection count
-    per collection: str name | str schema | u32 field count
-        per field: str name | str type | i32 meta (width or scale, -1)
-        u64 row count, then rows in enumeration order; per field:
-            scalars struct-packed raw | Char width bytes (NUL padded)
-            VarString u32 length + utf-8 | Ref str target collection +
-            i64 ordinal in the target's enumeration (-1 for null)
-    optional index section: u32 count, per index str collection | str
-        field | str kind (files written before it existed end at the rows)
+Asking for a layout, string encoding or block size other than the
+image's adopts the image aside and copies its rows across in enumeration
+order (:func:`_convert`).  Files of the retired field-by-field row format
+are refused by name.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import mmap
 import os
@@ -96,20 +84,16 @@ import numpy as np
 
 from repro.core.collection import Collection, bulk_add
 from repro.core.columnar import ColumnarCollection
-from repro.errors import SmcError
+from repro.errors import NullReferenceError, SmcError
 from repro.memory import slots as slotcodec
 from repro.memory.addressing import NULL_ADDRESS
 from repro.memory.block import _HEADER_STRUCT
 from repro.memory.indirection import INC_MASK
 from repro.memory.manager import MemoryManager
-from repro.schema.fields import CharField, DecimalField, Field, RefField, VarStringField
+from repro.schema.fields import CharField, DecimalField, Field, RefField
 from repro.schema.tabular import resolve_tabular
 
 _MAGIC = b"SMCSNAP2"
-_MAGIC_ROWS = b"SMCSNAP1"
-_U32 = struct.Struct("<I")
-_U64 = struct.Struct("<Q")
-_I64 = struct.Struct("<q")
 _HEADER_FRAME = struct.Struct("<II")  # length, crc32
 _FRAME = struct.Struct("<4sIqQI4x")  # tag, kind, id, length, crc32
 _FRAME_KEY = struct.Struct("<IqQ")  # the frame fields the CRC also covers
@@ -135,7 +119,7 @@ class SnapshotError(SmcError):
     """Raised on malformed or incompatible snapshot files."""
 
 
-def _read_exact(fh: BinaryIO, n: int, what: str = "snapshot file") -> bytes:
+def _read_exact(fh: BinaryIO, n: int, what: str) -> bytes:
     data = fh.read(n)
     if len(data) != n:
         raise SnapshotError(f"truncated {what}")
@@ -428,11 +412,11 @@ def load_collections(
 
     A block image is adopted in place when it already has the requested
     shape — layout, string encoding, block size — and the manager is
-    fresh; otherwise it is loaded aside and copied across row by row, as
-    an ``SMCSNAP1`` file always is.  When log records would no longer
-    find the rows under the entry ids they name — a replica's image, or a
-    conversion that handed out other ids — the result also holds
-    ``"_entry_ids"``, the ``(logged id, local id)`` pairs recovery needs.
+    fresh; otherwise it is adopted aside and its rows are copied across
+    (:func:`_convert`).  When log records would no longer find the rows
+    under the entry ids they name — a replica's image, or a conversion
+    that handed out other ids — the result also holds ``"_entry_ids"``,
+    the ``(logged id, local id)`` pairs recovery needs.
     """
     # Tabular classes are resolved by name: user-defined classes must be
     # imported before loading.  The built-in TPC-H schema registers here
@@ -443,17 +427,7 @@ def load_collections(
         return MemoryManager(shm=shm, memory_budget=memory_budget, **params)
 
     with open(path, "rb") as fh:
-        magic = fh.read(len(_MAGIC))
-        if magic == _MAGIC_ROWS:
-            if manager is None:
-                manager = fresh(
-                    string_dict=string_dict,
-                    **({} if block_shift is None else {"block_shift": block_shift}),
-                )
-            return _load_rows(fh, manager, columnar)
-        if magic != _MAGIC:
-            raise SnapshotError(f"{path} is not an SMC snapshot")
-        header = _read_header(fh)
+        header = _open_image(fh, path)
         stored = {
             key: header[key]
             for key in ("block_shift", "string_dict", "direct_pointers")
@@ -481,23 +455,20 @@ def load_collections(
             and all(c["columnar"] == columnar for c in header["collections"])
         ):
             return _adopt(fh, header, manager or fresh(**stored), owned=manager is None)
-        # Another shape was asked for: adopt aside, copy across by rows.
+        # Another shape was asked for: adopt aside, copy the rows across.
         staging = _adopt(fh, header, fresh(**stored), owned=True)
         try:
-            rows = io.BytesIO()
-            _write_rows(rows, _named(staging))
-            rows.seek(len(_MAGIC_ROWS))
-            converted = _load_rows(rows, manager or fresh(**wanted), columnar)
+            converted = _convert(staging, manager or fresh(**wanted), columnar)
             # The copies took fresh entry ids, in the same enumeration
             # order; log records still name the stored ones.
-            logged = _entries(_block_groups(staging))
+            logged = _entries(c.context.blocks() for c in _named(staging).values())
             prior = staging.get("_entry_ids")
             if prior is not None and len(prior):
                 primary = dict(zip(prior[:, 1].tolist(), prior[:, 0].tolist()))
                 logged = np.array(
                     [primary.get(e, e) for e in logged.tolist()], dtype=np.int64
                 )
-            local = _entries(_block_groups(converted))
+            local = _entries(c.context.blocks() for c in _named(converted).values())
             moved = logged != local
             if moved.any():
                 converted["_entry_ids"] = np.stack(
@@ -508,16 +479,61 @@ def load_collections(
             staging["_manager"].close()
 
 
+def _open_image(fh: BinaryIO, path: str) -> Dict[str, Any]:
+    """Check the magic of the file open in *fh*; returns its header."""
+    magic = fh.read(len(_MAGIC))
+    if magic == b"SMCSNAP1":
+        raise SnapshotError(
+            f"{path}: SMCSNAP1 row snapshots are no longer read; load and "
+            f"save it with an older release to turn it into a block image"
+        )
+    if magic != _MAGIC:
+        raise SnapshotError(f"{path} is not an SMC snapshot")
+    return _read_header(fh)
+
+
+def _convert(staging: Dict[str, Any], manager: MemoryManager, columnar: bool):
+    """Copy the rows of the adopted *staging* store into new collections
+    on *manager*; returns name → collection (plus ``"_manager"``).
+
+    Each collection, in image order, takes its rows in enumeration order,
+    so entry ids are handed out as a row-by-row load would.  References
+    are set once every copy exists (forward and cyclic ones included); a
+    stale one — its target removed, the entry maybe recycled since — is
+    copied as null and never re-points at the entry's new occupant.
+    """
+    factory = ColumnarCollection if columnar else Collection
+    converted: Dict[str, Any] = {}
+    copies: Dict[int, Any] = {}  # staging entry -> copy
+    pending = []
+    for name, src in _named(staging).items():
+        fields = src.layout.fields
+        plain = [f.name for f in fields if not isinstance(f, RefField)]
+        rows = list(src)
+        coll = converted[name] = factory(src.schema, manager=manager, name=name)
+        made = bulk_add(coll, ({f: getattr(h, f) for f in plain} for h in rows))
+        copies.update(zip((h.ref.entry for h in rows), made))
+        pending.append((src.layout.ref_fields, rows, made))
+        _create_indexes(coll, src.index_specs())
+    for fields, rows, made in pending:
+        for field in fields:
+            for handle, copy in zip(rows, made):
+                try:
+                    target = getattr(handle, field.name)
+                except NullReferenceError:  # a dangling direct pointer
+                    continue
+                if target is not None and target.is_alive:
+                    setattr(copy, field.name, copies[target.ref.entry])
+    converted["_manager"] = manager
+    return converted
+
+
 def _entries(groups) -> np.ndarray:
     """Entry ids of the rows in *groups* of blocks, in enumeration order."""
     parts = [np.empty(0, dtype=np.int64)]
     for group in groups:
         parts.extend(block.backptrs[block.valid_slots()] for block in group)
     return np.concatenate(parts)
-
-
-def _block_groups(collections: Dict[str, Any]):
-    return (coll.context.blocks() for coll in _named(collections).values())
 
 
 def _read_header(fh: BinaryIO) -> Dict[str, Any]:
@@ -732,22 +748,15 @@ def _adopt_sections(fh: BinaryIO, header: Dict[str, Any], manager: MemoryManager
             )
     manager.table.adopt(*table)
     for spec in header["collections"]:
-        _create_indexes(
-            collections, [(spec["name"], *index) for index in spec["indexes"]]
-        )
+        _create_indexes(collections[spec["name"]], spec["indexes"])
     collections["_manager"] = manager
     return collections
 
 
-def _create_indexes(collections: Dict[str, Any], specs) -> None:
+def _create_indexes(coll, specs) -> None:
     """Recreate (and thereby backfill) persisted secondary indexes, so an
     index is never silently empty after a reload."""
-    for coll_name, field_name, kind in specs:
-        coll = collections.get(coll_name)
-        if coll is None:
-            raise SnapshotError(
-                f"index section names unknown collection {coll_name!r}"
-            )
+    for field_name, kind in specs:
         if kind == "hash":
             coll.create_index(field_name)
         elif kind == "sorted":
@@ -761,13 +770,7 @@ def describe_snapshot(path: str) -> Dict[str, Any]:
     alone (no payload is read): format version, manager parameters,
     per-collection rows and block counts, bytes per section kind."""
     with open(path, "rb") as fh:
-        magic = fh.read(len(_MAGIC))
-        size = os.fstat(fh.fileno()).st_size
-        if magic == _MAGIC_ROWS:
-            return {"format": _MAGIC_ROWS.decode(), "file_bytes": size}
-        if magic != _MAGIC:
-            raise SnapshotError(f"{path} is not an SMC snapshot")
-        header = _read_header(fh)
+        header = _open_image(fh, path)
         sections: Dict[str, List[int]] = {}
         for frame, __ in _sections(fh, header):
             entry = sections.setdefault(_KIND_NAMES[frame.kind], [0, 0])
@@ -775,7 +778,7 @@ def describe_snapshot(path: str) -> Dict[str, Any]:
             entry[1] += frame.length
     return {
         "format": _MAGIC.decode(),
-        "file_bytes": size,
+        "file_bytes": header["file_bytes"],
         "header_bytes": header["offset"],
         "block_shift": header["block_shift"],
         "string_dict": header["string_dict"],
@@ -792,170 +795,3 @@ def describe_snapshot(path: str) -> Dict[str, Any]:
         ],
         "sections": {name: tuple(v) for name, v in sections.items()},
     }
-
-
-# ----------------------------------------------------------------------
-# SMCSNAP1: the portable row codec
-# ----------------------------------------------------------------------
-
-
-def export_collections(path: str, collections: Dict[str, Any]) -> int:
-    """Write *collections* in the portable row format (``SMCSNAP1``).
-
-    Field by field through the handles — slow, but independent of block
-    size, storage layout and string encoding.  Returns the rows written.
-    """
-    with open(path, "wb") as fh:
-        return _write_rows(fh, _named(collections))
-
-
-def _write_str(fh: BinaryIO, text: str) -> None:
-    data = text.encode("utf-8")
-    fh.write(_U32.pack(len(data)))
-    fh.write(data)
-
-
-def _read_str(fh: BinaryIO) -> str:
-    (n,) = _U32.unpack(_read_exact(fh, 4))
-    return _read_exact(fh, n).decode("utf-8")
-
-
-def _write_rows(fh: BinaryIO, named: Dict[str, Any]) -> int:
-    # entry index -> (collection name, ordinal), for reference encoding.
-    ordinals: Dict[int, Tuple[str, int]] = {}
-    handle_lists: Dict[str, list] = {}
-    for name, coll in named.items():
-        handles = list(coll)
-        handle_lists[name] = handles
-        for i, handle in enumerate(handles):
-            ordinals[handle.ref.entry] = (name, i)
-
-    rows_written = 0
-    fh.write(_MAGIC_ROWS)
-    fh.write(_U32.pack(len(named)))
-    for name, coll in named.items():
-        layout = coll.layout
-        _write_str(fh, name)
-        _write_str(fh, coll.schema.__name__)
-        fh.write(_U32.pack(len(layout.fields)))
-        for f in layout.fields:
-            _write_str(fh, f.name)
-            _write_str(fh, type(f).__name__)
-            fh.write(struct.pack("<i", _field_meta(f)))
-        handles = handle_lists[name]
-        fh.write(_U64.pack(len(handles)))
-        for handle in handles:
-            _write_row(fh, layout, handle, ordinals)
-            rows_written += 1
-    # Trailing index section (old loaders stop at the rows).
-    specs = [
-        (name, field_name, kind)
-        for name, coll in named.items()
-        for field_name, kind in coll.index_specs()
-    ]
-    fh.write(_U32.pack(len(specs)))
-    for spec in specs:
-        for text in spec:
-            _write_str(fh, text)
-    return rows_written
-
-
-def _write_row(fh: BinaryIO, layout, handle, ordinals) -> None:
-    for f in layout.fields:
-        if isinstance(f, RefField):
-            target = getattr(handle, f.name)
-            if target is None:
-                _write_str(fh, "")
-                fh.write(_I64.pack(-1))
-            else:
-                located = ordinals.get(target.ref.entry)
-                if located is None:
-                    raise SnapshotError(
-                        f"reference field {f.name} points outside the "
-                        f"snapshotted collections"
-                    )
-                _write_str(fh, located[0])
-                fh.write(_I64.pack(located[1]))
-        elif isinstance(f, VarStringField):
-            data = getattr(handle, f.name).encode("utf-8")
-            fh.write(_U32.pack(len(data)))
-            fh.write(data)
-        elif isinstance(f, CharField):
-            data = getattr(handle, f.name).encode("utf-8")
-            fh.write(data.ljust(f.width, b"\x00"))
-        else:
-            fh.write(f._struct.pack(f.to_raw(getattr(handle, f.name))))
-
-
-def _load_rows(fh: BinaryIO, manager: MemoryManager, columnar: bool) -> Dict[str, Any]:
-    """Rebuild collections from rows (*fh* is positioned after the magic)."""
-    factory = ColumnarCollection if columnar else Collection
-    (n_collections,) = _U32.unpack(_read_exact(fh, 4))
-    collections: Dict[str, Any] = {}
-    pending_refs: List[Tuple[Any, int, str, str, int]] = []
-    handles_by_name: Dict[str, list] = {}
-
-    for __ in range(n_collections):
-        name = _read_str(fh)
-        schema_name = _read_str(fh)
-        (n_fields,) = _U32.unpack(_read_exact(fh, 4))
-        spec = []
-        for __f in range(n_fields):
-            fname = _read_str(fh)
-            ftype = _read_str(fh)
-            (meta,) = struct.unpack("<i", _read_exact(fh, 4))
-            spec.append([fname, ftype, meta])
-        schema = _resolve_schema(schema_name, spec)
-        layout = schema.__layout__
-        coll = factory(schema, manager=manager, name=name)
-        collections[name] = coll
-        (n_rows,) = _U64.unpack(_read_exact(fh, 8))
-
-        def rows(coll=coll, layout=layout, n_rows=n_rows):
-            for row_idx in range(n_rows):
-                values: Dict[str, Any] = {}
-                for f in layout.fields:
-                    if isinstance(f, RefField):
-                        target_name = _read_str(fh)
-                        (ordinal,) = _I64.unpack(_read_exact(fh, 8))
-                        if ordinal >= 0:
-                            pending_refs.append(
-                                (coll, row_idx, f.name, target_name, ordinal)
-                            )
-                    elif isinstance(f, VarStringField):
-                        (n,) = _U32.unpack(_read_exact(fh, 4))
-                        values[f.name] = _read_exact(fh, n).decode("utf-8")
-                    elif isinstance(f, CharField):
-                        raw = _read_exact(fh, f.width)
-                        values[f.name] = raw.rstrip(b"\x00 ").decode("utf-8")
-                    else:
-                        (raw,) = f._struct.unpack(_read_exact(fh, f._struct.size))
-                        values[f.name] = f.from_raw(raw)
-                yield values
-
-        handles_by_name[name] = bulk_add(coll, rows())
-
-    # Second pass: resolve references (forward and cyclic included).
-    for coll, row_idx, field_name, target_name, ordinal in pending_refs:
-        target_handles = handles_by_name.get(target_name)
-        if target_handles is None or ordinal >= len(target_handles):
-            raise SnapshotError(
-                f"dangling reference {field_name} -> {target_name}[{ordinal}]"
-            )
-        handle = handles_by_name[coll.name][row_idx]
-        setattr(handle, field_name, target_handles[ordinal])
-
-    # Optional trailing index section.  Pre-section files end right here,
-    # which reads as zero bytes.
-    head = fh.read(4)
-    if head:
-        if len(head) != 4:
-            raise SnapshotError("truncated index section")
-        (n_indexes,) = _U32.unpack(head)
-        _create_indexes(
-            collections,
-            [(_read_str(fh), _read_str(fh), _read_str(fh)) for __ in range(n_indexes)],
-        )
-
-    collections["_manager"] = manager
-    return collections

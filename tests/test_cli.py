@@ -74,6 +74,11 @@ def test_bench_unknown_figure_rejected():
     proc = _repro("bench", "fig99")
     assert proc.returncode == 2
     assert "no bench matches" in proc.stderr
+    # Script benches are not pytest modules: neither run nor offered.
+    proc = _repro("bench", "durability")
+    assert proc.returncode == 2
+    available = proc.stderr.split("available: ")[1].split(", ")
+    assert "fig11_tpch" in available and "durability" not in available
 
 # ----------------------------------------------------------------------
 # Durability commands

@@ -42,6 +42,7 @@ from repro.durability.wal import (
     encode_payload,
 )
 from repro.errors import InjectedFaultError
+from repro.io import SnapshotError
 from repro.memory.manager import MemoryManager
 
 from tests.schemas import TNote, TOrder, TPerson
@@ -689,37 +690,19 @@ class TestStoreRecovery:
         recovered["_manager"].close()
 
     def test_pre_image_checkpoint_with_log_tail_refused(self, data_dir):
-        """A data directory of the row-snapshot era recovers only when
-        its log tail is empty: the tail's entry ids need the per-row
-        table this version no longer reads."""
-        import json
-
-        from repro.io import export_collections
-
+        """A data directory of the row-snapshot era is refused at load,
+        naming its checkpoint's format, by recovery and by the store."""
         store, colls, manager = _fresh_store(data_dir)
         colls["persons"].add(name="a", age=1)
         store.checkpoint()
         checkpoint = store.datadir.checkpoint_path(store.cut_lsn)
         store.close()
-        # Rewrite the directory the way the previous version left it.
-        export_collections(checkpoint, colls)
-        manifest_path = os.path.join(data_dir, "MANIFEST")
-        with open(manifest_path) as fh:
-            manifest = json.load(fh)
-        manifest["entries"] = {"persons": [0], "orders": [], "notes": []}
-        with open(manifest_path, "w") as fh:
-            json.dump(manifest, fh)
         manager.close()
-
-        loaded, report = recover(data_dir)  # empty tail: fine
-        assert [h.name for h in loaded["persons"]] == ["a"]
-        loaded["_manager"].close()
-
-        reopened = DurableStore.open(data_dir)
-        reopened.collections["persons"].add(name="b", age=2)
-        reopened.close()
-        with pytest.raises(RecoveryError, match="older version"):
-            recover(data_dir)
+        with open(checkpoint, "r+b") as fh:
+            fh.write(b"SMCSNAP1")
+        for open_dir in (recover, DurableStore.open):
+            with pytest.raises(SnapshotError, match="SMCSNAP1 row snapshots"):
+                open_dir(data_dir)
 
     def test_uninitialized_dir_refused(self, tmp_path):
         with pytest.raises(RecoveryError):

@@ -285,7 +285,7 @@ def test_governor_rejects_duplicate_tenant():
         t.register_on(gov, "cache")
 
 
-def test_governor_shares_respect_budget_and_floor():
+def test_governor_shares_respect_budget_and_floor(tpch_tiny):
     budget = 1_000_000
     gov = MemoryGovernor(budget)
     a, b, c = _FakeTenant(), _FakeTenant(), _FakeTenant()
@@ -299,6 +299,53 @@ def test_governor_shares_respect_budget_and_floor():
     assert all(s >= floor for s in shares)
     # Every tenant actually received its installed budget.
     assert sorted([a.budget, b.budget, c.budget]) == sorted(shares)
+
+    # Real tenants under churn: a plan cache and the string dictionaries'
+    # match caches overrun a tiny budget; after every rebalance each sits
+    # within its share and the total within the budget.
+    colls = load_smc(tpch_tiny, columnar=True)
+    try:
+        budget = 96 * 1024
+        gov = MemoryGovernor(budget, rebalance_every=8)
+        plans = PlanCache()
+        gov.register(
+            "plan_cache",
+            usage=plans.usage_bytes,
+            counters=plans.counters,
+            set_budget=plans.set_budget,
+        )
+        dicts = [
+            sd for c in colls.values() if (sd := getattr(c, "strdict", None)) is not None
+        ]
+        gov.register(
+            "string_dicts",
+            usage=lambda: sum(d.cache_bytes for d in dicts),
+            counters=lambda: (
+                sum(d.match_hits for d in dicts),
+                sum(d.match_misses for d in dicts),
+            ),
+            set_budget=lambda n: [d.set_match_budget(max(1, n // len(dicts))) for d in dicts],
+            weight=2.0,
+        )
+        needles = ["the", "slyly", "furious", "pending", "quick", "regular"]
+        rebalances = 0
+        for i in range(160):
+            key = PlanCache.key_for(f"churn-{i % 48}", "columnar", "dict", "compiled")
+            plans.get_or_build(key, lambda: {"round": i})
+            if i % 4 == 0:
+                needle = needles[(i // 4) % len(needles)]
+                colls["lineitem"].query().where(L.comment.contains(needle)).count(
+                    planner=True
+                )
+            if gov.maybe_rebalance():
+                rebalances += 1
+                snap = gov.snapshot()
+                assert snap["usage_bytes"] <= budget * 1.01, i
+                for t in snap["tenants"].values():
+                    assert t["usage_bytes"] <= t["share_bytes"] * 1.01, i
+        assert rebalances == 20 and plans.capacity_evictions > 0
+    finally:
+        colls["_manager"].close()
 
 
 def test_governor_rebalances_toward_miss_heavy_tenant():

@@ -320,21 +320,28 @@ def test_worker_crash_redispatches_morsels(tpch_tiny):
 
 
 def test_compaction_churn_differential(tpch_tiny):
-    """Serial and process-pool scans agree across compaction cycles."""
+    """Serial and process-pool scans agree across compaction cycles, the
+    second through a one-worker pool, and every pooled scan really takes
+    the process path."""
     collections, manager = _shm_tpch(tpch_tiny)  # row layout: compactable
     try:
         lineitem = collections["lineitem"]
         for i, handle in enumerate(list(lineitem)):
             if i % 3 == 0:
                 lineitem.remove(handle)
-        for __ in range(2):
+        for cycle in range(2):
+            if cycle:
+                manager.exec_pool.shutdown()
+                manager.exec_pool = ProcessScanPool(manager, workers=1)
             moved = lineitem.compact(occupancy_threshold=0.9)
             assert moved >= 0
             for name in ("q1", "q6", "q14"):
                 query = ALL_QUERIES[name](collections)
                 want = _canonical(query.run(params=DEFAULT_PARAMS, workers=1))
+                before = manager.stats.extra.get("exec_process_queries", 0)
                 got = _canonical(query.run(params=DEFAULT_PARAMS, workers=2))
                 assert got == want, name
+                assert manager.stats.extra.get("exec_process_queries", 0) == before + 1
     finally:
         manager.close()
 

@@ -1,5 +1,5 @@
 """Snapshot persistence: block-image roundtrips, integrity, and the
-differential against the portable row codec (SMCSNAP1)."""
+differential between adopted and converted loads of one image."""
 
 import datetime
 import os
@@ -13,7 +13,6 @@ from repro.core.columnar import ColumnarCollection
 from repro.io import (
     SnapshotError,
     describe_snapshot,
-    export_collections,
     load_collections,
     save_collections,
 )
@@ -226,24 +225,6 @@ def test_indexes_survive_roundtrip(manager, snap_path):
     loaded["_manager"].close()
 
 
-def test_old_snapshot_without_index_section_loads(manager, snap_path):
-    """Pre-index SMCSNAP1 files (no trailing section) still load."""
-    persons = Collection(TPerson, manager=manager)
-    persons.create_index("age")
-    persons.add(name="x", age=1)
-    export_collections(snap_path, {"persons": persons})
-    # Strip the trailing index section: u32 count + one (collection,
-    # field, kind) entry, each string u32-length-prefixed.
-    data = open(snap_path, "rb").read()
-    entry_len = sum(4 + len(s) for s in (b"persons", b"age", b"hash"))
-    with open(snap_path, "wb") as fh:
-        fh.write(data[: len(data) - 4 - entry_len])
-    loaded = load_collections(snap_path)
-    assert loaded["persons"].index_specs() == []
-    assert [h.age for h in loaded["persons"]] == [1]
-    loaded["_manager"].close()
-
-
 # ----------------------------------------------------------------------
 # Image identity: entry ids, incarnations, adoption vs conversion
 # ----------------------------------------------------------------------
@@ -254,13 +235,21 @@ def test_entry_ids_and_stale_refs_survive_reload(snap_path):
     translate by id, a reference that was stale before the save is stale
     after the load, and no later add can bring it back."""
     manager = MemoryManager(block_shift=10)
+    persons = Collection(TPerson, manager=manager)
+    orders = Collection(TOrder, manager=manager)
+    alice = persons.add(name="alice", age=1)
+    orders.add(orderkey=1, owner=alice)
+    persons.remove(alice)
+    for __ in range(4):
+        manager.advance_epoch()
+    assert persons.add(name="mallory", age=2).ref.entry == alice.ref.entry
     notes = Collection(TNote, manager=manager)
     handles = [notes.add(text=f"n{i}", stars=i % 5) for i in range(60)]
     stale = [h.ref for h in handles[:20]]
     for h in handles[:20]:
         notes.remove(h)  # no epoch advance: limbo slots, limbo dict codes
     kept = {h.ref.entry: h.text for h in handles[20:]}
-    save_collections(snap_path, {"notes": notes})
+    save_collections(snap_path, {"persons": persons, "orders": orders, "notes": notes})
 
     loaded = load_collections(snap_path)
     lm, ln = loaded["_manager"], loaded["notes"]
@@ -274,36 +263,52 @@ def test_entry_ids_and_stale_refs_survive_reload(snap_path):
     assert recycled & {r.entry for r in stale}
     # ... and still cannot resurrect a reference to their past occupant.
     assert not any(g.is_alive or g.try_address() is not None for g in ghosts)
+    (order,) = loaded["orders"]
+    assert not order.owner.is_alive
     lm.close()
+    # A conversion copies the stale owner as null, never as the entry's
+    # new occupant.
+    converted = load_collections(snap_path, block_shift=12)
+    (order,) = converted["orders"]
+    assert order.owner is None
+    converted["_manager"].close()
     manager.close()
 
 
-def test_direct_pointer_image_roundtrip(direct_manager, snap_path):
+@pytest.mark.parametrize("convert", [False, True], ids=["adopt", "convert"])
+@pytest.mark.parametrize("columnar", [False, True], ids=["row", "columnar"])
+def test_direct_pointer_image_roundtrip(direct_manager, snap_path, columnar, convert):
     """Direct mode stores raw addresses in reference fields; block ids
-    are part of an image, so the addresses stay true."""
-    persons = Collection(TPerson, manager=direct_manager)
-    orders = Collection(TOrder, manager=direct_manager)
+    are part of an image, so the addresses stay true.  A conversion
+    copies a stale pointer as null."""
+    from repro.errors import NullReferenceError
+
+    factory = ColumnarCollection if columnar else Collection
+    persons = factory(TPerson, manager=direct_manager)
+    orders = factory(TOrder, manager=direct_manager)
     people = [persons.add(name=f"p{i}", age=i) for i in range(10)]
     for i, p in enumerate(people):
         orders.add(orderkey=i, owner=p)
     persons.remove(people[4])  # its order now holds a stale direct pointer
 
     def owners(collection):
-        from repro.errors import NullReferenceError
-
         out = {}
         for h in collection:
             try:
-                out[h.orderkey] = h.owner.name
+                out[h.orderkey] = h.owner and h.owner.name
             except NullReferenceError:
                 out[h.orderkey] = "stale"
         return out
 
     save_collections(snap_path, {"persons": persons, "orders": orders})
-    loaded = load_collections(snap_path)
+    shape = {"block_shift": 12} if convert else {}
+    loaded = load_collections(snap_path, columnar=columnar, **shape)
     assert loaded["_manager"].direct_pointers
-    assert owners(loaded["orders"]) == owners(orders)
-    assert owners(orders)[4] == "stale" and owners(orders)[5] == "p5"
+    expected = owners(orders)
+    assert expected[4] == "stale" and expected[5] == "p5"
+    if convert:
+        expected[4] = None
+    assert owners(loaded["orders"]) == expected
     loaded["_manager"].close()
 
 
@@ -350,8 +355,12 @@ def test_describe_snapshot(manager, snap_path):
     ]
     count, nbytes = info["sections"]["block"]
     assert (count, nbytes) == (2, 2 * manager.space.block_size)
-    export_collections(snap_path, {"persons": persons})
-    assert describe_snapshot(snap_path)["format"] == "SMCSNAP1"
+    # The retired row format is refused by name, by both entry points.
+    with open(snap_path, "wb") as fh:
+        fh.write(b"SMCSNAP1" + bytes(64))
+    for read in (describe_snapshot, load_collections):
+        with pytest.raises(SnapshotError, match="SMCSNAP1 row snapshots are no longer read"):
+            read(snap_path)
 
 
 # ----------------------------------------------------------------------
@@ -553,7 +562,7 @@ def test_snapshot_during_compaction_refused(snap_path):
 
 
 # ----------------------------------------------------------------------
-# Differential: original == SMCSNAP2-reloaded == SMCSNAP1-reloaded
+# Differential: original == adopted image == converted image
 # ----------------------------------------------------------------------
 
 
@@ -575,13 +584,15 @@ def _all_digests(collections):
 def test_tpch_differential_after_churn(tpch_tiny, tmp_path, columnar, use_dict, shm):
     """Removes, updates, a compaction and an un-advanced epoch, then all
     ten TPC-H queries, enumeration order and index lookups must agree
-    between the live store, its block image and its row export."""
+    between the live store, its adopted image and a conversion of that
+    image to the other layout and another block size."""
     from repro.tpch.loader import load_smc
 
-    def shape():
-        return dict(block_shift=14, string_dict=use_dict, shm=shm)
-
-    src = load_smc(tpch_tiny, manager=MemoryManager(**shape()), columnar=columnar)
+    src = load_smc(
+        tpch_tiny,
+        manager=MemoryManager(block_shift=14, string_dict=use_dict, shm=shm),
+        columnar=columnar,
+    )
     manager, line, orders = src["_manager"], src["lineitem"], src["orders"]
     orders.create_index("orderkey")
     line.create_sorted_index("shipdate")
@@ -599,13 +610,14 @@ def test_tpch_differential_after_churn(tpch_tiny, tmp_path, columnar, use_dict, 
         line.remove(h)  # epoch not advanced: limbo slots and codes at save
     assert any(b.limbo_count for b in line.context.blocks())
 
-    image, rows = str(tmp_path / "image.smcsnap"), str(tmp_path / "rows.smcsnap")
+    image = str(tmp_path / "image.smcsnap")
     save_collections(image, src)
-    export_collections(rows, src)
+    convert = dict(columnar=not columnar, block_shift=13, string_dict=use_dict, shm=shm)
     stores = [
         src,
         load_collections(image, columnar=columnar, string_dict=use_dict, shm=shm),
-        load_collections(rows, columnar=columnar, **shape()),
+        load_collections(image, **convert),
+        load_collections(image, **convert),
     ]
     assert describe_snapshot(image)["format"] == "SMCSNAP2"
     assert [b.block_id for b in stores[1]["lineitem"].context.blocks()] == [
@@ -630,14 +642,17 @@ def test_tpch_differential_after_churn(tpch_tiny, tmp_path, columnar, use_dict, 
             ),
         }
 
-    seen = [observe(store) for store in stores]
+    seen = [observe(store) for store in stores[:3]]
     assert seen[0]["by_ship"] and seen[0]["digests"]["q1"]
     assert seen[1] == seen[0]
     assert seen[2] == seen[0]
-    # Image -> load -> image reproduces the file byte for byte.
-    again = str(tmp_path / "again.smcsnap")
-    save_collections(again, stores[1])
-    assert open(again, "rb").read() == open(image, "rb").read()
+    # Image -> load -> image reproduces the file byte for byte, and one
+    # image converts to the same store every time.
+    again = [str(tmp_path / f"again{i}.smcsnap") for i in range(3)]
+    for path, store in zip(again, stores[1:]):
+        save_collections(path, store)
+    assert open(again[0], "rb").read() == open(image, "rb").read()
+    assert open(again[1], "rb").read() == open(again[2], "rb").read()
     for store in stores:
         store["_manager"].close()
 
@@ -736,27 +751,24 @@ def test_snapshot_roundtrip_property(
     rows, node_specs, friend_of, removes, updates, late_removes,
     compact, columnar, use_dict, shm,
 ):
-    """Block images and the row codec both round-trip arbitrary stores.
+    """Block images round-trip arbitrary stores, adopted or converted.
 
     Every field kind, null and cyclic references, dict-encoded
     varstrings; then removes, updates, a compaction and removes whose
     epoch never advances (limbo slots and limbo dictionary codes in the
     saved blocks), for row and columnar layouts over heap and
-    shared-memory buffers.  Original, image-reloaded and row-reloaded
-    stores must agree on enumeration order; references stale before the
-    save stay stale, even once their entries are recycled; and image ->
-    load -> image is byte-identical.
+    shared-memory buffers.  The original, its adopted image and the image
+    converted to the other layout and another block size must agree on
+    enumeration order; references stale before the save stay stale, even
+    once their entries are recycled; image -> load -> image is
+    byte-identical, and so are two conversions of one image.
     """
     import tempfile
 
-    def shape():
-        return dict(block_shift=11, string_dict=use_dict, shm=shm)
-
     factory = ColumnarCollection if columnar else Collection
-    manager = MemoryManager(**shape())
+    manager = MemoryManager(block_shift=11, string_dict=use_dict, shm=shm)
     tmp = tempfile.TemporaryDirectory(prefix="smcsnap-prop-")
     image = os.path.join(tmp.name, "image.smcsnap")
-    portable = os.path.join(tmp.name, "rows.smcsnap")
     loaded = []
     try:
         persons = factory(TPerson, manager=manager)
@@ -799,19 +811,22 @@ def test_snapshot_roundtrip_property(
             remove(index)  # no epoch advance after these
 
         save_collections(image, src)
-        export_collections(portable, src)
         loaded.append(
             load_collections(image, columnar=columnar, string_dict=use_dict, shm=shm)
         )
-        loaded.append(load_collections(portable, columnar=columnar, **shape()))
+        convert = dict(columnar=not columnar, block_shift=12, string_dict=use_dict, shm=shm)
+        loaded.append(load_collections(image, **convert))
+        loaded.append(load_collections(image, **convert))
         for store in loaded:
             assert _everything_view(store) == _everything_view(src)
             assert _nodes_view(store) == _nodes_view(src)
 
         adopted = loaded[0]
-        again = os.path.join(tmp.name, "again.smcsnap")
-        save_collections(again, adopted)
-        assert open(again, "rb").read() == open(image, "rb").read()
+        again = [os.path.join(tmp.name, f"again{i}.smcsnap") for i in range(3)]
+        for path, store in zip(again, loaded):
+            save_collections(path, store)
+        assert open(again[0], "rb").read() == open(image, "rb").read()
+        assert open(again[1], "rb").read() == open(again[2], "rb").read()
 
         ghosts = [Ref(adopted["_manager"], r.entry, r.inc) for r in stale]
         assert not any(g.is_alive for g in ghosts)

@@ -120,6 +120,10 @@ def _note_queries(notes):
         "eq": notes.query()
         .where(TNote.text == "alpaca5")
         .aggregate(n=Count()),
+        "groupby": notes.query()
+        .where(TNote.text.startswith("alpha"))
+        .group_by(text=TNote.text)
+        .aggregate(n=Count()),
     }
 
 
@@ -129,10 +133,11 @@ def test_string_predicates_survive_compaction():
     m_off, off = _worn_notes(False)
     try:
         expected = {
-            k: _count(q.run(workers=1, prune=False))
+            k: _canonical(q.run(workers=1, prune=False))
             for k, q in _note_queries(off).items()
         }
-        assert expected["prefix"] > 0 and expected["contains"] > 0
+        assert expected["prefix"][1][0][0] > 0 and expected["contains"][1][0][0] > 0
+        assert len(expected["groupby"][1]) > 1
 
         for compacted in (False, True):
             if compacted:
@@ -140,7 +145,7 @@ def test_string_predicates_survive_compaction():
                 off.compact(occupancy_threshold=0.9)
             for workers, prune in CONFIGS:
                 got = {
-                    k: _count(q.run(workers=workers, prune=prune))
+                    k: _canonical(q.run(workers=workers, prune=prune))
                     for k, q in _note_queries(on).items()
                 }
                 assert got == expected, (compacted, workers, prune)

@@ -383,6 +383,7 @@ def test_fully_pruned_scan_touches_zero_cold_bytes():
             st.tuples(st.just("add"), st.integers(0, 90)),
             st.tuples(st.just("remove"), st.integers(0, 10_000)),
             st.tuples(st.just("maintain"), st.just(0)),
+            st.tuples(st.just("compact"), st.just(0)),
         ),
         min_size=1,
         max_size=60,
@@ -390,8 +391,9 @@ def test_fully_pruned_scan_touches_zero_cold_bytes():
 )
 def test_budgeted_mutations_match_always_hot(ops):
     """fault -> read -> evict cycles are invisible: a budgeted collection
-    under random add/remove/maintain churn stays byte-identical to one
-    that never demotes anything."""
+    under random add/remove/maintain/compact churn stays byte-identical
+    to one that never demotes anything, and the budget holds at every
+    operation boundary."""
     hot = MemoryManager(block_shift=10)
     tiered = _budgeted(2)
     try:
@@ -407,6 +409,12 @@ def test_budgeted_mutations_match_always_hot(ops):
                 ref.remove(ref_handles.pop(idx))
                 sut.remove(sut_handles.pop(idx))
             elif op == "maintain":
+                tiered.pager.maintain()
+                assert tiered.pager.hot_bytes() <= tiered.pager.budget
+            elif op == "compact":
+                assert sut.compact(occupancy_threshold=0.9) == ref.compact(
+                    occupancy_threshold=0.9
+                )
                 tiered.pager.maintain()
                 assert tiered.pager.hot_bytes() <= tiered.pager.budget
         tiered.pager.maintain()
