@@ -200,12 +200,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     store = None
     replication = None
     exec_workers = _parse_workers(args.exec_workers or "0")
-    use_shm = args.shm or exec_workers > 0
+    use_shm = exec_workers > 0
     if use_shm and (args.data_dir or args.replica_of):
         # The durable store recovers onto its own heap-backed manager;
         # shared-memory serving is snapshot-only for now.
         print(
-            "--shm/--exec-workers serve a snapshot in memory and cannot "
+            "--exec-workers serves a snapshot in shared memory and cannot "
             "be combined with --data-dir or --replica-of",
             file=sys.stderr,
         )
@@ -315,7 +315,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         replication=replication,
         exec_workers=exec_workers,
         governor_budget=args.governor_budget,
-        planner=not args.no_planner,
     )
     if args.churn:
         service.start_churn()
@@ -499,18 +498,10 @@ def _cmd_query(args: argparse.Namespace) -> int:
     )
     query = builder(collections)
     if args.explain:
-        print(
-            query.explain(
-                params=DEFAULT_PARAMS, planner=not args.no_planner
-            )
-        )
+        print(query.explain(params=DEFAULT_PARAMS))
     start = time.perf_counter()
     result = query.run(
-        engine=args.engine,
-        params=DEFAULT_PARAMS,
-        workers=args.workers,
-        prune=not args.no_prune,
-        planner=not args.no_planner,
+        engine=args.engine, params=DEFAULT_PARAMS, workers=args.workers
     )
     elapsed = (time.perf_counter() - start) * 1000
     widths = [
@@ -649,18 +640,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a background mutator against a scratch collection",
     )
     serve.add_argument(
-        "--shm",
-        action="store_true",
-        help="back block buffers with named shared-memory segments "
-        "(/dev/shm), the prerequisite for --exec-workers",
-    )
-    serve.add_argument(
         "--exec-workers",
         metavar="N",
         default=None,
         help="route eligible parallel reads through N scan worker "
-        "processes attached to the shared block pool ('auto' = CPU "
-        "count; implies --shm)",
+        "processes attached to a shared-memory block pool ('auto' = "
+        "CPU count)",
     )
     serve.add_argument(
         "--memory-budget",
@@ -676,15 +661,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="BYTES",
-        help="unified byte budget for the service's caches (plan cache, "
-        "string-dict match caches, WAL group-commit buffer), "
-        "rebalanced by the memory governor",
-    )
-    serve.add_argument(
-        "--no-planner",
-        action="store_true",
-        help="disable the cost-based planner for served queries "
-        "(ablation; per-request 'planner' flags still override)",
+        help="unified byte budget for the service's caches "
+        "(string-dict match caches, WAL group-commit buffer, paged "
+        "block pool), rebalanced by the memory governor",
     )
     serve.add_argument(
         "--replica-of",
@@ -736,20 +715,9 @@ def build_parser() -> argparse.ArgumentParser:
         "'auto' uses os.cpu_count()",
     )
     query.add_argument(
-        "--no-prune",
-        action="store_true",
-        help="disable block-level zone-map pruning",
-    )
-    query.add_argument(
         "--no-dict",
         action="store_true",
         help="disable dictionary encoding for varstring columns (ablation)",
-    )
-    query.add_argument(
-        "--no-planner",
-        action="store_true",
-        help="disable cost-based predicate ordering and access-path "
-        "choice (ablation)",
     )
     query.set_defaults(fn=_cmd_query)
 

@@ -1,9 +1,9 @@
 """Unified memory governor: one byte budget across the engine's caches.
 
-The engine grows several independent caches — the service's prepared-plan
-cache, each collection's string-dictionary match/decode caches, and the
-write-ahead log's group-commit buffer.  Left alone, each imposes its own
-ad-hoc cap (a 256-entry dictionary limit, an unbounded plan cache, a
+The engine grows several independent caches — each collection's
+string-dictionary match/decode caches, the write-ahead log's
+group-commit buffer and, under a pager, the hot block pool.  Left
+alone, each imposes its own ad-hoc cap (a 256-entry dictionary limit, a
 fixed WAL buffer), so total cache memory is unowned: it depends on how
 many collections exist and which queries ran.  The governor makes the
 total explicit.  One byte budget is split across registered *tenants*
@@ -22,8 +22,8 @@ Tenant protocol (duck-typed callables supplied at registration):
     Install a new byte ceiling; the tenant must evict down to it.
 
 The governor never frees memory itself — it only moves ceilings; each
-tenant owns its eviction policy (insertion-order for the plan cache and
-match caches, flush-to-disk for the WAL buffer).  Shares are recomputed
+tenant owns its eviction policy (insertion-order for the match caches,
+flush-to-disk for the WAL buffer, demotion for the block pool).  Shares are recomputed
 proportionally to ``weight * (miss_delta + 1)`` on top of a per-tenant
 floor, so a quiet tenant keeps a minimum working set and a thrashing one
 can claim most of the pool without starving the others entirely.

@@ -7,7 +7,8 @@ policy* attached to the :class:`~repro.memory.addressing.AddressSpace`
 so the same header/directory/back-pointer layout can live either on the
 process heap (:class:`HeapBuffers`, the default) or in named
 ``multiprocessing.shared_memory`` segments (:class:`SharedBuffers`,
-selected with ``MemoryManager(shm=True)`` / ``--shm``).
+selected with ``MemoryManager(shm=True)``, which ``serve
+--exec-workers`` implies).
 
 Shared segments are what make multi-process scatter-gather execution
 possible: a worker process that inherited the address space via ``fork``

@@ -273,7 +273,7 @@ class _Grouped:
 class Query(Signed):
     """An immutable logical query over one source."""
 
-    #: ``_prepared`` memoises the vectorised engine's prepared scans on
+    #: ``_prepared`` memoises the vectorised engine's prepared scan on
     #: the node (``columnar_exec.build_scan_plan``), as ``_sig`` does the
     #: signature
     __slots__ = ("source", "ops", "_prepared")
@@ -346,8 +346,6 @@ class Query(Signed):
         params: Optional[Dict[str, Any]] = None,
         flavor: Optional[str] = None,
         workers: Optional[int] = None,
-        prune: Optional[bool] = None,
-        planner: Optional[bool] = None,
         **kwparams: Any,
     ) -> Result:
         """Execute the query and return a :class:`Result`.
@@ -357,11 +355,9 @@ class Query(Signed):
         overrides the compiled backend (e.g. ``"smc-safe"`` to model the
         paper's SMC (C#) series on a collection that defaults to the
         unsafe backend).  ``workers`` > 1 fans the scan out over the
-        parallel executors; ``prune=False`` disables block-level
-        zone-map pruning; ``planner=False`` disables cost-based conjunct
-        ordering and access-path choice (all three only affect the
-        vectorised SMC backends).  Dynamic parameters may be passed via
-        ``params=`` or as keyword arguments.
+        parallel executors (vectorised SMC backends only).  Dynamic
+        parameters may be passed via ``params=`` or as keyword
+        arguments.
         """
         merged = dict(params or {})
         merged.update(kwparams)
@@ -372,21 +368,13 @@ class Query(Signed):
         if engine == "compiled":
             from repro.query.compiler import run_compiled
 
-            return run_compiled(
-                self,
-                merged,
-                flavor=flavor,
-                workers=workers,
-                prune=prune if prune is not None else True,
-                planner=planner,
-            )
+            return run_compiled(self, merged, flavor=flavor, workers=workers)
         raise ValueError(f"unknown engine {engine!r}")
 
     def explain(
         self,
         flavor: Optional[str] = None,
         params: Optional[Dict[str, Any]] = None,
-        planner: Optional[bool] = None,
     ) -> str:
         """Human-readable plan: source, operators, compiled backend, and
         (for the vectorised SMC backends) the cost-based planner's
@@ -409,30 +397,25 @@ class Query(Signed):
         if backend in ("columnar", "smc-unsafe"):
             from repro.query import planner as _planner
 
-            if planner is None or planner:
-                filters = [
-                    op.pred for op in self.ops if isinstance(op, Where)
-                ]
-                try:
-                    __, __, info = _planner.plan_scan(
-                        self.signature(), filters, dict(params or {}),
-                        self.source,
+            filters = [op.pred for op in self.ops if isinstance(op, Where)]
+            try:
+                __, __, info = _planner.plan_scan(
+                    self.signature(), filters, dict(params or {}),
+                    self.source,
+                )
+            except Exception:
+                info = None
+            if info is not None:
+                lines.extend(info.explain_lines())
+                obs = _planner.observation(self.signature())
+                if obs is not None:
+                    lines.append(
+                        f"  last run: {obs['rows_matched']} rows matched "
+                        f"of {obs['rows_scanned']} scanned "
+                        f"(est {obs['est_rows']}), "
+                        f"{obs['blocks_pruned']} blocks pruned / "
+                        f"{obs['blocks_scanned']} scanned"
                     )
-                except Exception:
-                    info = None
-                if info is not None:
-                    lines.extend(info.explain_lines())
-                    obs = _planner.observation(self.signature())
-                    if obs is not None:
-                        lines.append(
-                            f"  last run: {obs['rows_matched']} rows matched "
-                            f"of {obs['rows_scanned']} scanned "
-                            f"(est {obs['est_rows']}), "
-                            f"{obs['blocks_pruned']} blocks pruned / "
-                            f"{obs['blocks_scanned']} scanned"
-                        )
-            else:
-                lines.append("  planner: off (declaration-order predicates)")
         return "\n".join(lines)
 
     def count(self, **kwparams: Any) -> int:

@@ -89,63 +89,49 @@ from repro.schema.fields import (
 _PYOBJ = ("any", None)
 
 def build_scan_plan(
-    query: Query,
-    params: Dict[str, Any],
-    prune: bool = True,
-    planner: Optional[bool] = None,
+    query: Query, params: Dict[str, Any]
 ) -> Tuple["_ScanPlan", List[Any]]:
     """Lower *query* to a scan plan plus its post-scan operator list.
 
     The plan is what executors (serial, thread pool, process pool)
     consume; the post ops (order/limit/having/distinct) always run on
-    the driver after the merge.  ``planner`` toggles cost-based conjunct
-    splitting/ordering and access-path choice (None = on); with the
-    planner off, predicates run in declaration order — the ablation
-    baseline.
+    the driver after the merge.
 
     Two steps, the paper's compile-once-run-many (section 4): the query
     is *prepared* once — everything that does not depend on the
     parameters, memoised on the ``Query`` node — and every request only
-    *binds* its parameters to that.
+    *binds* its parameters to that.  Binding runs no scan: semi-join
+    subqueries run when the plan executes (:func:`_execute`).
     """
-    use_planner = planner is None or bool(planner)
     stamp = _planner.stats_stamp(query.source.manager)
-    try:
-        memo = query._prepared
-    except AttributeError:
-        memo = query._prepared = {}
-    key = (bool(prune), use_planner)
-    prepared = memo.get(key)
+    prepared = getattr(query, "_prepared", None)
     if prepared is None or (
         prepared.stamp is not stamp and prepared.stamp != stamp
     ):
         # The statistics moved since it was made (or it never was).
         # Racing threads may both prepare; the plans are equivalent and
         # the last one stays.
-        prepared = memo[key] = _PreparedScan(
-            query, params, key[0], use_planner, stamp
-        )
+        prepared = query._prepared = _PreparedScan(query, params, stamp)
     return prepared.bind(params), prepared.post
 
 
 class _PreparedScan:
     """The part of a scan plan that no request's parameters change.
 
-    Made once per (query, prune, planner) and shared by every thread
-    that runs the query, so it holds no per-request state: the walk of
-    the ops, the split and cost-ordered conjuncts (ranked with the
-    parameters of the first request — order never changes a result, only
-    how early rows drop out), the access-path candidate, the zone tests
-    as templates, the planner's estimates for the feedback registry.
-    Semi-join subqueries are ``Query`` nodes with prepared scans of
-    their own.
+    Made once per query and shared by every thread that runs it, so it
+    holds no per-request state: the walk of the ops, the split and
+    cost-ordered conjuncts (ranked with the parameters of the first
+    request — order never changes a result, only how early rows drop
+    out), the access-path candidate, the zone tests as templates, the
+    planner's estimates for the feedback registry.  Semi-join
+    subqueries are ``Query`` nodes with prepared scans of their own.
     """
 
     __slots__ = (
         "stamp",
         "source",
         "filters",
-        "inset_ops",
+        "semijoins",
         "terminal",
         "post",
         "zone_templates",
@@ -153,20 +139,18 @@ class _PreparedScan:
         "info",
     )
 
-    def __init__(
-        self, query: Query, params, prune: bool, use_planner: bool, stamp
-    ) -> None:
+    def __init__(self, query: Query, params, stamp) -> None:
         self.stamp = stamp
         self.source = source = query.source
         filters: List[Expr] = []
-        self.inset_ops: List[WhereIn] = []
+        self.semijoins: List[WhereIn] = []
         self.terminal = None
         self.post: List[Any] = []
         for op in query.ops:
             if isinstance(op, Where):
                 filters.append(op.pred)
             elif isinstance(op, WhereIn):
-                self.inset_ops.append(op)
+                self.semijoins.append(op)
             elif isinstance(op, (Select, GroupBy)):
                 if self.terminal is not None:
                     raise CompileError(
@@ -179,27 +163,21 @@ class _PreparedScan:
                 raise CompileError(
                     f"cannot run op {op!r} on the columnar engine"
                 )
-
-        #: planner access-path candidate (``planner.IndexChoice``)
-        self.index_choice = None
-        #: planner estimates (``planner.PlanInfo``) — None with planner off
-        self.info = None
         # Cost-based filter ordering (repro.query.planner): conjunctions
         # are split and conjuncts ranked cheapest-and-most-selective-
         # first from zone-map / dictionary statistics, so expensive
-        # navigating kernels see already-reduced row sets.  With the
-        # planner disabled (the ablation) predicates run exactly as
-        # declared.
-        if use_planner:
-            filters, self.index_choice, self.info = _planner.plan_scan(
-                query.signature(), filters, params, source, prune=prune
-            )
-        self.filters = filters
-        self.zone_templates = derive_zone_tests(filters, source) if prune else []
+        # navigating kernels see already-reduced row sets.
+        #: ``index_choice`` is the access-path candidate
+        #: (``planner.IndexChoice``), ``info`` the estimates
+        #: (``planner.PlanInfo``)
+        self.filters, self.index_choice, self.info = _planner.plan_scan(
+            query.signature(), filters, params, source
+        )
+        self.zone_templates = derive_zone_tests(self.filters, source)
 
     def bind(self, params: Dict[str, Any]) -> "_ScanPlan":
         """This request's plan: the zone bounds, dictionary code sets
-        and index key its parameters name, its subqueries' keys."""
+        and index key its parameters name."""
         zone_tests = []
         for template in self.zone_templates:
             test = template.bind(params)
@@ -208,34 +186,25 @@ class _PreparedScan:
         choice = self.index_choice
         if choice is not None:
             choice = choice.bind(params)
-        # Subqueries run up front on the driver thread; each scan worker
-        # probes its own _InsetProbe over the shared (read-only) raw key
-        # columns.
-        inset_ops = [
-            (op, _subquery_keys(op.subquery, params)) for op in self.inset_ops
-        ]
         source = self.source
         return _ScanPlan(
             source.manager,
             source,
             params,
             self.filters,
-            inset_ops,
+            [],
             self.terminal,
             zone_tests,
             choice,
             self.info,
+            self.semijoins,
         )
 
 
 def run_columnar(
-    query: Query,
-    params: Dict[str, Any],
-    workers: Optional[int] = None,
-    prune: bool = True,
-    planner: Optional[bool] = None,
+    query: Query, params: Dict[str, Any], workers: Optional[int] = None
 ) -> Result:
-    plan, post = build_scan_plan(query, params, prune=prune, planner=planner)
+    plan, post = build_scan_plan(query, params)
     acc = _execute(plan, max(1, int(workers or 1)))
     return _finish(plan, acc, post)
 
@@ -263,6 +232,7 @@ def _subquery_keys(subquery: Query, params: Dict[str, Any]) -> "_KeyColumns":
 
 def _execute(plan: "_ScanPlan", nworkers: int) -> "_Accumulator":
     """Scan *plan* on the executor its shape selects; record telemetry."""
+    plan.run_subqueries()
     manager = plan.manager
     zone_tests = plan.zone_tests
     if plan.index_choice is not None:
@@ -333,14 +303,13 @@ def _execute(plan: "_ScanPlan", nworkers: int) -> "_Accumulator":
         extra["last_scan_selectivity_ppm"] = int(
             1_000_000 * acc.rows_matched / acc.rows_scanned
         )
-    if plan.info is not None:
-        _planner.record_observation(
-            plan.info,
-            rows_scanned=acc.rows_scanned,
-            rows_matched=acc.rows_matched,
-            blocks_scanned=scanned,
-            blocks_pruned=pruned,
-        )
+    _planner.record_observation(
+        plan.info,
+        rows_scanned=acc.rows_scanned,
+        rows_matched=acc.rows_matched,
+        blocks_scanned=scanned,
+        blocks_pruned=pruned,
+    )
     return acc
 
 
@@ -365,11 +334,11 @@ class _ScanPlan:
     """Everything a scan worker needs to process one block.
 
     One request's binding of a :class:`_PreparedScan`: made per request,
-    immutable from then on and shared (read-only) between the serial
-    path and the parallel scan workers; the only per-worker state is
-    the ``_InsetProbe`` list (its lazily aligned key arrays are not
-    thread-safe) and the partial :class:`_Accumulator` each worker folds
-    blocks into.
+    its semi-join keys filled in once when it executes, and from then on
+    shared (read-only) between the serial path and the parallel scan
+    workers; the only per-worker state is the ``_InsetProbe`` list (its
+    lazily aligned key arrays are not thread-safe) and the partial
+    :class:`_Accumulator` each worker folds blocks into.
     """
 
     __slots__ = (
@@ -382,6 +351,7 @@ class _ScanPlan:
         "zone_tests",
         "index_choice",
         "info",
+        "semijoins",
     )
 
     def __init__(
@@ -395,6 +365,7 @@ class _ScanPlan:
         zone_tests,
         index_choice=None,
         info=None,
+        semijoins=(),
     ) -> None:
         self.manager = manager
         self.source = source
@@ -407,8 +378,22 @@ class _ScanPlan:
         #: bound to this request's key)
         self.index_choice = index_choice
         #: the prepared scan's estimates (``planner.PlanInfo``, shared and
-        #: read-only) — None with planner off
+        #: read-only) — None on a process worker's decoded plan
         self.info = info
+        #: the ``WhereIn`` ops whose subqueries :meth:`run_subqueries`
+        #: resolves into ``inset_ops`` (``(op, _KeyColumns)`` pairs)
+        self.semijoins = semijoins
+
+    def run_subqueries(self) -> None:
+        """Run each semi-join subquery once, on the driver thread,
+        before any executor, ``plansnap`` or the index lookup reads
+        ``inset_ops``; each scan worker then probes its own
+        ``_InsetProbe`` over the shared (read-only) raw key columns."""
+        if self.semijoins and not self.inset_ops:
+            self.inset_ops = [
+                (op, _subquery_keys(op.subquery, self.params))
+                for op in self.semijoins
+            ]
 
     def make_probes(self) -> List["_InsetProbe"]:
         return [_InsetProbe(op, sub) for op, sub in self.inset_ops]

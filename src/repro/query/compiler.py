@@ -120,8 +120,6 @@ def run_compiled(
     params: Dict[str, Any],
     flavor: Optional[str] = None,
     workers: Optional[int] = None,
-    prune: bool = True,
-    planner: Optional[bool] = None,
 ) -> Result:
     flavor = flavor or flavor_for(query.source)
     if flavor in ("columnar", "smc-unsafe"):
@@ -129,9 +127,7 @@ def run_compiled(
         # are accessed through strided views (see columnar_exec).
         from repro.query.columnar_exec import run_columnar
 
-        return run_columnar(
-            query, params, workers=workers, prune=prune, planner=planner
-        )
+        return run_columnar(query, params, workers=workers)
     compiled = get_compiled(query, flavor)
     columns, rows = compiled.fn(
         query.source, params, _materialise_insets(query, params)

@@ -24,11 +24,9 @@ every admitted block the same way.  This module closes the loop
   (`exec_workers`) — fan-out costs more than the scan saves.
 
 Everything here is *advisory*: ordering never changes results (the
-engines apply every predicate), estimates may be wrong (EXPLAIN prints
-estimated vs actual rows so mis-estimates are debuggable), and the
-whole planner can be disabled per query (``planner=False`` /
-``--no-planner``) for ablation, which restores declaration-order
-predicate evaluation with no conjunction splitting.
+engines apply every predicate), and estimates may be wrong (EXPLAIN
+prints estimated vs actual rows so mis-estimates are debuggable).  It
+runs for every scan.
 """
 
 from __future__ import annotations
@@ -97,9 +95,9 @@ def stats_stamp(manager) -> tuple:
     planner's statistics universe: navigation resolves fields through
     the same registry).  Everything decided from statistics — conjunct
     order, access path, the table statistics themselves — is valid while
-    the stamp is unchanged: the memo of prepared scans on a ``Query``,
-    the service's plan cache and :func:`table_stats` all compare it and
-    nothing else.  It is exactly coarse enough that steady-state churn
+    the stamp is unchanged: the prepared scan memoised on a ``Query``
+    (and so on each entry of the service's plan cache) and
+    :func:`table_stats` compare it and nothing else.  It is exactly coarse enough that steady-state churn
     (slot reuse inside existing blocks, refcount traffic on existing
     strings) leaves it alone while real growth — a new block, a
     cardinality doubling, an index — moves it.  An unchanged stamp is
@@ -751,7 +749,6 @@ def plan_scan(
     filters: List[Expr],
     params: Dict[str, Any],
     source,
-    prune: bool = True,
 ) -> Tuple[List[Expr], Optional[IndexChoice], PlanInfo]:
     """Order a scan's conjuncts and choose its access path."""
     ordered, plans = order_filters(filters, params, source)
@@ -768,7 +765,7 @@ def plan_scan(
     if choice is not None:
         info.access_path = "index-lookup"
         info.index_field = choice.index.field_name
-    elif prune and any(p.selectivity < 1.0 for p in plans):
+    elif any(p.selectivity < 1.0 for p in plans):
         info.access_path = "pruned-scan"
     return ordered, choice, info
 
@@ -825,9 +822,7 @@ class _Feedback:
 _feedback = _Feedback()
 
 
-def record_observation(info: Optional[PlanInfo], **observed: int) -> None:
-    if info is None:
-        return
+def record_observation(info: PlanInfo, **observed: int) -> None:
     _feedback.record(info.signature, est_rows=info.est_rows, **observed)
 
 

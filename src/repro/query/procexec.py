@@ -276,7 +276,7 @@ class ProcessScanPool:
         if not getattr(manager.space.buffers, "shared", False):
             raise ValueError(
                 "process executor requires shared-memory buffers; "
-                "create the manager with shm=True (serve --shm)"
+                "create the manager with shm=True (serve --exec-workers)"
             )
         self.manager = manager
         self.workers = max(1, int(workers))

@@ -154,7 +154,6 @@ class ServiceClient:
         engine: str = "compiled",
         flavor: Optional[str] = None,
         workers: int = 1,
-        prune: bool = True,
         params: Optional[Dict[str, Any]] = None,
         queue_class: str = "default",
     ) -> Result:
@@ -163,7 +162,6 @@ class ServiceClient:
             "query": name,
             "engine": engine,
             "workers": workers,
-            "prune": prune,
             "class": queue_class,
         }
         if flavor is not None:
@@ -506,7 +504,6 @@ class RoutedClient:
         engine: str = "compiled",
         flavor: Optional[str] = None,
         workers: int = 1,
-        prune: bool = True,
         params: Optional[Dict[str, Any]] = None,
         queue_class: str = "default",
         bound: Optional[int] = None,
@@ -521,7 +518,7 @@ class RoutedClient:
             for ep in self._read_order():
                 try:
                     reply = self._query_once(
-                        ep, name, engine, flavor, workers, prune, params,
+                        ep, name, engine, flavor, workers, params,
                         queue_class, floor,
                     )
                 except ServiceOverloadedError:
@@ -556,7 +553,7 @@ class RoutedClient:
         raise last_exc or ServiceError("UNAVAILABLE", "no endpoint answered")
 
     def _query_once(
-        self, ep, name, engine, flavor, workers, prune, params,
+        self, ep, name, engine, flavor, workers, params,
         queue_class, floor,
     ) -> Dict[str, Any]:
         client = self._client(ep)
@@ -565,7 +562,6 @@ class RoutedClient:
             "query": name,
             "engine": engine,
             "workers": workers,
-            "prune": prune,
             "class": queue_class,
             "min_lsn": floor,
             "wait": self.stale_wait,

@@ -1,46 +1,38 @@
-"""Prepared-plan cache keyed on (query, layout, encoding, engine).
+"""Prepared-plan cache keyed on the served query's name.
 
 Query plans are parameterised at run time (``Query.run(params=...)``),
-so one built plan serves every request for the same query shape.  What
-an entry holds is the ``Query`` tree *and the prepared scans memoised on
-it* by the vectorised engine (``columnar_exec.build_scan_plan``):
-predicate order, access path, zone-test templates.  A hit therefore
-skips plan construction and planning alike — the request only binds its
+so one built plan serves every request for the same query.  What an
+entry holds is the ``Query`` tree *and the prepared scan memoised on it*
+by the vectorised engine (``columnar_exec.build_scan_plan``): predicate
+order, access path, zone-test templates.  A hit therefore skips plan
+construction and planning alike — the request only binds its
 parameters.  Hit/miss counters feed the service metrics registry.
 
-Those decisions come from statistics and go stale as the store grows;
-the staleness rule lives with them, not here: a prepared scan records
-the coarse stats stamp it was made under
+Nothing else a request names changes what is cached: engine, flavour
+and worker count are execution choices made per run, and the served
+store's layout and string encoding are fixed for a server's lifetime.
+So the name is the whole key, and the cache holds at most one plan per
+registered query — no byte budget bounds it.
+
+The prepared scan's decisions come from statistics and go stale as the
+store grows; the staleness rule lives with them, not here: a prepared
+scan records the coarse stats stamp it was made under
 (``repro.query.planner.stats_stamp``) and the engine re-prepares it when
 the stamp moves, so a cached ``Query`` never needs evicting for it.
-
-The cache is also a governor tenant: plans are charged a nominal byte
-cost and evicted oldest-first when the installed budget shrinks below
-the held total.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Dict, Optional, Tuple
-
-PlanKey = Tuple[str, str, str, Any]
-
-#: Nominal bytes charged per cached plan.  Plans are small object graphs
-#: (expression trees + compiled-function references) whose true footprint
-#: is unmeasurable without walking them; a flat charge keeps the governor
-#: arithmetic honest about *count* pressure, which is what matters here.
-NOMINAL_PLAN_BYTES = 8192
+from typing import Any, Callable, Dict
 
 
 class PlanCache:
-    def __init__(self, metrics=None, budget_bytes: Optional[int] = None) -> None:
+    def __init__(self, metrics=None) -> None:
         self._lock = threading.Lock()
-        self._plans: Dict[PlanKey, Any] = {}
-        self._budget = budget_bytes
+        self._plans: Dict[str, Any] = {}
         self._hits = 0
         self._misses = 0
-        self.capacity_evictions = 0
         if metrics is not None:
             self._hit_counter = metrics.counter(
                 "service_plan_cache_hits_total", "Prepared-plan cache hits"
@@ -56,62 +48,29 @@ class PlanCache:
         else:
             self._hit_counter = self._miss_counter = None
 
-    @staticmethod
-    def key_for(
-        query_name: str, layout: str, encoding: str, engine: Any
-    ) -> PlanKey:
-        """*engine* is whatever hashable names the execution options
-        (engine, flavour, workers, pruning, planner)."""
-        return (query_name, layout, encoding, engine)
-
-    def _evict_to_budget_locked(self) -> None:
-        if self._budget is None:
-            return
-        limit = max(1, self._budget // NOMINAL_PLAN_BYTES)
-        while len(self._plans) > limit:
-            oldest = next(iter(self._plans))
-            del self._plans[oldest]
-            self.capacity_evictions += 1
-
-    def get_or_build(self, key: PlanKey, build: Callable[[], Any]) -> Any:
+    def get_or_build(self, name: str, build: Callable[[], Any]) -> Any:
         with self._lock:
-            plan = self._plans.get(key)
+            plan = self._plans.get(name)
             if plan is not None:
                 self._hits += 1
         if plan is not None:
             if self._hit_counter is not None:
-                self._hit_counter.inc(query=key[0])
+                self._hit_counter.inc(query=name)
             return plan
         # Build outside the lock (plan construction can be slow); a racing
-        # builder for the same key is harmless — last write wins and both
+        # builder for the same name is harmless — last write wins and both
         # plans are equivalent.
         plan = build()
         with self._lock:
-            self._plans[key] = plan
+            self._plans[name] = plan
             self._misses += 1
-            self._evict_to_budget_locked()
         if self._miss_counter is not None:
-            self._miss_counter.inc(query=key[0])
+            self._miss_counter.inc(query=name)
         return plan
 
     def invalidate(self) -> None:
         with self._lock:
             self._plans.clear()
-
-    # -- governor tenant hooks ------------------------------------------
-
-    def usage_bytes(self) -> int:
-        with self._lock:
-            return len(self._plans) * NOMINAL_PLAN_BYTES
-
-    def set_budget(self, budget: Optional[int]) -> None:
-        with self._lock:
-            self._budget = budget
-            self._evict_to_budget_locked()
-
-    def counters(self) -> Tuple[int, int]:
-        with self._lock:
-            return self._hits, self._misses
 
     @property
     def size(self) -> int:
@@ -124,5 +83,4 @@ class PlanCache:
                 "hits": self._hits,
                 "misses": self._misses,
                 "size": len(self._plans),
-                "capacity_evictions": self.capacity_evictions,
             }

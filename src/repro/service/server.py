@@ -144,7 +144,6 @@ class QueryService:
         replication=None,
         exec_workers: int = 0,
         governor_budget: Optional[int] = None,
-        planner: bool = True,
     ) -> None:
         self.collections = {
             k: v for k, v in collections.items() if not k.startswith("_")
@@ -204,18 +203,6 @@ class QueryService:
             metrics=self.metrics,
         )
         self.plans = PlanCache(metrics=self.metrics)
-        #: Layout and string encoding of the served store, for plan-cache
-        #: keys; neither changes after start-up.
-        self._layout = next(
-            (
-                getattr(coll, "compiled_flavor", "smc-unsafe")
-                for coll in self.collections.values()
-            ),
-            "smc-unsafe",
-        )
-        self._encoding = (
-            "dict" if getattr(self.manager, "string_dict", False) else "plain"
-        )
         self._requests = self.metrics.counter(
             "service_requests_total", "Requests handled, by op and status"
         )
@@ -227,25 +214,17 @@ class QueryService:
             "Multi-worker requests routed to one worker by estimated rows",
         )
         self.churn: Optional[ChurnMutator] = None
-        #: Server-side default for cost-based planning; per-request
-        #: ``planner`` flags override it (and key the plan cache).
-        self.planner_enabled = bool(planner)
         #: Unified memory governor over the service's caches.  One byte
-        #: budget is split across the plan cache, the collections'
-        #: string-dictionary match caches and the WAL group-commit
-        #: buffer, rebalanced from live hit/miss counters.
+        #: budget is split across the collections' string-dictionary
+        #: match caches, the WAL group-commit buffer and the paged block
+        #: pool, rebalanced from live hit/miss counters.  The plan cache
+        #: is no tenant: it holds at most one plan per registered query.
         self.governor = None
         if governor_budget:
             from repro.memory.governor import MemoryGovernor
 
             self.governor = MemoryGovernor(
                 int(governor_budget), self.metrics
-            )
-            self.governor.register(
-                "plan_cache",
-                usage=self.plans.usage_bytes,
-                counters=self.plans.counters,
-                set_budget=self.plans.set_budget,
             )
             dicts = [
                 sd
@@ -356,7 +335,6 @@ class QueryService:
                         self.manager.telemetry()
                     ),
                     "plan_cache": self.plans.stats(),
-                    "planner": self.planner_enabled,
                 }
                 if self.governor is not None:
                     response["governor"] = self.governor.snapshot()
@@ -429,7 +407,6 @@ class QueryService:
         engine = message.get("engine", "compiled")
         flavor = message.get("flavor")
         workers = int(message.get("workers") or 1)
-        prune = bool(message.get("prune", True))
         queue_class = str(message.get("class", "default"))
         params = dict(DEFAULT_PARAMS)
         overrides = message.get("params")
@@ -468,23 +445,16 @@ class QueryService:
         # Stamp the watermark *before* execution: the data read is
         # guaranteed to reflect at least this LSN, never less.
         lsn_at_start = self._current_lsn()
-        use_planner = bool(message.get("planner", self.planner_enabled))
-        key = PlanCache.key_for(
-            str(name),
-            self._layout,
-            self._encoding,
-            (engine, flavor, workers, prune, use_planner),
-        )
-        # A cached query carries its prepared scans (conjunct order,
-        # access path); the engine re-prepares them itself when the
+        # A cached query carries its prepared scan (conjunct order,
+        # access path); the engine re-prepares it itself when the
         # store's coarse stats stamp moves.
-        plan = self.plans.get_or_build(key, lambda: builder(self.collections))
+        plan = self.plans.get_or_build(name, lambda: builder(self.collections))
 
         # Serve-path worker routing: a query the planner estimates to
         # touch only a handful of rows is not worth a parallel fan-out —
         # run it on one worker and leave the pool to the big scans.
         effective_workers = workers
-        if use_planner and workers > 1:
+        if workers > 1:
             est = _planner.estimate_query_rows(plan, params)
             effective_workers = _planner.route_workers(est, workers)
             if effective_workers != workers:
@@ -501,8 +471,6 @@ class QueryService:
                     params=params,
                     flavor=flavor,
                     workers=effective_workers,
-                    prune=prune,
-                    planner=use_planner,
                 )
                 elapsed_ms = (time.perf_counter() - start) * 1000
             finally:
@@ -537,15 +505,12 @@ class QueryService:
                 "error": "BAD_REQUEST",
                 "detail": f"unknown query {name!r}; choose from {known}",
             }
-        use_planner = bool(message.get("planner", self.planner_enabled))
         params = dict(DEFAULT_PARAMS)
         overrides = message.get("params")
         if overrides:
             params.update(protocol.decode_value(overrides))
         query = builder(self.collections)
-        text = query.explain(
-            flavor=message.get("flavor"), params=params, planner=use_planner
-        )
+        text = query.explain(flavor=message.get("flavor"), params=params)
         return {"ok": True, "query": str(name), "text": text}
 
     def _op_mutate(self, message: Dict[str, Any]) -> Dict[str, Any]:

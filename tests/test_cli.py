@@ -70,6 +70,27 @@ def test_query_unknown_rejected(snapshot):
     assert "unknown query" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("serve", "snap", "--no-planner"),
+        ("serve", "snap", "--shm"),
+        ("query", "snap", "q6", "--no-prune"),
+        ("query", "snap", "q6", "--no-planner"),
+    ],
+)
+def test_pruning_and_planning_are_not_options(argv):
+    proc = _repro(*argv)
+    assert proc.returncode == 2
+    assert "unrecognized arguments" in proc.stderr
+
+
+def test_exec_workers_refuse_a_data_dir(tmp_path):
+    proc = _repro("serve", "--data-dir", str(tmp_path), "--exec-workers", "2")
+    assert proc.returncode == 2
+    assert "--exec-workers serves a snapshot in shared memory" in proc.stderr
+
+
 def test_bench_unknown_figure_rejected():
     proc = _repro("bench", "fig99")
     assert proc.returncode == 2

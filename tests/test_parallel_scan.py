@@ -1,8 +1,9 @@
 """Thread-parallel scans and zone-map pruning.
 
 Differential guarantees first: every TPC-H query must produce identical
-results across worker counts and with pruning on/off, on both layouts,
-and while a compaction cycle runs underneath.  Then the zone-map
+results across worker counts and with pruning on or swapped out
+(``tests.seams.unpruned``), on both layouts, and while a compaction
+cycle runs underneath.  Then the zone-map
 lifecycle: lazy build, conservative staleness after frees, invalidation
 on in-place updates, exact rebuild on compaction.
 
@@ -11,6 +12,7 @@ All tests here are sanitizer-compatible (``pytest --sanitize``).
 
 from __future__ import annotations
 
+import contextlib
 import threading
 
 import pytest
@@ -21,6 +23,7 @@ from repro.query.builder import Count, Sum
 from repro.tpch.loader import load_smc
 from repro.tpch.queries import DEFAULT_PARAMS, EXTRA_QUERIES, QUERIES
 from tests.schemas import TPerson
+from tests.seams import unpruned
 
 ALL_QUERIES = {**QUERIES, **EXTRA_QUERIES}
 
@@ -44,10 +47,14 @@ def tpch_smc(request, tpch_tiny):
 def test_differential_workers_and_pruning(tpch_smc, name):
     """Parallel and pruned scans return exactly the serial unpruned rows,
     in the serial order, down to each ``Decimal``'s exponent."""
-    query = ALL_QUERIES[name](tpch_smc)
-    expected = repr(query.run(params=DEFAULT_PARAMS, workers=1, prune=False).rows)
+    def run(workers, prune):
+        with contextlib.nullcontext() if prune else unpruned():
+            query = ALL_QUERIES[name](tpch_smc)
+            return query.run(params=DEFAULT_PARAMS, workers=workers)
+
+    expected = repr(run(1, False).rows)
     for workers, prune in CONFIGS:
-        got = query.run(params=DEFAULT_PARAMS, workers=workers, prune=prune)
+        got = run(workers, prune)
         assert repr(got.rows) == expected, (name, workers, prune)
 
 
@@ -65,12 +72,17 @@ def _worn_people(n=3000, keep_mod=3):
 def test_parallel_scan_during_compaction():
     """Workers racing a compaction cycle still see every survivor once."""
     m, people = _worn_people()
-    query = (
-        people.query()
-        .where(TPerson.age >= 0)
-        .aggregate(n=Count(), total=Sum(TPerson.age))
-    )
-    expected = _canonical(query.run(workers=1, prune=False))
+
+    def build():
+        return (
+            people.query()
+            .where(TPerson.age >= 0)
+            .aggregate(n=Count(), total=Sum(TPerson.age))
+        )
+
+    with unpruned():
+        expected = _canonical(build().run(workers=1))
+    query = build()
 
     results = []
     errors = []
@@ -79,9 +91,7 @@ def test_parallel_scan_during_compaction():
     def scanner():
         try:
             while not stop.is_set():
-                results.append(
-                    _canonical(query.run(workers=4, prune=True))
-                )
+                results.append(_canonical(query.run(workers=4)))
         except Exception as exc:  # pragma: no cover - surfaced below
             errors.append(exc)
 
@@ -120,7 +130,7 @@ def test_zone_map_built_lazily_by_pruning_scan():
     assert block.zones is None  # writers never build statistics
 
     probe = people.query().where(TPerson.age == 5_000).aggregate(n=Count())
-    assert _count(probe.run(workers=1, prune=True)) == 0
+    assert _count(probe.run(workers=1)) == 0
     zones = block.zones
     assert zones is not None and zones.version == block.zone_version
     assert (zones.lo["age"], zones.hi["age"]) == (0, 99)
@@ -134,7 +144,7 @@ def test_zone_staleness_free_keeps_bounds_conservative():
     people = Collection(TPerson, manager=m)
     handles = [people.add(name="p", age=i) for i in range(100)]
     probe = people.query().where(TPerson.age >= 99).aggregate(n=Count())
-    assert _count(probe.run(workers=1, prune=True)) == 1
+    assert _count(probe.run(workers=1)) == 1
 
     block = _lineitem_block(people)
     people.remove(handles[99])  # drop the max
@@ -142,7 +152,7 @@ def test_zone_staleness_free_keeps_bounds_conservative():
     assert zones.stale >= 1
     assert zones.hi["age"] == 99  # stale-wide, by design
     before = dict(m.stats.extra)
-    assert _count(probe.run(workers=1, prune=True)) == 0
+    assert _count(probe.run(workers=1)) == 0
     # The conservative map admits the block even though it can no longer match.
     assert m.stats.extra.get("zone_pruned_blocks", 0) == before.get(
         "zone_pruned_blocks", 0
@@ -156,9 +166,9 @@ def test_zone_invalidated_by_inplace_update():
     people = Collection(TPerson, manager=m)
     handles = [people.add(name="p", age=i) for i in range(100)]
     probe = people.query().where(TPerson.age >= 5_000).aggregate(n=Count())
-    assert _count(probe.run(workers=1, prune=True)) == 0
+    assert _count(probe.run(workers=1)) == 0
     handles[0].age = 10_000
-    assert _count(probe.run(workers=1, prune=True)) == 1
+    assert _count(probe.run(workers=1)) == 1
     block = _lineitem_block(people)
     assert block.zones.hi["age"] == 10_000  # rebuilt after invalidation
     m.close()
@@ -174,7 +184,7 @@ def test_zone_rebuilt_exactly_on_compaction():
         .where(TPerson.age > survivors_max)
         .aggregate(n=Count())
     )
-    assert _count(probe.run(workers=1, prune=True)) == 0
+    assert _count(probe.run(workers=1)) == 0
     moved = people.compact(occupancy_threshold=0.9)
     assert moved > 0
     for block in people.context.blocks():
@@ -183,7 +193,7 @@ def test_zone_rebuilt_exactly_on_compaction():
             continue
         assert zones.hi["age"] <= survivors_max
     before = m.stats.extra.get("zone_pruned_blocks", 0)
-    assert _count(probe.run(workers=1, prune=True)) == 0
+    assert _count(probe.run(workers=1)) == 0
     # Rebuilt (or lazily re-derived) bounds now exclude the probe range.
     assert m.stats.extra.get("zone_pruned_blocks", 0) > before
     m.close()
@@ -204,7 +214,7 @@ def test_selective_band_prunes_most_blocks():
     )
     before_p = m.stats.extra.get("zone_pruned_blocks", 0)
     before_s = m.stats.extra.get("zone_scanned_blocks", 0)
-    assert _count(probe.run(workers=1, prune=True)) == 101
+    assert _count(probe.run(workers=1)) == 101
     pruned = m.stats.extra.get("zone_pruned_blocks", 0) - before_p
     scanned = m.stats.extra.get("zone_scanned_blocks", 0) - before_s
     assert pruned + scanned == nblocks

@@ -1,13 +1,14 @@
 """Cost-based planner, memory governor, and the budgeted caches they govern.
 
-The identity tests pin the planner's core contract: turning the planner
-on (conjunct splitting, predicate reordering, access-path choice,
+The identity tests pin the planner's core contract: planning
+(conjunct splitting, predicate reordering, access-path choice,
 adaptive join sides) never changes what a query returns —
-results are byte-identical to the ``--no-planner`` ablation across both
-SMC layouts, worker counts, and compaction churn.  The unit tests pin
-the cost model's arithmetic, the governor's rebalance invariants, and
-the budget/eviction behaviour of the plan cache, StringDict match cache
-and WAL group-commit buffer.
+results are byte-identical to declaration-order evaluation with no
+index (``tests.seams.unplanned``) across both SMC layouts, worker
+counts, and compaction churn.  The unit tests pin the cost model's
+arithmetic, the governor's rebalance invariants, and the
+budget/eviction behaviour of the StringDict match cache and WAL
+group-commit buffer.
 """
 
 import datetime
@@ -24,12 +25,12 @@ from repro.query import planner
 from repro.query.expressions import BoolOp, param
 from repro.rdbms import engine as rdbms_engine
 from repro.rdbms.queries import run_plan
-from repro.service.plancache import NOMINAL_PLAN_BYTES, PlanCache
 from repro.tpch import load_rdbms, load_smc
 from repro.tpch.queries import DEFAULT_PARAMS, EXTRA_QUERIES, QUERIES
 from repro.tpch.schema import Lineitem as L
 
 from tests.schemas import TPerson
+from tests.seams import unpruned, unplanned
 
 ALL_QUERIES = dict(QUERIES)
 ALL_QUERIES.update(EXTRA_QUERIES)
@@ -41,25 +42,24 @@ def _identical(result, baseline):
 
 
 # ----------------------------------------------------------------------
-# Planner on == planner off, byte for byte
+# Planned == declaration order, byte for byte
 # ----------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("layout", ["row", "columnar"])
 def test_planner_identity_all_queries(tpch_tiny, layout):
     """Every TPC-H query, both layouts, workers 1 and 4, before and
-    after compaction churn: the planned result equals the ablation."""
+    after compaction churn: the planned result equals the unplanned one."""
     colls = load_smc(tpch_tiny, columnar=(layout == "columnar"))
     manager = colls["_manager"]
     try:
         def check_all():
             for name, builder in ALL_QUERIES.items():
-                baseline = builder(colls).run(
-                    params=DEFAULT_PARAMS, planner=False
-                )
+                with unplanned():
+                    baseline = builder(colls).run(params=DEFAULT_PARAMS)
                 for workers in (1, 4):
                     planned = builder(colls).run(
-                        params=DEFAULT_PARAMS, planner=True, workers=workers
+                        params=DEFAULT_PARAMS, workers=workers
                     )
                     _identical(planned, baseline)
 
@@ -81,7 +81,7 @@ def test_planner_observed_selectivity_recorded(tpch_tiny):
     colls = load_smc(tpch_tiny, columnar=True)
     manager = colls["_manager"]
     try:
-        result = QUERIES["q1"](colls).run(params=DEFAULT_PARAMS, planner=True)
+        result = QUERIES["q1"](colls).run(params=DEFAULT_PARAMS)
         assert result.rows
         extra = manager.stats.extra
         # Q1's shipdate predicate covers nearly the whole relation: the
@@ -101,7 +101,8 @@ def test_prune_off_counts_untested_blocks(tpch_tiny):
     colls = load_smc(tpch_tiny, columnar=True)
     manager = colls["_manager"]
     try:
-        QUERIES["q6"](colls).run(params=DEFAULT_PARAMS, prune=False)
+        with unpruned():
+            QUERIES["q6"](colls).run(params=DEFAULT_PARAMS)
         assert manager.stats.extra.get("zone_untested_blocks", 0) > 0
     finally:
         manager.close()
@@ -227,11 +228,15 @@ def test_choose_index_point_lookup(manager):
 def test_index_lookup_results_identical(manager):
     persons = _people(manager)
     persons.create_index("age")
-    q = persons.query().where(TPerson.age == param("a")).select(
-        name=TPerson.name, age=TPerson.age
-    )
-    baseline = q.run(params={"a": 37}, planner=False)
-    planned = q.run(params={"a": 37}, planner=True)
+
+    def build():
+        return persons.query().where(TPerson.age == param("a")).select(
+            name=TPerson.name, age=TPerson.age
+        )
+
+    with unplanned():
+        baseline = build().run(params={"a": 37})
+    planned = build().run(params={"a": 37})
     _identical(planned, baseline)
     assert len(planned.rows) == 4  # 4000 rows, age = i % 1000
     assert manager.stats.extra.get("index_lookup_queries", 0) >= 1
@@ -247,7 +252,7 @@ def test_direct_pointer_manager_skips_index_path(direct_manager):
     q = persons.query().where(TPerson.age == param("a")).select(
         age=TPerson.age
     )
-    assert len(q.run(params=params, planner=True).rows) == 4
+    assert len(q.run(params=params).rows) == 4
 
 
 # ----------------------------------------------------------------------
@@ -285,7 +290,7 @@ def test_governor_rejects_duplicate_tenant():
         t.register_on(gov, "cache")
 
 
-def test_governor_shares_respect_budget_and_floor(tpch_tiny):
+def test_governor_shares_respect_budget_and_floor(tpch_tiny, tmp_path):
     budget = 1_000_000
     gov = MemoryGovernor(budget)
     a, b, c = _FakeTenant(), _FakeTenant(), _FakeTenant()
@@ -300,19 +305,22 @@ def test_governor_shares_respect_budget_and_floor(tpch_tiny):
     # Every tenant actually received its installed budget.
     assert sorted([a.budget, b.budget, c.budget]) == sorted(shares)
 
-    # Real tenants under churn: a plan cache and the string dictionaries'
-    # match caches overrun a tiny budget; after every rebalance each sits
-    # within its share and the total within the budget.
+    # Real tenants under churn: the string dictionaries' match caches and
+    # a WAL group-commit buffer held open by one long batch overrun a
+    # tiny budget; after every rebalance each sits within its share and
+    # the total within the budget.
+    from repro.sanitizer import hooks as _san
+
     colls = load_smc(tpch_tiny, columnar=True)
+    wal = WriteAheadLog.create(str(tmp_path / "gov.log"), fsync_policy="none")
     try:
         budget = 96 * 1024
         gov = MemoryGovernor(budget, rebalance_every=8)
-        plans = PlanCache()
         gov.register(
-            "plan_cache",
-            usage=plans.usage_bytes,
-            counters=plans.counters,
-            set_budget=plans.set_budget,
+            "wal_buffer",
+            usage=lambda: wal.buffered_bytes,
+            counters=lambda: (wal.buffered_records, wal.buffer_capacity_flushes),
+            set_budget=wal.set_buffer_capacity,
         )
         dicts = [
             sd for c in colls.values() if (sd := getattr(c, "strdict", None)) is not None
@@ -329,22 +337,26 @@ def test_governor_shares_respect_budget_and_floor(tpch_tiny):
         )
         needles = ["the", "slyly", "furious", "pending", "quick", "regular"]
         rebalances = 0
-        for i in range(160):
-            key = PlanCache.key_for(f"churn-{i % 48}", "columnar", "dict", "compiled")
-            plans.get_or_build(key, lambda: {"round": i})
-            if i % 4 == 0:
-                needle = needles[(i // 4) % len(needles)]
-                colls["lineitem"].query().where(L.comment.contains(needle)).count(
-                    planner=True
-                )
-            if gov.maybe_rebalance():
-                rebalances += 1
-                snap = gov.snapshot()
-                assert snap["usage_bytes"] <= budget * 1.01, i
-                for t in snap["tenants"].values():
-                    assert t["usage_bytes"] <= t["share_bytes"] * 1.01, i
-        assert rebalances == 20 and plans.capacity_evictions > 0
+        with wal.batch():
+            for i in range(160):
+                wal.append(ADD, encode_payload({"c": "x", "e": i, "pad": "y" * 512}))
+                if i % 4 == 0:
+                    needle = needles[(i // 4) % len(needles)]
+                    colls["lineitem"].query().where(
+                        L.comment.contains(needle)
+                    ).count()
+                if gov.maybe_rebalance():
+                    rebalances += 1
+                    snap = gov.snapshot()
+                    assert snap["usage_bytes"] <= budget * 1.01, i
+                    for t in snap["tenants"].values():
+                        assert t["usage_bytes"] <= t["share_bytes"] * 1.01, i
+        assert rebalances == 20
+        # The WAL's share forced flushes mid-batch (under the sanitizer
+        # every append goes straight to the file: nothing is buffered).
+        assert _san.SANITIZER is not None or wal.buffer_capacity_flushes > 0
     finally:
+        wal.close()
         colls["_manager"].close()
 
 
@@ -382,27 +394,6 @@ def test_governor_weight_biases_initial_split():
     light.register_on(gov, "light", weight=1.0)
     gov.rebalance()
     assert heavy.budget > light.budget
-
-
-# ----------------------------------------------------------------------
-# Plan cache: byte budget
-# ----------------------------------------------------------------------
-
-
-def test_plancache_budget_caps_entries():
-    cache = PlanCache(budget_bytes=2 * NOMINAL_PLAN_BYTES)
-    for i in range(5):
-        cache.get_or_build(
-            PlanCache.key_for(f"q{i}", "smc", "dict", "compiled"),
-            lambda: object(),
-        )
-    stats = cache.stats()
-    assert stats["size"] == 2
-    assert stats["capacity_evictions"] == 3
-    assert cache.usage_bytes() == 2 * NOMINAL_PLAN_BYTES
-    # Governor shrinks the share: held plans are evicted immediately.
-    cache.set_budget(NOMINAL_PLAN_BYTES)
-    assert cache.stats()["size"] == 1
 
 
 # ----------------------------------------------------------------------
@@ -529,16 +520,15 @@ def test_hash_join_identical_either_build_side():
 
 
 def test_query_service_leaves_the_join_toggle_alone(manager):
-    """A service's planner default is its own: building one with the
-    planner off must not flip the comparator's process-wide join side."""
+    """Building a service must not flip the comparator's process-wide
+    join side."""
     from repro.service.server import QueryService
 
     people = Collection(TPerson, manager=manager)
     prev = rdbms_engine.set_adaptive_joins(True)
     try:
-        service = QueryService({"people": people}, manager, planner=False)
+        service = QueryService({"people": people}, manager)
         service.close()
-        assert not service.planner_enabled
         assert rdbms_engine.ADAPTIVE_JOINS is True
     finally:
         rdbms_engine.set_adaptive_joins(prev)
@@ -559,7 +549,7 @@ def test_rdbms_plans_identical_under_join_toggle(tpch_tiny, qname):
 
 
 # ----------------------------------------------------------------------
-# Service: explain op, planner flag, governor wiring
+# Service: explain op, governor wiring
 # ----------------------------------------------------------------------
 
 
@@ -581,22 +571,13 @@ def test_service_explain_op(planner_service):
     assert reply["ok"]
     assert "planner:" in reply["text"]
     assert "sel=" in reply["text"] and "rank=" in reply["text"]
-    off = planner_service.handle(
+    # A "planner" field is served as if absent.
+    flagged = planner_service.handle(
         {"op": "explain", "query": "q3", "planner": False}
     )
-    assert off["ok"] and "planner: off" in off["text"]
+    assert flagged == reply
     bad = planner_service.handle({"op": "explain", "query": "q99"})
     assert not bad["ok"]
-
-
-def test_service_planner_flag_identical_rows(planner_service):
-    on = planner_service.handle({"op": "query", "query": "q3", "workers": 4})
-    off = planner_service.handle(
-        {"op": "query", "query": "q3", "planner": False}
-    )
-    assert on["ok"] and off["ok"]
-    assert on["columns"] == off["columns"]
-    assert on["rows"] == off["rows"]
 
 
 def test_service_governor_snapshot_in_info(planner_service):
@@ -605,13 +586,13 @@ def test_service_governor_snapshot_in_info(planner_service):
     assert info["ok"]
     gov = info["governor"]
     assert gov["budget_bytes"] == 1 << 20
-    assert "plan_cache" in gov["tenants"]
-    assert "string_dicts" in gov["tenants"]
+    # The plan cache holds one plan per query name: it is no tenant.
+    assert set(gov["tenants"]) == {"string_dicts"}
     shares = [t["share_bytes"] for t in gov["tenants"].values()]
     assert sum(shares) <= gov["budget_bytes"]
-    # The plan cache lives within the share the governor installed.
-    pc = gov["tenants"]["plan_cache"]
-    assert pc["usage_bytes"] <= max(pc["share_bytes"], NOMINAL_PLAN_BYTES)
+    # The match caches live within the share the governor installed.
+    sd = gov["tenants"]["string_dicts"]
+    assert sd["usage_bytes"] <= sd["share_bytes"]
 
 
 def test_service_small_scan_routing(planner_service):

@@ -5,7 +5,8 @@ Three kinds of test, none of which reads a clock:
 * count gates on a TPC-H store: after its first execution, one ``Query``
   run again with *different* parameters makes zero calls to the planning
   functions (``plan_scan``, ``order_filters``, ``split_conjuncts``,
-  ``table_stats``, ``derive_zone_tests``) — semi-join subqueries included;
+  ``table_stats``, ``derive_zone_tests``) — semi-join subqueries
+  included — and binding it to them scans nothing;
 * differentials over a parameter sweep that mixes fully zone-pruned
   windows with unpruned ones on the same prepared scan, against a freshly
   built ``Query`` and against the interpreted engine;
@@ -34,6 +35,7 @@ from repro.tpch.queries import DEFAULT_PARAMS, EXTRA_QUERIES, QUERIES
 from repro.tpch.schema import Lineitem as L
 
 from tests.schemas import TNote, TPerson
+from tests.seams import unplanned
 
 ALL_QUERIES = {**QUERIES, **EXTRA_QUERIES}
 
@@ -177,6 +179,7 @@ def planning_calls(monkeypatch):
 def test_rebinding_plans_nothing_and_changes_no_answer(
     name, tpch, planning_calls
 ):
+    extra = tpch["_manager"].stats.extra
     builder = ALL_QUERIES[name]
     query = builder(tpch)
     sweep = SWEEPS[name]
@@ -188,6 +191,11 @@ def test_rebinding_plans_nothing_and_changes_no_answer(
     for point in sweep[1:] + sweep[:1]:
         params = _params(point)
         planning_calls.clear()
+        # Binding scans nothing: a semi-join subquery runs when the plan
+        # executes, not when it is bound.
+        scans = {k: v for k, v in extra.items() if k.startswith("scan_")}
+        columnar_exec.build_scan_plan(query, params)
+        assert scans == {k: v for k, v in extra.items() if k.startswith("scan_")}
         got = query.run(params=params)
         assert not planning_calls, (name, point, dict(planning_calls))
         assert _canonical(got) == _canonical(builder(tpch).run(params=params))
@@ -232,15 +240,9 @@ def test_subqueries_keep_prepared_scans_of_their_own(tpch):
             op.subquery for op in query.ops if hasattr(op, "subquery")
         ]
         assert subqueries
-        for sub in subqueries:
-            assert sub._prepared  # prepared through the outer's bind
-        before = [
-            (id(p), p.stamp) for sub in subqueries for p in sub._prepared.values()
-        ]
+        before = [(id(sub._prepared), sub._prepared.stamp) for sub in subqueries]
         query.run(params=_params(SWEEPS[name][1]))
-        after = [
-            (id(p), p.stamp) for sub in subqueries for p in sub._prepared.values()
-        ]
+        after = [(id(sub._prepared), sub._prepared.stamp) for sub in subqueries]
         assert before == after
 
 
@@ -304,7 +306,13 @@ def test_an_index_created_or_dropped_after_prepare_changes_the_path(manager):
     assert len(scanned37) == 4 and used == 0
     index = persons.create_index("age")
     assert lookups(37) == (scanned37, 1)
-    scanned900 = sorted(query.run(a=900, planner=False).rows)
+    with unplanned():
+        fresh = (
+            persons.query()
+            .where(TPerson.age == param("a"))
+            .select(name=TPerson.name)
+        )
+        scanned900 = sorted(fresh.run(a=900).rows)
     assert lookups(900) == (scanned900, 1)  # same prepared scan, new key
     assert lookups(-5) == ([], 1)
     # No public drop: unregister the index the way create_index registered it.
@@ -398,9 +406,9 @@ def test_two_threads_bind_one_prepared_query_to_their_own_params(tpch):
     assert not failures
 
 
-def test_ablation_arguments_keep_their_own_prepared_scans(tpch):
-    """Trap (f): ``prune=False`` and ``planner=False`` still select their
-    behaviour, and never borrow the default's prepared scan."""
+def test_one_prepared_scan_per_query(tpch):
+    """Trap (f): a query holds exactly one prepared scan, planned and
+    pruned, and every request binds to that same one."""
     extra = tpch["_manager"].stats.extra
     query = (
         tpch["lineitem"]
@@ -410,37 +418,23 @@ def test_ablation_arguments_keep_their_own_prepared_scans(tpch):
         )
         .select(k=L.orderkey)
     )
-    params = {"d": _d(1999, 1, 1)}
-    blocks = tpch["lineitem"].context.block_count()
 
-    def scanned(**kwargs):
+    def scanned(d):
         before = extra.get("scan_blocks", 0)
-        rows = query.run(params=params, **kwargs).rows
+        rows = query.run(params={"d": d}).rows
         return rows, extra.get("scan_blocks", 0) - before
 
-    assert scanned() == ([], 0)
-    assert scanned(prune=False) == ([], blocks)
-    assert scanned(planner=False) == ([], 0)
-    memo = query._prepared
-    assert set(memo) == {(True, True), (False, True), (True, False)}
-    default, unpruned, unplanned = (
-        memo[(True, True)], memo[(False, True)], memo[(True, False)]
-    )
+    assert scanned(_d(1999, 1, 1)) == ([], 0)
+    prepared = query._prepared
+    assert isinstance(prepared, columnar_exec._PreparedScan)
     # Planned: the conjunction is split and the local conjunct runs first.
-    assert [f.signature() for f in default.filters] == [
+    assert [f.signature() for f in prepared.filters] == [
         (L.shipdate >= param("d")).signature(),
         (L.order.ref("orderdate") < param("d")).signature(),
     ]
-    assert default.info is not None and default.zone_templates
-    assert unpruned.zone_templates == [] and unpruned.info is not None
-    # Unplanned: declaration order, nothing split, no estimates.
-    assert len(unplanned.filters) == 1 and unplanned.info is None
-    assert unplanned.zone_templates
-    # ... and each is reused by its own argument, not rebuilt.
-    scanned(), scanned(prune=False), scanned(planner=False)
-    assert [memo[k] for k in ((True, True), (False, True), (True, False))] == [
-        default, unpruned, unplanned
-    ]
+    assert prepared.info is not None and prepared.zone_templates
+    assert scanned(_d(1995, 1, 1))[1] > 0
+    assert query._prepared is prepared
 
 
 def test_table_stats_survive_adds_and_removes_inside_blocks(

@@ -23,6 +23,7 @@ from repro.memory.shm import SEGMENT_PREFIX, SharedBuffers
 from repro.query.procexec import ProcessScanPool, run_process_scan
 from repro.tpch.loader import load_smc
 from repro.tpch.queries import DEFAULT_PARAMS, EXTRA_QUERIES, QUERIES
+from tests.seams import unpruned
 
 ALL_QUERIES = {**QUERIES, **EXTRA_QUERIES}
 
@@ -176,6 +177,7 @@ def test_two_column_semijoin_through_the_pool(pooled_smc):
     assert manager.stats.extra.get("exec_process_queries", 0) == before + 1
 
     plan, __ = build_scan_plan(query, {})
+    plan.run_subqueries()
     ((__, __, columns, dtypes),) = plansnap.encode_plan(manager, plan)["insets"]
     assert [c.dtype.kind for c in columns] == ["i", "i"]
     assert [d[0] for d in dtypes] == ["ref", "decimal"]
@@ -386,7 +388,7 @@ def test_plan_wire_roundtrip_executes(tpch_tiny):
         for name in ("q1", "q6", "q12"):
             query = ALL_QUERIES[name](collections)
             expected = _canonical(query.run(params=DEFAULT_PARAMS, workers=1))
-            plan, __ = build_scan_plan(query, DEFAULT_PARAMS, prune=True)
+            plan, __ = build_scan_plan(query, DEFAULT_PARAMS)
             wire = plansnap.encode_plan(manager, plan)
             decoded = plansnap.decode_plan(manager, wire)
             assert decoded.zone_tests == []  # workers never prune
@@ -470,9 +472,8 @@ def test_foreign_plan_is_refused(tpch_tiny):
     try:
         pool = ProcessScanPool(a["_manager"], workers=1)
         a["_manager"].exec_pool = pool
-        plan, __ = build_scan_plan(
-            ALL_QUERIES["q6"](b), DEFAULT_PARAMS, prune=False
-        )
+        with unpruned():
+            plan, __ = build_scan_plan(ALL_QUERIES["q6"](b), DEFAULT_PARAMS)
         assert run_process_scan(plan, pool) is None
     finally:
         a["_manager"].close()

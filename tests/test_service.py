@@ -166,7 +166,10 @@ def test_admission_metrics_count_sheds():
 # ----------------------------------------------------------------------
 
 
-def test_plan_cache_hits_and_misses():
+def test_plan_cache_hits_and_misses(tpch_tiny):
+    from repro.service.server import QueryService
+    from repro.tpch.loader import load_smc
+
     reg = MetricsRegistry()
     cache = PlanCache(metrics=reg)
     built = []
@@ -175,22 +178,38 @@ def test_plan_cache_hits_and_misses():
         built.append(1)
         return object()
 
-    key = PlanCache.key_for("q1", "smc-unsafe", "dict", "compiled")
-    a = cache.get_or_build(key, build)
-    b = cache.get_or_build(key, build)
+    a = cache.get_or_build("q1", build)
+    b = cache.get_or_build("q1", build)
     assert a is b
     assert len(built) == 1
-    assert cache.stats() == {
-        "hits": 1,
-        "misses": 1,
-        "size": 1,
-        "capacity_evictions": 0,
-    }
-    other = PlanCache.key_for("q1", "columnar", "dict", "compiled")
-    cache.get_or_build(other, build)
+    assert cache.stats() == {"hits": 1, "misses": 1, "size": 1}
+    cache.get_or_build("q6", build)
     assert cache.stats()["size"] == 2
     cache.invalidate()
     assert cache.stats()["size"] == 0
+
+    # Served: one plan per query name, whatever else a request names.
+    # Engine and worker count are choices of the run, and "prune" /
+    # "planner" fields are served as if absent.
+    collections = load_smc(tpch_tiny)
+    service = QueryService(collections, collections["_manager"])
+    try:
+        rows = set()
+        for workers in range(1, 9):
+            for engine in ("compiled", "interpreted"):
+                for flags in ({}, {"prune": True, "planner": True}):
+                    reply = service.handle(
+                        {"op": "query", "query": "q6", "engine": engine,
+                         "workers": workers, **flags}
+                    )
+                    assert reply["ok"], reply
+                    rows.add(repr(reply["rows"]))
+        assert len(rows) == 1
+        stats = service.handle({"op": "info"})["plan_cache"]
+        assert (stats["size"], stats["misses"]) == (1, 1)
+    finally:
+        service.close()
+        collections["_manager"].close()
 
 
 # ----------------------------------------------------------------------

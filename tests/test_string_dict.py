@@ -17,6 +17,7 @@ All tests here are sanitizer-compatible (``pytest --sanitize``).
 
 from __future__ import annotations
 
+import contextlib
 import importlib.util
 import tracemalloc
 from pathlib import Path
@@ -38,12 +39,18 @@ from repro.tpch.datagen import generate
 from repro.tpch.loader import load_smc
 from repro.tpch.queries import DEFAULT_PARAMS, EXTRA_QUERIES, QUERIES
 from tests.schemas import TNote, TPerson
+from tests.seams import unpruned
 
 ALL_QUERIES = {**QUERIES, **EXTRA_QUERIES}
 
 #: (workers, prune) configurations run with the dictionary on, each
-#: differenced against the serial unpruned dict-off baseline.
+#: differenced against the serial unpruned dict-off baseline; ``prune``
+#: False prepares the scan under ``tests.seams.unpruned``.
 CONFIGS = [(1, False), (1, True), (4, True)]
+
+
+def _pruning(prune):
+    return contextlib.nullcontext() if prune else unpruned()
 
 
 def _canonical(result):
@@ -75,13 +82,13 @@ def tpch_pair(request, tpch_tiny):
 def test_differential_dict_on_off(tpch_pair, name):
     """Code-space kernels return exactly the heap-string rows."""
     dict_on, dict_off = tpch_pair
-    baseline = ALL_QUERIES[name](dict_off)
-    expected = _canonical(
-        baseline.run(params=DEFAULT_PARAMS, workers=1, prune=False)
-    )
-    query = ALL_QUERIES[name](dict_on)
+    with unpruned():
+        baseline = ALL_QUERIES[name](dict_off)
+        expected = _canonical(baseline.run(params=DEFAULT_PARAMS, workers=1))
     for workers, prune in CONFIGS:
-        got = query.run(params=DEFAULT_PARAMS, workers=workers, prune=prune)
+        with _pruning(prune):
+            query = ALL_QUERIES[name](dict_on)
+            got = query.run(params=DEFAULT_PARAMS, workers=workers)
         assert _canonical(got) == expected, (name, workers, prune)
 
 
@@ -132,10 +139,11 @@ def test_string_predicates_survive_compaction():
     m_on, on = _worn_notes(True)
     m_off, off = _worn_notes(False)
     try:
-        expected = {
-            k: _canonical(q.run(workers=1, prune=False))
-            for k, q in _note_queries(off).items()
-        }
+        with unpruned():
+            expected = {
+                k: _canonical(q.run(workers=1))
+                for k, q in _note_queries(off).items()
+            }
         assert expected["prefix"][1][0][0] > 0 and expected["contains"][1][0][0] > 0
         assert len(expected["groupby"][1]) > 1
 
@@ -144,10 +152,11 @@ def test_string_predicates_survive_compaction():
                 assert on.compact(occupancy_threshold=0.9) > 0
                 off.compact(occupancy_threshold=0.9)
             for workers, prune in CONFIGS:
-                got = {
-                    k: _canonical(q.run(workers=workers, prune=prune))
-                    for k, q in _note_queries(on).items()
-                }
+                with _pruning(prune):
+                    got = {
+                        k: _canonical(q.run(workers=workers))
+                        for k, q in _note_queries(on).items()
+                    }
                 assert got == expected, (compacted, workers, prune)
     finally:
         m_on.close()
@@ -178,7 +187,8 @@ def test_inset_char_trailing_space_symmetry(columnar):
         .where(TPerson.name.isin(["AIR", "MAIL  ", "TRUCK"]))
         .aggregate(n=Count())
     )
-    assert _count(query.run(workers=1, prune=False)) == 2
+    with unpruned():
+        assert _count(query.run(workers=1)) == 2
     m.close()
 
 
