@@ -316,8 +316,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         exec_workers=exec_workers,
         governor_budget=args.governor_budget,
     )
-    if args.churn:
-        service.start_churn()
     server = ServiceServer(service, host=args.host, port=args.port).start()
     if replication is not None:
         replication.start()
@@ -325,7 +323,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         f"serving {source} on {server.host}:{server.port} "
         f"(max_concurrency={args.max_concurrency}, "
         f"queue_depth={args.queue_depth}, lease_ttl={args.lease_ttl}s"
-        + (", churn on" if args.churn else "")
         + (f", exec_workers={exec_workers}" if exec_workers else "")
         + (", shm" if use_shm else "")
         + (
@@ -633,11 +630,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=30.0,
         help="session lease TTL in seconds (watchdog expiry)",
-    )
-    serve.add_argument(
-        "--churn",
-        action="store_true",
-        help="run a background mutator against a scratch collection",
     )
     serve.add_argument(
         "--exec-workers",

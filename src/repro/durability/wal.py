@@ -473,10 +473,6 @@ class WriteAheadLog:
         """Record bytes appended to this segment (excludes the header)."""
         return self._offset - FILE_HEADER_SIZE
 
-    @property
-    def synced_offset(self) -> int:
-        return self._synced_offset
-
     def hold(self):
         """The log's mutation lock (reentrant).
 

@@ -44,10 +44,6 @@ class IncarnationOverflowError(SmcError):
     """
 
 
-class CollectionClosedError(SmcError):
-    """Raised when operating on a collection after its manager was closed."""
-
-
 class ConcurrencyProtocolError(SmcError):
     """Raised when the epoch/compaction protocol is used incorrectly.
 

@@ -450,11 +450,6 @@ class Block:
         """Fraction of slots holding live objects."""
         return self.valid_count / self.slot_count
 
-    @property
-    def is_exhausted(self) -> bool:
-        """True once the allocation cursor has passed the last slot."""
-        return self.alloc_cursor >= self.slot_count
-
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------

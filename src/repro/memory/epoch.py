@@ -297,11 +297,18 @@ class EpochManager:
         """
         # The hottest call in the runtime: the registry lookup is inlined.
         ctx = self._contexts.get(get_ident()) or self._context()
-        if ctx.depth == 0:
-            ctx.epoch = self._global_epoch
-            if _san.SANITIZER is not None:
-                _san.SANITIZER.event("section.enter", epochs=self, epoch=ctx.epoch)
-        ctx.depth += 1
+        if ctx.depth:
+            ctx.depth += 1
+            return ctx.epoch
+        # Announce, then read.  Until the read lands, ``ctx.epoch`` still
+        # holds the previous section's epoch, which is never above the
+        # global one: ``try_advance`` sees this thread as behind (and
+        # waits) or current, never as absent, so the epoch it then reads
+        # is at most one behind the global epoch for the whole section.
+        ctx.depth = 1
+        ctx.epoch = self._global_epoch
+        if _san.SANITIZER is not None:
+            _san.SANITIZER.event("section.enter", epochs=self, epoch=ctx.epoch)
         return ctx.epoch
 
     def exit_critical_section(self) -> None:
@@ -310,9 +317,17 @@ class EpochManager:
             raise ConcurrencyProtocolError(
                 "exit_critical_section without matching enter"
             )
+        if ctx.depth == 1 and _san.SANITIZER is not None:
+            # The event fires while the section is still held, so the
+            # sanitizer reads the global epoch the section ended under.
+            try:
+                _san.SANITIZER.event(
+                    "section.exit", epochs=self, epoch=ctx.epoch
+                )
+            finally:
+                ctx.depth = 0
+            return
         ctx.depth -= 1
-        if ctx.depth == 0 and _san.SANITIZER is not None:
-            _san.SANITIZER.event("section.exit", epochs=self, epoch=ctx.epoch)
 
     class _Critical:
         __slots__ = ("_mgr",)

@@ -258,14 +258,3 @@ class SharedBuffers:
         if os.getpid() != self._pid:  # pragma: no cover - fork guard
             return
         self.close()
-
-    # -- introspection -------------------------------------------------
-
-    @property
-    def owned_count(self) -> int:
-        with self._lock:
-            return len(self._owned)
-
-    def owned_names(self) -> List[str]:
-        with self._lock:
-            return sorted(self._owned)

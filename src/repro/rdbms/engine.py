@@ -10,7 +10,6 @@ evaluates.
 
 from __future__ import annotations
 
-from decimal import Decimal
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -262,10 +261,6 @@ class GroupAggregator:
                     cells.append(cell)
             out[key] = cells
         return out
-
-
-def decimal_of(raw: int, scale: int = 2) -> Decimal:
-    return Decimal(int(raw)).scaleb(-scale)
 
 
 def top_k_rows(rows: List[tuple], order: Sequence[Tuple[int, bool]], k: Optional[int]) -> List[tuple]:

@@ -28,7 +28,9 @@ rules from sections 3.2–3.4 and 5.1 of the paper:
     an indirection entry is only recycled once its pointer is nulled;
 ``epoch-skip`` / ``epoch-regression`` / ``epoch-overtook-critical-section``
     the global epoch advances monotonically, one step at a time, and
-    never past a thread still inside a critical section;
+    never past a thread still inside a critical section: a thread leaves
+    its section with the global epoch at most one above the epoch it
+    entered at, unless it advanced the epoch itself;
 ``premature-block-recycle``
     a queued block is only recycled once its ready epoch has passed;
 ``evict-pinned-block`` / ``evict-owned-block``
@@ -113,6 +115,9 @@ class Sanitizer:
         self._lockers: Dict[tuple, int] = {}
         #: epochs -> last global epoch observed.
         self._epoch_shadow: Dict[Any, int] = {}
+        #: epochs -> {thread ident: advanced the epoch itself} for every
+        #: thread whose outermost section has emitted ``section.enter``.
+        self._sections: Dict[Any, Dict[int, bool]] = {}
 
     # ------------------------------------------------------------------
     # Event intake
@@ -412,14 +417,40 @@ class Sanitizer:
             )
         self._epoch_shadow[epochs] = new
         me = threading.get_ident()
+        sections = self._sections.get(epochs, {})
+        if me in sections:
+            sections[me] = True
+        # A thread that has set its depth but not yet read the epoch
+        # still shows its previous section's epoch; only a section that
+        # announced itself with ``section.enter`` has an epoch to check.
         for tid, epoch, depth in epochs.contexts_snapshot():
-            if depth > 0 and tid != me and epoch < old:
+            if depth > 0 and tid != me and tid in sections and epoch < old:
                 self._violate(
                     "epoch-overtook-critical-section",
                     f"global epoch advanced {old} -> {new} while thread "
                     f"{tid} is inside a critical section begun at epoch "
                     f"{epoch}",
                 )
+
+    def _on_section_enter(self, data: Dict[str, Any]) -> None:
+        sections = self._sections.setdefault(data["epochs"], {})
+        sections[threading.get_ident()] = False
+
+    def _check_section_exit(self, data: Dict[str, Any]) -> None:
+        epochs, epoch = data["epochs"], data["epoch"]
+        me = threading.get_ident()
+        advanced = self._sections.get(epochs, {}).pop(me, None)
+        if advanced is None or advanced:
+            return  # entered before this sanitizer, or advanced itself
+        current = epochs.global_epoch
+        if current > epoch + 1 and (
+            not self._managers or self._tracks_epochs(epochs)
+        ):
+            self._violate(
+                "epoch-overtook-critical-section",
+                f"thread {me} left a critical section begun at epoch "
+                f"{epoch} with the global epoch at {current}",
+            )
 
     # ------------------------------------------------------------------
     # Reporting
@@ -442,6 +473,8 @@ _CHECKS = {
     "entry.release": Sanitizer._check_entry_release,
     "entry.repoint": Sanitizer._check_entry_repoint,
     "epoch.advance": Sanitizer._check_epoch_advance,
+    "section.enter": Sanitizer._on_section_enter,
+    "section.exit": Sanitizer._check_section_exit,
     # "tier.cool" carries no check: it exists as a schedule yield point
     # between the cooling decision and the demotion that completes it.
     "tier.evict": Sanitizer._check_tier_evict,

@@ -1,4 +1,4 @@
-"""The query service: request handling, churn mutator, TCP server.
+"""The query service: request handling and the TCP server.
 
 :class:`QueryService` is transport-independent — it maps request dicts
 to response dicts, so tests can drive it in-process and the TCP layer
@@ -33,7 +33,6 @@ Error taxonomy (the ``error`` field of a ``{"ok": false}`` response):
 
 from __future__ import annotations
 
-import random
 import socket
 import threading
 import time
@@ -41,7 +40,6 @@ from typing import Any, Dict, List, Optional
 
 from repro.errors import StalePromotionError
 from repro.query import planner as _planner
-from repro.schema import Int64Field, Tabular, VarStringField
 from repro.service import protocol
 from repro.service.admission import AdmissionController, OverloadedError
 from repro.service.metrics import (
@@ -60,72 +58,6 @@ from repro.service.session import (
     SessionRegistry,
 )
 from repro.tpch.queries import DEFAULT_PARAMS, EXTRA_QUERIES, QUERIES
-
-
-class _ServiceChurn(Tabular):
-    """Scratch schema the background mutator churns.
-
-    Lives in its own collection on the served manager, so mutations
-    exercise allocation, limbo, epoch advancement and compaction under
-    live query traffic without perturbing any TPC-H answer.
-    """
-
-    seq = Int64Field()
-    tag = VarStringField()
-
-
-class ChurnMutator:
-    """Background add/remove churn against the served manager."""
-
-    def __init__(
-        self,
-        manager,
-        high_water: int = 512,
-        compact_every: int = 2000,
-        seed: int = 7,
-    ) -> None:
-        from repro.core.collection import Collection
-
-        self.collection = Collection(
-            _ServiceChurn, manager, name="_service_churn"
-        )
-        self.manager = manager
-        self.high_water = high_water
-        self.compact_every = compact_every
-        self._rng = random.Random(seed)
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
-        self.ops = 0
-
-    def start(self) -> None:
-        self._thread = threading.Thread(
-            target=self._loop, name="service-churn", daemon=True
-        )
-        self._thread.start()
-
-    def stop(self) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=10.0)
-
-    def _loop(self) -> None:
-        handles: List[Any] = []
-        seq = 0
-        tags = ["alpha", "bravo", "charlie", "delta", "echo", "foxtrot"]
-        while not self._stop.is_set():
-            seq += 1
-            tag = tags[self._rng.randrange(len(tags))] + str(seq % 97)
-            handles.append(self.collection.add(seq=seq, tag=tag))
-            if len(handles) > self.high_water:
-                # Remove from a random prefix position so blocks develop
-                # real limbo fragmentation, not pure FIFO reuse.
-                idx = self._rng.randrange(len(handles) // 2 + 1)
-                self.collection.remove(handles.pop(idx))
-            self.ops += 1
-            if self.ops % 64 == 0:
-                self.manager.advance_epoch()
-            if self.ops % self.compact_every == 0:
-                self.collection.compact(occupancy_threshold=0.6)
 
 
 class QueryService:
@@ -213,7 +145,6 @@ class QueryService:
             "smc_serve_small_scans_routed_total",
             "Multi-worker requests routed to one worker by estimated rows",
         )
-        self.churn: Optional[ChurnMutator] = None
         #: Unified memory governor over the service's caches.  One byte
         #: budget is split across the collections' string-dictionary
         #: match caches, the WAL group-commit buffer and the paged block
@@ -288,19 +219,6 @@ class QueryService:
         if self.store is not None:
             return self.store.committed_lsn
         return 0
-
-    # -- churn ---------------------------------------------------------
-
-    def start_churn(self, **kwargs) -> ChurnMutator:
-        if self.churn is None:
-            self.churn = ChurnMutator(self.manager, **kwargs)
-            self.churn.start()
-        return self.churn
-
-    def stop_churn(self) -> None:
-        if self.churn is not None:
-            self.churn.stop()
-            self.churn = None
 
     # -- request dispatch ----------------------------------------------
 
@@ -667,7 +585,6 @@ class QueryService:
         return {"ok": True, "role": self.role, "applied_lsn": applied}
 
     def close(self) -> None:
-        self.stop_churn()
         if self.exec_pool is not None:
             # Stop the worker processes before the session watchdog goes
             # away; their epoch leases unregister cleanly either way, but

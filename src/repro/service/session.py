@@ -57,10 +57,6 @@ class Session:
     def expired(self) -> bool:
         return self.lease.revoked
 
-    def idle_for(self) -> float:
-        with self._lock:
-            return time.monotonic() - self.last_seen
-
     def enter(self) -> int:
         """Enter the leased critical section for one request."""
         if self.lease.revoked:

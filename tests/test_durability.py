@@ -812,7 +812,10 @@ class TestApply:
 # Crash matrix (acceptance gate)
 # ----------------------------------------------------------------------
 
+#: (fault point, power loss, firings let pass).  The row without a point
+#: injects no fault: the store checkpoints mid-run and closes cleanly.
 CRASH_POINTS = [
+    (None, False, 0),
     ("wal.append.mid", False, 30),
     ("wal.append.mid", False, 0),
     ("wal.fsync", True, 1),
@@ -821,20 +824,31 @@ CRASH_POINTS = [
     ("checkpoint.manifest_rename", False, 0),
 ]
 
+CRASH_QUERIES = ("q1", "q6", "q3", "q12", "q14")
+
 
 class TestCrashMatrix:
     @pytest.mark.parametrize(
         "point,power_loss,after",
         CRASH_POINTS,
-        ids=[f"{p}-pl{int(pl)}-a{a}" for p, pl, a in CRASH_POINTS],
+        ids=[
+            f"{p}-pl{int(pl)}-a{a}" if p else "no-fault"
+            for p, pl, a in CRASH_POINTS
+        ],
     )
     def test_recovery_is_byte_exact(
         self, tpch_tiny, tmp_path, point, power_loss, after
     ):
-        """Crash anywhere; recovered TPC-H answers match the reference."""
+        """Crash anywhere; recovered TPC-H answers match the reference.
+
+        Without a crash, recovery also returns every scratch row as the
+        live store left it.
+        """
         from repro import sanitizer
         from repro.tpch.loader import load_smc
-        from repro.tpch.queries import DEFAULT_PARAMS, QUERIES
+        from repro.tpch.queries import DEFAULT_PARAMS, EXTRA_QUERIES, QUERIES
+
+        builders = {**QUERIES, **EXTRA_QUERIES}
 
         def run_mix(collections):
             plain = {
@@ -844,17 +858,17 @@ class TestCrashMatrix:
                 name: sorted(
                     map(
                         repr,
-                        QUERIES[name](plain)
+                        builders[name](plain)
                         .run(engine="compiled", params=DEFAULT_PARAMS)
                         .rows,
                     )
                 )
-                for name in ("q1", "q6")
+                for name in CRASH_QUERIES
             }
 
         data_dir = str(tmp_path / "dd")
         collections = load_smc(tpch_tiny)
-        collections["scratch"] = Collection(
+        scratch = collections["scratch"] = Collection(
             TNote, manager=collections["_manager"], name="scratch"
         )
         store = DurableStore.create(
@@ -862,30 +876,49 @@ class TestCrashMatrix:
         )
         reference = run_mix(collections)
 
-        plan = sanitizer.FaultPlan().crash_at(
-            point, after=after, power_loss=power_loss
-        )
-        with sanitizer.enabled(faults=plan):
-            with pytest.raises(InjectedFaultError):
-                for i in range(60):
-                    with store.batch():
-                        for j in range(5):
-                            collections["scratch"].add(
-                                text=f"note-{i}-{j}", stars=j
-                            )
-                store.checkpoint()
-        assert plan.fired.get(point) == 1
-        # Simulated kill: no close(); recover from what hit the disk.
+        def write(first, batches):
+            for i in range(first, first + batches):
+                with store.batch():
+                    for j in range(5):
+                        scratch.add(text=f"note-{i}-{j}", stars=j)
+
+        if point is None:
+            write(0, 30)
+            store.checkpoint()
+            write(30, 30)
+            with store.batch():
+                for k, handle in enumerate(list(scratch)):
+                    if k % 7 == 0:
+                        scratch.remove(handle)
+                    elif k % 5 == 0:
+                        handle.stars = 4
+            live = sorted((h.text, h.stars) for h in scratch)
+            store.close()
+        else:
+            plan = sanitizer.FaultPlan().crash_at(
+                point, after=after, power_loss=power_loss
+            )
+            with sanitizer.enabled(faults=plan):
+                with pytest.raises(InjectedFaultError):
+                    write(0, 60)
+                    store.checkpoint()
+            assert plan.fired.get(point) == 1
+        # Recover from what hit the disk; a crashed store was never closed.
         collections["_manager"].close()
 
         loaded, report = recover(data_dir)
         assert run_mix(loaded) == reference
-        # The recovered scratch rows are a committed prefix of the run.
-        texts = sorted(h.text for h in loaded["scratch"])
-        assert len(texts) % 5 == 0
-        assert texts == sorted(
-            f"note-{i}-{j}" for i in range(len(texts) // 5) for j in range(5)
-        )
+        if point is None:
+            assert sorted((h.text, h.stars) for h in loaded["scratch"]) == live
+        else:
+            # The recovered scratch rows are a committed prefix of the run.
+            texts = sorted(h.text for h in loaded["scratch"])
+            assert len(texts) % 5 == 0
+            assert texts == sorted(
+                f"note-{i}-{j}"
+                for i in range(len(texts) // 5)
+                for j in range(5)
+            )
         loaded["_manager"].close()
 
     def test_torn_append_reopen_appends_cleanly(self, data_dir):

@@ -139,6 +139,33 @@ def test_free_during_scan_blocks_reuse_until_reader_exits():
         m.close()
 
 
+def test_epoch_cannot_overtake_a_thread_entering_its_section():
+    """A thread stopped between reading the epoch and joining its section
+    is visible to advancement: the epoch moves at most once past it."""
+    schedule = sanitizer.ScheduleController(seed=29)
+    print(f"schedule seed={schedule.seed}")
+    with sanitizer.enabled(schedule=schedule) as san:
+        m = MemoryManager()
+        gate = schedule.pause_at("section.enter", thread="entering-reader")
+
+        def reader():
+            with m.critical_section():
+                pass
+
+        t = threading.Thread(target=reader, name="entering-reader")
+        t.start()
+        assert gate.wait_parked(timeout=10.0), "reader never began entering"
+
+        assert m.epochs.try_advance()
+        second = m.epochs.try_advance()
+        gate.release()
+        t.join(timeout=10.0)
+        assert not t.is_alive()
+        san.assert_clean()
+        assert not second
+        m.close()
+
+
 def test_epoch_advance_race_under_seeded_jitter():
     """Concurrent advancers + churners under seeded jitter: the sanitizer
     verifies every advance is a single monotonic step that never overtakes

@@ -186,6 +186,11 @@ class TestFleetDifferential:
                     for name, baseline in tpch_fleet["baselines"].items():
                         _assert_matches(router.query(name), baseline)
                 assert router.read_lsn > 0
+            # And on every node by name, the writes still going on.
+            for node in fleet.nodes:
+                with ServiceClient(port=node.port) as client:
+                    for name, baseline in tpch_fleet["baselines"].items():
+                        _assert_matches(client.query(name), baseline)
         finally:
             stop.set()
             thread.join(timeout=30)
@@ -302,6 +307,14 @@ class TestCatchUp:
             fleet.wait_caught_up()
             assert _notes(restarted.store) == _notes(fleet.primary.store)
             assert len(_notes(restarted.store)) == 35
+            # A fresh replica joins behind the same tail and serves at
+            # the primary's committed LSN as soon as it is returned.
+            joined = fleet.add_replica()
+            assert (
+                joined.replication.applied_lsn
+                >= fleet.primary.store.committed_lsn
+            )
+            assert _notes(joined.store) == _notes(fleet.primary.store)
         finally:
             fleet.close()
 

@@ -2,8 +2,8 @@
 
 The differential tests pin the service's core contract: every supported
 TPC-H query returns byte-identical results through the TCP service —
-any worker count, with or without a concurrent churn mutator — as via
-the in-process engine.  The lease-watchdog tests pin the reclamation
+any worker count, and beside a client writing through ``mutate`` — as
+via the in-process engine.  The lease-watchdog tests pin the reclamation
 guarantee: a dead or stalled client session cannot block epoch
 advancement, and limbo slots become reclaimable once its lease expires.
 """
@@ -367,20 +367,84 @@ def test_differential_all_queries_over_tcp(tpch_service, workers):
             _assert_identical(client.query(name, workers=workers), baseline)
 
 
-def test_differential_under_concurrent_mutators(tpch_service):
-    """Byte-identical TPC-H answers while a mutator churns the manager."""
-    from repro.service.client import ServiceClient
+def test_differential_under_concurrent_mutators(tpch_tiny, tpch_service, tmp_path):
+    """Byte-identical TPC-H answers beside a client writing through ``mutate``.
 
-    service = tpch_service["service"]
-    service.start_churn(high_water=128, compact_every=500)
+    The served manager backs a durable store.  A writer client adds and
+    removes batches of scratch rows through the write-ahead log and, as
+    no wire op compacts, compacts the worn scratch collection in process
+    every few batches; 4 KiB blocks give it worn blocks to relocate.
+    """
+    from repro.core.collection import Collection
+    from repro.durability import DurableStore
+    from repro.service.client import ServiceClient
+    from repro.service.server import QueryService, ServiceServer
+    from repro.tpch.loader import load_smc
+    from tests.schemas import TNote
+
+    collections = load_smc(tpch_tiny, manager=MemoryManager(block_shift=12))
+    manager = collections["_manager"]
+    scratch = collections["scratch"] = Collection(
+        TNote, manager=manager, name="scratch"
+    )
+    store = DurableStore.create(str(tmp_path / "dd"), collections=collections)
+    service = QueryService(collections, manager, store=store, max_concurrency=4)
+    server = ServiceServer(service).start()
+    stop = threading.Event()
+    committed = []
+    relocations = []
+    errors = []
+
+    def writer():
+        try:
+            with ServiceClient(port=server.port) as client:
+                previous = []
+                while not stop.is_set() or len(committed) < 8:
+                    n = len(committed)
+                    ops = [
+                        {
+                            "op": "add",
+                            "collection": "scratch",
+                            "values": {"text": f"w{n}-{i}", "stars": i % 5},
+                        }
+                        for i in range(64)
+                    ]
+                    # Three of every four rows of the previous batch go:
+                    # the blocks wear below the compaction threshold.
+                    ops += [
+                        {"op": "remove", "collection": "scratch", "entry": e}
+                        for i, e in enumerate(previous)
+                        if i % 4
+                    ]
+                    results = client.mutate(ops)
+                    previous = [r["entry"] for r in results[:64]]
+                    committed.append(len(ops))
+                    if len(committed) % 4 == 0:
+                        relocations.append(
+                            scratch.compact(occupancy_threshold=0.6)
+                        )
+        except Exception as exc:  # noqa: BLE001 - asserted below
+            errors.append(exc)
+
+    thread = threading.Thread(target=writer, name="mutate-writer")
+    thread.start()
     try:
-        with ServiceClient(port=tpch_service["server"].port) as client:
+        deadline = time.monotonic() + 30.0
+        while not (committed or errors) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        with ServiceClient(port=server.port) as client:
             for __ in range(3):
                 for name, baseline in tpch_service["baselines"].items():
                     _assert_identical(client.query(name, workers=2), baseline)
-        assert service.churn.ops > 0
     finally:
-        service.stop_churn()
+        stop.set()
+        thread.join(timeout=60)
+        server.stop()
+        manager.close()
+    assert not thread.is_alive()
+    assert not errors, errors
+    assert len(committed) > 0
+    assert sum(relocations) > 0
 
 
 def test_concurrent_clients_differential(tpch_service):
