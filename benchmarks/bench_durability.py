@@ -7,11 +7,12 @@ Two measurements:
   fsync policy (``none`` / ``commit`` / ``always``), so the log's cost
   is quantified rather than assumed.
 * **Recovery time vs log length** — how long ``DurableStore.open``
-  takes to replay tails of increasing length.  The reopened rows must
-  equal the live ones (exit 1 otherwise).
+  takes to replay tails of increasing length.
 
-The differential and crash-matrix gates live in
-``tests/test_durability.py::TestCrashMatrix``.
+The script only measures.  Its correctness gates live in
+``tests/test_durability.py``: ``TestStoreRecovery`` replays a log
+exactly, and ``TestCrashMatrix`` recovers byte-exact answers with and
+without a crash.
 
 Usage::
 
@@ -147,21 +148,14 @@ def bench_recovery(schema, lengths):
                 root, collections=colls, fsync_policy="none"
             )
             _mutate(colls["rows"], n, batcher=store.batch)
-            live = sorted((h.k, h.val, h.tag) for h in colls["rows"])
             store.close()
             manager.close()
 
             start = time.perf_counter()
             reopened = DurableStore.open(root, fsync_policy="none")
             elapsed = time.perf_counter() - start
-            recovered = sorted(
-                (h.k, h.val, h.tag) for h in reopened.collections["rows"]
-            )
             replayed = reopened.report.replayed
             reopened.close()
-            if recovered != live:
-                print(f"RECOVERY MISMATCH at n={n}", file=sys.stderr)
-                return records, 1
             records.append(
                 {
                     "log_ops": n,
@@ -176,7 +170,7 @@ def bench_recovery(schema, lengths):
             )
         finally:
             shutil.rmtree(root, ignore_errors=True)
-    return records, 0
+    return records
 
 
 def main(argv=None) -> int:
@@ -206,7 +200,7 @@ def main(argv=None) -> int:
     throughput = bench_mutations(schema, n)
 
     print("recovery time vs log length:")
-    recovery, rec_failures = bench_recovery(schema, rec_lengths)
+    recovery = bench_recovery(schema, rec_lengths)
 
     if not args.no_json:
         payload = {
@@ -225,11 +219,6 @@ def main(argv=None) -> int:
         }
         write_json_atomic(args.out, payload)
         print(f"wrote {args.out}")
-
-    if rec_failures:
-        print("recovered rows differ from the live ones", file=sys.stderr)
-        return 1
-    print("recovered rows match the live ones at every log length")
     return 0
 
 

@@ -28,9 +28,10 @@ rules from sections 3.2–3.4 and 5.1 of the paper:
     an indirection entry is only recycled once its pointer is nulled;
 ``epoch-skip`` / ``epoch-regression`` / ``epoch-overtook-critical-section``
     the global epoch advances monotonically, one step at a time, and
-    never past a thread still inside a critical section: a thread leaves
-    its section with the global epoch at most one above the epoch it
-    entered at, unless it advanced the epoch itself;
+    never past a thread or lease still inside a critical section; a
+    thread leaves its section with the global epoch at most one step
+    from another thread above the epoch it entered at, plus its own
+    advances;
 ``premature-block-recycle``
     a queued block is only recycled once its ready epoch has passed;
 ``evict-pinned-block`` / ``evict-owned-block``
@@ -115,9 +116,10 @@ class Sanitizer:
         self._lockers: Dict[tuple, int] = {}
         #: epochs -> last global epoch observed.
         self._epoch_shadow: Dict[Any, int] = {}
-        #: epochs -> {thread ident: advanced the epoch itself} for every
-        #: thread whose outermost section has emitted ``section.enter``.
-        self._sections: Dict[Any, Dict[int, bool]] = {}
+        #: epochs -> {thread ident: [entry epoch, own advances, made the
+        #: first advance past the entry epoch itself]} for every thread
+        #: whose outermost section has emitted ``section.enter``.
+        self._sections: Dict[Any, Dict[int, list]] = {}
 
     # ------------------------------------------------------------------
     # Event intake
@@ -418,13 +420,24 @@ class Sanitizer:
         self._epoch_shadow[epochs] = new
         me = threading.get_ident()
         sections = self._sections.get(epochs, {})
-        if me in sections:
-            sections[me] = True
+        mine = sections.get(me)
+        if mine is not None:
+            mine[1] += 1
+            if old == mine[0]:
+                mine[2] = True
         # A thread that has set its depth but not yet read the epoch
         # still shows its previous section's epoch; only a section that
         # announced itself with ``section.enter`` has an epoch to check.
+        # Leases (negative keys) set depth and epoch together under the
+        # registry lock the advancer scans under, so they have no such
+        # window and every held lease is checked.
         for tid, epoch, depth in epochs.contexts_snapshot():
-            if depth > 0 and tid != me and tid in sections and epoch < old:
+            if (
+                depth > 0
+                and tid != me
+                and (tid < 0 or tid in sections)
+                and epoch < old
+            ):
                 self._violate(
                     "epoch-overtook-critical-section",
                     f"global epoch advanced {old} -> {new} while thread "
@@ -434,22 +447,28 @@ class Sanitizer:
 
     def _on_section_enter(self, data: Dict[str, Any]) -> None:
         sections = self._sections.setdefault(data["epochs"], {})
-        sections[threading.get_ident()] = False
+        sections[threading.get_ident()] = [data["epoch"], 0, False]
 
     def _check_section_exit(self, data: Dict[str, Any]) -> None:
-        epochs, epoch = data["epochs"], data["epoch"]
+        epochs = data["epochs"]
         me = threading.get_ident()
-        advanced = self._sections.get(epochs, {}).pop(me, None)
-        if advanced is None or advanced:
-            return  # entered before this sanitizer, or advanced itself
+        section = self._sections.get(epochs, {}).pop(me, None)
+        if section is None:
+            return  # entered before this sanitizer was installed
+        epoch, own, own_first = section
+        # Other threads may advance once, from the entry epoch, and only
+        # if this thread did not take that step itself; every further
+        # step must be one of this thread's own advances.
+        limit = epoch + own + (0 if own_first else 1)
         current = epochs.global_epoch
-        if current > epoch + 1 and (
+        if current > limit and (
             not self._managers or self._tracks_epochs(epochs)
         ):
             self._violate(
                 "epoch-overtook-critical-section",
                 f"thread {me} left a critical section begun at epoch "
-                f"{epoch} with the global epoch at {current}",
+                f"{epoch} with the global epoch at {current} after "
+                f"advancing it {own} time(s) itself",
             )
 
     # ------------------------------------------------------------------

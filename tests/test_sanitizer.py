@@ -157,6 +157,55 @@ def test_detects_epoch_skip_and_regression():
         m.close()
 
 
+def test_detects_epoch_overtaking_a_held_lease():
+    with sanitizer.enabled() as san:
+        m = MemoryManager()
+        lease = m.epochs.create_lease("session")
+        entered = lease.enter()
+        assert m.epochs.try_advance()  # one step past the lease: legal
+        assert not m.epochs.try_advance()
+        # Forge the advance try_advance just refused.
+        m.epochs._global_epoch = entered + 2
+        with pytest.raises(ProtocolViolation) as exc:
+            san.event(
+                "epoch.advance", epochs=m.epochs, old=entered + 1, new=entered + 2
+            )
+        assert "epoch-overtook-critical-section" in str(exc.value)
+        lease.release()
+        m.close()
+
+
+def _advance_from_other_thread(epochs):
+    advanced = []
+    t = threading.Thread(target=lambda: advanced.append(epochs.try_advance()))
+    t.start()
+    t.join()
+    assert advanced == [True]
+
+
+def test_section_exit_counts_the_threads_own_advances():
+    """A section forged with no depth (the entry window) is invisible to
+    advancement, so only the exit check can see the epoch run past it."""
+    with sanitizer.enabled() as san:
+        m = MemoryManager()
+        entered = m.epochs.global_epoch
+        # Another thread steps from the entry epoch, then this one: legal.
+        san.event("section.enter", epochs=m.epochs, epoch=entered)
+        _advance_from_other_thread(m.epochs)
+        assert m.epochs.try_advance()
+        san.event("section.exit", epochs=m.epochs, epoch=entered)
+        san.assert_clean()
+        # This thread steps first; another thread's step past it is not.
+        entered = m.epochs.global_epoch
+        san.event("section.enter", epochs=m.epochs, epoch=entered)
+        assert m.epochs.try_advance()
+        _advance_from_other_thread(m.epochs)
+        with pytest.raises(ProtocolViolation) as exc:
+            san.event("section.exit", epochs=m.epochs, epoch=entered)
+        assert "epoch-overtook-critical-section" in str(exc.value)
+        m.close()
+
+
 # ----------------------------------------------------------------------
 # Clean on real workloads
 # ----------------------------------------------------------------------
