@@ -29,7 +29,13 @@ from repro.memory.indirection import INC_MASK
 from repro.memory.manager import MemoryManager
 from repro.memory.reference import Ref
 from repro.core.collection import Collection, default_manager
-from repro.schema.fields import CharField, Field, RefField, VarStringField
+from repro.schema.fields import (
+    CharField,
+    Field,
+    RefField,
+    VarStringField,
+    char_bytes,
+)
 from repro.schema.layout import FIELD_REF, FIELD_VAR, EncodedRow
 from repro.schema.tabular import Tabular, TabularMeta
 
@@ -204,7 +210,7 @@ class ColumnarCollection(Collection):
                 block.columns[field.name + "__i"][slot] = pair[1]
             return
         if isinstance(field, CharField):
-            data = str(value).encode("utf-8")
+            data = char_bytes(value)
             if len(data) > field.width:
                 raise ValueError(
                     f"string of {len(data)} bytes exceeds CharField({field.width})"

@@ -32,6 +32,9 @@ while that is exact).
 from __future__ import annotations
 
 import datetime as _dt
+import operator
+import threading
+from collections import Counter
 from decimal import Decimal
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -137,6 +140,7 @@ class _PreparedScan:
         "zone_templates",
         "index_choice",
         "info",
+        "uses",
     )
 
     def __init__(self, query: Query, params, stamp) -> None:
@@ -174,6 +178,10 @@ class _PreparedScan:
             query.signature(), filters, params, source
         )
         self.zone_templates = derive_zone_tests(self.filters, source)
+        #: how often each distinct expression is referenced, for lowering
+        self.uses = _expr_uses(
+            _roots(self.filters, [op.exprs for op in self.semijoins], self.terminal)
+        )
 
     def bind(self, params: Dict[str, Any]) -> "_ScanPlan":
         """This request's plan: the zone bounds, dictionary code sets
@@ -198,6 +206,7 @@ class _PreparedScan:
             choice,
             self.info,
             self.semijoins,
+            self.uses,
         )
 
 
@@ -336,8 +345,8 @@ class _ScanPlan:
     One request's binding of a :class:`_PreparedScan`: made per request,
     its semi-join keys filled in once when it executes, and from then on
     shared (read-only) between the serial path and the parallel scan
-    workers; the only per-worker state is the ``_InsetProbe`` list (its
-    lazily aligned key arrays are not thread-safe) and the partial
+    workers.  Its expressions are lowered once, at the first admitted
+    block (:meth:`program`); the only per-worker state is the partial
     :class:`_Accumulator` each worker folds blocks into.
     """
 
@@ -352,6 +361,9 @@ class _ScanPlan:
         "index_choice",
         "info",
         "semijoins",
+        "uses",
+        "_program",
+        "_lowering",
     )
 
     def __init__(
@@ -366,6 +378,7 @@ class _ScanPlan:
         index_choice=None,
         info=None,
         semijoins=(),
+        uses=None,
     ) -> None:
         self.manager = manager
         self.source = source
@@ -383,20 +396,35 @@ class _ScanPlan:
         #: the ``WhereIn`` ops whose subqueries :meth:`run_subqueries`
         #: resolves into ``inset_ops`` (``(op, _KeyColumns)`` pairs)
         self.semijoins = semijoins
+        #: the prepared scan's reference counts of the expressions (None:
+        #: counted when the plan is lowered, as on a process worker)
+        self.uses = uses
+        self._program: Optional[_Program] = None
+        self._lowering = threading.Lock()
 
     def run_subqueries(self) -> None:
         """Run each semi-join subquery once, on the driver thread,
         before any executor, ``plansnap`` or the index lookup reads
-        ``inset_ops``; each scan worker then probes its own
-        ``_InsetProbe`` over the shared (read-only) raw key columns."""
+        ``inset_ops``."""
         if self.semijoins and not self.inset_ops:
             self.inset_ops = [
                 (op, _subquery_keys(op.subquery, self.params))
                 for op in self.semijoins
             ]
 
-    def make_probes(self) -> List["_InsetProbe"]:
-        return [_InsetProbe(op, sub) for op, sub in self.inset_ops]
+    def program(self) -> "_Program":
+        """This request's lowered expressions, made by the first caller.
+
+        Threads of one scan race here on their first block; the lock
+        makes one of them lower and the rest wait for its program.
+        """
+        program = self._program
+        if program is None:
+            with self._lowering:
+                program = self._program
+                if program is None:
+                    program = self._program = _Program(self)
+        return program
 
     def make_accumulator(self) -> "_Accumulator":
         return _Accumulator(self.terminal)
@@ -408,42 +436,45 @@ class _ScanPlan:
         blocks, builds raced by a writer) are always admitted — zone
         pruning is strictly an optimisation over the conservative answer.
         The map itself is built lazily here, amortised across scans:
-        writers only bump the block's version counter.
+        writers only bump the block's version counter.  The first
+        admitted block lowers the plan, so a fully pruned request lowers
+        nothing; the parent of a process-pool scan lowers too, though it
+        may ship every block, since it scans pinned pre-states and a dead
+        worker's units itself.
         """
-        if not self.zone_tests:
-            return True
-        zones = zonemap.ensure(self.manager, block)
-        if zones is None:
-            return True
-        for test in self.zone_tests:
-            if not test.admits_zones(zones):
-                return False
+        if self.zone_tests:
+            zones = zonemap.ensure(self.manager, block)
+            if zones is not None:
+                for test in self.zone_tests:
+                    if not test.admits_zones(zones):
+                        return False
+        if self._program is None:
+            self.program()
         return True
 
-    def process_block(
-        self, block, probes, acc: "_Accumulator", slots=None
-    ) -> None:
-        """Run the filter kernels over *block* (only its candidate
-        *slots*, when an index named them), folding rows into *acc*."""
-        ctx = _BlockCtx(self.manager, self.source, block, self.params)
+    def process_block(self, block, acc: "_Accumulator", slots=None) -> None:
+        """Run the lowered filters and probes over *block* (only its
+        candidate *slots*, when an index named them), folding rows into
+        *acc*."""
+        program = self._program or self.program()
+        ctx = _BlockCtx(self.manager, block, program.slots)
         if slots is not None and ctx.idx.size:
             ctx.refine(np.isin(ctx.idx, slots))
         if ctx.idx.size == 0:
             return
         acc.rows_scanned += int(ctx.idx.size)
-        for pred in self.filters:
-            arr, __ = ctx.eval(pred)
-            ctx.refine(np.asarray(arr, dtype=bool))
+        for mask in program.filters:
+            ctx.refine(mask(ctx))
             if ctx.idx.size == 0:
                 return
-        for probe in probes:
+        for probe in program.probes:
             ctx.refine(probe.mask(ctx))
             if ctx.idx.size == 0:
                 return
         acc.rows_matched += int(ctx.idx.size)
-        acc.absorb(ctx)
+        acc.absorb(ctx, program)
 
-    def scan(self, block, probes, acc: "_Accumulator") -> bool:
+    def scan(self, block, acc: "_Accumulator") -> bool:
         """One block of a scan, the step every executor runs: the zone
         test, the residency count, the kernels.  False if pruned — a
         pruned block is never admitted, so a fully-pruned scan over a
@@ -453,7 +484,7 @@ class _ScanPlan:
         pager = self.manager.pager
         if pager is not None:
             pager.touch(block)  # counts; the block is read where it lies
-        self.process_block(block, probes, acc)
+        self.process_block(block, acc)
         return True
 
 
@@ -465,13 +496,12 @@ def _run_serial(plan: _ScanPlan) -> Tuple["_Accumulator", int, int]:
     """
     manager = plan.manager
     acc = plan.make_accumulator()
-    probes = plan.make_probes()
     visited = scanned = 0
     manager.epochs.enter_critical_section()
     try:
         for block in scan_blocks(manager, plan.source.context):
             visited += 1
-            scanned += plan.scan(block, probes, acc)
+            scanned += plan.scan(block, acc)
     finally:
         manager.epochs.exit_critical_section()
     return acc, visited - scanned, scanned
@@ -493,7 +523,6 @@ def _run_index_lookup(plan: _ScanPlan) -> Tuple["_Accumulator", int, int]:
     manager = plan.manager
     space = manager.space
     acc = plan.make_accumulator()
-    probes = plan.make_probes()
     choice = plan.index_choice
     scanned = 0
     total = 0
@@ -518,7 +547,7 @@ def _run_index_lookup(plan: _ScanPlan) -> Tuple["_Accumulator", int, int]:
                 continue
             scanned += 1
             slots = block.slot_of_offset(np.array(offsets, dtype=np.int64))
-            plan.process_block(block, probes, acc, slots)
+            plan.process_block(block, acc, slots)
     finally:
         manager.epochs.exit_critical_section()
     return acc, total - scanned, scanned
@@ -567,31 +596,33 @@ def _raw_column(values: List[Any]) -> Tuple[np.ndarray, Tuple[str, Any]]:
 
 
 def _key_bytes(col: np.ndarray, dtype: Tuple[str, Any]) -> np.ndarray:
-    """A string key column as padding-free UTF-8 bytes."""
+    """A string key column as UTF-8 bytes, in the form a CHAR slot
+    stores: NUL padding is the only padding (S-dtype compares ignore it),
+    and trailing spaces were stripped when the value was written."""
     kind, meta = dtype
     if kind == "strcode":
         col = meta.decode_array(col)
     if col.dtype.kind != "S":
         return np.char.encode(col.astype(str), "utf-8")
-    if isinstance(meta, int) and meta < 0:
-        return col  # batch-decoded varstring: trailing spaces are data
-    return np.char.rstrip(col, b" \x00")
+    return col
 
 
-def _common_form(col: np.ndarray, dtype, other) -> np.ndarray:
-    """*col* in the raw form in which it compares equal, value for value,
-    to a column of dtype *other* put through this same function: strings
-    as bytes, decimals at the wider of the two scales."""
+def _common_form(dtype, other) -> Optional[Any]:
+    """The transform putting a column of *dtype* into the raw form in
+    which it compares equal, value for value, to a column of dtype
+    *other* put through this same function (None: as it is): strings as
+    bytes, decimals at the wider of the two scales."""
     kind, meta = dtype
     okind, ometa = other
     if kind in ("str", "strcode") or okind in ("str", "strcode"):
-        return _key_bytes(col, dtype)
+        return lambda col: _key_bytes(col, dtype)
     if kind == "decimal" or okind == "decimal":
         mine = meta if kind == "decimal" else 0
         scale = max(mine, ometa if okind == "decimal" else 0)
         if scale != mine:
-            return col * 10 ** (scale - mine)
-    return col
+            factor = 10 ** (scale - mine)
+            return lambda col: col * factor
+    return None
 
 
 def _translate_codes(col: np.ndarray, dtype, strdict) -> np.ndarray:
@@ -618,32 +649,42 @@ def _record(cols: List[np.ndarray], dtype: np.dtype) -> np.ndarray:
 
 
 class _InsetProbe:
-    """One WhereIn probe: a vectorised membership test of the block's
-    key columns in the subquery's raw key columns.
+    """One WhereIn probe, lowered: a vectorised membership test of the
+    block's key columns in the subquery's raw key columns.
 
-    The key columns move into the probe columns' raw domain once, on the
-    first block (where the probe expressions' dtypes are known); every
-    block is then one array test, never a per-row loop.
+    The key columns move into the probe columns' raw domain once, when
+    the plan is lowered (the probe expressions' dtypes are known then);
+    every block is then one array test, never a per-row loop.  Shared by
+    every thread of the scan: only :attr:`_records` is filled in while
+    blocks run, one entry per record dtype, and two threads racing on an
+    entry build the same array.
     """
 
-    def __init__(self, op: WhereIn, keys: _KeyColumns) -> None:
-        self.op = op
-        self.keys = keys
-        self._aligned: Optional[List[np.ndarray]] = None
+    def __init__(self, op: WhereIn, keys: _KeyColumns, nodes) -> None:
+        self.negated = bool(op.negated)
+        self.empty = not len(keys)
+        self.columns = [_column(node) for node in nodes]
+        specs = [node.dtype for node in nodes]
+        #: per probe column, its move into the keys' common form
+        self.forms = [
+            None if spec[0] == "strcode" else _common_form(spec, dtype)
+            for spec, dtype in zip(specs, keys.dtypes)
+        ]
         #: ``(lo, bool table)`` for a single integer key of small span:
         #: ``np.isin``'s table method, built once instead of per block
         self._table: Optional[Tuple[int, np.ndarray]] = None
         #: multi-column keys as one record array per record dtype
         self._records: Dict[np.dtype, np.ndarray] = {}
-
-    def _align(self, specs: List[Tuple[str, Any]]) -> None:
-        keys = self.keys
-        self._aligned = aligned = [
-            _translate_codes(col, dtype, spec[1])
-            if spec[0] == "strcode"
-            else _common_form(col, dtype, spec)
-            for col, dtype, spec in zip(keys.columns, keys.dtypes, specs)
-        ]
+        if self.empty:
+            return
+        aligned = []
+        for col, dtype, spec in zip(keys.columns, keys.dtypes, specs):
+            if spec[0] == "strcode":
+                aligned.append(_translate_codes(col, dtype, spec[1]))
+            else:
+                form = _common_form(dtype, spec)
+                aligned.append(col if form is None else form(col))
+        self.aligned = aligned
         if len(aligned) == 1 and aligned[0].dtype.kind in "iu":
             col = aligned[0]
             lo, hi = int(col.min()), int(col.max())
@@ -653,23 +694,13 @@ class _InsetProbe:
                 self._table = (lo, table)
 
     def mask(self, ctx: "_BlockCtx") -> np.ndarray:
-        n = ctx.idx.size
-        keys = self.keys
-        if not len(keys):
-            return np.full(n, bool(self.op.negated))
-        arrays: List[np.ndarray] = []
-        specs: List[Tuple[str, Any]] = []
-        for e in self.op.exprs:
-            arr, spec = ctx.eval(e)
-            arrays.append(_as_column(arr, n))
-            specs.append(spec)
-        if self._aligned is None:
-            self._align(specs)
-        aligned = self._aligned
+        if self.empty:
+            return np.full(ctx.idx.size, self.negated)
         arrays = [
-            arr if spec[0] == "strcode" else _common_form(arr, spec, dtype)
-            for arr, spec, dtype in zip(arrays, specs, keys.dtypes)
+            column(ctx) if form is None else form(column(ctx))
+            for column, form in zip(self.columns, self.forms)
         ]
+        aligned = self.aligned
         if self._table is not None:
             lo, table = self._table
             rel = arrays[0].astype(np.int64, copy=False) - lo
@@ -688,7 +719,7 @@ class _InsetProbe:
             if record is None:
                 record = self._records[dtype] = _record(aligned, dtype)
             hit = np.isin(_record(arrays, dtype), record)
-        return ~hit if self.op.negated else hit
+        return ~hit if self.negated else hit
 
 
 # ----------------------------------------------------------------------
@@ -697,11 +728,13 @@ class _InsetProbe:
 
 
 class _BlockCtx:
-    def __init__(self, manager, source, block, params) -> None:
+    """One block's candidate rows while a lowered program runs over it:
+    the row selection, the navigation caches and the value cache slots
+    of the expressions the program shares."""
+
+    def __init__(self, manager, block, slots: int = 0) -> None:
         self.manager = manager
-        self.source = source
         self.block = block
-        self.params = params
         self.idx = idx = block.valid_slots()
         #: the valid slots as one ``lo:hi`` run while they are unbroken
         #: (every loaded or bulk-filled block) and unrefined: base columns
@@ -714,8 +747,8 @@ class _BlockCtx:
         #: per-navigation-path target-block grouping of the address
         #: array, shared by every field gathered through the same path
         self._groupings: Dict[tuple, "_AddressGrouping"] = {}
-        #: value cache: expr signature -> (array, dtype, version)
-        self._vals: Dict[str, Tuple[np.ndarray, Any, int]] = {}
+        #: per shared expression (its lowered slot): (array, version)
+        self._vals: List[Optional[Tuple[np.ndarray, int]]] = [None] * slots
         #: keep masks applied by refine(); cached arrays record the
         #: version (keep count) they are aligned to and catch up lazily
         #: on access, so a predicate value that is never reused costs
@@ -738,11 +771,6 @@ class _BlockCtx:
         for i in range(version, len(self._keeps)):
             arr = arr[self._keeps[i]]
         return arr
-
-    def _strdict_for(self, field):
-        """String dictionary of the collection owning *field*, if any."""
-        coll = self.manager.collections.get(field.owner.__name__)
-        return getattr(coll, "strdict", None)
 
     # -- navigation -----------------------------------------------------
 
@@ -814,237 +842,520 @@ class _BlockCtx:
             return self._base(name)
         return self._gather(addrs, steps, name)
 
-    # -- expression evaluation ---------------------------------------------
 
-    def eval(self, expr: Expr) -> Tuple[Any, Tuple[str, Any]]:
-        sig = expr.signature()
-        cached = self._vals.get(sig)
-        if cached is not None:
-            value, dtype, version = cached
-            if version != len(self._keeps):
-                value = self._catch_up(value, version)
-                self._vals[sig] = (value, dtype, len(self._keeps))
-            return value, dtype
-        value, dtype = self._eval(expr)
-        if isinstance(value, np.ndarray):
-            self._vals[sig] = (value, dtype, len(self._keeps))
-        return value, dtype
+# ----------------------------------------------------------------------
+# Lowering: a request's expressions, resolved once
+# ----------------------------------------------------------------------
+# The paper compiles a query into one function over raw block fields
+# (section 4).  Here every distinct expression of a bound plan becomes,
+# once per request, a closure over the block context whose dtypes,
+# decimal scales, parameter raws, CHAR probe bytes and dictionary code
+# sets are already resolved: a block runs array operations only.
 
-    def _eval(self, expr: Expr) -> Tuple[Any, Tuple[str, Any]]:
-        if isinstance(expr, Const):
-            return self._const(expr.value)
-        if isinstance(expr, Param):
-            return self._const(self.params[expr.name])
-        if isinstance(expr, FieldRef):
-            field = expr.field
-            if isinstance(field, RefField):
-                arr = self.column(expr.steps, field.name + "__w")
-                return np.asarray(arr, dtype=np.int64), ("ref", None)
-            if isinstance(field, VarStringField):
-                raw = np.asarray(self.column(expr.steps, field.name))
-                sd = self._strdict_for(field)
-                if sd is not None:
-                    # Dictionary codes: row templates store NULL_ADDRESS
-                    # (-1) for unset strings; fold to code 0 ("").
-                    codes = raw.astype(np.int64, copy=False)
-                    if codes.size and int(codes.min()) < 0:
-                        codes = np.maximum(codes, 0)
-                    return codes, ("strcode", sd)
-                # Ablation path: batch-decode the block's records into one
-                # NumPy bytes array so string kernels stay vectorised.
-                strings = self.manager.strings
-                texts = [strings.read_bytes(int(a)) for a in raw]
-                width = max(map(len, texts), default=1) or 1
-                return np.array(texts, dtype=f"S{width}"), ("str", -width)
-            return np.asarray(self.column(expr.steps, field.name)), _field_dtype(
-                field
-            )
-        if isinstance(expr, RefIdentity):
-            arr = self.column(expr.steps[:-1], expr.steps[-1].name + "__w")
-            return np.asarray(arr, dtype=np.int64), ("ref", None)
-        if isinstance(expr, BinOp):
-            (l, ldt) = self.eval(expr.left)
-            (r, rdt) = self.eval(expr.right)
-            l, r, dtype = _align(l, ldt, r, rdt, expr.op)
-            if expr.op == "+":
-                return l + r, dtype
-            if expr.op == "-":
-                return l - r, dtype
-            if expr.op == "*":
-                return l * r, dtype
-            return l / r, dtype
-        if isinstance(expr, Cmp):
-            (l, ldt) = self.eval(expr.left)
-            (r, rdt) = self.eval(expr.right)
-            if ldt[0] == "strcode" or rdt[0] == "strcode":
-                return self._cmp_strcode(expr.op, l, ldt, r, rdt)
-            l, r, __ = _align(l, ldt, r, rdt, "cmp")
-            return self._CMP_OPS[expr.op](l, r), ("bool", None)
-        if isinstance(expr, BoolOp):
-            result = None
-            for part in expr.parts:
-                arr, __ = self.eval(part)
-                arr = np.asarray(arr, dtype=bool)
-                if result is None:
-                    result = arr
-                elif expr.op == "and":
-                    result = result & arr
-                else:
-                    result = result | arr
-            return result, ("bool", None)
-        if isinstance(expr, Not):
-            arr, __ = self.eval(expr.inner)
-            return ~np.asarray(arr, dtype=bool), ("bool", None)
-        if isinstance(expr, Between):
-            v, vdt = self.eval(expr.inner)
-            if vdt[0] == "strcode":
-                v, vdt = vdt[1].decode_array(np.asarray(v)), ("str", "py")
-            lo, ldt = self.eval(expr.lo)
-            hi, hdt = self.eval(expr.hi)
-            lo2, v1, __ = _align(lo, ldt, v, vdt, "cmp")
-            hi2, v2, __ = _align(hi, hdt, v, vdt, "cmp")
-            return (v1 >= lo2) & (v2 <= hi2), ("bool", None)
-        if isinstance(expr, InSet):
-            arr, dtype = self.eval(expr.inner)
-            if dtype[0] == "strcode":
-                codes = dtype[1].match_codes(
-                    "inset", frozenset(str(v) for v in expr.values)
-                )
-                return np.isin(arr, codes), ("bool", None)
-            raw = [_to_raw(v, dtype) for v in expr.values]
-            if dtype[0] == "str" and isinstance(dtype[1], int) and dtype[1] > 0:
-                # SQL CHAR comparison ignores trailing spaces; strip the
-                # padding from *both* sides (probes carry NUL padding from
-                # _to_raw, the column carries whatever was stored).
-                raw = [v.rstrip(b" \x00") for v in raw]
-                arr = np.char.rstrip(arr, b" \x00")
-            probe = np.array(raw)
-            return np.isin(arr, probe), ("bool", None)
-        if isinstance(expr, CaseWhen):
-            cond, __ = self.eval(expr.cond)
-            then, tdt = self.eval(expr.then)
-            other, odt = self.eval(expr.otherwise)
-            if tdt[0] == "strcode":
-                then, tdt = tdt[1].decode_array(np.asarray(then)), ("str", "py")
-            if odt[0] == "strcode":
-                other, odt = odt[1].decode_array(np.asarray(other)), ("str", "py")
-            then, other, dtype = _align(then, tdt, other, odt, "+")
-            return (
-                np.where(np.asarray(cond, dtype=bool), then, other),
-                dtype,
-            )
-        if isinstance(expr, YearOf):
-            arr, __ = self.eval(expr.inner)
-            days = np.asarray(arr, dtype="datetime64[D]")
-            years = days.astype("datetime64[Y]").astype(np.int64) + 1970
-            return years, ("int", None)
-        if isinstance(expr, StrPrefix):
-            arr, dtype = self.eval(expr.inner)
-            if dtype[0] == "strcode":
-                # Evaluated once over the dictionary's distinct values,
-                # then reduced to an int-code membership test.
-                codes = dtype[1].match_codes("prefix", expr.prefix)
-                return np.isin(arr, codes), ("bool", None)
-            if isinstance(dtype[1], int):
-                return (
-                    np.char.startswith(arr, expr.prefix.encode()),
-                    ("bool", None),
-                )
-            return (
-                np.array([s.startswith(expr.prefix) for s in arr], dtype=bool),
-                ("bool", None),
-            )
-        if isinstance(expr, StrContains):
-            arr, dtype = self.eval(expr.inner)
-            if dtype[0] == "strcode":
-                codes = dtype[1].match_codes("contains", expr.needle)
-                return np.isin(arr, codes), ("bool", None)
-            if isinstance(dtype[1], int):
-                return np.char.find(arr, expr.needle.encode()) >= 0, ("bool", None)
-            return (
-                np.array([expr.needle in s for s in arr], dtype=bool),
-                ("bool", None),
-            )
-        raise CompileError(f"cannot evaluate {expr!r} on the columnar engine")
+_BOOL = ("bool", None)
+#: batch-decoded variable-length string bytes (a collection without a
+#: string dictionary): trailing spaces are data, NUL is the S padding
+_VARBYTES = ("str", -1)
 
-    _CMP_OPS = {
-        "==": np.equal,
-        "!=": np.not_equal,
-        "<": np.less,
-        "<=": np.less_equal,
-        ">": np.greater,
-        ">=": np.greater_equal,
-    }
-
-    def _cmp_strcode(self, op, l, ldt, r, rdt):
-        """Comparison with at least one dictionary-coded operand.
-
-        Equality against a literal is a single ``code_of`` lookup followed
-        by an integer compare; ordering comparisons fall back to decoded
-        text (codes are allocation-ordered, not collation-ordered).
-        """
-        if ldt[0] != "strcode":
-            l, ldt, r, rdt = r, rdt, l, ldt
-            op = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}.get(op, op)
-        sd = ldt[1]
-        if rdt[0] == "strcode":
-            if rdt[1] is sd and op in ("==", "!="):
-                return self._CMP_OPS[op](l, r), ("bool", None)
-            lv = sd.decode_array(np.asarray(l))
-            rv = rdt[1].decode_array(np.asarray(r))
-            return self._CMP_OPS[op](lv, rv), ("bool", None)
-        rv = r.decode("utf-8") if isinstance(r, bytes) else str(r)
-        if op in ("==", "!="):
-            code = sd.code_of(rv)
-            if code is None:
-                # The literal is not in the dictionary: nothing matches.
-                empty = np.zeros(np.asarray(l).shape, dtype=bool)
-                return (empty if op == "==" else ~empty), ("bool", None)
-            return self._CMP_OPS[op](l, code), ("bool", None)
-        texts = sd.decode_array(np.asarray(l))
-        return self._CMP_OPS[op](texts, rv), ("bool", None)
-
-    def _const(self, value: Any) -> Tuple[Any, Tuple[str, Any]]:
-        if isinstance(value, Decimal):
-            scale = max(0, -value.as_tuple().exponent)
-            return int(value.scaleb(scale).to_integral_value()), ("decimal", scale)
-        if isinstance(value, _dt.date):
-            return date_to_days(value), ("date", None)
-        if isinstance(value, str):
-            return value.encode("utf-8"), ("str", "py-bytes")
-        if isinstance(value, float):
-            return value, ("float", None)
-        return value, ("int", None)
+_ARITH = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+}
+_CMP_OPS = {
+    "==": np.equal,
+    "!=": np.not_equal,
+    "<": np.less,
+    "<=": np.less_equal,
+    ">": np.greater,
+    ">=": np.greater_equal,
+}
+_MIRRORED = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 
-def _align(l, ldt, r, rdt, op):
-    """Scaled-decimal / string alignment for vectorised operands."""
-    lk, lm = ldt
-    rk, rm = rdt
+class _Node:
+    """One lowered expression: ``fn(ctx)`` is its value over a block's
+    candidate rows, ``dtype`` its raw ``(kind, meta)`` dtype.  A literal
+    or a bound parameter is a constant: no ``fn``, ``const`` holds its
+    raw value, and operators fold it in at lowering."""
+
+    __slots__ = ("dtype", "fn", "is_const", "const")
+
+    def __init__(self, dtype, fn=None, const: Any = None) -> None:
+        self.dtype = dtype
+        self.fn = fn
+        self.is_const = fn is None
+        self.const = const
+
+
+def _raw_const(value: Any) -> _Node:
+    if isinstance(value, Decimal):
+        scale = max(0, -value.as_tuple().exponent)
+        raw = int(value.scaleb(scale).to_integral_value())
+        return _Node(("decimal", scale), const=raw)
+    if isinstance(value, _dt.date):
+        return _Node(("date", None), const=date_to_days(value))
+    if isinstance(value, str):
+        return _Node(("str", "py-bytes"), const=value.encode("utf-8"))
+    if isinstance(value, float):
+        return _Node(("float", None), const=value)
+    return _Node(("int", None), const=value)
+
+
+def _map(node: _Node, func, dtype) -> _Node:
+    """*func* applied to *node*'s value (at lowering, for a constant)."""
+    if node.is_const:
+        return _Node(dtype, const=func(node.const))
+    fn = node.fn
+    return _Node(dtype, lambda ctx: func(fn(ctx)))
+
+
+def _combine(func, left: _Node, right: _Node, dtype) -> _Node:
+    """The binary *func* over two nodes, constants folded in."""
+    if left.is_const and right.is_const:
+        return _Node(dtype, const=func(left.const, right.const))
+    if right.is_const:
+        lf, c = left.fn, right.const
+        return _Node(dtype, lambda ctx: func(lf(ctx), c))
+    if left.is_const:
+        c, rf = left.const, right.fn
+        return _Node(dtype, lambda ctx: func(c, rf(ctx)))
+    lf, rf = left.fn, right.fn
+    return _Node(dtype, lambda ctx: func(lf(ctx), rf(ctx)))
+
+
+def _column(node: _Node):
+    """``fn(ctx)`` giving *node* as a column of the candidate rows (a
+    constant broadcasts)."""
+    if not node.is_const:
+        return node.fn
+    value = node.const
+    return lambda ctx: np.full(ctx.idx.size, value)
+
+
+def _operand(node: _Node):
+    """``fn(ctx)`` giving *node*'s value: a column, or a constant as the
+    scalar NumPy broadcasts."""
+    if not node.is_const:
+        return node.fn
+    value = node.const
+    return lambda ctx: value
+
+
+def _align(left: _Node, right: _Node, op: str):
+    """``(left, right, dtype)``: the operands of *op* in a common raw
+    form — decimals at one scale (summed for a product, floats for a
+    division) — and the result dtype."""
+    lk, lm = left.dtype
+    rk, rm = right.dtype
     if lk == "decimal" or rk == "decimal":
-        if op == "*":
-            scale = (lm if lk == "decimal" else 0) + (
-                rm if rk == "decimal" else 0
-            )
-            return l, r, ("decimal", scale)
-        if op == "/":
-            lf = l / 10 ** lm if lk == "decimal" else l
-            rf = r / 10 ** rm if rk == "decimal" else r
-            return lf, rf, ("float", None)
         ls = lm if lk == "decimal" else 0
         rs = rm if rk == "decimal" else 0
+        if op == "*":
+            return left, right, ("decimal", ls + rs)
+        if op == "/":
+            if lk == "decimal":
+                ld = 10 ** ls
+                left = _map(left, lambda v: v / ld, ("float", None))
+            if rk == "decimal":
+                rd = 10 ** rs
+                right = _map(right, lambda v: v / rd, ("float", None))
+            return left, right, ("float", None)
         scale = max(ls, rs)
-        if ls < scale:
-            l = l * 10 ** (scale - ls)
-        if rs < scale:
-            r = r * 10 ** (scale - rs)
-        return l, r, ("decimal", scale)
+        return (
+            _scaled(left, 10 ** (scale - ls)),
+            _scaled(right, 10 ** (scale - rs)),
+            ("decimal", scale),
+        )
     if lk == "str" or rk == "str":
         # NumPy S-columns compare against plain byte literals directly.
-        return l, r, ldt if lk == "str" else rdt
+        return left, right, left.dtype if lk == "str" else right.dtype
     if lk == "float" or rk == "float":
-        return l, r, ("float", None)
-    return l, r, ldt
+        return left, right, ("float", None)
+    return left, right, left.dtype
+
+
+def _scaled(node: _Node, factor: int) -> _Node:
+    if factor == 1:
+        return node
+    return _map(node, lambda v: v * factor, node.dtype)
+
+
+def _decoded(node: _Node) -> _Node:
+    """A dictionary-coded string node as text (for ordering compares)."""
+    decode = node.dtype[1].decode_array
+    return _map(node, lambda v: decode(np.asarray(v)), ("str", "py"))
+
+
+def _years(days) -> np.ndarray:
+    days = np.asarray(days, dtype="datetime64[D]")
+    return days.astype("datetime64[Y]").astype(np.int64) + 1970
+
+
+def _outputs(terminal) -> Tuple[list, list]:
+    """``(keys, aggregates)`` of a terminal: a projection's outputs are
+    its keys."""
+    if isinstance(terminal, Select):
+        return terminal.outputs, []
+    if terminal is None:
+        return [], []
+    return terminal.keys, terminal.aggs
+
+
+def _roots(filters: List[Expr], probes, terminal) -> List[Expr]:
+    """Every expression a scan evaluates: its filters, each probe's
+    columns, the terminal's keys and aggregate inputs."""
+    keys, aggs = _outputs(terminal)
+    roots = list(filters)
+    for exprs in probes:
+        roots.extend(exprs)
+    roots.extend(e for __, e in keys)
+    roots.extend(agg.expr for __, agg in aggs if agg.expr is not None)
+    return roots
+
+
+def _expr_uses(roots: List[Expr]) -> Counter:
+    """How many parents (or roots) reference each distinct expression:
+    those referenced more than once keep their value for the block."""
+    uses: Counter = Counter()
+
+    def walk(expr: Expr) -> None:
+        sig = expr.signature()
+        uses[sig] += 1
+        if uses[sig] == 1:
+            for child in expr.children():
+                walk(child)
+
+    for root in roots:
+        walk(root)
+    return uses
+
+
+class _Lowering:
+    """Lowers one request's expressions, each distinct one once."""
+
+    def __init__(self, manager, params, uses: Counter) -> None:
+        self.manager = manager
+        self.params = params
+        self.uses = uses
+        #: expression signature -> its lowered node
+        self.nodes: Dict[str, _Node] = {}
+        #: value cache slots handed out (one per shared array node)
+        self.slots = 0
+
+    def __call__(self, expr: Expr) -> _Node:
+        sig = expr.signature()
+        node = self.nodes.get(sig)
+        if node is not None:
+            return node
+        try:
+            lower = self._LOWER[type(expr)]
+        except KeyError:
+            raise CompileError(
+                f"cannot evaluate {expr!r} on the columnar engine"
+            ) from None
+        node = lower(self, expr)
+        if not node.is_const and self.uses[sig] > 1:
+            node = _Node(node.dtype, self._cached(node.fn))
+        self.nodes[sig] = node
+        return node
+
+    def mask(self, expr: Expr):
+        """``fn(ctx)`` giving *expr* as a boolean row mask."""
+        node = self(expr)
+        if node.dtype == _BOOL and not node.is_const:
+            return node.fn
+        column = _column(node)
+        return lambda ctx: np.asarray(column(ctx), dtype=bool)
+
+    def _cached(self, fn):
+        """*fn* computed once per block and caught up with each refine."""
+        slot = self.slots
+        self.slots += 1
+
+        def cached(ctx):
+            hit = ctx._vals[slot]
+            version = len(ctx._keeps)
+            if hit is None:
+                value = fn(ctx)
+            elif hit[1] == version:
+                return hit[0]
+            else:
+                value = ctx._catch_up(*hit)
+            ctx._vals[slot] = (value, version)
+            return value
+
+        return cached
+
+    def _strdict_for(self, field):
+        """String dictionary of the collection owning *field*, if any."""
+        coll = self.manager.collections.get(field.owner.__name__)
+        return getattr(coll, "strdict", None)
+
+    # -- one method per expression type ------------------------------
+
+    def _const(self, expr: Const) -> _Node:
+        return _raw_const(expr.value)
+
+    def _param(self, expr: Param) -> _Node:
+        return _raw_const(self.params[expr.name])
+
+    def _field(self, expr: FieldRef) -> _Node:
+        field, steps = expr.field, expr.steps
+        if isinstance(field, RefField):
+            return self._words(steps, field.name + "__w")
+        name = field.name
+        if not isinstance(field, VarStringField):
+            return _Node(_field_dtype(field), lambda ctx: ctx.column(steps, name))
+        sd = self._strdict_for(field)
+        if sd is not None:
+
+            def codes(ctx):
+                # Row templates store NULL_ADDRESS (-1) for unset
+                # strings; fold to code 0 ("").
+                codes = ctx.column(steps, name).astype(np.int64, copy=False)
+                if codes.size and int(codes.min()) < 0:
+                    codes = np.maximum(codes, 0)
+                return codes
+
+            return _Node(("strcode", sd), codes)
+        strings = self.manager.strings
+
+        def texts(ctx):
+            # Batch-decode the block's records into one NumPy bytes
+            # array so string kernels stay vectorised.
+            raw = ctx.column(steps, name)
+            texts = [strings.read_bytes(int(a)) for a in raw]
+            width = max(map(len, texts), default=1) or 1
+            return np.array(texts, dtype=f"S{width}")
+
+        return _Node(_VARBYTES, texts)
+
+    def _refid(self, expr: RefIdentity) -> _Node:
+        return self._words(expr.steps[:-1], expr.steps[-1].name + "__w")
+
+    @staticmethod
+    def _words(steps, name: str) -> _Node:
+        return _Node(
+            ("ref", None),
+            lambda ctx: ctx.column(steps, name).astype(np.int64, copy=False),
+        )
+
+    def _binop(self, expr: BinOp) -> _Node:
+        left, right, dtype = _align(self(expr.left), self(expr.right), expr.op)
+        return _combine(_ARITH[expr.op], left, right, dtype)
+
+    def _cmp(self, expr: Cmp) -> _Node:
+        left, right, op = self(expr.left), self(expr.right), expr.op
+        if right.dtype[0] == "strcode" and left.dtype[0] != "strcode":
+            left, right, op = right, left, _MIRRORED.get(op, op)
+        if left.dtype[0] == "strcode":
+            return self._cmp_strcode(op, left, right)
+        left, right, __ = _align(left, right, "cmp")
+        return _combine(_CMP_OPS[op], left, right, _BOOL)
+
+    def _cmp_strcode(self, op: str, left: _Node, right: _Node) -> _Node:
+        """A compare of a dictionary-coded *left*.
+
+        Equality against a literal is one ``code_of`` lookup, here,
+        and an integer compare per block; ordering compares run on
+        decoded text (codes are allocation-ordered, not collation-
+        ordered).
+        """
+        sd = left.dtype[1]
+        if right.dtype[0] == "strcode":
+            if right.dtype[1] is sd and op in ("==", "!="):
+                return _combine(_CMP_OPS[op], left, right, _BOOL)
+            return _combine(_CMP_OPS[op], _decoded(left), _decoded(right), _BOOL)
+        if not right.is_const:
+            raise CompileError(
+                "a dictionary-coded string compares with a literal or "
+                "another dictionary-coded string"
+            )
+        value = right.const
+        text = value.decode("utf-8") if isinstance(value, bytes) else str(value)
+        if op in ("==", "!="):
+            code = sd.code_of(text)
+            if code is None:
+                # The literal is not in the dictionary: nothing matches.
+                fill = op == "!="
+                return _Node(_BOOL, lambda ctx: np.full(ctx.idx.size, fill))
+            return _combine(_CMP_OPS[op], left, _Node(("int", None), const=code), _BOOL)
+        text_node = _Node(("str", "py"), const=text)
+        return _combine(_CMP_OPS[op], _decoded(left), text_node, _BOOL)
+
+    def _boolop(self, expr: BoolOp) -> _Node:
+        masks = [self.mask(part) for part in expr.parts]
+        first, rest = masks[0], masks[1:]
+        join = operator.and_ if expr.op == "and" else operator.or_
+
+        def fn(ctx):
+            out = first(ctx)
+            for mask in rest:
+                out = join(out, mask(ctx))
+            return out
+
+        return _Node(_BOOL, fn)
+
+    def _not(self, expr: Not) -> _Node:
+        mask = self.mask(expr.inner)
+        return _Node(_BOOL, lambda ctx: ~mask(ctx))
+
+    def _between(self, expr: Between) -> _Node:
+        inner = self(expr.inner)
+        if inner.dtype[0] == "strcode":
+            inner = _decoded(inner)
+        lo, v1, __ = _align(self(expr.lo), inner, "cmp")
+        hi, v2, __ = _align(self(expr.hi), inner, "cmp")
+        if v1 is v2 is inner and lo.is_const and hi.is_const and not inner.is_const:
+            # The usual window: the value read once, two compares.
+            fn, lo, hi = inner.fn, lo.const, hi.const
+
+            def window(ctx):
+                value = fn(ctx)
+                return (value >= lo) & (value <= hi)
+
+            return _Node(_BOOL, window)
+        return _combine(
+            operator.and_,
+            _combine(np.greater_equal, v1, lo, _BOOL),
+            _combine(np.less_equal, v2, hi, _BOOL),
+            _BOOL,
+        )
+
+    def _inset(self, expr: InSet) -> _Node:
+        inner = self(expr.inner)
+        kind, meta = inner.dtype
+        if kind == "strcode":
+            probe = meta.match_codes("inset", frozenset(str(v) for v in expr.values))
+        else:
+            raw = [_to_raw(v, inner.dtype) for v in expr.values]
+            if kind == "str" and isinstance(meta, int) and meta > 0:
+                # SQL CHAR comparison ignores trailing spaces: CHAR slots
+                # store values without them, so the probe drops them too.
+                raw = [v.rstrip(b" \x00") for v in raw]
+            probe = np.array(raw)
+        return _map(inner, lambda arr: np.isin(arr, probe), _BOOL)
+
+    def _case(self, expr: CaseWhen) -> _Node:
+        cond = self.mask(expr.cond)
+        then, other = self(expr.then), self(expr.otherwise)
+        if then.dtype[0] == "strcode":
+            then = _decoded(then)
+        if other.dtype[0] == "strcode":
+            other = _decoded(other)
+        then, other, dtype = _align(then, other, "+")
+        tf, of = _operand(then), _operand(other)
+        return _Node(dtype, lambda ctx: np.where(cond(ctx), tf(ctx), of(ctx)))
+
+    def _year(self, expr: YearOf) -> _Node:
+        return _map(self(expr.inner), _years, ("int", None))
+
+    def _prefix(self, expr: StrPrefix) -> _Node:
+        inner = self(expr.inner)
+        kind, meta = inner.dtype
+        if kind == "strcode":
+            # Evaluated once over the dictionary's distinct values, then
+            # reduced to an int-code membership test.
+            codes = meta.match_codes("prefix", expr.prefix)
+            return _map(inner, lambda arr: np.isin(arr, codes), _BOOL)
+        prefix = expr.prefix
+        if isinstance(meta, int):
+            raw = prefix.encode()
+            return _map(inner, lambda arr: np.char.startswith(arr, raw), _BOOL)
+        return _map(
+            inner,
+            lambda arr: np.array([s.startswith(prefix) for s in arr], dtype=bool),
+            _BOOL,
+        )
+
+    def _contains(self, expr: StrContains) -> _Node:
+        inner = self(expr.inner)
+        kind, meta = inner.dtype
+        if kind == "strcode":
+            codes = meta.match_codes("contains", expr.needle)
+            return _map(inner, lambda arr: np.isin(arr, codes), _BOOL)
+        needle = expr.needle
+        if isinstance(meta, int):
+            raw = needle.encode()
+            return _map(inner, lambda arr: np.char.find(arr, raw) >= 0, _BOOL)
+        return _map(
+            inner,
+            lambda arr: np.array([needle in s for s in arr], dtype=bool),
+            _BOOL,
+        )
+
+    _LOWER = {
+        Const: _const,
+        Param: _param,
+        FieldRef: _field,
+        RefIdentity: _refid,
+        BinOp: _binop,
+        Cmp: _cmp,
+        BoolOp: _boolop,
+        Not: _not,
+        Between: _between,
+        InSet: _inset,
+        CaseWhen: _case,
+        YearOf: _year,
+        StrPrefix: _prefix,
+        StrContains: _contains,
+    }
+
+
+class _Program:
+    """A bound plan's filters, probes, group keys and aggregates lowered
+    for one request (:meth:`_ScanPlan.program`).
+
+    Read-only once made, so every thread of the scan runs the same one;
+    a process worker lowers its decoded copy of the plan for itself.
+    """
+
+    __slots__ = (
+        "filters",
+        "probes",
+        "keys",
+        "key_dtypes",
+        "cells",
+        "agg_dtypes",
+        "slots",
+    )
+
+    def __init__(self, plan: _ScanPlan) -> None:
+        keys, aggs = _outputs(plan.terminal)
+        uses = plan.uses
+        if uses is None:
+            probes = [op.exprs for op, __ in plan.inset_ops]
+            uses = _expr_uses(_roots(plan.filters, probes, plan.terminal))
+        lower = _Lowering(plan.manager, plan.params, uses)
+        self.filters = [lower.mask(pred) for pred in plan.filters]
+        self.probes = [
+            _InsetProbe(op, sub, [lower(e) for e in op.exprs])
+            for op, sub in plan.inset_ops
+        ]
+        nodes = [lower(e) for __, e in keys]
+        self.keys = [_column(node) for node in nodes]
+        self.key_dtypes = [node.dtype for node in nodes]
+        #: per aggregate, ``fn(ctx)`` of its input column (None: a count)
+        self.cells: List[Any] = []
+        self.agg_dtypes: List[Tuple[str, Any]] = []
+        for __, agg in aggs:
+            if agg.kind == "count":
+                self.cells.append(None)
+                self.agg_dtypes.append(("int", None))
+                continue
+            node = lower(agg.expr)
+            if node.dtype[0] == "strcode":
+                if agg.kind in ("sum", "avg"):
+                    raise CompileError(f"cannot {agg.kind} a string field")
+                # min/max order by text, not by allocation-ordered code.
+                node = _decoded(node)
+            self.cells.append(_column(node))
+            self.agg_dtypes.append(node.dtype)
+        self.slots = lower.slots
+        extra = plan.manager.stats.extra
+        extra["scan_lowerings"] = extra.get("scan_lowerings", 0) + len(lower.nodes)
 
 
 class _AddressGrouping:
@@ -1101,12 +1412,6 @@ class _AddressGrouping:
 
 def _concat(chunks: List[np.ndarray]) -> np.ndarray:
     return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-
-
-def _as_column(arr, n: int) -> np.ndarray:
-    """*arr* as an ``n``-row column (a constant broadcasts)."""
-    arr = np.asarray(arr)
-    return np.full(n, arr[()]) if arr.ndim == 0 else arr
 
 
 #: Tables the sort-free kernels index by key value (offset codes, the
@@ -1200,16 +1505,27 @@ def _group_factorize(
 def _grouped_sums(
     chunks: List[np.ndarray], inverse: np.ndarray, nuniq: int
 ) -> np.ndarray:
-    """Per-group sums folded chunk by chunk (a chunk is one scanned block
-    or a folded unit of blocks).
+    """Per-group sums of the chunks (a chunk is one scanned block or a
+    folded unit of blocks).
 
     Dense-group-code scatter: ``np.add.at`` is an unbuffered (hence
     slow) scatter; bincount-with-weights is the vectorised fast path.
-    Weights accumulate in float64, exact only below 2**53, so each
-    chunk guards on its worst-case partial-sum magnitude.  Chunks fold
-    in scan order, so float sums reproduce the serial per-block
-    addition order bit for bit.
+    Weights accumulate in float64, exact only below 2**53: an integer
+    column whose worst-case sum ``n * max|v|`` stays below that folds in
+    one ``bincount``, else chunk by chunk, each chunk guarded on its own
+    worst case.  Float chunks always fold chunk by chunk in scan order,
+    so their sums reproduce the serial per-block addition order bit for
+    bit.
     """
+    if chunks and all(arr.dtype.kind in "iu" for arr in chunks):
+        whole = _concat(chunks)
+        if whole.size == 0:
+            return np.zeros(nuniq, dtype=np.int64)
+        amax = max(abs(int(whole.min())), abs(int(whole.max())))
+        if whole.size * max(amax, 1) < 2 ** 53:
+            return np.bincount(inverse, weights=whole, minlength=nuniq).astype(
+                np.int64
+            )
     total = None
     pos = 0
     for arr in chunks:
@@ -1277,12 +1593,7 @@ class _Accumulator:
     def __init__(self, terminal) -> None:
         self.terminal = terminal
         #: the key expressions (a projection's outputs) and the aggregates
-        self.keys = []
-        self.aggs = []
-        if isinstance(terminal, Select):
-            self.keys = terminal.outputs
-        elif terminal is not None:
-            self.keys, self.aggs = terminal.keys, terminal.aggs
+        self.keys, self.aggs = _outputs(terminal)
         #: an enumeration's live references (never cross a process)
         self.refs: List[Any] = []
         self.chunks: List[tuple] = []
@@ -1295,7 +1606,7 @@ class _Accumulator:
         #: Rows surviving every filter/probe (observed selectivity).
         self.rows_matched = 0
 
-    def absorb(self, ctx: _BlockCtx) -> None:
+    def absorb(self, ctx: _BlockCtx, program: _Program) -> None:
         """Append a block's matched rows as a chunk of raw columns."""
         ctx.detach()  # what is kept from here on outlives the scan
         if self.terminal is None:
@@ -1305,34 +1616,18 @@ class _Accumulator:
             for entry in ctx.block.backptrs[ctx.idx].tolist():
                 self.refs.append(Ref(ctx.manager, entry, table.incarnation(entry)))
             return
-        n = ctx.idx.size
-        keys = []
-        key_dtypes = []
-        for __, e in self.keys:
-            arr, dtype = ctx.eval(e)
-            keys.append(_as_column(arr, n))
-            key_dtypes.append(dtype)
+        keys = [column(ctx) for column in program.keys]
         cells = []
-        agg_dtypes = []
-        for __, agg in self.aggs:
-            if agg.kind == "count":
+        for (__, agg), column in zip(self.aggs, program.cells):
+            if column is None:
                 cells.append(None)
-                agg_dtypes.append(("int", None))
-                continue
-            arr, dtype = ctx.eval(agg.expr)
-            arr = np.asarray(arr)
-            if dtype[0] == "strcode":
-                if agg.kind in ("sum", "avg"):
-                    raise CompileError(f"cannot {agg.kind} a string field")
-                # min/max order by text, not by allocation-ordered code.
-                arr = dtype[1].decode_array(arr)
-                dtype = ("str", "py")
-            arr = _as_column(arr, n)
-            cells.append((arr, None) if agg.kind == "avg" else arr)
-            agg_dtypes.append(dtype)
-        self.key_dtypes = key_dtypes
-        self.agg_dtypes = agg_dtypes
-        self.chunks.append((n, keys, cells))
+            elif agg.kind == "avg":
+                cells.append((column(ctx), None))
+            else:
+                cells.append(column(ctx))
+        self.key_dtypes = program.key_dtypes
+        self.agg_dtypes = program.agg_dtypes
+        self.chunks.append((int(ctx.idx.size), keys, cells))
 
     def fold(self) -> tuple:
         """The chunks as one: a projection's concatenated, a group-by's
@@ -1341,7 +1636,8 @@ class _Accumulator:
         One key factorization plus one vectorised fold per aggregate.
         Sums fold chunk by chunk in sequence order, so float sums add in
         the order a serial per-block fold adds them whether a chunk is one
-        block or a worker's folded unit.  The unweighted group count is
+        block or a worker's folded unit.  A sum and an average of the same
+        input share one grouped sum, and the unweighted group count is
         computed once and shared by the count and every average.
         """
         chunks = self.chunks
@@ -1374,16 +1670,24 @@ class _Accumulator:
                 counts = np.bincount(inverse, minlength=nuniq)
             return counts
 
+        sums: Dict[str, np.ndarray] = {}  # aggregate input -> grouped sums
+
+        def grouped_sums(agg, parts):
+            sig = agg.expr.signature()
+            if sig not in sums:
+                sums[sig] = _grouped_sums(parts, inverse, nuniq)
+            return sums[sig]
+
         cells: List[Any] = []
         for i, (__, agg) in enumerate(self.aggs):
             parts = [chunk[2][i] for chunk in chunks]
             if agg.kind == "count":
                 cells.append(weights(parts))
             elif agg.kind == "avg":
-                sums = _grouped_sums([p[0] for p in parts], inverse, nuniq)
-                cells.append((sums, weights([p[1] for p in parts])))
+                total = grouped_sums(agg, [p[0] for p in parts])
+                cells.append((total, weights([p[1] for p in parts])))
             elif agg.kind == "sum":
-                cells.append(_grouped_sums(parts, inverse, nuniq))
+                cells.append(grouped_sums(agg, parts))
             else:
                 cells.append(
                     _grouped_extremes(agg.kind, _concat(parts), inverse, nuniq)

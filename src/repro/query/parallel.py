@@ -79,7 +79,6 @@ def _drain(cursor: BlockCursor, plan):
     ``(seq, accumulator)`` pairs for the driver's ordered merge.
     """
     epochs = plan.manager.epochs
-    probes = plan.make_probes()
     partials = []
     visited = scanned = 0
     epochs.enter_critical_section()
@@ -89,7 +88,7 @@ def _drain(cursor: BlockCursor, plan):
             acc = plan.make_accumulator()
             for block in blocks:
                 visited += 1
-                scanned += plan.scan(block, probes, acc)
+                scanned += plan.scan(block, acc)
             partials.append((seq, acc))
     finally:
         cursor.release()

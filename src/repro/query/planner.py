@@ -267,12 +267,16 @@ def nav_depth(expr: Expr) -> int:
 def kernel_count(expr: Expr) -> int:
     """Vector comparison kernels *expr* applies per row batch.
 
-    A ``Between`` lowers to two compares, a composed boolean to the sum
-    of its parts — charging them accordingly keeps a two-kernel range
-    test from outranking a genuinely cheaper single compare.
+    A ``Between`` lowers to two compares, an ``InSet`` over a CHAR column
+    to one compare per listed value (its bytes have no dictionary codes;
+    a dictionary-coded set is one code-membership test), a composed
+    boolean to the sum of its parts — charging them accordingly keeps a
+    multi-kernel test from outranking a genuinely cheaper single compare.
     """
     if isinstance(expr, Between):
         return 2
+    if isinstance(expr, InSet) and isinstance(_field_of(expr.inner), CharField):
+        return max(1, len(expr.values))
     if isinstance(expr, (Cmp, InSet, RefIdentity, StrPrefix, StrContains)):
         return 1
     count = 0

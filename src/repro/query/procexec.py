@@ -223,7 +223,6 @@ def _worker_main(manager, slots: np.ndarray, index: int, rfd: int, wfd: int):
                 manager, wire["space_map"], wire["heap_map"]
             )
             plan = plansnap.decode_plan(manager, wire["plan"])
-            probes = plan.make_probes()
             for seq, block_ids in wire["units"]:
                 if _san.SANITIZER is not None:
                     # Fault-injection point: crash_at("exec.worker") makes
@@ -237,7 +236,7 @@ def _worker_main(manager, slots: np.ndarray, index: int, rfd: int, wfd: int):
                 acc = plan.make_accumulator()
                 for block_id in block_ids:
                     block = space.block_by_id(block_id)
-                    plan.process_block(block, probes, acc)
+                    plan.process_block(block, acc)
                 _send_frame(
                     wfd,
                     (
@@ -495,7 +494,6 @@ class ProcessScanPool:
         start_fp = self.fingerprint()
         self._qid += 1
         qid = self._qid
-        probes = plan.make_probes()
 
         local_partials: List[tuple] = []
         visited = scanned = redispatched = 0
@@ -520,7 +518,7 @@ class ProcessScanPool:
                     if cursor.pinned:
                         acc = plan.make_accumulator()
                         for block in blocks:
-                            scanned += plan.scan(block, probes, acc)
+                            scanned += plan.scan(block, acc)
                         local_partials.append(((part + 1, 0), acc))
                         part += 2
                         continue
@@ -658,7 +656,7 @@ class ProcessScanPool:
                         acc = plan.make_accumulator()
                         for block_id in block_ids:
                             block = manager.space.block_by_id(block_id)
-                            plan.process_block(block, probes, acc)
+                            plan.process_block(block, acc)
                         local_partials.append((seq, acc))
 
             extra = manager.stats.extra

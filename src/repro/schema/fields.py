@@ -303,8 +303,20 @@ class DateField(Field):
         return _EPOCH_DATE
 
 
+def char_bytes(value: Any) -> bytes:
+    """*value*'s canonical ``CHAR`` bytes: UTF-8 without trailing spaces
+    or NULs (both are padding to SQL ``CHAR`` and to the decoder)."""
+    return str(value).encode("utf-8").rstrip(b" \x00")
+
+
 class CharField(Field):
-    """Fixed-width string, space padded (SQL ``CHAR(n)``)."""
+    """Fixed-width string (SQL ``CHAR(n)``).
+
+    Stored canonically: trailing spaces (which SQL ``CHAR`` comparison
+    ignores) are stripped when a value is written, and the slot is NUL
+    padded — NumPy's S-dtype padding — so vectorised scans compare the
+    stored bytes as they are.
+    """
 
     align = 1
     python_type = str
@@ -325,13 +337,12 @@ class CharField(Field):
         self._struct = struct.Struct(f"<{self.width}s")
 
     def encode_into(self, buf, off: int, value: Any, manager=None) -> None:
-        data = str(value).encode("utf-8")
+        data = char_bytes(value)
         if len(data) > self.width:
             raise ValueError(
                 f"string of {len(data)} bytes exceeds CharField({self.width})"
             )
-        # struct NUL-pads short strings; NUL padding matches NumPy's
-        # S-dtype convention so vectorised block scans compare directly.
+        # struct NUL-pads short strings.
         self._struct.pack_into(buf, off, data)
 
     def decode_from(self, buf, off: int, manager=None) -> str:

@@ -36,6 +36,7 @@ from repro.schema.fields import (
     Field,
     RefField,
     VarStringField,
+    char_bytes,
 )
 from repro.tagged import decode_value, encode_value, log_json
 
@@ -452,7 +453,7 @@ def _char_convert(field: CharField):
     def convert(value: Any) -> bytes:
         if type(value) is dict:
             value = _untag(field, value)
-        data = str(value).encode("utf-8")
+        data = char_bytes(value)
         if len(data) > width:
             raise ValueError(
                 f"{field.name}: string of {len(data)} bytes exceeds "

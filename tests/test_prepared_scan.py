@@ -12,7 +12,10 @@ Three kinds of test, none of which reads a clock:
   built ``Query`` and against the interpreted engine;
 * invalidation traps: what a prepared scan must *not* freeze (dictionary
   code sets, zone bounds, the index key, anything per request) and what
-  re-prepares it (a drift of the store's coarse statistics stamp).
+  re-prepares it (a drift of the store's coarse statistics stamp);
+* lowering gates: a request lowers each distinct expression of its plan
+  once, whatever the block size or executor, and a fully pruned request
+  lowers nothing.
 """
 
 from __future__ import annotations
@@ -28,7 +31,9 @@ import pytest
 from repro.core.collection import Collection
 from repro.memory.manager import MemoryManager
 from repro.query import columnar_exec, compiler, planner
+from repro.query.builder import GroupBy, Select, Where, WhereIn
 from repro.query.expressions import param
+from repro.query.procexec import ProcessScanPool
 from repro.service.server import QueryService
 from repro.tpch.loader import load_smc
 from repro.tpch.queries import DEFAULT_PARAMS, EXTRA_QUERIES, QUERIES
@@ -463,3 +468,112 @@ def test_table_stats_survive_adds_and_removes_inside_blocks(
     while persons.context.block_count() == blocks:
         persons.add(name="grow", age=6)
     assert planner.table_stats(persons) is not stats and folds["n"] == 2
+
+
+# ----------------------------------------------------------------------
+# Lowering: once per request, nothing for a pruned one
+# ----------------------------------------------------------------------
+
+MIX = ["q1", "q2", "q3", "q4", "q5", "q6", "q7", "q10", "q12", "q14"]
+
+
+def _distinct_expressions(query) -> int:
+    """What one run of *query* lowers: the distinct expressions of its
+    split filters, probe columns, keys and aggregate inputs, plus those
+    of each semi-join subquery (a request of its own)."""
+    roots, filters, subqueries = [], [], 0
+    for op in query.ops:
+        if isinstance(op, Where):
+            filters.append(op.pred)
+        elif isinstance(op, WhereIn):
+            roots.extend(op.exprs)
+            subqueries += _distinct_expressions(op.subquery)
+        elif isinstance(op, Select):
+            roots.extend(e for __, e in op.outputs)
+        elif isinstance(op, GroupBy):
+            roots.extend(e for __, e in op.keys)
+            roots.extend(a.expr for __, a in op.aggs if a.expr is not None)
+    seen = set()
+
+    def walk(expr):
+        if expr.signature() not in seen:
+            seen.add(expr.signature())
+            for child in expr.children():
+                walk(child)
+
+    for root in planner.split_conjuncts(filters) + roots:
+        walk(root)
+    return len(seen) + subqueries
+
+
+@pytest.fixture(scope="module", params=[16, 20], ids=["64KiB", "1MiB"])
+def shm_tpch(request, tpch_tiny):
+    manager = MemoryManager(block_shift=request.param, shm=True)
+    colls = load_smc(tpch_tiny, manager=manager)
+    yield colls
+    manager.close()
+
+
+@pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+def test_a_request_lowers_each_distinct_expression_once(shm_tpch, executor):
+    manager = shm_tpch["_manager"]
+    extra = manager.stats.extra
+    if manager.space.block_size == 1 << 16:
+        # Many blocks per request: a per-block lowering would show.
+        assert shm_tpch["lineitem"].context.block_count() > 2
+    workers = 1 if executor == "serial" else 2
+    if executor == "process":
+        manager.exec_pool = ProcessScanPool(manager, workers=2)
+    try:
+        for name in MIX:
+            query = ALL_QUERIES[name](shm_tpch)
+            params = _params(SWEEPS[name][0])
+            before = (
+                extra.get("scan_lowerings", 0),
+                extra.get("exec_process_queries", 0),
+            )
+            got = query.run(params=params, workers=workers)
+            assert extra["scan_lowerings"] - before[0] == _distinct_expressions(
+                query
+            ), name
+            took_pool = extra.get("exec_process_queries", 0) - before[1]
+            assert took_pool == (executor == "process"), name
+            assert _canonical(got) == _canonical(
+                query.run(engine="interpreted", params=params)
+            ), name
+        # Fully zone-pruned windows: every block is pruned, nothing lowers.
+        for name in ("q6", "q12", "q14"):
+            query = ALL_QUERIES[name](shm_tpch)
+            before = (
+                extra.get("scan_lowerings", 0),
+                extra.get("zone_scanned_blocks", 0),
+            )
+            query.run(params=_params(SWEEPS[name][1]), workers=workers)
+            assert extra.get("zone_scanned_blocks", 0) == before[1], name
+            assert extra.get("scan_lowerings", 0) == before[0], name
+    finally:
+        if executor == "process":
+            manager.exec_pool.shutdown()
+            manager.exec_pool = None
+
+
+def test_threads_racing_to_their_first_block_lower_once(shm_tpch):
+    """More scan threads than cores, switching every microsecond: the
+    threads of one request reach their first blocks together, one of
+    them lowers, and the others run its program."""
+    extra = shm_tpch["_manager"].stats.extra
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for name in ("q1", "q12", "q14"):
+            query = ALL_QUERIES[name](shm_tpch)
+            params = _params(SWEEPS[name][0])
+            expected = repr(query.run(params=params).rows)
+            for __ in range(5):
+                before = extra["scan_lowerings"]
+                assert repr(query.run(params=params, workers=8).rows) == expected
+                assert extra["scan_lowerings"] - before == _distinct_expressions(
+                    query
+                ), name
+    finally:
+        sys.setswitchinterval(interval)

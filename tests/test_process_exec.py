@@ -393,9 +393,8 @@ def test_plan_wire_roundtrip_executes(tpch_tiny):
             decoded = plansnap.decode_plan(manager, wire)
             assert decoded.zone_tests == []  # workers never prune
             acc = decoded.make_accumulator()
-            probes = decoded.make_probes()
             for block in decoded.source.context.blocks():
-                decoded.process_block(block, probes, acc)
+                decoded.process_block(block, acc)
             columns, rows = acc.finish(manager)
             assert (tuple(columns), sorted(map(tuple, rows))) == expected, name
     finally:
@@ -426,12 +425,11 @@ def test_accumulator_wire_is_arrays(tpch_tiny, name):
         plan, __ = build_scan_plan(ALL_QUERIES[name](collections), DEFAULT_PARAMS)
         blocks = [b for b in plan.source.context.blocks() if plan.admits(b)]
         assert len(blocks) >= 2
-        probes = plan.make_probes()
 
         def scan(part):
             acc = plan.make_accumulator()
             for block in part:
-                plan.process_block(block, probes, acc)
+                plan.process_block(block, acc)
             return acc
 
         half = len(blocks) // 2

@@ -297,3 +297,69 @@ def test_unknown_engine_rejected(manager):
     persons = Collection(TPerson, manager=manager)
     with pytest.raises(ValueError):
         persons.query().run(engine="quantum")
+
+
+# ----------------------------------------------------------------------
+# CHAR trailing spaces: every engine on both layouts
+# ----------------------------------------------------------------------
+
+CHAR_NAMES = ["AIR  ", "AIR", "MAIL ", "RAIL", "AIR ", "SHIP"]
+
+
+def _char_queries(people, orders):
+    short = people.query().where(TPerson.age < 3).select(name=TPerson.name)
+    return {
+        "eq": people.query().where(TPerson.name == "AIR").aggregate(n=Count()),
+        "ne": people.query().where(TPerson.name != "AIR").aggregate(n=Count()),
+        "inset": people.query()
+        .where(TPerson.name.isin(["AIR", "MAIL"]))
+        .aggregate(n=Count()),
+        "group": people.query()
+        .group_by(name=TPerson.name)
+        .aggregate(n=Count(), age=Sum(TPerson.age))
+        .order_by("name"),
+        "order": people.query()
+        .select(name=TPerson.name, age=TPerson.age)
+        .order_by("name", "-age"),
+        "semijoin": orders.query()
+        .where_in(TOrder.owner.ref("name"), short)
+        .select(key=TOrder.orderkey)
+        .order_by("key"),
+    }
+
+
+@pytest.mark.parametrize("layout", [Collection, ColumnarCollection])
+def test_char_values_compare_without_trailing_spaces(layout):
+    """SQL CHAR ignores trailing spaces: ``"AIR  "`` and ``"AIR"`` are one
+    value to every engine on both layouts — equal, one group, one sort
+    key, one semi-join key.  The vectorised engine compares the stored
+    bytes, so this holds because every write stores them canonically."""
+    manager = MemoryManager()
+    people = layout(TPerson, manager=manager)
+    orders = layout(TOrder, manager=manager)
+    for age, name in enumerate(CHAR_NAMES):
+        owner = people.add(name=name, age=age, balance=Decimal(age))
+        orders.add(orderkey=age, owner=owner, total=Decimal(1),
+                   placed=datetime.date(2000, 1, 1))
+    expected = {
+        "eq": [(3,)],
+        "ne": [(3,)],
+        "inset": [(4,)],
+        "group": [("AIR", 3, 5), ("MAIL", 1, 2), ("RAIL", 1, 3), ("SHIP", 1, 5)],
+        "order": [("AIR", 4), ("AIR", 1), ("AIR", 0), ("MAIL", 2),
+                  ("RAIL", 3), ("SHIP", 5)],
+        "semijoin": [(0,), (1,), (2,), (4,)],
+    }
+    runs = {
+        "vectorised": lambda q: q.run(),
+        "interpreted": lambda q: q.run(engine="interpreted"),
+    }
+    if layout is Collection:  # generated slot code reads row blocks only
+        runs["smc-safe"] = lambda q: q.run(flavor="smc-safe")
+    try:
+        for name, query in _char_queries(people, orders).items():
+            for engine, run in runs.items():
+                rows = [tuple(row) for row in run(query).rows]
+                assert rows == expected[name], (name, engine)
+    finally:
+        manager.close()

@@ -143,6 +143,80 @@ def test_factorize_degenerate_inputs():
 
 
 # ----------------------------------------------------------------------
+# Grouped sums
+# ----------------------------------------------------------------------
+
+
+def _python_sums(chunks, inverse, nuniq):
+    out = [0] * nuniq
+    for g, v in zip(inverse.tolist(), np.concatenate(chunks).tolist()):
+        out[g] += v
+    return out
+
+
+def test_grouped_sums_fold_a_small_integer_column_in_one_bincount(monkeypatch):
+    rng = np.random.default_rng(7)
+    chunks = [rng.integers(-1000, 1000, size=n) for n in (5, 0, 17, 3)]
+    inverse = rng.integers(0, 4, size=25)
+    calls = collections.Counter()
+    real = np.bincount
+
+    def counted(*args, **kwargs):
+        calls["bincount"] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(columnar_exec.np, "bincount", counted)
+    got = columnar_exec._grouped_sums(chunks, inverse, 4)
+    assert calls["bincount"] == 1
+    assert got.dtype == np.int64
+    assert got.tolist() == _python_sums(chunks, inverse, 4)
+
+
+def test_grouped_sums_stay_exact_beyond_float_precision():
+    """A column whose worst-case sum reaches 2**53 folds chunk by chunk,
+    and a chunk that reaches it alone through ``np.add.at``: the sums
+    stay exact where float64 ``bincount`` weights would round."""
+    big = 2 ** 52 + 1
+    wide = np.array([big, big + 1, 3], dtype=np.int64)  # alone >= 2**53
+    narrow = np.array([4, 7], dtype=np.int64)
+    small = np.array([2 ** 40 + 1, 1], dtype=np.int64)  # alone < 2**53
+    inverse = np.array([0, 0, 1, 0, 1, 1, 1])
+    chunks = [wide, narrow, small]
+    got = columnar_exec._grouped_sums(chunks, inverse, 2)
+    expected = _python_sums(chunks, inverse, 2)
+    assert got.tolist() == expected
+    assert expected[0] == 2 ** 53 + 7 != float(expected[0])  # no float64 has it
+    # The per-chunk path alone, with no chunk reaching 2**53 on its own.
+    halves = [np.array([2 ** 51 + 1] * 2), np.array([2 ** 51 + 1] * 2)]
+    inverse = np.zeros(4, dtype=np.int64)
+    got = columnar_exec._grouped_sums(halves, inverse, 1)
+    assert got.tolist() == [4 * (2 ** 51 + 1)]
+
+
+def test_a_sum_and_an_average_share_one_grouped_sum(tpch_small, monkeypatch):
+    """q1 sums and averages quantity and extendedprice: one grouped sum
+    per distinct aggregate input (five), not one per aggregate (seven)."""
+    colls = load_smc(tpch_small)
+    calls = collections.Counter()
+    real = columnar_exec._grouped_sums
+
+    def counted(*args):
+        calls["sums"] += 1
+        return real(*args)
+
+    monkeypatch.setattr(columnar_exec, "_grouped_sums", counted)
+    try:
+        query = ALL_QUERIES["q1"](colls)
+        got = query.run(params=DEFAULT_PARAMS)
+        assert calls["sums"] == 5
+        assert _canonical(got) == _canonical(
+            query.run(engine="interpreted", params=DEFAULT_PARAMS)
+        )
+    finally:
+        colls["_manager"].close()
+
+
+# ----------------------------------------------------------------------
 # Reference gathers
 # ----------------------------------------------------------------------
 
@@ -179,7 +253,7 @@ def test_gather_matches_a_scalar_reference(direct, targets):
             orders.add(orderkey=i, owner=pool[(i * 13) % len(pool)],
                        total=Decimal(1), placed=datetime.date(2000, 1, 1))
         (block,) = orders.context.blocks()
-        ctx = _BlockCtx(manager, orders, block, {})
+        ctx = _BlockCtx(manager, block)
         steps = (TOrder.owner,)
         addrs = ctx.addresses(steps)
         assert len(set((addrs >> space.block_shift).tolist())) == targets
@@ -204,7 +278,7 @@ def test_empty_gather_keeps_the_column_dtype(manager):
     orders.add(orderkey=1, owner=people.add(name="a", age=1, balance=Decimal(1)),
                total=Decimal(1), placed=datetime.date(2000, 1, 1))
     (block,) = orders.context.blocks()
-    ctx = _BlockCtx(manager, orders, block, {})
+    ctx = _BlockCtx(manager, block)
     ctx.refine(np.zeros(1, dtype=bool))
     steps = (TOrder.owner,)
     assert _AddressGrouping(manager.space, np.empty(0, np.int64)).runs == []
@@ -228,14 +302,14 @@ def _one_block_of_people(manager, n=100):
 
 def test_unbroken_block_reads_are_views(manager):
     people, handles, block = _one_block_of_people(manager)
-    ctx = _BlockCtx(manager, people, block, {})
+    ctx = _BlockCtx(manager, block)
     ages = ctx.column((), "age")
     assert ages.base is not None and np.shares_memory(ages, block.column("age"))
     assert ages.tolist() == list(range(100))
     # A refine ends the run; the accumulator never keeps a view either.
     ctx.refine(ages >= 50)
     assert not np.shares_memory(ctx.column((), "age"), block.column("age"))
-    ctx = _BlockCtx(manager, people, block, {})
+    ctx = _BlockCtx(manager, block)
     ctx.detach()
     assert not np.shares_memory(ctx.column((), "age"), block.column("age"))
 
@@ -244,7 +318,7 @@ def test_freed_tail_still_reads_as_a_slice(manager):
     people, handles, block = _one_block_of_people(manager)
     for handle in handles[90:]:
         people.remove(handle)
-    ctx = _BlockCtx(manager, people, block, {})
+    ctx = _BlockCtx(manager, block)
     ages = ctx.column((), "age")
     assert np.shares_memory(ages, block.column("age"))
     assert ages.tolist() == list(range(90))
@@ -256,7 +330,7 @@ def test_freed_tail_still_reads_as_a_slice(manager):
 def test_a_hole_falls_back_to_the_gather(manager):
     people, handles, block = _one_block_of_people(manager)
     people.remove(handles[40])
-    ctx = _BlockCtx(manager, people, block, {})
+    ctx = _BlockCtx(manager, block)
     ages = ctx.column((), "age")
     assert not np.shares_memory(ages, block.column("age"))
     assert ages.tolist() == [i for i in range(100) if i != 40]
