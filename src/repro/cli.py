@@ -200,21 +200,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     store = None
     replication = None
     exec_workers = _parse_workers(args.exec_workers or "0")
+    # The one shape of the served manager, whatever the source: exec
+    # workers attach shared-memory block buffers, a budget attaches a
+    # pager.
     use_shm = exec_workers > 0
-    if use_shm and (args.data_dir or args.replica_of):
-        # The durable store recovers onto its own heap-backed manager;
-        # shared-memory serving is snapshot-only for now.
+    shape = dict(shm=use_shm, memory_budget=args.memory_budget)
+    if (use_shm or args.memory_budget) and args.replica_of:
         print(
-            "--exec-workers serves a snapshot in shared memory and cannot "
-            "be combined with --data-dir or --replica-of",
-            file=sys.stderr,
-        )
-        return 2
-    if args.memory_budget and (args.data_dir or args.replica_of):
-        # Same constraint: the pager shapes the manager at load time.
-        print(
-            "--memory-budget serves a snapshot under a pager and cannot "
-            "be combined with --data-dir or --replica-of",
+            "--exec-workers and --memory-budget cannot be combined with "
+            "--replica-of: a resync replaces the replica's manager under "
+            "the worker pool and the pager",
             file=sys.stderr,
         )
         return 2
@@ -268,7 +263,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 return 2
             try:
                 store = DurableStore.open(
-                    args.data_dir, fsync_policy=args.fsync
+                    args.data_dir, fsync_policy=args.fsync, **shape
                 )
             except RecoveryError as exc:
                 print(f"recovery failed: {exc}", file=sys.stderr)
@@ -281,6 +276,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 columnar=args.columnar,
                 string_dict=not args.no_dict,
                 fsync_policy=args.fsync,
+                **shape,
             )
             print(f"initialized data directory {args.data_dir}")
         collections = dict(store.collections)
@@ -300,8 +296,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             args.snapshot,
             columnar=args.columnar,
             string_dict=not args.no_dict,
-            shm=use_shm,
-            memory_budget=args.memory_budget,
+            **shape,
         )
         manager = collections["_manager"]
         source = args.snapshot
@@ -314,7 +309,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         store=store,
         replication=replication,
         exec_workers=exec_workers,
-        governor_budget=args.governor_budget,
     )
     server = ServiceServer(service, host=args.host, port=args.port).start()
     if replication is not None:
@@ -637,7 +631,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="route eligible parallel reads through N scan worker "
         "processes attached to a shared-memory block pool ('auto' = "
-        "CPU count)",
+        "CPU count); composes with --data-dir and --memory-budget",
     )
     serve.add_argument(
         "--memory-budget",
@@ -646,16 +640,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="BYTES",
         help="hot-tier byte budget for the block pool: a pager demotes "
         "cold blocks to a file-backed tier; queries read them there, "
-        "writers fault them back (snapshot serving only)",
-    )
-    serve.add_argument(
-        "--governor-budget",
-        type=int,
-        default=None,
-        metavar="BYTES",
-        help="unified byte budget for the service's caches "
-        "(string-dict match caches, WAL group-commit buffer, paged "
-        "block pool), rebalanced by the memory governor",
+        "writers and log replay fault them back (composes with "
+        "--data-dir and --exec-workers)",
     )
     serve.add_argument(
         "--replica-of",

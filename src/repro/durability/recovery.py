@@ -138,12 +138,17 @@ def recover(
     manager=None,
     columnar: Optional[bool] = None,
     string_dict: Optional[bool] = None,
+    shm: bool = False,
+    memory_budget: Optional[int] = None,
 ):
     """Rebuild the collections stored in *data_dir*.
 
     Returns ``(collections, report)`` where ``collections`` includes the
     ``"_manager"`` key, exactly like ``load_collections``.  Layout and
-    encoding default to what the manifest recorded.
+    encoding default to what the manifest recorded; ``shm`` and
+    ``memory_budget`` shape the fresh manager the checkpoint is adopted
+    into, as they do for a snapshot load, and the log tail replays onto
+    it.
     """
     from repro.io.snapshot import load_collections
 
@@ -166,6 +171,8 @@ def recover(
             manager=manager,
             columnar=columnar,
             string_dict=string_dict,
+            shm=shm,
+            memory_budget=memory_budget,
         )
     except OSError as exc:
         raise RecoveryError(
@@ -195,6 +202,11 @@ def recover(
     # Batch atomicity is enforced by the committed cut: everything in
     # it is committed, so the tail replays as one batch.
     replayed = apply_batch(collections, mgr, entry_map, strings, records)
+    if mgr.pager is not None:
+        # Replay wrote through the pager's write faults; the end of
+        # recovery is an operation boundary, so serving starts under
+        # the budget.
+        mgr.pager.maintain()
 
     report = RecoveryReport(
         data_dir=dd.root,

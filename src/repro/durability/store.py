@@ -153,6 +153,8 @@ class DurableStore:
         snapshot: Optional[str] = None,
         columnar: bool = False,
         string_dict: bool = True,
+        shm: bool = False,
+        memory_budget: Optional[int] = None,
         fsync_policy: str = "commit",
         checkpoint_bytes: int = DEFAULT_CHECKPOINT_BYTES,
     ) -> "DurableStore":
@@ -161,7 +163,9 @@ class DurableStore:
         Seed it from a snapshot file, an existing ``{name: collection}``
         dict (which must include ``"_manager"``), or nothing (an empty
         store; collections then appear via :meth:`apply` ADD records or
-        by registering them up front).
+        by registering them up front).  ``shm`` and ``memory_budget``
+        shape the manager the store creates; a caller's collections keep
+        theirs.
         """
         from repro.io.snapshot import load_collections
         from repro.memory.manager import MemoryManager
@@ -171,10 +175,20 @@ class DurableStore:
         owns = collections is None
         if snapshot is not None:
             collections = load_collections(
-                snapshot, columnar=columnar, string_dict=string_dict
+                snapshot,
+                columnar=columnar,
+                string_dict=string_dict,
+                shm=shm,
+                memory_budget=memory_budget,
             )
         elif collections is None:
-            collections = {"_manager": MemoryManager(string_dict=string_dict)}
+            collections = {
+                "_manager": MemoryManager(
+                    string_dict=string_dict,
+                    shm=shm,
+                    memory_budget=memory_budget,
+                )
+            }
         if "_manager" not in collections:
             raise DataDirError("collections must include '_manager'")
         datadir = DataDir(data_dir)
@@ -199,10 +213,20 @@ class DurableStore:
         checkpoint_bytes: int = DEFAULT_CHECKPOINT_BYTES,
         columnar: Optional[bool] = None,
         string_dict: Optional[bool] = None,
+        shm: bool = False,
+        memory_budget: Optional[int] = None,
     ) -> "DurableStore":
-        """Recover *data_dir* and resume appending after the replayed tail."""
+        """Recover *data_dir* and resume appending after the replayed tail.
+
+        ``shm`` and ``memory_budget`` shape the recovered manager (see
+        :func:`~repro.durability.recovery.recover`).
+        """
         collections, report = recover(
-            data_dir, columnar=columnar, string_dict=string_dict
+            data_dir,
+            columnar=columnar,
+            string_dict=string_dict,
+            shm=shm,
+            memory_budget=memory_budget,
         )
         # Appends resume at the committed boundary recovery's read of the
         # segment found; the torn tail / uncommitted trailing batch it

@@ -121,7 +121,7 @@ FSYNC_POLICIES = ("always", "commit", "none")
 
 #: Default group-commit buffer capacity: batched frames accumulate in
 #: memory up to this many bytes before being pushed to the file in one
-#: write (the memory governor may resize it per segment).
+#: write.
 DEFAULT_BUFFER_CAPACITY = 256 * 1024
 
 
@@ -370,9 +370,7 @@ class WriteAheadLog:
         self.bytes_written = 0
         self.fsyncs = 0
         self.batches = 0
-        self.buffered_records = 0
         self.buffer_flushes = 0
-        self.buffer_capacity_flushes = 0
 
     # -- construction ---------------------------------------------------
 
@@ -522,11 +520,11 @@ class WriteAheadLog:
                 buffer += header
                 buffer += body
                 self._offset += RECORD_HEADER_SIZE + size
-                if self._batch_depth > 0:
-                    self.buffered_records += 1
-                    if len(buffer) >= self.buffer_capacity:
-                        self._flush_buffer()
-                        self.buffer_capacity_flushes += 1
+                if (
+                    self._batch_depth > 0
+                    and len(buffer) >= self.buffer_capacity
+                ):
+                    self._flush_buffer()
             self._next_lsn = lsn + 1
             self.records += 1
             self.bytes_written += RECORD_HEADER_SIZE + size
@@ -553,18 +551,6 @@ class WriteAheadLog:
             self._fh.write(self._buffer)
             self._buffer.clear()
             self.buffer_flushes += 1
-
-    def set_buffer_capacity(self, capacity: int) -> None:
-        """Resize the group-commit buffer ceiling (governor hook).
-
-        Shrinking below the currently buffered bytes flushes immediately
-        so the buffer never exceeds its ceiling between appends.
-        """
-        with self._lock:
-            self.buffer_capacity = max(4096, int(capacity))
-            if len(self._buffer) >= self.buffer_capacity:
-                self._flush_buffer()
-                self.buffer_capacity_flushes += 1
 
     @property
     def buffered_bytes(self) -> int:

@@ -471,21 +471,6 @@ class Pager:
     # Budget / maintenance
     # ------------------------------------------------------------------
 
-    def set_budget(self, budget: int) -> None:
-        """Governor hook: retarget the hot-tier byte budget."""
-        with self._lock:
-            self.budget = max(int(budget), self.block_size)
-
-    def governor_usage(self) -> int:
-        return self.hot_bytes()
-
-    def governor_counters(self) -> Tuple[int, int]:
-        """(hits, misses) for the governor's miss-growth weighting: scan
-        admissions, none of which promotes, and write faults — so only
-        write traffic over a cold pool pulls budget towards the pager."""
-        with self._lock:
-            return self.touch_hits, self.faults
-
     def over_budget(self) -> bool:
         return self.hot_bytes() > self.budget
 

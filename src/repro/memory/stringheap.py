@@ -51,6 +51,10 @@ _LEN = struct.Struct("<I")
 
 _MIN_CLASS = 16
 
+#: Match sets a :class:`StringDict` keeps per dictionary; past this the
+#: oldest is evicted.
+MATCH_CACHE_ENTRIES = 256
+
 
 class StringBlock:
     """A bump-allocated block holding string records.
@@ -326,17 +330,11 @@ class StringDict:
         self.on_bind: Optional[Callable[[int, str], None]] = None
         self._text_array: Optional[np.ndarray] = None
         self._text_array_version = -1
+        #: Match sets by ``(kind, arg)``, oldest first; at most
+        #: :data:`MATCH_CACHE_ENTRIES` of them.
         self._match_cache: Dict[
             Tuple[str, object], Tuple[int, np.ndarray, FrozenSet[int]]
         ] = {}
-        # Match-set cache accounting: with a byte budget installed (the
-        # memory governor) eviction is bytes-driven; without one the
-        # legacy 256-entry cap applies.  Hit/miss counters feed the
-        # governor's rebalance and the service metrics.
-        self._match_bytes = 0
-        self._match_budget: Optional[int] = None
-        self.match_hits = 0
-        self.match_misses = 0
 
     # -- the adopted image --------------------------------------------
 
@@ -475,40 +473,11 @@ class StringDict:
             arr = np.array(self._texts, dtype=object)
         return arr[codes]
 
-    @staticmethod
-    def _entry_bytes(codes: np.ndarray, sel_len: int) -> int:
-        """Nominal bytes one cached match set holds (array + frozenset)."""
-        return int(codes.nbytes) + sel_len * 8 + 96
-
-    def _evict_match_cache(self) -> None:
-        """Evict oldest entries until the cache fits its cap."""
-        if self._match_budget is not None:
-            while self._match_bytes > self._match_budget and self._match_cache:
-                old = self._match_cache.pop(next(iter(self._match_cache)))
-                self._match_bytes -= self._entry_bytes(old[1], len(old[2]))
-        else:
-            while len(self._match_cache) > 256:
-                old = self._match_cache.pop(next(iter(self._match_cache)))
-                self._match_bytes -= self._entry_bytes(old[1], len(old[2]))
-
-    def set_match_budget(self, budget: Optional[int]) -> None:
-        """Install a byte ceiling for the match-set cache (governor hook)."""
-        self._match_budget = None if budget is None else int(budget)
-        self._evict_match_cache()
-
-    @property
-    def cache_bytes(self) -> int:
-        """Bytes held by the match-set cache plus the decode array."""
-        arr = self._text_array
-        return self._match_bytes + (int(arr.nbytes) if arr is not None else 0)
-
     def _match(self, kind: str, arg: object) -> Tuple[np.ndarray, FrozenSet[int]]:
         key = (kind, arg)
         cached = self._match_cache.get(key)
         if cached is not None and cached[0] == self.version:
-            self.match_hits += 1
             return cached[1], cached[2]
-        self.match_misses += 1
         self._ensure_built()
         texts, refs = self._texts, self._refs
         if kind == "prefix":
@@ -529,12 +498,11 @@ class StringDict:
             raise ValueError(f"unknown match kind {kind!r}")
         codes = np.array(sel, dtype=np.int64)
         result = (codes, frozenset(sel))
-        if cached is not None:
-            # Stale entry (dictionary version moved on): replace in place.
-            self._match_bytes -= self._entry_bytes(cached[1], len(cached[2]))
+        # A stale entry (the dictionary version moved on) is replaced in
+        # place; a new one evicts the oldest past the cap.
         self._match_cache[key] = (self.version, *result)
-        self._match_bytes += self._entry_bytes(codes, len(result[1]))
-        self._evict_match_cache()
+        if len(self._match_cache) > MATCH_CACHE_ENTRIES:
+            self._match_cache.pop(next(iter(self._match_cache)), None)
         return result
 
     def match_codes(self, kind: str, arg: object) -> np.ndarray:

@@ -213,7 +213,17 @@ def _worker_main(manager, slots: np.ndarray, index: int, rfd: int, wfd: int):
         __, qid, epoch, wire = frame
         # Publish the reader section before touching any block: epoch
         # first, flag last, so the parent's advancement checks never see
-        # a pinned flag with a stale epoch.
+        # a pinned flag with a stale epoch.  This is the reverse of a
+        # thread's announce-then-read entry (EpochManager.
+        # enter_critical_section), and it is sound because the worker
+        # reads no epoch: ``epoch`` is the one the parent's own critical
+        # section entered at, and that section (plus one lease per
+        # worker) stays open until every participant has answered or
+        # been revoked.  Every block a worker reads is one the parent's
+        # cursor admitted inside that section, so the parent's pin alone
+        # protects it, however long the worker sits between these stores
+        # and whatever writers beside the pool retire meanwhile; the
+        # slot row only has to be exact once it reads as pinned.
         slots[row + 1] = epoch
         slots[row + 2] = pid
         slots[row + 3] = qid

@@ -75,7 +75,6 @@ class QueryService:
         store=None,
         replication=None,
         exec_workers: int = 0,
-        governor_budget: Optional[int] = None,
     ) -> None:
         self.collections = {
             k: v for k, v in collections.items() if not k.startswith("_")
@@ -145,64 +144,6 @@ class QueryService:
             "smc_serve_small_scans_routed_total",
             "Multi-worker requests routed to one worker by estimated rows",
         )
-        #: Unified memory governor over the service's caches.  One byte
-        #: budget is split across the collections' string-dictionary
-        #: match caches, the WAL group-commit buffer and the paged block
-        #: pool, rebalanced from live hit/miss counters.  The plan cache
-        #: is no tenant: it holds at most one plan per registered query.
-        self.governor = None
-        if governor_budget:
-            from repro.memory.governor import MemoryGovernor
-
-            self.governor = MemoryGovernor(
-                int(governor_budget), self.metrics
-            )
-            dicts = [
-                sd
-                for coll in self.collections.values()
-                if (sd := getattr(coll, "strdict", None)) is not None
-            ]
-            if dicts:
-                self.governor.register(
-                    "string_dicts",
-                    usage=lambda: sum(d.cache_bytes for d in dicts),
-                    counters=lambda: (
-                        sum(d.match_hits for d in dicts),
-                        sum(d.match_misses for d in dicts),
-                    ),
-                    set_budget=lambda n: [
-                        d.set_match_budget(max(1, n // len(dicts)))
-                        for d in dicts
-                    ],
-                    weight=2.0,
-                )
-            if store is not None:
-                # ``store.wal`` is re-read per call: checkpoints roll the
-                # segment, and the new segment must inherit the ceiling.
-                self.governor.register(
-                    "wal_buffer",
-                    usage=lambda: self.store.wal.buffered_bytes,
-                    counters=lambda: (
-                        self.store.wal.buffered_records,
-                        self.store.wal.buffer_capacity_flushes,
-                    ),
-                    set_budget=lambda n: self.store.wal.set_buffer_capacity(
-                        n
-                    ),
-                )
-            pager = getattr(self.manager, "pager", None)
-            if pager is not None:
-                # The hot block pool is by far the largest tenant; its
-                # weight keeps the initial split from starving it, and a
-                # fault streak (tier misses) pulls budget away from the
-                # caches toward the pool.
-                self.governor.register(
-                    "block_pool",
-                    usage=pager.governor_usage,
-                    counters=pager.governor_counters,
-                    set_budget=pager.set_budget,
-                    weight=4.0,
-                )
 
     # -- fleet role ----------------------------------------------------
 
@@ -254,8 +195,6 @@ class QueryService:
                     ),
                     "plan_cache": self.plans.stats(),
                 }
-                if self.governor is not None:
-                    response["governor"] = self.governor.snapshot()
             else:
                 response = {
                     "ok": False,
@@ -396,8 +335,6 @@ class QueryService:
                     session.exit()
         finally:
             self.admission.release()
-        if self.governor is not None:
-            self.governor.maybe_rebalance()
         pager = getattr(self.manager, "pager", None)
         if pager is not None:
             # Operation boundary: finish pending demotions and evict the

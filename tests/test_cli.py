@@ -85,10 +85,87 @@ def test_pruning_and_planning_are_not_options(argv):
     assert "unrecognized arguments" in proc.stderr
 
 
-def test_exec_workers_refuse_a_data_dir(tmp_path):
-    proc = _repro("serve", "--data-dir", str(tmp_path), "--exec-workers", "2")
+def _free_port():
+    import socket
+
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
+def _serve(*args):
+    """Start ``repro serve`` and a client connected to it."""
+    from repro.service.client import ServiceClient
+
+    port = _free_port()
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", *args, "--port", str(port)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        return proc, ServiceClient(port=port, retries=60)
+    except OSError:
+        proc.kill()
+        raise AssertionError(proc.communicate()[1])
+
+
+def _leftovers(pid):
+    import glob
+    import os
+    import tempfile
+
+    return glob.glob(f"/dev/shm/smc_{pid}_*") + glob.glob(
+        os.path.join(tempfile.gettempdir(), f"smc_tier_{pid}_*")
+    )
+
+
+def test_serve_composes_a_data_dir_a_budget_and_exec_workers(snapshot, tmp_path):
+    """One server runs every storage mode at once: it answers, takes a
+    mutation, stops on SIGTERM with nothing left in /dev/shm or the tier
+    directory, and restarts with the row present."""
+    import signal
+
+    data_dir = str(tmp_path / "data")
+    shape = ("--data-dir", data_dir, "--memory-budget", "1", "--exec-workers", "2")
+    answers = []
+    for args in ((snapshot, *shape), shape):
+        proc, client = _serve(*args)
+        with client:
+            answers.append(client.query("q1", workers=2).rows)
+            if len(answers) == 1:
+                entry = client.add("region", regionkey=99, name="ATLANTIS")
+            else:
+                # An update names a live row, or the request is refused.
+                client.update("region", entry, comment="risen")
+            assert _leftovers(proc.pid)  # its segments are in use
+            assert "smc_exec_process_queries_total" in client.metrics()
+        proc.send_signal(signal.SIGTERM)
+        out, err = proc.communicate(timeout=60)
+        assert proc.returncode == 0, err
+        assert "exec_workers=2, shm, memory_budget=1" in out and "durable" in out
+        assert "server stopped" in out
+        assert _leftovers(proc.pid) == []
+    # The first stop took the final checkpoint: nothing left to replay.
+    assert "replayed 0 of 0" in out
+    assert answers[0] == answers[1]
+
+
+def test_memory_budget_is_the_only_budget():
+    proc = _repro("serve", "snap", "--governor-budget", "1048576")
     assert proc.returncode == 2
-    assert "--exec-workers serves a snapshot in shared memory" in proc.stderr
+    assert "unrecognized arguments: --governor-budget" in proc.stderr
+
+
+def test_replica_of_refuses_exec_workers_and_a_budget(tmp_path):
+    for flag in (("--exec-workers", "2"), ("--memory-budget", "1")):
+        proc = _repro(
+            "serve", "--data-dir", str(tmp_path), "--replica-of",
+            "127.0.0.1:1", *flag,
+        )
+        assert proc.returncode == 2
+        assert "a resync replaces the replica's manager" in proc.stderr
 
 
 def test_bench_unknown_figure_rejected():

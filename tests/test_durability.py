@@ -812,16 +812,21 @@ class TestApply:
 # Crash matrix (acceptance gate)
 # ----------------------------------------------------------------------
 
-#: (fault point, power loss, firings let pass).  The row without a point
-#: injects no fault: the store checkpoints mid-run and closes cleanly.
+#: (fault point, power loss, firings let pass, composed).  A row without
+#: a point injects no fault: the store checkpoints mid-run and closes
+#: cleanly.  A composed row runs the store, and recovers it, on the
+#: served shape that combines every mode: shared-memory blocks under a
+#: one-byte hot budget, so each write faults a cold block.
 CRASH_POINTS = [
-    (None, False, 0),
-    ("wal.append.mid", False, 30),
-    ("wal.append.mid", False, 0),
-    ("wal.fsync", True, 1),
-    ("checkpoint.begin", False, 0),
-    ("checkpoint.snapshot_rename", False, 0),
-    ("checkpoint.manifest_rename", False, 0),
+    (None, False, 0, False),
+    ("wal.append.mid", False, 30, False),
+    ("wal.append.mid", False, 0, False),
+    ("wal.fsync", True, 1, False),
+    ("checkpoint.begin", False, 0, False),
+    ("checkpoint.snapshot_rename", False, 0, False),
+    ("checkpoint.manifest_rename", False, 0, False),
+    (None, False, 0, True),
+    ("wal.append.mid", False, 30, True),
 ]
 
 CRASH_QUERIES = ("q1", "q6", "q3", "q12", "q14")
@@ -829,15 +834,16 @@ CRASH_QUERIES = ("q1", "q6", "q3", "q12", "q14")
 
 class TestCrashMatrix:
     @pytest.mark.parametrize(
-        "point,power_loss,after",
+        "point,power_loss,after,composed",
         CRASH_POINTS,
         ids=[
-            f"{p}-pl{int(pl)}-a{a}" if p else "no-fault"
-            for p, pl, a in CRASH_POINTS
+            (f"{p}-pl{int(pl)}-a{a}" if p else "no-fault")
+            + ("-composed" if composed else "")
+            for p, pl, a, composed in CRASH_POINTS
         ],
     )
     def test_recovery_is_byte_exact(
-        self, tpch_tiny, tmp_path, point, power_loss, after
+        self, tpch_tiny, tmp_path, point, power_loss, after, composed
     ):
         """Crash anywhere; recovered TPC-H answers match the reference.
 
@@ -867,7 +873,11 @@ class TestCrashMatrix:
             }
 
         data_dir = str(tmp_path / "dd")
-        collections = load_smc(tpch_tiny)
+        shape = dict(shm=True, memory_budget=1) if composed else {}
+        collections = load_smc(
+            tpch_tiny,
+            manager=MemoryManager(block_shift=16, **shape) if shape else None,
+        )
         scratch = collections["scratch"] = Collection(
             TNote, manager=collections["_manager"], name="scratch"
         )
@@ -906,7 +916,9 @@ class TestCrashMatrix:
         # Recover from what hit the disk; a crashed store was never closed.
         collections["_manager"].close()
 
-        loaded, report = recover(data_dir)
+        loaded, report = recover(data_dir, **shape)
+        if composed:
+            assert loaded["_manager"].pager.residency_counts()["cold"] > 0
         assert run_mix(loaded) == reference
         if point is None:
             assert sorted((h.text, h.stars) for h in loaded["scratch"]) == live

@@ -93,18 +93,88 @@ def test_no_orphan_segments_after_close(tpch_tiny):
 # ----------------------------------------------------------------------
 
 
-@pytest.fixture(scope="module", params=["row", "columnar"])
-def pooled_smc(request, tpch_tiny):
-    collections = load_smc(
-        tpch_tiny, columnar=request.param == "columnar", shm=True
+def _mutate_batches(store):
+    """Three ``mutate`` requests: lineitem removes, updates, and adds
+    that copy existing rows, so every query keeps matching rows."""
+    from repro.tagged import encode_value
+    from repro.tpch.schema import Lineitem
+
+    lines = list(store.collections["lineitem"])
+    entries = [h.ref.entry for h in lines]
+    refs = {
+        name: {"$r": next(iter(store.collections[coll])).ref.entry}
+        for name, coll in (
+            ("order", "orders"), ("part", "part"), ("supplier", "supplier")
+        )
+    }
+    scalars = [f for f in Lineitem.field_names() if f not in refs]
+    adds = [
+        {
+            "op": "add",
+            "collection": "lineitem",
+            "values": dict(
+                refs, **{f: encode_value(getattr(h, f)) for f in scalars}
+            ),
+        }
+        for h in lines[::50]
+    ]
+    store.apply(
+        [{"op": "remove", "collection": "lineitem", "entry": e}
+         for e in entries[::7]]
     )
-    manager = collections["_manager"]
+    store.apply(
+        [{"op": "update", "collection": "lineitem", "entry": e,
+          "values": {"comment": "touched", "shipmode": "AIR"}}
+         for e in entries[1::7]]
+    )
+    store.apply(adds)
+
+
+@pytest.fixture(scope="module", params=["row", "columnar"])
+def pooled_smc(request, tpch_tiny, tmp_path_factory):
+    if request.param != "composed":
+        collections = load_smc(
+            tpch_tiny, columnar=request.param == "columnar", shm=True
+        )
+        manager = collections["_manager"]
+        manager.exec_pool = ProcessScanPool(manager, workers=2)
+        yield collections
+        manager.close()
+        return
+    # The composed server's shape: a data directory served from shared
+    # memory under a hot budget, which took mutate batches before and
+    # after a checkpoint and again after recovering onto that shape.
+    from repro.durability import DurableStore
+
+    data_dir = str(tmp_path_factory.mktemp("composed") / "dd")
+    shape = dict(shm=True, memory_budget=1 << 17)
+    store = DurableStore.create(
+        data_dir,
+        collections=load_smc(
+            tpch_tiny, manager=MemoryManager(block_shift=16, **shape)
+        ),
+        fsync_policy="none",
+    )
+    _mutate_batches(store)
+    store.checkpoint()
+    _mutate_batches(store)
+    store.close()
+    store.manager.close()
+    store = DurableStore.open(data_dir, fsync_policy="none", **shape)
+    assert store.report.replayed > 0
+    _mutate_batches(store)
+    manager = store.manager
     manager.exec_pool = ProcessScanPool(manager, workers=2)
-    yield collections
-    manager.close()
+    manager.pager.maintain()
+    assert manager.pager.residency_counts()["cold"] > 0
+    yield dict(store.collections, _manager=manager)
+    store.close()
 
 
 @pytest.mark.parametrize("name", sorted(ALL_QUERIES))
+@pytest.mark.parametrize(
+    "pooled_smc", ["row", "columnar", "composed"], indirect=True
+)
 def test_differential_process_pool(pooled_smc, name):
     """Process-pool scans return exactly the serial in-process rows, in
     the serial order, down to each ``Decimal``'s exponent."""

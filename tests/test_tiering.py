@@ -1,4 +1,4 @@
-"""Memory tiering: pager, residency protocol, budget, governor tenancy.
+"""Memory tiering: pager, residency protocol, budget.
 
 Differential guarantees first: a budgeted manager must answer every query
 byte-identically to an unbudgeted one while ``hot_bytes() <= budget``
@@ -31,7 +31,6 @@ from repro import sanitizer
 from repro.core.collection import Collection
 from repro.core.columnar import ColumnarCollection
 from repro.errors import ProtocolViolation
-from repro.memory.governor import MemoryGovernor
 from repro.memory.manager import MemoryManager
 from repro.memory.pager import TIER_PREFIX, TieredBuffers, TierStore
 from repro.sanitizer import hooks as _hooks
@@ -184,18 +183,37 @@ def test_tier_files_are_unlinked_at_close():
 # ----------------------------------------------------------------------
 
 
-def test_tpch_budgeted_results_identical(tpch_small):
+@pytest.mark.parametrize("source", ["snapshot", "recovered"])
+def test_tpch_budgeted_results_identical(tpch_small, tmp_path, source):
     """All ten queries over an all-cold pool, serial and thread-parallel,
-    are byte-identical to always-hot and never change residency."""
+    are byte-identical to always-hot and never change residency — the
+    pool loaded from a snapshot, or recovered from a data directory whose
+    log tail replays onto it (in shared memory)."""
+    from repro.durability import DurableStore
+
     plain = load_smc(tpch_small, columnar=True)
     # Small blocks so the pool has many blocks at this scale factor; the
     # minimum budget demotes every one but each context's active block.
-    tiered = load_smc(
-        tpch_small,
-        columnar=True,
-        manager=MemoryManager(block_shift=16, memory_budget=1),
-    )
-    manager = tiered["_manager"]
+    if source == "snapshot":
+        tiered = load_smc(
+            tpch_small,
+            columnar=True,
+            manager=MemoryManager(block_shift=16, memory_budget=1),
+        )
+        manager = tiered["_manager"]
+        close = manager.close
+    else:
+        data_dir = str(tmp_path / "dd")
+        seed = load_smc(
+            tpch_small, columnar=True, manager=MemoryManager(block_shift=16)
+        )
+        store = DurableStore.create(data_dir, collections=seed)
+        seed["region"].remove(seed["region"].add(regionkey=99, name="ATLANTIS"))
+        store.close()
+        seed["_manager"].close()
+        store = DurableStore.open(data_dir, shm=True, memory_budget=1)
+        assert store.report.replayed > 0
+        tiered, manager, close = store.collections, store.manager, store.close
     pager = manager.pager
     pager.maintain()
     try:
@@ -225,7 +243,7 @@ def test_tpch_budgeted_results_identical(tpch_small):
         assert pager.telemetry()["zombie_mappings"] == 0
     finally:
         plain["_manager"].close()
-        manager.close()
+        close()
 
 
 def test_write_to_cold_block_faults_once_and_scans_see_it():
@@ -459,7 +477,7 @@ def test_reader_critical_section_defers_demotion():
         # Retarget the budget below the pool while the reader is parked:
         # maintain() starts cooling but cannot demote (the grace epoch is
         # unreachable while the reader pins the global epoch).
-        m.pager.set_budget(BS)
+        m.pager.budget = BS
         m.pager.maintain()
         counts = m.pager.residency_counts()
         assert counts["cold"] == 0
@@ -576,7 +594,7 @@ def test_compaction_owned_blocks_are_not_evicted():
 
         # Every under-occupied block is claimed by the parked compaction;
         # the pager must find no victim among them.
-        m.pager.set_budget(BS)
+        m.pager.budget = BS
         m.pager.maintain()
         owned = [
             b
@@ -712,94 +730,6 @@ def test_tier_store_rejects_oversized_images():
 
 
 # ----------------------------------------------------------------------
-# Governor tenancy (budget arbitration)
-# ----------------------------------------------------------------------
-
-
-def _static_tenant(usage=0, misses=0):
-    shares = []
-    return shares, dict(
-        usage=lambda: usage,
-        counters=lambda: (0, misses),
-        set_budget=shares.append,
-    )
-
-
-def test_governor_floor_honored_under_miss_spike():
-    gov = MemoryGovernor(1 << 20, rebalance_every=1)
-    quiet_shares, quiet = _static_tenant()
-    gov.register("quiet", **quiet)
-
-    class _Thrasher:
-        misses = 0
-        shares = []
-
-    gov.register(
-        "thrasher",
-        usage=lambda: 0,
-        counters=lambda: (0, _Thrasher.misses),
-        set_budget=_Thrasher.shares.append,
-        weight=4.0,
-    )
-    _Thrasher.misses = 1_000_000  # spike
-    gov.rebalance()
-    floor = int(0.25 * gov.budget_bytes / 2)
-    assert quiet_shares[-1] >= floor  # quiet tenant keeps its floor
-    assert _Thrasher.shares[-1] > quiet_shares[-1]  # misses pull the pool
-    assert quiet_shares[-1] + _Thrasher.shares[-1] <= gov.budget_bytes
-
-
-def test_governor_unregister_resplits_without_starving():
-    gov = MemoryGovernor(1 << 20)
-    a_shares, a = _static_tenant()
-    b_shares, b = _static_tenant()
-    gov.register("a", **a)
-    gov.register("b", **b)
-    floor_two = int(0.25 * gov.budget_bytes / 2)
-    assert min(a_shares[-1], b_shares[-1]) >= floor_two
-
-    gov.unregister("b")
-    floor_one = int(0.25 * gov.budget_bytes)
-    assert floor_one > floor_two  # floors only grow as the population shrinks
-    assert a_shares[-1] >= floor_one
-    assert "b" not in gov.snapshot()["tenants"]
-    with pytest.raises(KeyError):
-        gov.unregister("b")
-
-
-def test_pager_as_governor_tenant():
-    m = _budgeted(2)
-    pager = m.pager
-    persons = Collection(TPerson, manager=m)
-    _fill_blocks(persons, 6)
-    gov = MemoryGovernor(64 * BS)
-    gov.register(
-        "block_pool",
-        usage=pager.governor_usage,
-        counters=pager.governor_counters,
-        set_budget=pager.set_budget,
-        weight=4.0,
-    )
-    assert pager.budget == gov.snapshot()["tenants"]["block_pool"]["share_bytes"]
-    pager.maintain()
-    assert pager.hot_bytes() <= pager.budget
-    assert gov.usage_bytes() >= pager.hot_bytes()
-
-    # The counters the governor weighs: (scan admissions, write faults).
-    # Reading a cold pool is all hits — only a write to it is a miss.
-    pager.set_budget(BS)
-    pager.maintain()
-    handles = list(persons)
-    hits, misses = pager.governor_counters()
-    assert len(persons.query().run().rows) == len(handles)
-    assert pager.governor_counters() == (hits + persons.context.block_count(), misses)
-    next(h for h in handles if _block_of(m, h).residency == "cold").age = 3
-    assert pager.governor_counters()[1] == misses + 1
-    gov.unregister("block_pool")
-    m.close()
-
-
-# ----------------------------------------------------------------------
 # Introspection: telemetry, residency attribution, CLI info
 # ----------------------------------------------------------------------
 
@@ -887,7 +817,7 @@ def test_process_pool_reads_cold_blocks(tpch_small):
     )
     manager = tiered["_manager"]
     pager = manager.pager
-    pager.set_budget(max(pager.block_size, pager.hot_bytes() // 4))
+    pager.budget = max(pager.block_size, pager.hot_bytes() // 4)
     pager.maintain()
     pool = ProcessScanPool(manager, workers=2)
     manager.exec_pool = pool
