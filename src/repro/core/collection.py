@@ -160,9 +160,6 @@ class Collection:
             raise ValueError("auto_compact_occupancy must be in (0, 1)")
         self.auto_compact_occupancy = auto_compact_occupancy
         self._removals_since_check = 0
-        #: Secondary hash indexes (see :meth:`create_index`).
-        self._indexes: List["HashIndex"] = []
-        self._indexed_fields: Dict[str, List["HashIndex"]] = {}
         #: Durability hook (a :class:`~repro.durability.store.DurableStore`
         #: or None).  When set, every mutation holds the lock
         #: ``mutation_log.hold()`` returns across *apply + append*, so
@@ -261,12 +258,9 @@ class Collection:
                 self._place(block, slot, row)
                 # Publish only the fully constructed object.
                 context.commit_slot(block, slot)
-                handle = self.handle_class(self, ref)
-                for index in self._indexes:
-                    index._insert(ref.entry, getattr(handle, index.field_name))
                 if mlog is not None:
                     mlog.log_add(self, ref.entry, row)
-                handles.append(handle)
+                handles.append(self.handle_class(self, ref))
         finally:
             if section:
                 manager.epochs.exit_critical_section()
@@ -336,8 +330,6 @@ class Collection:
                         pager.ensure_hot(block)
                     self._release(block, address)
                     manager.free_object(ref)
-                    for index in self._indexes:
-                        index._delete(ref.entry)
                     if mlog is not None:
                         mlog.log_remove(self, ref.entry)
             finally:
@@ -353,32 +345,6 @@ class Collection:
         self.layout.release_owned(
             block.buf, self.manager.space.offset_of(address), self.manager
         )
-
-    def create_index(self, field_name: str):
-        """Create (and keep maintained) a hash index on *field_name*."""
-        from repro.core.index import HashIndex
-
-        index = HashIndex(self, field_name)
-        self._indexes.append(index)
-        self._indexed_fields.setdefault(field_name, []).append(index)
-        return index
-
-    def create_sorted_index(self, field_name: str):
-        """Create (and keep maintained) a range index on *field_name*."""
-        from repro.core.index import SortedIndex
-
-        index = SortedIndex(self, field_name)
-        self._indexes.append(index)
-        self._indexed_fields.setdefault(field_name, []).append(index)
-        return index
-
-    def _notify_field_update(self, entry: int, field_name: str, value) -> None:
-        for index in self._indexed_fields.get(field_name, ()):
-            index._update(entry, value)
-
-    def index_specs(self) -> List[Tuple[str, str]]:
-        """``(field_name, kind)`` per index — persisted by snapshots."""
-        return [(index.field_name, index.kind) for index in self._indexes]
 
     def _maybe_auto_compact(self, batch: int = 1) -> None:
         """Compact when overall occupancy drops below the policy threshold.

@@ -138,10 +138,6 @@ class ColumnarHandle:
             collection._write_field(block, slot, field, value)
             if _zonemap.is_zoned(field):
                 block.zone_version += 1  # invalidate the zone map
-            if not isinstance(field, RefField):
-                collection._notify_field_update(
-                    self._ref.entry, name, field.from_raw(field.to_raw(value))
-                )
         finally:
             epochs.exit_critical_section()
 

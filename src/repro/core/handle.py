@@ -131,9 +131,6 @@ class Handle:
                 )
                 if zonemap.is_zoned(field):
                     block.zone_version += 1  # invalidate the zone map
-                notify = getattr(collection, "_notify_field_update", None)
-                if notify is not None:
-                    notify(self._ref.entry, name, field.from_raw(field.to_raw(value)))
         finally:
             epochs.exit_critical_section()
 

@@ -12,8 +12,8 @@ the moment of the crash:
    the committed boundary, then the committed payloads are decoded, each
    once;
 3. replay the committed prefix through :func:`apply_batch`, i.e. the
-   normal ``add_many``/``remove_many``/``setattr`` paths (so secondary
-   indexes and string dictionaries are maintained as they were live).
+   normal ``add_many``/``remove_many``/``setattr`` paths (so string
+   dictionaries and zone-map versions are maintained as they were live).
    A replayed ``add`` takes whatever entry the allocator hands out; the
    :class:`EntryMap` remembers the rows whose id so diverged from the
    logged one.

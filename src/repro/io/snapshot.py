@@ -20,7 +20,9 @@ Format ``SMCSNAP2`` (little-endian)::
                 name, schema, fields [[name, type, meta]]  validated on load
                 columnar, dict_fields                      storage layout
                 blocks [block id]                          enumeration order
-                rows, indexes [[field, kind]]
+                rows
+                (older writers add ``indexes [[field, kind]]``: secondary
+                indexes were derived data, and the loader ignores them)
               heap: blocks [[block id, bump offset]], bytes_in_use
               dicts: [schema]                              one per StringDict
     sections, each a 32-byte frame
@@ -53,12 +55,11 @@ Loading *adopts* the image: buffers come from the manager's own policy
 (heap, shared memory, tiered), blocks are mapped at their stored ids, and
 one vectorised pass per block rebuilds what the bytes only imply — valid
 counts and allocation cursors from the slot directory, live counts, the
-table's free list from its null entries, secondary indexes through their
-ordinary backfill.  A dictionary adopts its two code arrays as they are
-and reads no text: texts stay in the heap records until a write or a
-string lookup needs them (``StringDict``).  Entry ids and incarnation
-counters carry over, so a reference that was stale before the save is
-stale after the load.  Reclamation queues start empty and the epoch
+table's free list from its null entries.  A dictionary adopts its two
+code arrays as they are and reads no text: texts stay in the heap records
+until a write or a string lookup needs them (``StringDict``).  Entry ids
+and incarnation counters carry over, so a reference that was stale before
+the save is stale after the load.  Reclamation queues start empty and the epoch
 restarts at zero.
 
 Every section carries its length and CRC32; truncation, a flipped byte,
@@ -215,7 +216,6 @@ def save_collections(
                     "dict_fields": sorted(coll.context.dict_fields),
                     "blocks": [b.block_id for b in blocks[name]],
                     "rows": len(coll),
-                    "indexes": [list(spec) for spec in coll.index_specs()],
                 }
                 for name, coll in named.items()
             ],
@@ -514,7 +514,6 @@ def _convert(staging: Dict[str, Any], manager: MemoryManager, columnar: bool):
         made = bulk_add(coll, ({f: getattr(h, f) for f in plain} for h in rows))
         copies.update(zip((h.ref.entry for h in rows), made))
         pending.append((src.layout.ref_fields, rows, made))
-        _create_indexes(coll, src.index_specs())
     for fields, rows, made in pending:
         for field in fields:
             for handle, copy in zip(rows, made):
@@ -747,22 +746,8 @@ def _adopt_sections(fh: BinaryIO, header: Dict[str, Any], manager: MemoryManager
                 f"blocks of collection {spec['name']!r} arrived out of order"
             )
     manager.table.adopt(*table)
-    for spec in header["collections"]:
-        _create_indexes(collections[spec["name"]], spec["indexes"])
     collections["_manager"] = manager
     return collections
-
-
-def _create_indexes(coll, specs) -> None:
-    """Recreate (and thereby backfill) persisted secondary indexes, so an
-    index is never silently empty after a reload."""
-    for field_name, kind in specs:
-        if kind == "hash":
-            coll.create_index(field_name)
-        elif kind == "sorted":
-            coll.create_sorted_index(field_name)
-        else:
-            raise SnapshotError(f"unknown index kind {kind!r}")
 
 
 def describe_snapshot(path: str) -> Dict[str, Any]:

@@ -26,7 +26,7 @@ cold blocks to a *tier file* and mapping them back read-only:
   answers pruning with **zero cold byte reads**.
 
 Residency is a *write* concern.  Readers — serial and thread scans,
-index lookups, handle reads, process-pool workers, checkpoints — use
+handle reads, process-pool workers, checkpoints — use
 whatever buffer a block has and never change its state: a scan reads a
 cold block where it lies, through the mapping, and the page cache decides
 which of those clean pages stay in RAM.  ``cold -> hot`` happens only

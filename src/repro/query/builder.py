@@ -399,7 +399,7 @@ class Query(Signed):
 
             filters = [op.pred for op in self.ops if isinstance(op, Where)]
             try:
-                __, __, info = _planner.plan_scan(
+                __, info = _planner.plan_scan(
                     self.signature(), filters, dict(params or {}),
                     self.source,
                 )

@@ -125,9 +125,9 @@ class _PreparedScan:
     holds no per-request state: the walk of the ops, the split and
     cost-ordered conjuncts (ranked with the parameters of the first
     request — order never changes a result, only how early rows drop
-    out), the access-path candidate, the zone tests as templates, the
-    planner's estimates for the feedback registry.  Semi-join
-    subqueries are ``Query`` nodes with prepared scans of their own.
+    out), the zone tests as templates, the planner's estimates for the
+    feedback registry.  Semi-join subqueries are ``Query`` nodes with
+    prepared scans of their own.
     """
 
     __slots__ = (
@@ -138,7 +138,6 @@ class _PreparedScan:
         "terminal",
         "post",
         "zone_templates",
-        "index_choice",
         "info",
         "uses",
     )
@@ -171,10 +170,8 @@ class _PreparedScan:
         # are split and conjuncts ranked cheapest-and-most-selective-
         # first from zone-map / dictionary statistics, so expensive
         # navigating kernels see already-reduced row sets.
-        #: ``index_choice`` is the access-path candidate
-        #: (``planner.IndexChoice``), ``info`` the estimates
-        #: (``planner.PlanInfo``)
-        self.filters, self.index_choice, self.info = _planner.plan_scan(
+        #: ``info`` is the planner's estimates (``planner.PlanInfo``)
+        self.filters, self.info = _planner.plan_scan(
             query.signature(), filters, params, source
         )
         self.zone_templates = derive_zone_tests(self.filters, source)
@@ -184,16 +181,13 @@ class _PreparedScan:
         )
 
     def bind(self, params: Dict[str, Any]) -> "_ScanPlan":
-        """This request's plan: the zone bounds, dictionary code sets
-        and index key its parameters name."""
+        """This request's plan: the zone bounds and dictionary code sets
+        its parameters name."""
         zone_tests = []
         for template in self.zone_templates:
             test = template.bind(params)
             if test is not None:
                 zone_tests.append(test)
-        choice = self.index_choice
-        if choice is not None:
-            choice = choice.bind(params)
         source = self.source
         return _ScanPlan(
             source.manager,
@@ -203,7 +197,6 @@ class _PreparedScan:
             [],
             self.terminal,
             zone_tests,
-            choice,
             self.info,
             self.semijoins,
             self.uses,
@@ -244,18 +237,7 @@ def _execute(plan: "_ScanPlan", nworkers: int) -> "_Accumulator":
     plan.run_subqueries()
     manager = plan.manager
     zone_tests = plan.zone_tests
-    if plan.index_choice is not None:
-        # Access-path substitution: the hash index names the candidate
-        # rows, only their blocks are touched, every filter re-applies.
-        acc, pruned, scanned = _run_index_lookup(plan)
-        extra = manager.stats.extra
-        extra["index_lookup_queries"] = (
-            extra.get("index_lookup_queries", 0) + 1
-        )
-        extra["index_skipped_blocks"] = (
-            extra.get("index_skipped_blocks", 0) + pruned
-        )
-    elif nworkers > 1:
+    if nworkers > 1:
         # Engine choice: a process pool attached to the manager handles
         # eligible scans (aggregating/projecting terminals); anything it
         # declines — enumeration, a busy pool, a mid-query mutation, a
@@ -358,7 +340,6 @@ class _ScanPlan:
         "inset_ops",
         "terminal",
         "zone_tests",
-        "index_choice",
         "info",
         "semijoins",
         "uses",
@@ -375,7 +356,6 @@ class _ScanPlan:
         inset_ops,
         terminal,
         zone_tests,
-        index_choice=None,
         info=None,
         semijoins=(),
         uses=None,
@@ -387,9 +367,6 @@ class _ScanPlan:
         self.inset_ops = inset_ops
         self.terminal = terminal
         self.zone_tests = zone_tests
-        #: planner access-path substitution (``planner.IndexChoice``
-        #: bound to this request's key)
-        self.index_choice = index_choice
         #: the prepared scan's estimates (``planner.PlanInfo``, shared and
         #: read-only) — None on a process worker's decoded plan
         self.info = info
@@ -404,8 +381,7 @@ class _ScanPlan:
 
     def run_subqueries(self) -> None:
         """Run each semi-join subquery once, on the driver thread,
-        before any executor, ``plansnap`` or the index lookup reads
-        ``inset_ops``."""
+        before any executor or ``plansnap`` reads ``inset_ops``."""
         if self.semijoins and not self.inset_ops:
             self.inset_ops = [
                 (op, _subquery_keys(op.subquery, self.params))
@@ -452,14 +428,11 @@ class _ScanPlan:
             self.program()
         return True
 
-    def process_block(self, block, acc: "_Accumulator", slots=None) -> None:
-        """Run the lowered filters and probes over *block* (only its
-        candidate *slots*, when an index named them), folding rows into
-        *acc*."""
+    def process_block(self, block, acc: "_Accumulator") -> None:
+        """Run the lowered filters and probes over *block*, folding rows
+        into *acc*."""
         program = self._program or self.program()
         ctx = _BlockCtx(self.manager, block, program.slots)
-        if slots is not None and ctx.idx.size:
-            ctx.refine(np.isin(ctx.idx, slots))
         if ctx.idx.size == 0:
             return
         acc.rows_scanned += int(ctx.idx.size)
@@ -505,52 +478,6 @@ def _run_serial(plan: _ScanPlan) -> Tuple["_Accumulator", int, int]:
     finally:
         manager.epochs.exit_critical_section()
     return acc, visited - scanned, scanned
-
-
-def _run_index_lookup(plan: _ScanPlan) -> Tuple["_Accumulator", int, int]:
-    """Execute *plan* through its hash-index point lookup.
-
-    The index resolves the candidate rows' indirection entries; their
-    current addresses group into per-block candidate slot sets, and the
-    scan enumerator is then driven normally but only candidate blocks
-    build kernels (restricted to the candidate slots, with **all**
-    filters re-applied — the index is an access path, not a semantics
-    change).  Driving ``scan_blocks`` keeps the compaction-group
-    protocol identical to a full scan, and visiting blocks in scan
-    order keeps row order identical to the serial scan's.  Like any
-    scan, concurrent-mutation visibility follows bag semantics.
-    """
-    manager = plan.manager
-    space = manager.space
-    acc = plan.make_accumulator()
-    choice = plan.index_choice
-    scanned = 0
-    total = 0
-    manager.epochs.enter_critical_section()
-    try:
-        handles = choice.index.get(choice.key)
-        table = manager.table
-        shift = space.block_shift
-        mask = space.block_size - 1
-        by_block: Dict[int, List[int]] = {}
-        for handle in handles:
-            addr = table._addr[handle.ref.entry]
-            if addr == NULL_ADDRESS:
-                continue
-            by_block.setdefault(int(addr) >> shift, []).append(
-                int(addr) & mask
-            )
-        for block in scan_blocks(manager, plan.source.context):
-            total += 1
-            offsets = by_block.get(block.block_id)
-            if offsets is None:
-                continue
-            scanned += 1
-            slots = block.slot_of_offset(np.array(offsets, dtype=np.int64))
-            plan.process_block(block, acc, slots)
-    finally:
-        manager.epochs.exit_critical_section()
-    return acc, total - scanned, scanned
 
 
 class _KeyColumns:

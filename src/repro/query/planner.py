@@ -17,9 +17,8 @@ every admitted block the same way.  This module closes the loop
   navigating) kernels see already-reduced row sets.  A top-level
   ``a & b & c`` conjunction is split into independently ordered
   conjuncts, which also lets each contribute zone tests on its own.
-* **Access-path choice**: a point predicate over a hash-indexed field
-  turns the scan into an index lookup that touches only the blocks
-  holding matches; otherwise the plan stays a (pruned) scan.
+* **Access path**: always a block scan, which zone maps prune; there is
+  no index path.
 * **Serve-path routing**: tiny estimated scans skip the process pool
   (`exec_workers`) — fan-out costs more than the scan saves.
 
@@ -66,10 +65,6 @@ _EPS = 1e-6
 #: Estimated-row threshold below which the serve path keeps a query on
 #: the serial in-process engine instead of the worker pool.
 SMALL_SCAN_ROWS = 2048
-#: An index lookup must be at least this selective to beat a pruned scan
-#: (hash lookups return handles; per-row handle overhead is high, so the
-#: crossover sits well below one block's worth of rows).
-INDEX_SELECTIVITY_LIMIT = 0.02
 
 
 # ----------------------------------------------------------------------
@@ -78,13 +73,12 @@ INDEX_SELECTIVITY_LIMIT = 0.02
 
 
 def _collection_stamp(coll) -> tuple:
-    """Block count, log2 bucket of the string dictionary's live
-    cardinality, and the index set of one collection."""
+    """Block count and log2 bucket of the string dictionary's live
+    cardinality of one collection."""
     sd = coll.strdict
     return (
         coll.context.block_count(),
         sd.live_count.bit_length() if sd is not None else 0,
-        tuple(coll._indexes),
     )
 
 
@@ -94,13 +88,13 @@ def stats_stamp(manager) -> tuple:
     One :func:`_collection_stamp` per registered collection (the
     planner's statistics universe: navigation resolves fields through
     the same registry).  Everything decided from statistics — conjunct
-    order, access path, the table statistics themselves — is valid while
+    order and the table statistics themselves — is valid while
     the stamp is unchanged: the prepared scan memoised on a ``Query``
     (and so on each entry of the service's plan cache) and
     :func:`table_stats` compare it and nothing else.  It is exactly coarse enough that steady-state churn
     (slot reuse inside existing blocks, refcount traffic on existing
     strings) leaves it alone while real growth — a new block, a
-    cardinality doubling, an index — moves it.  An unchanged stamp is
+    cardinality doubling — moves it.  An unchanged stamp is
     returned as the *same* tuple, so holders compare by identity first.
     """
     stamp = tuple([_collection_stamp(c) for c in manager.collections.values()])
@@ -643,70 +637,6 @@ def order_filters(
 
 
 # ----------------------------------------------------------------------
-# Access-path choice
-# ----------------------------------------------------------------------
-
-
-class IndexChoice:
-    """A point predicate answerable by a hash index.
-
-    Chosen once, at prepare, as the access-path *candidate*: the index
-    and the literal operand (``Const`` or ``Param``) its key comes from.
-    ``key`` is the operand's value under the params the choice was made
-    or bound with; :meth:`bind` gives another request's choice.
-    """
-
-    __slots__ = ("index", "operand", "pred_index", "key")
-
-    def __init__(self, index, operand: Expr, pred_index: int, key) -> None:
-        self.index = index
-        self.operand = operand
-        self.pred_index = pred_index  # position in the ordered filter list
-        self.key = key          # decoded key value (HashIndex key domain)
-
-    def bind(self, params: Dict[str, Any]) -> Optional["IndexChoice"]:
-        key = _literal(self.operand, params)
-        if key is _NO_LITERAL:
-            return None  # no key this request: scan
-        return IndexChoice(self.index, self.operand, self.pred_index, key)
-
-
-def choose_index(
-    source, ordered: List[Expr], plans: List[PredicatePlan], params: Dict[str, Any]
-) -> Optional[IndexChoice]:
-    """Pick a hash-index lookup when a point predicate is selective enough.
-
-    Only un-navigated ``field == literal`` conjuncts over a field with a
-    hash index qualify; the lookup path re-applies every filter, so this
-    is purely an access-path substitution.  Direct-pointer managers are
-    excluded (index entries are indirection ids).
-    """
-    manager = getattr(source, "manager", None)
-    indexed = getattr(source, "_indexed_fields", None)
-    if manager is None or not indexed or manager.direct_pointers:
-        return None
-    for i, expr in enumerate(ordered):
-        if not isinstance(expr, Cmp) or expr.op != "==":
-            continue
-        field, operand = None, None
-        if isinstance(expr.left, FieldRef) and not expr.left.steps:
-            field, operand = expr.left.field, expr.right
-        elif isinstance(expr.right, FieldRef) and not expr.right.steps:
-            field, operand = expr.right.field, expr.left
-        if field is None:
-            continue
-        value = _literal(operand, params)
-        if value is _NO_LITERAL:
-            continue
-        for index in indexed.get(field.name, ()):
-            if index.kind != "hash":
-                continue
-            if plans[i].selectivity <= INDEX_SELECTIVITY_LIMIT:
-                return IndexChoice(index, operand, i, value)
-    return None
-
-
-# ----------------------------------------------------------------------
 # Whole-scan planning + EXPLAIN surface
 # ----------------------------------------------------------------------
 
@@ -721,7 +651,6 @@ class PlanInfo:
         "table_rows",
         "est_selectivity",
         "est_rows",
-        "index_field",
     )
 
     def __init__(self, signature: str) -> None:
@@ -731,15 +660,12 @@ class PlanInfo:
         self.table_rows = 0
         self.est_selectivity = 1.0
         self.est_rows = 0
-        self.index_field: Optional[str] = None
 
     def explain_lines(self) -> List[str]:
         lines = [
             f"  planner: {self.access_path}, est {self.est_rows} of "
             f"{self.table_rows} rows (selectivity {self.est_selectivity:.4f})"
         ]
-        if self.index_field is not None:
-            lines.append(f"    index lookup on {self.index_field}")
         for i, p in enumerate(self.predicates):
             lines.append(
                 f"    [{i}] sel={p.selectivity:.4f} cost={p.cost:.1f} "
@@ -753,8 +679,8 @@ def plan_scan(
     filters: List[Expr],
     params: Dict[str, Any],
     source,
-) -> Tuple[List[Expr], Optional[IndexChoice], PlanInfo]:
-    """Order a scan's conjuncts and choose its access path."""
+) -> Tuple[List[Expr], PlanInfo]:
+    """Order a scan's conjuncts and name its access path."""
     ordered, plans = order_filters(filters, params, source)
     info = PlanInfo(query_signature)
     info.predicates = plans
@@ -765,13 +691,9 @@ def plan_scan(
         sel *= p.group_factor
     info.est_selectivity = _clamp(sel)
     info.est_rows = int(round(info.est_selectivity * info.table_rows))
-    choice = choose_index(source, ordered, plans, params)
-    if choice is not None:
-        info.access_path = "index-lookup"
-        info.index_field = choice.index.field_name
-    elif any(p.selectivity < 1.0 for p in plans):
+    if any(p.selectivity < 1.0 for p in plans):
         info.access_path = "pruned-scan"
-    return ordered, choice, info
+    return ordered, info
 
 
 def estimate_query_rows(query, params: Dict[str, Any]) -> Optional[int]:

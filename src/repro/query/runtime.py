@@ -2,9 +2,8 @@
 
 :class:`BlockCursor` is the one implementation of the paper's
 block-access consistency protocol for compaction groups (section 5.2);
-the serial scan, the index lookup, the interpreter, the generated code,
-collection enumeration, the thread pool and the process-pool parent all
-drain one:
+the serial scan, the interpreter, the generated code, collection
+enumeration, the thread pool and the process-pool parent all drain one:
 
 * blocks that belong to no compaction group are visited as-is;
 * a *finished* group contributes its compacted destination block (once);

@@ -18,14 +18,14 @@ from repro.query import columnar_exec, planner
 
 def _declaration_order(signature, filters, params, source):
     """``plan_scan`` that plans nothing: the predicates as declared, no
-    conjunct split, no index lookup."""
-    return list(filters), None, planner.PlanInfo(signature)
+    conjunct split."""
+    return list(filters), planner.PlanInfo(signature)
 
 
 @contextlib.contextmanager
 def unplanned():
-    """Scans prepared inside run their predicates in declaration order
-    and never use an index."""
+    """Scans prepared inside run their predicates in declaration
+    order."""
     with mock.patch.object(planner, "plan_scan", _declaration_order):
         yield
 

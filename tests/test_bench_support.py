@@ -1,5 +1,7 @@
-"""Bench harness and shared workloads."""
+"""Bench harness, shared workloads and the suite's trace hook points."""
 
+import importlib.util
+import pathlib
 import random
 
 import pytest
@@ -139,3 +141,21 @@ def test_wear_preserves_population_size():
     # The collection went through churn: limbo slots or recycled blocks.
     assert m.stats.frees == 300  # 150 * 2 rounds
     m.close()
+
+
+def test_every_traced_serve_hook_resolves():
+    """Each name ``benchmarks/suite/traced_serve.py`` patches exists and is
+    callable, resolved the way its ``_patch`` does (nothing installed)."""
+    path = pathlib.Path(__file__).parents[1] / "benchmarks/suite/traced_serve.py"
+    spec = importlib.util.spec_from_file_location("traced_serve", path)
+    traced = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(traced)
+    hooks = traced.ALWAYS + traced.ON_REQUEST + traced.LEAVES
+    assert hooks
+    for module_name, qualname, __ in hooks:
+        owner = importlib.import_module(module_name)
+        *path_parts, attr = qualname.split(".")
+        for part in path_parts:
+            owner = getattr(owner, part)
+        target = owner.__dict__[attr] if path_parts else getattr(owner, attr)
+        assert callable(target), f"{module_name}.{qualname}"

@@ -603,22 +603,6 @@ class TestStoreRecovery:
         assert _state(loaded) == expected
         loaded["_manager"].close()
 
-    def test_recovered_store_keeps_indexes(self, data_dir):
-        store, colls, manager = _fresh_store(data_dir)
-        colls["persons"].create_index("age")
-        for i in range(20):
-            colls["persons"].add(name=f"p{i}", age=i % 4)
-        store.checkpoint()
-        colls["persons"].add(name="late", age=2)
-        store.close()
-        manager.close()
-
-        loaded, __ = recover(data_dir)
-        (index,) = loaded["persons"]._indexes
-        assert index.field_name == "age"
-        assert len(index.get(2)) == 6  # 5 checkpointed + 1 replayed
-        loaded["_manager"].close()
-
     def test_entry_ids_survive_restart_and_manifest_is_small(self, data_dir):
         """Block-image checkpoints keep entry ids: a client-held id still
         names its row after a restart, log records need no translation

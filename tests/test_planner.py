@@ -1,11 +1,10 @@
 """Cost-based planner and the bounded caches beside it.
 
 The identity tests pin the planner's core contract: planning
-(conjunct splitting, predicate reordering, access-path choice,
-adaptive join sides) never changes what a query returns —
-results are byte-identical to declaration-order evaluation with no
-index (``tests.seams.unplanned``) across both SMC layouts, worker
-counts, and compaction churn.  The unit tests pin the cost model's
+(conjunct splitting, predicate reordering, adaptive join sides) never
+changes what a query returns — results are byte-identical to
+declaration-order evaluation (``tests.seams.unplanned``) across both SMC
+layouts, worker counts, and compaction churn.  The unit tests pin the cost model's
 arithmetic, the StringDict match cache's entry cap and the WAL
 group-commit buffer's flushes.
 """
@@ -276,62 +275,6 @@ def test_estimate_query_rows_and_routing(tpch_smc):
     assert planner.route_workers(10, 4) == 1
     assert planner.route_workers(planner.SMALL_SCAN_ROWS * 10, 4) == 4
     assert planner.route_workers(None, 4) == 4
-
-
-# ----------------------------------------------------------------------
-# Access-path choice (hash-index point lookups)
-# ----------------------------------------------------------------------
-
-
-def _people(manager, rows=4000, distinct=1000):
-    persons = Collection(TPerson, manager=manager)
-    for i in range(rows):
-        persons.add(name=f"p{i}", age=i % distinct)
-    return persons
-
-
-def test_choose_index_point_lookup(manager):
-    persons = _people(manager)
-    persons.create_index("age")
-    params = {"a": 37}
-    pred = TPerson.age == param("a")
-    ordered, plans = planner.order_filters([pred], params, persons)
-    choice = planner.choose_index(persons, ordered, plans, params)
-    assert choice is not None
-    assert choice.key == 37
-    __, __, info = planner.plan_scan("t", [pred], params, persons)
-    assert info.access_path == "index-lookup"
-    assert info.index_field == "age"
-
-
-def test_index_lookup_results_identical(manager):
-    persons = _people(manager)
-    persons.create_index("age")
-
-    def build():
-        return persons.query().where(TPerson.age == param("a")).select(
-            name=TPerson.name, age=TPerson.age
-        )
-
-    with unplanned():
-        baseline = build().run(params={"a": 37})
-    planned = build().run(params={"a": 37})
-    _identical(planned, baseline)
-    assert len(planned.rows) == 4  # 4000 rows, age = i % 1000
-    assert manager.stats.extra.get("index_lookup_queries", 0) >= 1
-
-
-def test_direct_pointer_manager_skips_index_path(direct_manager):
-    persons = _people(direct_manager)
-    persons.create_index("age")
-    params = {"a": 37}
-    pred = TPerson.age == param("a")
-    ordered, plans = planner.order_filters([pred], params, persons)
-    assert planner.choose_index(persons, ordered, plans, params) is None
-    q = persons.query().where(TPerson.age == param("a")).select(
-        age=TPerson.age
-    )
-    assert len(q.run(params=params).rows) == 4
 
 
 # ----------------------------------------------------------------------

@@ -11,7 +11,7 @@ Three kinds of test, none of which reads a clock:
   windows with unpruned ones on the same prepared scan, against a freshly
   built ``Query`` and against the interpreted engine;
 * invalidation traps: what a prepared scan must *not* freeze (dictionary
-  code sets, zone bounds, the index key, anything per request) and what
+  code sets, zone bounds, anything per request) and what
   re-prepares it (a drift of the store's coarse statistics stamp);
 * lowering gates: a request lowers each distinct expression of its plan
   once, whatever the block size or executor, and a fully pruned request
@@ -291,41 +291,6 @@ def _people(manager, rows=4000, distinct=1000):
     return persons
 
 
-def test_an_index_created_or_dropped_after_prepare_changes_the_path(manager):
-    """Trap (c): the index set is part of the stamp; the key is the
-    request's."""
-    persons = _people(manager)
-    extra = manager.stats.extra
-    query = (
-        persons.query()
-        .where(TPerson.age == param("a"))
-        .select(name=TPerson.name)
-    )
-
-    def lookups(a):
-        before = extra.get("index_lookup_queries", 0)
-        rows = sorted(query.run(a=a).rows)
-        return rows, extra.get("index_lookup_queries", 0) - before
-
-    scanned37, used = lookups(37)
-    assert len(scanned37) == 4 and used == 0
-    index = persons.create_index("age")
-    assert lookups(37) == (scanned37, 1)
-    with unplanned():
-        fresh = (
-            persons.query()
-            .where(TPerson.age == param("a"))
-            .select(name=TPerson.name)
-        )
-        scanned900 = sorted(fresh.run(a=900).rows)
-    assert lookups(900) == (scanned900, 1)  # same prepared scan, new key
-    assert lookups(-5) == ([], 1)
-    # No public drop: unregister the index the way create_index registered it.
-    persons._indexes.remove(index)
-    persons._indexed_fields["age"].remove(index)
-    assert lookups(37) == (scanned37, 0)
-
-
 @pytest.fixture
 def service(tpch_tiny):
     colls = load_smc(tpch_tiny, manager=MemoryManager(block_shift=16))
@@ -337,7 +302,7 @@ def service(tpch_tiny):
 def test_growth_by_a_block_re_prepares_and_churn_inside_blocks_does_not(
     service, planning_calls
 ):
-    """Trap (d), through the served path: the cached ``Query`` keeps its
+    """Trap (c), through the served path: the cached ``Query`` keeps its
     place in the plan cache and re-prepares itself when the stamp moves."""
     region = service.collections["region"]
 
@@ -373,7 +338,7 @@ def test_growth_by_a_block_re_prepares_and_churn_inside_blocks_does_not(
 
 
 def test_two_threads_bind_one_prepared_query_to_their_own_params(tpch):
-    """Trap (e): the prepared scan is shared, everything bound to it is
+    """Trap (d): the prepared scan is shared, everything bound to it is
     the request's."""
     cases = []
     for name in ("q6", "q2", "q4"):
@@ -412,7 +377,7 @@ def test_two_threads_bind_one_prepared_query_to_their_own_params(tpch):
 
 
 def test_one_prepared_scan_per_query(tpch):
-    """Trap (f): a query holds exactly one prepared scan, planned and
+    """Trap (e): a query holds exactly one prepared scan, planned and
     pruned, and every request binds to that same one."""
     extra = tpch["_manager"].stats.extra
     query = (

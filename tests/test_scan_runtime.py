@@ -3,9 +3,8 @@
 Every rule is checked for both ways a scan drains its
 :class:`~repro.query.runtime.BlockCursor` (each test runs every drain in
 ``DRAINS`` on a fresh store): the single-consumer generator
-(``scan_blocks``: the serial scan, index lookups, generated code,
-enumeration) and two threads sharing one cursor a block at a time (the
-thread pool).
+(``scan_blocks``: the serial scan, generated code, enumeration) and
+two threads sharing one cursor a block at a time (the thread pool).
 """
 
 import sys

@@ -54,6 +54,27 @@ def test_roundtrip_scalars_and_strings(manager, snap_path):
     )
     loaded["_manager"].close()
 
+    # An older writer listed secondary indexes in the header: they were
+    # derived data, so the load ignores them and a re-save drops them.
+    header, frames = _frames(snap_path)
+    for spec in header["collections"]:
+        spec["indexes"] = [["age", "hash"], ["name", "sorted"]] * (
+            spec["name"] == "persons"
+        )
+    legacy = snap_path + ".legacy"
+    _rewrite(legacy, header, _payloads(snap_path, frames))
+    old = load_collections(legacy)
+
+    def young(coll):
+        return coll.query().where(TPerson.age < 20).select(n=TPerson.name).run().rows
+
+    assert len(old["persons"]) == len(persons) and len(old["notes"]) == len(notes)
+    assert young(old["persons"]) == young(persons)
+    resaved = snap_path + ".resaved"
+    save_collections(resaved, old)
+    assert open(resaved, "rb").read() == open(snap_path, "rb").read()
+    old["_manager"].close()
+
 
 def test_roundtrip_references(manager, snap_path):
     persons = Collection(TPerson, manager=manager)
@@ -189,41 +210,6 @@ def test_dict_varstring_roundtrip_after_compaction(snap_path):
     assert sorted((h.text, h.stars) for h in lp) == expected
     plain["_manager"].close()
     manager.close()
-
-def test_indexes_survive_roundtrip(manager, snap_path):
-    """Regression: loaded collections used to come back with no indexes.
-
-    ``save_collections`` now records every ``index_specs()`` entry in a
-    trailing section and the loader re-creates (and re-populates) them,
-    so queries that rely on index acceleration keep working — and stay
-    *correct* as post-load mutations update live indexes instead of
-    silently missing ones.
-    """
-    persons = Collection(TPerson, manager=manager)
-    persons.create_index("age")
-    persons.create_sorted_index("name")
-    for i in range(30):
-        persons.add(name=f"p{i:02d}", age=i % 3)
-
-    save_collections(snap_path, {"persons": persons})
-    loaded = load_collections(snap_path)
-    lp = loaded["persons"]
-
-    assert lp.index_specs() == [("age", "hash"), ("name", "sorted")]
-    hash_index, sorted_index = lp._indexes
-    assert len(hash_index.get(1)) == 10
-    assert [h.name for h in sorted_index.range("p00", "p04")] == [
-        "p00",
-        "p01",
-        "p02",
-        "p03",
-        "p04",
-    ]
-    # The re-created indexes are live, not a frozen copy.
-    lp.add(name="zz", age=1)
-    assert len(hash_index.get(1)) == 11
-    loaded["_manager"].close()
-
 
 # ----------------------------------------------------------------------
 # Image identity: entry ids, incarnations, adoption vs conversion
@@ -583,9 +569,9 @@ def _all_digests(collections):
 @pytest.mark.parametrize("columnar", [False, True], ids=["row", "columnar"])
 def test_tpch_differential_after_churn(tpch_tiny, tmp_path, columnar, use_dict, shm):
     """Removes, updates, a compaction and an un-advanced epoch, then all
-    ten TPC-H queries, enumeration order and index lookups must agree
-    between the live store, its adopted image and a conversion of that
-    image to the other layout and another block size."""
+    ten TPC-H queries and enumeration order must agree between the live
+    store, its adopted image and a conversion of that image to the other
+    layout and another block size."""
     from repro.tpch.loader import load_smc
 
     src = load_smc(
@@ -593,9 +579,7 @@ def test_tpch_differential_after_churn(tpch_tiny, tmp_path, columnar, use_dict, 
         manager=MemoryManager(block_shift=14, string_dict=use_dict, shm=shm),
         columnar=columnar,
     )
-    manager, line, orders = src["_manager"], src["lineitem"], src["orders"]
-    orders.create_index("orderkey")
-    line.create_sorted_index("shipdate")
+    manager, line = src["_manager"], src["lineitem"]
     handles = list(line)
     for h in handles[:900:3]:
         line.remove(h)
@@ -625,25 +609,16 @@ def test_tpch_differential_after_churn(tpch_tiny, tmp_path, columnar, use_dict, 
     ]  # adopted, not converted
 
     def observe(store):
-        (by_key,) = store["orders"]._indexes
-        (by_ship,) = store["lineitem"]._indexes
-        lo, hi = datetime.date(1994, 1, 1), datetime.date(1994, 3, 1)
         return {
             "digests": _all_digests(store),
             "order": [
                 (h.orderkey, h.linenumber, h.quantity, h.comment)
                 for h in store["lineitem"]
             ],
-            "by_key": [
-                sorted(h.totalprice for h in by_key.get(k)) for k in (1, 7, 33, 10**9)
-            ],
-            "by_ship": sorted(
-                (h.shipdate, h.orderkey, h.linenumber) for h in by_ship.range(lo, hi)
-            ),
         }
 
     seen = [observe(store) for store in stores[:3]]
-    assert seen[0]["by_ship"] and seen[0]["digests"]["q1"]
+    assert seen[0]["digests"]["q1"]
     assert seen[1] == seen[0]
     assert seen[2] == seen[0]
     # Image -> load -> image reproduces the file byte for byte, and one
