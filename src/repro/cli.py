@@ -198,57 +198,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.service.server import QueryService, ServiceServer
 
     store = None
-    replication = None
     exec_workers = _parse_workers(args.exec_workers or "0")
     # The one shape of the served manager, whatever the source: exec
     # workers attach shared-memory block buffers, a budget attaches a
     # pager.
     use_shm = exec_workers > 0
     shape = dict(shm=use_shm, memory_budget=args.memory_budget)
-    if (use_shm or args.memory_budget) and args.replica_of:
-        print(
-            "--exec-workers and --memory-budget cannot be combined with "
-            "--replica-of: a resync replaces the replica's manager under "
-            "the worker pool and the pager",
-            file=sys.stderr,
-        )
-        return 2
-    if args.replica_of:
-        from repro.durability.replication import ReplicationClient
-
-        if not args.data_dir:
-            print("--replica-of requires --data-dir", file=sys.stderr)
-            return 2
-        if args.snapshot:
-            print(
-                "--replica-of clones the primary; drop the snapshot argument",
-                file=sys.stderr,
-            )
-            return 2
-        try:
-            phost, __, pport = args.replica_of.rpartition(":")
-            replication = ReplicationClient(
-                phost or "127.0.0.1",
-                int(pport),
-                args.data_dir,
-                fsync_policy=args.fsync,
-            )
-        except ValueError:
-            print(
-                f"--replica-of wants HOST:PORT, got {args.replica_of!r}",
-                file=sys.stderr,
-            )
-            return 2
-        store = replication.sync()
-        print(
-            f"replica of {args.replica_of} caught up at "
-            f"LSN {replication.applied_lsn}"
-        )
-        collections = dict(store.collections)
-        collections["_manager"] = store.manager
-        manager = store.manager
-        source = args.data_dir
-    elif args.data_dir:
+    if args.data_dir:
         from repro.durability import DurableStore, RecoveryError
         from repro.durability.checkpoint import DataDir
 
@@ -307,12 +263,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_concurrency=args.max_concurrency,
         queue_depth=args.queue_depth,
         store=store,
-        replication=replication,
         exec_workers=exec_workers,
     )
     server = ServiceServer(service, host=args.host, port=args.port).start()
-    if replication is not None:
-        replication.start()
     print(
         f"serving {source} on {server.host}:{server.port} "
         f"(max_concurrency={args.max_concurrency}, "
@@ -324,8 +277,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             if args.memory_budget
             else ""
         )
-        + (f", replica of {args.replica_of}" if replication else "")
-        + (", durable" if store is not None and not replication else "")
+        + (", durable" if store is not None else "")
         + ")"
     )
     stop = threading.Event()
@@ -344,45 +296,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             # The durable store owns (and closed) the manager otherwise.
             manager.close()
     print("server stopped")
-    return 0
-
-
-def _cmd_fleet(args: argparse.Namespace) -> int:
-    import signal
-
-    from repro.service.fleet import Fleet
-
-    fleet = Fleet(
-        args.data_root,
-        snapshot=args.snapshot,
-        replicas=args.replicas,
-        columnar=args.columnar,
-        string_dict=not args.no_dict,
-        fsync_policy=args.fsync,
-        host=args.host,
-    )
-    fleet.start()
-    for entry in fleet.status():
-        print(
-            f"{entry['name']:<12} {entry['role']:<8} {entry['endpoint']}"
-        )
-    print(
-        "route writes to the primary and reads anywhere "
-        "(RoutedClient does both)"
-    )
-    stop = threading.Event()
-
-    def _signal(signum, frame):  # noqa: ARG001 - signal signature
-        stop.set()
-
-    signal.signal(signal.SIGINT, _signal)
-    signal.signal(signal.SIGTERM, _signal)
-    try:
-        while not stop.is_set():
-            stop.wait(0.2)
-    finally:
-        fleet.close()
-    print("fleet stopped")
     return 0
 
 
@@ -643,38 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
         "writers and log replay fault them back (composes with "
         "--data-dir and --exec-workers)",
     )
-    serve.add_argument(
-        "--replica-of",
-        metavar="HOST:PORT",
-        help="serve as a read replica of the given primary: clone its "
-        "checkpoint into --data-dir (or resume one), stream its "
-        "committed WAL tail, and refuse mutations with NOT_PRIMARY",
-    )
     serve.set_defaults(fn=_cmd_serve)
-
-    fleet_p = sub.add_parser(
-        "fleet",
-        help="serve one writer plus N read replicas in one process",
-    )
-    fleet_p.add_argument(
-        "snapshot",
-        nargs="?",
-        help="snapshot to seed the primary (optional when data-root "
-        "already holds an initialized primary/)",
-    )
-    fleet_p.add_argument(
-        "--data-root",
-        required=True,
-        help="directory tree for the fleet: primary/, replica-1/, ...",
-    )
-    fleet_p.add_argument("--replicas", type=int, default=2)
-    fleet_p.add_argument("--host", default="127.0.0.1")
-    fleet_p.add_argument(
-        "--fsync", choices=["always", "commit", "none"], default="commit"
-    )
-    fleet_p.add_argument("--columnar", action="store_true")
-    fleet_p.add_argument("--no-dict", action="store_true")
-    fleet_p.set_defaults(fn=_cmd_fleet)
 
     query = sub.add_parser("query", help="run a TPC-H query on a snapshot")
     query.add_argument("snapshot")

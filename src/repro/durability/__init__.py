@@ -12,10 +12,7 @@ saved snapshot.  Three layers:
   atomically-replaced MANIFEST, and epoch-consistent block-image
   checkpoints that truncate the log;
 * :mod:`repro.durability.recovery` — checkpoint reload + committed
-  log-tail replay through the normal mutation paths;
-* :mod:`repro.durability.replication` — WAL shipping: a primary streams
-  its committed tail to read replicas, which replay it continuously
-  through the same recovery apply path (``docs/replication.md``).
+  log-tail replay through the normal mutation paths.
 
 :class:`~repro.durability.store.DurableStore` is the façade most code
 uses (and what ``repro serve --data-dir`` runs on).  See
@@ -29,12 +26,6 @@ from repro.durability.checkpoint import (
     MANIFEST_NAME,
 )
 from repro.durability.recovery import RecoveryReport, apply_batch, recover
-from repro.durability.replication import (
-    ReplicationClient,
-    ReplicationError,
-    StalePromotionError,
-    bootstrap_from_resync,
-)
 from repro.durability.store import DurableStore, MutationError
 from repro.durability.wal import (
     RecoveryError,
@@ -53,14 +44,10 @@ __all__ = [
     "MutationError",
     "RecoveryError",
     "RecoveryReport",
-    "ReplicationClient",
-    "ReplicationError",
-    "StalePromotionError",
     "WalCorruptionError",
     "WalRecord",
     "WriteAheadLog",
     "apply_batch",
-    "bootstrap_from_resync",
     "recover",
     "scan_wal",
 ]

@@ -144,24 +144,19 @@ class CheckpointManager:
         self.last_rows = 0
         self.last_bytes = 0
 
-    def checkpoint(self, wal: WriteAheadLog, entry_ids=None):
+    def checkpoint(self, wal: WriteAheadLog):
         """Write the block images and start a fresh segment.
 
         Must be called with ``wal.hold()`` held.  Returns
         ``(manifest, new_wal)``; the caller swaps its active log.  On any
         failure before the manifest rename the old manifest/log pair
         stays fully authoritative.
-
-        ``entry_ids`` (replication) is stored in the image: a read
-        replica's map from the primary's entry ids to its own, so the
-        shipped log records keep resolving after the replica restarts
-        from its own checkpoint.
         """
         start = time.perf_counter()
         cut_lsn = wal.last_lsn
         if _san.SANITIZER is not None:
             _san.SANITIZER.event("checkpoint.begin", cut_lsn=cut_lsn)
-        manifest, new_wal = self._cut(cut_lsn, wal.fsync_policy, entry_ids)
+        manifest, new_wal = self._cut(cut_lsn, wal.fsync_policy)
         wal.close()
         self.datadir.sweep_orphans(
             keep=[manifest["checkpoint"], manifest["wal"]]
@@ -182,15 +177,13 @@ class CheckpointManager:
         self.last_duration = time.perf_counter() - start
         return manifest, wal
 
-    def _cut(self, cut_lsn: int, fsync_policy: str, entry_ids=None):
+    def _cut(self, cut_lsn: int, fsync_policy: str):
         """Checkpoint file, empty segment behind it, manifest naming both."""
         from repro.io.snapshot import save_collections
 
         final = self.datadir.checkpoint_path(cut_lsn)
         tmp = final + ".tmp"
-        self.last_rows = save_collections(
-            tmp, self.collections, fsync=True, entry_ids=entry_ids
-        )
+        self.last_rows = save_collections(tmp, self.collections, fsync=True)
         if _san.SANITIZER is not None:
             _san.SANITIZER.event("checkpoint.snapshot_rename", path=tmp)
         os.replace(tmp, final)

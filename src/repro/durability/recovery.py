@@ -34,7 +34,7 @@ from __future__ import annotations
 import contextlib
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -59,9 +59,9 @@ class EntryMap:
     The identity for every row a checkpoint image holds — images keep
     entry ids, so nothing is stored per checkpointed row.  Only rows
     added by replaying log records diverge (the local allocator picks
-    their entry); those are remembered until removed.  A read replica
-    persists its divergent pairs in its own checkpoint image, because
-    its log lineage stays in the primary's id space.
+    their entry); those are remembered until removed.  A load that
+    converts the image (another layout or block size) can hand out other
+    ids too; its ``(logged, local)`` pairs seed the map.
     """
 
     def __init__(self, pairs: Optional[np.ndarray] = None) -> None:
@@ -80,10 +80,6 @@ class EntryMap:
 
     def drop(self, logged: int) -> None:
         self._local.pop(logged, None)
-
-    def pairs(self) -> np.ndarray:
-        """The divergent ``(logged, local)`` pairs, for a replica's image."""
-        return np.array(list(self._local.items()), dtype=np.int64).reshape(-1, 2)
 
 
 @dataclass
@@ -108,11 +104,6 @@ class RecoveryReport:
     load_seconds: float
     scan_seconds: float
     replay_seconds: float
-    #: Logged → local entry ids as of the end of replay.  Replication
-    #: keeps applying shipped records through it.
-    entry_map: EntryMap = field(default_factory=EntryMap, repr=False)
-    #: Log-local string-id table as of the end of replay.
-    strings: Dict[int, str] = field(default_factory=dict, repr=False)
 
     @property
     def duration(self) -> float:
@@ -224,8 +215,6 @@ def recover(
         load_seconds=loaded - start,
         scan_seconds=scanned - loaded,
         replay_seconds=time.perf_counter() - scanned,
-        entry_map=entry_map,
-        strings=strings,
     )
     return collections, report
 
@@ -237,10 +226,8 @@ def apply_batch(
     """Re-execute committed log records against the reloaded collections;
     returns how many mutations (ADD / REMOVE / UPDATE) it applied.
 
-    This is the single apply path shared by crash recovery and live
-    replication: a read replica hands every shipped batch to it, so its
-    in-memory state is rebuilt exactly the way a restart would.  INTERN
-    records bind their sid in *strings*; BEGIN / COMMIT are skipped.
+    INTERN records bind their sid in *strings*; BEGIN / COMMIT are
+    skipped.
     Each run of ADD records for one collection is one ``add_many``, each
     run of REMOVE records one ``remove_many`` — the calls the writer
     made — so a replayed row takes the slot and entry the same sequence

@@ -38,10 +38,6 @@ from repro.schema.layout import EncodedRow
 #: Default log size that triggers ``maybe_checkpoint`` (bytes).
 DEFAULT_CHECKPOINT_BYTES = 16 * 1024 * 1024
 
-#: Most checkpoint bytes one resync reply carries (base64 inflates them
-#: by a third; the reply must stay far below ``protocol.MAX_FRAME``).
-RESYNC_CHUNK_BYTES = 4 * 1024 * 1024
-
 
 class MutationError(SmcError):
     """A malformed or inapplicable mutation op (service: BAD_REQUEST)."""
@@ -132,8 +128,8 @@ class DurableStore:
             self.datadir.checkpoint_path(self.cut_lsn)
         )
         # Log-local string-id table, reset at every checkpoint (string
-        # dictionary *codes* differ between a primary and its replicas,
-        # log-local sids do not — see the wal module docstring).
+        # dictionary *codes* are reassigned when a checkpoint reloads, so
+        # a logged code would dangle — see the wal module docstring).
         self._sids: Dict[str, int] = {}
         # Counters carried across segment rollovers.
         self._closed_records = 0
@@ -260,22 +256,9 @@ class DurableStore:
             if strdict is not None:
                 strdict.on_bind = self._on_strdict_bind
 
-    def attach_mutation_hooks(self) -> None:
-        """(Re)install this store as every collection's mutation log.
-
-        A promoted replica calls this: while following it must not log
-        its own records (the shipped frames already are the log), but
-        once promoted its local mutations become authoritative.
-        """
-        self._attach()
-
     def detach_mutation_hooks(self) -> None:
-        """Stop logging local mutations (read-replica mode).
-
-        The store stays open — the WAL keeps receiving *shipped* frames
-        via ``append_shipped`` — but ``add``/``remove``/``setattr`` on
-        the collections no longer append records of their own.
-        """
+        """Stop logging mutations: ``add``/``remove``/``setattr`` on the
+        collections no longer append records (``close`` calls this)."""
         for coll in self.collections.values():
             if getattr(coll, "mutation_log", None) is self:
                 coll.mutation_log = None
@@ -303,52 +286,8 @@ class DurableStore:
 
     @property
     def committed_lsn(self) -> int:
-        """Last committed (shippable) LSN of the active segment."""
+        """Last committed LSN of the active segment."""
         return self._wal.committed_lsn
-
-    # -- replication: shipping the committed tail ------------------------
-
-    def read_tail(self, after_lsn: int, max_bytes: int = 4 * 1024 * 1024):
-        """Committed records after *after_lsn*, or ``None`` for resync.
-
-        ``None`` means *after_lsn* predates the active segment: the
-        intervening records were folded into a checkpoint and their
-        segment swept, so a follower at that position must re-bootstrap
-        through :meth:`resync_chunk`.
-        """
-        return self._wal.read_tail(after_lsn, max_bytes=max_bytes)
-
-    def resync_chunk(
-        self, offset: int = 0, length: int = 0, checkpoint: Optional[str] = None
-    ) -> Dict[str, Any]:
-        """One slice of the current checkpoint file, for a joining follower.
-
-        The first call (``offset`` 0, no *checkpoint*) also carries the
-        manifest; the follower passes the manifest's checkpoint name back
-        with every further offset, and gets ``{"superseded": True}`` —
-        start over — if a newer checkpoint has replaced that file in the
-        meantime.  The file is opened under the WAL lock, so the manifest
-        read and the open see the same checkpoint, and read outside it:
-        an open descriptor outlives a sweep, and a follower joining must
-        not stall writers for the length of a disk read.
-        """
-        import base64
-
-        with self._wal.hold():
-            manifest = self.datadir.read_manifest()
-            if checkpoint not in (None, manifest["checkpoint"]):
-                return {"superseded": True}
-            fh = open(os.path.join(self.datadir.root, manifest["checkpoint"]), "rb")
-        with fh:
-            size = os.fstat(fh.fileno()).st_size
-            fh.seek(offset)
-            data = fh.read(min(length, RESYNC_CHUNK_BYTES) or RESYNC_CHUNK_BYTES)
-        return {
-            "manifest": manifest,
-            "size": size,
-            "offset": offset,
-            "data_b64": base64.b64encode(data).decode("ascii"),
-        }
 
     def log_add(self, collection, entry: int, row: EncodedRow) -> int:
         """Append the ADD record of a row just placed at *entry*, written
@@ -495,16 +434,11 @@ class DurableStore:
 
     # -- checkpoints ----------------------------------------------------
 
-    def checkpoint(self, entry_ids=None) -> Dict[str, Any]:
-        """Write a checkpoint, roll the log, sweep superseded files.
-
-        ``entry_ids`` is forwarded to the checkpoint manager; a read
-        replica uses it to keep its map from the primary's entry ids in
-        its image (see ``CheckpointManager.checkpoint``).
-        """
+    def checkpoint(self) -> Dict[str, Any]:
+        """Write a checkpoint, roll the log, sweep superseded files."""
         with self._wal.hold():
             old = self._wal
-            manifest, new_wal = self._ckpt.checkpoint(old, entry_ids=entry_ids)
+            manifest, new_wal = self._ckpt.checkpoint(old)
             self._closed_records += old.records
             self._closed_bytes += old.bytes_written
             self._closed_fsyncs += old.fsyncs

@@ -126,8 +126,8 @@ DEFAULT_BUFFER_CAPACITY = 256 * 1024
 
 
 def encode_payload(payload: Dict[str, Any]) -> bytes:
-    """A record payload given as a dict (a shipped record, a test's), as
-    the bytes :meth:`WriteAheadLog.append` takes."""
+    """A record payload held as a dict, as the bytes
+    :meth:`WriteAheadLog.append` takes."""
     return log_json(payload).encode("utf-8")
 
 
@@ -294,14 +294,11 @@ def _frames(view, pos: int, end: int, lsn: int, path: str) -> Iterator[Frame]:
         lsn += 1
 
 
-def _decode(
-    data, frames: Sequence[Frame], path: str, base: int = 0
-) -> List[WalRecord]:
-    """Decode the payloads of *frames* (offsets into *data*), each once.
+def _decode(data, frames: Sequence[Frame], path: str) -> List[WalRecord]:
+    """Decode the payloads of *frames* (file offsets into *data*), each once.
 
     A payload that is not exactly one UTF-8 JSON document raises
-    :class:`WalCorruptionError` naming its LSN.  *base* is the file
-    offset of ``data[0]``.
+    :class:`WalCorruptionError` naming its LSN.
     """
     view = memoryview(data)
     decode = _DECODER.decode
@@ -313,9 +310,9 @@ def _decode(
             raise WalCorruptionError(
                 f"{path}: undecodable payload at LSN {lsn}: {exc}",
                 lsn=lsn,
-                offset=base + offset,
+                offset=offset,
             ) from None
-        records.append(WalRecord(lsn, kind, payload, base + offset, base + end))
+        records.append(WalRecord(lsn, kind, payload, offset, end))
     return records
 
 
@@ -344,13 +341,9 @@ class WriteAheadLog:
         self._offset = offset
         self._synced_offset = offset
         self.start_lsn = start_lsn
-        # Committed boundary: the last LSN (and its end offset) that is
-        # not inside an open batch.  Replication ships only up to here.
+        # Committed boundary: the last LSN that is not inside an open
+        # batch (stamped on the service's replies).
         self._committed_lsn = next_lsn - 1
-        self._committed_offset = offset
-        # Tail-read cursors: lsn -> file offset of that record, one per
-        # follower position, so sequential polls avoid head rescans.
-        self._cursors: Dict[int, int] = {}
         self.fsync_policy = fsync_policy
         self._batch_depth = 0
         self._batch_seq = 0
@@ -359,10 +352,8 @@ class WriteAheadLog:
         # Group-commit buffer: frames appended inside an open batch park
         # here and reach the file in one write at the commit boundary
         # (or when the buffer hits capacity).  ``_offset`` is the logical
-        # end including buffered bytes; ``_committed_offset`` only ever
-        # advances after a flush, so ``read_tail`` (which reads the file)
-        # never chases bytes that are still in memory.  Disabled under
-        # the sanitizer, whose crash points need every byte on disk.
+        # end including buffered bytes.  Disabled under the sanitizer,
+        # whose crash points need every byte on disk.
         self._buffer = bytearray()
         self.buffer_capacity = DEFAULT_BUFFER_CAPACITY
         # Lifetime counters (the metrics bridge scrapes these).
@@ -459,7 +450,7 @@ class WriteAheadLog:
 
     @property
     def committed_lsn(self) -> int:
-        """Last LSN outside any open batch (the shippable boundary)."""
+        """Last LSN outside any open batch (the committed boundary)."""
         return self._committed_lsn
 
     @property
@@ -530,13 +521,9 @@ class WriteAheadLog:
             self.bytes_written += RECORD_HEADER_SIZE + size
             # COMMIT is appended after batch() drops the depth to zero,
             # so "depth == 0 here" marks exactly the committed boundary.
-            # The flush before the boundary advances keeps the invariant
-            # that the file always holds every byte below
-            # ``_committed_offset`` (read_tail reads the file, not us).
             if self._batch_depth == 0:
                 self._flush_buffer()
                 self._committed_lsn = lsn
-                self._committed_offset = self._offset
             if sync is None:
                 sync = self.fsync_policy == "always" or (
                     self.fsync_policy == "commit" and self._batch_depth == 0
@@ -590,79 +577,6 @@ class WriteAheadLog:
                     )
         finally:
             self._lock.release()
-
-    def append_shipped(
-        self, lsn: int, kind: int, body: bytes, sync: bool = False
-    ) -> int:
-        """Append a record shipped from a primary, keeping its LSN.
-
-        Replication is physical log shipping: a follower re-appends the
-        primary's committed records verbatim into its own segment, so
-        the two logs stay byte-identical (the shipped payload dict
-        re-encodes, through :func:`encode_payload`, to the primary's
-        bytes).  The shipped LSN must be the exact next LSN of this
-        segment — a gap means the follower lost its position and must
-        resync.
-        """
-        with self._lock:
-            if not self._crashed and not self._dead and lsn != self._next_lsn:
-                raise SmcError(
-                    f"shipped record LSN {lsn} does not follow "
-                    f"{self.path} (next LSN is {self._next_lsn})"
-                )
-            return self.append(kind, body, sync=sync)
-
-    def read_tail(
-        self, after_lsn: int, max_bytes: int = 4 * 1024 * 1024
-    ) -> Optional[List[WalRecord]]:
-        """Committed records with LSN > *after_lsn*, for shipping.
-
-        Returns ``None`` when *after_lsn* predates this segment (the
-        records live in a swept-away older segment — the follower must
-        resync from the checkpoint).  The result always ends at a batch
-        boundary: ``max_bytes`` is a soft cap that only cuts between
-        batches, and at least one batch is returned when any is pending,
-        so a batch larger than the cap cannot stall a follower.
-        """
-        with self._lock:
-            if self._dead or self._crashed:
-                raise SmcError(f"write-ahead log {self.path} is not readable")
-            if after_lsn < self.start_lsn - 1:
-                return None
-            committed = self._committed_lsn
-            if after_lsn >= committed:
-                return []
-            first = after_lsn + 1
-            start = self._cursors.get(first)
-            if start is None:
-                start, first = FILE_HEADER_SIZE, self.start_lsn
-            end_offset = self._committed_offset
-            with open(self.path, "rb") as fh:
-                fh.seek(start)
-                data = fh.read(end_offset - start)
-        # A cursor sits on a batch boundary; from the segment start, the
-        # frames walked up to *after_lsn* tell whether it is inside a batch.
-        frames: List[Frame] = []
-        depth = 0
-        for frame in _frames(memoryview(data), 0, len(data), first, self.path):
-            lsn, kind, __, end = frame
-            if kind == BEGIN:
-                depth = 1
-            elif kind == COMMIT:
-                depth = 0
-            if lsn <= after_lsn:
-                continue
-            frames.append(frame)
-            if depth == 0 and end - frames[0][2] >= max_bytes:
-                break
-        records = _decode(data, frames, self.path, base=start)
-        if records:
-            with self._lock:
-                self._cursors[records[-1].lsn + 1] = records[-1].end_offset
-                self._cursors.pop(after_lsn + 1, None)
-                while len(self._cursors) > 16:
-                    self._cursors.pop(min(self._cursors))
-        return records
 
     def sync(self) -> None:
         """fsync the segment (fires the ``wal.fsync`` crash point first)."""

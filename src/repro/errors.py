@@ -74,22 +74,6 @@ class ProtocolViolation(SmcError):
         super().__init__(f"[{invariant}] {detail}")
 
 
-class ReplicationError(SmcError):
-    """A replication-protocol failure a caller must handle."""
-
-
-class StalePromotionError(ReplicationError):
-    """Promotion refused: a fresher replica exists."""
-
-    def __init__(self, applied_lsn: int, min_lsn: int) -> None:
-        super().__init__(
-            f"refusing promotion at applied LSN {applied_lsn}: a fresher "
-            f"replica is at LSN {min_lsn}"
-        )
-        self.applied_lsn = applied_lsn
-        self.min_lsn = min_lsn
-
-
 class InjectedFaultError(SmcError):
     """Raised by the sanitizer's fault-injection harness.
 

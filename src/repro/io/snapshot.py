@@ -37,8 +37,8 @@ Format ``SMCSNAP2`` (little-endian)::
       dict        index         i64 heap address per code, then i64 refcount
                                 (texts live in the heap records only)
       block       block id      raw buffer of one data block
-      entry-ids   pair count    i64 (logged id, local id): a replica's map
-                                from the primary's entry ids to its own
+      entry-ids   pair count    i64 (logged id, local id) pairs recovery
+                                maps log records through (optional)
       end         section count empty; anything after it is an error
 
 Saving writes each buffer as it is, with two exceptions that make an
@@ -165,7 +165,7 @@ def save_collections(
     buffer they currently live in, so cold blocks are never promoted.
     With ``fsync`` the file is fsynced before closing (checkpoints need
     the bytes durable before the manifest rename can point at them).
-    ``entry_ids`` is stored verbatim for a replica's recovery (see the
+    ``entry_ids`` is stored verbatim as an ``entry-ids`` section (see the
     module docstring).
     """
     named = _named(collections)
@@ -414,9 +414,10 @@ def load_collections(
     shape — layout, string encoding, block size — and the manager is
     fresh; otherwise it is adopted aside and its rows are copied across
     (:func:`_convert`).  When log records would no longer find the rows
-    under the entry ids they name — a replica's image, or a conversion
-    that handed out other ids — the result also holds ``"_entry_ids"``,
-    the ``(logged id, local id)`` pairs recovery needs.
+    under the entry ids they name — an image with an ``entry-ids``
+    section, or a conversion that handed out other ids — the result also
+    holds ``"_entry_ids"``, the ``(logged id, local id)`` pairs recovery
+    needs.
     """
     # Tabular classes are resolved by name: user-defined classes must be
     # imported before loading.  The built-in TPC-H schema registers here

@@ -31,12 +31,7 @@ path or mutates protocol state to force a rare edge case:
     ``checkpoint.manifest_rename``).  With ``power_loss=True`` a crash
     at a WAL point also truncates the log file back to its last fsynced
     offset first, modelling page-cache loss on power failure rather
-    than a mere process kill.  The replication layer adds three points:
-    ``repl.ship`` (primary, before serving a tail to a follower),
-    ``repl.apply`` (replica, before a shipped record is appended to its
-    local log) and ``repl.promote`` (inside promotion, before the
-    local-id checkpoint barrier) — the failover drills kill primaries
-    and replicas at these points.
+    than a mere process kill.
 
 Fault counters are consumed exactly once per armed fault, so tests can
 assert that the system *degrades into the injected error and nothing

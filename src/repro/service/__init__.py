@@ -16,18 +16,11 @@ The service layer turns the query engines into a serving system:
 ``protocol``
     Length-prefixed JSON wire protocol with exact value round-trips.
 ``server`` / ``client``
-    Threaded TCP server (``repro serve``) and client library, including
-    the fleet-aware :class:`RoutedClient` (writes to the primary, reads
-    across replicas with bounded staleness).
-``fleet``
-    One writer + N WAL-shipping read replicas in one process
-    (``repro fleet``), with promote-on-failure drills.
+    Threaded TCP server (``repro serve``) and client library.
 
-The client and the fleet are imported on first use (PEP 562): a server
-needs neither, and the fleet pulls in the whole durability package.
+The client is imported on first use (PEP 562): a server never needs it.
 
-See ``docs/service.md`` for the protocol and policies, and
-``docs/replication.md`` for the fleet.
+See ``docs/service.md`` for the protocol and policies.
 """
 
 import importlib
@@ -39,38 +32,26 @@ from repro.service.server import QueryService, ServiceServer
 from repro.service.session import Session, SessionRegistry
 
 _LAZY = {
-    "LoopbackClient": "repro.service.client",
-    "RoutedClient": "repro.service.client",
     "ServiceClient": "repro.service.client",
     "ServiceError": "repro.service.client",
-    "ServiceNotPrimary": "repro.service.client",
     "ServiceOverloadedError": "repro.service.client",
     "ServiceSessionExpired": "repro.service.client",
-    "ServiceStaleRead": "repro.service.client",
-    "Fleet": "repro.service.fleet",
-    "FleetNode": "repro.service.fleet",
 }
 
 __all__ = [
     "AdmissionController",
     "Counter",
-    "Fleet",
-    "FleetNode",
     "Gauge",
     "Histogram",
-    "LoopbackClient",
     "MetricsRegistry",
     "OverloadedError",
     "PlanCache",
     "QueryService",
-    "RoutedClient",
     "ServiceClient",
     "ServiceError",
-    "ServiceNotPrimary",
     "ServiceOverloadedError",
     "ServiceServer",
     "ServiceSessionExpired",
-    "ServiceStaleRead",
     "Session",
     "SessionRegistry",
 ]

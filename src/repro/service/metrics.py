@@ -553,61 +553,6 @@ def instrument_durability(registry: MetricsRegistry, store) -> None:
     )
 
 
-def instrument_replication(registry: MetricsRegistry, replication) -> None:
-    """Export a read replica's streaming state (``smc_repl_*``).
-
-    Watermarks are scrape-time gauges over the
-    :class:`~repro.durability.replication.ReplicationClient`; lifetime
-    counters ride a snapshot provider, like the durability bridge.
-    The primary's ship-side counters live on the service itself
-    (``smc_repl_ship_*``), since a primary has no replication client.
-    """
-    registry.gauge(
-        "smc_repl_applied_lsn",
-        "Last LSN durably applied by this replica",
-        callback=lambda: float(replication.applied_lsn),
-    )
-    registry.gauge(
-        "smc_repl_source_committed_lsn",
-        "Primary committed LSN as of the last successful poll",
-        callback=lambda: float(replication.source_committed_lsn),
-    )
-    registry.gauge(
-        "smc_repl_lag_records",
-        "Records between the primary's committed LSN and ours",
-        callback=lambda: float(replication.lag_records),
-    )
-    registry.gauge(
-        "smc_repl_primary_down",
-        "1 when consecutive polls to the primary keep failing",
-        callback=lambda: float(bool(replication.primary_down)),
-    )
-    registry.gauge(
-        "smc_repl_needs_resync",
-        "1 when the replica fell behind a primary checkpoint",
-        callback=lambda: float(bool(replication.needs_resync)),
-    )
-
-    def _counters() -> Dict[str, float]:
-        return {
-            "smc_repl_apply_records_total": float(
-                replication.applied_records
-            ),
-            "smc_repl_apply_batches_total": float(
-                replication.applied_batches
-            ),
-            "smc_repl_polls_total": float(replication.polls),
-            "smc_repl_reconnects_total": float(replication.reconnects),
-            "smc_repl_resyncs_total": float(replication.resyncs),
-            "smc_repl_local_checkpoints_total": float(
-                replication.local_checkpoints
-            ),
-            "smc_repl_promotions_total": float(replication.promotions),
-        }
-
-    registry.add_snapshot("replication", _counters)
-
-
 def engine_snapshot(registry: MetricsRegistry) -> None:
     """Contribute the compiled-function cache stats at scrape time.
 

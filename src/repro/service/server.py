@@ -16,17 +16,9 @@ Error taxonomy (the ``error`` field of a ``{"ok": false}`` response):
     The session's epoch lease was revoked by the watchdog; open a new
     session.
 ``BAD_REQUEST``
-    Unknown op/query or malformed arguments.
-``NOT_PRIMARY``
-    A ``mutate`` sent to a read replica; the client must route writes
-    to the primary (the response names the replica's current source).
-``STALE_READ``
-    A ``query`` carried ``min_lsn`` and the replica's applied watermark
-    did not reach it within ``wait`` seconds; the response reports
-    ``applied_lsn`` so the router can redirect.
-``STALE_PROMOTION``
-    A ``promote`` named a ``min_lsn`` ahead of this replica's watermark
-    — a fresher replica exists and must be promoted instead.
+    Unknown op/query or malformed arguments (a ``workers`` that is not
+    an integer >= 1, an unknown ``engine`` or ``flavor``, a ``ttl`` that
+    is not a positive number); the detail names the accepted values.
 ``INTERNAL``
     Unexpected exception during execution (with a detail string).
 """
@@ -38,7 +30,6 @@ import threading
 import time
 from typing import Any, Dict, List, Optional
 
-from repro.errors import StalePromotionError
 from repro.query import planner as _planner
 from repro.service import protocol
 from repro.service.admission import AdmissionController, OverloadedError
@@ -48,7 +39,6 @@ from repro.service.metrics import (
     instrument_durability,
     instrument_exec,
     instrument_manager,
-    instrument_replication,
     instrument_tiering,
 )
 from repro.service.plancache import PlanCache
@@ -58,6 +48,32 @@ from repro.service.session import (
     SessionRegistry,
 )
 from repro.tpch.queries import DEFAULT_PARAMS, EXTRA_QUERIES, QUERIES
+
+
+#: The ``engine`` and ``flavor`` values ``Query.run`` accepts for a
+#: self-managed collection (``managed`` is the baselines' flavour; a
+#: served collection is never one).
+ENGINES = ("compiled", "interpreted")
+FLAVORS = ("columnar", "smc-unsafe", "smc-safe")
+
+
+def _bad_request(detail: str) -> Dict[str, Any]:
+    return {"ok": False, "error": "BAD_REQUEST", "detail": detail}
+
+
+def _unknown_query(name: Any) -> Dict[str, Any]:
+    known = sorted(QUERIES) + sorted(EXTRA_QUERIES)
+    return _bad_request(f"unknown query {name!r}; choose from {known}")
+
+
+def _unknown_flavor(flavor: Any) -> Dict[str, Any]:
+    return _bad_request(
+        f"unknown flavor {flavor!r}; choose from {list(FLAVORS)}"
+    )
+
+
+def _is_number(value: Any, kinds=(int, float)) -> bool:
+    return isinstance(value, kinds) and not isinstance(value, bool)
 
 
 class QueryService:
@@ -73,7 +89,6 @@ class QueryService:
         class_timeouts: Optional[Dict[str, float]] = None,
         metrics: Optional[MetricsRegistry] = None,
         store=None,
-        replication=None,
         exec_workers: int = 0,
     ) -> None:
         self.collections = {
@@ -87,11 +102,6 @@ class QueryService:
         #: changes through the write-ahead log (one group commit per
         #: request) and ``close`` checkpoints and closes the store.
         self.store = store
-        #: Optional :class:`~repro.durability.ReplicationClient` when
-        #: this node serves as a read replica.  Until it is promoted,
-        #: ``mutate`` is refused with NOT_PRIMARY and ``query`` enforces
-        #: bounded staleness against its applied-LSN watermark.
-        self.replication = replication
         #: Process pool for scatter-gather scans when ``exec_workers > 0``
         #: (requires a shared-memory manager).  The pool attaches to the
         #: manager, so the vectorised engine routes any eligible
@@ -114,16 +124,6 @@ class QueryService:
             instrument_exec(self.metrics, self.exec_pool)
         if store is not None:
             instrument_durability(self.metrics, store)
-        if replication is not None:
-            instrument_replication(self.metrics, replication)
-        self._ship_requests = self.metrics.counter(
-            "smc_repl_ship_requests_total",
-            "Replicate polls served, by kind (tail/resync)",
-        )
-        self._ship_records = self.metrics.counter(
-            "smc_repl_ship_records_total",
-            "WAL records shipped to followers",
-        )
         self.sessions = SessionRegistry(
             self.manager, lease_ttl=lease_ttl, metrics=self.metrics
         )
@@ -145,21 +145,9 @@ class QueryService:
             "Multi-worker requests routed to one worker by estimated rows",
         )
 
-    # -- fleet role ----------------------------------------------------
-
-    @property
-    def role(self) -> str:
-        if self.replication is not None and not self.replication.promoted:
-            return "replica"
-        return "primary"
-
     def _current_lsn(self) -> int:
         """The LSN a response is consistent with (stamped on replies)."""
-        if self.role == "replica":
-            return self.replication.applied_lsn
-        if self.store is not None:
-            return self.store.committed_lsn
-        return 0
+        return self.store.committed_lsn if self.store is not None else 0
 
     # -- request dispatch ----------------------------------------------
 
@@ -179,12 +167,6 @@ class QueryService:
                 response = self._op_explain(message)
             elif op == "mutate":
                 response = self._op_mutate(message)
-            elif op == "replicate":
-                response = self._op_replicate(message)
-            elif op == "lsn":
-                response = self._op_lsn(message)
-            elif op == "promote":
-                response = self._op_promote(message)
             elif op == "metrics":
                 response = {"ok": True, "text": self.metrics.expose()}
             elif op == "info":
@@ -196,11 +178,7 @@ class QueryService:
                     "plan_cache": self.plans.stats(),
                 }
             else:
-                response = {
-                    "ok": False,
-                    "error": "BAD_REQUEST",
-                    "detail": f"unknown op {op!r}",
-                }
+                response = _bad_request(f"unknown op {op!r}")
         except OverloadedError as exc:
             response = {
                 "ok": False,
@@ -213,14 +191,6 @@ class QueryService:
                 "ok": False,
                 "error": "LEASE_EXPIRED",
                 "detail": str(exc),
-            }
-        except StalePromotionError as exc:
-            response = {
-                "ok": False,
-                "error": "STALE_PROMOTION",
-                "detail": str(exc),
-                "applied_lsn": exc.applied_lsn,
-                "min_lsn": exc.min_lsn,
             }
         except Exception as exc:  # noqa: BLE001 - wire boundary
             response = {
@@ -240,7 +210,12 @@ class QueryService:
 
     def _op_hello(self, message: Dict[str, Any]) -> Dict[str, Any]:
         ttl = message.get("ttl")
-        session = self.sessions.create(float(ttl) if ttl else None)
+        if ttl is not None and not (_is_number(ttl) and ttl > 0):
+            return _bad_request(
+                f"ttl must be a positive number of seconds or absent, "
+                f"got {ttl!r}"
+            )
+        session = self.sessions.create(ttl)
         return {
             "ok": True,
             "session": session.session_id,
@@ -255,15 +230,20 @@ class QueryService:
         name = message.get("query")
         builder = QUERIES.get(name) or EXTRA_QUERIES.get(name)
         if builder is None:
-            known = sorted(QUERIES) + sorted(EXTRA_QUERIES)
-            return {
-                "ok": False,
-                "error": "BAD_REQUEST",
-                "detail": f"unknown query {name!r}; choose from {known}",
-            }
+            return _unknown_query(name)
         engine = message.get("engine", "compiled")
+        if engine not in ENGINES:
+            return _bad_request(
+                f"unknown engine {engine!r}; choose from {list(ENGINES)}"
+            )
         flavor = message.get("flavor")
-        workers = int(message.get("workers") or 1)
+        if flavor is not None and flavor not in FLAVORS:
+            return _unknown_flavor(flavor)
+        workers = message.get("workers", 1)
+        if not (_is_number(workers, int) and workers >= 1):
+            return _bad_request(
+                f"workers must be an integer >= 1, got {workers!r}"
+            )
         queue_class = str(message.get("class", "default"))
         params = dict(DEFAULT_PARAMS)
         overrides = message.get("params")
@@ -275,29 +255,6 @@ class QueryService:
         if session_id is not None:
             session = self.sessions.require(str(session_id))
             session.touch()
-
-        # Bounded staleness: the router names the LSN floor this read
-        # must reflect; a replica waits for its watermark (wait-or-
-        # redirect), the primary is stale only after a lossy failover.
-        min_lsn = message.get("min_lsn")
-        if min_lsn is not None:
-            min_lsn = int(min_lsn)
-            wait = float(message.get("wait", 2.0))
-            if self.role == "replica":
-                if not self.replication.wait_for(min_lsn, timeout=wait):
-                    return {
-                        "ok": False,
-                        "error": "STALE_READ",
-                        "applied_lsn": self.replication.applied_lsn,
-                        "min_lsn": min_lsn,
-                    }
-            elif self._current_lsn() < min_lsn:
-                return {
-                    "ok": False,
-                    "error": "STALE_READ",
-                    "applied_lsn": self._current_lsn(),
-                    "min_lsn": min_lsn,
-                }
 
         # Stamp the watermark *before* execution: the data read is
         # guaranteed to reflect at least this LSN, never less.
@@ -354,37 +311,23 @@ class QueryService:
         name = message.get("query")
         builder = QUERIES.get(name) or EXTRA_QUERIES.get(name)
         if builder is None:
-            known = sorted(QUERIES) + sorted(EXTRA_QUERIES)
-            return {
-                "ok": False,
-                "error": "BAD_REQUEST",
-                "detail": f"unknown query {name!r}; choose from {known}",
-            }
+            return _unknown_query(name)
+        flavor = message.get("flavor")
+        if flavor is not None and flavor not in FLAVORS:
+            return _unknown_flavor(flavor)
         params = dict(DEFAULT_PARAMS)
         overrides = message.get("params")
         if overrides:
             params.update(protocol.decode_value(overrides))
         query = builder(self.collections)
-        text = query.explain(flavor=message.get("flavor"), params=params)
+        text = query.explain(flavor=flavor, params=params)
         return {"ok": True, "query": str(name), "text": text}
 
     def _op_mutate(self, message: Dict[str, Any]) -> Dict[str, Any]:
         from repro.durability import MutationError
 
         if self.store is None:
-            return {
-                "ok": False,
-                "error": "BAD_REQUEST",
-                "detail": "server is not running with a data directory",
-            }
-        if self.role != "primary":
-            return {
-                "ok": False,
-                "error": "NOT_PRIMARY",
-                "detail": "this node is a read replica; route writes "
-                "to the primary",
-                "primary": f"{self.replication.host}:{self.replication.port}",
-            }
+            return _bad_request("server is not running with a data directory")
         ops = message.get("ops")
         session = None
         session_id = message.get("session")
@@ -402,11 +345,7 @@ class QueryService:
                 try:
                     results = self.store.apply(ops)
                 except MutationError as exc:
-                    return {
-                        "ok": False,
-                        "error": "BAD_REQUEST",
-                        "detail": str(exc),
-                    }
+                    return _bad_request(str(exc))
             finally:
                 if session is not None:
                     session.exit()
@@ -419,108 +358,6 @@ class QueryService:
             pager.maintain()
         return {"ok": True, "results": results, "lsn": committed}
 
-    # -- replication ops -----------------------------------------------
-
-    def _op_replicate(self, message: Dict[str, Any]) -> Dict[str, Any]:
-        """Ship the committed WAL tail (or a resync package) to a follower.
-
-        Long-polls up to ``wait`` seconds when the follower is caught
-        up.  Not admission-controlled: replication must keep flowing
-        even when the query queue is saturated, and a poll parked in
-        the queue would add its own latency to every replica's lag.
-        """
-        from repro.sanitizer import hooks as _san
-
-        if self.store is None:
-            return {
-                "ok": False,
-                "error": "BAD_REQUEST",
-                "detail": "server is not running with a data directory",
-            }
-        if self.role != "primary":
-            return {
-                "ok": False,
-                "error": "BAD_REQUEST",
-                "detail": "read replicas do not ship their log "
-                "(chained replication is not supported)",
-            }
-        if _san.SANITIZER is not None:
-            _san.SANITIZER.event("repl.ship", wal=self.store.wal)
-        if message.get("resync"):
-            self._ship_requests.inc(kind="resync")
-            return {
-                "ok": True,
-                "resync": self.store.resync_chunk(
-                    int(message.get("offset", 0)),
-                    int(message.get("length", 0)),
-                    message.get("checkpoint"),
-                ),
-                "committed_lsn": self.store.committed_lsn,
-            }
-        after_lsn = int(message.get("after_lsn", 0))
-        wait = min(float(message.get("wait", 0.0)), 30.0)
-        max_bytes = int(message.get("max_bytes", 2 * 1024 * 1024))
-        deadline = time.monotonic() + wait
-        while True:
-            records = self.store.read_tail(after_lsn, max_bytes=max_bytes)
-            if records is None:
-                self._ship_requests.inc(kind="resync_required")
-                return {
-                    "ok": True,
-                    "resync_required": True,
-                    "segment_lsn": self.store.wal.start_lsn,
-                    "committed_lsn": self.store.committed_lsn,
-                }
-            if records or time.monotonic() >= deadline:
-                break
-            time.sleep(0.02)
-        self._ship_requests.inc(kind="tail")
-        self._ship_records.inc(len(records))
-        return {
-            "ok": True,
-            "records": [[r.lsn, r.kind, r.payload] for r in records],
-            "committed_lsn": self.store.committed_lsn,
-            "cut_lsn": self.store.cut_lsn,
-            "segment_lsn": self.store.wal.start_lsn,
-        }
-
-    def _op_lsn(self, message: Dict[str, Any]) -> Dict[str, Any]:
-        """Role and watermark report (router discovery, failover choice)."""
-        del message
-        response: Dict[str, Any] = {"ok": True, "role": self.role}
-        if self.replication is not None:
-            response.update(self.replication.status())
-        else:
-            lsn = self.store.committed_lsn if self.store is not None else 0
-            response.update(
-                {
-                    "applied_lsn": lsn,
-                    "source_committed_lsn": lsn,
-                    "lag_records": 0,
-                    "primary_down": False,
-                    "needs_resync": False,
-                    "promoted": False,
-                }
-            )
-        if self.role == "primary":
-            response["committed_lsn"] = (
-                self.store.committed_lsn if self.store is not None else 0
-            )
-        return response
-
-    def _op_promote(self, message: Dict[str, Any]) -> Dict[str, Any]:
-        if self.replication is None:
-            return {
-                "ok": False,
-                "error": "BAD_REQUEST",
-                "detail": "this node is not a replica",
-            }
-        min_lsn = message.get("min_lsn")
-        applied = self.replication.promote(
-            int(min_lsn) if min_lsn is not None else None
-        )
-        return {"ok": True, "role": self.role, "applied_lsn": applied}
-
     def close(self) -> None:
         if self.exec_pool is not None:
             # Stop the worker processes before the session watchdog goes
@@ -530,13 +367,8 @@ class QueryService:
             self.exec_pool.shutdown()
             self.exec_pool = None
         self.sessions.close()
-        if self.replication is not None:
-            # Stop streaming before touching the store; an unpromoted
-            # replica must not cut an untranslated (local-id) checkpoint
-            # over a shipped-id log lineage.
-            self.replication.stop()
         if self.store is not None:
-            self.store.close(checkpoint=(self.role == "primary"))
+            self.store.close(checkpoint=True)
 
 
 class ServiceServer:
@@ -620,14 +452,8 @@ class ServiceServer:
             except OSError:
                 pass
 
-    def stop(self, hard: bool = False) -> None:
-        """Stop serving; ``hard`` skips ``service.close()``.
-
-        A hard stop models process death for failover drills: the
-        listener and connections drop, but no clean teardown (final
-        checkpoint, session release) runs — exactly what a crashed
-        primary would leave behind.
-        """
+    def stop(self) -> None:
+        """Stop serving, then close the service (final checkpoint)."""
         with self._lock:
             already_stopping = self._stop.is_set()
             self._stop.set()
@@ -659,8 +485,7 @@ class ServiceServer:
         for thread in threads:
             thread.join(timeout=5.0)
         try:
-            if not hard:
-                self.service.close()
+            self.service.close()
         finally:
             self._stopped.set()
 

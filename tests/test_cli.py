@@ -158,16 +158,6 @@ def test_memory_budget_is_the_only_budget():
     assert "unrecognized arguments: --governor-budget" in proc.stderr
 
 
-def test_replica_of_refuses_exec_workers_and_a_budget(tmp_path):
-    for flag in (("--exec-workers", "2"), ("--memory-budget", "1")):
-        proc = _repro(
-            "serve", "--data-dir", str(tmp_path), "--replica-of",
-            "127.0.0.1:1", *flag,
-        )
-        assert proc.returncode == 2
-        assert "a resync replaces the replica's manager" in proc.stderr
-
-
 def test_bench_unknown_figure_rejected():
     proc = _repro("bench", "fig99")
     assert proc.returncode == 2

@@ -240,74 +240,6 @@ class TestWal:
 
 
 # ----------------------------------------------------------------------
-# Shipping: read_tail walks the same frames as scan_wal
-# ----------------------------------------------------------------------
-
-
-def _as_tuples(records):
-    return [(r.lsn, r.kind, r.payload, r.offset, r.end_offset) for r in records]
-
-
-class TestReadTail:
-    START_LSN = 11
-
-    def _log(self, path):
-        """Batches of several sizes, each followed by a bare record."""
-        wal = WriteAheadLog.create(path, start_lsn=self.START_LSN, fsync_policy="none")
-        for n in (3, 1, 5, 2):
-            with wal.batch():
-                for i in range(n):
-                    wal.append(ADD, encode_payload({"c": "x", "e": i, "pad": "y" * 40}))
-            wal.append(INTERN, encode_payload({"i": n, "t": f"bare {n}"}))
-        return wal
-
-    @pytest.mark.parametrize("cap", ["one-byte", "mid-batch", "4-mib"])
-    def test_every_position_ships_the_committed_prefix(self, wal_path, cap):
-        wal = self._log(wal_path)
-        committed = _as_tuples(scan_wal(wal_path).committed_records())
-        # Offsets a shipment may end at: a COMMIT or a record outside a batch.
-        boundaries, depth = set(), 0
-        for lsn, kind, __, __, end in committed:
-            depth = 1 if kind == BEGIN else 0 if kind == COMMIT else depth
-            if depth == 0:
-                boundaries.add(end)
-        first_batch = committed[: [r[1] for r in committed].index(COMMIT) + 1]
-        max_bytes = {
-            "one-byte": 1,
-            "mid-batch": (first_batch[-1][4] - first_batch[0][3]) // 2,
-            "4-mib": 4 * 1024 * 1024,
-        }[cap]
-
-        assert wal.read_tail(self.START_LSN - 2, max_bytes) is None
-        for after in range(self.START_LSN - 1, committed[-1][0] + 1):
-            want = [r for r in committed if r[0] > after]
-            got = _as_tuples(wal.read_tail(after, max_bytes))
-            assert got == want[: len(got)]
-            assert bool(got) == bool(want)
-            if not got:
-                continue
-            assert got[-1][4] in boundaries
-            # The cap is soft: the shipment stops at the first boundary
-            # at or past it, so only a cut shipment reaches it.
-            start = got[0][3]
-            for r in got[:-1]:
-                assert r[4] not in boundaries or r[4] - start < max_bytes
-            if len(got) < len(want):
-                assert got[-1][4] - start >= max_bytes
-
-        # A follower polling from the segment start receives it all.
-        shipped, after = [], self.START_LSN - 1
-        while True:
-            batch = _as_tuples(wal.read_tail(after, max_bytes))
-            if not batch:
-                break
-            shipped += batch
-            after = batch[-1][0]
-        assert shipped == committed
-        wal.close()
-
-
-# ----------------------------------------------------------------------
 # A restart reads its log once
 # ----------------------------------------------------------------------
 

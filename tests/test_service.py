@@ -475,10 +475,62 @@ def test_concurrent_clients_differential(tpch_service):
 
 def test_unknown_query_and_op_are_bad_requests(tpch_service):
     service = tpch_service["service"]
-    reply = service.handle({"op": "query", "query": "q99"})
-    assert reply["error"] == "BAD_REQUEST"
-    reply = service.handle({"op": "frobnicate"})
-    assert reply["error"] == "BAD_REQUEST"
+    for message in (
+        {"op": "query", "query": "q99"},
+        {"op": "frobnicate"},
+        {"op": "replicate"},
+        {"op": "lsn"},
+        {"op": "promote"},
+        {"op": "query", "query": "q6", "workers": "abc"},
+        {"op": "query", "query": "q6", "workers": -4},
+        {"op": "query", "query": "q6", "engine": "bogus"},
+        {"op": "query", "query": "q6", "flavor": "bogus"},
+        {"op": "query", "query": "q6", "flavor": "managed"},
+        {"op": "hello", "ttl": "x"},
+    ):
+        reply = service.handle(message)
+        assert reply["error"] == "BAD_REQUEST", message
+
+
+def test_client_connect_retry_rides_out_slow_start(tmp_path):
+    """ServiceClient's bounded retry connects to a server that
+    comes up shortly after the first attempt is refused."""
+    import socket
+
+    from repro.core.collection import Collection
+    from repro.service.client import ServiceClient
+    from repro.service.server import QueryService, ServiceServer
+    from tests.schemas import TNote
+
+    probe = socket.create_server(("127.0.0.1", 0))
+    port = probe.getsockname()[1]
+    probe.close()  # the port is now free — and refused
+
+    manager = MemoryManager()
+    colls = {"notes": Collection(TNote, manager=manager, name="notes")}
+    service = QueryService(colls, manager)
+    holder = {}
+
+    def late_start():
+        time.sleep(0.3)
+        holder["server"] = ServiceServer(
+            service, "127.0.0.1", port
+        ).start()
+
+    thread = threading.Thread(target=late_start, daemon=True)
+    thread.start()
+    try:
+        with pytest.raises(OSError):
+            ServiceClient(port=port, retries=0, timeout=2.0)
+        client = ServiceClient(
+            port=port, retries=10, backoff=0.05, timeout=5.0
+        )
+        assert client.ping()
+        client.close()
+    finally:
+        thread.join(timeout=10)
+        if "server" in holder:
+            holder["server"].stop()
 
 
 def test_expired_session_gets_lease_expired(tpch_service):
@@ -591,16 +643,14 @@ def test_info_reports_plan_cache_and_telemetry(tpch_service):
 # ----------------------------------------------------------------------
 
 #: Modules a server answering queries over a snapshot never runs: the
-#: durability package, the fleet and client, the TPC-H generator and
+#: durability package, the client, the TPC-H generator and
 #: loaders, and the managed / RDBMS baselines the loaders pull in.
 _NOT_SERVED = {
     "repro.durability",
     "repro.durability.checkpoint",
     "repro.durability.recovery",
-    "repro.durability.replication",
     "repro.durability.store",
     "repro.durability.wal",
-    "repro.service.fleet",
     "repro.service.client",
     "repro.tpch.loader",
     "repro.tpch.datagen",

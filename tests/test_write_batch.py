@@ -1,15 +1,15 @@
 """The batch write path.
 
 A ``mutate`` request is checked whole, then applied as runs of
-``add_many`` / ``remove_many``; crash recovery and replica apply hand the
-committed log to the same ``apply_batch``.  The gates:
+``add_many`` / ``remove_many``; crash recovery hands the committed log
+to ``apply_batch``.  The gates:
 
 * the WAL a fixed request sequence writes is byte-identical to the one
   the per-row write path wrote (a recorded sha256);
 * the same ops sent as one request and as one-op requests give the same
   entries, rows and mutation records — under a memory budget whose cold
   blocks the writes must fault hot, with a compaction between requests;
-* ``recover()`` and a replica end in the writer's state, including a
+* ``recover()`` ends in the writer's state, including a
   self-referencing row whose target an earlier row of the same replayed
   run adds;
 * a request rejected at any op leaves rows and WAL bytes untouched.
@@ -24,12 +24,9 @@ import pytest
 
 from repro.core.collection import Collection
 from repro.durability import DurableStore, MutationError, recover, scan_wal
-from repro.durability.replication import ReplicationClient
 from repro.durability.wal import BEGIN, COMMIT
 from repro.memory.manager import MemoryManager
 from repro.schema.fields import RefField
-from repro.service.client import LoopbackClient
-from repro.service.server import QueryService
 from repro.tpch import schema as tpch_schema
 from tests.schemas import TLedger
 
@@ -333,13 +330,12 @@ def test_batch_and_singleton_requests_agree(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Replay: recovery and replica apply
+# Replay: recovery
 # ----------------------------------------------------------------------
 
 
-def test_recovery_and_replica_end_in_the_writers_state(tmp_path):
+def test_recovery_ends_in_the_writers_state(tmp_path):
     store, colls = _store(tmp_path / "primary")
-    service = QueryService(dict(colls), store.manager, store=store)
     run_golden(store)
     # Python-API mutations land in the same tail.
     with store.batch():
@@ -348,22 +344,11 @@ def test_recovery_and_replica_end_in_the_writers_state(tmp_path):
         ledger.add_many([{"units": 2, "parent": root}, {"units": 3, "parent": root}])
     expected = _logical(colls)
 
-    replica = ReplicationClient(
-        "loop", 0, str(tmp_path / "replica"), fsync_policy="none",
-        transport_factory=lambda host, port: LoopbackClient(service),
-    )
-    rstore = replica.sync()
-    rcolls = dict(rstore.collections, _manager=rstore.manager)
-    assert _logical(rcolls) == expected
-    assert _wal_bytes(rstore) == _wal_bytes(store)
-    replica.close()
-
     store.close(checkpoint=False)  # the tail is all there is
     loaded, report = recover(str(tmp_path / "primary"))
     assert report.replayed > 0
     assert _logical(loaded) == expected
     loaded["_manager"].close()
-    service.close()
     store.manager.close()
 
 
