@@ -123,11 +123,6 @@ class EpochManager:
         #: Synthetic context keys for leases; negative so they can never
         #: collide with a real thread ident.
         self._next_lease_key = -1
-        #: External reader-section sources (cross-process executors).  Each
-        #: is a zero-argument callable yielding ``(in_critical, epoch)``
-        #: pairs — one per remote reader — folded into every advancement
-        #: decision exactly like local section contexts.
-        self._external_sources: list = []
 
     # ------------------------------------------------------------------
     # Thread registration
@@ -141,26 +136,6 @@ class EpochManager:
             with self._registry_lock:
                 self._contexts[tid] = ctx
         return ctx
-
-    def forget_dead_threads(self) -> int:
-        """Drop section contexts of threads that have exited.
-
-        Returns the number of contexts removed.  A dead thread can never be
-        inside a critical section, so forgetting it can only unblock epoch
-        advancement.
-        """
-        alive = {t.ident for t in threading.enumerate()}
-        removed = 0
-        with self._registry_lock:
-            for tid in list(self._contexts):
-                if tid < 0:
-                    # Lease contexts are not tied to a thread's lifetime;
-                    # they are removed by release/revoke only.
-                    continue
-                if tid not in alive and not self._contexts[tid].in_critical:
-                    del self._contexts[tid]
-                    removed += 1
-        return removed
 
     # ------------------------------------------------------------------
     # Leases (externally-held critical sections)
@@ -252,37 +227,6 @@ class EpochManager:
         """Number of registered (unrevoked, unreleased) leases."""
         with self._registry_lock:
             return sum(1 for key in self._contexts if key < 0)
-
-    # ------------------------------------------------------------------
-    # External reader sections (cross-process epoch protocol)
-    # ------------------------------------------------------------------
-
-    def register_external(self, source) -> None:
-        """Register a cross-process reader-section source.
-
-        *source* is called (under the registry lock — it must not block)
-        whenever an advancement decision is made and must yield
-        ``(in_critical, epoch)`` pairs describing remote readers, e.g.
-        worker processes publishing their pinned epoch through a shared
-        slot array.  A remote reader pinning epoch ``e`` blocks
-        advancement past ``e`` exactly like a local thread would, which
-        is what keeps reclamation from reusing a segment's bytes while an
-        attached worker still scans them.
-        """
-        with self._registry_lock:
-            self._external_sources.append(source)
-
-    def unregister_external(self, source) -> None:
-        with self._registry_lock:
-            try:
-                self._external_sources.remove(source)
-            except ValueError:
-                pass
-
-    def _external_pairs(self):
-        # Caller holds the registry lock.
-        for source in self._external_sources:
-            yield from source()
 
     # ------------------------------------------------------------------
     # Critical sections
@@ -380,9 +324,6 @@ class EpochManager:
                         continue
                     if ctx.in_critical and ctx.epoch < current:
                         return False
-                for in_critical, epoch in self._external_pairs():
-                    if in_critical and epoch < current:
-                        return False
             self._global_epoch = current + 1
             if _san.SANITIZER is not None:
                 _san.SANITIZER.event(
@@ -416,9 +357,6 @@ class EpochManager:
                     continue
                 if ctx.in_critical and ctx.epoch < epoch:
                     return False
-            for in_critical, remote_epoch in self._external_pairs():
-                if in_critical and remote_epoch < epoch:
-                    return False
         return True
 
     def min_active_epoch(self) -> int:
@@ -431,11 +369,6 @@ class EpochManager:
             epochs = [
                 ctx.epoch for ctx in self._contexts.values() if ctx.in_critical
             ]
-            epochs.extend(
-                epoch
-                for in_critical, epoch in self._external_pairs()
-                if in_critical
-            )
         if not epochs:
             return self._global_epoch
         return min(epochs)

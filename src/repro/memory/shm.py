@@ -26,9 +26,10 @@ Segment contract (documented in ``docs/parallel_execution.md``):
   attachers only ever map and unmap;
 * a segment's *name* may be unlinked while workers still scan it — a
   POSIX mapping survives unlink — but its *bytes* may only be reused
-  for a new object two epochs after the free, and never while any
-  registered cross-process reader section pins an older epoch
-  (:meth:`~repro.memory.epoch.EpochManager.register_external`).
+  for a new object two epochs after the free — and a process-pool scan
+  holds the parent's critical section until every worker it sent the
+  query to has answered or been reaped
+  (:mod:`repro.query.procexec`).
 
 Python's ``multiprocessing.resource_tracker`` would unlink every
 segment at interpreter exit (and spam warnings about ones we already

@@ -100,6 +100,12 @@ class CompileError(TypeError):
     """Raised when a plan cannot be compiled for the requested backend."""
 
 
+#: The source kind (its ``compiled_flavor``) each generated flavour's
+#: code is written for: ``smc-safe`` decodes row-layout slots, ``managed``
+#: reads attributes of plain record objects.
+_GENERATED_FOR = {"smc-safe": "smc-unsafe", "managed": "managed"}
+
+
 # ----------------------------------------------------------------------
 # Public driver
 # ----------------------------------------------------------------------
@@ -128,6 +134,13 @@ def run_compiled(
         from repro.query.columnar_exec import run_columnar
 
         return run_columnar(query, params, workers=workers)
+    kind = getattr(query.source, "compiled_flavor", None)
+    if flavor in _GENERATED_FOR and kind != _GENERATED_FOR[flavor]:
+        # Generated code over another layout would decode foreign bytes.
+        raise CompileError(
+            f"flavour {flavor!r} cannot run over a "
+            f"{type(query.source).__name__} (compiled flavour {kind!r})"
+        )
     compiled = get_compiled(query, flavor)
     columns, rows = compiled.fn(
         query.source, params, _materialise_insets(query, params)

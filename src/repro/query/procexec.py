@@ -23,15 +23,14 @@ Protocol overview (full write-up in ``docs/parallel_execution.md``):
   block's one write-free constructor, and a segment that does not fit
   fails the query over to the thread executor.
 
-* **Cross-process epochs.**  Each worker publishes a reader section —
-  ``(flag, epoch, pid, qid)`` int64 rows in a shared slot segment —
-  registered with the parent's :class:`~repro.memory.epoch.EpochManager`
-  as an external source, so reclamation and compaction can never unmap
-  or reuse a segment while an attached worker pins an older epoch.  The
-  parent additionally holds the driver critical section for the whole
-  fan-out and one :class:`~repro.memory.epoch.EpochLease` per worker; a
-  worker that dies mid-query has its lease revoked and slot cleared by
-  the dispatch loop, so a dead reader can never wedge the epoch.
+* **Cross-process epochs.**  A worker announces no epoch of its own:
+  it reads under the parent's critical section.  Every block a worker
+  reads is one the parent's cursor admitted inside that section, and
+  the parent never exits it while a worker it sent the query to is
+  alive and has not answered — on an unwind mid-fan-out it SIGKILLs
+  and reaps every unanswered worker first (the next query respawns the
+  pool).  So reclamation and compaction can never reuse a segment's
+  bytes while a worker scans them, and a dead worker holds no pin.
 
 * **Consistency fingerprint.**  Workers see a copy-on-write snapshot of
   all *Python-level* state (indirection table, string dictionaries,
@@ -70,8 +69,6 @@ import struct
 import threading
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from repro.memory.block import KIND_STRING
 from repro.memory.stringheap import StringBlock
 from repro.query import plansnap
@@ -79,10 +76,6 @@ from repro.query.runtime import BlockCursor
 from repro.sanitizer import hooks as _san
 
 _LEN = struct.Struct("<I")
-
-#: int64 words per worker row in the shared slot segment:
-#: ``flag, epoch, pid, qid``.
-_SLOT_ROW = 4
 
 
 # ----------------------------------------------------------------------
@@ -200,9 +193,8 @@ def _space_map(manager) -> Dict[str, Dict[int, object]]:
 # ----------------------------------------------------------------------
 
 
-def _worker_main(manager, slots: np.ndarray, index: int, rfd: int, wfd: int):
+def _worker_main(manager, rfd: int, wfd: int):
     space = manager.space
-    row = index * _SLOT_ROW
     pid = os.getpid()
     while True:
         frame = _recv_frame(rfd)
@@ -210,24 +202,7 @@ def _worker_main(manager, slots: np.ndarray, index: int, rfd: int, wfd: int):
             os._exit(0)
         if frame[0] != "query":  # pragma: no cover - protocol guard
             continue
-        __, qid, epoch, wire = frame
-        # Publish the reader section before touching any block: epoch
-        # first, flag last, so the parent's advancement checks never see
-        # a pinned flag with a stale epoch.  This is the reverse of a
-        # thread's announce-then-read entry (EpochManager.
-        # enter_critical_section), and it is sound because the worker
-        # reads no epoch: ``epoch`` is the one the parent's own critical
-        # section entered at, and that section (plus one lease per
-        # worker) stays open until every participant has answered or
-        # been revoked.  Every block a worker reads is one the parent's
-        # cursor admitted inside that section, so the parent's pin alone
-        # protects it, however long the worker sits between these stores
-        # and whatever writers beside the pool retire meanwhile; the
-        # slot row only has to be exact once it reads as pinned.
-        slots[row + 1] = epoch
-        slots[row + 2] = pid
-        slots[row + 3] = qid
-        slots[row] = 1
+        __, qid, wire = frame
         try:
             space.attach_miss = _make_attach_miss(
                 manager, wire["space_map"], wire["heap_map"]
@@ -262,8 +237,6 @@ def _worker_main(manager, slots: np.ndarray, index: int, rfd: int, wfd: int):
                 _send_frame(wfd, ("error", qid, f"{type(exc).__name__}: {exc}"))
             except OSError:
                 os._exit(1)
-        finally:
-            slots[row] = 0
 
 
 # ----------------------------------------------------------------------
@@ -295,31 +268,7 @@ class ProcessScanPool:
         self._closed = False
         self._procs: List[dict] = []
         self._spawn_fp: Optional[tuple] = None
-        self._slot_segment = manager.space.buffers.create(
-            self.workers * _SLOT_ROW * 8
-        )
-        self._slots: Optional[np.ndarray] = np.frombuffer(
-            self._slot_segment.buf, dtype=np.int64
-        )
-        self._slots[:] = 0
-        manager.epochs.register_external(self._external_pins)
         atexit.register(self.shutdown)
-
-    # -- epoch protocol ------------------------------------------------
-
-    def _external_pins(self):
-        """Remote reader sections for the epoch manager (lock-free read)."""
-        slots = self._slots
-        if slots is None:
-            return []
-        pairs = []
-        for rec in self._procs:
-            if not rec["alive"]:
-                continue
-            base = rec["index"] * _SLOT_ROW
-            if int(slots[base]):
-                pairs.append((True, int(slots[base + 1])))
-        return pairs
 
     # -- consistency fingerprint ---------------------------------------
 
@@ -355,7 +304,7 @@ class ProcessScanPool:
 
     def _spawn(self) -> None:
         self._spawn_fp = self.fingerprint()
-        for index in range(self.workers):
+        for __ in range(self.workers):
             p2c_r, p2c_w = os.pipe()
             c2p_r, c2p_w = os.pipe()
             pid = os.fork()
@@ -372,22 +321,17 @@ class ProcessScanPool:
                     except OSError:  # pragma: no cover
                         pass
                 try:
-                    _worker_main(
-                        self.manager, self._slots, index, p2c_r, c2p_w
-                    )
+                    _worker_main(self.manager, p2c_r, c2p_w)
                 except BaseException:  # pragma: no cover - last resort
                     pass
                 os._exit(1)
             os.close(p2c_r)
             os.close(c2p_w)
-            lease = self.manager.epochs.create_lease(f"exec-worker-{pid}")
             self._procs.append(
                 {
                     "pid": pid,
-                    "index": index,
                     "rfd": c2p_r,
                     "wfd": p2c_w,
-                    "lease": lease,
                     "alive": True,
                     "buf": b"",
                 }
@@ -411,10 +355,6 @@ class ProcessScanPool:
                 os.waitpid(rec["pid"], 0)
             except ChildProcessError:
                 pass
-            rec["lease"].release()
-            if self._slots is not None:
-                base = rec["index"] * _SLOT_ROW
-                self._slots[base : base + _SLOT_ROW] = 0
         self._procs = []
 
     def _ensure_workers(self) -> bool:
@@ -436,8 +376,8 @@ class ProcessScanPool:
         return True
 
     def _handle_death(self, rec: dict, reaped: bool = False) -> None:
-        """A worker died mid-query: expire its pin, reap it (unless a
-        ``waitpid`` already did), drop its fds."""
+        """A worker died (or was killed) mid-query: reap it (unless a
+        ``waitpid`` already did) and drop its fds."""
         rec["alive"] = False
         for fd_key in ("rfd", "wfd"):
             try:
@@ -449,23 +389,13 @@ class ProcessScanPool:
                 os.waitpid(rec["pid"], 0)
             except ChildProcessError:
                 pass
-        # Lease-watchdog machinery: revocation expires the dead worker's
-        # pin; its shared slot row is cleared so the external source stops
-        # reporting a reader section that no longer exists.
-        rec["lease"].revoke()
-        if self._slots is not None:
-            base = rec["index"] * _SLOT_ROW
-            self._slots[base : base + _SLOT_ROW] = 0
 
     def shutdown(self) -> None:
-        """Stop all workers and release the slot segment (idempotent)."""
+        """Stop all workers (idempotent)."""
         if self._closed or os.getpid() != self._pid:
             return
         self._closed = True
         self._stop_workers()
-        self.manager.epochs.unregister_external(self._external_pins)
-        self._slots = None
-        self._slot_segment.release()
 
     # -- query execution ------------------------------------------------
 
@@ -509,9 +439,9 @@ class ProcessScanPool:
         visited = scanned = redispatched = 0
         failed = False
         participants: List[dict] = []
-        entered: List = []
+        answered: set = set()
 
-        epoch = epochs.enter_critical_section()
+        epochs.enter_critical_section()
         try:
             # Drain the cursor on the parent: prune with authoritative
             # zone maps, and scan a pinned pre-state here — with the step
@@ -563,25 +493,16 @@ class ProcessScanPool:
                     assigned = assignments.get(rec["pid"])
                     if not assigned:
                         continue
-                    # Belt over the slot-segment braces: the parent holds
-                    # a lease per participating worker, expired through
-                    # the existing watchdog path if the worker dies.
-                    rec["lease"].enter()
-                    entered.append(rec["lease"])
+                    participants.append(rec)
                     try:
                         _send_frame(
                             rec["wfd"],
                             (
                                 "query",
                                 qid,
-                                epoch,
-                                dict(
-                                    wire,
-                                    units=sorted(assigned.items()),
-                                ),
+                                dict(wire, units=sorted(assigned.items())),
                             ),
                         )
-                        participants.append(rec)
                     except OSError:
                         # Died before we could even send: everything it
                         # owned is re-executed locally below.
@@ -590,36 +511,25 @@ class ProcessScanPool:
                 received: Dict[int, dict] = {
                     rec["pid"]: {} for rec in participants
                 }
-                done = {rec["pid"]: False for rec in participants}
-                while participants and not all(
-                    done[rec["pid"]] for rec in participants
-                ):
-                    readable = [
-                        rec["rfd"]
-                        for rec in participants
-                        if not done[rec["pid"]]
-                    ]
-                    ready, __, __ = select.select(readable, [], [], 1.0)
+                while waiting := [
+                    rec
+                    for rec in participants
+                    if rec["alive"] and rec["pid"] not in answered
+                ]:
+                    ready, __, __ = select.select(
+                        [rec["rfd"] for rec in waiting], [], [], 1.0
+                    )
                     if not ready:
                         # Liveness poll: catch a worker that died without
                         # the pipe EOF reaching us yet.
-                        for rec in list(participants):
-                            if done[rec["pid"]]:
-                                continue
-                            pid, __status = os.waitpid(
-                                rec["pid"], os.WNOHANG
-                            )
-                            if pid:
-                                done[rec["pid"]] = True
+                        for rec in waiting:
+                            if os.waitpid(rec["pid"], os.WNOHANG)[0]:
                                 self._handle_death(rec, reaped=True)
                         continue
                     for fd in ready:
-                        rec = next(
-                            r for r in participants if r["rfd"] == fd
-                        )
+                        rec = next(r for r in waiting if r["rfd"] == fd)
                         data = os.read(fd, 1 << 16)
                         if not data:
-                            done[rec["pid"]] = True
                             self._handle_death(rec)
                             continue
                         rec["buf"] += data
@@ -628,10 +538,10 @@ class ProcessScanPool:
                             if tag == "partial" and frame[1] == qid:
                                 received[rec["pid"]][frame[2]] = frame[3]
                             elif tag == "done" and frame[1] == qid:
-                                done[rec["pid"]] = True
+                                answered.add(rec["pid"])
                             elif tag == "error" and frame[1] == qid:
                                 failed = True
-                                done[rec["pid"]] = True
+                                answered.add(rec["pid"])
 
                 if failed:
                     # A worker *raised* (as opposed to died): the plan or
@@ -640,14 +550,10 @@ class ProcessScanPool:
                     return None
 
                 # Fold worker partials; re-execute anything a dead (or
-                # never-reached) worker never acknowledged.  Iterates the
-                # assignment map, not `participants`, so units whose very
-                # send failed are also recovered.
-                for rec in workers:
-                    assigned = assignments.get(rec["pid"])
-                    if not assigned:
-                        continue
-                    got = received.get(rec["pid"], {})
+                # never-reached) worker never acknowledged.
+                for rec in participants:
+                    assigned = assignments[rec["pid"]]
+                    got = received[rec["pid"]]
                     for seq, acc_wire in got.items():
                         local_partials.append(
                             (
@@ -678,8 +584,14 @@ class ProcessScanPool:
                     extra.get("exec_morsels_redispatched", 0) + redispatched
                 )
         finally:
-            for lease in entered:
-                lease.exit()  # no-op for leases revoked by a death
+            # This section is the only pin on the blocks the workers read,
+            # so it outlives every reader: a worker that has not answered
+            # when an exception unwinds the fan-out is killed and reaped
+            # before the section closes (the next query respawns it).
+            for rec in participants:
+                if rec["alive"] and rec["pid"] not in answered:
+                    os.kill(rec["pid"], signal.SIGKILL)
+                    self._handle_death(rec)
             epochs.exit_critical_section()
 
         if self.fingerprint() != start_fp:

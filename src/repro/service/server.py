@@ -16,9 +16,11 @@ Error taxonomy (the ``error`` field of a ``{"ok": false}`` response):
     The session's epoch lease was revoked by the watchdog; open a new
     session.
 ``BAD_REQUEST``
-    Unknown op/query or malformed arguments (a ``workers`` that is not
-    an integer >= 1, an unknown ``engine`` or ``flavor``, a ``ttl`` that
-    is not a positive number); the detail names the accepted values.
+    Unknown op/query or malformed arguments (a ``query`` that is not a
+    string, ``params`` that are not an object, a ``workers`` that is not
+    an integer >= 1, an unknown ``engine`` or ``flavor``, a flavour the
+    served collections cannot compile for, a ``ttl`` that is not a
+    positive number); the detail names the accepted values.
 ``INTERNAL``
     Unexpected exception during execution (with a detail string).
 """
@@ -31,6 +33,7 @@ import time
 from typing import Any, Dict, List, Optional
 
 from repro.query import planner as _planner
+from repro.query.compiler import CompileError
 from repro.service import protocol
 from repro.service.admission import AdmissionController, OverloadedError
 from repro.service.metrics import (
@@ -64,6 +67,38 @@ def _bad_request(detail: str) -> Dict[str, Any]:
 def _unknown_query(name: Any) -> Dict[str, Any]:
     known = sorted(QUERIES) + sorted(EXTRA_QUERIES)
     return _bad_request(f"unknown query {name!r}; choose from {known}")
+
+
+def _lookup_query(name: Any):
+    """The builder a ``query`` field names, or ``None``."""
+    if not isinstance(name, str):
+        return None
+    return QUERIES.get(name) or EXTRA_QUERIES.get(name)
+
+
+def _query_params(message: Dict[str, Any]) -> Optional[Dict[str, Any]]:
+    """``DEFAULT_PARAMS`` under the request's ``params`` object, or
+    ``None`` when ``params`` is present but not an object of decodable
+    values."""
+    overrides = message.get("params")
+    if overrides is None:
+        return dict(DEFAULT_PARAMS)
+    if not isinstance(overrides, dict):
+        return None
+    try:
+        decoded = protocol.decode_value(overrides)
+    except (ValueError, ArithmeticError):  # {"$t": "nope"}, {"$d": "x"}
+        return None
+    if not isinstance(decoded, dict):  # a tagged scalar such as {"$d": ...}
+        return None
+    return {**DEFAULT_PARAMS, **decoded}
+
+
+def _bad_params(message: Dict[str, Any]) -> Dict[str, Any]:
+    return _bad_request(
+        "params must be an object of encoded values, "
+        f"got {message.get('params')!r}"
+    )
 
 
 def _unknown_flavor(flavor: Any) -> Dict[str, Any]:
@@ -192,6 +227,10 @@ class QueryService:
                 "error": "LEASE_EXPIRED",
                 "detail": str(exc),
             }
+        except CompileError as exc:
+            # A generated flavour asked of a source it was not written
+            # for (``smc-safe`` over columnar blocks).
+            response = _bad_request(str(exc))
         except Exception as exc:  # noqa: BLE001 - wire boundary
             response = {
                 "ok": False,
@@ -228,7 +267,7 @@ class QueryService:
 
     def _op_query(self, message: Dict[str, Any]) -> Dict[str, Any]:
         name = message.get("query")
-        builder = QUERIES.get(name) or EXTRA_QUERIES.get(name)
+        builder = _lookup_query(name)
         if builder is None:
             return _unknown_query(name)
         engine = message.get("engine", "compiled")
@@ -245,10 +284,9 @@ class QueryService:
                 f"workers must be an integer >= 1, got {workers!r}"
             )
         queue_class = str(message.get("class", "default"))
-        params = dict(DEFAULT_PARAMS)
-        overrides = message.get("params")
-        if overrides:
-            params.update(protocol.decode_value(overrides))
+        params = _query_params(message)
+        if params is None:
+            return _bad_params(message)
 
         session = None
         session_id = message.get("session")
@@ -309,16 +347,15 @@ class QueryService:
     def _op_explain(self, message: Dict[str, Any]) -> Dict[str, Any]:
         """EXPLAIN surface: the planner's view of a query, no execution."""
         name = message.get("query")
-        builder = QUERIES.get(name) or EXTRA_QUERIES.get(name)
+        builder = _lookup_query(name)
         if builder is None:
             return _unknown_query(name)
         flavor = message.get("flavor")
         if flavor is not None and flavor not in FLAVORS:
             return _unknown_flavor(flavor)
-        params = dict(DEFAULT_PARAMS)
-        overrides = message.get("params")
-        if overrides:
-            params.update(protocol.decode_value(overrides))
+        params = _query_params(message)
+        if params is None:
+            return _bad_params(message)
         query = builder(self.collections)
         text = query.explain(flavor=flavor, params=params)
         return {"ok": True, "query": str(name), "text": text}
@@ -360,9 +397,7 @@ class QueryService:
 
     def close(self) -> None:
         if self.exec_pool is not None:
-            # Stop the worker processes before the session watchdog goes
-            # away; their epoch leases unregister cleanly either way, but
-            # a live pool must never outlast the service that created it.
+            # A live pool must never outlast the service that created it.
             self.manager.exec_pool = None
             self.exec_pool.shutdown()
             self.exec_pool = None

@@ -117,17 +117,6 @@ def test_min_active_epoch(epochs):
     assert epochs.min_active_epoch() == 2
 
 
-def test_forget_dead_threads(epochs):
-    def toucher():
-        epochs.enter_critical_section()
-        epochs.exit_critical_section()
-
-    t = threading.Thread(target=toucher)
-    t.start()
-    t.join()
-    assert epochs.forget_dead_threads() >= 1
-
-
 def test_epochs_monotonic_under_concurrent_advancers(epochs):
     stop = threading.Event()
     seen = []

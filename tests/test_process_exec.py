@@ -5,8 +5,8 @@ segments, every TPC-H query routed through the process pool must return
 exactly the serial in-process rows, on both layouts, across mutations
 (worker respawn) and worker death (morsel redispatch).  Then the
 protocol pieces: segment visibility and the attach round-trip, the
-cross-process epoch pins, plan/accumulator wire encoding, and the
-zero-orphan ``/dev/shm`` contract.
+parent's epoch pin over its workers, plan/accumulator wire encoding,
+and the zero-orphan ``/dev/shm`` contract.
 
 All tests here are sanitizer-compatible (``pytest --sanitize``).
 """
@@ -14,6 +14,9 @@ All tests here are sanitizer-compatible (``pytest --sanitize``).
 from __future__ import annotations
 
 import glob
+import os
+import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -351,6 +354,15 @@ def _shm_tpch(tpch_tiny, columnar=False):
     return collections, manager
 
 
+def _striped_tpch(tpch_tiny):
+    """The row layout over 16 KiB blocks: lineitem spans enough blocks
+    that a two-worker pool sends each worker a run."""
+    manager = MemoryManager(block_shift=14, shm=True)
+    collections = load_smc(tpch_tiny, manager=manager)
+    manager.exec_pool = ProcessScanPool(manager, workers=2)
+    return collections, manager
+
+
 def test_mutation_respawns_workers(tpch_tiny):
     collections, manager = _shm_tpch(tpch_tiny)
     try:
@@ -418,27 +430,103 @@ def test_compaction_churn_differential(tpch_tiny):
         manager.close()
 
 
-def test_worker_pin_holds_reclamation_epoch(tpch_tiny):
-    """A worker's published reader section pins min_active_epoch exactly
-    like an in-process critical section would."""
-    collections, manager = _shm_tpch(tpch_tiny)
+def test_parent_section_pins_the_epoch_while_workers_read(
+    tpch_tiny, monkeypatch
+):
+    """While the parent waits on its workers, its critical section is the
+    pin: another thread's try_advance takes the global epoch one step
+    past the section's entry epoch, never two."""
+    from repro.query import procexec
+
+    collections, manager = _striped_tpch(tpch_tiny)
+    epochs = manager.epochs
+    real_select = procexec.select.select
+    seen = []
+
+    def advancing_select(readable, *args):
+        if not seen:
+            entry = epochs.local_epoch()  # the parent's section
+            advancer = threading.Thread(
+                target=lambda: [epochs.try_advance() for __ in range(4)]
+            )
+            advancer.start()
+            advancer.join(timeout=30)
+            seen.append(
+                (entry, epochs.global_epoch, len(readable), advancer.is_alive())
+            )
+        return real_select(readable, *args)
+
     try:
-        pool = manager.exec_pool
-        pool._ensure_workers()
-        rec = pool._procs[0]
-        base = rec["index"] * 4
-        pinned = manager.epochs.global_epoch
-        # Publish a reader section the way the worker does: payload
-        # first, flag last.
-        pool._slots[base + 1 : base + 4] = (pinned, rec["pid"], 1)
-        pool._slots[base] = 1
-        for __ in range(3):
-            manager.advance_epoch()
-        assert manager.epochs.min_active_epoch() <= pinned
-        pool._slots[base] = 0
-        manager.advance_epoch()
-        assert manager.epochs.min_active_epoch() > pinned
+        query = ALL_QUERIES["q1"](collections)
+        expected = repr(query.run(params=DEFAULT_PARAMS, workers=1).rows)
+        monkeypatch.setattr(
+            procexec, "select", SimpleNamespace(select=advancing_select)
+        )
+        got = query.run(params=DEFAULT_PARAMS, workers=2)
+        monkeypatch.undo()
+        assert repr(got.rows) == expected
+        assert manager.stats.extra.get("exec_process_queries", 0) == 1
+        ((entry, reached, waiting, advancer_alive),) = seen
+        assert not advancer_alive
+        assert waiting == 2
+        assert reached == entry + 1
     finally:
+        manager.close()
+
+
+def test_unwind_mid_fan_out_reaps_every_participant(tpch_tiny, monkeypatch):
+    """An exception inside the fan-out leaves no worker alive (so none
+    can still read once the parent's section closes), no section open,
+    and a pool the next query respawns."""
+    from repro.query import procexec
+
+    def failing_select(*args):
+        raise RuntimeError("select failed")
+
+    collections, manager = _striped_tpch(tpch_tiny)
+    pool = manager.exec_pool
+    try:
+        query = ALL_QUERIES["q1"](collections)
+        expected = repr(query.run(params=DEFAULT_PARAMS, workers=1).rows)
+        monkeypatch.setattr(
+            procexec, "select", SimpleNamespace(select=failing_select)
+        )
+        with pytest.raises(RuntimeError, match="select failed"):
+            query.run(params=DEFAULT_PARAMS, workers=2)
+        monkeypatch.undo()
+        assert len(pool._procs) == 2 and pool.alive_workers() == 0
+        for rec in pool._procs:
+            with pytest.raises(ChildProcessError):  # already reaped
+                os.waitpid(rec["pid"], os.WNOHANG)
+        assert manager.epochs.min_active_epoch() == manager.epochs.global_epoch
+
+        got = query.run(params=DEFAULT_PARAMS, workers=2)
+        assert repr(got.rows) == expected
+        assert manager.stats.extra.get("exec_process_queries", 0) == 1
+        assert pool.alive_workers() == 2
+    finally:
+        manager.close()
+
+
+def test_pooled_query_holds_no_lease(tpch_tiny):
+    """A pooled query on a manager with no session registers no epoch
+    lease: the lease count, ``info``'s telemetry and the
+    ``smc_epoch_leases`` gauge all read 0."""
+    from repro.service.server import QueryService
+
+    collections = load_smc(tpch_tiny, shm=True)
+    manager = collections["_manager"]
+    service = QueryService(collections, manager, exec_workers=2)
+    try:
+        reply = service.handle({"op": "query", "query": "q1", "workers": 2})
+        assert reply["ok"], reply
+        assert manager.stats.extra.get("exec_process_queries", 0) == 1
+        assert manager.epochs.lease_count() == 0
+        assert service.handle({"op": "info"})["telemetry"]["leases"] == 0
+        text = service.handle({"op": "metrics"})["text"]
+        assert "\nsmc_epoch_leases 0\n" in text
+    finally:
+        service.close()
         manager.close()
 
 

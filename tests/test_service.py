@@ -230,14 +230,6 @@ def test_lease_pins_epoch_until_revoked(manager):
         lease.enter()
 
 
-def test_forget_dead_threads_spares_idle_leases(manager):
-    lease = manager.epochs.create_lease("idle")
-    manager.epochs.forget_dead_threads()
-    assert lease.epoch is not None  # still registered
-    lease.release()
-    assert manager.epochs.lease_count() == 0
-
-
 def test_watchdog_expires_stalled_session_and_unblocks_reclamation():
     """A stalled session's lease cannot wedge limbo reclamation."""
     from repro.core.collection import Collection
@@ -486,10 +478,57 @@ def test_unknown_query_and_op_are_bad_requests(tpch_service):
         {"op": "query", "query": "q6", "engine": "bogus"},
         {"op": "query", "query": "q6", "flavor": "bogus"},
         {"op": "query", "query": "q6", "flavor": "managed"},
+        {"op": "query", "query": "q6", "params": "garbage"},
+        {"op": "query", "query": "q6", "params": {"date": {"$t": "nope"}}},
+        {"op": "query", "query": ["q6"]},
+        {"op": "explain", "query": "q6", "params": "garbage"},
+        {"op": "explain", "query": ["q6"]},
         {"op": "hello", "ttl": "x"},
     ):
         reply = service.handle(message)
         assert reply["error"] == "BAD_REQUEST", message
+
+
+def test_generated_flavor_refuses_a_foreign_source(tpch_tiny):
+    """Generated code is written for one source kind: ``smc-safe`` over
+    columnar blocks (or over a managed list) and ``managed`` over an SMC
+    are refused with ``CompileError`` before a byte is decoded, and the
+    served ``query`` op answers ``BAD_REQUEST`` for it."""
+    from repro.core.collection import Collection
+    from repro.managed.collections_ import ManagedList
+    from repro.query.compiler import CompileError
+    from repro.service.server import QueryService
+    from repro.tpch.loader import load_smc
+    from repro.tpch.queries import DEFAULT_PARAMS, QUERIES
+    from tests.schemas import TNote
+
+    columnar = load_smc(tpch_tiny, columnar=True)
+    manager = columnar["_manager"]
+    service = QueryService(columnar, manager)
+    try:
+        for name in ("q1", "q3", "q6"):
+            query = QUERIES[name](columnar)
+            with pytest.raises(CompileError):
+                query.run(flavor="smc-safe", params=DEFAULT_PARAMS)
+            reply = service.handle(
+                {"op": "query", "query": name, "flavor": "smc-safe"}
+            )
+            assert reply["error"] == "BAD_REQUEST", (name, reply)
+        assert service.handle({"op": "query", "query": "q6"})["ok"]
+
+        notes = ManagedList(TNote)
+        notes.add(text="a", stars=1)
+        with pytest.raises(CompileError):
+            notes.query().select(s=TNote.stars).run(flavor="smc-safe")
+        smc = Collection(TNote, manager=manager)
+        smc.add(text="a", stars=1)
+        stars = smc.query().select(s=TNote.stars)
+        with pytest.raises(CompileError):
+            stars.run(flavor="managed")
+        assert stars.run(flavor="smc-safe").rows == [(1,)]
+    finally:
+        service.close()
+        manager.close()
 
 
 def test_client_connect_retry_rides_out_slow_start(tmp_path):
