@@ -132,7 +132,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
     print(
         f"telemetry: global epoch {tel['global_epoch']}, "
         f"min active {tel['min_active_epoch']}, "
-        f"{tel['leases']} leases, {tel['live_blocks']} live blocks"
+        f"{tel['live_blocks']} live blocks"
     )
     for ctx in tel["contexts"]:
         print(
@@ -536,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--lease-ttl",
         type=float,
         default=30.0,
-        help="session lease TTL in seconds (watchdog expiry)",
+        help="session TTL in seconds (idle sessions expire)",
     )
     serve.add_argument(
         "--exec-workers",

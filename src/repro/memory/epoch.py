@@ -46,68 +46,6 @@ class SectionContext:
         return self.depth > 0
 
 
-class EpochLease:
-    """An epoch critical section held on behalf of an *external* client.
-
-    Thread section contexts are keyed by ``threading.get_ident()``, which
-    ties a critical section's lifetime to one thread's call stack.  A
-    query *service*, however, serves a client session from whichever
-    worker thread picks its request up, and the session may want to pin a
-    snapshot (keep the epoch from advancing over its reads) across
-    several requests.  A lease is a section context registered under a
-    synthetic key: while entered, it pins epoch advancement exactly like
-    an in-critical thread; unlike a thread it can be **revoked** by a
-    watchdog when its owner goes silent, so a dead client can never wedge
-    limbo reclamation.
-
-    Enter/exit/revoke are serialised by the epoch registry lock — a
-    watchdog revocation can race a worker thread touching the same lease.
-    """
-
-    __slots__ = ("_mgr", "key", "name", "revoked")
-
-    def __init__(self, mgr: "EpochManager", key: int, name: str) -> None:
-        self._mgr = mgr
-        self.key = key
-        self.name = name
-        #: Set (only) by :meth:`revoke`; a revoked lease is permanently
-        #: dead — enter() raises, exit() becomes a no-op.
-        self.revoked = False
-
-    def enter(self) -> int:
-        """Enter the leased critical section; returns the lease epoch."""
-        return self._mgr._lease_enter(self)
-
-    def exit(self) -> None:
-        self._mgr._lease_exit(self)
-
-    def release(self) -> None:
-        """Drop the lease entirely (exits any held section, unregisters)."""
-        self._mgr._lease_release(self)
-
-    def revoke(self) -> bool:
-        """Forcibly expire the lease (watchdog path).
-
-        Returns True if the lease was holding a critical section at the
-        time — i.e. revocation actually unblocked epoch advancement.
-        """
-        return self._mgr._lease_revoke(self)
-
-    @property
-    def held(self) -> bool:
-        ctx = self._mgr._lease_ctx(self.key)
-        return ctx is not None and ctx.in_critical
-
-    @property
-    def epoch(self) -> Optional[int]:
-        ctx = self._mgr._lease_ctx(self.key)
-        return ctx.epoch if ctx is not None else None
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "revoked" if self.revoked else ("held" if self.held else "idle")
-        return f"<EpochLease {self.name or self.key} {state}>"
-
-
 class EpochManager:
     """Global epoch counter plus the per-thread section contexts."""
 
@@ -120,9 +58,6 @@ class EpochManager:
         #: by the compactor: once a relocation epoch is scheduled, no other
         #: thread may advance until compaction finishes (section 5.1).
         self._advance_restricted_to: Optional[int] = None
-        #: Synthetic context keys for leases; negative so they can never
-        #: collide with a real thread ident.
-        self._next_lease_key = -1
 
     # ------------------------------------------------------------------
     # Thread registration
@@ -136,97 +71,6 @@ class EpochManager:
             with self._registry_lock:
                 self._contexts[tid] = ctx
         return ctx
-
-    # ------------------------------------------------------------------
-    # Leases (externally-held critical sections)
-    # ------------------------------------------------------------------
-
-    def create_lease(self, name: str = "") -> EpochLease:
-        """Register a new lease-backed section context.
-
-        The context is keyed by a fresh negative integer so it can never
-        collide with a real thread ident; ``try_advance`` /
-        ``others_at_least`` treat it like any other registered context,
-        which is exactly what makes a held lease pin the epoch.
-        """
-        with self._registry_lock:
-            key = self._next_lease_key
-            self._next_lease_key -= 1
-            self._contexts[key] = SectionContext()
-        lease = EpochLease(self, key, name)
-        if _san.SANITIZER is not None:
-            _san.SANITIZER.event(
-                "lease.create", epochs=self, key=key, lease=name
-            )
-        return lease
-
-    def _lease_ctx(self, key: int) -> Optional[SectionContext]:
-        with self._registry_lock:
-            return self._contexts.get(key)
-
-    def _lease_enter(self, lease: EpochLease) -> int:
-        with self._registry_lock:
-            if lease.revoked:
-                raise ConcurrencyProtocolError(
-                    f"lease {lease.name or lease.key} has been revoked"
-                )
-            ctx = self._contexts.get(lease.key)
-            if ctx is None:  # released concurrently
-                raise ConcurrencyProtocolError(
-                    f"lease {lease.name or lease.key} has been released"
-                )
-            if ctx.depth == 0:
-                ctx.epoch = self._global_epoch
-            ctx.depth += 1
-            epoch = ctx.epoch
-        if _san.SANITIZER is not None:
-            _san.SANITIZER.event(
-                "lease.enter", epochs=self, key=lease.key, epoch=epoch
-            )
-        return epoch
-
-    def _lease_exit(self, lease: EpochLease) -> None:
-        with self._registry_lock:
-            # A watchdog revocation between enter and exit already forced
-            # the section closed; the late exit must be a silent no-op.
-            if lease.revoked:
-                return
-            ctx = self._contexts.get(lease.key)
-            if ctx is None:
-                return
-            if ctx.depth == 0:
-                raise ConcurrencyProtocolError(
-                    f"lease {lease.name or lease.key}: exit without enter"
-                )
-            ctx.depth -= 1
-        if _san.SANITIZER is not None:
-            _san.SANITIZER.event("lease.exit", epochs=self, key=lease.key)
-
-    def _lease_release(self, lease: EpochLease) -> None:
-        with self._registry_lock:
-            self._contexts.pop(lease.key, None)
-        if _san.SANITIZER is not None:
-            _san.SANITIZER.event("lease.release", epochs=self, key=lease.key)
-
-    def _lease_revoke(self, lease: EpochLease) -> bool:
-        with self._registry_lock:
-            if lease.revoked:
-                return False
-            lease.revoked = True
-            ctx = self._contexts.pop(lease.key, None)
-            was_held = ctx is not None and ctx.in_critical
-            if ctx is not None:
-                ctx.depth = 0
-        if _san.SANITIZER is not None:
-            _san.SANITIZER.event(
-                "lease.revoke", epochs=self, key=lease.key, was_held=was_held
-            )
-        return was_held
-
-    def lease_count(self) -> int:
-        """Number of registered (unrevoked, unreleased) leases."""
-        with self._registry_lock:
-            return sum(1 for key in self._contexts if key < 0)
 
     # ------------------------------------------------------------------
     # Critical sections

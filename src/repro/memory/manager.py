@@ -550,7 +550,6 @@ class MemoryManager:
             "tier": tier,
             "global_epoch": self.epochs.global_epoch,
             "min_active_epoch": self.epochs.min_active_epoch(),
-            "leases": self.epochs.lease_count(),
             "live_blocks": self.space.live_block_count,
             "mapped_bytes": self.total_bytes(),
             "table_entries": self.table.size,

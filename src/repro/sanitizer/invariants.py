@@ -28,7 +28,7 @@ rules from sections 3.2–3.4 and 5.1 of the paper:
     an indirection entry is only recycled once its pointer is nulled;
 ``epoch-skip`` / ``epoch-regression`` / ``epoch-overtook-critical-section``
     the global epoch advances monotonically, one step at a time, and
-    never past a thread or lease still inside a critical section; a
+    never past a thread still inside a critical section; a
     thread leaves its section with the global epoch at most one step
     from another thread above the epoch it entered at, plus its own
     advances;
@@ -428,16 +428,8 @@ class Sanitizer:
         # A thread that has set its depth but not yet read the epoch
         # still shows its previous section's epoch; only a section that
         # announced itself with ``section.enter`` has an epoch to check.
-        # Leases (negative keys) set depth and epoch together under the
-        # registry lock the advancer scans under, so they have no such
-        # window and every held lease is checked.
         for tid, epoch, depth in epochs.contexts_snapshot():
-            if (
-                depth > 0
-                and tid != me
-                and (tid < 0 or tid in sections)
-                and epoch < old
-            ):
+            if depth > 0 and tid != me and tid in sections and epoch < old:
                 self._violate(
                     "epoch-overtook-critical-section",
                     f"global epoch advanced {old} -> {new} while thread "

@@ -6,8 +6,9 @@ The service layer turns the query engines into a serving system:
     Counters, gauges and latency histograms with Prometheus-style text
     exposition, instrumented through the memory core and query engines.
 ``session``
-    Session registry; every session holds an :class:`EpochLease` with a
-    watchdog so a dead client cannot wedge limbo reclamation.
+    Session registry with idle-TTL expiry.  A request's epoch pin is the
+    critical section of the thread that handles it, so a dead client
+    cannot wedge limbo reclamation.
 ``admission``
     Bounded admission controller with per-class timeouts and explicit
     ``OVERLOADED`` load-shedding.

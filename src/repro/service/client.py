@@ -1,10 +1,11 @@
 """Client library for the query service.
 
 Synchronous, one socket per client; opens a session (``hello``) on
-connect so every query runs under the session's epoch lease.  Results
-come back as :class:`~repro.query.builder.Result` with exact cell
-values (see ``protocol``), so a client-side result compares equal —
-byte for byte through ``repr`` — with an in-process run.
+connect and tags every request with it (the server expires a session
+left idle past its TTL).  Results come back as
+:class:`~repro.query.builder.Result` with exact cell values (see
+``protocol``), so a client-side result compares equal — byte for byte
+through ``repr`` — with an in-process run.
 
 Usage::
 

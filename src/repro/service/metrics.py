@@ -335,13 +335,8 @@ def instrument_manager(registry: MetricsRegistry, manager) -> None:
     )
     registry.gauge(
         "smc_min_active_epoch",
-        "Smallest epoch among in-critical threads and held leases",
+        "Smallest epoch among threads inside a critical section",
         callback=lambda: float(epochs.min_active_epoch()),
-    )
-    registry.gauge(
-        "smc_epoch_leases",
-        "Registered epoch leases (sessions able to pin the epoch)",
-        callback=lambda: float(epochs.lease_count()),
     )
     registry.gauge(
         "smc_live_blocks",

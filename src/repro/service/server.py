@@ -13,20 +13,25 @@ Error taxonomy (the ``error`` field of a ``{"ok": false}`` response):
     Shed by admission control; ``reason`` is ``queue_full`` or
     ``timed_out``.  Never a silent drop — the client sees every shed.
 ``LEASE_EXPIRED``
-    The session's epoch lease was revoked by the watchdog; open a new
-    session.
+    The session is unknown, released, or was idle past its TTL; open a
+    new session.
 ``BAD_REQUEST``
     Unknown op/query or malformed arguments (a ``query`` that is not a
-    string, ``params`` that are not an object, a ``workers`` that is not
-    an integer >= 1, an unknown ``engine`` or ``flavor``, a flavour the
+    string, ``params`` that are not an object, a known parameter whose
+    value is not of its default's type, a ``workers`` that is not an
+    integer >= 1, an unknown ``engine`` or ``flavor``, a flavour the
     served collections cannot compile for, a ``ttl`` that is not a
     positive number); the detail names the accepted values.
 ``INTERNAL``
     Unexpected exception during execution (with a detail string).
+
+A query's ``workers`` is capped at the host's CPU count: one request
+never asks for more scan threads than there are cores.
 """
 
 from __future__ import annotations
 
+import os
 import socket
 import threading
 import time
@@ -79,7 +84,8 @@ def _lookup_query(name: Any):
 def _query_params(message: Dict[str, Any]) -> Optional[Dict[str, Any]]:
     """``DEFAULT_PARAMS`` under the request's ``params`` object, or
     ``None`` when ``params`` is present but not an object of decodable
-    values."""
+    values, or gives a known parameter a value that is not an instance
+    of its default's type (a ``bool`` never passes for an ``int``)."""
     overrides = message.get("params")
     if overrides is None:
         return dict(DEFAULT_PARAMS)
@@ -91,13 +97,19 @@ def _query_params(message: Dict[str, Any]) -> Optional[Dict[str, Any]]:
         return None
     if not isinstance(decoded, dict):  # a tagged scalar such as {"$d": ...}
         return None
+    for key, value in decoded.items():
+        default = DEFAULT_PARAMS.get(key)
+        if default is not None and (
+            not isinstance(value, type(default)) or isinstance(value, bool)
+        ):
+            return None
     return {**DEFAULT_PARAMS, **decoded}
 
 
 def _bad_params(message: Dict[str, Any]) -> Dict[str, Any]:
     return _bad_request(
-        "params must be an object of encoded values, "
-        f"got {message.get('params')!r}"
+        "params must be an object of encoded values, each known "
+        f"parameter of its default's type, got {message.get('params')!r}"
     )
 
 
@@ -283,6 +295,7 @@ class QueryService:
             return _bad_request(
                 f"workers must be an integer >= 1, got {workers!r}"
             )
+        workers = min(workers, os.cpu_count() or 1)
         queue_class = str(message.get("class", "default"))
         params = _query_params(message)
         if params is None:
@@ -482,6 +495,9 @@ class ServiceServer:
                 except OSError:
                     break
         finally:
+            with self._lock:
+                if conn in self._conns:
+                    self._conns.remove(conn)
             try:
                 conn.close()
             except OSError:

@@ -1,19 +1,20 @@
-"""Session registry with epoch-lease watchdog.
+"""Session registry.
 
-Every connected client gets a :class:`Session` holding an
-:class:`~repro.memory.epoch.EpochLease`.  While the session executes a
-request the lease is *entered*, pinning the global epoch exactly like a
-thread inside a critical section — readers on the wire are epoch-
-protected even though requests hop between server worker threads.
+Every connected client that says ``hello`` gets a :class:`Session`: an
+id, a TTL and request bookkeeping.  A session holds no epoch state of
+its own.  The service handles each request start to finish on the one
+thread that reads it off the connection, so the request's pin is that
+thread's critical section (paper §3.4: threads enter and exit sections,
+and a section spans a whole query).  :meth:`Session.enter` opens the
+section around a request and every executor the request reaches nests
+inside it; :meth:`Session.exit` closes it before the reply is sent.  A
+client that dies or stalls between requests therefore pins nothing.
 
-The failure mode this design exists for: a client dies (or stalls) mid
-request, its lease stays entered, the epoch can never advance past it,
-and every limbo slot in the system becomes unreclaimable.  The
-:class:`SessionRegistry` watchdog expires sessions whose last heartbeat
-(any request counts) is older than the lease TTL: the lease is revoked
-— force-exited and unregistered under the epoch registry lock — and
-reclamation resumes.  A revoked session's later requests get a
-``LEASE_EXPIRED`` error; the client must open a new session.
+A session idle past its TTL is expired: :meth:`SessionRegistry.require`
+refuses it with :class:`SessionExpiredError` (``LEASE_EXPIRED`` on the
+wire; the client must open a new session), and every
+:meth:`SessionRegistry.create` sweeps stale sessions out of the
+registry, so abandoned sessions do not accumulate.
 """
 
 from __future__ import annotations
@@ -22,60 +23,44 @@ import threading
 import time
 from typing import Dict, List, Optional
 
-from repro.memory.epoch import EpochLease
-
-#: Default lease TTL: generous for interactive clients, short enough
-#: that an abandoned session cannot stall reclamation for long.
+#: Default session TTL: generous for interactive clients, short enough
+#: that abandoned sessions are swept promptly.
 DEFAULT_LEASE_TTL = 30.0
-
-#: How often the watchdog sweeps, as a fraction of the TTL.
-_SWEEP_FRACTION = 0.25
 
 
 class SessionExpiredError(Exception):
-    """The session's lease was revoked by the watchdog."""
+    """The session is unknown, released, or was idle past its TTL."""
 
 
 class Session:
-    """One client session: an epoch lease plus bookkeeping."""
+    """One client session: the TTL bookkeeping around its requests."""
 
-    def __init__(self, session_id: str, lease: EpochLease, ttl: float) -> None:
+    def __init__(self, session_id: str, epochs, ttl: float) -> None:
         self.session_id = session_id
-        self.lease = lease
+        self.epochs = epochs
         self.ttl = ttl
-        self.created_at = time.monotonic()
-        self.last_seen = self.created_at
-        self.requests = 0
-        self._lock = threading.Lock()
+        self.last_seen = time.monotonic()
+        #: Set once the registry expires the session; never cleared.
+        self.expired = False
 
     def touch(self) -> None:
-        with self._lock:
-            self.last_seen = time.monotonic()
-            self.requests += 1
+        self.last_seen = time.monotonic()
 
-    @property
-    def expired(self) -> bool:
-        return self.lease.revoked
+    def idle_past_ttl(self, now: float) -> bool:
+        return now - self.last_seen > self.ttl
 
     def enter(self) -> int:
-        """Enter the leased critical section for one request."""
-        if self.lease.revoked:
-            raise SessionExpiredError(self.session_id)
-        try:
-            return self.lease.enter()
-        except Exception as exc:  # revoked between check and enter
-            raise SessionExpiredError(self.session_id) from exc
+        """Enter the calling thread's critical section for one request."""
+        return self.epochs.enter_critical_section()
 
     def exit(self) -> None:
-        self.lease.exit()
+        self.epochs.exit_critical_section()
 
 
 class SessionRegistry:
     """Creates, tracks and expires sessions.
 
-    The watchdog thread is started lazily on the first session and
-    stopped by :meth:`close`.  Expiry counters land in the metrics
-    registry when one is attached.
+    Expiry counters land in the metrics registry when one is attached.
     """
 
     def __init__(
@@ -89,16 +74,10 @@ class SessionRegistry:
         self._sessions: Dict[str, Session] = {}
         self._lock = threading.Lock()
         self._next_id = 0
-        self._watchdog: Optional[threading.Thread] = None
-        self._stop = threading.Event()
         if metrics is not None:
             self._expired_total = metrics.counter(
                 "service_sessions_expired_total",
-                "Sessions expired by the lease watchdog",
-            )
-            self._revoked_held = metrics.counter(
-                "service_leases_revoked_held_total",
-                "Watchdog revocations that force-exited a held lease",
+                "Sessions expired idle past their TTL",
             )
             metrics.gauge(
                 "service_sessions_active",
@@ -107,21 +86,18 @@ class SessionRegistry:
             )
         else:
             self._expired_total = None
-            self._revoked_held = None
 
     # -- lifecycle -----------------------------------------------------
 
     def create(self, ttl: Optional[float] = None) -> Session:
+        self.sweep()
         ttl = self.lease_ttl if ttl is None else min(ttl, self.lease_ttl)
         with self._lock:
             self._next_id += 1
-            session_id = f"s{self._next_id:06d}"
-        lease = self.manager.epochs.create_lease(session_id)
-        session = Session(session_id, lease, ttl)
-        with self._lock:
-            self._sessions[session_id] = session
-            if self._watchdog is None:
-                self._start_watchdog()
+            session = Session(
+                f"s{self._next_id:06d}", self.manager.epochs, ttl
+            )
+            self._sessions[session.session_id] = session
         return session
 
     def get(self, session_id: str) -> Optional[Session]:
@@ -130,64 +106,41 @@ class SessionRegistry:
 
     def require(self, session_id: str) -> Session:
         session = self.get(session_id)
-        if session is None or session.expired:
+        if session is not None and session.idle_past_ttl(time.monotonic()):
+            self._expire([session])
+            session = None
+        if session is None:
             raise SessionExpiredError(session_id)
         return session
 
     def release(self, session_id: str) -> bool:
         with self._lock:
-            session = self._sessions.pop(session_id, None)
-        if session is None:
-            return False
-        session.lease.release()
-        return True
+            return self._sessions.pop(session_id, None) is not None
 
     def count(self) -> int:
         with self._lock:
             return len(self._sessions)
 
-    def sessions(self) -> List[Session]:
-        with self._lock:
-            return list(self._sessions.values())
-
     def close(self) -> None:
-        self._stop.set()
-        watchdog = self._watchdog
-        if watchdog is not None:
-            watchdog.join(timeout=5.0)
         with self._lock:
-            sessions = list(self._sessions.values())
             self._sessions.clear()
-        for session in sessions:
-            session.lease.release()
 
-    # -- watchdog ------------------------------------------------------
-
-    def _start_watchdog(self) -> None:
-        self._watchdog = threading.Thread(
-            target=self._watchdog_loop, name="lease-watchdog", daemon=True
-        )
-        self._watchdog.start()
-
-    def _watchdog_loop(self) -> None:
-        interval = max(0.01, self.lease_ttl * _SWEEP_FRACTION)
-        while not self._stop.wait(interval):
-            self.sweep()
+    # -- expiry --------------------------------------------------------
 
     def sweep(self) -> int:
         """Expire every session idle past its TTL; returns expiry count."""
         now = time.monotonic()
-        stale: List[Session] = []
         with self._lock:
-            for session in self._sessions.values():
-                if now - session.last_seen > session.ttl:
-                    stale.append(session)
-            for session in stale:
-                del self._sessions[session.session_id]
-        for session in stale:
-            was_held = session.lease.revoke()
-            if self._expired_total is not None:
-                self._expired_total.inc()
-                if was_held and self._revoked_held is not None:
-                    self._revoked_held.inc()
-        return len(stale)
+            stale = [s for s in self._sessions.values() if s.idle_past_ttl(now)]
+        return self._expire(stale)
+
+    def _expire(self, sessions: List[Session]) -> int:
+        expired = 0
+        with self._lock:
+            for session in sessions:
+                if self._sessions.pop(session.session_id, None) is session:
+                    session.expired = True
+                    expired += 1
+        if self._expired_total is not None and expired:
+            self._expired_total.inc(expired)
+        return expired

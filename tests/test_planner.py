@@ -456,9 +456,11 @@ def test_service_explain_op(planner_service):
     assert not bad["ok"]
 
 
-def test_service_small_scan_routing(planner_service):
+def test_service_small_scan_routing(planner_service, monkeypatch):
     # q6 on the tiny dataset estimates well under SMALL_SCAN_ROWS: a
-    # 4-worker request is routed to 1 worker and counted.
+    # 4-worker request is routed to 1 worker and counted.  The service
+    # caps workers at the CPU count first, so pin a host that has four.
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
     planner_service.handle({"op": "query", "query": "q6", "workers": 4})
     counter = planner_service.metrics.counter(
         "smc_serve_small_scans_routed_total",

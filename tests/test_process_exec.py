@@ -508,28 +508,6 @@ def test_unwind_mid_fan_out_reaps_every_participant(tpch_tiny, monkeypatch):
         manager.close()
 
 
-def test_pooled_query_holds_no_lease(tpch_tiny):
-    """A pooled query on a manager with no session registers no epoch
-    lease: the lease count, ``info``'s telemetry and the
-    ``smc_epoch_leases`` gauge all read 0."""
-    from repro.service.server import QueryService
-
-    collections = load_smc(tpch_tiny, shm=True)
-    manager = collections["_manager"]
-    service = QueryService(collections, manager, exec_workers=2)
-    try:
-        reply = service.handle({"op": "query", "query": "q1", "workers": 2})
-        assert reply["ok"], reply
-        assert manager.stats.extra.get("exec_process_queries", 0) == 1
-        assert manager.epochs.lease_count() == 0
-        assert service.handle({"op": "info"})["telemetry"]["leases"] == 0
-        text = service.handle({"op": "metrics"})["text"]
-        assert "\nsmc_epoch_leases 0\n" in text
-    finally:
-        service.close()
-        manager.close()
-
-
 # ----------------------------------------------------------------------
 # Wire encoding
 # ----------------------------------------------------------------------

@@ -157,21 +157,42 @@ def test_detects_epoch_skip_and_regression():
         m.close()
 
 
-def test_detects_epoch_overtaking_a_held_lease():
+def test_detects_epoch_overtaking_a_held_section():
+    """The advance-time check: a section held by another thread, parked
+    mid-section, may see the epoch step once past its entry, never twice."""
     with sanitizer.enabled() as san:
         m = MemoryManager()
-        lease = m.epochs.create_lease("session")
-        entered = lease.enter()
-        assert m.epochs.try_advance()  # one step past the lease: legal
-        assert not m.epochs.try_advance()
-        # Forge the advance try_advance just refused.
-        m.epochs._global_epoch = entered + 2
-        with pytest.raises(ProtocolViolation) as exc:
-            san.event(
-                "epoch.advance", epochs=m.epochs, old=entered + 1, new=entered + 2
-            )
-        assert "epoch-overtook-critical-section" in str(exc.value)
-        lease.release()
+        entered_at, inside, go = [], threading.Event(), threading.Event()
+
+        def holder():
+            with m.critical_section() as epoch:
+                entered_at.append(epoch)
+                inside.set()
+                go.wait(timeout=10.0)
+
+        t = threading.Thread(target=holder, name="section-holder")
+        t.start()
+        try:
+            assert inside.wait(timeout=10.0)
+            entered = entered_at[0]
+            assert m.epochs.try_advance()  # one step past the section: legal
+            assert not m.epochs.try_advance()
+            # Forge the advance try_advance just refused.
+            m.epochs._global_epoch = entered + 2
+            with pytest.raises(ProtocolViolation) as exc:
+                san.event(
+                    "epoch.advance",
+                    epochs=m.epochs,
+                    old=entered + 1,
+                    new=entered + 2,
+                )
+            assert "epoch-overtook-critical-section" in str(exc.value)
+            # Undo the forgery so the holder's exit check passes.
+            m.epochs._global_epoch = entered + 1
+        finally:
+            go.set()
+            t.join(timeout=10.0)
+        assert not t.is_alive()
         m.close()
 
 

@@ -1,11 +1,12 @@
-"""Query service: metrics, admission, leases, protocol, differential TCP.
+"""Query service: metrics, admission, sessions, protocol, differential TCP.
 
 The differential tests pin the service's core contract: every supported
 TPC-H query returns byte-identical results through the TCP service —
 any worker count, and beside a client writing through ``mutate`` — as
-via the in-process engine.  The lease-watchdog tests pin the reclamation
-guarantee: a dead or stalled client session cannot block epoch
-advancement, and limbo slots become reclaimable once its lease expires.
+via the in-process engine.  The session tests pin the reclamation
+guarantee: a session's request is pinned by the critical section of the
+thread serving it, from entry to reply and no longer, so a dead or
+stalled client cannot block epoch advancement.
 """
 
 import datetime
@@ -213,77 +214,29 @@ def test_plan_cache_hits_and_misses(tpch_tiny):
 
 
 # ----------------------------------------------------------------------
-# Epoch leases + session watchdog (reclamation regression)
+# Sessions (TTL expiry)
 # ----------------------------------------------------------------------
 
 
-def test_lease_pins_epoch_until_revoked(manager):
-    lease = manager.epochs.create_lease("s1")
-    lease.enter()
-    assert manager.epochs.try_advance()  # lease still at current epoch
-    assert not manager.epochs.try_advance()  # now it lags: pinned
-    assert lease.revoke()
-    assert manager.epochs.try_advance()
-    # Post-revocation interactions are safe no-ops / errors.
-    lease.exit()
-    with pytest.raises(Exception):
-        lease.enter()
-
-
-def test_watchdog_expires_stalled_session_and_unblocks_reclamation():
-    """A stalled session's lease cannot wedge limbo reclamation."""
-    from repro.core.collection import Collection
-    from tests.schemas import TNote
-
-    manager = MemoryManager(block_shift=10, reclamation_threshold=0.0)
-    registry = SessionRegistry(manager, lease_ttl=0.05)
-    try:
-        notes = Collection(TNote, manager=manager)
-        handles = [notes.add(text=f"x{i}", stars=0) for i in range(64)]
-
-        session = registry.create()
-        session.enter()  # client enters a query... and stalls forever
-
-        manager.advance_epoch()  # lease was current: one advance succeeds
-        assert not manager.advance_epoch()  # now pinned by the lease
-
-        for h in handles[:48]:
-            notes.remove(h)  # limbo piles up behind the stuck lease
-        assert not manager.advance_epoch()
-
-        # Watchdog: session idle past TTL gets expired, lease revoked
-        # (the background sweeper may beat the manual sweep; either way
-        # the session must end up expired).
-        deadline = time.monotonic() + 5.0
-        while not session.expired and time.monotonic() < deadline:
-            registry.sweep()
-            time.sleep(0.01)
-        assert session.expired
-        with pytest.raises(SessionExpiredError):
-            registry.require(session.session_id)
-
-        # Epoch advances again and limbo becomes reclaimable.
-        assert manager.advance_epoch()
-        assert manager.advance_epoch()
-        before = manager.stats.limbo_reuses
-        for i in range(48):
-            notes.add(text=f"y{i}", stars=1)
-        assert manager.stats.limbo_reuses > before
-    finally:
-        registry.close()
-        manager.close()
-
-
-def test_session_release_drops_lease(manager):
+def test_require_refuses_a_session_idle_past_its_ttl(manager):
+    """Expiry needs no sweep: ``require`` itself refuses a stale session."""
     registry = SessionRegistry(manager, lease_ttl=30.0)
-    try:
-        session = registry.create()
-        assert manager.epochs.lease_count() == 1
-        assert registry.release(session.session_id)
-        assert manager.epochs.lease_count() == 0
-        assert not registry.release(session.session_id)
-    finally:
-        registry.close()
+    session = registry.create(ttl=0.01)
+    time.sleep(0.02)
+    with pytest.raises(SessionExpiredError):
+        registry.require(session.session_id)
+    assert session.expired
+    assert registry.count() == 0
+
+
+def test_create_sweeps_stale_sessions(manager):
+    registry = SessionRegistry(manager, lease_ttl=30.0)
+    stale = registry.create(ttl=0.01)
+    time.sleep(0.02)
+    fresh = registry.create()
+    assert stale.expired and not fresh.expired
+    assert registry.get(stale.session_id) is None
+    assert registry.require(fresh.session_id) is fresh
 
 
 # ----------------------------------------------------------------------
@@ -480,6 +433,11 @@ def test_unknown_query_and_op_are_bad_requests(tpch_service):
         {"op": "query", "query": "q6", "flavor": "managed"},
         {"op": "query", "query": "q6", "params": "garbage"},
         {"op": "query", "query": "q6", "params": {"date": {"$t": "nope"}}},
+        {"op": "query", "query": "q6", "params": {"q6_disc_lo": "abc"}},
+        {"op": "query", "query": "q6", "params": {"q6_quantity": [1]}},
+        {"op": "query", "query": "q6", "params": {"q6_date": 5}},
+        {"op": "query", "query": "q2", "params": {"q2_size": True}},
+        {"op": "explain", "query": "q6", "params": {"q6_date": 5}},
         {"op": "query", "query": ["q6"]},
         {"op": "explain", "query": "q6", "params": "garbage"},
         {"op": "explain", "query": ["q6"]},
@@ -615,6 +573,89 @@ def test_killed_client_cannot_wedge_epoch(tpch_service):
     # Epoch advancement is unobstructed.
     assert manager.advance_epoch()
     assert manager.advance_epoch()
+
+
+def test_in_flight_session_request_pins_the_epoch(tpch_service, monkeypatch):
+    """A session's request is pinned by its serving thread's section:
+    while the query is parked mid-flight another thread advances at most
+    once past the entry epoch, and the reply leaves nothing pinned."""
+    from repro.query import columnar_exec
+
+    service = tpch_service["service"]
+    epochs = tpch_service["manager"].epochs
+    session_id = service.handle({"op": "hello"})["session"]
+    parked, go = threading.Event(), threading.Event()
+    run_serial = columnar_exec._run_serial
+
+    def gated(plan):
+        parked.set()
+        go.wait(timeout=10.0)
+        return run_serial(plan)
+
+    monkeypatch.setattr(columnar_exec, "_run_serial", gated)
+    replies = []
+    request = {"op": "query", "query": "q6", "session": session_id}
+    reader = threading.Thread(
+        target=lambda: replies.append(service.handle(request))
+    )
+    reader.start()
+    try:
+        assert parked.wait(timeout=10.0), "query never reached the scan"
+        entry = epochs.min_active_epoch()
+        for __ in range(3):
+            epochs.try_advance()
+        assert epochs.global_epoch == entry + 1
+        assert all(key > 0 for key in epochs._contexts)
+    finally:
+        go.set()
+        reader.join(timeout=10.0)
+    assert replies and replies[0]["ok"], replies
+    assert epochs.min_active_epoch() == epochs.global_epoch
+    service.handle({"op": "bye", "session": session_id})
+
+
+def test_hello_then_bye_releases_the_session(tpch_service):
+    service = tpch_service["service"]
+    session_id = service.handle({"op": "hello"})["session"]
+    assert service.sessions.get(session_id) is not None
+    assert "lease-watchdog" not in {t.name for t in threading.enumerate()}
+    bye = {"op": "bye", "session": session_id}
+    assert service.handle(bye) == {"ok": True, "released": True}
+    assert service.handle(bye) == {"ok": True, "released": False}
+    reply = service.handle(
+        {"op": "query", "query": "q6", "session": session_id}
+    )
+    assert reply["error"] == "LEASE_EXPIRED"
+
+
+def test_server_forgets_closed_connections(tpch_service):
+    from repro.service.client import ServiceClient
+
+    server = tpch_service["server"]
+    for __ in range(20):
+        with ServiceClient(port=server.port, open_session=False) as client:
+            assert client.ping()
+    deadline = time.monotonic() + 5.0
+    while server._conns and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert len(server._conns) == 0
+
+
+def test_query_workers_capped_at_cpu_count(tpch_service, monkeypatch):
+    from repro.query import parallel, planner
+
+    service = tpch_service["service"]
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    # Keep the fan-out: the tiny dataset would route q1 to one worker.
+    monkeypatch.setattr(planner, "SMALL_SCAN_ROWS", 0)
+    parallel.shutdown_pool()
+    reply = service.handle({"op": "query", "query": "q1", "workers": 8})
+    assert reply["ok"], reply
+    assert parallel._POOL is not None
+    assert parallel._POOL._max_workers <= 2
+    assert repr(protocol.decode_rows(reply["rows"])) == repr(
+        tpch_service["baselines"]["q1"].rows
+    )
 
 
 def test_service_sheds_with_explicit_overloaded(tpch_tiny):
