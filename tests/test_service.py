@@ -239,6 +239,50 @@ def test_create_sweeps_stale_sessions(manager):
     assert registry.require(fresh.session_id) is fresh
 
 
+def test_stalled_session_pins_nothing_and_reclamation_proceeds():
+    """A client that stalls after a reply, still within its TTL, holds no
+    section: limbo piled up during its request is reclaimed without the
+    session being expired or released."""
+    from repro.core.collection import Collection
+    from tests.schemas import TNote
+
+    manager = MemoryManager(block_shift=10, reclamation_threshold=0.0)
+    registry = SessionRegistry(manager, lease_ttl=30.0)
+    try:
+        notes = Collection(TNote, manager=manager)
+        handles = [notes.add(text=f"x{i}", stars=0) for i in range(64)]
+
+        session = registry.create()
+        session.enter()  # a request is in flight on this thread
+        pinned = threading.Thread(target=manager.advance_epoch)
+        pinned.start()
+        pinned.join(timeout=10.0)
+        # Another thread advanced once past the entry epoch; no further.
+        advanced = []
+        other = threading.Thread(
+            target=lambda: advanced.append(manager.advance_epoch())
+        )
+        other.start()
+        other.join(timeout=10.0)
+        assert advanced == [False]
+        for h in handles[:48]:
+            notes.remove(h)  # limbo piles up during the request
+        session.exit()  # reply sent; the client now stalls, never says bye
+
+        assert not session.expired
+        assert registry.require(session.session_id) is session
+        assert manager.epochs.min_active_epoch() == manager.epochs.global_epoch
+        assert manager.advance_epoch()
+        assert manager.advance_epoch()
+        before = manager.stats.limbo_reuses
+        for i in range(48):
+            notes.add(text=f"y{i}", stars=1)
+        assert manager.stats.limbo_reuses > before
+    finally:
+        registry.close()
+        manager.close()
+
+
 # ----------------------------------------------------------------------
 # Protocol codec
 # ----------------------------------------------------------------------
