@@ -233,13 +233,7 @@ def save_collections(
             out.section(HEAP_FREE, len(free), free)
             out.section(TABLE, len(table_addr), table_addr, table_inc)
             for index, strdict in enumerate(dicts.values()):
-                addrs, refs = strdict.export_codes()
-                out.section(
-                    DICT,
-                    index,
-                    np.array(addrs, dtype=np.int64),
-                    np.array(refs, dtype=np.int64),
-                )
+                out.section(DICT, index, *strdict.export_codes())
             type_ids: Dict[str, int] = {}
             for context_id, (name, coll) in enumerate(named.items()):
                 type_id = type_ids.setdefault(coll.schema.__name__, len(type_ids) + 1)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import struct
 import threading
+from array import array
 from collections import deque
 from typing import (
     TYPE_CHECKING,
@@ -33,7 +34,6 @@ from typing import (
     FrozenSet,
     List,
     Optional,
-    Sequence,
     Tuple,
 )
 
@@ -170,19 +170,23 @@ class StringHeap:
             "utf-8"
         )
 
-    def read_many(self, addrs) -> List[str]:
-        """``[self.read(a) for a in addrs]``, one pass per string block.
+    def _records(self, addrs):
+        """Per string block that *addrs* touch: ``(positions, starts,
+        lengths, raw)`` — the positions in *addrs* of its records (an
+        array), each record's payload start and length in *raw* (int64
+        memoryviews: iterating them makes one Python int at a time, not a
+        list of them), and *raw* itself, one ``bytes`` copy of the block
+        from its first touched record to the end of its last.
+        ``NULL_ADDRESS`` entries are skipped.
 
         Each block's record lengths come from one gather over a ``uint32``
         view of its buffer (records start on multiples of the 16-byte
-        minimum class, so every length word is aligned), and its texts
-        are sliced from one ``bytes`` copy of the block.
+        minimum class, so every length word is aligned).
         """
         addrs = np.asarray(addrs, dtype=np.int64)
-        texts = [""] * len(addrs)
         at = np.flatnonzero(addrs != NULL_ADDRESS)
         if not at.size:
-            return texts
+            return
         shift = self._space.block_shift
         ids = addrs[at] >> shift
         order = np.argsort(ids, kind="stable")
@@ -195,12 +199,35 @@ class StringHeap:
             group = at[lo:hi]
             offs = addrs[group] & mask
             lengths = np.frombuffer(buf, "<u4")[offs >> 2]
-            raw = bytes(buf)
-            for i, start, n in zip(
-                group.tolist(), (offs + _LEN.size).tolist(), lengths.tolist()
-            ):
+            first = int(offs.min())
+            end = int((offs + _LEN.size + lengths).max())
+            raw = bytes(memoryview(buf)[first:end])
+            yield (
+                group,
+                memoryview(offs + (_LEN.size - first)),
+                memoryview(lengths.astype(np.int64)),
+                raw,
+            )
+
+    def read_many(self, addrs) -> List[str]:
+        """``[self.read(a) for a in addrs]``, one pass per string block."""
+        texts = [""] * len(addrs)
+        for group, starts, lengths, raw in self._records(addrs):
+            for i, start, n in zip(group.tolist(), starts, lengths):
                 texts[i] = raw[start : start + n].decode("utf-8")
         return texts
+
+    def hash_many(self, addrs) -> np.ndarray:
+        """``hash()`` of each record's utf-8 payload, as int64, one pass
+        per string block (``NULL_ADDRESS``: ``hash(b"")``)."""
+        hashes = np.full(len(addrs), hash(b""), dtype=np.int64)
+        for group, starts, lengths, raw in self._records(addrs):
+            hashes[group] = np.fromiter(
+                (hash(raw[start : start + n]) for start, n in zip(starts, lengths)),
+                dtype=np.int64,
+                count=len(group),
+            )
+        return hashes
 
     def read_bytes(self, addr: int) -> bytes:
         """Raw utf-8 payload at *addr* without the decode step."""
@@ -210,6 +237,17 @@ class StringHeap:
         off = self._space.offset_of(addr)
         (length,) = _LEN.unpack_from(block.buf, off)
         return bytes(block.buf[off + _LEN.size : off + _LEN.size + length])
+
+    def holds(self, addr: int, data: bytes) -> bool:
+        """Whether the record at *addr* has payload *data* (no copy of
+        the record is kept)."""
+        if addr == NULL_ADDRESS:
+            return not data
+        buf = self._space.block_at(addr).buf
+        off = self._space.offset_of(addr)
+        n = len(data)
+        # One slice compare checks the length word and the payload.
+        return bytes(buf[off : off + _LEN.size + n]) == _LEN.pack(n) + data
 
     def free(self, addr: int) -> None:
         """Schedule the record at *addr* for reuse (two-epoch delay)."""
@@ -272,12 +310,59 @@ class StringHeap:
         self.bytes_in_use = 0
 
 
+#: Initial per-code array and index capacity of a fresh dictionary.
+_MIN_CODES = 16
+
+
+def _int64s(arr: np.ndarray) -> memoryview:
+    """An ``int64`` array as a ``"q"`` memoryview over the same memory:
+    indexing it reads and writes Python ints, with no NumPy scalar."""
+    return memoryview(arr).cast("B").cast("q")
+
+
+def _grown(view: memoryview, size: int) -> memoryview:
+    """A zeroed int64 buffer of *size* entries starting with *view*'s."""
+    arr = np.zeros(size, dtype=np.int64)
+    arr[: len(view)] = np.frombuffer(view, dtype=np.int64)
+    return _int64s(arr)
+
+
+def _index_table(hashes: np.ndarray, codes: np.ndarray, slots: int) -> memoryview:
+    """An open-addressed (linear probing) table of ``slots`` (hash, code)
+    pairs holding *codes* under their *hashes*; code 0 marks an empty slot.
+
+    Filled in vector rounds: every entry not yet placed tries its next
+    slot, and of those trying the same empty slot one takes it.  An entry
+    only moves on from a slot that is taken, so no empty slot lies
+    between any entry and its home slot, as single inserts would leave it.
+    """
+    table = np.zeros((slots, 2), dtype=np.int64)
+    pos = hashes % slots
+    pending = np.arange(len(codes))
+    while pending.size:
+        at = pos[pending]
+        trying = table[at, 1] == 0
+        table[at[trying], 1] = codes[pending[trying]]
+        # One of the entries trying each empty slot took it.
+        placed = trying & (table[at, 1] == codes[pending])
+        table[at[placed], 0] = hashes[pending[placed]]
+        pending = pending[~placed]
+        pos[pending] = (pos[pending] + 1) % slots
+    return _int64s(table.reshape(-1))
+
+
+def _slots_for(entries: int) -> int:
+    """Index size for *entries*: a load factor of 4/9, so an eighth more
+    entries fit before the one-half bound doubles the table."""
+    return max(_MIN_CODES, 2 * entries + entries // 4)
+
+
 class StringDict:
     """Refcounted per-collection intern table layered on the string heap.
 
     Each distinct string stored by a collection gets a small dense integer
     *code*; object slots and columnar string columns store the code instead
-    of a heap address.  The payload bytes still live in heap records (one per
+    of a heap address.  The payload bytes live in heap records (one per
     distinct value), so the heap's accounting and reclamation discipline is
     unchanged — the dictionary merely deduplicates and exposes the code
     space to the query kernels.
@@ -285,42 +370,60 @@ class StringDict:
     Code ``0`` is permanently pinned to the empty string so that zero-filled
     columnar storage and ``NULL_ADDRESS`` row templates decode identically.
 
+    The dictionary holds no per-string Python object.  Per code it keeps
+    three int64 arrays — heap address, refcount and a hash of the utf-8
+    bytes — grown by doubling; free codes and the code limbo are int
+    arrays too.  text → code is an open-addressed table of (hash, code)
+    int64 pairs at load factor at most one half; a probe confirms a hash
+    hit against the record's bytes (:meth:`StringHeap.holds`).  Every
+    read goes to the records: :meth:`text_of` reads one, and
+    :meth:`decode_array` and the prefix and contains match sets read the
+    codes they need through :meth:`StringHeap.read_many`.
+
     Reclamation follows the heap's two-epoch rule: when a code's refcount
     drops to zero its heap record is freed and the code itself parks in a
-    limbo queue for two epochs before it may be rebound to a new string.  A
-    scan that resolved codes inside an epoch-protected critical section can
-    therefore never observe a code remapped under it.  ``version`` ticks on
-    every binding change; kernels use it to cache per-dictionary artifacts
-    (decode arrays, predicate match sets).
+    limbo queue for two epochs before it may be rebound to a new string.
+    The code keeps its heap address until it leaves the limbo, and the
+    record sits in the heap's own limbo over the same window, so a scan
+    that resolved codes inside an epoch-protected critical section can
+    neither observe a code remapped under it nor lose the retired text.
+    ``version`` ticks on every binding change; kernels use it to cache
+    per-dictionary artifacts (predicate match sets).
 
     A dictionary adopted from an image (:meth:`adopt_codes`) is that
-    image's two arrays — heap address and refcount per code — plus a count
-    of live strings; its texts stay in the heap records.  :meth:`text_of`
-    reads one record, :attr:`live_count` is the count and
-    :meth:`export_codes` hands the arrays back, so a loaded store that only
-    answers queries holds no per-string Python state.  The first operation
-    that needs more — :meth:`intern`, :meth:`release`, :meth:`code_of`, a
-    match set or a decode array — builds the code lists and the text →
-    code map once, under the lock and before any refcount moves (see
-    :meth:`_build`); from then on the dictionary is an ordinary one.
+    image's address and refcount arrays, used as they are, plus a count
+    of live strings; a loaded store that only answers queries reads no
+    record to build anything.  The first :meth:`intern`, :meth:`release`
+    or :meth:`code_of` copies the arrays, hashes the live records block
+    by block and builds the index, once, under the lock and before any
+    refcount moves (see :meth:`_build_index`).
     """
 
     def __init__(self, heap: StringHeap, epochs: "EpochManager") -> None:
         self._heap = heap
         self._epochs = epochs
         self._lock = threading.Lock()
-        self._by_text: Dict[str, int] = {"": 0}
-        self._texts: List[str] = [""]
-        self._addrs: List[int] = [NULL_ADDRESS]
-        self._refs: List[int] = [1]
-        self._free_codes: List[int] = []
-        #: An adopted image's ``(heap address, refcount)`` arrays until the
-        #: first operation that needs the structures above builds them;
-        #: ``None`` once they are built (they mean nothing before).
-        self._image: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        # Per code: heap address, refcount and payload hash; ``_n`` codes
+        # are in use (free ones included), the rest is spare capacity.
+        self._addrs = _int64s(np.zeros(_MIN_CODES, dtype=np.int64))
+        self._refs = _int64s(np.zeros(_MIN_CODES, dtype=np.int64))
+        self._addrs[0] = NULL_ADDRESS
+        self._refs[0] = 1
+        self._hashes: Optional[memoryview] = _int64s(
+            np.zeros(_MIN_CODES, dtype=np.int64)
+        )
+        self._n = 1
+        #: The (hash, code) lookup table, flat; ``None`` for an adopted
+        #: dictionary no operation has needed it for yet.
+        self._index: Optional[memoryview] = _int64s(
+            np.zeros(2 * _MIN_CODES, dtype=np.int64)
+        )
+        # Highest first: pop() hands the lowest free code out next.
+        self._free_codes = array("q")
+        # Retired codes awaiting the reuse grace period: flat
+        # (ready_epoch, code) pairs, oldest first.
+        self._limbo = array("q")
         self._live = 0
-        # retired codes awaiting the reuse grace period: (ready_epoch, code)
-        self._limbo: Deque[Tuple[int, int]] = deque()
         self.version = 0
         #: Durability hook: called as ``on_bind(code, text)`` after a NEW
         #: binding is created (never for refcount bumps), outside the
@@ -328,54 +431,127 @@ class StringDict:
         #: WAL lock) without inverting lock order against interning calls
         #: made while those locks are held.
         self.on_bind: Optional[Callable[[int, str], None]] = None
-        self._text_array: Optional[np.ndarray] = None
-        self._text_array_version = -1
         #: Match sets by ``(kind, arg)``, oldest first; at most
         #: :data:`MATCH_CACHE_ENTRIES` of them.
         self._match_cache: Dict[
             Tuple[str, object], Tuple[int, np.ndarray, FrozenSet[int]]
         ] = {}
 
-    # -- the adopted image --------------------------------------------
+    # -- the lookup index (lock held) ----------------------------------
 
-    def _build(self) -> None:
-        """Turn the adopted image into the Python structures (lock held).
+    def _build_index(self) -> None:
+        """Make an adopted dictionary writable and indexed (lock held).
 
-        Runs before the first refcount move, never after: the text → code
-        map must come from the image's refcounts.  Built from counts a
-        release had already dropped, it would miss the retired text, and
-        the release would then unbind the pinned empty string instead.
+        Runs before the first refcount move, never after: the index must
+        come from the image's refcounts.  Built from counts a release had
+        already dropped, it would miss the retired text, and the release
+        would find nothing to unindex.  The live records are hashed block
+        by block (:meth:`StringHeap.hash_many`): no text object is made
+        for more than one record at a time.
         """
-        addrs, refs = self._image
-        live = refs > 0
-        texts = self._heap.read_many(np.where(live, addrs, NULL_ADDRESS))
-        self._addrs = addrs.tolist()
-        self._refs = refs.tolist()
-        self._by_text = {texts[code]: code for code in np.flatnonzero(live).tolist()}
-        # Highest first: pop() hands the lowest free code out next.
-        self._free_codes = (np.flatnonzero(~live[1:])[::-1] + 1).tolist()
-        self._texts = texts
-        self._image = None
+        n = self._n
+        addrs = np.frombuffer(self._addrs, dtype=np.int64, count=n)
+        refs = np.frombuffer(self._refs, dtype=np.int64, count=n)
+        live = np.flatnonzero(refs[1:] > 0) + 1
+        # Room to double in: the first new code would copy them again.
+        hashes = np.zeros(max(2 * n, _MIN_CODES), dtype=np.int64)
+        hashes[live] = self._heap.hash_many(addrs[live])
+        self._addrs = _grown(self._addrs[:n], len(hashes))
+        self._refs = _grown(self._refs[:n], len(hashes))
+        self._hashes = _int64s(hashes)
+        free = np.flatnonzero(refs[1:] <= 0)[::-1] + 1
+        self._free_codes = array("q", free.astype(np.int64).tobytes())
+        self._index = _index_table(hashes[live], live, _slots_for(len(live)))
 
-    def _ensure_built(self) -> None:
-        if self._image is not None:
-            with self._lock:
-                if self._image is not None:
-                    self._build()
+    def _ensure_index(self) -> None:
+        if self._index is None:
+            self._build_index()
 
     @property
-    def built(self) -> bool:
-        """Whether the Python structures exist (always, unless adopted
-        from an image and not yet needed)."""
-        return self._image is None
+    def indexed(self) -> bool:
+        """Whether the lookup index exists (always, unless adopted from
+        an image and not yet needed)."""
+        return self._index is not None
+
+    def _probe(self, data: bytes, h: int) -> int:
+        """Code bound to payload *data* of hash *h*, or 0 (lock held)."""
+        index, addrs, heap = self._index, self._addrs, self._heap
+        slots = len(index) // 2
+        i = h % slots
+        while True:
+            code = index[2 * i + 1]
+            if not code:
+                return 0
+            if index[2 * i] == h and heap.holds(addrs[code], data):
+                return code
+            i = (i + 1) % slots
+
+    def _insert(self, h: int, code: int) -> None:
+        """Index *code* under hash *h*, growing the table to keep its
+        load factor at most one half (lock held)."""
+        index = self._index
+        slots = len(index) // 2
+        if 2 * (self._live + 1) > slots:
+            pairs = np.frombuffer(index, dtype=np.int64).reshape(-1, 2)
+            pairs = pairs[pairs[:, 1] != 0]
+            index = _index_table(pairs[:, 0], pairs[:, 1], 2 * slots)
+            self._index = index
+            slots *= 2
+        i = h % slots
+        while index[2 * i + 1]:
+            i = (i + 1) % slots
+        index[2 * i] = h
+        index[2 * i + 1] = code
+
+    def _unindex(self, code: int) -> None:
+        """Remove *code* from the index by backward-shift deletion: each
+        entry after the hole that may move back into it does (lock held)."""
+        index = self._index
+        slots = len(index) // 2
+        i = self._hashes[code] % slots
+        while index[2 * i + 1] != code:
+            i = (i + 1) % slots
+        j = i
+        while True:
+            j = (j + 1) % slots
+            moved = index[2 * j + 1]
+            if not moved:
+                break
+            home = index[2 * j] % slots
+            # The entry at j stays if its home lies cyclically in (i, j].
+            if (i < home <= j) if i <= j else (i < home or home <= j):
+                continue
+            index[2 * i] = index[2 * j]
+            index[2 * i + 1] = moved
+            i = j
+        index[2 * i + 1] = 0
 
     # -- write side ----------------------------------------------------
 
     def _reclaim_limbo(self) -> None:
+        """Free the codes whose grace period ended; their heap records
+        were freed with them and are no longer theirs."""
         epoch = self._epochs.global_epoch
-        while self._limbo and self._limbo[0][0] <= epoch:
-            __, code = self._limbo.popleft()
+        limbo = self._limbo
+        ready = 0
+        while ready < len(limbo) and limbo[ready] <= epoch:
+            code = limbo[ready + 1]
+            self._addrs[code] = NULL_ADDRESS
             self._free_codes.append(code)
+            ready += 2
+        del limbo[:ready]
+
+    def _new_code(self) -> int:
+        if self._free_codes:
+            return self._free_codes.pop()
+        code = self._n
+        if code == len(self._refs):
+            size = 2 * code
+            self._addrs = _grown(self._addrs, size)
+            self._refs = _grown(self._refs, size)
+            self._hashes = _grown(self._hashes, size)
+        self._n = code + 1
+        return code
 
     def intern(self, text: str) -> int:
         """Return the code for *text*, binding a new one if needed.
@@ -383,31 +559,30 @@ class StringDict:
         Bumps the refcount for every non-empty hit; callers own exactly one
         reference per stored occurrence and must :meth:`release` it.
         """
+        data = text.encode("utf-8")
+        h = hash(data)
         with self._lock:
-            if self._image is not None:
-                self._build()
-            code = self._by_text.get(text)
-            if code is not None:
-                if code:
-                    self._refs[code] += 1
+            self._ensure_index()
+            if not data:
+                return 0
+            code = self._probe(data, h)
+            if code:
+                self._refs[code] += 1
                 return code
             self._reclaim_limbo()
             addr = self._heap.alloc(text)
-            if self._free_codes:
-                code = self._free_codes.pop()
-                self._texts[code] = text
-                self._addrs[code] = addr
-                self._refs[code] = 1
-            else:
-                code = len(self._texts)
-                self._texts.append(text)
-                self._addrs.append(addr)
-                self._refs.append(1)
-            self._by_text[text] = code
+            code = self._new_code()
+            self._addrs[code] = addr
+            self._refs[code] = 1
+            self._hashes[code] = h
+            self._insert(h, code)
             self._live += 1
             self.version += 1
+            epoch = self._epochs.global_epoch
         if _san.SANITIZER is not None:
-            _san.SANITIZER.event("strdict.bind", code=code, text=text)
+            _san.SANITIZER.event(
+                "strdict.bind", strdict=self, code=code, text=text, epoch=epoch
+            )
         if self.on_bind is not None:
             self.on_bind(code, text)
         return code
@@ -417,90 +592,88 @@ class StringDict:
         if code <= 0:
             return
         with self._lock:
-            if self._image is not None:
-                self._build()
+            self._ensure_index()
             n = self._refs[code] - 1
             self._refs[code] = n
             if n:
                 return
-            # Keep _texts[code] in place: a racing reader inside the grace
-            # period may still decode the retired code.
-            del self._by_text[self._texts[code]]
+            # The epoch is read before the heap free reads its own, so
+            # the code leaves its limbo no later than the record leaves
+            # the heap's; until then the code keeps its address and a
+            # reader inside the grace period still decodes the text.
+            epoch = self._epochs.global_epoch
+            self._unindex(code)
             self._heap.free(self._addrs[code])
-            self._addrs[code] = NULL_ADDRESS
-            self._limbo.append((self._epochs.global_epoch + 2, code))
+            self._limbo.extend((epoch + 2, code))
             self._live -= 1
             self.version += 1
+        if _san.SANITIZER is not None:
+            _san.SANITIZER.event("strdict.retire", strdict=self, code=code, epoch=epoch)
 
     # -- read side -----------------------------------------------------
 
     def text_of(self, code: int) -> str:
         if code <= 0:
             return ""
-        image = self._image
-        if image is None:
-            return self._texts[code]
-        # Adopted and unbuilt: no refcount has moved, so a live code's
-        # record is the image's.
-        addrs, refs = image
-        return self._heap.read(int(addrs[code])) if refs[code] > 0 else ""
+        return self._heap.read(self._addrs[code])
 
     def code_of(self, text: str) -> Optional[int]:
         """Code currently bound to *text*, or ``None`` (never interns)."""
-        self._ensure_built()
-        return self._by_text.get(text)
+        data = text.encode("utf-8")
+        with self._lock:
+            self._ensure_index()
+            if not data:
+                return 0
+            return self._probe(data, hash(data)) or None
 
     def refcount(self, code: int) -> int:
-        image = self._image
-        return self._refs[code] if image is None else int(image[1][code])
-
-    def text_array(self) -> np.ndarray:
-        """Object ndarray mapping code -> text, cached per version."""
-        self._ensure_built()
-        arr = self._text_array
-        if arr is None or self._text_array_version != self.version:
-            arr = np.array(self._texts, dtype=object)
-            self._text_array = arr
-            self._text_array_version = self.version
-        return arr
+        return self._refs[code]
 
     def decode_array(self, codes: np.ndarray) -> np.ndarray:
-        """Vectorised gather: int code array -> object array of texts."""
-        arr = self.text_array()
-        if codes.size and int(codes.max()) >= arr.size:
-            # A concurrent intern grew the table mid-scan; take a fresh
-            # uncached view (bag semantics admit the new row).
-            arr = np.array(self._texts, dtype=object)
-        return arr[codes]
+        """Vectorised gather: int code array -> object array of texts.
+
+        Reads each distinct code's record once.
+        """
+        codes = np.asarray(codes)
+        distinct, inverse = np.unique(codes, return_inverse=True)
+        addrs = np.frombuffer(self._addrs, dtype=np.int64)[distinct]
+        texts = np.empty(len(distinct), dtype=object)
+        texts[:] = self._heap.read_many(addrs)
+        return texts[inverse.reshape(codes.shape)]
 
     def _match(self, kind: str, arg: object) -> Tuple[np.ndarray, FrozenSet[int]]:
         key = (kind, arg)
         cached = self._match_cache.get(key)
         if cached is not None and cached[0] == self.version:
             return cached[1], cached[2]
-        self._ensure_built()
-        texts, refs = self._texts, self._refs
-        if kind == "prefix":
-            sel = [
-                c
-                for c in range(len(texts))
-                if refs[c] > 0 and texts[c].startswith(arg)
-            ]
-        elif kind == "contains":
-            sel = [c for c in range(len(texts)) if refs[c] > 0 and arg in texts[c]]
-        elif kind == "inset":
+        if kind == "inset":
+            version = self.version
             sel = sorted(
                 code
                 for v in arg  # type: ignore[attr-defined]
-                if (code := self._by_text.get(v)) is not None
+                if (code := self.code_of(v)) is not None
             )
+            codes = np.array(sel, dtype=np.int64)
+        elif kind in ("prefix", "contains"):
+            with self._lock:
+                version = self.version
+                n = self._n
+                refs = np.frombuffer(self._refs, dtype=np.int64, count=n)
+                live = np.flatnonzero(refs > 0)
+                addrs = np.frombuffer(self._addrs, dtype=np.int64, count=n)[live]
+            texts = self._heap.read_many(addrs)
+            if kind == "prefix":
+                keep = [text.startswith(arg) for text in texts]
+            else:
+                keep = [arg in text for text in texts]
+            codes = live[np.array(keep, dtype=bool)] if keep else live
+            sel = codes.tolist()
         else:  # pragma: no cover - defensive
             raise ValueError(f"unknown match kind {kind!r}")
-        codes = np.array(sel, dtype=np.int64)
         result = (codes, frozenset(sel))
         # A stale entry (the dictionary version moved on) is replaced in
         # place; a new one evicts the oldest past the cap.
-        self._match_cache[key] = (self.version, *result)
+        self._match_cache[key] = (version, *result)
         if len(self._match_cache) > MATCH_CACHE_ENTRIES:
             self._match_cache.pop(next(iter(self._match_cache)), None)
         return result
@@ -521,38 +694,47 @@ class StringDict:
 
     # -- snapshot images (repro.io.snapshot) ---------------------------
 
-    def export_codes(self) -> Tuple[Sequence[int], Sequence[int]]:
+    def export_codes(self) -> Tuple[np.ndarray, np.ndarray]:
         """``(heap address, refcount)`` per code; texts stay in the heap.
 
-        A dictionary not built since its adoption hands back the adopted
-        arrays themselves: a checkpoint of a collection nobody wrote builds
-        nothing.
+        A code in its reuse grace period exports as free, with no
+        address.  A dictionary not indexed since its adoption hands back
+        the adopted arrays themselves: a checkpoint of a collection
+        nobody wrote copies nothing.
         """
         with self._lock:
-            if self._image is not None:
-                return self._image
-            return list(self._addrs), list(self._refs)
+            n = self._n
+            addrs = np.frombuffer(self._addrs, dtype=np.int64, count=n)
+            refs = np.frombuffer(self._refs, dtype=np.int64, count=n)
+            if self._index is None:
+                return addrs, refs
+            return np.where(refs > 0, addrs, NULL_ADDRESS), refs.copy()
 
     def adopt_codes(self, addrs: np.ndarray, refs: np.ndarray) -> None:
         """Rebind a fresh dictionary to the code table of an image.
 
         Keeps the two arrays as they are and reads no heap record: texts
-        stay in the adopted records until an operation needs the Python
-        structures (see the class docstring).  A code with no references
-        left is free, whether it was free or in its reuse grace period
-        when the image was written.
+        stay in the adopted records until an operation needs the index
+        (see the class docstring).  A code with no references left is
+        free, whether it was free or in its reuse grace period when the
+        image was written.
         """
-        addrs = np.asarray(addrs, dtype=np.int64)
-        refs = np.asarray(refs, dtype=np.int64)
+        addrs = np.ascontiguousarray(addrs, dtype=np.int64)
+        refs = np.ascontiguousarray(refs, dtype=np.int64)
         if not len(refs) or len(addrs) != len(refs):
             raise ValueError("not one heap address and refcount per code")
         if refs[0] != 1:  # code 0 stays pinned to ""
             refs = refs.copy()
             refs[0] = 1
+        if np.any(addrs[refs <= 0] != NULL_ADDRESS):  # a free code has no record
+            addrs = np.where(refs > 0, addrs, NULL_ADDRESS)
         with self._lock:
-            self._image = (addrs, refs)
+            self._addrs, self._refs = _int64s(addrs), _int64s(refs)
+            self._hashes = self._index = None
+            self._n = len(refs)
             self._live = int(np.count_nonzero(refs[1:] > 0))
-            self._limbo.clear()
+            self._free_codes = array("q")
+            self._limbo = array("q")
             self.version += 1
 
     # -- stats ---------------------------------------------------------

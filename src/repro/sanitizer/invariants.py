@@ -120,6 +120,8 @@ class Sanitizer:
         #: first advance past the entry epoch itself]} for every thread
         #: whose outermost section has emitted ``section.enter``.
         self._sections: Dict[Any, Dict[int, list]] = {}
+        #: (string dictionary, code) -> epoch its last binding retired at.
+        self._retired_codes: Dict[tuple, int] = {}
 
     # ------------------------------------------------------------------
     # Event intake
@@ -467,6 +469,24 @@ class Sanitizer:
     # Reporting
     # ------------------------------------------------------------------
 
+    # ------------------------------------------------------------------
+    # String dictionary codes
+    # ------------------------------------------------------------------
+
+    def _on_strdict_retire(self, data: Dict[str, Any]) -> None:
+        self._retired_codes[(data["strdict"], data["code"])] = data["epoch"]
+
+    def _check_strdict_bind(self, data: Dict[str, Any]) -> None:
+        code, epoch = data["code"], data["epoch"]
+        retired = self._retired_codes.pop((data["strdict"], code), None)
+        if retired is not None and epoch < retired + 2:
+            self._violate(
+                "strdict-code-reused-early",
+                f"dictionary code {code} rebound to {data['text']!r} at "
+                f"epoch {epoch}, but was retired at {retired} (reusable "
+                f"at {retired + 2})",
+            )
+
     def describe(self) -> str:
         """One-line-per-point summary of the events seen so far."""
         lines = [f"sanitizer: {self._seq} events, {len(self.violations)} violations"]
@@ -490,6 +510,8 @@ _CHECKS = {
     # between the cooling decision and the demotion that completes it.
     "tier.evict": Sanitizer._check_tier_evict,
     "tier.fault": Sanitizer._check_tier_fault,
+    "strdict.retire": Sanitizer._on_strdict_retire,
+    "strdict.bind": Sanitizer._check_strdict_bind,
 }
 
 

@@ -18,7 +18,7 @@ from repro.memory import slots as slotcodec
 from repro.memory.manager import MemoryManager
 from repro.query import runtime
 
-from tests.schemas import TPerson
+from tests.schemas import TNote, TPerson
 
 
 def _fill_blocks(persons, blocks, age=1):
@@ -135,6 +135,58 @@ def test_free_during_scan_blocks_reuse_until_reader_exits():
             assert m.advance_epoch()
         assert slotcodec.is_reclaimable(word, m.epochs.global_epoch)
         assert block.find_allocatable(slot, m.epochs.global_epoch) == slot
+        san.assert_clean()
+        m.close()
+
+
+def test_retired_text_stays_decodable_for_a_reader_in_its_section():
+    """A reader resolves a dictionary code inside its critical section
+    and stops there.  The writer releases the code's last reference,
+    advances the epoch as far as it can and interns new texts: the code
+    is not rebound, and the reader still decodes the retired text.  Only
+    after the reader exits and two more advances pass is the code reused."""
+    schedule = sanitizer.ScheduleController(seed=31)
+    print(f"schedule seed={schedule.seed}")
+    with sanitizer.enabled(schedule=schedule) as san:
+        m = MemoryManager()
+        notes = Collection(TNote, manager=m)
+        sd = notes.strdict
+        victim = notes.add(text="doomed", stars=0)
+        gate = schedule.pause_at("dict.resolved", thread="dict-reader")
+        seen = []
+
+        def reader():
+            with m.critical_section():
+                code = sd.code_of("doomed")
+                seen.append(code)
+                schedule.yield_point("dict.resolved")
+                seen.append(sd.text_of(code))
+
+        t = threading.Thread(target=reader, name="dict-reader")
+        t.start()
+        assert gate.wait_parked(timeout=10.0), "reader never resolved the code"
+        [code] = seen
+
+        notes.remove(victim)  # the last reference: the code retires
+        retired = m.epochs.global_epoch
+        advances = 0
+        while m.epochs.try_advance():
+            advances += 1
+        assert advances <= 1  # the reader pins the epoch
+        fresh = [sd.intern(f"fresh {i}") for i in range(8)]
+        assert code not in fresh
+        assert sd.code_of("doomed") is None
+
+        gate.release()
+        t.join(timeout=10.0)
+        assert not t.is_alive()
+        assert seen == [code, "doomed"]
+        # Reader gone: the code waits out its two epochs, then is reused.
+        while m.epochs.global_epoch < retired + 2:
+            assert sd.intern(f"early {m.epochs.global_epoch}") != code
+            assert m.epochs.try_advance()
+        assert sd.intern("late") == code
+        assert sd.text_of(code) == "late"
         san.assert_clean()
         m.close()
 

@@ -25,7 +25,7 @@ from repro.memory.indirection import FROZEN, INC_MASK, LOCKED
 from repro.memory.manager import MemoryManager
 from repro.query.builder import Count
 
-from tests.schemas import TPerson
+from tests.schemas import TNote, TPerson
 
 
 def _locate(manager, handle):
@@ -54,6 +54,38 @@ def test_detects_premature_limbo_reuse():
         assert "premature-reclaim" in str(exc.value)
         assert "event trace" in str(exc.value)
         assert san.violations
+        m.close()
+
+
+def test_detects_early_dictionary_code_reuse():
+    """A retired dictionary code handed out again inside its grace
+    period (planted by pushing it onto the free codes at once) is caught
+    when the new text binds to it."""
+    with sanitizer.enabled() as san:
+        m = MemoryManager()
+        notes = Collection(TNote, manager=m)
+        sd = notes.strdict
+        code = sd.intern("retired")
+        sd.release(code)  # retired at the current epoch
+        sd._free_codes.append(code)
+        with pytest.raises(ProtocolViolation) as exc:
+            sd.intern("rebound too soon")
+        assert "strdict-code-reused-early" in str(exc.value)
+        assert san.violations
+        m.close()
+
+
+def test_dictionary_code_reuse_after_two_epochs_is_clean():
+    with sanitizer.enabled() as san:
+        m = MemoryManager()
+        notes = Collection(TNote, manager=m)
+        sd = notes.strdict
+        code = sd.intern("once")
+        sd.release(code)
+        assert m.advance_epoch() and m.advance_epoch()
+        assert sd.intern("twice") == code
+        assert san.event_counts["strdict.retire"] == 1
+        san.assert_clean()
         m.close()
 
 

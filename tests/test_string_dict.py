@@ -18,6 +18,7 @@ All tests here are sanitizer-compatible (``pytest --sanitize``).
 from __future__ import annotations
 
 import contextlib
+import gc
 import importlib.util
 import tracemalloc
 from pathlib import Path
@@ -273,6 +274,26 @@ def test_retired_code_waits_two_epochs_before_reuse():
     m.close()
 
 
+def test_dictionary_holds_no_python_text_structure():
+    """After interns and releases, fresh and adopted alike, a dictionary's
+    state is int arrays: no str, no list and no dict but its (empty)
+    match-set cache."""
+    m = MemoryManager()
+    notes = Collection(TNote, manager=m)
+    sd = notes.strdict
+    codes = [sd.intern(f"text {i % 50}") for i in range(300)]
+    for code in codes[::2]:
+        sd.release(code)
+    assert m.advance_epoch() and m.advance_epoch()
+    codes += [sd.intern(f"later {i}") for i in range(40)]
+    for name, value in vars(sd).items():
+        if name == "_match_cache":
+            assert value == {}
+        else:
+            assert not isinstance(value, (str, bytes, list, dict, tuple)), name
+    m.close()
+
+
 def test_match_sets_follow_dictionary_version():
     m = MemoryManager()
     notes = Collection(TNote, manager=m)
@@ -373,9 +394,9 @@ def tpch_image(tpch_tiny, tmp_path_factory):
 
 def test_adopted_first_mutation_releases_a_unique_text(tmp_path):
     """The first mutation after adoption removes the one row holding a
-    text.  Its release builds the text → code map from the image's
-    refcounts before it drops one: built after, the map would miss the
-    retired text, and the release would unbind the pinned ``""``."""
+    text.  Its release builds the lookup index from the image's
+    refcounts before it drops one, and the retired code still decodes to
+    its text through the grace period."""
     m = MemoryManager()
     notes = Collection(TNote, manager=m)
     notes.add(text="shared", stars=0)
@@ -392,9 +413,9 @@ def test_adopted_first_mutation_releases_a_unique_text(tmp_path):
         [code] = [c for c in range(1, len(refs)) if sd.text_of(c) == "unique"]
         [victim] = [h for h in ln if h.text == "unique"]
         assert sd.live_count == 2 and sd.refcount(code) == 1
-        assert not sd.built  # text_of, handle reads and counts need no map
+        assert not sd.indexed  # text_of, handle reads and counts need no index
         ln.remove(victim)
-        assert sd.built
+        assert sd.indexed
         assert sd.code_of("") == 0
         assert sd.code_of("unique") is None
         assert sd.refcount(sd.code_of("shared")) == 2
@@ -434,9 +455,9 @@ _MATCHES = [
 
 def _assert_reads_alike(writer, lazy, eager, probe):
     """The *lazy* adopted dictionary reads like the *writer*'s and like an
-    *eager* twin built at adoption: always through the reads that need no
-    Python structures, and with *probe* also through the lookups that
-    build them.  Heap addresses and block counts are compared with the
+    *eager* twin indexed at adoption: always through the reads that need
+    no lookup index, and with *probe* also through the lookups that
+    build it.  Heap addresses and block counts are compared with the
     twin only: an adopted context places its next row in a new block, so
     every adopted store allocates at other addresses than its writer."""
     w, z, e = writer.strdict, lazy.strdict, eager.strdict
@@ -515,7 +536,7 @@ def test_adopted_dictionary_reads_like_its_writer(tmp_path_factory, texts, steps
                     coll.strdict.release(code)
             elif op == "advance":
                 assert len({coll.manager.epochs.try_advance() for coll in stores}) == 1
-            assert lazy.strdict.built == needed
+            assert lazy.strdict.indexed == needed
             _assert_reads_alike(*stores, probe)
             needed |= probe
         for handles in rows[1:]:
@@ -529,7 +550,7 @@ def test_unbuilt_store_saves_its_source_image(tpch_image, tmp_path):
     loaded = load_collections(tpch_image)
     try:
         again = _save(tmp_path, loaded, "again.smcsnap")
-        assert not any(sd.built for sd in _dicts(loaded).values())
+        assert not any(sd.indexed for sd in _dicts(loaded).values())
     finally:
         loaded["_manager"].close()
     with open(tpch_image, "rb") as a, open(again, "rb") as b:
@@ -545,11 +566,11 @@ def test_load_reads_no_string_record(tpch_image, monkeypatch):
     try:
         assert reads == [0]
         dicts = _dicts(loaded)
-        assert dicts and not any(sd.built for sd in dicts.values())
+        assert dicts and not any(sd.indexed for sd in dicts.values())
         # Reading a value reads its one record, and builds nothing.
         [h] = [h for h in loaded["region"] if h.regionkey == 0]
         assert h.comment and reads == [1]
-        assert not dicts["region"].built
+        assert not dicts["region"].indexed
     finally:
         loaded["_manager"].close()
 
@@ -561,7 +582,7 @@ def test_durable_open_adopts_without_reading_a_string(tpch_image, tmp_path, monk
 
     data_dir = str(tmp_path / "data")
     store = DurableStore.create(data_dir, snapshot=tpch_image)
-    assert not any(sd.built for sd in _dicts(store.collections).values())
+    assert not any(sd.indexed for sd in _dicts(store.collections).values())
     store.apply(
         [
             {
@@ -585,7 +606,7 @@ def test_durable_open_adopts_without_reading_a_string(tpch_image, tmp_path, monk
     store = DurableStore.open(data_dir)
     try:
         assert at_replay == [0]
-        built = {name for name, sd in _dicts(store.collections).items() if sd.built}
+        built = {name for name, sd in _dicts(store.collections).items() if sd.indexed}
         assert built == {"region"}
         assert store.collections["region"].strdict.code_of("sunken") is not None
     finally:
@@ -630,36 +651,61 @@ def test_read_mixes_build_no_dictionary(tpch_image, tiered):
                     }
                 )
                 assert reply["ok"], (grid, i, reply)
-        assert not any(sd.built for sd in _dicts(collections).values())
+        assert not any(sd.indexed for sd in _dicts(collections).values())
     finally:
         service.close()
         collections["_manager"].close()
 
 
-def _load_footprint(path):
-    """``(Python-object bytes, array bytes)`` a load leaves allocated.
+def _footprint(path):
+    """What a load, then one intern into every dictionary, leave behind.
 
-    tracemalloc's own domain, block buffers excluded, is what the Python
-    heap holds; NumPy array buffers (their own domain) are counted apart:
-    like block buffers they are raw bytes that hold no object.
+    Returns ``(load, write, n)``: the ``(Python-object bytes, array
+    bytes)`` the load left allocated and those the load and the interns
+    did, and the codes plus indirection entries loaded.  tracemalloc's
+    own domain, block buffers excluded, is what the Python heap holds;
+    NumPy array buffers (their own domain) are counted apart: like block
+    buffers they are raw bytes that hold no object.
     """
     before = tracemalloc.take_snapshot()
     loaded = load_collections(path)
-    after = tracemalloc.take_snapshot()
-    grown = [0, 0]
-    for snap, sign in ((after, 1), (before, -1)):
-        for trace in snap.filter_traces([tracemalloc.Filter(False, shm.__file__)]).traces:
-            grown[trace.domain != 0] += sign * trace.size
+    after_load = tracemalloc.take_snapshot()
+    for sd in _dicts(loaded).values():
+        sd.intern("written after the load")
+    after_write = tracemalloc.take_snapshot()
+    grown = []
+    for after in (after_load, after_write):
+        sizes = [0, 0]
+        for snap, sign in ((after, 1), (before, -1)):
+            for trace in snap.filter_traces([tracemalloc.Filter(False, shm.__file__)]).traces:
+                sizes[trace.domain != 0] += sign * trace.size
+        grown.append(sizes)
     codes = sum(len(sd.export_codes()[1]) for sd in _dicts(loaded).values())
     entries = loaded["_manager"].table.size
     loaded["_manager"].close()
-    return grown, codes + entries
+    return grown[0], grown[1], codes + entries
+
+
+def _objects_added(path):
+    """gc-tracked objects a load and one intern into every dictionary
+    leave behind."""
+    gc.collect()
+    before = len(gc.get_objects())
+    loaded = load_collections(path)
+    for sd in _dicts(loaded).values():
+        sd.intern("written after the load")
+    gc.collect()
+    added = len(gc.get_objects()) - before
+    loaded["_manager"].close()
+    return added
 
 
 def test_load_python_heap_does_not_grow_with_strings(tmp_path):
     """SF 0.001 vs SF 0.004: four times the rows and distinct strings,
-    the same Python heap after the load; the arrays grow by their bytes
-    per indirection entry and dictionary code only."""
+    the same Python heap after a load, and after one intern into every
+    dictionary, which builds its lookup index; the load's arrays grow by
+    their bytes per indirection entry and dictionary code only, and the
+    gc-tracked objects by a few per block."""
     paths = []
     for sf in (0.001, 0.004):
         collections = load_smc(generate(sf, seed=42))
@@ -667,9 +713,14 @@ def test_load_python_heap_does_not_grow_with_strings(tmp_path):
         collections["_manager"].close()
     tracemalloc.start()
     try:
-        (small, small_n), (large, large_n) = map(_load_footprint, paths)
+        (small_load, small_write, small_n), (large_load, large_write, large_n) = map(
+            _footprint, paths
+        )
     finally:
         tracemalloc.stop()
     assert large_n > 3 * small_n
-    assert large[0] - small[0] < 256 * 1024
-    assert large[1] - small[1] < 16 * (large_n - small_n)
+    assert large_load[0] - small_load[0] < 256 * 1024
+    assert large_load[1] - small_load[1] < 16 * (large_n - small_n)
+    assert large_write[0] - small_write[0] < 256 * 1024
+    small_objects, large_objects = map(_objects_added, paths)
+    assert large_objects - small_objects < 64

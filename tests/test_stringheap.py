@@ -137,3 +137,33 @@ def test_read_many_matches_read_property(texts, rnd):
     rnd.shuffle(addrs)
     assert heap.read_many(addrs) == [heap.read(a) for a in addrs]
     heap.close()
+
+
+def test_read_many_copies_only_the_touched_span():
+    """Records over several blocks, read a few at a time: ``read_many``,
+    ``hash_many`` and ``holds`` agree with ``read`` record by record, and
+    each block is copied from its first touched record to the end of its
+    last, not whole."""
+    space = AddressSpace(block_shift=10)
+    heap = StringHeap(space, EpochManager())
+    long = "z" * 300
+    texts = [f"ünïcödé {i} ✓" if i % 3 else f"plain-{i}" for i in range(120)]
+    texts[40] = long
+    addrs = [heap.alloc(t) for t in texts]
+    assert heap.block_count >= 3
+    picks = [addrs[90], NULL_ADDRESS, addrs[40], addrs[7], addrs[41], addrs[90]]
+    expected = [heap.read(a) for a in picks]
+    assert expected[2] == long and expected[1] == ""
+    assert heap.read_many(picks) == expected
+    hashes = heap.hash_many(picks).tolist()
+    assert hashes == [hash(t.encode("utf-8")) for t in expected]
+    for a, t in zip(picks, expected):
+        assert heap.holds(a, t.encode("utf-8"))
+        assert not heap.holds(a, (t + "x").encode("utf-8"))
+    copied = 0
+    for group, starts, lengths, raw in heap._records(picks):
+        copied += len(raw)
+        spans = [(s, s + n) for s, n in zip(starts, lengths)]
+        assert min(s for s, __ in spans) == 4 and max(e for __, e in spans) == len(raw)
+    assert copied < 2 * space.block_size
+    heap.close()
