@@ -632,13 +632,16 @@ class StringDict:
     def decode_array(self, codes: np.ndarray) -> np.ndarray:
         """Vectorised gather: int code array -> object array of texts.
 
-        Reads each distinct code's record once.
+        Reads each distinct code's record once, inside a critical
+        section: a caller outside one (a result decoded after its scan)
+        still never reads a record the heap has handed to another text.
         """
         codes = np.asarray(codes)
         distinct, inverse = np.unique(codes, return_inverse=True)
-        addrs = np.frombuffer(self._addrs, dtype=np.int64)[distinct]
         texts = np.empty(len(distinct), dtype=object)
-        texts[:] = self._heap.read_many(addrs)
+        with self._epochs.critical_section():
+            addrs = np.frombuffer(self._addrs, dtype=np.int64)[distinct]
+            texts[:] = self._heap.read_many(addrs)
         return texts[inverse.reshape(codes.shape)]
 
     def _match(self, kind: str, arg: object) -> Tuple[np.ndarray, FrozenSet[int]]:
@@ -655,13 +658,16 @@ class StringDict:
             )
             codes = np.array(sel, dtype=np.int64)
         elif kind in ("prefix", "contains"):
-            with self._lock:
-                version = self.version
-                n = self._n
-                refs = np.frombuffer(self._refs, dtype=np.int64, count=n)
-                live = np.flatnonzero(refs > 0)
-                addrs = np.frombuffer(self._addrs, dtype=np.int64, count=n)[live]
-            texts = self._heap.read_many(addrs)
+            # As in decode_array: the live records stay theirs until the
+            # section ends.
+            with self._epochs.critical_section():
+                with self._lock:
+                    version = self.version
+                    n = self._n
+                    refs = np.frombuffer(self._refs, dtype=np.int64, count=n)
+                    live = np.flatnonzero(refs > 0)
+                    addrs = np.frombuffer(self._addrs, dtype=np.int64, count=n)[live]
+                texts = self._heap.read_many(addrs)
             if kind == "prefix":
                 keep = [text.startswith(arg) for text in texts]
             else:

@@ -294,6 +294,31 @@ def test_dictionary_holds_no_python_text_structure():
     m.close()
 
 
+def test_record_reads_pin_the_epoch(monkeypatch):
+    """``decode_array`` and the prefix / contains match sets read their
+    records inside a critical section even when called outside one, so
+    no record they read can be reused under them."""
+    m = MemoryManager()
+    notes = Collection(TNote, manager=m)
+    sd = notes.strdict
+    codes = np.array([sd.intern(t) for t in ("alpha", "beta", "alpha")])
+    pinned = []
+    real = StringHeap.read_many
+
+    def recording(heap, addrs):
+        pinned.append(m.epochs.in_critical())
+        return real(heap, addrs)
+
+    monkeypatch.setattr(StringHeap, "read_many", recording)
+    assert not m.epochs.in_critical()
+    assert sd.decode_array(codes).tolist() == ["alpha", "beta", "alpha"]
+    assert sd.match_codes("prefix", "al").tolist() == [codes[0]]
+    assert sd.match_codes("contains", "et").tolist() == [codes[1]]
+    assert pinned == [True, True, True]
+    assert not m.epochs.in_critical()
+    m.close()
+
+
 def test_match_sets_follow_dictionary_version():
     m = MemoryManager()
     notes = Collection(TNote, manager=m)
