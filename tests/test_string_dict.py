@@ -319,6 +319,58 @@ def test_record_reads_pin_the_epoch(monkeypatch):
     m.close()
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    steps=st.lists(
+        st.tuples(st.sampled_from(["intern", "release", "advance"]), st.integers(0, 80)),
+        min_size=200,
+        max_size=600,
+    )
+)
+def test_lookup_index_matches_a_dict_model(steps):
+    """Random interns, releases and epoch advances from a 16-slot start,
+    so the index grows and deletes shift entries back: every lookup and
+    refcount agrees with a plain dict, and every live code sits in the
+    table once, with no empty slot between it and its home slot."""
+    m = MemoryManager()
+    sd = Collection(TNote, manager=m).strdict
+    model = {}  # text -> [code, references]
+    try:
+        for op, k in steps:
+            text = f"text {k}" * (1 + k % 3)
+            if op == "intern":
+                code = sd.intern(text)
+                entry = model.setdefault(text, [code, 0])
+                assert entry[0] == code
+                entry[1] += 1
+            elif op == "release" and text in model:
+                entry = model[text]
+                sd.release(entry[0])
+                entry[1] -= 1
+                if not entry[1]:
+                    del model[text]
+            elif op == "advance":
+                m.epochs.try_advance()
+        for k in range(81):
+            text = f"text {k}" * (1 + k % 3)
+            entry = model.get(text)
+            assert sd.code_of(text) == (entry[0] if entry else None)
+            if entry:
+                assert sd.refcount(entry[0]) == entry[1]
+                assert sd.text_of(entry[0]) == text
+        table = np.frombuffer(sd._index, dtype=np.int64).reshape(-1, 2)
+        slots = len(table)
+        at = np.flatnonzero(table[:, 1])
+        assert sorted(table[at, 1].tolist()) == sorted(e[0] for e in model.values())
+        assert 2 * len(at) <= slots
+        for pos in at.tolist():
+            home = int(table[pos, 0]) % slots
+            run = [(home + d) % slots for d in range((pos - home) % slots)]
+            assert all(table[i, 1] for i in run)
+    finally:
+        m.close()
+
+
 def test_match_sets_follow_dictionary_version():
     m = MemoryManager()
     notes = Collection(TNote, manager=m)
