@@ -77,7 +77,7 @@ def bench_mutations(schema, n):
 
     records = []
     # Baseline: no WAL at all.
-    manager = MemoryManager(string_dict=True)
+    manager = MemoryManager()
     coll = Collection(schema, manager=manager)
     start = time.perf_counter()
     ops = _mutate(coll, n)
@@ -96,7 +96,7 @@ def bench_mutations(schema, n):
     for policy in ("none", "commit", "always"):
         root = tempfile.mkdtemp(prefix=f"durbench-{policy}-")
         try:
-            manager = MemoryManager(string_dict=True)
+            manager = MemoryManager()
             colls = {
                 "rows": Collection(schema, manager=manager),
                 "_manager": manager,
@@ -139,7 +139,7 @@ def bench_recovery(schema, lengths):
     for n in lengths:
         root = tempfile.mkdtemp(prefix="durbench-rec-")
         try:
-            manager = MemoryManager(string_dict=True)
+            manager = MemoryManager()
             colls = {
                 "rows": Collection(schema, manager=manager),
                 "_manager": manager,

@@ -55,9 +55,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     print(f"generating TPC-H data at SF={args.sf} (seed {args.seed}) ...")
     start = time.perf_counter()
     data = generate(args.sf, seed=args.seed)
-    collections = load_smc(
-        data, columnar=args.columnar, string_dict=not args.no_dict
-    )
+    collections = load_smc(data, columnar=args.columnar)
     rows = save_collections(args.out, collections)
     elapsed = time.perf_counter() - start
     counts = ", ".join(f"{k}={v}" for k, v in data.row_counts().items())
@@ -73,7 +71,6 @@ def _cmd_info(args: argparse.Namespace) -> int:
     collections = load_collections(
         args.snapshot,
         columnar=args.columnar,
-        string_dict=not args.no_dict,
         memory_budget=args.memory_budget,
         block_shift=args.block_shift,
     )
@@ -230,7 +227,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 args.data_dir,
                 snapshot=args.snapshot,
                 columnar=args.columnar,
-                string_dict=not args.no_dict,
                 fsync_policy=args.fsync,
                 **shape,
             )
@@ -249,10 +245,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         from repro.io.snapshot import load_collections
 
         collections = load_collections(
-            args.snapshot,
-            columnar=args.columnar,
-            string_dict=not args.no_dict,
-            **shape,
+            args.snapshot, columnar=args.columnar, **shape
         )
         manager = collections["_manager"]
         source = args.snapshot
@@ -374,7 +367,6 @@ def _cmd_restore(args: argparse.Namespace) -> int:
             args.data_dir,
             snapshot=args.snapshot,
             columnar=args.columnar,
-            string_dict=not args.no_dict,
         )
     except (SmcError, OSError) as exc:
         print(str(exc), file=sys.stderr)
@@ -397,9 +389,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
         known = sorted(QUERIES) + sorted(EXTRA_QUERIES)
         print(f"unknown query {args.query!r}; choose from {known}", file=sys.stderr)
         return 2
-    collections = load_collections(
-        args.snapshot, columnar=args.columnar, string_dict=not args.no_dict
-    )
+    collections = load_collections(args.snapshot, columnar=args.columnar)
     query = builder(collections)
     if args.explain:
         print(query.explain(params=DEFAULT_PARAMS))
@@ -460,17 +450,11 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--seed", type=int, default=42)
     gen.add_argument("--out", default="tpch.smcsnap")
     gen.add_argument("--columnar", action="store_true")
-    gen.add_argument(
-        "--no-dict",
-        action="store_true",
-        help="disable dictionary encoding for varstring columns (ablation)",
-    )
     gen.set_defaults(fn=_cmd_gen)
 
     info = sub.add_parser("info", help="describe a snapshot")
     info.add_argument("snapshot")
     info.add_argument("--columnar", action="store_true")
-    info.add_argument("--no-dict", action="store_true")
     info.add_argument(
         "--metrics",
         action="store_true",
@@ -519,7 +503,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=7070)
     serve.add_argument("--columnar", action="store_true")
-    serve.add_argument("--no-dict", action="store_true")
     serve.add_argument(
         "--max-concurrency",
         type=int,
@@ -574,11 +557,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="parallel scan workers (vectorised engines only); "
         "'auto' uses os.cpu_count()",
     )
-    query.add_argument(
-        "--no-dict",
-        action="store_true",
-        help="disable dictionary encoding for varstring columns (ablation)",
-    )
     query.set_defaults(fn=_cmd_query)
 
     bench = sub.add_parser("bench", help="run a figure bench (e.g. fig11)")
@@ -617,7 +595,6 @@ def build_parser() -> argparse.ArgumentParser:
     restore_p.add_argument("data_dir")
     restore_p.add_argument("snapshot")
     restore_p.add_argument("--columnar", action="store_true")
-    restore_p.add_argument("--no-dict", action="store_true")
     restore_p.set_defaults(fn=_cmd_restore)
 
     return parser

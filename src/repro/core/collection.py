@@ -43,7 +43,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.memory.block import Block
     from repro.query.builder import Query
 
-#: A varstring field's slot word (dictionary code or heap address).
+#: A varstring field's slot word (its dictionary code).
 _WORD = struct.Struct("<q")
 
 _default_manager: Optional[MemoryManager] = None
@@ -142,18 +142,18 @@ class Collection:
             registry = {}
             self.manager.collections = registry  # type: ignore[attr-defined]
         primary = registry.setdefault(schema.__name__, self)
-        # Per-collection string dictionary (shared by collections of the
-        # same schema on one manager, since fields resolve it by schema
-        # name through the registry).
+        # Per-collection string dictionary: every varstring slot holds a
+        # code of it (shared by collections of the same schema on one
+        # manager, since fields resolve it by schema name through the
+        # registry).
         if primary is not self:
             self.strdict = primary.strdict
-        elif self.layout.var_fields and getattr(self.manager, "string_dict", True):
+        elif self.layout.var_fields:
             from repro.memory.stringheap import StringDict
 
             self.strdict = StringDict(self.manager.strings, self.manager.epochs)
         else:
             self.strdict = None
-        self.context.strdict = self.strdict
         if auto_compact_occupancy is not None and not (
             0.0 < auto_compact_occupancy < 1.0
         ):
@@ -276,7 +276,7 @@ class Collection:
         buf = block.buf
         buf[off + SLOT_HEADER_SIZE : off + size] = body
         for index, offset in strings:
-            _WORD.pack_into(buf, off + offset, self._store_text(raws[index]))
+            _WORD.pack_into(buf, off + offset, self.strdict.intern(raws[index]))
         manager = self.manager
         if manager.direct_pointers:
             for index, field in self.layout.codec.refs:
@@ -285,13 +285,6 @@ class Collection:
                     field.encode_words(
                         buf, off + field.offset, *self._ref_words(field, ref)
                     )
-
-    def _store_text(self, text: str) -> int:
-        """Store one varstring; returns its slot word."""
-        sd = self.strdict
-        if sd is not None:
-            return sd.intern(text)
-        return self.manager.strings.alloc(text)
 
     def remove(self, obj: Union[Handle, Ref]) -> None:
         """End *obj*'s lifetime; all references to it become null.

@@ -106,10 +106,7 @@ class ColumnarHandle:
         if isinstance(field, CharField):
             return bytes(raw).rstrip(b" \x00").decode("utf-8")
         if isinstance(field, VarStringField):
-            sd = collection.strdict
-            if sd is not None:
-                return sd.text_of(int(raw))
-            return manager.strings.read(int(raw))
+            return collection.strdict.text_of(int(raw))
         return field.from_raw(
             raw.item() if isinstance(raw, np.generic) else raw
         )
@@ -161,10 +158,7 @@ class ColumnarCollection(Collection):
         super().__init__(schema, manager, name)
         #: Columnar contexts build columnar blocks instead of row blocks.
         self.context.block_class = ColumnarBlock
-        if self.strdict is not None:
-            self.context.dict_fields = frozenset(
-                f.name for f in self.layout.var_fields
-            )
+        self.context.dict_fields = frozenset(f.name for f in self.layout.var_fields)
 
     # -- row construction --------------------------------------------------
 
@@ -186,7 +180,7 @@ class ColumnarCollection(Collection):
                 columns[name + "__w"][slot] = raw
                 columns[name + "__i"][slot] = inc
             elif kind == FIELD_VAR:
-                columns[name][slot] = self._store_text(
+                columns[name][slot] = self.strdict.intern(
                     raw if type(raw) is str else ""
                 )
             else:
@@ -195,7 +189,6 @@ class ColumnarCollection(Collection):
     def _write_field(
         self, block: ColumnarBlock, slot: int, field: Field, value: Any
     ) -> None:
-        manager = self.manager
         if isinstance(field, RefField):
             pair = self._ref_words(field, value)
             if pair is None:
@@ -214,32 +207,18 @@ class ColumnarCollection(Collection):
             block.columns[field.name][slot] = data
             return
         if isinstance(field, VarStringField):
-            text = "" if value is None else str(value)
-            sd = self.strdict
-            old = int(block.columns[field.name][slot])
-            if sd is not None:
-                if old > 0:
-                    sd.release(old)
-                block.columns[field.name][slot] = sd.intern(text)
-                return
-            if old != NULL_ADDRESS and old != 0:
-                manager.strings.free(old)
-            block.columns[field.name][slot] = manager.strings.alloc(text)
+            self.strdict.release(int(block.columns[field.name][slot]))
+            block.columns[field.name][slot] = self.strdict.intern(
+                "" if value is None else str(value)
+            )
             return
         block.columns[field.name][slot] = field.to_raw(value)
 
     def _release(self, block: ColumnarBlock, address: int) -> None:
         slot = block.slot_of_address(address)
-        sd = self.strdict
         for field in self.layout.var_fields:
-            raw = int(block.columns[field.name][slot])
-            if sd is not None:
-                if raw > 0:
-                    sd.release(raw)
-                block.columns[field.name][slot] = 0
-            elif raw != NULL_ADDRESS and raw != 0:
-                self.manager.strings.free(raw)
-                block.columns[field.name][slot] = NULL_ADDRESS
+            self.strdict.release(int(block.columns[field.name][slot]))
+            block.columns[field.name][slot] = 0
 
     # -- enumeration --------------------------------------------------------
 

@@ -127,9 +127,9 @@ def collection_flags(collections: Dict[str, Any]) -> Dict[str, Any]:
         for k, c in collections.items()
         if not k.startswith("_")
     )
-    manager = collections.get("_manager")
-    string_dict = bool(getattr(manager, "string_dict", True))
-    return {"columnar": columnar, "string_dict": string_dict}
+    # Varstrings are always dictionary codes; the key stays so manifests
+    # keep their bytes, and recovery refuses any other value.
+    return {"columnar": columnar, "string_dict": True}
 
 
 class CheckpointManager:

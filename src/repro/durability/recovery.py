@@ -128,15 +128,14 @@ def recover(
     *,
     manager=None,
     columnar: Optional[bool] = None,
-    string_dict: Optional[bool] = None,
     shm: bool = False,
     memory_budget: Optional[int] = None,
 ):
     """Rebuild the collections stored in *data_dir*.
 
     Returns ``(collections, report)`` where ``collections`` includes the
-    ``"_manager"`` key, exactly like ``load_collections``.  Layout and
-    encoding default to what the manifest recorded; ``shm`` and
+    ``"_manager"`` key, exactly like ``load_collections``.  The layout
+    defaults to what the manifest recorded; ``shm`` and
     ``memory_budget`` shape the fresh manager the checkpoint is adopted
     into, as they do for a snapshot load, and the log tail replays onto
     it.
@@ -150,10 +149,14 @@ def recover(
         raise RecoveryError(
             f"{data_dir} is not an initialized data directory (no MANIFEST)"
         )
+    if manifest.get("string_dict", True) is not True:
+        raise RecoveryError(
+            f"{data_dir} stores varstrings as plain string-heap addresses "
+            f"(MANIFEST string_dict: false); only dictionary-coded string "
+            f"encoding is recovered"
+        )
     if columnar is None:
         columnar = bool(manifest.get("columnar", False))
-    if string_dict is None:
-        string_dict = bool(manifest.get("string_dict", True))
 
     checkpoint_path = os.path.join(dd.root, manifest["checkpoint"])
     try:
@@ -161,7 +164,6 @@ def recover(
             checkpoint_path,
             manager=manager,
             columnar=columnar,
-            string_dict=string_dict,
             shm=shm,
             memory_budget=memory_budget,
         )

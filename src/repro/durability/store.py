@@ -148,7 +148,6 @@ class DurableStore:
         *,
         snapshot: Optional[str] = None,
         columnar: bool = False,
-        string_dict: bool = True,
         shm: bool = False,
         memory_budget: Optional[int] = None,
         fsync_policy: str = "commit",
@@ -173,17 +172,12 @@ class DurableStore:
             collections = load_collections(
                 snapshot,
                 columnar=columnar,
-                string_dict=string_dict,
                 shm=shm,
                 memory_budget=memory_budget,
             )
         elif collections is None:
             collections = {
-                "_manager": MemoryManager(
-                    string_dict=string_dict,
-                    shm=shm,
-                    memory_budget=memory_budget,
-                )
+                "_manager": MemoryManager(shm=shm, memory_budget=memory_budget)
             }
         if "_manager" not in collections:
             raise DataDirError("collections must include '_manager'")
@@ -208,7 +202,6 @@ class DurableStore:
         fsync_policy: str = "commit",
         checkpoint_bytes: int = DEFAULT_CHECKPOINT_BYTES,
         columnar: Optional[bool] = None,
-        string_dict: Optional[bool] = None,
         shm: bool = False,
         memory_budget: Optional[int] = None,
     ) -> "DurableStore":
@@ -220,7 +213,6 @@ class DurableStore:
         collections, report = recover(
             data_dir,
             columnar=columnar,
-            string_dict=string_dict,
             shm=shm,
             memory_budget=memory_budget,
         )
@@ -252,9 +244,12 @@ class DurableStore:
         }
         for coll in self.collections.values():
             coll.mutation_log = self
-            strdict = getattr(coll, "strdict", None)
-            if strdict is not None:
-                strdict.on_bind = self._on_strdict_bind
+            if coll.strdict is not None:
+                coll.strdict.on_bind = self._on_strdict_bind
+                # An adopted dictionary indexes itself at its first write
+                # or lookup, under its lock; the store builds the index
+                # before it accepts a request, so no batch waits for it.
+                coll.strdict.build_index()
 
     def detach_mutation_hooks(self) -> None:
         """Stop logging mutations: ``add``/``remove``/``setattr`` on the
@@ -262,7 +257,7 @@ class DurableStore:
         for coll in self.collections.values():
             if getattr(coll, "mutation_log", None) is self:
                 coll.mutation_log = None
-            strdict = getattr(coll, "strdict", None)
+            strdict = coll.strdict
             if strdict is not None and strdict.on_bind == self._on_strdict_bind:
                 strdict.on_bind = None
 

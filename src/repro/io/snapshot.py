@@ -14,7 +14,9 @@ Format ``SMCSNAP2`` (little-endian)::
     magic   b"SMCSNAP2"
     u32     header length | u32 header CRC32
     header  UTF-8 JSON:
-              block_shift, string_dict, direct_pointers    manager parameters
+              block_shift, direct_pointers                 manager parameters
+              string_dict                                  true (the one string
+                                                           encoding: codes)
               align                                        section alignment
               collections: per collection, in save order
                 name, schema, fields [[name, type, meta]]  validated on load
@@ -204,7 +206,9 @@ def save_collections(
         heap_blocks = heap.blocks()
         header = {
             "block_shift": manager.space.block_shift,
-            "string_dict": bool(manager.string_dict),
+            # Varstrings are dictionary codes; the key stays so images
+            # keep their bytes, and a reader refuses any other value.
+            "string_dict": True,
             "direct_pointers": bool(manager.direct_pointers),
             "align": mmap.ALLOCATIONGRANULARITY,
             "collections": [
@@ -389,7 +393,6 @@ def load_collections(
     path: str,
     manager: Optional[MemoryManager] = None,
     columnar: bool = False,
-    string_dict: bool = True,
     shm: bool = False,
     memory_budget: Optional[int] = None,
     block_shift: Optional[int] = None,
@@ -397,15 +400,15 @@ def load_collections(
     """Load a snapshot; returns name → collection (plus ``"_manager"``).
 
     Tabular classes are resolved by name through the schema registry and
-    validated against the stored field specification.  ``string_dict``,
-    ``shm`` (shared-memory block buffers, for the process executor),
+    validated against the stored field specification.  ``shm``
+    (shared-memory block buffers, for the process executor),
     ``memory_budget`` (attach a pager keeping the block pool under a byte
     budget) and ``block_shift`` (log2 block size; default: the image's)
     shape the fresh manager and are ignored when an explicit *manager* is
     supplied.
 
     A block image is adopted in place when it already has the requested
-    shape — layout, string encoding, block size — and the manager is
+    shape — layout and block size — and the manager is
     fresh; otherwise it is adopted aside and its rows are copied across
     (:func:`_convert`).  When log records would no longer find the rows
     under the entry ids they name — an image with an ``entry-ids``
@@ -423,19 +426,15 @@ def load_collections(
 
     with open(path, "rb") as fh:
         header = _open_image(fh, path)
-        stored = {
-            key: header[key]
-            for key in ("block_shift", "string_dict", "direct_pointers")
-        }
+        stored = {key: header[key] for key in ("block_shift", "direct_pointers")}
         if manager is None:
-            wanted = dict(stored, string_dict=string_dict)
+            wanted = dict(stored)
             if block_shift is not None:
                 wanted["block_shift"] = block_shift
             adoptable = True
         else:
             wanted = dict(
                 block_shift=manager.space.block_shift,
-                string_dict=bool(manager.string_dict),
                 direct_pointers=bool(manager.direct_pointers),
             )
             # Stored block and entry ids are only free in an unused manager.
@@ -542,6 +541,12 @@ def _read_header(fh: BinaryIO) -> Dict[str, Any]:
             header[key]
     except _ADOPT_ERRORS as exc:
         raise SnapshotError(f"malformed header: {exc}") from None
+    if header["string_dict"] is not True:
+        raise SnapshotError(
+            "the image stores varstrings as plain string-heap addresses "
+            "(header string_dict: false); only dictionary-coded string "
+            "encoding is read"
+        )
     header["offset"] = len(_MAGIC) + _HEADER_FRAME.size + length
     header["file_bytes"] = os.fstat(fh.fileno()).st_size
     return header
@@ -761,7 +766,6 @@ def describe_snapshot(path: str) -> Dict[str, Any]:
         "file_bytes": header["file_bytes"],
         "header_bytes": header["offset"],
         "block_shift": header["block_shift"],
-        "string_dict": header["string_dict"],
         "direct_pointers": header["direct_pointers"],
         "collections": [
             {

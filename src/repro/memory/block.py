@@ -518,8 +518,8 @@ class ColumnarBlock(Block):
     @staticmethod
     def _geometry(context: "MemoryContext", n: int):
         """Columns in field order (a reference field contributes its
-        ``__w`` int64 and ``__i`` uint32 words; dictionary-coded
-        varstrings hold int32 codes instead of 8-byte heap addresses),
+        ``__w`` int64 and ``__i`` uint32 words; varstrings hold int32
+        dictionary codes in place of the row slot's 8-byte word),
         each 8-byte aligned, then directory, back-pointers and
         incarnation words as contiguous arrays."""
         columns = []

@@ -79,7 +79,6 @@ class MemoryManager:
         block_shift: int = DEFAULT_MANAGER_BLOCK_SHIFT,
         reclamation_threshold: float = DEFAULT_RECLAMATION_THRESHOLD,
         direct_pointers: bool = False,
-        string_dict: bool = True,
         shm: bool = False,
         memory_budget: Optional[int] = None,
     ) -> None:
@@ -114,9 +113,6 @@ class MemoryManager:
             self.pager = Pager(self, memory_budget)
         self.table = IndirectionTable()
         self.strings = StringHeap(self.space, self.epochs)
-        #: Dictionary-encode varstring columns: collections intern distinct
-        #: strings and store dense int codes instead of heap addresses.
-        self.string_dict = string_dict
         self.reclamation_threshold = reclamation_threshold
         #: Direct-pointer mode (section 6): references *between* SMCs store
         #: raw addresses and incarnation checks use the slot header.
@@ -459,7 +455,7 @@ class MemoryManager:
                     dicts := {
                         id(sd): sd
                         for c in getattr(self, "collections", {}).values()
-                        if (sd := getattr(c, "strdict", None)) is not None
+                        if (sd := c.strdict) is not None
                     }.values()
                 )
                 else ""
@@ -526,9 +522,8 @@ class MemoryManager:
             contexts.append(entry)
         string_dicts = {}
         for name, coll in getattr(self, "collections", {}).items():
-            strdict = getattr(coll, "strdict", None)
-            if strdict is not None:
-                string_dicts[name] = strdict.live_count
+            if coll.strdict is not None:
+                string_dicts[name] = coll.strdict.live_count
         stats = self.stats
         counters = {
             "allocations": stats.allocations,

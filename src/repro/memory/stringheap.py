@@ -229,15 +229,6 @@ class StringHeap:
             )
         return hashes
 
-    def read_bytes(self, addr: int) -> bytes:
-        """Raw utf-8 payload at *addr* without the decode step."""
-        if addr == NULL_ADDRESS:
-            return b""
-        block = self._space.block_at(addr)
-        off = self._space.offset_of(addr)
-        (length,) = _LEN.unpack_from(block.buf, off)
-        return bytes(block.buf[off + _LEN.size : off + _LEN.size + length])
-
     def holds(self, addr: int, data: bytes) -> bool:
         """Whether the record at *addr* has payload *data* (no copy of
         the record is kept)."""
@@ -396,7 +387,9 @@ class StringDict:
     record to build anything.  The first :meth:`intern`, :meth:`release`
     or :meth:`code_of` copies the arrays, hashes the live records block
     by block and builds the index, once, under the lock and before any
-    refcount moves (see :meth:`_build_index`).
+    refcount moves (see :meth:`_build_index`).  A durable store builds
+    every index up front (:meth:`build_index`), so its first write does
+    not wait for them.
     """
 
     def __init__(self, heap: StringHeap, epochs: "EpochManager") -> None:
@@ -466,6 +459,12 @@ class StringDict:
     def _ensure_index(self) -> None:
         if self._index is None:
             self._build_index()
+
+    def build_index(self) -> None:
+        """Build the lookup index of an adopted dictionary now, not at
+        its first write or lookup (a no-op once it exists)."""
+        with self._lock:
+            self._ensure_index()
 
     @property
     def indexed(self) -> bool:

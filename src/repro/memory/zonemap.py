@@ -144,8 +144,7 @@ def zone_specs(context: "MemoryContext") -> List[Tuple[str, str]]:
             for f in layout.fields
             if type(f).__name__ == "CharField"
         )
-        if getattr(context, "strdict", None) is not None:
-            specs.extend((f.name, "code") for f in layout.var_fields)
+        specs.extend((f.name, "code") for f in layout.var_fields)
         context._zone_specs = specs
     return specs
 

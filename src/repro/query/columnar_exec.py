@@ -780,9 +780,6 @@ class _BlockCtx:
 # sets are already resolved: a block runs array operations only.
 
 _BOOL = ("bool", None)
-#: batch-decoded variable-length string bytes (a collection without a
-#: string dictionary): trailing spaces are data, NUL is the S padding
-_VARBYTES = ("str", -1)
 
 _ARITH = {
     "+": operator.add,
@@ -1015,11 +1012,6 @@ class _Lowering:
 
         return cached
 
-    def _strdict_for(self, field):
-        """String dictionary of the collection owning *field*, if any."""
-        coll = self.manager.collections.get(field.owner.__name__)
-        return getattr(coll, "strdict", None)
-
     # -- one method per expression type ------------------------------
 
     def _const(self, expr: Const) -> _Node:
@@ -1035,29 +1027,16 @@ class _Lowering:
         name = field.name
         if not isinstance(field, VarStringField):
             return _Node(_field_dtype(field), lambda ctx: ctx.column(steps, name))
-        sd = self._strdict_for(field)
-        if sd is not None:
 
-            def codes(ctx):
-                # Row templates store NULL_ADDRESS (-1) for unset
-                # strings; fold to code 0 ("").
-                codes = ctx.column(steps, name).astype(np.int64, copy=False)
-                if codes.size and int(codes.min()) < 0:
-                    codes = np.maximum(codes, 0)
-                return codes
+        def codes(ctx):
+            # Row templates store NULL_ADDRESS (-1) for unset strings;
+            # fold to code 0 ("").
+            codes = ctx.column(steps, name).astype(np.int64, copy=False)
+            if codes.size and int(codes.min()) < 0:
+                codes = np.maximum(codes, 0)
+            return codes
 
-            return _Node(("strcode", sd), codes)
-        strings = self.manager.strings
-
-        def texts(ctx):
-            # Batch-decode the block's records into one NumPy bytes
-            # array so string kernels stay vectorised.
-            raw = ctx.column(steps, name)
-            texts = [strings.read_bytes(int(a)) for a in raw]
-            width = max(map(len, texts), default=1) or 1
-            return np.array(texts, dtype=f"S{width}")
-
-        return _Node(_VARBYTES, texts)
+        return _Node(("strcode", field.dictionary(self.manager)), codes)
 
     def _refid(self, expr: RefIdentity) -> _Node:
         return self._words(expr.steps[:-1], expr.steps[-1].name + "__w")
@@ -1158,7 +1137,7 @@ class _Lowering:
             probe = meta.match_codes("inset", frozenset(str(v) for v in expr.values))
         else:
             raw = [_to_raw(v, inner.dtype) for v in expr.values]
-            if kind == "str" and isinstance(meta, int) and meta > 0:
+            if kind == "str" and isinstance(meta, int):
                 # SQL CHAR comparison ignores trailing spaces: CHAR slots
                 # store values without them, so the probe drops them too.
                 raw = [v.rstrip(b" \x00") for v in raw]
@@ -1689,10 +1668,6 @@ def _decode_column(
     if kind == "date":
         return [days_to_date(v) for v in arr.tolist()]
     if kind == "str" and isinstance(meta, int):
-        if meta < 0:
-            # Batch-decoded varstring bytes: trailing spaces are data;
-            # only the S-dtype NUL padding is insignificant.
-            return [v.rstrip(b"\x00").decode("utf-8") for v in arr.tolist()]
         return [v.rstrip(b" \x00").decode("utf-8") for v in arr.tolist()]
     if kind == "str":
         return [

@@ -423,14 +423,13 @@ def derive_zone_tests(predicates: List[Expr], source: Any = None) -> list:
 
     A prepare-time call: the templates depend on the predicates alone,
     and each request binds them to its parameters
-    (:meth:`ZoneTemplate.bind`).  *source* (the scanned collection)
-    supplies the string dictionary for code-space tests over varstring
-    predicates; without it only numeric tests are derived.
+    (:meth:`ZoneTemplate.bind`).  *source* is the scanned collection: a
+    varstring predicate becomes a code-space test over its field's
+    dictionary there.
     """
     templates: list = []
-    strdict = getattr(source, "strdict", None)
     for pred in predicates:
-        _derive_zone_test(pred, templates, strdict)
+        _derive_zone_test(pred, templates, source.manager)
     return templates
 
 
@@ -457,10 +456,10 @@ def _zone_operand(expr: Expr, spec: Tuple[str, Any]):
     return _NO_LITERAL
 
 
-def _derive_zone_test(expr: Expr, out: list, strdict=None) -> None:
+def _derive_zone_test(expr: Expr, out: list, manager) -> None:
     if isinstance(expr, BoolOp) and expr.op == "and":
         for part in expr.parts:
-            _derive_zone_test(part, out, strdict)
+            _derive_zone_test(part, out, manager)
         return
     if isinstance(expr, Cmp):
         field, literal, op = None, None, expr.op
@@ -474,13 +473,13 @@ def _derive_zone_test(expr: Expr, out: list, strdict=None) -> None:
         if field is None:
             return
         if isinstance(field, VarStringField):
-            if strdict is None or op != "==":
+            if op != "==":
                 return
             if isinstance(literal, Const) and isinstance(literal.value, str):
                 literal = frozenset((literal.value,))
             elif not isinstance(literal, Param):
                 return
-            out.append(CodeZoneTemplate(field.name, strdict, "inset", literal))
+            out.append(_code_template(field, manager, "inset", literal))
             return
         spec = _field_dtype(field)
         raw = _zone_operand(literal, spec)
@@ -515,13 +514,9 @@ def _derive_zone_test(expr: Expr, out: list, strdict=None) -> None:
         if field is None or not expr.values:
             return
         if isinstance(field, VarStringField):
-            if strdict is not None and all(
-                isinstance(v, str) for v in expr.values
-            ):
+            if all(isinstance(v, str) for v in expr.values):
                 out.append(
-                    CodeZoneTemplate(
-                        field.name, strdict, "inset", frozenset(expr.values)
-                    )
+                    _code_template(field, manager, "inset", frozenset(expr.values))
                 )
             return
         spec = _field_dtype(field)
@@ -533,17 +528,17 @@ def _derive_zone_test(expr: Expr, out: list, strdict=None) -> None:
         return
     if isinstance(expr, StrPrefix):
         field = _string_zone_field(expr.inner)
-        if field is not None and strdict is not None:
-            out.append(
-                CodeZoneTemplate(field.name, strdict, "prefix", expr.prefix)
-            )
+        if field is not None:
+            out.append(_code_template(field, manager, "prefix", expr.prefix))
         return
     if isinstance(expr, StrContains):
         field = _string_zone_field(expr.inner)
-        if field is not None and strdict is not None:
-            out.append(
-                CodeZoneTemplate(field.name, strdict, "contains", expr.needle)
-            )
+        if field is not None:
+            out.append(_code_template(field, manager, "contains", expr.needle))
+
+
+def _code_template(field, manager, kind: str, arg) -> CodeZoneTemplate:
+    return CodeZoneTemplate(field.name, field.dictionary(manager), kind, arg)
 
 
 def _zone_field(expr: Expr) -> Optional[Field]:

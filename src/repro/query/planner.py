@@ -232,15 +232,6 @@ def _stats_for_field(source, field) -> Optional[TableStats]:
     return table_stats(coll)
 
 
-def _strdict_for_field(source, field):
-    owner = getattr(field, "owner", None)
-    manager = getattr(source, "manager", None)
-    if owner is None or manager is None:
-        return None
-    coll = getattr(manager, "collections", {}).get(owner.__name__)
-    return getattr(coll, "strdict", None)
-
-
 # ----------------------------------------------------------------------
 # Cost model
 # ----------------------------------------------------------------------
@@ -327,10 +318,8 @@ def _eq_selectivity(source, field, stats: Optional[TableStats]) -> float:
         if distinct:
             return 1.0 / distinct
     if isinstance(field, VarStringField):
-        sd = _strdict_for_field(source, field)
-        if sd is not None and sd.live_count > 0:
-            return 1.0 / sd.live_count
-        return EQ_SELECTIVITY
+        live = field.dictionary(source.manager).live_count
+        return 1.0 / live if live > 0 else EQ_SELECTIVITY
     if isinstance(field, CharField):
         return EQ_SELECTIVITY
     bounds = stats.bounds(field.name) if stats is not None else None
@@ -382,29 +371,32 @@ def estimate_selectivity(expr: Expr, params: Dict[str, Any], source) -> float:
         if field is None:
             return DEFAULT_SELECTIVITY
         if isinstance(field, VarStringField):
-            sd = _strdict_for_field(source, field)
-            if sd is not None and sd.live_count > 0:
-                matched = len(
-                    sd.match_set(
-                        "inset", frozenset(str(v) for v in expr.values)
-                    )
-                )
-                return _clamp(matched / sd.live_count)
+            share = _match_fraction(
+                source, field, "inset", frozenset(str(v) for v in expr.values)
+            )
+            if share is not None:
+                return share
         stats = _stats_for_field(source, field)
         return _clamp(len(expr.values) * _eq_selectivity(source, field, stats))
     if isinstance(expr, (StrPrefix, StrContains)):
         field = _field_of(expr.inner)
         if field is None or not isinstance(field, VarStringField):
             return DEFAULT_SELECTIVITY
-        sd = _strdict_for_field(source, field)
-        if sd is None or sd.live_count <= 0:
-            return DEFAULT_SELECTIVITY
         if isinstance(expr, StrPrefix):
-            matched = len(sd.match_set("prefix", expr.prefix))
+            share = _match_fraction(source, field, "prefix", expr.prefix)
         else:
-            matched = len(sd.match_set("contains", expr.needle))
-        return _clamp(matched / sd.live_count)
+            share = _match_fraction(source, field, "contains", expr.needle)
+        return DEFAULT_SELECTIVITY if share is None else share
     return DEFAULT_SELECTIVITY
+
+
+def _match_fraction(source, field, kind: str, arg) -> Optional[float]:
+    """Share of *field*'s dictionary a string predicate's match set
+    holds; None for an empty dictionary."""
+    sd = field.dictionary(source.manager)
+    if sd.live_count <= 0:
+        return None
+    return _clamp(len(sd.match_set(kind, arg)) / sd.live_count)
 
 
 def _estimate_cmp(expr: Cmp, params: Dict[str, Any], source) -> float:
@@ -424,10 +416,9 @@ def _estimate_cmp(expr: Cmp, params: Dict[str, Any], source) -> float:
     stats = _stats_for_field(source, field)
     if isinstance(field, VarStringField):
         if op == "==" and isinstance(value, str):
-            sd = _strdict_for_field(source, field)
-            if sd is not None and sd.live_count > 0:
-                matched = len(sd.match_set("inset", frozenset((value,))))
-                return _clamp(matched / sd.live_count)
+            share = _match_fraction(source, field, "inset", frozenset((value,)))
+            if share is not None:
+                return share
         return EQ_SELECTIVITY if op == "==" else DEFAULT_SELECTIVITY
     if isinstance(field, CharField):
         # Padded bytes have no numeric raw image; equality still has a

@@ -258,7 +258,7 @@ def _strdict_names(manager) -> Dict[int, str]:
     return {
         id(sd): name
         for name, coll in manager.collections.items()
-        if (sd := getattr(coll, "strdict", None)) is not None
+        if (sd := coll.strdict) is not None
     }
 
 

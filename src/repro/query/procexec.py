@@ -286,9 +286,8 @@ class ProcessScanPool:
         manager = self.manager
         versions = 0
         for coll in getattr(manager, "collections", {}).values():
-            strdict = getattr(coll, "strdict", None)
-            if strdict is not None:
-                versions += strdict.version
+            if coll.strdict is not None:
+                versions += coll.strdict.version
         extra = manager.stats.extra
         return (
             manager.stats.allocations,

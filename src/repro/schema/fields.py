@@ -12,7 +12,7 @@ Float64Field        8      IEEE-754 double
 DecimalField        8      int64 fixed-point (value * 10**scale)
 DateField           4      days since 1970-01-01
 CharField(n)        n      NUL-padded bytes (fixed-width string)
-VarStringField      8      address of a string-heap record
+VarStringField      8      code in the collection's string dictionary
 RefField(T)         16     (entry index | address) + incarnation word
 ==================  =====  ==========================================
 
@@ -42,6 +42,7 @@ from repro.memory.addressing import NULL_ADDRESS
 if TYPE_CHECKING:  # pragma: no cover
     from repro.memory.manager import MemoryManager
     from repro.memory.reference import Ref
+    from repro.memory.stringheap import StringDict
 
 _EPOCH_DATE = _dt.date(1970, 1, 1)
 
@@ -363,62 +364,46 @@ class CharField(Field):
 class VarStringField(Field):
     """Variable-length string owned by the object (string heap record).
 
-    The slot stores the 8-byte address of the heap record; the record's
-    lifetime matches the object's (section 2: "strings referenced by
+    The slot stores the string's code in the owning collection's
+    :class:`~repro.memory.stringheap.StringDict`, which keeps one
+    refcounted heap record per distinct text; the object owns one
+    reference for as long as it lives (section 2: "strings referenced by
     tabular classes are considered part of the object").
     """
 
     size, align, fmt = 8, 8, "q"
     python_type = str
 
-    def _dict_of(self, manager):
-        """The owning collection's string dictionary on *manager*, if any.
+    def dictionary(self, manager) -> "StringDict":
+        """The string dictionary this field's codes index on *manager*.
 
-        Fields are shared across managers, so the dictionary is resolved
-        per call through the manager's collection registry.  ``None`` means
-        the slot stores plain string-heap addresses.
+        The one resolver of "which dictionary does this field use": the
+        dictionary of the collection that hosts the field's class on
+        *manager*.  Fields are shared across managers, so it is resolved
+        per call; a field with no collection on *manager* has none, and
+        that is an error.
         """
-        registry = getattr(manager, "collections", None)
-        if not registry:
-            return None
-        owner = getattr(self, "owner", None)
-        if owner is None:
-            return None
-        return getattr(registry.get(owner.__name__), "strdict", None)
+        registry = getattr(manager, "collections", None) or {}
+        coll = registry.get(getattr(self.owner, "__name__", None))
+        if coll is None:
+            raise TypeError(
+                f"varstring field {self.name!r} has no string dictionary: "
+                f"no collection of its class exists on this manager"
+            )
+        return coll.strdict
 
     def encode_into(self, buf, off: int, value: Any, manager=None) -> None:
-        if manager is None:
-            raise TypeError("VarStringField requires a memory manager")
-        text = "" if value is None else str(value)
-        old = self._struct.unpack_from(buf, off)[0]
-        sd = self._dict_of(manager)
-        if sd is not None:
-            sd.release(old)
-            self._struct.pack_into(buf, off, sd.intern(text))
-            return
-        if old != NULL_ADDRESS:
-            manager.strings.free(old)
-        self._struct.pack_into(buf, off, manager.strings.alloc(text))
+        sd = self.dictionary(manager)
+        sd.release(self._struct.unpack_from(buf, off)[0])
+        self._struct.pack_into(buf, off, sd.intern("" if value is None else str(value)))
 
     def decode_from(self, buf, off: int, manager=None) -> str:
-        if manager is None:
-            raise TypeError("VarStringField requires a memory manager")
-        raw = self._struct.unpack_from(buf, off)[0]
-        sd = self._dict_of(manager)
-        if sd is not None:
-            return sd.text_of(raw)
-        return manager.strings.read(raw)
+        return self.dictionary(manager).text_of(self._struct.unpack_from(buf, off)[0])
 
     def release_into(self, buf, off: int, manager) -> None:
         raw = self._struct.unpack_from(buf, off)[0]
-        sd = self._dict_of(manager)
-        if sd is not None:
-            if raw > 0:
-                sd.release(raw)
-                self._struct.pack_into(buf, off, NULL_ADDRESS)
-            return
-        if raw != NULL_ADDRESS:
-            manager.strings.free(raw)
+        if raw > 0:
+            self.dictionary(manager).release(raw)
             self._struct.pack_into(buf, off, NULL_ADDRESS)
 
     @property

@@ -31,23 +31,19 @@ def load_smc(
     data: TpchData,
     manager: Optional[MemoryManager] = None,
     columnar: bool = False,
-    string_dict: bool = True,
     shm: bool = False,
     memory_budget: Optional[int] = None,
 ) -> Dict[str, Any]:
     """Load the dataset into SMCs; returns name → collection.
 
     The returned dict also carries the manager under ``"_manager"``.
-    ``string_dict=False`` disables dictionary encoding for varstring
-    columns (the ``--no-dict`` ablation); ``shm=True`` backs the blocks
-    with named shared-memory segments so a process pool can attach them;
+    ``shm=True`` backs the blocks with named shared-memory segments so a
+    process pool can attach them;
     ``memory_budget`` attaches a pager that keeps the block pool under
     the given byte budget (cold blocks spill to a tier file).  All are
     ignored when an explicit *manager* is supplied.
     """
-    manager = manager or MemoryManager(
-        string_dict=string_dict, shm=shm, memory_budget=memory_budget
-    )
+    manager = manager or MemoryManager(shm=shm, memory_budget=memory_budget)
     factory = ColumnarCollection if columnar else Collection
     collections: Dict[str, Any] = {
         name: factory(tpch_schema.SCHEMAS[name], manager=manager)

@@ -59,7 +59,7 @@ def data_dir(tmp_path):
 
 
 def _fresh_store(data_dir, **kwargs):
-    manager = MemoryManager(string_dict=True)
+    manager = MemoryManager()
     collections = {
         "persons": Collection(TPerson, manager=manager),
         "orders": Collection(TOrder, manager=manager),
@@ -580,13 +580,12 @@ class TestStoreRecovery:
             )
         reopened.close()
 
-    @pytest.mark.parametrize(
-        "shape", [{"columnar": True}, {"string_dict": False}], ids=["columnar", "nodict"]
-    )
+    @pytest.mark.parametrize("shape", ["columnar", "blocksize"])
     def test_tail_replays_onto_a_converted_checkpoint(self, data_dir, shape):
-        """Recovering into another layout copies the checkpoint row by
-        row, so rows take other entry ids; the log tail, written against
-        the stored ids, must still find them."""
+        """Recovering into another layout, or onto a manager with another
+        block size, copies the checkpoint row by row, so rows take other
+        entry ids; the log tail, written against the stored ids, must
+        still find them."""
         store, colls, manager = _fresh_store(data_dir)
         people = [colls["persons"].add(name=f"p{i}", age=i) for i in range(30)]
         for h in people[:10]:
@@ -600,7 +599,11 @@ class TestStoreRecovery:
         store.close(checkpoint=False)
         manager.close()
 
-        recovered, report = recover(data_dir, **shape)
+        if shape == "columnar":
+            recovered, report = recover(data_dir, columnar=True)
+        else:
+            recovered, report = recover(data_dir, manager=MemoryManager(block_shift=12))
+            assert recovered["_manager"].space.block_shift == 12
         assert report.replayed == 5
         assert _state(recovered) == expected
         recovered["_manager"].close()
@@ -619,6 +622,29 @@ class TestStoreRecovery:
         for open_dir in (recover, DurableStore.open):
             with pytest.raises(SnapshotError, match="SMCSNAP1 row snapshots"):
                 open_dir(data_dir)
+
+    def test_heap_address_manifest_refused(self, data_dir):
+        """A MANIFEST recording plain string-heap addresses
+        (``string_dict: false``) is refused by recovery and by the store,
+        naming the string encoding; ``true`` recovers as written."""
+        store, colls, manager = _fresh_store(data_dir)
+        colls["notes"].add(text="kept", stars=1)
+        store.close()
+        manager.close()
+        path = os.path.join(data_dir, "MANIFEST")
+        with open(path) as fh:
+            manifest = json.load(fh)
+        assert manifest["string_dict"] is True
+        with open(path, "w") as fh:
+            json.dump(dict(manifest, string_dict=False), fh)
+        for open_dir in (recover, DurableStore.open):
+            with pytest.raises(RecoveryError, match="string encoding"):
+                open_dir(data_dir)
+        with open(path, "w") as fh:
+            json.dump(manifest, fh)
+        recovered, __ = recover(data_dir)
+        assert [h.text for h in recovered["notes"]] == ["kept"]
+        recovered["_manager"].close()
 
     def test_uninitialized_dir_refused(self, tmp_path):
         with pytest.raises(RecoveryError):

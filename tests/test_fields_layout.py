@@ -6,6 +6,7 @@ from decimal import Decimal
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.core.collection import Collection
 from repro.memory.block import SLOT_HEADER_SIZE
 from repro.schema.fields import (
     CharField,
@@ -119,7 +120,16 @@ def test_layout_rejects_empty():
         SlotLayout([], "Empty")
 
 
-def test_write_new_applies_defaults(manager):
+@pytest.fixture
+def coded(manager):
+    """*manager* hosting a TEverything collection: the ``memo`` field's
+    slot holds a code of that collection's string dictionary."""
+    Collection(TEverything, manager=manager)
+    return manager
+
+
+def test_write_new_applies_defaults(coded):
+    manager = coded
     layout = TEverything.__layout__
     buf = bytearray(layout.slot_size)
     layout.write_new(buf, 0, {}, manager)
@@ -138,7 +148,8 @@ def test_write_new_rejects_unknown_fields(manager):
         layout.write_new(buf, 0, {"bogus": 1}, manager)
 
 
-def test_write_new_full_row_roundtrip(manager):
+def test_write_new_full_row_roundtrip(coded):
+    manager = coded
     layout = TEverything.__layout__
     buf = bytearray(layout.slot_size)
     values = {
@@ -160,7 +171,8 @@ def test_write_new_full_row_roundtrip(manager):
     assert row == values
 
 
-def test_release_owned_frees_strings(manager):
+def test_release_owned_frees_strings(coded):
+    manager = coded
     layout = TEverything.__layout__
     buf = bytearray(layout.slot_size)
     layout.write_new(buf, 0, {"memo": "hello strings"}, manager)
@@ -170,7 +182,8 @@ def test_release_owned_frees_strings(manager):
     assert layout.read_field(buf, 0, "memo", manager) == ""
 
 
-def test_varstring_overwrite_frees_old(manager):
+def test_varstring_overwrite_frees_old(coded):
+    manager = coded
     layout = TEverything.__layout__
     buf = bytearray(layout.slot_size)
     layout.write_new(buf, 0, {"memo": "first"}, manager)
@@ -178,6 +191,19 @@ def test_varstring_overwrite_frees_old(manager):
     layout.write_field(buf, 0, "memo", "second", manager)
     assert manager.strings.bytes_in_use == used
     assert layout.read_field(buf, 0, "memo", manager) == "second"
+
+
+def test_varstring_without_a_dictionary_raises(manager):
+    """Codes are the one varstring representation: with no collection of
+    its class on the manager, a field has no dictionary to code into."""
+    layout = TEverything.__layout__
+    buf = bytearray(layout.slot_size)
+    for access in (
+        lambda: layout.write_field(buf, 0, "memo", "text", manager),
+        lambda: layout.read_field(buf, 0, "memo", manager),
+    ):
+        with pytest.raises(TypeError, match="no string dictionary"):
+            access()
 
 
 def test_int_field_sizes():

@@ -20,7 +20,6 @@ from repro.schema.fields import (
     Int64Field,
     VarStringField,
 )
-from repro.schema.layout import SlotLayout
 from repro.schema.tabular import Tabular, TabularMeta
 
 _counter = itertools.count()
@@ -71,20 +70,11 @@ def schema_and_rows(draw):
 def test_random_layout_roundtrip(data):
     """Any ordered mix of field kinds packs and unpacks losslessly."""
     fields, rows = data
-    for name, field in fields:
-        field.name = name  # bind manually (no tabular class needed)
-        field.index = 0
-        field.owner = object
-        if field.fmt:
-            import struct as _struct
-
-            field._struct = _struct.Struct("<" + field.fmt)
-        elif isinstance(field, CharField):
-            import struct as _struct
-
-            field._struct = _struct.Struct(f"<{field.width}s")
-    layout = SlotLayout([f for __, f in fields], f"Rand{next(_counter)}")
+    schema = TabularMeta(f"Rand{next(_counter)}", (Tabular,), dict(fields))
+    layout = schema.__layout__
     manager = MemoryManager(block_shift=12)
+    # The collection gives varstring fields their dictionary.
+    Collection(schema, manager=manager)
     try:
         for row in rows:
             buf = bytearray(layout.slot_size)

@@ -209,7 +209,7 @@ class _Log:
 @contextlib.contextmanager
 def _store():
     with tempfile.TemporaryDirectory() as root:
-        manager = MemoryManager(string_dict=True)
+        manager = MemoryManager()
         colls = {
             EVERY: Collection(TEverything, manager=manager),
             LEDGER: Collection(TLedger, manager=manager),

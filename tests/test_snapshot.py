@@ -173,12 +173,10 @@ def test_dict_varstring_roundtrip_after_compaction(snap_path):
     Compaction relocates slots holding dictionary codes and the image
     carries the code table beside them; this pins the full pipeline:
     intern, churn (so codes enter and leave the dictionary), compact,
-    save, reload with dict encoding on (adopted) *and* off (converted row
-    by row).  Small blocks force the rows across several blocks so
-    compaction really relocates.
+    save, reload (adopted).  Small blocks force the rows across several
+    blocks so compaction really relocates.
     """
     manager = MemoryManager(block_shift=10, reclamation_threshold=0.99)
-    assert manager.string_dict
     notes = Collection(TNote, manager=manager)
     handles = []
     for i in range(400):
@@ -196,19 +194,12 @@ def test_dict_varstring_roundtrip_after_compaction(snap_path):
 
     save_collections(snap_path, {"notes": notes})
 
-    loaded = load_collections(snap_path, string_dict=True)
+    loaded = load_collections(snap_path)
     ln = loaded["notes"]
-    assert ln.strdict is not None
     assert sorted((h.text, h.stars) for h in ln) == expected
     # Distinct count reflects only surviving strings.
     assert ln.strdict.live_count == len({t for t, __ in expected})
     loaded["_manager"].close()
-
-    plain = load_collections(snap_path, string_dict=False)
-    lp = plain["notes"]
-    assert lp.strdict is None
-    assert sorted((h.text, h.stars) for h in lp) == expected
-    plain["_manager"].close()
     manager.close()
 
 # ----------------------------------------------------------------------
@@ -299,8 +290,8 @@ def test_direct_pointer_image_roundtrip(direct_manager, snap_path, columnar, con
 
 
 def test_adoption_needs_matching_shape(snap_path):
-    """Same shape adopts the image (holes and all); another block size,
-    layout or string encoding converts row by row (densely)."""
+    """Same shape adopts the image (holes and all); another block size
+    or layout converts row by row (densely)."""
     manager = MemoryManager(block_shift=10)
     notes = Collection(TNote, manager=manager)
     handles = [notes.add(text=f"t{i % 9}", stars=i % 5) for i in range(100)]
@@ -314,7 +305,6 @@ def test_adoption_needs_matching_shape(snap_path):
         ({}, True),
         ({"manager": MemoryManager(block_shift=10)}, True),
         ({"block_shift": 12}, False),
-        ({"string_dict": False}, False),
         ({"columnar": True}, False),
         ({"manager": MemoryManager(block_shift=12)}, False),
     ]:
@@ -423,6 +413,22 @@ def test_flipped_byte_names_the_section(image, kind):
         fh.write(bytes([byte[0] ^ 0x40]))
     with pytest.raises(SnapshotError, match=f"{kind} section {frame.ident}"):
         load_collections(path)
+
+
+def test_heap_address_string_encoding_refused(image):
+    """An image whose header says its varstrings are plain string-heap
+    addresses (``string_dict: false``; frames and checksums recomputed,
+    so the file is otherwise well formed) is refused, naming the string
+    encoding: dictionary codes are the only one read."""
+    path, __ = image
+    header, frames = _frames(path)
+    payloads = _payloads(path, frames)
+    _rewrite(path, header, payloads)  # re-emitted as it was: still read
+    load_collections(path)["_manager"].close()
+    _rewrite(path, dict(header, string_dict=False), payloads)
+    for read in (describe_snapshot, load_collections):
+        with pytest.raises(SnapshotError, match="string encoding"):
+            read(path)
 
 
 def test_flipped_header_and_frame_bytes_rejected(image):
@@ -565,9 +571,8 @@ def _all_digests(collections):
 
 
 @pytest.mark.parametrize("shm", [False, True], ids=["heap", "shm"])
-@pytest.mark.parametrize("use_dict", [True, False], ids=["dict", "nodict"])
 @pytest.mark.parametrize("columnar", [False, True], ids=["row", "columnar"])
-def test_tpch_differential_after_churn(tpch_tiny, tmp_path, columnar, use_dict, shm):
+def test_tpch_differential_after_churn(tpch_tiny, tmp_path, columnar, shm):
     """Removes, updates, a compaction and an un-advanced epoch, then all
     ten TPC-H queries and enumeration order must agree between the live
     store, its adopted image and a conversion of that image to the other
@@ -576,7 +581,7 @@ def test_tpch_differential_after_churn(tpch_tiny, tmp_path, columnar, use_dict, 
 
     src = load_smc(
         tpch_tiny,
-        manager=MemoryManager(block_shift=14, string_dict=use_dict, shm=shm),
+        manager=MemoryManager(block_shift=14, shm=shm),
         columnar=columnar,
     )
     manager, line = src["_manager"], src["lineitem"]
@@ -596,10 +601,10 @@ def test_tpch_differential_after_churn(tpch_tiny, tmp_path, columnar, use_dict, 
 
     image = str(tmp_path / "image.smcsnap")
     save_collections(image, src)
-    convert = dict(columnar=not columnar, block_shift=13, string_dict=use_dict, shm=shm)
+    convert = dict(columnar=not columnar, block_shift=13, shm=shm)
     stores = [
         src,
-        load_collections(image, columnar=columnar, string_dict=use_dict, shm=shm),
+        load_collections(image, columnar=columnar, shm=shm),
         load_collections(image, **convert),
         load_collections(image, **convert),
     ]
@@ -719,12 +724,11 @@ def _nodes_view(collections):
     late_removes=st.lists(st.integers(0, 60), max_size=6),
     compact=st.booleans(),
     columnar=st.booleans(),
-    use_dict=st.booleans(),
     shm=st.booleans(),
 )
 def test_snapshot_roundtrip_property(
     rows, node_specs, friend_of, removes, updates, late_removes,
-    compact, columnar, use_dict, shm,
+    compact, columnar, shm,
 ):
     """Block images round-trip arbitrary stores, adopted or converted.
 
@@ -741,7 +745,7 @@ def test_snapshot_roundtrip_property(
     import tempfile
 
     factory = ColumnarCollection if columnar else Collection
-    manager = MemoryManager(block_shift=11, string_dict=use_dict, shm=shm)
+    manager = MemoryManager(block_shift=11, shm=shm)
     tmp = tempfile.TemporaryDirectory(prefix="smcsnap-prop-")
     image = os.path.join(tmp.name, "image.smcsnap")
     loaded = []
@@ -786,10 +790,8 @@ def test_snapshot_roundtrip_property(
             remove(index)  # no epoch advance after these
 
         save_collections(image, src)
-        loaded.append(
-            load_collections(image, columnar=columnar, string_dict=use_dict, shm=shm)
-        )
-        convert = dict(columnar=not columnar, block_shift=12, string_dict=use_dict, shm=shm)
+        loaded.append(load_collections(image, columnar=columnar, shm=shm))
+        convert = dict(columnar=not columnar, block_shift=12, shm=shm)
         loaded.append(load_collections(image, **convert))
         loaded.append(load_collections(image, **convert))
         for store in loaded:

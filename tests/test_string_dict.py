@@ -1,8 +1,10 @@
 """Dictionary-encoded string columns: differential and unit coverage.
 
-Differential guarantees first: every TPC-H query must produce identical
-results with dictionary encoding on and off (the ``--no-dict`` ablation),
-on both layouts, across worker counts and pruning settings, and across a
+Differential guarantees first: every TPC-H query, and a string
+predicate of each kind over the TPC-H varstrings, must produce the
+managed baseline's results (plain Python objects holding Python
+strings) on both layouts, across worker counts and pruning settings,
+and string predicates must keep matching the baseline across a
 compaction cycle.  Then the :class:`~repro.memory.stringheap.StringDict`
 unit contract: interning dedups heap records, refcounts track stored
 occurrences, retired codes wait out the two-epoch grace period before
@@ -21,6 +23,7 @@ import contextlib
 import gc
 import importlib.util
 import tracemalloc
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -31,22 +34,45 @@ from hypothesis import strategies as st
 from repro.core.collection import Collection
 from repro.core.columnar import ColumnarCollection
 from repro.io.snapshot import load_collections, save_collections
+from repro.managed.collections_ import ManagedList
 from repro.memory import shm
 from repro.memory.manager import MemoryManager
-from repro.memory.stringheap import StringHeap
+from repro.memory.stringheap import StringDict, StringHeap
 from repro.query import planner
-from repro.query.builder import Count
+from repro.query.builder import Count, Sum
 from repro.tpch.datagen import generate
-from repro.tpch.loader import load_smc
+from repro.tpch.loader import load_managed, load_smc
 from repro.tpch.queries import DEFAULT_PARAMS, EXTRA_QUERIES, QUERIES
+from repro.tpch.schema import Lineitem, Orders, Part
 from tests.schemas import TNote, TPerson
 from tests.seams import unpruned
 
 ALL_QUERIES = {**QUERIES, **EXTRA_QUERIES}
 
-#: (workers, prune) configurations run with the dictionary on, each
-#: differenced against the serial unpruned dict-off baseline; ``prune``
-#: False prepares the scan under ``tests.seams.unpruned``.
+#: The ten TPC-H queries filter on CHAR columns only; these put every
+#: code-space string predicate on the TPC-H varstrings: a prefix through
+#: a reference, containment and grouping by the text, set membership.
+STRING_QUERIES = {
+    "s_prefix": lambda c: c["lineitem"]
+    .query()
+    .where(Lineitem.part.ref("name").startswith("part 1"))
+    .group_by(flag=Lineitem.returnflag)
+    .aggregate(n=Count(), qty=Sum(Lineitem.quantity)),
+    "s_contains": lambda c: c["orders"]
+    .query()
+    .where(Orders.comment.contains("slyly regular"))
+    .group_by(comment=Orders.comment)
+    .aggregate(n=Count()),
+    "s_inset": lambda c: c["part"]
+    .query()
+    .where(Part.name.isin(["part 7 brushed burnished", "part 11 burnished plated", "none"]))
+    .group_by(name=Part.name)
+    .aggregate(n=Count()),
+}
+
+#: (workers, prune) configurations each differenced against the managed
+#: baseline; ``prune`` False prepares the scan under
+#: ``tests.seams.unpruned``.
 CONFIGS = [(1, False), (1, True), (4, True)]
 
 
@@ -55,8 +81,16 @@ def _pruning(prune):
 
 
 def _canonical(result):
-    """Order-insensitive comparison form of a query result."""
-    return (tuple(result.columns), sorted(map(tuple, result.rows)))
+    """Order-insensitive comparison form of a query result: the managed
+    baseline sums in another order, so numbers compare rounded."""
+
+    def cell(value):
+        if isinstance(value, (Decimal, float)):
+            return round(float(value), 4)
+        return value
+
+    rows = [tuple(map(cell, row)) for row in result.rows]
+    return (tuple(result.columns), sorted(rows, key=repr))
 
 
 def _count(result):
@@ -64,31 +98,35 @@ def _count(result):
 
 
 # ----------------------------------------------------------------------
-# Differential: TPC-H, dict on vs. off
+# Differential: TPC-H, dictionary codes vs. the managed baseline
 # ----------------------------------------------------------------------
 
 
+@pytest.fixture(scope="module")
+def tpch_managed(tpch_tiny):
+    """The dataset as managed records: Python objects, Python strings."""
+    return load_managed(tpch_tiny, "list")
+
+
 @pytest.fixture(scope="module", params=["row", "columnar"])
-def tpch_pair(request, tpch_tiny):
-    """The same dataset loaded twice: dictionary on and off."""
-    columnar = request.param == "columnar"
-    dict_on = load_smc(tpch_tiny, columnar=columnar)
-    dict_off = load_smc(tpch_tiny, columnar=columnar, string_dict=False)
-    yield dict_on, dict_off
-    dict_on["_manager"].close()
-    dict_off["_manager"].close()
+def tpch_pair(request, tpch_tiny, tpch_managed):
+    """The same dataset in dictionary-coded SMCs and as managed records."""
+    coded = load_smc(tpch_tiny, columnar=request.param == "columnar")
+    yield coded, tpch_managed
+    coded["_manager"].close()
 
 
-@pytest.mark.parametrize("name", sorted(ALL_QUERIES))
+@pytest.mark.parametrize("name", sorted({**ALL_QUERIES, **STRING_QUERIES}))
 def test_differential_dict_on_off(tpch_pair, name):
-    """Code-space kernels return exactly the heap-string rows."""
-    dict_on, dict_off = tpch_pair
-    with unpruned():
-        baseline = ALL_QUERIES[name](dict_off)
-        expected = _canonical(baseline.run(params=DEFAULT_PARAMS, workers=1))
+    """Code-space kernels return exactly the rows the managed baseline's
+    compiled flavour computes from Python strings."""
+    coded, managed = tpch_pair
+    build = ALL_QUERIES.get(name) or STRING_QUERIES[name]
+    expected = _canonical(build(managed).run(params=DEFAULT_PARAMS))
+    assert expected[1], f"{name} produced no rows at this scale"
     for workers, prune in CONFIGS:
         with _pruning(prune):
-            query = ALL_QUERIES[name](dict_on)
+            query = build(coded)
             got = query.run(params=DEFAULT_PARAMS, workers=workers)
         assert _canonical(got) == expected, (name, workers, prune)
 
@@ -100,10 +138,8 @@ def test_differential_dict_on_off(tpch_pair, name):
 _WORDS = ["alpha", "alphabet", "beta", "betamax", "gamma", "alpaca", ""]
 
 
-def _worn_notes(string_dict):
+def _worn_notes(notes):
     """A multi-block varstring population with most rows freed."""
-    m = MemoryManager(block_shift=14, string_dict=string_dict)
-    notes = Collection(TNote, manager=m)
     handles = [
         notes.add(text=_WORDS[i % len(_WORDS)] + str(i % 11), stars=i % 5)
         for i in range(3000)
@@ -111,7 +147,7 @@ def _worn_notes(string_dict):
     for i, h in enumerate(handles):
         if i % 3:
             notes.remove(h)
-    return m, notes
+    return notes
 
 
 def _note_queries(notes):
@@ -136,22 +172,21 @@ def _note_queries(notes):
 
 
 def test_string_predicates_survive_compaction():
-    """Dict and no-dict scans agree before and after relocation."""
-    m_on, on = _worn_notes(True)
-    m_off, off = _worn_notes(False)
+    """Code-space string predicates over a worn population match the
+    managed baseline before and after compaction relocates the rows."""
+    m = MemoryManager(block_shift=14)
+    on = _worn_notes(Collection(TNote, manager=m))
+    expected = {
+        k: _canonical(q.run())
+        for k, q in _note_queries(_worn_notes(ManagedList(TNote))).items()
+    }
     try:
-        with unpruned():
-            expected = {
-                k: _canonical(q.run(workers=1))
-                for k, q in _note_queries(off).items()
-            }
         assert expected["prefix"][1][0][0] > 0 and expected["contains"][1][0][0] > 0
-        assert len(expected["groupby"][1]) > 1
+        assert expected["eq"][1][0][0] > 0 and len(expected["groupby"][1]) > 1
 
         for compacted in (False, True):
             if compacted:
                 assert on.compact(occupancy_threshold=0.9) > 0
-                off.compact(occupancy_threshold=0.9)
             for workers, prune in CONFIGS:
                 with _pruning(prune):
                     got = {
@@ -160,8 +195,7 @@ def test_string_predicates_survive_compaction():
                     }
                 assert got == expected, (compacted, workers, prune)
     finally:
-        m_on.close()
-        m_off.close()
+        m.close()
 
 
 # ----------------------------------------------------------------------
@@ -389,21 +423,6 @@ def test_match_sets_follow_dictionary_version():
 
     stale = notes.query().where(TNote.text.startswith("prefixed"))
     assert _count(stale.aggregate(n=Count()).run(workers=1)) == 2
-    m.close()
-
-
-def test_no_dict_manager_opts_out():
-    m = MemoryManager(string_dict=False)
-    notes = Collection(TNote, manager=m)
-    assert notes.strdict is None
-    h = notes.add(text="plain heap string", stars=1)
-    assert h.text == "plain heap string"
-    query = (
-        notes.query()
-        .where(TNote.text.contains("heap"))
-        .aggregate(n=Count())
-    )
-    assert _count(query.run(workers=1)) == 1
     m.close()
 
 
@@ -653,13 +672,14 @@ def test_load_reads_no_string_record(tpch_image, monkeypatch):
 
 
 def test_durable_open_adopts_without_reading_a_string(tpch_image, tmp_path, monkeypatch):
-    """Recovery reads no text while it adopts the checkpoint; the replayed
-    tail builds the one dictionary it writes."""
+    """Recovery reads no text while it adopts the checkpoint, and its
+    replayed tail builds only the one dictionary it writes; the store
+    then indexes every dictionary before it takes a request."""
     from repro.durability import DurableStore, recovery
 
     data_dir = str(tmp_path / "data")
     store = DurableStore.create(data_dir, snapshot=tpch_image)
-    assert not any(sd.indexed for sd in _dicts(store.collections).values())
+    assert all(sd.indexed for sd in _dicts(store.collections).values())
     store.apply(
         [
             {
@@ -673,19 +693,59 @@ def test_durable_open_adopts_without_reading_a_string(tpch_image, tmp_path, monk
 
     reads = _count_heap_reads(monkeypatch)
     at_replay = []
+    built = set()
     replay = recovery.apply_batch
 
-    def counting_replay(*args, **kwargs):
+    def counting_replay(collections, *args, **kwargs):
         at_replay.append(reads[0])
-        return replay(*args, **kwargs)
+        replayed = replay(collections, *args, **kwargs)
+        built.update(name for name, sd in _dicts(collections).items() if sd.indexed)
+        return replayed
 
     monkeypatch.setattr(recovery, "apply_batch", counting_replay)
     store = DurableStore.open(data_dir)
     try:
         assert at_replay == [0]
-        built = {name for name, sd in _dicts(store.collections).items() if sd.indexed}
         assert built == {"region"}
+        assert all(sd.indexed for sd in _dicts(store.collections).values())
         assert store.collections["region"].strdict.code_of("sunken") is not None
+    finally:
+        store.close()
+
+
+@pytest.mark.parametrize("how", ["create", "open"])
+def test_durable_store_indexes_before_its_first_batch(tpch_image, tmp_path, monkeypatch, how):
+    """A store seeded from an image, or recovered, has built every
+    dictionary's lookup index when it is handed out: its first write
+    batch builds none, so it does not wait for them under their locks."""
+    from repro.durability import DurableStore
+
+    data_dir = str(tmp_path / "data")
+    store = DurableStore.create(data_dir, snapshot=tpch_image)
+    if how == "open":
+        store.close()
+        store = DurableStore.open(data_dir)
+    builds = [0]
+    real = StringDict._build_index
+
+    def counting(sd):
+        builds[0] += 1
+        real(sd)
+
+    monkeypatch.setattr(StringDict, "_build_index", counting)
+    try:
+        dicts = _dicts(store.collections)
+        assert len(dicts) == 8 and all(sd.indexed for sd in dicts.values())
+        store.apply(
+            [
+                {"op": "add", "collection": "region",
+                 "values": {"regionkey": 99, "name": "ATLANTIS", "comment": "sunken"}},
+                {"op": "add", "collection": "part",
+                 "values": {"partkey": 10**6, "name": "new part", "comment": "x"}},
+            ]
+        )
+        assert builds == [0]
+        assert dicts["part"].code_of("new part") is not None
     finally:
         store.close()
 
