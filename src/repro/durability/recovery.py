@@ -1,4 +1,4 @@
-"""Crash recovery: checkpoint reload + log-tail replay.
+"""Crash recovery: checkpoint reload + the log tail's net effect.
 
 ``recover(data_dir)`` rebuilds the collections a durable store held at
 the moment of the crash:
@@ -11,16 +11,19 @@ the moment of the crash:
    (:func:`~repro.durability.wal.scan_wal`) checks every frame and finds
    the committed boundary, then the committed payloads are decoded, each
    once;
-3. replay the committed prefix through :func:`apply_batch`, i.e. the
-   normal ``add_many``/``remove_many``/``setattr`` paths (so string
-   dictionaries and zone-map versions are maintained as they were live).
-   A replayed ``add`` takes whatever entry the allocator hands out; the
-   :class:`EntryMap` remembers the rows whose id so diverged from the
-   logged one.
+3. replay the committed prefix's net effect through :func:`apply_batch`,
+   i.e. the normal ``add_many``/``remove_many``/``setattr`` paths (so
+   string dictionaries and zone-map versions are maintained as they
+   were live).  A row the tail adds and later removes is skipped with
+   every update of it, unless a record that is applied references it
+   while it lives.  A replayed ``add`` takes whatever entry the
+   allocator hands out; the :class:`EntryMap` remembers the rows whose
+   id so diverged from the logged one, for the length of the replay.
 
-The report carries the boundary (``committed_offset``, ``next_lsn``),
-which ``DurableStore.open`` hands to the appender instead of reading the
-segment a second time.
+The recovered rows therefore hold other entry ids than the writer's log
+names.  ``DurableStore.open`` makes the recovered state its checkpoint
+before it accepts a request (``recover`` alone writes nothing), so no
+record is ever written against ids that a later replay reads otherwise.
 
 A torn final record (or a trailing batch whose COMMIT never reached
 disk) is dropped: the crash interrupted an append that was never
@@ -35,7 +38,7 @@ import contextlib
 import os
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -54,7 +57,7 @@ from repro.durability.wal import (
 
 
 class EntryMap:
-    """Logged entry id → local entry id.
+    """Logged entry id → local entry id, for the length of one recovery.
 
     The identity for every row a checkpoint image holds — images keep
     entry ids, so nothing is stored per checkpointed row.  Only rows
@@ -92,12 +95,17 @@ class RecoveryReport:
     checkpoint_rows: int
     wal_path: str
     records_scanned: int
+    #: Mutation records (ADD / REMOVE / UPDATE) of the committed tail
+    #: applied, and skipped as no part of its net effect.
     replayed: int
+    skipped: int
     interned: int
     dropped_tail_bytes: int
     dropped_open_batch: int
     committed_offset: int
     next_lsn: int
+    #: Rows a converting load gave other entry ids than the image's.
+    renumbered: int
     #: Seconds spent adopting the checkpoint image, reading the log
     #: segment (framing, CRC, decoding the committed payloads) and
     #: applying the committed records.
@@ -119,7 +127,8 @@ class RecoveryReport:
             f"records ({self.interned} interned strings, "
             f"{self.dropped_open_batch} dropped from an open batch, "
             f"{self.dropped_tail_bytes} torn tail bytes) "
-            f"in {self.replay_seconds * 1000:.1f} ms"
+            f"in {self.replay_seconds * 1000:.1f} ms, "
+            f"skipped {self.skipped} with no net effect"
         )
 
 
@@ -172,7 +181,8 @@ def recover(
             f"cannot read checkpoint {checkpoint_path}: {exc}"
         ) from None
     mgr = collections["_manager"]
-    entry_map = EntryMap(collections.pop("_entry_ids", None))
+    seeded = collections.pop("_entry_ids", None)
+    entry_map = EntryMap(seeded)
     loaded = time.perf_counter()
 
     wal_path = os.path.join(dd.root, manifest["wal"])
@@ -194,7 +204,7 @@ def recover(
     strings: Dict[int, str] = {}
     # Batch atomicity is enforced by the committed cut: everything in
     # it is committed, so the tail replays as one batch.
-    replayed = apply_batch(collections, mgr, entry_map, strings, records)
+    replayed, skipped = apply_batch(collections, mgr, entry_map, strings, records)
     if mgr.pager is not None:
         # Replay wrote through the pager's write faults; the end of
         # recovery is an operation boundary, so serving starts under
@@ -209,11 +219,13 @@ def recover(
         wal_path=wal_path,
         records_scanned=len(scan.frames),
         replayed=replayed,
+        skipped=skipped,
         interned=interned,
         dropped_tail_bytes=scan.torn_bytes,
         dropped_open_batch=scan.open_batch_records,
         committed_offset=scan.committed_offset,
         next_lsn=scan.next_lsn,
+        renumbered=0 if seeded is None else len(seeded),
         load_seconds=loaded - start,
         scan_seconds=scanned - loaded,
         replay_seconds=time.perf_counter() - scanned,
@@ -224,21 +236,27 @@ def recover(
 def apply_batch(
     collections, mgr, entry_map: EntryMap, strings: Dict[int, str],
     records: Sequence[WalRecord],
-) -> int:
-    """Re-execute committed log records against the reloaded collections;
-    returns how many mutations (ADD / REMOVE / UPDATE) it applied.
+) -> Tuple[int, int]:
+    """Re-execute the net effect of committed log records against the
+    reloaded collections; returns how many mutations (ADD / REMOVE /
+    UPDATE) it applied and how many it skipped (see :func:`_net_effect`).
 
     INTERN records bind their sid in *strings*; BEGIN / COMMIT are
-    skipped.
-    Each run of ADD records for one collection is one ``add_many``, each
-    run of REMOVE records one ``remove_many`` — the calls the writer
-    made — so a replayed row takes the slot and entry the same sequence
-    of single adds would.
+    skipped.  A skipped ADD still creates a collection first seen in the
+    log.  Each run of applied ADD records for one collection is one
+    ``add_many``, each run of REMOVE records one ``remove_many`` — the
+    calls the writer made — so a replayed row takes the slot and entry
+    the same sequence of single adds would.
     """
     replay = _Replay(collections, mgr, entry_map, strings)
-    for rec in records:
+    skipped = 0
+    for rec, left_out in zip(records, _net_effect(records)):
         kind = rec.kind
-        if kind == ADD:
+        if left_out:
+            skipped += 1
+            if kind == ADD:
+                replay._collection(rec)
+        elif kind == ADD:
             replay.add(rec)
         elif kind == REMOVE:
             replay.remove(rec)
@@ -249,7 +267,76 @@ def apply_batch(
         elif kind not in (BEGIN, COMMIT):
             raise RecoveryError(f"LSN {rec.lsn}: unknown record kind {kind}")
     replay.flush()
-    return replay.applied
+    return replay.applied, skipped
+
+
+def _net_effect(records: Sequence[WalRecord]) -> List[bool]:
+    """Which of *records* replay leaves out, as one flag per record.
+
+    Each ADD pairs with the REMOVE that ends its row inside the tail, in
+    LSN order (an entry added again after its removal is a new row).
+    Both records of a pair are left out, with every UPDATE of the row;
+    so is every UPDATE of a checkpointed row the tail removes.  A pair
+    comes back — its ADD and REMOVE, not its updates — when a record
+    that is applied names the row through ``$r`` at its own LSN: the
+    reference is then made live and turns null, as the writer's did.
+    A REMOVE or UPDATE naming another collection than the row's ADD
+    pairs with nothing and is applied, so replay reports it.
+    """
+    skip = [False] * len(records)
+    #: Logged entry -> [collection, ADD index, UPDATE indexes] of the
+    #: tail row holding it.
+    live: Dict[int, list] = {}
+    #: Logged entry -> UPDATE indexes of the checkpointed row holding it.
+    touched: Dict[int, List[int]] = {}
+    #: ADD index of a left-out row -> the index of its REMOVE.
+    ends: Dict[int, int] = {}
+    #: Record index -> ADD indexes of the tail rows it names through $r.
+    names: Dict[int, List[int]] = {}
+    for i, rec in enumerate(records):
+        kind, payload = rec.kind, rec.payload
+        if kind == ADD:
+            values = payload["v"]
+            values = values.values() if type(values) is dict else ()
+        elif kind == UPDATE:
+            values = (payload["v"],)
+        elif kind == REMOVE:
+            values = ()
+        else:
+            continue
+        for value in values:
+            if type(value) is dict and type(value.get("$r")) is int:
+                target = live.get(value["$r"])
+                if target is not None:
+                    names.setdefault(i, []).append(target[1])
+        entry = int(payload["e"])
+        row = live.get(entry)
+        if row is not None and row[0] != payload["c"]:
+            row = None
+        if kind == ADD:
+            live[entry] = [payload["c"], i, []]
+        elif kind == UPDATE:
+            if row is None:
+                touched.setdefault(entry, []).append(i)
+            else:
+                row[2].append(i)
+        elif row is None:
+            for update in touched.pop(entry, ()):
+                skip[update] = True
+        else:
+            del live[entry]
+            __, add, updates = row
+            skip[add] = skip[i] = True
+            for update in updates:
+                skip[update] = True
+            ends[add] = i
+    stack = [i for i in names if not skip[i]]
+    while stack:
+        for add in names.get(stack.pop(), ()):
+            if skip[add]:
+                skip[add] = skip[ends[add]] = False
+                stack.append(add)
+    return skip
 
 
 class _Flush(Exception):

@@ -205,10 +205,17 @@ class DurableStore:
         shm: bool = False,
         memory_budget: Optional[int] = None,
     ) -> "DurableStore":
-        """Recover *data_dir* and resume appending after the replayed tail.
+        """Recover *data_dir*; what it recovered becomes the checkpoint.
 
         ``shm`` and ``memory_budget`` shape the recovered manager (see
-        :func:`~repro.durability.recovery.recover`).
+        :func:`~repro.durability.recovery.recover`).  Replayed rows, and
+        the rows of a load that converted the image, hold other entry
+        ids than the log names.  So when the committed tail held a
+        mutation, or the load renumbered rows, the store cuts a
+        checkpoint before it is handed out: every later record names
+        rows by the ids the image keeps, and the tail is replayed once,
+        not at every restart.  Otherwise appends resume at the committed
+        boundary recovery's read of the segment found.
         """
         collections, report = recover(
             data_dir,
@@ -216,17 +223,30 @@ class DurableStore:
             shm=shm,
             memory_budget=memory_budget,
         )
-        # Appends resume at the committed boundary recovery's read of the
-        # segment found; the torn tail / uncommitted trailing batch it
-        # skipped is truncated, and the segment is not read again.
-        wal = WriteAheadLog.resume(
-            report.wal_path,
-            start_lsn=report.cut_lsn + 1,
-            next_lsn=report.next_lsn,
-            committed_offset=report.committed_offset,
-            fsync_policy=fsync_policy,
-        )
-        return cls(
+        rolls = bool(report.replayed + report.skipped + report.renumbered)
+        if rolls:
+            # The segment takes no more appends: the checkpoint is cut
+            # after its last committed record, and its torn tail or
+            # uncommitted trailing batch goes with it.
+            wal = WriteAheadLog(
+                report.wal_path,
+                None,
+                next_lsn=report.next_lsn,
+                offset=report.committed_offset,
+                start_lsn=report.cut_lsn + 1,
+                fsync_policy=fsync_policy,
+            )
+        else:
+            # The torn tail / uncommitted trailing batch recovery skipped
+            # is truncated, and the segment is not read again.
+            wal = WriteAheadLog.resume(
+                report.wal_path,
+                start_lsn=report.cut_lsn + 1,
+                next_lsn=report.next_lsn,
+                committed_offset=report.committed_offset,
+                fsync_policy=fsync_policy,
+            )
+        store = cls(
             DataDir(data_dir),
             collections,
             wal,
@@ -234,6 +254,13 @@ class DurableStore:
             owns_manager=True,
             report=report,
         )
+        if rolls:
+            try:
+                store.checkpoint()
+            except BaseException:
+                store.close()
+                raise
+        return store
 
     def _attach(self) -> None:
         # Log records carry the *store key* of a collection (what the

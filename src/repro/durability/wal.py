@@ -61,8 +61,10 @@ it checks every header, the length bound, the CRC and LSN continuity,
 applies the rules above and finds the committed boundary, decoding no
 payload.  :meth:`WalScan.committed_records` then decodes the committed
 payloads, each one once.  A restart runs both on one read of the file
-(:func:`repro.durability.recovery.recover`) and hands the boundary it
-found to :meth:`WriteAheadLog.resume`, which never reads the file.
+(:func:`repro.durability.recovery.recover`).  When the committed tail
+holds no mutation it hands the boundary it found to
+:meth:`WriteAheadLog.resume`, which never reads the file; otherwise the
+store's end-of-recovery checkpoint starts the next segment.
 """
 
 from __future__ import annotations
@@ -317,7 +319,12 @@ def _decode(data, frames: Sequence[Frame], path: str) -> List[WalRecord]:
 
 
 class WriteAheadLog:
-    """Appender over one log segment, with group commit and fsync policy."""
+    """Appender over one log segment, with group commit and fsync policy.
+
+    With ``fh=None`` it stands for a segment recovery read to its
+    committed boundary that takes no more appends: a checkpoint cut
+    after its last committed record is all it is for.
+    """
 
     def __init__(
         self,
@@ -347,7 +354,7 @@ class WriteAheadLog:
         self.fsync_policy = fsync_policy
         self._batch_depth = 0
         self._batch_seq = 0
-        self._dead = False
+        self._dead = fh is None
         self._crashed = False
         # Group-commit buffer: frames appended inside an open batch park
         # here and reach the file in one write at the commit boundary
@@ -369,15 +376,24 @@ class WriteAheadLog:
     def create(
         cls, path: str, start_lsn: int = 1, fsync_policy: str = "commit"
     ) -> "WriteAheadLog":
-        """Create a fresh segment whose first record will carry *start_lsn*."""
-        fh = open(path, "xb", buffering=0)
+        """Create a fresh segment whose first record will carry *start_lsn*.
+
+        The header is written to a temp name and renamed over *path*.  A
+        segment already there holds no committed record — an interrupted
+        checkpoint's, cut at the same LSN, or the active one of a store
+        whose checkpoint is cut again at its start — and is replaced
+        whole or not at all.
+        """
+        tmp = path + ".tmp"
+        fh = open(tmp, "wb", buffering=0)
         try:
             fh.write(FILE_MAGIC + _FILE_HEADER.pack(start_lsn))
             os.fsync(fh.fileno())
+            os.replace(tmp, path)
         except BaseException:
             fh.close()
             with contextlib.suppress(OSError):
-                os.unlink(path)
+                os.unlink(tmp)
             raise
         fsync_dir(os.path.dirname(path) or ".")
         return cls(
@@ -618,9 +634,9 @@ class WriteAheadLog:
 
     def close(self, sync: bool = True) -> None:
         with self._lock:
-            if self._fh.closed:
+            if self._dead:
                 return
-            if not self._dead and not self._crashed:
+            if not self._crashed:
                 self._flush_buffer()
                 if sync:
                     os.fsync(self._fh.fileno())

@@ -117,6 +117,20 @@ def _open_batch(path):
     wal.close()
 
 
+def _count_opens(monkeypatch, path):
+    """The mode of every ``open`` of *path*, until ``monkeypatch.undo()``."""
+    modes = []
+    real_open = builtins.open
+
+    def counting_open(file, mode="r", *args, **kwargs):
+        if file == path:
+            modes.append(mode)
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    return modes
+
+
 class _CountingDecoder:
     """Stands in for the log's payload decoder and counts its calls."""
 
@@ -271,20 +285,14 @@ class TestSingleRead:
         path = _tail_store(data_dir)
         _open_batch(path)
         committed = _committed_texts(path)
-        modes = []
-        real_open = builtins.open
-
-        def counting_open(file, mode="r", *args, **kwargs):
-            if file == path:
-                modes.append(mode)
-            return real_open(file, mode, *args, **kwargs)
-
+        modes = _count_opens(monkeypatch, path)
         decoder = _CountingDecoder()
-        monkeypatch.setattr(builtins, "open", counting_open)
         monkeypatch.setattr(wal_module, "_DECODER", decoder)
         store = DurableStore.open(data_dir)
         monkeypatch.undo()
-        assert modes == ["rb", "r+b"]  # one read; the appender only writes
+        # One read; the checkpoint the replayed tail becomes rolls the log
+        # past the segment, which is never opened to append.
+        assert modes == ["rb"]
         assert decoder.texts == committed  # each once, the open batch never
         assert store.report.dropped_open_batch == 2
         assert store.report.records_scanned == len(committed) + 2
@@ -293,29 +301,65 @@ class TestSingleRead:
     @pytest.mark.parametrize(
         "case", ["clean", "torn-record", "torn-header", "open-batch"]
     )
-    def test_resumes_where_a_reopen_would(self, data_dir, tmp_path, case):
+    def test_resumes_where_a_reopen_would(
+        self, data_dir, tmp_path, monkeypatch, case
+    ):
+        """A tail with committed mutations is read once and becomes the
+        checkpoint: appends resume at the LSN after its last committed
+        record, in a fresh segment, and its torn or uncommitted bytes
+        go with the old one."""
         path = _tail_store(data_dir)
         _damage(path, case)
-        damaged_size = os.path.getsize(path)
+        cut = scan_wal(path).next_lsn - 1
         reference_dir = str(tmp_path / "reference")
         shutil.copytree(data_dir, reference_dir)
-        reference = WriteAheadLog.open(
-            os.path.join(reference_dir, os.path.basename(path)),
-            fsync_policy="none",
-        )
+        reference, __ = recover(reference_dir)
+        modes = _count_opens(monkeypatch, path)
         store = DurableStore.open(data_dir, fsync_policy="none")
+        monkeypatch.undo()
+        assert modes == ["rb"]
+        assert store.cut_lsn == cut
         resumed = store.wal
-        assert resumed.next_lsn == reference.next_lsn
-        assert resumed.committed_lsn == reference.committed_lsn
-        assert resumed.start_lsn == reference.start_lsn
-        assert resumed.size == reference.size == os.path.getsize(path)
-        assert (resumed.size == damaged_size) == (case == "clean")
+        assert resumed.path == store.datadir.wal_path(cut + 1)
+        assert resumed.size == FILE_HEADER_SIZE
+        assert sorted(os.listdir(data_dir)) == sorted(
+            ["MANIFEST", os.path.basename(resumed.path),
+             os.path.basename(store.datadir.checkpoint_path(cut))]
+        )
         probe = encode_payload({"i": 999, "t": "probe"})
-        assert resumed.append(INTERN, probe) == reference.append(INTERN, probe)
+        assert resumed.append(INTERN, probe) == cut + 1
         store.close()
-        reference.close()
-        with open(path, "rb") as a, open(reference.path, "rb") as b:
-            assert a.read() == b.read()
+        # The committed records are in the checkpoint; only the probe
+        # is left to read.
+        recovered, report = recover(data_dir)
+        assert _state(recovered) == _state(reference)
+        assert (report.records_scanned, report.replayed) == (1, 0)
+        assert [r.lsn for r in scan_wal(resumed.path).records] == [cut + 1]
+        recovered["_manager"].close()
+        reference["_manager"].close()
+
+    @pytest.mark.parametrize("case", ["clean", "torn-header", "open-batch"])
+    def test_mutation_free_tail_resumes_in_place(self, data_dir, monkeypatch, case):
+        """A segment with no committed mutation — empty, or holding only
+        a torn tail or an open batch — is appended to where a reopen
+        would, after one read; no checkpoint is cut."""
+        store, __, manager = _fresh_store(data_dir, fsync_policy="none")
+        store.collections["persons"].add(name="kept", age=1)
+        store.checkpoint()
+        path = store.wal.path
+        store.close()
+        manager.close()
+        _damage(path, case)
+        modes = _count_opens(monkeypatch, path)
+        store = DurableStore.open(data_dir, fsync_policy="none")
+        monkeypatch.undo()
+        assert modes == ["rb", "r+b"]  # one read; the appender only writes
+        assert store.wal.path == path and store.stats()["checkpoints_total"] == 0
+        assert store.wal.size == FILE_HEADER_SIZE  # damage truncated away
+        start = store.wal.start_lsn
+        assert store.wal.append(INTERN, encode_payload({"i": 1, "t": "x"})) == start
+        store.close()
+        assert [r.lsn for r in scan_wal(path).records] == [start]
 
     @pytest.mark.parametrize(
         "body",
@@ -356,8 +400,10 @@ class TestSingleRead:
         assert decoder.texts == committed
         assert store.report.dropped_open_batch == 3
         store.close()
-        assert _committed_texts(path) == committed
-        assert scan_wal(path).open_batch_records == 0  # truncated away
+        # The log rolled past the segment, open batch and all; the new
+        # one holds nothing.
+        assert not os.path.exists(path)
+        assert scan_wal(store.wal.path).frames == []
 
     @pytest.mark.parametrize(
         "point,power_loss", [("wal.append.mid", False), ("wal.fsync", True)]
@@ -424,9 +470,10 @@ LOG_DUMP = """\
 """
 
 #: ``repro recover`` of the same dir: the replay counts and the row
-#: listing (the summary's timings are left out).
+#: listing (the summary's timings and skipped count are left out).  Bob
+#: is added and removed in the tail: his two records are skipped.
 RECOVER = """\
-replayed 8 of 15 log records (1 interned strings, 2 dropped from an open batch, 3 torn tail bytes)
+replayed 6 of 15 log records (1 interned strings, 2 dropped from an open batch, 3 torn tail bytes)
   notes                2 rows
   orders               2 rows
   persons              1 rows
@@ -463,7 +510,7 @@ class TestLogCommands:
         assert "\n".join([counts, *rows]) + "\n" == RECOVER
         assert re.search(
             r"loaded in [\d.]+ ms, log read in [\d.]+ ms, replayed .* "
-            r"in [\d.]+ ms$",
+            r"in [\d.]+ ms, skipped 2 with no net effect$",
             summary,
         )
 
@@ -520,6 +567,26 @@ class TestStoreRecovery:
         loaded, report = recover(data_dir)
         assert sorted(h.name for h in loaded["persons"]) == ["a", "b", "c"]
         assert report.checkpoint_rows == 2
+        loaded["_manager"].close()
+
+    def test_checkpoint_over_an_empty_segment(self, data_dir):
+        """A checkpoint with nothing logged since the last one is cut at
+        the same LSN, over the segment it replaces: a graceful stop right
+        after an open (which may itself have checkpointed) must work."""
+        store, colls, manager = _fresh_store(data_dir)
+        colls["persons"].add(name="a", age=1)
+        store.close()
+        manager.close()
+        for __ in range(2):
+            store = DurableStore.open(data_dir)
+            store.close(checkpoint=True)
+            assert sorted(os.listdir(data_dir)) == sorted(
+                ["MANIFEST", os.path.basename(store.wal.path),
+                 os.path.basename(store.datadir.checkpoint_path(store.cut_lsn))]
+            )
+        loaded, report = recover(data_dir)
+        assert [h.name for h in loaded["persons"]] == ["a"]
+        assert report.records_scanned == 0
         loaded["_manager"].close()
 
     def test_remove_where_is_logged(self, data_dir):
@@ -607,6 +674,65 @@ class TestStoreRecovery:
         assert report.replayed == 5
         assert _state(recovered) == expected
         recovered["_manager"].close()
+
+    @pytest.mark.parametrize("columnar", [None, True], ids=["same", "converted"])
+    def test_restart_keeps_one_entry_namespace(self, data_dir, columnar):
+        """An entry a restarted store hands out names the same row after
+        the next restart.  Replayed rows, and the rows of a load that
+        converts the image, take other entries than the writer's; a
+        record logged against them must not be read, at the next
+        restart, in the namespace of the writer's log."""
+        store, colls, manager = _fresh_store(data_dir)
+        persons = colls["persons"]
+        a = persons.add(name="a", age=1)
+        persons.add(name="b", age=2)
+        persons.remove(a)
+        for __ in range(3):
+            manager.epochs.try_advance()  # a's entry is handed out again
+        persons.add(name="c", age=3)
+        persons.add(name="e", age=4)
+        assert {h.name: h.ref.entry for h in persons} == {"b": 1, "c": 0, "e": 2}
+        store.close()
+        manager.close()
+
+        store = DurableStore.open(data_dir, columnar=columnar)
+        entries = {h.name: h.ref.entry for h in store.collections["persons"]}
+        store.apply([{"op": "remove", "collection": "persons", "entry": entries["c"]}])
+        store.close()
+        store = DurableStore.open(data_dir, columnar=columnar)
+        assert sorted(h.name for h in store.collections["persons"]) == ["b", "e"]
+        store.close()
+
+    def test_converting_open_checkpoints_an_empty_tail(self, data_dir):
+        """A load into another layout renumbers the rows behind a
+        removed one; with no log tail at all, the store still cuts the
+        converted state as its checkpoint (over the segment it starts
+        again at the same LSN), so its entries survive the next
+        restart."""
+        store, colls, manager = _fresh_store(data_dir)
+        people = [colls["persons"].add(name=f"p{i}", age=i) for i in range(4)]
+        colls["persons"].remove(people[0])
+        colls["persons"].remove(people[2])
+        store.checkpoint()
+        cut = store.cut_lsn
+        store.close()
+        manager.close()
+
+        store = DurableStore.open(data_dir, columnar=True)
+        report = store.report
+        assert (report.replayed, report.skipped, report.renumbered) == (0, 0, 2)
+        assert store.cut_lsn == cut and store.stats()["checkpoints_total"] == 1
+        assert sorted(os.listdir(data_dir)) == sorted(
+            ["MANIFEST", os.path.basename(store.wal.path),
+             os.path.basename(store.datadir.checkpoint_path(cut))]
+        )
+        entries = {h.name: h.ref.entry for h in store.collections["persons"]}
+        store.apply([{"op": "remove", "collection": "persons", "entry": entries["p3"]}])
+        store.close()
+        store = DurableStore.open(data_dir)
+        assert store.report.renumbered == 0  # the image is columnar now
+        assert [h.name for h in store.collections["persons"]] == ["p1"]
+        store.close()
 
     def test_pre_image_checkpoint_with_log_tail_refused(self, data_dir):
         """A data directory of the row-snapshot era is refused at load,
@@ -774,6 +900,25 @@ CRASH_POINTS = [
 CRASH_QUERIES = ("q1", "q6", "q3", "q12", "q14")
 
 
+def _crash_answers(collections):
+    """Sorted row reprs of :data:`CRASH_QUERIES` over *collections*."""
+    from repro.tpch.queries import DEFAULT_PARAMS, EXTRA_QUERIES, QUERIES
+
+    builders = {**QUERIES, **EXTRA_QUERIES}
+    plain = {k: v for k, v in collections.items() if not k.startswith("_")}
+    return {
+        name: sorted(
+            map(
+                repr,
+                builders[name](plain)
+                .run(engine="compiled", params=DEFAULT_PARAMS)
+                .rows,
+            )
+        )
+        for name in CRASH_QUERIES
+    }
+
+
 class TestCrashMatrix:
     @pytest.mark.parametrize(
         "point,power_loss,after,composed",
@@ -794,26 +939,8 @@ class TestCrashMatrix:
         """
         from repro import sanitizer
         from repro.tpch.loader import load_smc
-        from repro.tpch.queries import DEFAULT_PARAMS, EXTRA_QUERIES, QUERIES
 
-        builders = {**QUERIES, **EXTRA_QUERIES}
-
-        def run_mix(collections):
-            plain = {
-                k: v for k, v in collections.items() if not k.startswith("_")
-            }
-            return {
-                name: sorted(
-                    map(
-                        repr,
-                        builders[name](plain)
-                        .run(engine="compiled", params=DEFAULT_PARAMS)
-                        .rows,
-                    )
-                )
-                for name in CRASH_QUERIES
-            }
-
+        run_mix = _crash_answers
         data_dir = str(tmp_path / "dd")
         shape = dict(shm=True, memory_budget=1) if composed else {}
         collections = load_smc(
@@ -874,6 +1001,57 @@ class TestCrashMatrix:
                 for j in range(5)
             )
         loaded["_manager"].close()
+
+    @pytest.mark.parametrize(
+        "point",
+        ["checkpoint.begin", "checkpoint.snapshot_rename", "checkpoint.manifest_rename"],
+    )
+    def test_crash_inside_the_end_of_recovery_checkpoint(
+        self, tpch_tiny, tmp_path, point
+    ):
+        """``DurableStore.open`` cuts the replayed state as its
+        checkpoint; a crash inside that cut leaves the old manifest
+        authoritative.  The next open recovers the same answers and rows,
+        and its sweep leaves no orphan of the interrupted cut."""
+        from repro import sanitizer
+        from repro.tpch.loader import load_smc
+
+        data_dir = str(tmp_path / "dd")
+        collections = load_smc(tpch_tiny)
+        scratch = collections["scratch"] = Collection(
+            TNote, manager=collections["_manager"], name="scratch"
+        )
+        store = DurableStore.create(data_dir, collections=collections)
+        reference = _crash_answers(collections)
+        for i in range(20):
+            with store.batch():
+                for j in range(5):
+                    scratch.add(text=f"note-{i}-{j}", stars=j)
+        with store.batch():
+            for k, handle in enumerate(list(scratch)):
+                if k % 3 == 0:
+                    scratch.remove(handle)
+                elif k % 4 == 0:
+                    handle.stars = 9
+        live = sorted((h.text, h.stars) for h in scratch)
+        store.close()
+        collections["_manager"].close()
+
+        plan = sanitizer.FaultPlan().crash_at(point)
+        with sanitizer.enabled(faults=plan):
+            with pytest.raises(InjectedFaultError):
+                DurableStore.open(data_dir)
+        assert plan.fired.get(point) == 1
+
+        store = DurableStore.open(data_dir)
+        assert store.report.replayed > 0
+        assert _crash_answers(store.collections) == reference
+        assert sorted((h.text, h.stars) for h in store.collections["scratch"]) == live
+        assert sorted(os.listdir(data_dir)) == sorted(
+            ["MANIFEST", os.path.basename(store.wal.path),
+             os.path.basename(store.datadir.checkpoint_path(store.cut_lsn))]
+        )
+        store.close()
 
     def test_torn_append_reopen_appends_cleanly(self, data_dir):
         """After a mid-append crash, open() truncates and resumes."""

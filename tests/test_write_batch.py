@@ -11,24 +11,27 @@ to ``apply_batch``.  The gates:
   blocks the writes must fault hot, with a compaction between requests;
 * ``recover()`` ends in the writer's state, including a
   self-referencing row whose target an earlier row of the same replayed
-  run adds;
+  run adds, and — over random tails — when it applies only the tail's
+  net effect;
 * a request rejected at any op leaves rows and WAL bytes untouched.
 """
 
 from __future__ import annotations
 
 import hashlib
+import tempfile
 from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.collection import Collection
 from repro.durability import DurableStore, MutationError, recover, scan_wal
-from repro.durability.wal import BEGIN, COMMIT
+from repro.durability.wal import ADD, BEGIN, COMMIT, REMOVE, UPDATE
 from repro.memory.manager import MemoryManager
 from repro.schema.fields import RefField
 from repro.tpch import schema as tpch_schema
-from tests.schemas import TLedger
+from tests.schemas import TLedger, TNote, TPerson
 
 TABLES = ("region", "nation", "supplier", "customer", "part", "orders", "lineitem")
 
@@ -181,8 +184,11 @@ def _value(coll, handle, field):
     value = getattr(handle, field.name)
     if isinstance(field, RefField):
         # A reference by what it points at: entry ids differ between a
-        # writer and a store that replayed its log.
-        return None if value is None else _row(value.collection, value, deep=False)
+        # writer and a store that replayed its log.  One whose target is
+        # removed reads as null.
+        if value is None or not value.is_alive:
+            return None
+        return _row(value.collection, value, deep=False)
     return value
 
 
@@ -372,6 +378,125 @@ def test_replayed_run_resolves_references_to_its_own_rows(tmp_path):
     assert chain == {1: None, 2: 1, 3: 2, 4: 2, 5: 4}
     loaded["_manager"].close()
     store.manager.close()
+
+
+MEMOS = ("", "a", "bb", "shared memo")
+
+
+def _net_effect_ops(data, coll, n):
+    """Draw and run *n* single mutations on *coll* (``ledger`` or
+    ``notes``): adds, removes of live rows, and updates of a scalar, a
+    string or a reference — the reference to any live ledger row, one
+    a later op may remove included."""
+    ledger = coll.manager.collections["TLedger"]
+    for __ in range(n):
+        rows = list(coll)
+        kind = data.draw(st.sampled_from(["add", "remove", "update"] if rows else ["add"]))
+        if kind == "remove":
+            coll.remove(data.draw(st.sampled_from(rows)))
+            continue
+        if coll.schema is TNote:
+            values = {"text": data.draw(st.sampled_from(MEMOS)),
+                      "stars": data.draw(st.integers(0, 5))}
+        else:
+            parents = [None] + list(ledger)
+            values = {"units": data.draw(st.integers(-9, 9)),
+                      "memo": data.draw(st.sampled_from(MEMOS)),
+                      "parent": data.draw(st.sampled_from(parents))}
+        if kind == "add":
+            coll.add(**values)
+        else:
+            name = data.draw(st.sampled_from(sorted(values)))
+            setattr(data.draw(st.sampled_from(rows)), name, values[name])
+
+
+def _tail_mutations(path):
+    """The committed ADD / REMOVE / UPDATE records of a segment."""
+    return sum(
+        rec.kind in (ADD, REMOVE, UPDATE)
+        for rec in scan_wal(path).committed_records()
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_net_effect_replay_matches_the_writer(data):
+    """Replay applies only the tail's net effect — a row the tail adds
+    and removes is skipped, unless an applied record referenced it —
+    and ends in the writer's state; a store opened on it, mutated by
+    the entries it hands out and opened again ends in the acknowledged
+    state."""
+    with tempfile.TemporaryDirectory() as root:
+        manager = MemoryManager()
+        colls = {
+            "ledger": Collection(TLedger, manager=manager, name="ledger"),
+            "notes": Collection(TNote, manager=manager, name="notes"),
+            "_manager": manager,
+        }
+        store = DurableStore.create(root, collections=colls, fsync_policy="none")
+        steps = data.draw(st.integers(1, 12), label="steps")
+        checkpoint_at = data.draw(st.integers(0, steps), label="checkpoint at")
+        visitors = None
+        for step in range(steps):
+            if step == checkpoint_at:
+                store.checkpoint()
+            if visitors is None and step >= min(checkpoint_at, steps - 1):
+                # A collection first seen in the tail; its rows all go.
+                visitors = colls["visitors"] = Collection(TPerson, manager=manager, name="visitors")
+                visitors.mutation_log = store
+                visitors.add(name="guest", age=step)
+            kind = data.draw(st.sampled_from(
+                ["single", "batch", "reuse", "visitor", "dangling"]))
+            coll = colls[data.draw(st.sampled_from(["ledger", "notes"]))]
+            if kind == "dangling":
+                # A reference, from a new row or by an update, to a row
+                # the tail removes now or maybe later.
+                ledger = colls["ledger"]
+                rows = list(ledger)
+                target = ledger.add(units=0, memo="target")
+                if rows and data.draw(st.booleans()):
+                    data.draw(st.sampled_from(rows)).parent = target
+                else:
+                    ledger.add(units=1, parent=target)
+                if data.draw(st.booleans()):
+                    ledger.remove(target)
+            elif kind == "single":
+                _net_effect_ops(data, coll, 1)
+            elif kind == "batch":
+                with store.batch():
+                    _net_effect_ops(data, coll, data.draw(st.integers(2, 5)))
+            elif kind == "reuse":
+                for __ in range(3):  # removed entries are handed out again
+                    manager.epochs.try_advance()
+            elif visitors is not None:
+                visitors.add(name="walk-in", age=step)
+        with store.batch():
+            for handle in list(visitors):
+                visitors.remove(handle)
+        expected = _logical(colls)
+        path = store.wal.path
+        store.close(checkpoint=False)
+        manager.close()
+
+        loaded, report = recover(root)
+        assert _logical(loaded) == expected
+        assert report.replayed + report.skipped == _tail_mutations(path)
+        loaded["_manager"].close()
+
+        for __ in range(2):
+            store = DurableStore.open(root, fsync_policy="none")
+            entries = [h.ref.entry for h in store.collections["ledger"]]
+            ops = [_add("ledger", units=_d("1"), memo="restarted",
+                        parent=_r(entries[-1]) if entries else None)]
+            if entries:
+                ops += [_update("ledger", entries[-1], memo="touched"),
+                        _remove("ledger", entries[0])]
+            store.apply(ops)
+            expected = _logical(store.collections)
+            store.close()
+        store = DurableStore.open(root, fsync_policy="none")
+        assert _logical(store.collections) == expected
+        store.close()
 
 
 # ----------------------------------------------------------------------
