@@ -181,7 +181,7 @@ def _recover_data_dir(data_dir: str):
 
 
 def _parse_workers(value: str) -> int:
-    """``--workers`` accepts a count or ``auto`` (= ``os.cpu_count()``)."""
+    """``--exec-workers`` accepts a count or ``auto`` (= ``os.cpu_count()``)."""
     import os
 
     if value == "auto":
@@ -394,9 +394,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     if args.explain:
         print(query.explain(params=DEFAULT_PARAMS))
     start = time.perf_counter()
-    result = query.run(
-        engine=args.engine, params=DEFAULT_PARAMS, workers=args.workers
-    )
+    result = query.run(engine=args.engine, params=DEFAULT_PARAMS)
     elapsed = (time.perf_counter() - start) * 1000
     widths = [
         max(len(c), *(len(str(r[i])) for r in result.rows)) if result.rows else len(c)
@@ -550,13 +548,6 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--columnar", action="store_true")
     query.add_argument("--limit", type=int, default=25)
     query.add_argument("--explain", action="store_true")
-    query.add_argument(
-        "--workers",
-        type=_parse_workers,
-        default=1,
-        help="parallel scan workers (vectorised engines only); "
-        "'auto' uses os.cpu_count()",
-    )
     query.set_defaults(fn=_cmd_query)
 
     bench = sub.add_parser("bench", help="run a figure bench (e.g. fig11)")

@@ -355,7 +355,9 @@ class Query(Signed):
         overrides the compiled backend (e.g. ``"smc-safe"`` to model the
         paper's SMC (C#) series on a collection that defaults to the
         unsafe backend).  ``workers`` > 1 fans the scan out over the
-        parallel executors (vectorised SMC backends only).  Dynamic
+        manager's process pool (``exec_pool``) when one is attached and
+        takes the plan (vectorised SMC backends only); without one the
+        scan runs serially, with the same result.  Dynamic
         parameters may be passed via ``params=`` or as keyword
         arguments.
         """

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import datetime as _dt
 import operator
-import threading
 from collections import Counter
 from decimal import Decimal
 from typing import Any, Dict, List, Optional, Tuple
@@ -96,9 +95,9 @@ def build_scan_plan(
 ) -> Tuple["_ScanPlan", List[Any]]:
     """Lower *query* to a scan plan plus its post-scan operator list.
 
-    The plan is what executors (serial, thread pool, process pool)
-    consume; the post ops (order/limit/having/distinct) always run on
-    the driver after the merge.
+    The plan is what executors (serial, process pool) consume; the post
+    ops (order/limit/having/distinct) always run on the requesting
+    thread after the merge.
 
     Two steps, the paper's compile-once-run-many (section 4): the query
     is *prepared* once — everything that does not depend on the
@@ -233,35 +232,15 @@ def _subquery_keys(subquery: Query, params: Dict[str, Any]) -> "_KeyColumns":
 
 
 def _execute(plan: "_ScanPlan", nworkers: int) -> "_Accumulator":
-    """Scan *plan* on the executor its shape selects; record telemetry."""
+    """Scan *plan* — serially, or through :func:`run_parallel` when
+    *nworkers* asks for more than one — and record telemetry."""
     plan.run_subqueries()
     manager = plan.manager
     zone_tests = plan.zone_tests
     if nworkers > 1:
-        # Engine choice: a process pool attached to the manager handles
-        # eligible scans (aggregating/projecting terminals); anything it
-        # declines — enumeration, a busy pool, a mid-query mutation, a
-        # worker failure — falls back to the thread executor, which is
-        # always correct.
-        result = None
-        pool = getattr(manager, "exec_pool", None)
-        if pool is not None:
-            from repro.query.procexec import run_process_scan
+        from repro.query.parallel import run_parallel
 
-            result = run_process_scan(plan, pool)
-        extra = manager.stats.extra
-        if result is not None:
-            acc, pruned, scanned = result
-            extra["exec_process_queries"] = (
-                extra.get("exec_process_queries", 0) + 1
-            )
-        else:
-            from repro.query.parallel import run_parallel
-
-            acc, pruned, scanned = run_parallel(plan, nworkers)
-            extra["exec_thread_queries"] = (
-                extra.get("exec_thread_queries", 0) + 1
-            )
+        acc, pruned, scanned = run_parallel(plan)
     else:
         acc, pruned, scanned = _run_serial(plan)
 
@@ -324,12 +303,12 @@ def _finish(plan: "_ScanPlan", acc: "_Accumulator", post: List[Any]) -> Result:
 class _ScanPlan:
     """Everything a scan worker needs to process one block.
 
-    One request's binding of a :class:`_PreparedScan`: made per request,
-    its semi-join keys filled in once when it executes, and from then on
-    shared (read-only) between the serial path and the parallel scan
-    workers.  Its expressions are lowered once, at the first admitted
-    block (:meth:`program`); the only per-worker state is the partial
-    :class:`_Accumulator` each worker folds blocks into.
+    One request's binding of a :class:`_PreparedScan`: made per request
+    and run by that request's thread alone, its semi-join keys filled in
+    once when it executes.  Its expressions are lowered once, at the
+    first admitted block (:meth:`program`).  A process-pool worker
+    decodes its own copy and folds its blocks into its own partial
+    :class:`_Accumulator`.
     """
 
     __slots__ = (
@@ -344,7 +323,6 @@ class _ScanPlan:
         "semijoins",
         "uses",
         "_program",
-        "_lowering",
     )
 
     def __init__(
@@ -377,11 +355,10 @@ class _ScanPlan:
         #: counted when the plan is lowered, as on a process worker)
         self.uses = uses
         self._program: Optional[_Program] = None
-        self._lowering = threading.Lock()
 
     def run_subqueries(self) -> None:
-        """Run each semi-join subquery once, on the driver thread,
-        before any executor or ``plansnap`` reads ``inset_ops``."""
+        """Run each semi-join subquery once, before any executor or
+        ``plansnap`` reads ``inset_ops``."""
         if self.semijoins and not self.inset_ops:
             self.inset_ops = [
                 (op, _subquery_keys(op.subquery, self.params))
@@ -389,17 +366,10 @@ class _ScanPlan:
             ]
 
     def program(self) -> "_Program":
-        """This request's lowered expressions, made by the first caller.
-
-        Threads of one scan race here on their first block; the lock
-        makes one of them lower and the rest wait for its program.
-        """
+        """This request's lowered expressions, made by the first caller."""
         program = self._program
         if program is None:
-            with self._lowering:
-                program = self._program
-                if program is None:
-                    program = self._program = _Program(self)
+            program = self._program = _Program(self)
         return program
 
     def make_accumulator(self) -> "_Accumulator":
@@ -581,10 +551,9 @@ class _InsetProbe:
 
     The key columns move into the probe columns' raw domain once, when
     the plan is lowered (the probe expressions' dtypes are known then);
-    every block is then one array test, never a per-row loop.  Shared by
-    every thread of the scan: only :attr:`_records` is filled in while
-    blocks run, one entry per record dtype, and two threads racing on an
-    entry build the same array.
+    every block is then one array test, never a per-row loop.  Only
+    :attr:`_records` is filled in while blocks run, one entry per record
+    dtype, built at its first use.
     """
 
     def __init__(self, op: WhereIn, keys: _KeyColumns, nodes) -> None:
@@ -1214,8 +1183,8 @@ class _Program:
     """A bound plan's filters, probes, group keys and aggregates lowered
     for one request (:meth:`_ScanPlan.program`).
 
-    Read-only once made, so every thread of the scan runs the same one;
-    a process worker lowers its decoded copy of the plan for itself.
+    Read-only once made; a process worker lowers its decoded copy of the
+    plan for itself.
     """
 
     __slots__ = (

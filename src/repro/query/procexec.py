@@ -1,13 +1,14 @@
 """Multi-process scatter-gather execution over shared-memory block pools.
 
-Thread-level parallelism (:mod:`repro.query.parallel`) is bounded
-by the GIL wherever a kernel is not pure NumPy.  This module adds the
-other half of the paper's "scalable query-dominated collections" story: a
-pool of **forked worker processes** that attach the same shared-memory
-block segments (``MemoryManager(shm=True)``), evaluate the compiled scan
-plan locally, and stream partial accumulators back to the parent, which
-folds them in block order so results stay byte-identical to the serial
-scan at any worker count.
+The one way a scan runs on more than one core.  Threads in one
+interpreter are bounded by the GIL: two threads of short NumPy kernels
+scan slower than one.  So a ``workers > 1`` scan
+(:func:`repro.query.parallel.run_parallel`) goes to a pool of **forked
+worker processes** that attach the same shared-memory block segments
+(``MemoryManager(shm=True)``), evaluate the compiled scan plan locally,
+and stream partial accumulators back to the parent, which folds them in
+block order so results stay byte-identical to the serial scan at any
+worker count.
 
 Protocol overview (full write-up in ``docs/parallel_execution.md``):
 
@@ -21,7 +22,7 @@ Protocol overview (full write-up in ``docs/parallel_execution.md``):
   This module holds no block code: kind, slot count and hosting context
   come from the self-describing block header, are validated by the
   block's one write-free constructor, and a segment that does not fit
-  fails the query over to the thread executor.
+  fails the query over to the serial scan.
 
 * **Cross-process epochs.**  A worker announces no epoch of its own:
   it reads under the parent's critical section.  Every block a worker
@@ -38,7 +39,7 @@ Protocol overview (full write-up in ``docs/parallel_execution.md``):
   allocations, frees, context count, dictionary versions, string-heap
   blocks — is checked at query start (mismatch: respawn the workers,
   cheap via fork) and at query end (mismatch: discard the partials and
-  fall back to the thread executor).  Compaction deliberately does not
+  fall back to the serial scan).  Compaction deliberately does not
   perturb the fingerprint: relocated blocks arrive through the attach
   protocol and the parent's critical section keeps every dispatched
   block mapped, so scans under compaction churn remain exact.
@@ -53,8 +54,8 @@ Protocol overview (full write-up in ``docs/parallel_execution.md``):
   re-executed by the parent and counted as ``exec_morsels_redispatched``.
 
 Any worker error, death-induced inconsistency or end-fingerprint
-mismatch makes :func:`run_process_scan` return ``None``; the caller
-falls back to the thread executor, so the process path is strictly an
+mismatch makes :meth:`ProcessScanPool.run` return ``None``; the caller
+falls back to the serial scan, so the process path is strictly an
 optimisation and never a correctness risk.
 """
 
@@ -402,12 +403,17 @@ class ProcessScanPool:
         return sum(1 for rec in self._procs if rec["alive"])
 
     def run(self, plan) -> Optional[tuple]:
-        """Execute *plan* on the pool; ``None`` means "use threads".
+        """Execute *plan* on the pool; ``None`` means "scan serially".
 
-        Single-flight: a second concurrent query falls back to the
-        thread executor instead of queueing behind the pipes.
+        Returns ``(accumulator, pruned_blocks, scanned_blocks)``, the
+        shape every executor returns.  Single-flight: a second concurrent
+        query runs serially instead of queueing behind the pipes.
         """
-        if self._closed or plan.terminal is None:
+        if self._closed or plan.manager is not self.manager:
+            # A plan built against another manager names blocks this
+            # pool's workers cannot see.
+            return None
+        if plan.terminal is None:
             # Enumeration results carry live Refs, which cannot cross a
             # process boundary; only Select/GroupBy scans are eligible.
             return None
@@ -451,10 +457,9 @@ class ProcessScanPool:
             part = 0
             cursor = BlockCursor(manager, plan.source.context)
             try:
-                while (unit := cursor.next_unit()) is not None:
-                    blocks = unit[1]
+                while (blocks := cursor.next_unit()) is not None:
                     visited += len(blocks)
-                    if cursor.pinned:
+                    if cursor.pinned is not None:
                         acc = plan.make_accumulator()
                         for block in blocks:
                             scanned += plan.scan(block, acc)
@@ -595,7 +600,7 @@ class ProcessScanPool:
 
         if self.fingerprint() != start_fp:
             # Data mutated mid-query: the workers' COW snapshot may have
-            # diverged from the live state; discard and rerun on threads.
+            # diverged from the live state; discard and rerun serially.
             return None
 
         local_partials.sort(key=lambda pair: pair[0])
@@ -604,13 +609,3 @@ class ProcessScanPool:
             acc.merge(partial)
         return acc, visited - scanned, scanned
 
-
-def run_process_scan(plan, pool: ProcessScanPool) -> Optional[tuple]:
-    """Scatter *plan* over the process pool; ``None`` = thread fallback.
-
-    Returns ``(accumulator, pruned_blocks, scanned_blocks)``, the shape
-    every executor returns.
-    """
-    if pool is None or plan.manager is not pool.manager:
-        return None
-    return pool.run(plan)

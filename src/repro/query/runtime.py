@@ -3,7 +3,8 @@
 :class:`BlockCursor` is the one implementation of the paper's
 block-access consistency protocol for compaction groups (section 5.2);
 the serial scan, the interpreter, the generated code, collection
-enumeration, the thread pool and the process-pool parent all drain one:
+enumeration and the process-pool parent each drain one, as its only
+reader:
 
 * blocks that belong to no compaction group are visited as-is;
 * a *finished* group contributes its compacted destination block (once);
@@ -18,8 +19,7 @@ enumeration, the thread pool and the process-pool parent all drain one:
 
 from __future__ import annotations
 
-import threading
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Optional
 
 from repro.sanitizer import hooks as _san
 
@@ -95,74 +95,55 @@ def resolve_group(manager: "MemoryManager", group, defer_ok: bool = True):
 
 
 class BlockCursor:
-    """One scan's walk over a context's blocks, shared by its consumers.
+    """One scan's walk over a context's blocks, drained by one reader
+    inside its critical section.
 
-    A consumer is a thread inside its own critical section; any number
-    may drain one cursor.  :meth:`next_unit` hands each a *unit* — a run
-    of consecutive group-free blocks, or one compaction group resolved
-    by the thread that claimed it (outside the cursor lock, since
-    helping a relocation does real work) — numbered in scan order.
-    Deferred groups are queued behind the block snapshot and numbered
-    after every unit of it; a deferring consumer keeps pulling units, so
-    a deferred group is never orphaned.  A pinned pre-state stays pinned
-    while its unit is out: until the same consumer's next call, or its
-    :meth:`release`, which every consumer runs in a ``finally``.
+    :meth:`next_unit` hands out a *unit* — a run of consecutive
+    group-free blocks, or one compaction group resolved as the reader
+    reaches it.  Deferred groups are queued behind the block snapshot
+    and revisited after every unit of it.  When a unit is a group's
+    pre-state, :attr:`pinned` names the group and the pin holds until the
+    next call or :meth:`release`, which the reader runs in a
+    ``finally``.
 
     Under the protocol sanitizer a run is one block long, so each
-    ``scan.block`` event fires as its consumer reaches the block and a
+    ``scan.block`` event fires as the reader reaches the block and a
     schedule gate parked there stops the scan between two blocks.
     """
 
     def __init__(self, manager: "MemoryManager", context: "MemoryContext") -> None:
         self._manager = manager
-        self._lock = threading.Lock()
         self._blocks = context.blocks()
         self._pos = 0
-        self._seq = 0
         self._emitted = set()
         self._seen_groups = set()
         self._deferred: List[object] = []
-        #: consumer thread id -> the group whose pre-state it holds pinned
-        self._held: Dict[int, object] = {}
-
-    @property
-    def pinned(self) -> bool:
-        """Is the calling consumer's current unit a pinned pre-state,
-        valid only until its next call?"""
-        return threading.get_ident() in self._held
+        #: the group whose pre-state the current unit holds pinned, valid
+        #: until the next call (None: the unit needs no pin)
+        self.pinned = None
 
     def release(self) -> None:
-        """Unpin the calling consumer's current unit, if it holds one."""
-        if self._held:
-            group = self._held.pop(threading.get_ident(), None)
-            if group is not None:
-                group.unpin_prestate()
+        """Unpin the current unit, if it holds a pre-state."""
+        group, self.pinned = self.pinned, None
+        if group is not None:
+            group.unpin_prestate()
 
-    def next_unit(
-        self, max_blocks: Optional[int] = None
-    ) -> Optional[Tuple[int, List["Block"]]]:
-        """The calling consumer's next ``(seq, blocks)`` — at most
-        *max_blocks* plain blocks (None: the whole run up to the next
-        group) or one group's blocks — or None once the scan is done."""
+    def next_unit(self) -> Optional[List["Block"]]:
+        """The next unit's blocks — the run up to the next group (one
+        block under the sanitizer) or one group's blocks — or None once
+        the scan is done."""
         self.release()
-        if _san.SANITIZER is not None:
-            max_blocks = 1
         while True:
-            with self._lock:
-                seq = self._seq
-                self._seq += 1
-                run, group, defer_ok = self._claim(max_blocks)
+            run, group, defer_ok = self._claim()
             if group is not None:
                 kind, members = resolve_group(self._manager, group, defer_ok)
                 if kind == GROUP_DEFERRED:
-                    with self._lock:
-                        self._deferred.append(group)
+                    self._deferred.append(group)
                     continue
                 if kind == GROUP_PINNED:
-                    self._held[threading.get_ident()] = group
-                with self._lock:
-                    run = [b for b in members if b.block_id not in self._emitted]
-                    self._emitted.update(b.block_id for b in run)
+                    self.pinned = group
+                run = [b for b in members if b.block_id not in self._emitted]
+                self._emitted.update(b.block_id for b in run)
                 if not run:
                     self.release()
                     continue
@@ -171,12 +152,12 @@ class BlockCursor:
             if _san.SANITIZER is not None:
                 for block in run:
                     _san.SANITIZER.event("scan.block", block=block)
-            return seq, run
+            return run
 
-    def _claim(self, max_blocks: Optional[int]):
-        """Under the lock: ``(run, None, _)`` for plain blocks, ``(None,
-        group, defer_ok)`` for a group to resolve, ``(None, None, _)``
-        when nothing is left."""
+    def _claim(self):
+        """``(run, None, _)`` for plain blocks, ``(None, group,
+        defer_ok)`` for a group to resolve, ``(None, None, _)`` when
+        nothing is left."""
         blocks, emitted = self._blocks, self._emitted
         pos, end = self._pos, len(blocks)
         claimed = None, None, True
@@ -192,7 +173,7 @@ class BlockCursor:
             elif block.block_id not in emitted:
                 emitted.add(block.block_id)
                 run = [block]
-                stop = end if max_blocks is None else min(end, pos + max_blocks - 1)
+                stop = pos if _san.SANITIZER is not None else end
                 while pos < stop and blocks[pos].compaction_group is None:
                     block = blocks[pos]
                     pos += 1
@@ -211,13 +192,13 @@ class BlockCursor:
 def scan_blocks(manager: "MemoryManager", context: "MemoryContext") -> Iterator["Block"]:
     """Yield the blocks a scan of *context* must visit, exactly once each.
 
-    The single-consumer drain of a :class:`BlockCursor`.  Must be driven
+    The generator drain of a :class:`BlockCursor`.  Must be driven
     to completion (or closed) by the caller: a pre-state pin is released
     when the generator moves past the group, is exhausted or is closed.
     """
     cursor = BlockCursor(manager, context)
     try:
         while (unit := cursor.next_unit()) is not None:
-            yield from unit[1]
+            yield from unit
     finally:
         cursor.release()

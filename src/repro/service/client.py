@@ -13,6 +13,9 @@ Usage::
         result = client.query("q1", workers=4)
         print(client.metrics())
 
+``workers`` > 1 runs the scan on the server's process pool (``repro
+serve --exec-workers``); a server without one runs it serially.
+
 Shed requests raise :class:`ServiceOverloadedError`; expired sessions
 raise :class:`ServiceSessionExpired`; everything else a server reports
 raises :class:`ServiceError` with the server's error code.

@@ -405,8 +405,10 @@ def instrument_exec(registry: MetricsRegistry, pool) -> None:
     counters (``smc_exec_morsels_dispatched_total``,
     ``smc_exec_morsels_redispatched_total``, ``smc_exec_worker_respawns
     _total`` and the per-query ``smc_exec_process_queries_total`` /
-    ``smc_exec_thread_queries_total`` engine-choice split) already ride
-    ``manager.stats.extra`` through :func:`instrument_manager`.
+    ``smc_exec_thread_queries_total`` engine-choice split — the latter
+    counts ``workers > 1`` queries the pool declined, which ran
+    serially) already ride ``manager.stats.extra`` through
+    :func:`instrument_manager`.
     """
     registry.gauge(
         "smc_exec_workers",

@@ -152,8 +152,8 @@ class QueryService:
         #: Process pool for scatter-gather scans when ``exec_workers > 0``
         #: (requires a shared-memory manager).  The pool attaches to the
         #: manager, so the vectorised engine routes any eligible
-        #: multi-worker query through it; ineligible plans fall back to
-        #: the thread pool, visible in the smc_exec_*_queries counters.
+        #: multi-worker query through it; ineligible plans run serially,
+        #: visible in the smc_exec_*_queries counters.
         self.exec_pool = None
         if exec_workers:
             from repro.query.procexec import ProcessScanPool
@@ -318,8 +318,10 @@ class QueryService:
         # Serve-path worker routing: a query the planner estimates to
         # touch only a handful of rows is not worth a parallel fan-out —
         # run it on one worker and leave the pool to the big scans.
+        # Without a pool a multi-worker request runs serially anyway, so
+        # there is nothing to route.
         effective_workers = workers
-        if workers > 1:
+        if workers > 1 and self.exec_pool is not None:
             est = _planner.estimate_query_rows(plan, params)
             effective_workers = _planner.route_workers(est, workers)
             if effective_workers != workers:

@@ -1,11 +1,12 @@
-"""Thread-parallel scans and zone-map pruning.
+"""Zone-map pruning, and scans racing compaction.
 
 Differential guarantees first: every TPC-H query must produce identical
-results across worker counts and with pruning on or swapped out
-(``tests.seams.unpruned``), on both layouts, and while a compaction
-cycle runs underneath.  Then the zone-map
-lifecycle: lazy build, conservative staleness after frees, invalidation
-on in-place updates, exact rebuild on compaction.
+results with pruning on or swapped out (``tests.seams.unpruned``), on
+both layouts, and concurrent scans must stay exact while a compaction
+cycle runs underneath.  Then the zone-map lifecycle: lazy build,
+conservative staleness after frees, invalidation on in-place updates,
+exact rebuild on compaction.  Multi-worker scans on the process pool
+have their own differential in ``test_process_exec.py``.
 
 All tests here are sanitizer-compatible (``pytest --sanitize``).
 """
@@ -27,10 +28,6 @@ from tests.seams import unpruned
 
 ALL_QUERIES = {**QUERIES, **EXTRA_QUERIES}
 
-#: (workers, prune) configurations differenced against (1, False).
-CONFIGS = [(1, True), (4, False), (4, True)]
-
-
 def _canonical(result):
     """Order-insensitive comparison form of a query result."""
     return (tuple(result.columns), sorted(map(tuple, result.rows)))
@@ -45,17 +42,14 @@ def tpch_smc(request, tpch_tiny):
 
 @pytest.mark.parametrize("name", sorted(ALL_QUERIES))
 def test_differential_workers_and_pruning(tpch_smc, name):
-    """Parallel and pruned scans return exactly the serial unpruned rows,
-    in the serial order, down to each ``Decimal``'s exponent."""
-    def run(workers, prune):
+    """Pruned scans return exactly the unpruned rows, in the same order,
+    down to each ``Decimal``'s exponent."""
+    def run(prune):
         with contextlib.nullcontext() if prune else unpruned():
             query = ALL_QUERIES[name](tpch_smc)
-            return query.run(params=DEFAULT_PARAMS, workers=workers)
+            return query.run(params=DEFAULT_PARAMS)
 
-    expected = repr(run(1, False).rows)
-    for workers, prune in CONFIGS:
-        got = run(workers, prune)
-        assert repr(got.rows) == expected, (name, workers, prune)
+    assert repr(run(True).rows) == repr(run(False).rows), name
 
 
 def _worn_people(n=3000, keep_mod=3):
@@ -70,7 +64,7 @@ def _worn_people(n=3000, keep_mod=3):
 
 
 def test_parallel_scan_during_compaction():
-    """Workers racing a compaction cycle still see every survivor once."""
+    """Scanners racing a compaction cycle still see every survivor once."""
     m, people = _worn_people()
 
     def build():
@@ -91,7 +85,7 @@ def test_parallel_scan_during_compaction():
     def scanner():
         try:
             while not stop.is_set():
-                results.append(_canonical(query.run(workers=4)))
+                results.append(_canonical(query.run()))
         except Exception as exc:  # pragma: no cover - surfaced below
             errors.append(exc)
 

@@ -456,14 +456,44 @@ def test_service_explain_op(planner_service):
     assert not bad["ok"]
 
 
-def test_service_small_scan_routing(planner_service, monkeypatch):
-    # q6 on the tiny dataset estimates well under SMALL_SCAN_ROWS: a
-    # 4-worker request is routed to 1 worker and counted.  The service
-    # caps workers at the CPU count first, so pin a host that has four.
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    planner_service.handle({"op": "query", "query": "q6", "workers": 4})
-    counter = planner_service.metrics.counter(
+def _routed(service):
+    return service.metrics.counter(
         "smc_serve_small_scans_routed_total",
         "Parallel queries routed to one worker by the planner estimate",
-    )
-    assert counter.value(query="q6") >= 1
+    ).value(query="q6")
+
+
+def test_service_small_scan_routing(tpch_tiny, monkeypatch):
+    # q6 on the tiny dataset estimates well under SMALL_SCAN_ROWS: a
+    # 4-worker request to a pooled service is routed to 1 worker, counted,
+    # and never reaches the pool.  The service caps workers at the CPU
+    # count first, so pin a host that has four.
+    from repro.service.server import QueryService
+
+    colls = load_smc(tpch_tiny, shm=True)
+    manager = colls["_manager"]
+    service = QueryService(colls, manager, max_concurrency=4, exec_workers=1)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    try:
+        reply = service.handle({"op": "query", "query": "q6", "workers": 4})
+        assert reply["ok"], reply
+        assert _routed(service) == 1
+        assert manager.stats.extra.get("exec_process_queries", 0) == 0
+    finally:
+        service.close()
+        manager.close()
+
+
+def test_poolless_service_skips_the_row_estimate(planner_service, monkeypatch):
+    """Without a process pool a multi-worker request runs serially
+    anyway: the service routes nothing and estimates nothing."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a pool-less request was estimated")
+
+    monkeypatch.setattr(planner, "estimate_query_rows", refuse)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    one = planner_service.handle({"op": "query", "query": "q6"})
+    four = planner_service.handle({"op": "query", "query": "q6", "workers": 4})
+    assert four["ok"], four
+    assert four["rows"] == one["rows"]
+    assert _routed(planner_service) == 0

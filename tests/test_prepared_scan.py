@@ -481,6 +481,8 @@ def shm_tpch(request, tpch_tiny):
 
 @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
 def test_a_request_lowers_each_distinct_expression_once(shm_tpch, executor):
+    """``thread`` is a ``workers=2`` request with no pool attached, which
+    runs the serial scan."""
     manager = shm_tpch["_manager"]
     extra = manager.stats.extra
     if manager.space.block_size == 1 << 16:
@@ -520,25 +522,3 @@ def test_a_request_lowers_each_distinct_expression_once(shm_tpch, executor):
         if executor == "process":
             manager.exec_pool.shutdown()
             manager.exec_pool = None
-
-
-def test_threads_racing_to_their_first_block_lower_once(shm_tpch):
-    """More scan threads than cores, switching every microsecond: the
-    threads of one request reach their first blocks together, one of
-    them lowers, and the others run its program."""
-    extra = shm_tpch["_manager"].stats.extra
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for name in ("q1", "q12", "q14"):
-            query = ALL_QUERIES[name](shm_tpch)
-            params = _params(SWEEPS[name][0])
-            expected = repr(query.run(params=params).rows)
-            for __ in range(5):
-                before = extra["scan_lowerings"]
-                assert repr(query.run(params=params, workers=8).rows) == expected
-                assert extra["scan_lowerings"] - before == _distinct_expressions(
-                    query
-                ), name
-    finally:
-        sys.setswitchinterval(interval)

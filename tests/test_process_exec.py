@@ -23,7 +23,7 @@ import pytest
 
 from repro.memory.manager import MemoryManager
 from repro.memory.shm import SEGMENT_PREFIX, SharedBuffers
-from repro.query.procexec import ProcessScanPool, run_process_scan
+from repro.query.procexec import ProcessScanPool
 from repro.tpch.loader import load_smc
 from repro.tpch.queries import DEFAULT_PARAMS, EXTRA_QUERIES, QUERIES
 from tests.seams import unpruned
@@ -187,15 +187,15 @@ def test_differential_process_pool(pooled_smc, name):
     before = manager.stats.extra.get("exec_process_queries", 0)
     got = query.run(params=DEFAULT_PARAMS, workers=2)
     assert repr(got.rows) == expected
-    # The query really took the process path, not the thread fallback.
+    # The query really took the process path, not the serial fallback.
     assert manager.stats.extra.get("exec_process_queries", 0) == before + 1
 
 
 def test_unordered_group_by_keeps_the_serial_order(tpch_small):
     """A group-by without ``order_by`` whose keys fall as blocks rise:
-    the thread and the process pool return the serial scan's rows in the
-    serial scan's order, not merely the same set — partial aggregates
-    merge as arrays in block order and fold once."""
+    the process pool returns the serial scan's rows in the serial scan's
+    order, not merely the same set — partial aggregates merge as arrays
+    in block order and fold once."""
     from repro.query.builder import Count, Sum
     from repro.tpch.schema import Lineitem as L
 
@@ -209,12 +209,10 @@ def test_unordered_group_by_keeps_the_serial_order(tpch_small):
             .aggregate(n=Count(), revenue=Sum(L.extendedprice))
         )
         serial = query.run(workers=1).rows
-        threads = query.run(workers=2).rows  # no pool attached yet
         manager.exec_pool = ProcessScanPool(manager, workers=2)
         processes = query.run(workers=2).rows
         assert manager.stats.extra.get("exec_process_queries", 0) == 1
         assert len(serial) == len(collections["orders"])
-        assert repr(threads) == repr(serial)
         assert repr(processes) == repr(serial)
     finally:
         manager.close()
@@ -317,7 +315,7 @@ def test_attach_hook_binds_the_owners_classes(pooled_smc):
 def test_attach_hook_rejects_foreign_header(pooled_smc):
     """A segment whose header does not fit the context it names (here:
     the other layout) raises, naming the block; in a worker that is the
-    error frame that sends the query back to the thread executor."""
+    error frame that sends the query back to the serial scan."""
     from repro.query.procexec import _space_map
 
     manager = pooled_smc["_manager"]
@@ -333,8 +331,10 @@ def test_attach_hook_rejects_foreign_header(pooled_smc):
         mirror.close()
 
 
-def test_enumeration_falls_back_to_threads(pooled_smc):
-    """Plans without a terminal (handle enumeration) stay in-process."""
+def test_enumeration_falls_back_to_serial(pooled_smc):
+    """Plans without a terminal (handle enumeration) stay in-process: the
+    pool declines them and they run the serial scan, counted as
+    ``exec_thread_queries``."""
     manager = pooled_smc["_manager"]
     before = manager.stats.extra.get("exec_thread_queries", 0)
     rows = pooled_smc["region"].query().run(workers=2)
@@ -608,7 +608,7 @@ def test_foreign_plan_is_refused(tpch_tiny):
         a["_manager"].exec_pool = pool
         with unpruned():
             plan, __ = build_scan_plan(ALL_QUERIES["q6"](b), DEFAULT_PARAMS)
-        assert run_process_scan(plan, pool) is None
+        assert pool.run(plan) is None
     finally:
         a["_manager"].close()
         b["_manager"].close()

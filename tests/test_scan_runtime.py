@@ -1,13 +1,13 @@
 """Block-scan runtime: compaction-group protocol of section 5.2.
 
-Every rule is checked for both ways a scan drains its
-:class:`~repro.query.runtime.BlockCursor` (each test runs every drain in
-``DRAINS`` on a fresh store): the single-consumer generator
-(``scan_blocks``: the serial scan, generated code, enumeration) and
-two threads sharing one cursor a block at a time (the thread pool).
+Every rule is checked for both shapes in which a scan's one reader
+drains its :class:`~repro.query.runtime.BlockCursor` (each test runs
+every drain in ``DRAINS`` on a fresh store): the generator
+(``scan_blocks``: the serial scan, generated code, enumeration) and the
+process-pool parent's loop of ``next_unit()`` calls that reads
+``pinned`` to keep a pinned group's blocks at home.
 """
 
-import sys
 import threading
 
 import pytest
@@ -48,40 +48,29 @@ def _one_consumer(m, context, visit=None):
     return seen
 
 
-def _two_threads(m, context, visit=None, threads=2):
-    """Two (or *threads*) threads, each in its own critical section,
-    drain one cursor a block per unit as the thread pool does; the
-    blocks in unit order."""
+def _unit_loop(m, context, visit=None):
+    """``next_unit()`` calls inside one critical section, as the
+    process-pool parent drains: every block of a unit the cursor reports
+    ``pinned`` must belong to that group and see its pin held."""
     cursor = BlockCursor(m, context)
-    units = []
-    errors = []
-
-    def consumer():
+    seen = []
+    with m.critical_section():
         try:
-            with m.critical_section():
-                try:
-                    while (unit := cursor.next_unit(1)) is not None:
-                        for block in unit[1]:
-                            if visit is not None:
-                                visit(block)
-                        units.append(unit)
-                finally:
-                    cursor.release()
-        except BaseException as exc:  # noqa: BLE001 - re-raised below
-            errors.append(exc)
-
-    consumers = [threading.Thread(target=consumer) for __ in range(threads)]
-    for t in consumers:
-        t.start()
-    for t in consumers:
-        t.join(timeout=30.0)
-    assert not any(t.is_alive() for t in consumers), "consumer hung"
-    if errors:
-        raise errors[0]
-    return [b for __, blocks in sorted(units, key=lambda u: u[0]) for b in blocks]
+            while (blocks := cursor.next_unit()) is not None:
+                group = cursor.pinned
+                for block in blocks:
+                    if group is not None:
+                        assert group.reader_count >= 1
+                        assert block.compaction_group in (group, None)
+                    if visit is not None:
+                        visit(block)
+                    seen.append(block)
+        finally:
+            cursor.release()
+    return seen
 
 
-DRAINS = (_one_consumer, _two_threads)
+DRAINS = (_one_consumer, _unit_loop)
 
 
 def _live(blocks):
@@ -157,30 +146,6 @@ def test_scan_counts_objects_exactly_once_mid_compaction():
         m.close()
 
 
-def test_eight_threads_visit_every_block_exactly_once():
-    """More consumers than cores, switching every few microseconds, over
-    plain blocks and pinned groups: no block is lost or visited twice and
-    every pin is returned."""
-    m, persons, keep = _worn(blocks=40)
-    compactor = Compactor(m)
-    groups = compactor._plan_groups(persons.context, 0.9)
-    assert groups
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        for __ in range(5):
-            blocks = _two_threads(m, persons.context, threads=8)
-            ids = [b.block_id for b in blocks]
-            assert len(ids) == len(set(ids))
-            assert set(ids) == {b.block_id for b in persons.context.blocks()}
-            assert _live(blocks) == len(keep)
-            assert all(g.reader_count == 0 for g in groups)
-    finally:
-        sys.setswitchinterval(interval)
-    compactor.detach()
-    m.close()
-
-
 def test_prestate_pin_released_on_generator_close():
     m, persons, keep = _worn()
     compactor = Compactor(m)
@@ -195,6 +160,37 @@ def test_prestate_pin_released_on_generator_close():
     assert group.reader_count == 1
     gen.close()  # ...and abandoning the scan must release the pin.
     assert group.reader_count == 0
+    compactor.detach()
+    m.close()
+
+
+def test_cursor_names_the_pinned_group_until_release():
+    """The process-pool parent's shape: ``next_unit()`` reaches a group's
+    pre-state, ``pinned`` names the group while the unit is out, and
+    ``release()`` (or the next call) returns the pin."""
+    m, persons, keep = _worn()
+    compactor = Compactor(m)
+    groups = compactor._plan_groups(persons.context, 0.9)
+    assert groups
+    with m.critical_section():
+        cursor = BlockCursor(m, persons.context)
+        while (blocks := cursor.next_unit()) is not None:
+            if cursor.pinned is not None:
+                break
+            assert all(b.compaction_group is None for b in blocks)
+        group = cursor.pinned
+        assert group in groups and blocks
+        assert group.reader_count == 1
+        assert {b.block_id for b in group.sources} <= {b.block_id for b in blocks}
+        cursor.release()
+        assert cursor.pinned is None and group.reader_count == 0
+        cursor.release()  # idempotent
+        assert group.reader_count == 0
+        # The rest of the walk pins (and unpins) each later group in turn.
+        while cursor.next_unit() is not None:
+            pass
+        assert cursor.pinned is None
+        assert all(g.reader_count == 0 for g in groups)
     compactor.detach()
     m.close()
 

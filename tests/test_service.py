@@ -685,21 +685,32 @@ def test_server_forgets_closed_connections(tpch_service):
     assert len(server._conns) == 0
 
 
-def test_query_workers_capped_at_cpu_count(tpch_service, monkeypatch):
-    from repro.query import parallel, planner
+def test_query_workers_capped_at_cpu_count(tpch_tiny, tpch_service, monkeypatch):
+    """On a one-core host a ``workers: 8`` request is capped to one
+    worker and never reaches the process pool; on two it does."""
+    from repro.query import planner
+    from repro.service.server import QueryService
+    from repro.tpch.loader import load_smc
 
-    service = tpch_service["service"]
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    collections = load_smc(tpch_tiny, shm=True)
+    manager = collections["_manager"]
+    service = QueryService(collections, manager, exec_workers=1)
     # Keep the fan-out: the tiny dataset would route q1 to one worker.
     monkeypatch.setattr(planner, "SMALL_SCAN_ROWS", 0)
-    parallel.shutdown_pool()
-    reply = service.handle({"op": "query", "query": "q1", "workers": 8})
-    assert reply["ok"], reply
-    assert parallel._POOL is not None
-    assert parallel._POOL._max_workers <= 2
-    assert repr(protocol.decode_rows(reply["rows"])) == repr(
-        tpch_service["baselines"]["q1"].rows
-    )
+    extra = manager.stats.extra
+    try:
+        for cpus, pooled in ((1, 0), (2, 1)):
+            monkeypatch.setattr(os, "cpu_count", lambda n=cpus: n)
+            before = extra.get("exec_process_queries", 0)
+            reply = service.handle({"op": "query", "query": "q1", "workers": 8})
+            assert reply["ok"], reply
+            assert extra.get("exec_process_queries", 0) - before == pooled, cpus
+            assert repr(protocol.decode_rows(reply["rows"])) == repr(
+                tpch_service["baselines"]["q1"].rows
+            )
+    finally:
+        service.close()
+        manager.close()
 
 
 def test_service_sheds_with_explicit_overloaded(tpch_tiny):

@@ -70,10 +70,9 @@ STRING_QUERIES = {
     .aggregate(n=Count()),
 }
 
-#: (workers, prune) configurations each differenced against the managed
-#: baseline; ``prune`` False prepares the scan under
-#: ``tests.seams.unpruned``.
-CONFIGS = [(1, False), (1, True), (4, True)]
+#: prune settings each differenced against the managed baseline; False
+#: prepares the scan under ``tests.seams.unpruned``.
+CONFIGS = [False, True]
 
 
 def _pruning(prune):
@@ -124,11 +123,11 @@ def test_differential_dict_on_off(tpch_pair, name):
     build = ALL_QUERIES.get(name) or STRING_QUERIES[name]
     expected = _canonical(build(managed).run(params=DEFAULT_PARAMS))
     assert expected[1], f"{name} produced no rows at this scale"
-    for workers, prune in CONFIGS:
+    for prune in CONFIGS:
         with _pruning(prune):
             query = build(coded)
-            got = query.run(params=DEFAULT_PARAMS, workers=workers)
-        assert _canonical(got) == expected, (name, workers, prune)
+            got = query.run(params=DEFAULT_PARAMS)
+        assert _canonical(got) == expected, (name, prune)
 
 
 # ----------------------------------------------------------------------
@@ -187,13 +186,13 @@ def test_string_predicates_survive_compaction():
         for compacted in (False, True):
             if compacted:
                 assert on.compact(occupancy_threshold=0.9) > 0
-            for workers, prune in CONFIGS:
+            for prune in CONFIGS:
                 with _pruning(prune):
                     got = {
-                        k: _canonical(q.run(workers=workers))
+                        k: _canonical(q.run())
                         for k, q in _note_queries(on).items()
                     }
-                assert got == expected, (compacted, workers, prune)
+                assert got == expected, (compacted, prune)
     finally:
         m.close()
 
