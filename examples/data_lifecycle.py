@@ -3,7 +3,7 @@
 A day in the life of a long-running SMC application:
 
 1. generate business data and persist it to a binary snapshot,
-2. restart (reload the snapshot into a fresh memory manager),
+2. restart (the snapshot's blocks are adopted by a fresh memory manager),
 3. age out old records in bulk (``remove_where``) with the
    auto-compaction policy keeping the footprint tight,
 4. bulk-correct records (``update_where``),
@@ -65,16 +65,16 @@ def build_day_one(manager: MemoryManager):
 def main() -> None:
     snap = os.path.join(tempfile.gettempdir(), "lifecycle.smcsnap")
 
-    # Day one: build and persist.
-    manager = MemoryManager(block_shift=14)
+    # Day one: build and persist (small blocks so the shrinkage policy
+    # has something visible to compact in this demo; a reload keeps them).
+    manager = MemoryManager(block_shift=12)
     devices, readings = build_day_one(manager)
     rows = save_collections(snap, {"devices": devices, "readings": readings})
     print(f"day 1: persisted {rows} rows to {snap}")
     manager.close()
 
-    # Day two: restart from the snapshot (small blocks so the shrinkage
-    # policy has something visible to compact in this demo).
-    loaded = load_collections(snap, manager=MemoryManager(block_shift=12))
+    # Day two: restart from the snapshot.
+    loaded = load_collections(snap)
     manager = loaded["_manager"]
     readings = loaded["readings"]
     # Re-enable the shrinkage policy on the reloaded collection.

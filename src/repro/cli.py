@@ -68,15 +68,9 @@ def _cmd_info(args: argparse.Namespace) -> int:
 
     stored = describe_snapshot(args.snapshot)
     start = time.perf_counter()
-    collections = load_collections(
-        args.snapshot,
-        columnar=args.columnar,
-        memory_budget=args.memory_budget,
-        block_shift=args.block_shift,
-    )
+    collections = load_collections(args.snapshot, memory_budget=args.memory_budget)
     load_seconds = time.perf_counter() - start
     manager = collections.pop("_manager")
-    collections.pop("_entry_ids", None)
     if manager.pager is not None:
         # Enforce the budget once so the residency report reflects it
         # (loading leaves every block hot; demotion is operation-boundary
@@ -226,7 +220,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             store = DurableStore.create(
                 args.data_dir,
                 snapshot=args.snapshot,
-                columnar=args.columnar,
                 fsync_policy=args.fsync,
                 **shape,
             )
@@ -244,9 +237,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             return 2
         from repro.io.snapshot import load_collections
 
-        collections = load_collections(
-            args.snapshot, columnar=args.columnar, **shape
-        )
+        collections = load_collections(args.snapshot, **shape)
         manager = collections["_manager"]
         source = args.snapshot
     service = QueryService(
@@ -363,11 +354,7 @@ def _cmd_restore(args: argparse.Namespace) -> int:
     from repro.errors import SmcError
 
     try:
-        store = DurableStore.create(
-            args.data_dir,
-            snapshot=args.snapshot,
-            columnar=args.columnar,
-        )
+        store = DurableStore.create(args.data_dir, snapshot=args.snapshot)
     except (SmcError, OSError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
@@ -389,7 +376,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
         known = sorted(QUERIES) + sorted(EXTRA_QUERIES)
         print(f"unknown query {args.query!r}; choose from {known}", file=sys.stderr)
         return 2
-    collections = load_collections(args.snapshot, columnar=args.columnar)
+    collections = load_collections(args.snapshot)
     query = builder(collections)
     if args.explain:
         print(query.explain(params=DEFAULT_PARAMS))
@@ -447,12 +434,13 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--sf", type=float, default=0.01, help="scale factor")
     gen.add_argument("--seed", type=int, default=42)
     gen.add_argument("--out", default="tpch.smcsnap")
-    gen.add_argument("--columnar", action="store_true")
+    gen.add_argument(
+        "--columnar", action="store_true", help="column-wise; loads keep it"
+    )
     gen.set_defaults(fn=_cmd_gen)
 
     info = sub.add_parser("info", help="describe a snapshot")
     info.add_argument("snapshot")
-    info.add_argument("--columnar", action="store_true")
     info.add_argument(
         "--metrics",
         action="store_true",
@@ -465,14 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="BYTES",
         help="load under a pager with this hot-tier byte budget and "
         "report per-collection residency (hot/cold blocks, tier bytes)",
-    )
-    info.add_argument(
-        "--block-shift",
-        type=int,
-        default=None,
-        metavar="N",
-        help="log2 block size for the fresh manager (smaller blocks make "
-        "residency visible on small snapshots)",
     )
     info.set_defaults(fn=_cmd_info)
 
@@ -500,7 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=7070)
-    serve.add_argument("--columnar", action="store_true")
     serve.add_argument(
         "--max-concurrency",
         type=int,
@@ -545,7 +524,6 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument(
         "--engine", choices=["compiled", "interpreted"], default="compiled"
     )
-    query.add_argument("--columnar", action="store_true")
     query.add_argument("--limit", type=int, default=25)
     query.add_argument("--explain", action="store_true")
     query.set_defaults(fn=_cmd_query)
@@ -585,7 +563,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     restore_p.add_argument("data_dir")
     restore_p.add_argument("snapshot")
-    restore_p.add_argument("--columnar", action="store_true")
     restore_p.set_defaults(fn=_cmd_restore)
 
     return parser

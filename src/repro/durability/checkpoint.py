@@ -119,7 +119,12 @@ class DataDir:
 
 
 def collection_flags(collections: Dict[str, Any]) -> Dict[str, Any]:
-    """Layout/encoding flags recovery needs to rebuild equivalently."""
+    """Layout/encoding flags the MANIFEST records.
+
+    Recovery adopts the checkpoint in the layout it was saved in, so
+    ``columnar`` only describes the store; the key stays so manifests
+    keep their bytes.
+    """
     from repro.core.columnar import ColumnarCollection
 
     columnar = any(

@@ -40,8 +40,6 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.durability.checkpoint import DataDir
 from repro.durability.wal import (
     ADD,
@@ -62,15 +60,11 @@ class EntryMap:
     The identity for every row a checkpoint image holds — images keep
     entry ids, so nothing is stored per checkpointed row.  Only rows
     added by replaying log records diverge (the local allocator picks
-    their entry); those are remembered until removed.  A load that
-    converts the image (another layout or block size) can hand out other
-    ids too; its ``(logged, local)`` pairs seed the map.
+    their entry); those are remembered until removed.
     """
 
-    def __init__(self, pairs: Optional[np.ndarray] = None) -> None:
-        self._local: Dict[int, int] = (
-            {} if pairs is None else {int(a): int(b) for a, b in pairs}
-        )
+    def __init__(self) -> None:
+        self._local: Dict[int, int] = {}
 
     def local(self, logged: int) -> int:
         return self._local.get(logged, logged)
@@ -104,8 +98,6 @@ class RecoveryReport:
     dropped_open_batch: int
     committed_offset: int
     next_lsn: int
-    #: Rows a converting load gave other entry ids than the image's.
-    renumbered: int
     #: Seconds spent adopting the checkpoint image, reading the log
     #: segment (framing, CRC, decoding the committed payloads) and
     #: applying the committed records.
@@ -135,19 +127,16 @@ class RecoveryReport:
 def recover(
     data_dir: str,
     *,
-    manager=None,
-    columnar: Optional[bool] = None,
     shm: bool = False,
     memory_budget: Optional[int] = None,
 ):
     """Rebuild the collections stored in *data_dir*.
 
     Returns ``(collections, report)`` where ``collections`` includes the
-    ``"_manager"`` key, exactly like ``load_collections``.  The layout
-    defaults to what the manifest recorded; ``shm`` and
-    ``memory_budget`` shape the fresh manager the checkpoint is adopted
-    into, as they do for a snapshot load, and the log tail replays onto
-    it.
+    ``"_manager"`` key, exactly like ``load_collections``.  The
+    checkpoint is adopted in the shape it was saved in; ``shm`` and
+    ``memory_budget`` choose where the fresh manager's buffers live, as
+    they do for a snapshot load, and the log tail replays onto it.
     """
     from repro.io.snapshot import load_collections
 
@@ -164,25 +153,18 @@ def recover(
             f"(MANIFEST string_dict: false); only dictionary-coded string "
             f"encoding is recovered"
         )
-    if columnar is None:
-        columnar = bool(manifest.get("columnar", False))
 
     checkpoint_path = os.path.join(dd.root, manifest["checkpoint"])
     try:
         collections = load_collections(
-            checkpoint_path,
-            manager=manager,
-            columnar=columnar,
-            shm=shm,
-            memory_budget=memory_budget,
+            checkpoint_path, shm=shm, memory_budget=memory_budget
         )
     except OSError as exc:
         raise RecoveryError(
             f"cannot read checkpoint {checkpoint_path}: {exc}"
         ) from None
     mgr = collections["_manager"]
-    seeded = collections.pop("_entry_ids", None)
-    entry_map = EntryMap(seeded)
+    entry_map = EntryMap()
     loaded = time.perf_counter()
 
     wal_path = os.path.join(dd.root, manifest["wal"])
@@ -225,7 +207,6 @@ def recover(
         dropped_open_batch=scan.open_batch_records,
         committed_offset=scan.committed_offset,
         next_lsn=scan.next_lsn,
-        renumbered=0 if seeded is None else len(seeded),
         load_seconds=loaded - start,
         scan_seconds=scanned - loaded,
         replay_seconds=time.perf_counter() - scanned,

@@ -127,9 +127,9 @@ class DurableStore:
         self._ckpt.last_bytes = os.path.getsize(
             self.datadir.checkpoint_path(self.cut_lsn)
         )
-        # Log-local string-id table, reset at every checkpoint (string
-        # dictionary *codes* are reassigned when a checkpoint reloads, so
-        # a logged code would dangle — see the wal module docstring).
+        # Log-local string-id table, reset at every checkpoint (replay
+        # interns strings in its own order, so a logged dictionary code
+        # would name another string — see the wal module docstring).
         self._sids: Dict[str, int] = {}
         # Counters carried across segment rollovers.
         self._closed_records = 0
@@ -147,7 +147,6 @@ class DurableStore:
         collections: Optional[Dict[str, Any]] = None,
         *,
         snapshot: Optional[str] = None,
-        columnar: bool = False,
         shm: bool = False,
         memory_budget: Optional[int] = None,
         fsync_policy: str = "commit",
@@ -158,9 +157,9 @@ class DurableStore:
         Seed it from a snapshot file, an existing ``{name: collection}``
         dict (which must include ``"_manager"``), or nothing (an empty
         store; collections then appear via :meth:`apply` ADD records or
-        by registering them up front).  ``shm`` and ``memory_budget``
-        shape the manager the store creates; a caller's collections keep
-        theirs.
+        by registering them up front).  A snapshot is adopted in the
+        shape it was saved in.  ``shm`` and ``memory_budget`` shape the
+        manager the store creates; a caller's collections keep theirs.
         """
         from repro.io.snapshot import load_collections
         from repro.memory.manager import MemoryManager
@@ -170,10 +169,7 @@ class DurableStore:
         owns = collections is None
         if snapshot is not None:
             collections = load_collections(
-                snapshot,
-                columnar=columnar,
-                shm=shm,
-                memory_budget=memory_budget,
+                snapshot, shm=shm, memory_budget=memory_budget
             )
         elif collections is None:
             collections = {
@@ -201,29 +197,24 @@ class DurableStore:
         *,
         fsync_policy: str = "commit",
         checkpoint_bytes: int = DEFAULT_CHECKPOINT_BYTES,
-        columnar: Optional[bool] = None,
         shm: bool = False,
         memory_budget: Optional[int] = None,
     ) -> "DurableStore":
         """Recover *data_dir*; what it recovered becomes the checkpoint.
 
         ``shm`` and ``memory_budget`` shape the recovered manager (see
-        :func:`~repro.durability.recovery.recover`).  Replayed rows, and
-        the rows of a load that converted the image, hold other entry
-        ids than the log names.  So when the committed tail held a
-        mutation, or the load renumbered rows, the store cuts a
-        checkpoint before it is handed out: every later record names
-        rows by the ids the image keeps, and the tail is replayed once,
-        not at every restart.  Otherwise appends resume at the committed
-        boundary recovery's read of the segment found.
+        :func:`~repro.durability.recovery.recover`).  Replayed rows hold
+        other entry ids than the log names.  So when the committed tail
+        held a mutation, the store cuts a checkpoint before it is handed
+        out: every later record names rows by the ids the image keeps,
+        and the tail is replayed once, not at every restart.  Otherwise
+        appends resume at the committed boundary recovery's read of the
+        segment found.
         """
         collections, report = recover(
-            data_dir,
-            columnar=columnar,
-            shm=shm,
-            memory_budget=memory_budget,
+            data_dir, shm=shm, memory_budget=memory_budget
         )
-        rolls = bool(report.replayed + report.skipped + report.renumbered)
+        rolls = bool(report.replayed + report.skipped)
         if rolls:
             # The segment takes no more appends: the checkpoint is cut
             # after its last committed record, and its torn tail or

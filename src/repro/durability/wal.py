@@ -36,11 +36,12 @@ value   name     payload
                  id; later values reference it as ``{"$s": sid}``
 ======  =======  ====================================================
 
-String values are *not* logged as string-dictionary codes: dictionary
-codes are reassigned densely when a checkpoint reloads, so a code
-written before a checkpoint would dangle after it.  INTERN records bind
-log-local string ids instead, scoped to one log segment (the table
-resets at every checkpoint), which still deduplicates repeated values.
+String values are *not* logged as string-dictionary codes: replay
+interns strings in its own order, so it does not reproduce the code a
+writer's dictionary bound, and a logged code could name another string
+after recovery.  INTERN records bind log-local string ids instead,
+scoped to one log segment (the table resets at every checkpoint), which
+still deduplicates repeated values.
 
 Torn-tail contract (see ``docs/durability.md`` for the crash matrix):
 

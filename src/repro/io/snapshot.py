@@ -39,8 +39,6 @@ Format ``SMCSNAP2`` (little-endian)::
       dict        index         i64 heap address per code, then i64 refcount
                                 (texts live in the heap records only)
       block       block id      raw buffer of one data block
-      entry-ids   pair count    i64 (logged id, local id) pairs recovery
-                                maps log records through (optional)
       end         section count empty; anything after it is an error
 
 Saving writes each buffer as it is, with two exceptions that make an
@@ -62,16 +60,15 @@ code arrays as they are and reads no text: texts stay in the heap records
 until a write or a string lookup needs them (``StringDict``).  Entry ids
 and incarnation counters carry over, so a reference that was stale before
 the save is stale after the load.  Reclamation queues start empty and the epoch
-restarts at zero.
+restarts at zero.  An image is only ever adopted: its header sets the
+block size and pointer mode, its collections keep the layout they were
+saved in, and the blocks keep their holes.
 
 Every section carries its length and CRC32; truncation, a flipped byte,
 an unknown section kind or two blocks claiming one id raise
 :class:`SnapshotError` naming the section.
 
-Asking for a layout, string encoding or block size other than the
-image's adopts the image aside and copies its rows across in enumeration
-order (:func:`_convert`).  Files of the retired field-by-field row format
-are refused by name.
+Files of the retired field-by-field row format are refused by name.
 """
 
 from __future__ import annotations
@@ -85,15 +82,15 @@ from typing import Any, BinaryIO, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from repro.core.collection import Collection, bulk_add
+from repro.core.collection import Collection
 from repro.core.columnar import ColumnarCollection
-from repro.errors import NullReferenceError, SmcError
+from repro.errors import SmcError
 from repro.memory import slots as slotcodec
 from repro.memory.addressing import NULL_ADDRESS
 from repro.memory.block import _HEADER_STRUCT
 from repro.memory.indirection import INC_MASK
 from repro.memory.manager import MemoryManager
-from repro.schema.fields import CharField, DecimalField, Field, RefField
+from repro.schema.fields import CharField, DecimalField, Field
 from repro.schema.tabular import resolve_tabular
 
 _MAGIC = b"SMCSNAP2"
@@ -102,14 +99,15 @@ _FRAME = struct.Struct("<4sIqQI4x")  # tag, kind, id, length, crc32
 _FRAME_KEY = struct.Struct("<IqQ")  # the frame fields the CRC also covers
 _FRAME_TAG = b"SECT"
 
-HEAP_BLOCK, HEAP_FREE, TABLE, DICT, BLOCK, ENTRY_IDS, END = range(1, 8)
+# Kind 6 is retired: a reader refuses it like any unknown kind.
+HEAP_BLOCK, HEAP_FREE, TABLE, DICT, BLOCK = range(1, 6)
+END = 7
 _KIND_NAMES = {
     HEAP_BLOCK: "heap-block",
     HEAP_FREE: "heap-free",
     TABLE: "table",
     DICT: "dict",
     BLOCK: "block",
-    ENTRY_IDS: "entry-ids",
     END: "end",
 }
 
@@ -155,7 +153,6 @@ def save_collections(
     collections: Dict[str, Any],
     *,
     fsync: bool = False,
-    entry_ids: Optional[np.ndarray] = None,
 ) -> int:
     """Write *collections* (name → collection) to *path* as block images.
 
@@ -167,8 +164,6 @@ def save_collections(
     buffer they currently live in, so cold blocks are never promoted.
     With ``fsync`` the file is fsynced before closing (checkpoints need
     the bytes durable before the manifest rename can point at them).
-    ``entry_ids`` is stored verbatim as an ``entry-ids`` section (see the
-    module docstring).
     """
     named = _named(collections)
     manager = collections.get("_manager")
@@ -245,9 +240,6 @@ def save_collections(
                     out.section(
                         BLOCK, block.block_id, _image(block, type_id, context_id)
                     )
-            if entry_ids is not None:
-                pairs = np.ascontiguousarray(entry_ids, dtype=np.int64).reshape(-1, 2)
-                out.section(ENTRY_IDS, len(pairs), pairs)
             out.section(END, out.sections)
             if fsync:
                 fh.flush()
@@ -334,6 +326,14 @@ def _image(block, type_id: int, context_id: int):
     return image
 
 
+def _entries(groups) -> np.ndarray:
+    """Entry ids of the rows in *groups* of blocks, in enumeration order."""
+    parts = [np.empty(0, dtype=np.int64)]
+    for group in groups:
+        parts.extend(block.backptrs[block.valid_slots()] for block in group)
+    return np.concatenate(parts)
+
+
 def _check_references(manager, named, blocks, saved_ids, table_addr, table_inc) -> None:
     """Refuse live references that leave the saved collections.
 
@@ -391,86 +391,37 @@ def _direct_target_alive(manager, address: int, inc: int) -> bool:
 
 def load_collections(
     path: str,
-    manager: Optional[MemoryManager] = None,
-    columnar: bool = False,
+    *,
     shm: bool = False,
     memory_budget: Optional[int] = None,
-    block_shift: Optional[int] = None,
 ) -> Dict[str, Any]:
-    """Load a snapshot; returns name → collection (plus ``"_manager"``).
+    """Adopt a snapshot; returns name → collection (plus ``"_manager"``).
 
     Tabular classes are resolved by name through the schema registry and
-    validated against the stored field specification.  ``shm``
-    (shared-memory block buffers, for the process executor),
+    validated against the stored field specification.  The image's
+    header sets the fresh manager's block size and pointer mode; ``shm``
+    (shared-memory block buffers, for the process executor) and
     ``memory_budget`` (attach a pager keeping the block pool under a byte
-    budget) and ``block_shift`` (log2 block size; default: the image's)
-    shape the fresh manager and are ignored when an explicit *manager* is
-    supplied.
-
-    A block image is adopted in place when it already has the requested
-    shape — layout and block size — and the manager is
-    fresh; otherwise it is adopted aside and its rows are copied across
-    (:func:`_convert`).  When log records would no longer find the rows
-    under the entry ids they name — an image with an ``entry-ids``
-    section, or a conversion that handed out other ids — the result also
-    holds ``"_entry_ids"``, the ``(logged id, local id)`` pairs recovery
-    needs.
+    budget) choose where its buffers live.
     """
     # Tabular classes are resolved by name: user-defined classes must be
     # imported before loading.  The built-in TPC-H schema registers here
     # so snapshots written by the CLI always reload.
     import repro.tpch.schema  # noqa: F401
 
-    def fresh(**params) -> MemoryManager:
-        return MemoryManager(shm=shm, memory_budget=memory_budget, **params)
-
     with open(path, "rb") as fh:
         header = _open_image(fh, path)
-        stored = {key: header[key] for key in ("block_shift", "direct_pointers")}
-        if manager is None:
-            wanted = dict(stored)
-            if block_shift is not None:
-                wanted["block_shift"] = block_shift
-            adoptable = True
-        else:
-            wanted = dict(
-                block_shift=manager.space.block_shift,
-                direct_pointers=bool(manager.direct_pointers),
-            )
-            # Stored block and entry ids are only free in an unused manager.
-            adoptable = not (
-                manager.table.size
-                or manager.space.live_block_count
-                or manager._contexts
-            )
-        if (
-            adoptable
-            and wanted == stored
-            and all(c["columnar"] == columnar for c in header["collections"])
-        ):
-            return _adopt(fh, header, manager or fresh(**stored), owned=manager is None)
-        # Another shape was asked for: adopt aside, copy the rows across.
-        staging = _adopt(fh, header, fresh(**stored), owned=True)
+        manager = MemoryManager(
+            block_shift=header["block_shift"],
+            direct_pointers=header["direct_pointers"],
+            shm=shm,
+            memory_budget=memory_budget,
+        )
         try:
-            converted = _convert(staging, manager or fresh(**wanted), columnar)
-            # The copies took fresh entry ids, in the same enumeration
-            # order; log records still name the stored ones.
-            logged = _entries(c.context.blocks() for c in _named(staging).values())
-            prior = staging.get("_entry_ids")
-            if prior is not None and len(prior):
-                primary = dict(zip(prior[:, 1].tolist(), prior[:, 0].tolist()))
-                logged = np.array(
-                    [primary.get(e, e) for e in logged.tolist()], dtype=np.int64
-                )
-            local = _entries(c.context.blocks() for c in _named(converted).values())
-            moved = logged != local
-            if moved.any():
-                converted["_entry_ids"] = np.stack(
-                    [logged[moved], local[moved]], axis=1
-                )
-            return converted
-        finally:
-            staging["_manager"].close()
+            return _adopt_sections(fh, header, manager)
+        except BaseException:
+            manager.close()
+            raise
 
 
 def _open_image(fh: BinaryIO, path: str) -> Dict[str, Any]:
@@ -484,49 +435,6 @@ def _open_image(fh: BinaryIO, path: str) -> Dict[str, Any]:
     if magic != _MAGIC:
         raise SnapshotError(f"{path} is not an SMC snapshot")
     return _read_header(fh)
-
-
-def _convert(staging: Dict[str, Any], manager: MemoryManager, columnar: bool):
-    """Copy the rows of the adopted *staging* store into new collections
-    on *manager*; returns name → collection (plus ``"_manager"``).
-
-    Each collection, in image order, takes its rows in enumeration order,
-    so entry ids are handed out as a row-by-row load would.  References
-    are set once every copy exists (forward and cyclic ones included); a
-    stale one — its target removed, the entry maybe recycled since — is
-    copied as null and never re-points at the entry's new occupant.
-    """
-    factory = ColumnarCollection if columnar else Collection
-    converted: Dict[str, Any] = {}
-    copies: Dict[int, Any] = {}  # staging entry -> copy
-    pending = []
-    for name, src in _named(staging).items():
-        fields = src.layout.fields
-        plain = [f.name for f in fields if not isinstance(f, RefField)]
-        rows = list(src)
-        coll = converted[name] = factory(src.schema, manager=manager, name=name)
-        made = bulk_add(coll, ({f: getattr(h, f) for f in plain} for h in rows))
-        copies.update(zip((h.ref.entry for h in rows), made))
-        pending.append((src.layout.ref_fields, rows, made))
-    for fields, rows, made in pending:
-        for field in fields:
-            for handle, copy in zip(rows, made):
-                try:
-                    target = getattr(handle, field.name)
-                except NullReferenceError:  # a dangling direct pointer
-                    continue
-                if target is not None and target.is_alive:
-                    setattr(copy, field.name, copies[target.ref.entry])
-    converted["_manager"] = manager
-    return converted
-
-
-def _entries(groups) -> np.ndarray:
-    """Entry ids of the rows in *groups* of blocks, in enumeration order."""
-    parts = [np.empty(0, dtype=np.int64)]
-    for group in groups:
-        parts.extend(block.backptrs[block.valid_slots()] for block in group)
-    return np.concatenate(parts)
 
 
 def _read_header(fh: BinaryIO) -> Dict[str, Any]:
@@ -634,15 +542,6 @@ def _validated_collection(spec: Dict[str, Any], manager: MemoryManager):
     return coll
 
 
-def _adopt(fh: BinaryIO, header: Dict[str, Any], manager: MemoryManager, owned: bool):
-    try:
-        return _adopt_sections(fh, header, manager)
-    except BaseException:
-        if owned:
-            manager.close()
-        raise
-
-
 def _adopt_sections(fh: BinaryIO, header: Dict[str, Any], manager: MemoryManager):
     space = manager.space
     collections: Dict[str, Any] = {}
@@ -722,10 +621,6 @@ def _adopt_sections(fh: BinaryIO, header: Dict[str, Any], manager: MemoryManager
                         records.tolist(), header["heap"]["bytes_in_use"]
                     )
                     heap_free_pending = False
-                elif kind == ENTRY_IDS:
-                    collections["_entry_ids"] = np.frombuffer(
-                        payload, np.int64
-                    ).reshape(ident, 2)
         except SnapshotError:
             raise
         except _ADOPT_ERRORS as exc:

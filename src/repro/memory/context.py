@@ -13,7 +13,6 @@ from __future__ import annotations
 import threading
 from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple
 
-from repro.memory import zonemap
 from repro.memory.allocator import ReclamationQueue, ThreadLocalBlocks
 from repro.memory.block import Block
 from repro.memory.slots import FREE
@@ -169,8 +168,8 @@ class MemoryContext:
         epoch = self.manager.epochs.global_epoch
         block.mark_limbo(slot, epoch)
         self.live_count -= 1
-        # Zone bounds stay (widen-only invariant); the map just goes stale.
-        zonemap.note_free(block)
+        # The block's zone map is left as it is: a freed extremum only
+        # keeps the zone wide (see repro.memory.zonemap).
         # Blocks actively used for allocation — by ANY thread, not just the
         # remover — are re-examined when retired; all other blocks join the
         # queue as soon as they cross the reclamation threshold.  (The

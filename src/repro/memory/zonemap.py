@@ -4,8 +4,8 @@ Blocks are the natural statistics granularity in an SMC: fixed-size,
 single-type, slot-directory-enumerated — the same granularity the scan
 protocol (section 5.2) and every executor's block cursor already work
 at.  A :class:`ZoneMap` records, per numeric/date/scaled-decimal field,
-the minimum and maximum *raw* value over the block's valid slots, plus a
-staleness counter.  The query planner derives interval tests from
+the minimum and maximum *raw* value over the block's valid slots.  The
+query planner derives interval tests from
 ``Where``/``Between``/``InSet`` predicates and skips blocks whose zone
 cannot contain a match, before any kernel touches the block's memory.
 
@@ -23,9 +23,9 @@ provably current or it is not consulted.
 * **insert / update** — bump ``zone_version`` (after the slot/field
   bytes are visible, so a map built from a matching version has seen the
   write).  The stale map is rebuilt by the next pruning scan.
-* **free** — bounds are left untouched and the version is *not* bumped;
-  only ``stale`` grows.  A freed extremum therefore keeps the zone wide,
-  which can cost pruning opportunities but can never skip a live match.
+* **free** — the map is left as it is and the version is *not* bumped.
+  A freed extremum therefore keeps the zone wide, which can cost pruning
+  opportunities but can never skip a live match.
 * **compaction** — relocation copies slot bytes without going through
   ``commit_slot``, but each copy's ``mark_valid`` still bumps the
   destination's version, so no destination map can go stale unnoticed;
@@ -95,27 +95,20 @@ class ZoneMap:
     estimates, but pruning must never test them.
     """
 
-    __slots__ = ("lo", "hi", "codes", "charsets", "stale", "version")
+    __slots__ = ("lo", "hi", "codes", "charsets", "version")
 
     def __init__(self, version: int) -> None:
         self.lo: Dict[str, float] = {}
         self.hi: Dict[str, float] = {}
         self.codes: Dict[str, frozenset] = {}
         self.charsets: Dict[str, frozenset] = {}
-        self.stale = 0
         self.version = version
-
-    def bounds(self, name: str) -> Optional[Tuple[float, float]]:
-        lo = self.lo.get(name)
-        if lo is None:
-            return None
-        return lo, self.hi[name]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         spans = ", ".join(
             f"{n}=[{self.lo[n]}, {self.hi[n]}]" for n in sorted(self.lo)
         )
-        return f"<ZoneMap v={self.version} stale={self.stale} {spans}>"
+        return f"<ZoneMap v={self.version} {spans}>"
 
 
 def zone_specs(context: "MemoryContext") -> List[Tuple[str, str]]:
@@ -147,13 +140,6 @@ def zone_specs(context: "MemoryContext") -> List[Tuple[str, str]]:
         specs.extend((f.name, "code") for f in layout.var_fields)
         context._zone_specs = specs
     return specs
-
-
-def note_free(block) -> None:
-    """Record that a slot died: bounds stay (conservative), stale bumps."""
-    zones = block.zones
-    if zones is not None:
-        zones.stale += 1
 
 
 def _compute(context: "MemoryContext", block, version: int) -> Optional[ZoneMap]:

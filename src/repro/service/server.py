@@ -25,8 +25,9 @@ Error taxonomy (the ``error`` field of a ``{"ok": false}`` response):
 ``INTERNAL``
     Unexpected exception during execution (with a detail string).
 
-A query's ``workers`` is capped at the host's CPU count: one request
-never asks for more scan threads than there are cores.
+A query's ``workers`` is capped at the host's CPU count.  A request
+with ``workers > 1`` runs on the exec process pool when the server has
+one and the pool takes the plan; otherwise it runs serially.
 """
 
 from __future__ import annotations

@@ -247,7 +247,7 @@ def test_one_class_in_every_container(layout, container, tmp_path):
         if container == "snapshot":
             path = str(tmp_path / "image.smcsnap")
             save_collections(path, {"everything": coll})
-            loaded = load_collections(path, columnar=layout == "columnar")
+            loaded = load_collections(path)
             mirror.close()
             mirror = loaded["_manager"]
             if layout == "string":

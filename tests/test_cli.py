@@ -152,6 +152,27 @@ def test_serve_composes_a_data_dir_a_budget_and_exec_workers(snapshot, tmp_path)
     assert answers[0] == answers[1]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("info", "snap", "--columnar"),
+        ("info", "snap", "--block-shift", "16"),
+        ("serve", "snap", "--columnar"),
+        ("query", "snap", "q6", "--columnar"),
+        ("restore", "dd", "snap", "--columnar"),
+    ],
+)
+def test_a_load_takes_the_image_shape(argv, capsys):
+    """Layout and block size are chosen when data is created (``gen
+    --columnar``); every command that loads an image adopts it."""
+    from repro.cli import build_parser
+
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_memory_budget_is_the_only_budget():
     proc = _repro("serve", "snap", "--governor-budget", "1048576")
     assert proc.returncode == 2

@@ -647,41 +647,11 @@ class TestStoreRecovery:
             )
         reopened.close()
 
-    @pytest.mark.parametrize("shape", ["columnar", "blocksize"])
-    def test_tail_replays_onto_a_converted_checkpoint(self, data_dir, shape):
-        """Recovering into another layout, or onto a manager with another
-        block size, copies the checkpoint row by row, so rows take other
-        entry ids; the log tail, written against the stored ids, must
-        still find them."""
-        store, colls, manager = _fresh_store(data_dir)
-        people = [colls["persons"].add(name=f"p{i}", age=i) for i in range(30)]
-        for h in people[:10]:
-            colls["persons"].remove(h)  # stored ids 10.. become copies 0..
-        store.checkpoint()
-        people[17].age = 1717
-        colls["persons"].remove(people[25])
-        colls["orders"].add(orderkey=1, owner=people[12])
-        colls["orders"].add(orderkey=2, owner=colls["persons"].add(name="late", age=7))
-        expected = _state(colls)
-        store.close(checkpoint=False)
-        manager.close()
-
-        if shape == "columnar":
-            recovered, report = recover(data_dir, columnar=True)
-        else:
-            recovered, report = recover(data_dir, manager=MemoryManager(block_shift=12))
-            assert recovered["_manager"].space.block_shift == 12
-        assert report.replayed == 5
-        assert _state(recovered) == expected
-        recovered["_manager"].close()
-
-    @pytest.mark.parametrize("columnar", [None, True], ids=["same", "converted"])
-    def test_restart_keeps_one_entry_namespace(self, data_dir, columnar):
+    def test_restart_keeps_one_entry_namespace(self, data_dir):
         """An entry a restarted store hands out names the same row after
-        the next restart.  Replayed rows, and the rows of a load that
-        converts the image, take other entries than the writer's; a
-        record logged against them must not be read, at the next
-        restart, in the namespace of the writer's log."""
+        the next restart.  Replayed rows take other entries than the
+        writer's; a record logged against them must not be read, at the
+        next restart, in the namespace of the writer's log."""
         store, colls, manager = _fresh_store(data_dir)
         persons = colls["persons"]
         a = persons.add(name="a", age=1)
@@ -695,43 +665,12 @@ class TestStoreRecovery:
         store.close()
         manager.close()
 
-        store = DurableStore.open(data_dir, columnar=columnar)
+        store = DurableStore.open(data_dir)
         entries = {h.name: h.ref.entry for h in store.collections["persons"]}
         store.apply([{"op": "remove", "collection": "persons", "entry": entries["c"]}])
         store.close()
-        store = DurableStore.open(data_dir, columnar=columnar)
-        assert sorted(h.name for h in store.collections["persons"]) == ["b", "e"]
-        store.close()
-
-    def test_converting_open_checkpoints_an_empty_tail(self, data_dir):
-        """A load into another layout renumbers the rows behind a
-        removed one; with no log tail at all, the store still cuts the
-        converted state as its checkpoint (over the segment it starts
-        again at the same LSN), so its entries survive the next
-        restart."""
-        store, colls, manager = _fresh_store(data_dir)
-        people = [colls["persons"].add(name=f"p{i}", age=i) for i in range(4)]
-        colls["persons"].remove(people[0])
-        colls["persons"].remove(people[2])
-        store.checkpoint()
-        cut = store.cut_lsn
-        store.close()
-        manager.close()
-
-        store = DurableStore.open(data_dir, columnar=True)
-        report = store.report
-        assert (report.replayed, report.skipped, report.renumbered) == (0, 0, 2)
-        assert store.cut_lsn == cut and store.stats()["checkpoints_total"] == 1
-        assert sorted(os.listdir(data_dir)) == sorted(
-            ["MANIFEST", os.path.basename(store.wal.path),
-             os.path.basename(store.datadir.checkpoint_path(cut))]
-        )
-        entries = {h.name: h.ref.entry for h in store.collections["persons"]}
-        store.apply([{"op": "remove", "collection": "persons", "entry": entries["p3"]}])
-        store.close()
         store = DurableStore.open(data_dir)
-        assert store.report.renumbered == 0  # the image is columnar now
-        assert [h.name for h in store.collections["persons"]] == ["p1"]
+        assert sorted(h.name for h in store.collections["persons"]) == ["b", "e"]
         store.close()
 
     def test_pre_image_checkpoint_with_log_tail_refused(self, data_dir):

@@ -143,7 +143,6 @@ def test_zone_staleness_free_keeps_bounds_conservative():
     block = _lineitem_block(people)
     people.remove(handles[99])  # drop the max
     zones = block.zones
-    assert zones.stale >= 1
     assert zones.hi["age"] == 99  # stale-wide, by design
     before = dict(m.stats.extra)
     assert _count(probe.run(workers=1)) == 0

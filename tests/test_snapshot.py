@@ -1,11 +1,10 @@
 """Snapshot persistence: block-image roundtrips, integrity, and the
-differential between adopted and converted loads of one image."""
+differential between a live store and its adopted image."""
 
 import datetime
 import os
 from decimal import Decimal
 
-import numpy as np
 import pytest
 
 from repro.core.collection import Collection
@@ -106,17 +105,6 @@ def test_roundtrip_self_references(manager, snap_path):
     loaded["_manager"].close()
 
 
-def test_load_into_columnar(manager, snap_path):
-    persons = Collection(TPerson, manager=manager)
-    for i in range(20):
-        persons.add(name=f"p{i}", age=i)
-    save_collections(snap_path, {"persons": persons})
-    loaded = load_collections(snap_path, columnar=True)
-    assert isinstance(loaded["persons"], ColumnarCollection)
-    assert sorted(h.age for h in loaded["persons"]) == list(range(20))
-    loaded["_manager"].close()
-
-
 def test_reference_outside_snapshot_rejected(manager, snap_path):
     persons = Collection(TPerson, manager=manager)
     orders = Collection(TOrder, manager=manager)
@@ -203,7 +191,7 @@ def test_dict_varstring_roundtrip_after_compaction(snap_path):
     manager.close()
 
 # ----------------------------------------------------------------------
-# Image identity: entry ids, incarnations, adoption vs conversion
+# Image identity: entry ids, incarnations, adoption
 # ----------------------------------------------------------------------
 
 
@@ -243,21 +231,14 @@ def test_entry_ids_and_stale_refs_survive_reload(snap_path):
     (order,) = loaded["orders"]
     assert not order.owner.is_alive
     lm.close()
-    # A conversion copies the stale owner as null, never as the entry's
-    # new occupant.
-    converted = load_collections(snap_path, block_shift=12)
-    (order,) = converted["orders"]
-    assert order.owner is None
-    converted["_manager"].close()
     manager.close()
 
 
-@pytest.mark.parametrize("convert", [False, True], ids=["adopt", "convert"])
 @pytest.mark.parametrize("columnar", [False, True], ids=["row", "columnar"])
-def test_direct_pointer_image_roundtrip(direct_manager, snap_path, columnar, convert):
+def test_direct_pointer_image_roundtrip(direct_manager, snap_path, columnar):
     """Direct mode stores raw addresses in reference fields; block ids
-    are part of an image, so the addresses stay true.  A conversion
-    copies a stale pointer as null."""
+    are part of an image, so the addresses stay true, and a stale
+    pointer stays stale."""
     from repro.errors import NullReferenceError
 
     factory = ColumnarCollection if columnar else Collection
@@ -278,42 +259,54 @@ def test_direct_pointer_image_roundtrip(direct_manager, snap_path, columnar, con
         return out
 
     save_collections(snap_path, {"persons": persons, "orders": orders})
-    shape = {"block_shift": 12} if convert else {}
-    loaded = load_collections(snap_path, columnar=columnar, **shape)
+    loaded = load_collections(snap_path)
     assert loaded["_manager"].direct_pointers
+    assert isinstance(loaded["orders"], factory)
     expected = owners(orders)
     assert expected[4] == "stale" and expected[5] == "p5"
-    if convert:
-        expected[4] = None
     assert owners(loaded["orders"]) == expected
     loaded["_manager"].close()
 
 
-def test_adoption_needs_matching_shape(snap_path):
-    """Same shape adopts the image (holes and all); another block size
-    or layout converts row by row (densely)."""
+@pytest.mark.parametrize("where", ["heap", "shm", "budget"])
+def test_every_image_is_adopted_holes_and_all(snap_path, where):
+    """A load adopts the image whatever buffers it lands in: the
+    header's block size, every block at its stored id, and the holes a
+    removal left, in both layouts."""
     manager = MemoryManager(block_shift=10)
     notes = Collection(TNote, manager=manager)
+    people = ColumnarCollection(TPerson, manager=manager)
     handles = [notes.add(text=f"t{i % 9}", stars=i % 5) for i in range(100)]
+    for i in range(60):
+        people.add(name=f"p{i}", age=i)
     for h in handles[:20:2]:
         notes.remove(h)
     expected = [(h.text, h.stars) for h in notes]
-    save_collections(snap_path, {"notes": notes})
+    blocks = {
+        name: [b.block_id for b in coll.context.blocks()]
+        for name, coll in (("notes", notes), ("people", people))
+    }
+    save_collections(snap_path, {"notes": notes, "people": people})
     manager.close()
 
-    for kwargs, adopted in [
-        ({}, True),
-        ({"manager": MemoryManager(block_shift=10)}, True),
-        ({"block_shift": 12}, False),
-        ({"columnar": True}, False),
-        ({"manager": MemoryManager(block_shift=12)}, False),
-    ]:
-        loaded = load_collections(snap_path, **kwargs)
-        ln = loaded["notes"]
-        assert [(h.text, h.stars) for h in ln] == expected
-        holes = any(b.alloc_cursor != b.valid_count for b in ln.context.blocks())
-        assert holes == adopted
-        loaded["_manager"].close()
+    shape = {
+        "heap": {},
+        "shm": {"shm": True},
+        "budget": {"memory_budget": 4 << 10},
+    }[where]
+    loaded = load_collections(snap_path, **shape)
+    lm, ln = loaded["_manager"], loaded["notes"]
+    assert lm.space.block_shift == 10
+    assert (lm.pager is not None) == (where == "budget")
+    assert isinstance(ln, Collection) and not isinstance(ln, ColumnarCollection)
+    assert isinstance(loaded["people"], ColumnarCollection)
+    assert {
+        name: [b.block_id for b in loaded[name].context.blocks()] for name in blocks
+    } == blocks
+    assert [(h.text, h.stars) for h in ln] == expected
+    assert sorted(h.age for h in loaded["people"]) == list(range(60))
+    assert any(b.alloc_cursor != b.valid_count for b in ln.context.blocks())
+    lm.close()
 
 
 def test_describe_snapshot(manager, snap_path):
@@ -388,15 +381,13 @@ def image(snap_path):
     texts = [notes.add(text=f"text number {i}", stars=i % 5) for i in range(12)]
     notes.remove(texts[3])  # a released string: the heap-free list is not empty
     collections = {"persons": persons, "orders": orders, "notes": notes}
-    save_collections(
-        snap_path, collections, entry_ids=np.array([[5, 7], [9, 2]])
-    )
+    save_collections(snap_path, collections)
     expected = sorted((h.orderkey, h.owner.name) for h in orders)
     manager.close()
     return snap_path, expected
 
 
-_SECTION_KINDS = ["heap-block", "heap-free", "table", "dict", "block", "entry-ids"]
+_SECTION_KINDS = ["heap-block", "heap-free", "table", "dict", "block"]
 
 
 @pytest.mark.parametrize("kind", _SECTION_KINDS)
@@ -468,18 +459,22 @@ def test_truncation_anywhere_rejected(image):
         fh.write(pristine)
     loaded = load_collections(path)
     assert sorted((h.orderkey, h.owner.name) for h in loaded["orders"]) == expected
-    assert loaded["_entry_ids"].tolist() == [[5, 7], [9, 2]]
     loaded["_manager"].close()
 
 
 def test_unknown_section_kind_rejected(image):
+    """Kind 6 (retired) is as unknown as a kind no writer ever used."""
     path, __ = image
+    pristine = open(path, "rb").read()
     __, frames = _frames(path)
-    with open(path, "r+b") as fh:
-        fh.seek(frames[1][1] + 4)  # the u32 kind field of the second frame
-        fh.write((99).to_bytes(4, "little"))
-    with pytest.raises(SnapshotError, match="unknown section kind 99"):
-        load_collections(path)
+    for kind in (6, 99):
+        with open(path, "wb") as fh:
+            fh.write(pristine)
+            fh.seek(frames[1][1] + 4)  # the u32 kind field of the second frame
+            fh.write(kind.to_bytes(4, "little"))
+        for read in (describe_snapshot, load_collections):
+            with pytest.raises(SnapshotError, match=f"unknown section kind {kind} "):
+                read(path)
 
 
 def test_block_id_collision_rejected(image):
@@ -554,7 +549,7 @@ def test_snapshot_during_compaction_refused(snap_path):
 
 
 # ----------------------------------------------------------------------
-# Differential: original == adopted image == converted image
+# Differential: original == adopted image
 # ----------------------------------------------------------------------
 
 
@@ -575,8 +570,7 @@ def _all_digests(collections):
 def test_tpch_differential_after_churn(tpch_tiny, tmp_path, columnar, shm):
     """Removes, updates, a compaction and an un-advanced epoch, then all
     ten TPC-H queries and enumeration order must agree between the live
-    store, its adopted image and a conversion of that image to the other
-    layout and another block size."""
+    store and its adopted image."""
     from repro.tpch.loader import load_smc
 
     src = load_smc(
@@ -601,17 +595,11 @@ def test_tpch_differential_after_churn(tpch_tiny, tmp_path, columnar, shm):
 
     image = str(tmp_path / "image.smcsnap")
     save_collections(image, src)
-    convert = dict(columnar=not columnar, block_shift=13, shm=shm)
-    stores = [
-        src,
-        load_collections(image, columnar=columnar, shm=shm),
-        load_collections(image, **convert),
-        load_collections(image, **convert),
-    ]
+    stores = [src, load_collections(image, shm=shm)]
     assert describe_snapshot(image)["format"] == "SMCSNAP2"
     assert [b.block_id for b in stores[1]["lineitem"].context.blocks()] == [
         b.block_id for b in line.context.blocks()
-    ]  # adopted, not converted
+    ]
 
     def observe(store):
         return {
@@ -622,17 +610,13 @@ def test_tpch_differential_after_churn(tpch_tiny, tmp_path, columnar, shm):
             ],
         }
 
-    seen = [observe(store) for store in stores[:3]]
+    seen = [observe(store) for store in stores]
     assert seen[0]["digests"]["q1"]
     assert seen[1] == seen[0]
-    assert seen[2] == seen[0]
-    # Image -> load -> image reproduces the file byte for byte, and one
-    # image converts to the same store every time.
-    again = [str(tmp_path / f"again{i}.smcsnap") for i in range(3)]
-    for path, store in zip(again, stores[1:]):
-        save_collections(path, store)
-    assert open(again[0], "rb").read() == open(image, "rb").read()
-    assert open(again[1], "rb").read() == open(again[2], "rb").read()
+    # Image -> load -> image reproduces the file byte for byte.
+    again = str(tmp_path / "again.smcsnap")
+    save_collections(again, stores[1])
+    assert open(again, "rb").read() == open(image, "rb").read()
     for store in stores:
         store["_manager"].close()
 
@@ -730,17 +714,16 @@ def test_snapshot_roundtrip_property(
     rows, node_specs, friend_of, removes, updates, late_removes,
     compact, columnar, shm,
 ):
-    """Block images round-trip arbitrary stores, adopted or converted.
+    """Block images round-trip arbitrary stores.
 
     Every field kind, null and cyclic references, dict-encoded
     varstrings; then removes, updates, a compaction and removes whose
     epoch never advances (limbo slots and limbo dictionary codes in the
     saved blocks), for row and columnar layouts over heap and
-    shared-memory buffers.  The original, its adopted image and the image
-    converted to the other layout and another block size must agree on
-    enumeration order; references stale before the save stay stale, even
-    once their entries are recycled; image -> load -> image is
-    byte-identical, and so are two conversions of one image.
+    shared-memory buffers.  The original and its adopted image must
+    agree on enumeration order; references stale before the save stay
+    stale, even once their entries are recycled; image -> load -> image
+    is byte-identical.
     """
     import tempfile
 
@@ -748,7 +731,7 @@ def test_snapshot_roundtrip_property(
     manager = MemoryManager(block_shift=11, shm=shm)
     tmp = tempfile.TemporaryDirectory(prefix="smcsnap-prop-")
     image = os.path.join(tmp.name, "image.smcsnap")
-    loaded = []
+    adopted = None
     try:
         persons = factory(TPerson, manager=manager)
         every = factory(TEverything, manager=manager)
@@ -790,20 +773,13 @@ def test_snapshot_roundtrip_property(
             remove(index)  # no epoch advance after these
 
         save_collections(image, src)
-        loaded.append(load_collections(image, columnar=columnar, shm=shm))
-        convert = dict(columnar=not columnar, block_shift=12, shm=shm)
-        loaded.append(load_collections(image, **convert))
-        loaded.append(load_collections(image, **convert))
-        for store in loaded:
-            assert _everything_view(store) == _everything_view(src)
-            assert _nodes_view(store) == _nodes_view(src)
+        adopted = load_collections(image, shm=shm)
+        assert _everything_view(adopted) == _everything_view(src)
+        assert _nodes_view(adopted) == _nodes_view(src)
 
-        adopted = loaded[0]
-        again = [os.path.join(tmp.name, f"again{i}.smcsnap") for i in range(3)]
-        for path, store in zip(again, loaded):
-            save_collections(path, store)
-        assert open(again[0], "rb").read() == open(image, "rb").read()
-        assert open(again[1], "rb").read() == open(again[2], "rb").read()
+        again = os.path.join(tmp.name, "again.smcsnap")
+        save_collections(again, adopted)
+        assert open(again, "rb").read() == open(image, "rb").read()
 
         ghosts = [Ref(adopted["_manager"], r.entry, r.inc) for r in stale]
         assert not any(g.is_alive for g in ghosts)
@@ -811,7 +787,7 @@ def test_snapshot_roundtrip_property(
             adopted["every"].add(i32=i)
         assert not any(g.is_alive or g.try_address() is not None for g in ghosts)
     finally:
-        for store in loaded:
-            store["_manager"].close()
+        if adopted is not None:
+            adopted["_manager"].close()
         manager.close()
         tmp.cleanup()

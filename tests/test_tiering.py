@@ -774,18 +774,18 @@ def test_telemetry_and_residency_by_context():
     assert m.telemetry().get("tier") is None or True  # close is terminal
 
 
-def test_cli_info_reports_residency(tmp_path):
+def test_cli_info_reports_residency(tpch_tiny, tmp_path):
     import subprocess
     import sys
 
+    from repro.io import save_collections
+
+    # Small blocks, so a tiny image holds several per table: a load
+    # adopts the block size the image was saved with.
     snap = str(tmp_path / "tiny.smcsnap")
-    gen = subprocess.run(
-        [sys.executable, "-m", "repro", "gen", "--sf", "0.0005", "--out", snap],
-        capture_output=True,
-        text=True,
-        timeout=240,
-    )
-    assert gen.returncode == 0, gen.stderr
+    collections = load_smc(tpch_tiny, manager=MemoryManager(block_shift=16))
+    save_collections(snap, collections)
+    collections["_manager"].close()
     proc = subprocess.run(
         [
             sys.executable,
@@ -795,8 +795,6 @@ def test_cli_info_reports_residency(tmp_path):
             snap,
             "--memory-budget",
             str(64 * 1024),
-            "--block-shift",
-            "16",
         ],
         capture_output=True,
         text=True,
