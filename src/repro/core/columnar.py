@@ -135,6 +135,7 @@ class ColumnarHandle:
             collection._write_field(block, slot, field, value)
             if _zonemap.is_zoned(field):
                 block.zone_version += 1  # invalidate the zone map
+            collection.context.bump_version()
         finally:
             epochs.exit_critical_section()
 

@@ -131,6 +131,7 @@ class Handle:
                 )
                 if zonemap.is_zoned(field):
                     block.zone_version += 1  # invalidate the zone map
+            collection.context.bump_version()
         finally:
             epochs.exit_critical_section()
 

@@ -54,6 +54,7 @@ def repair_references(manager: "MemoryManager") -> Dict[str, int]:
                     (block.column(f.name + "__w"), block.column(f.name + "__i"))
                     for f in ref_fields
                 ]
+                before = nulled
                 for slot in block.valid_slots():
                     scanned += 1
                     for word_col, inc_col in words:
@@ -64,6 +65,8 @@ def repair_references(manager: "MemoryManager") -> Dict[str, int]:
                             word_col[slot] = NULL_ADDRESS
                             inc_col[slot] = 0
                             nulled += 1
+                if nulled != before:
+                    coll.context.bump_version()  # the words are field values
 
     reclaimed = table.reclaim_retired()
     return {"scanned": scanned, "nulled": nulled, "reclaimed": reclaimed}

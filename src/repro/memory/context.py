@@ -10,11 +10,13 @@ recyclable limbo slots.
 
 from __future__ import annotations
 
+import itertools
 import threading
 from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple
 
 from repro.memory.allocator import ReclamationQueue, ThreadLocalBlocks
 from repro.memory.block import Block
+from repro.memory.navigation import NavColumns
 from repro.memory.slots import FREE
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -55,6 +57,23 @@ class MemoryContext:
         #: Blocks whose owner thread abandoned them (exhausted); candidates
         #: for the reclamation queue as their limbo fraction grows.
         self.live_count = 0
+        #: Mutation version: moves after every slot publication, every
+        #: free and every in-place field write (:meth:`bump_version`).
+        #: Relocation leaves it alone: entries and values do not move.
+        self.version = 0
+        self._versions = itertools.count(1)
+        #: Entry-indexed copies of columns that queries navigate into,
+        #: valid while their stamp is ``version``
+        #: (:mod:`repro.memory.navigation`).
+        self.nav = NavColumns(self)
+
+    def bump_version(self) -> None:
+        """Record a mutation of this context's rows, after it is made.
+
+        Each bump takes a fresh number, so two racing bumps cannot bring
+        the version back to a value a reader already stamped.
+        """
+        self.version = next(self._versions)
 
     # ------------------------------------------------------------------
     # Block set
@@ -81,6 +100,7 @@ class MemoryContext:
         """Take in a block rebuilt from a snapshot image, objects included."""
         self._attach_block(block)
         self.live_count += block.valid_count
+        self.bump_version()
 
     def detach_block(self, block: Block) -> None:
         """Remove an emptied block from the context (compaction, section 5.2)."""
@@ -152,6 +172,7 @@ class MemoryContext:
         if block.mark_valid(slot) != FREE:  # LIMBO slot recycled in place
             self.manager.stats.limbo_reuses += 1
         self.live_count += 1
+        self.bump_version()
 
     def _retire_active_block(self, block: Block) -> None:
         """An exhausted thread-local block becomes queue-eligible again."""
@@ -168,6 +189,7 @@ class MemoryContext:
         epoch = self.manager.epochs.global_epoch
         block.mark_limbo(slot, epoch)
         self.live_count -= 1
+        self.bump_version()
         # The block's zone map is left as it is: a freed extremum only
         # keeps the zone wide (see repro.memory.zonemap).
         # Blocks actively used for allocation — by ANY thread, not just the
@@ -247,3 +269,5 @@ class MemoryContext:
         self._tl_blocks.clear()
         self._reclaim.drain()
         self.live_count = 0
+        self.bump_version()
+        self.nav.snapshot = None

@@ -13,6 +13,7 @@ compaction algorithm itself lives in ``repro.core.compaction``.
 
 from __future__ import annotations
 
+import os
 import threading
 from collections import deque
 from dataclasses import dataclass, field
@@ -117,6 +118,10 @@ class MemoryManager:
         #: Direct-pointer mode (section 6): references *between* SMCs store
         #: raw addresses and incarnation checks use the slot header.
         self.direct_pointers = direct_pointers
+        #: The process that owns the Python-level state.  A forked scan
+        #: worker keeps the manager but not this pid: the contexts'
+        #: versions and navigation columns it sees are the fork's copy.
+        self.owner_pid = os.getpid()
 
         self._contexts: List[MemoryContext] = []
         self._type_ids: Dict[str, int] = {}
@@ -513,6 +518,7 @@ class MemoryManager:
                 "limbo": limbo,
                 "limbo_fraction": (limbo / capacity) if capacity else 0.0,
                 "reclaim_queue": context.reclaim_queue_length,
+                **context.nav.telemetry(),
             }
             if self.pager is not None:
                 tiers = residency.get(context.context_id, {"hot": 0, "cold": 0})

@@ -6,7 +6,9 @@ accesses per-field columns (section 4.1).  In Python the realisation of
 "tight compiled loops over raw memory" is a vectorised NumPy kernel per
 plan stage: predicates become boolean masks over whole column views,
 aggregation becomes ``np.add.at``/``bincount`` over group codes, and
-reference navigation becomes index gathers grouped by target block.
+reference navigation becomes gathers from the target contexts'
+entry-indexed navigation columns (:mod:`repro.memory.navigation`), or
+index gathers grouped by target block where those cannot answer.
 
 Both SMC layouts share this engine through one abstraction — the column
 accessor.  Columnar blocks expose real per-field arrays (contiguous, the
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 import datetime as _dt
 import operator
+import os
 from collections import Counter
 from decimal import Decimal
 from typing import Any, Dict, List, Optional, Tuple
@@ -43,6 +46,7 @@ from repro.errors import NullReferenceError
 from repro.memory import zonemap
 from repro.memory.addressing import NULL_ADDRESS
 from repro.memory.indirection import INC_MASK
+from repro.memory.navigation import NavColumns
 from repro.query.builder import (
     Distinct,
     GroupBy,
@@ -81,6 +85,7 @@ from repro.query.expressions import (
 )
 from repro.query import planner as _planner
 from repro.query.runtime import scan_blocks
+from repro.sanitizer import hooks as _san
 from repro.schema.fields import (
     RefField,
     VarStringField,
@@ -139,6 +144,7 @@ class _PreparedScan:
         "zone_templates",
         "info",
         "uses",
+        "routes",
     )
 
     def __init__(self, query: Query, params, stamp) -> None:
@@ -178,6 +184,9 @@ class _PreparedScan:
         self.uses = _expr_uses(
             _roots(self.filters, [op.exprs for op in self.semijoins], self.terminal)
         )
+        #: where its navigated reads go (:class:`_Routes`), set by the
+        #: first request that lowers them
+        self.routes: Optional[_Routes] = None
 
     def bind(self, params: Dict[str, Any]) -> "_ScanPlan":
         """This request's plan: the zone bounds and dictionary code sets
@@ -199,6 +208,7 @@ class _PreparedScan:
             self.info,
             self.semijoins,
             self.uses,
+            self,
         )
 
 
@@ -322,6 +332,7 @@ class _ScanPlan:
         "info",
         "semijoins",
         "uses",
+        "prepared",
         "_program",
     )
 
@@ -337,6 +348,7 @@ class _ScanPlan:
         info=None,
         semijoins=(),
         uses=None,
+        prepared=None,
     ) -> None:
         self.manager = manager
         self.source = source
@@ -354,6 +366,8 @@ class _ScanPlan:
         #: the prepared scan's reference counts of the expressions (None:
         #: counted when the plan is lowered, as on a process worker)
         self.uses = uses
+        #: the :class:`_PreparedScan` it binds (None on a process worker)
+        self.prepared = prepared
         self._program: Optional[_Program] = None
 
     def run_subqueries(self) -> None:
@@ -402,7 +416,7 @@ class _ScanPlan:
         """Run the lowered filters and probes over *block*, folding rows
         into *acc*."""
         program = self._program or self.program()
-        ctx = _BlockCtx(self.manager, block, program.slots)
+        ctx = _BlockCtx(self.manager, block, program.slots, program.nav)
         if ctx.idx.size == 0:
             return
         acc.rows_scanned += int(ctx.idx.size)
@@ -628,7 +642,7 @@ class _BlockCtx:
     the row selection, the navigation caches and the value cache slots
     of the expressions the program shares."""
 
-    def __init__(self, manager, block, slots: int = 0) -> None:
+    def __init__(self, manager, block, slots: int = 0, nav=None) -> None:
         self.manager = manager
         self.block = block
         self.idx = idx = block.valid_slots()
@@ -638,7 +652,18 @@ class _BlockCtx:
         self._run: Optional[slice] = None
         if idx.size and int(idx[-1]) - int(idx[0]) + 1 == idx.size:
             self._run = slice(int(idx[0]), int(idx[-1]) + 1)
-        #: navigation cache: steps tuple -> (address array, version)
+        #: the request's :class:`_Navigator` (None: it navigates nothing)
+        self.nav = nav
+        #: the navigator's snapshots for this block, read at first use
+        self._nav_state = None
+        #: fallback reasons already counted for this block
+        self._fell: Dict[str, bool] = {}
+        #: navigation through navigation columns: steps tuple ->
+        #: (row positions in the last target's snapshot, version), or
+        #: None where the block takes the address path
+        self._pos: Dict[tuple, Optional[Tuple[np.ndarray, int]]] = {}
+        #: address-path navigation cache: steps tuple -> (address array,
+        #: version)
         self._addrs: Dict[tuple, Tuple[np.ndarray, int]] = {}
         #: per-navigation-path target-block grouping of the address
         #: array, shared by every field gathered through the same path
@@ -668,6 +693,14 @@ class _BlockCtx:
             arr = arr[self._keeps[i]]
         return arr
 
+    def _cached(self, cache: dict, steps: tuple):
+        """*cache*'s array for *steps*, caught up with every refine."""
+        arr, version = cache[steps]
+        if version != len(self._keeps):
+            arr = self._catch_up(arr, version)
+            cache[steps] = (arr, len(self._keeps))
+        return arr
+
     # -- navigation -----------------------------------------------------
 
     def _base(self, name: str) -> np.ndarray:
@@ -694,49 +727,236 @@ class _BlockCtx:
             return np.empty(0, dtype=np.int32)
         return np.empty(0, dtype=context.layout.columns[name][0])
 
+    def _base_words(self, field: RefField) -> Tuple[np.ndarray, np.ndarray]:
+        """The scanned rows' ``(word, incarnation)`` of reference *field*."""
+        w = self._base(field.name + "__w").astype(np.int64)
+        return w, self._base(field.name + "__i")
+
+    def _entry_words(self, field: RefField, w, inc) -> np.ndarray:
+        """Entry words *w* of reference *field*, once each passed the
+        null and the incarnation check (a failure raises)."""
+        _check_words(field, w)
+        entry_inc = self.manager.table._inc[w] & INC_MASK
+        if not np.array_equal(entry_inc, inc & INC_MASK):
+            raise NullReferenceError("reference incarnation mismatch")
+        return w
+
     def addresses(self, steps: Tuple[RefField, ...]) -> Optional[np.ndarray]:
         """Target addresses after navigating *steps* (None = base block)."""
         if not steps:
             return None
-        cached = self._addrs.get(steps)
-        if cached is not None:
-            arr, version = cached
-            if version != len(self._keeps):
-                arr = self._catch_up(arr, version)
-                self._addrs[steps] = (arr, len(self._keeps))
-            return arr
+        if steps in self._addrs:
+            return self._cached(self._addrs, steps)
         parent = self.addresses(steps[:-1])
         field = steps[-1]
         if parent is None:
-            w = self._base(field.name + "__w").astype(np.int64)
-            inc = self._base(field.name + "__i")
+            w, inc = self._base_words(field)
         else:
             w = self._gather(parent, steps[:-1], field.name + "__w")
             inc = self._gather(parent, steps[:-1], field.name + "__i")
-        if np.any(w == NULL_ADDRESS):
-            raise NullReferenceError(
-                f"null reference navigating {field.name} (columnar engine "
-                f"requires non-null paths)"
-            )
-        table = self.manager.table
         if self.manager.direct_pointers:
+            _check_words(field, w)
             addrs = w
             live = self._gather(addrs, steps, None) & INC_MASK
             if not np.array_equal(live, inc & INC_MASK):
                 raise NullReferenceError("direct pointer incarnation mismatch")
         else:
-            entry_inc = table._inc[w] & INC_MASK
-            if not np.array_equal(entry_inc, inc & INC_MASK):
-                raise NullReferenceError("reference incarnation mismatch")
-            addrs = table._addr[w]
+            addrs = self.manager.table._addr[self._entry_words(field, w, inc)]
         self._addrs[steps] = (addrs, len(self._keeps))
         return addrs
 
+    def _fallback(self, reason: str) -> None:
+        """Count this block once per *reason* it took the address path."""
+        if reason not in self._fell:
+            self._fell[reason] = True
+            self.nav.home.fallbacks[reason] += 1
+
+    def positions(self, steps: Tuple[RefField, ...]) -> Optional[np.ndarray]:
+        """Row positions in the navigation columns of *steps*' last
+        target, or None: this block navigates *steps* by address."""
+        if steps in self._pos:
+            return None if self._pos[steps] is None else self._cached(self._pos, steps)
+        nav = self.nav
+        if nav is None:
+            return None  # a bare block context: the address path
+        pos = None
+        if nav.reason is not None:
+            self._fallback(nav.reason)
+        else:
+            state = self._nav_state
+            if state is None:
+                state = self._nav_state = nav.state()
+            __, snaps, hops = state
+            if len(steps) == 1:
+                snap = snaps[nav.paths[steps]]
+                if snap is not None:
+                    words = self._entry_words(steps[0], *self._base_words(steps[0]))
+                    pos = snap.locate(words)
+                if pos is None:
+                    self._fallback("stale")
+            else:
+                parent = self.positions(steps[:-1])
+                hop = None
+                if parent is not None:
+                    hop = hops.get((nav.paths[steps[:-1]], steps[-1].name))
+                    if hop is None:
+                        self._fallback("stale")
+                if hop is not None:
+                    pos = hop[parent]
+                    if pos.size and int(pos.min()) < 0:
+                        self._fallback("sentinel")
+                        pos = None
+        self._pos[steps] = None if pos is None else (pos, len(self._keeps))
+        return pos
+
     def column(self, steps: Tuple[RefField, ...], name: str) -> np.ndarray:
-        addrs = self.addresses(steps)
-        if addrs is None:
+        if not steps:
             return self._base(name)
-        return self._gather(addrs, steps, name)
+        pos = self.positions(steps)
+        if pos is None:
+            return self._gather(self.addresses(steps), steps, name)
+        snap = self._nav_state[1][self.nav.paths[steps]]
+        values = snap.values[name][pos]
+        if _san.SANITIZER is not None:
+            self._cross_check(steps, name, values)
+        return values
+
+    def _cross_check(self, steps, name: str, values: np.ndarray) -> None:
+        """Sanitizer: the address path must answer what the navigation
+        columns answered, unless a writer moved a version since the
+        block read its snapshots (a race the answer may reflect)."""
+        try:
+            expected = self._gather(self.addresses(steps), steps, name)
+        except NullReferenceError:
+            expected = None
+        stamps = self._nav_state[0]
+        moved = [nav.context.version for nav in self.nav.routes.navs] != stamps
+        equal = expected is not None and np.array_equal(
+            expected, values, equal_nan=values.dtype.kind == "f"
+        )
+        _san.SANITIZER.event(
+            "nav.check",
+            equal=equal,
+            moved=moved,
+            context=self.nav.paths[steps].context.name,
+            column=name,
+        )
+
+
+def _check_words(field: RefField, words: np.ndarray) -> None:
+    if np.any(words == NULL_ADDRESS):
+        raise NullReferenceError(
+            f"null reference navigating {field.name} (columnar engine "
+            f"requires non-null paths)"
+        )
+
+
+class _Routes:
+    """Where one prepared scan's navigated reads go — the same for every
+    request that binds it: each path prefix's last target context, and
+    per target context the value columns and hop fields read there.
+    It holds no snapshot, so a query that is not asked again keeps no
+    column alive."""
+
+    __slots__ = ("paths", "needs", "navs")
+
+    def __init__(self, manager, reads: Dict[tuple, dict]) -> None:
+        #: steps prefix -> its last target's navigation columns
+        self.paths: Dict[tuple, NavColumns] = {}
+        #: navigation columns -> (value names, {hop field: target columns})
+        self.needs: Dict[NavColumns, Tuple[dict, Dict[str, NavColumns]]] = {}
+        collections = manager.collections
+        for steps, names in reads.items():
+            navs = [
+                collections[step.resolve_target().__name__].context.nav
+                for step in steps
+            ]
+            for i, nav in enumerate(navs):
+                self.paths[steps[: i + 1]] = nav
+                need = self.needs.setdefault(nav, ({}, {}))
+                if i + 1 < len(steps):
+                    need[1][steps[i + 1].name] = navs[i + 1]
+            self.needs[navs[-1]][0].update(names)
+        self.navs: List[NavColumns] = list(self.needs)
+
+
+class _Navigator:
+    """One request's reference navigation through navigation columns
+    (:mod:`repro.memory.navigation`), along its prepared scan's
+    :class:`_Routes`.
+
+    A block answers from the columns only while every navigated context
+    is at its snapshot's stamp, checked per block (:meth:`state`).  A
+    context is (re)built at most once per request, so a writer that
+    keeps changing it sends the request's later blocks down the address
+    path instead of into a rebuild per block.
+    """
+
+    def __init__(self, manager, scanned, routes: _Routes) -> None:
+        self.table = manager.table
+        #: the scanned context's columns, which count its fallbacks
+        self.home: NavColumns = scanned.nav
+        #: why no block of this request can use the columns (None: any may)
+        self.reason: Optional[str] = None
+        if manager.direct_pointers:
+            self.reason = "direct"
+        elif manager.owner_pid != os.getpid():
+            self.reason = "worker"
+        self.routes = routes
+        self.paths = routes.paths
+        #: contexts and (context, hop field) pairs built by this request
+        self._tried: Dict[Any, bool] = {}
+        self._state = None
+
+    def state(self):
+        """``(stamps, snapshots, hops)`` for a block: each target
+        context's current snapshot (None: stale beyond this request's
+        one rebuild) and each usable hop column."""
+        state = self._state
+        if state is None or state[0] != [
+            nav.context.version for nav in self.routes.navs
+        ]:
+            state = self._state = self._resolve()
+        return state
+
+    def _resolve(self):
+        needs, navs = self.routes.needs, self.routes.navs
+        snaps: Dict[NavColumns, Any] = {}
+        raws: Dict[NavColumns, dict] = {}
+        for nav in navs:
+            names, hops = needs[nav]
+            snap = nav.current()
+            if snap is None or not (
+                names.keys() <= snap.values.keys()
+                and hops.keys() <= snap.hops.keys()
+            ):
+                snap = None
+                if nav not in self._tried:
+                    self._tried[nav] = True
+                    snap, raws[nav] = nav.build(names, hops)
+            snaps[nav] = snap
+        hop_cols: Dict[tuple, np.ndarray] = {}
+        for nav in navs:
+            snap = snaps[nav]
+            if snap is None:
+                continue
+            for field, target_nav in needs[nav][1].items():
+                target = snaps[target_nav]
+                if target is None:
+                    continue
+                hop = snap.hops.get(field)
+                if hop is None or hop[0] is not target:
+                    raw = raws.get(nav, {}).get(field)
+                    if raw is None and (nav, field) not in self._tried:
+                        self._tried[(nav, field)] = True
+                        again, got = nav.build((), (field,))
+                        raw = got.get(field) if again is snap else None
+                    if raw is None:
+                        continue
+                    hop = snap.hops[field] = (target, nav.hop(self.table, raw, target))
+                hop_cols[(nav, field)] = hop[1]
+        stamps = [None if snaps[nav] is None else snaps[nav].stamp for nav in navs]
+        return stamps, snaps, hop_cols
 
 
 # ----------------------------------------------------------------------
@@ -936,6 +1156,9 @@ class _Lowering:
         self.nodes: Dict[str, _Node] = {}
         #: value cache slots handed out (one per shared array node)
         self.slots = 0
+        #: navigated reads: steps tuple -> the column names read there
+        #: (a dict used as an ordered set)
+        self.reads: Dict[tuple, Dict[str, None]] = {}
 
     def __call__(self, expr: Expr) -> _Node:
         sig = expr.signature()
@@ -989,11 +1212,16 @@ class _Lowering:
     def _param(self, expr: Param) -> _Node:
         return _raw_const(self.params[expr.name])
 
+    def _read(self, steps, name: str) -> None:
+        if steps:
+            self.reads.setdefault(steps, {})[name] = None
+
     def _field(self, expr: FieldRef) -> _Node:
         field, steps = expr.field, expr.steps
         if isinstance(field, RefField):
             return self._words(steps, field.name + "__w")
         name = field.name
+        self._read(steps, name)
         if not isinstance(field, VarStringField):
             return _Node(_field_dtype(field), lambda ctx: ctx.column(steps, name))
 
@@ -1010,8 +1238,8 @@ class _Lowering:
     def _refid(self, expr: RefIdentity) -> _Node:
         return self._words(expr.steps[:-1], expr.steps[-1].name + "__w")
 
-    @staticmethod
-    def _words(steps, name: str) -> _Node:
+    def _words(self, steps, name: str) -> _Node:
+        self._read(steps, name)
         return _Node(
             ("ref", None),
             lambda ctx: ctx.column(steps, name).astype(np.int64, copy=False),
@@ -1195,6 +1423,7 @@ class _Program:
         "cells",
         "agg_dtypes",
         "slots",
+        "nav",
     )
 
     def __init__(self, plan: _ScanPlan) -> None:
@@ -1229,6 +1458,16 @@ class _Program:
             self.cells.append(_column(node))
             self.agg_dtypes.append(node.dtype)
         self.slots = lower.slots
+        #: the request's navigation (None: it reads no reference path)
+        self.nav = None
+        if lower.reads:
+            prepared = plan.prepared
+            routes = None if prepared is None else prepared.routes
+            if routes is None:
+                routes = _Routes(plan.manager, lower.reads)
+                if prepared is not None:
+                    prepared.routes = routes
+            self.nav = _Navigator(plan.manager, plan.source.context, routes)
         extra = plan.manager.stats.extra
         extra["scan_lowerings"] = extra.get("scan_lowerings", 0) + len(lower.nodes)
 

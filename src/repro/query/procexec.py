@@ -489,6 +489,11 @@ class ProcessScanPool:
                 run.append(block_id)
 
             if units:
+                nav = plan.program().nav
+                if nav is not None:
+                    # A worker's contexts are the fork's copies: its
+                    # blocks navigate by address.
+                    nav.home.fallbacks["worker"] += len(ship)
                 wire = {
                     "plan": plansnap.encode_plan(manager, plan),
                     **_space_map(manager),

@@ -48,6 +48,10 @@ rules from sections 3.2–3.4 and 5.1 of the paper:
 ``fault-on-read``
     only a writer (``Pager.ensure_hot``) or ``Pager.pin`` promotes a
     cold block; scan admission reads it where it lies.
+``nav-column-stale``
+    a column a scanned block answered from navigation columns equals
+    what the address path answers for the same rows, unless a writer
+    moved a navigated context's version while the block ran.
 
 Every event is appended to a bounded trace ring; a violation raises
 :class:`~repro.errors.ProtocolViolation` carrying the trace tail.
@@ -487,6 +491,19 @@ class Sanitizer:
                 f"at {retired + 2})",
             )
 
+    # ------------------------------------------------------------------
+    # Navigation columns
+    # ------------------------------------------------------------------
+
+    def _check_nav(self, data: Dict[str, Any]) -> None:
+        if not data["equal"] and not data["moved"]:
+            self._violate(
+                "nav-column-stale",
+                f"navigation column {data['context']}.{data['column']} "
+                f"answered differently from the address path while every "
+                f"navigated context kept its snapshot's version",
+            )
+
     def describe(self) -> str:
         """One-line-per-point summary of the events seen so far."""
         lines = [f"sanitizer: {self._seq} events, {len(self.violations)} violations"]
@@ -512,6 +529,7 @@ _CHECKS = {
     "tier.fault": Sanitizer._check_tier_fault,
     "strdict.retire": Sanitizer._on_strdict_retire,
     "strdict.bind": Sanitizer._check_strdict_bind,
+    "nav.check": Sanitizer._check_nav,
 }
 
 

@@ -387,6 +387,31 @@ def instrument_manager(registry: MetricsRegistry, manager) -> None:
     )
     dicts.attach_series(_dict_series)
 
+    nav_bytes = registry.gauge(
+        "smc_nav_columns_bytes",
+        "Bytes of navigation columns held per memory context",
+    )
+    nav_bytes.attach_series(_context_series("nav_bytes"))
+    nav_builds = registry.gauge(
+        "smc_nav_column_builds_total",
+        "Passes over a context's blocks that built navigation columns",
+    )
+    nav_builds.attach_series(_context_series("nav_builds"))
+
+    def _nav_fallbacks() -> Dict[LabelItems, float]:
+        tel = manager.telemetry()
+        return {
+            (("context", ctx["name"]), ("reason", reason)): float(count)
+            for ctx in tel["contexts"]
+            for reason, count in ctx["nav_fallbacks"].items()
+        }
+
+    fallbacks = registry.gauge(
+        "smc_nav_column_fallbacks_total",
+        "Scanned blocks per context that navigated by address, by reason",
+    )
+    fallbacks.attach_series(_nav_fallbacks)
+
     def _manager_counters() -> Dict[str, float]:
         tel = manager.telemetry()
         return {

@@ -131,6 +131,10 @@ SWEEPS = {
         _window("q14", _d(1999, 3, 1), _d(1999, 3, 8)),
         _window("q14", _d(1995, 2), _d(1995, 3)),
     ],
+    # Their string patterns are part of the query, as Q2's type suffix.
+    "q9": [{}],
+    "q13": [{}],
+    "q20": [{}],
 }
 
 
