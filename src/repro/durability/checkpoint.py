@@ -118,25 +118,6 @@ class DataDir:
         return removed
 
 
-def collection_flags(collections: Dict[str, Any]) -> Dict[str, Any]:
-    """Layout/encoding flags the MANIFEST records.
-
-    Recovery adopts the checkpoint in the layout it was saved in, so
-    ``columnar`` only describes the store; the key stays so manifests
-    keep their bytes.
-    """
-    from repro.core.columnar import ColumnarCollection
-
-    columnar = any(
-        isinstance(c, ColumnarCollection)
-        for k, c in collections.items()
-        if not k.startswith("_")
-    )
-    # Varstrings are always dictionary codes; the key stays so manifests
-    # keep their bytes, and recovery refuses any other value.
-    return {"columnar": columnar, "string_dict": True}
-
-
 class CheckpointManager:
     """Writes checkpoints and rolls the log over at each one."""
 
@@ -205,7 +186,9 @@ class CheckpointManager:
             "cut_lsn": cut_lsn,
             "wal": os.path.basename(wal.path),
             "rows": self.last_rows,
-            **collection_flags(self.collections),
+            # Varstrings are always dictionary codes; recovery refuses
+            # any other value.
+            "string_dict": True,
         }
         self.datadir.write_manifest(manifest)
         self.count += 1

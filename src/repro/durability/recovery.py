@@ -16,14 +16,13 @@ the moment of the crash:
    string dictionaries and zone-map versions are maintained as they
    were live).  A row the tail adds and later removes is skipped with
    every update of it, unless a record that is applied references it
-   while it lives.  A replayed ``add`` takes whatever entry the
-   allocator hands out; the :class:`EntryMap` remembers the rows whose
-   id so diverged from the logged one, for the length of the replay.
+   while it lives; its entry's incarnation still advances, as the
+   writer's free advanced it.  A replayed ``add`` takes the entry its
+   record logged, so every row comes back at the writer's entry and
+   incarnation.
 
-The recovered rows therefore hold other entry ids than the writer's log
-names.  ``DurableStore.open`` makes the recovered state its checkpoint
-before it accepts a request (``recover`` alone writes nothing), so no
-record is ever written against ids that a later replay reads otherwise.
+``recover`` writes nothing; ``DurableStore.open`` makes a replayed
+state its checkpoint, so the next restart does not replay the tail.
 
 A torn final record (or a trailing batch whose COMMIT never reached
 disk) is dropped: the crash interrupted an append that was never
@@ -52,31 +51,7 @@ from repro.durability.wal import (
     WalRecord,
     scan_wal,
 )
-
-
-class EntryMap:
-    """Logged entry id → local entry id, for the length of one recovery.
-
-    The identity for every row a checkpoint image holds — images keep
-    entry ids, so nothing is stored per checkpointed row.  Only rows
-    added by replaying log records diverge (the local allocator picks
-    their entry); those are remembered until removed.
-    """
-
-    def __init__(self) -> None:
-        self._local: Dict[int, int] = {}
-
-    def local(self, logged: int) -> int:
-        return self._local.get(logged, logged)
-
-    def bind(self, logged: int, local: int) -> None:
-        if logged == local:
-            self._local.pop(logged, None)
-        else:
-            self._local[logged] = local
-
-    def drop(self, logged: int) -> None:
-        self._local.pop(logged, None)
+from repro.memory.indirection import INC_MASK
 
 
 @dataclass
@@ -164,7 +139,6 @@ def recover(
             f"cannot read checkpoint {checkpoint_path}: {exc}"
         ) from None
     mgr = collections["_manager"]
-    entry_map = EntryMap()
     loaded = time.perf_counter()
 
     wal_path = os.path.join(dd.root, manifest["wal"])
@@ -186,7 +160,7 @@ def recover(
     strings: Dict[int, str] = {}
     # Batch atomicity is enforced by the committed cut: everything in
     # it is committed, so the tail replays as one batch.
-    replayed, skipped = apply_batch(collections, mgr, entry_map, strings, records)
+    replayed, skipped = apply_batch(collections, mgr, strings, records)
     if mgr.pager is not None:
         # Replay wrote through the pager's write faults; the end of
         # recovery is an operation boundary, so serving starts under
@@ -215,8 +189,7 @@ def recover(
 
 
 def apply_batch(
-    collections, mgr, entry_map: EntryMap, strings: Dict[int, str],
-    records: Sequence[WalRecord],
+    collections, mgr, strings: Dict[int, str], records: Sequence[WalRecord]
 ) -> Tuple[int, int]:
     """Re-execute the net effect of committed log records against the
     reloaded collections; returns how many mutations (ADD / REMOVE /
@@ -226,17 +199,17 @@ def apply_batch(
     skipped.  A skipped ADD still creates a collection first seen in the
     log.  Each run of applied ADD records for one collection is one
     ``add_many``, each run of REMOVE records one ``remove_many`` — the
-    calls the writer made — so a replayed row takes the slot and entry
-    the same sequence of single adds would.
+    calls the writer made — and a replayed row takes the entry its
+    record logged.  *mgr* must have no reader: replay recycles the
+    entries it frees without their grace period.
     """
-    replay = _Replay(collections, mgr, entry_map, strings)
+    replay = _Replay(collections, mgr, strings)
     skipped = 0
     for rec, left_out in zip(records, _net_effect(records)):
         kind = rec.kind
         if left_out:
             skipped += 1
-            if kind == ADD:
-                replay._collection(rec)
+            replay.leave_out(rec)
         elif kind == ADD:
             replay.add(rec)
         elif kind == REMOVE:
@@ -247,7 +220,7 @@ def apply_batch(
             strings[int(rec.payload["i"])] = rec.payload["t"]
         elif kind not in (BEGIN, COMMIT):
             raise RecoveryError(f"LSN {rec.lsn}: unknown record kind {kind}")
-    replay.flush()
+    replay.finish()
     return replay.applied, skipped
 
 
@@ -327,10 +300,9 @@ class _Flush(Exception):
 class _Replay:
     """Groups consecutive ADD / REMOVE records into batch calls."""
 
-    def __init__(self, collections, mgr, entry_map: EntryMap, strings) -> None:
+    def __init__(self, collections, mgr, strings) -> None:
         self.collections = collections
         self.mgr = mgr
-        self.entry_map = entry_map
         self.strings = strings
         self.applied = 0
         self.lsn = 0
@@ -343,6 +315,9 @@ class _Replay:
         #: Logged entry -> live Ref, for ``$r`` values; entries a flushed
         #: REMOVE run ended are dropped.
         self._refs: Dict[int, Any] = {}
+        #: Logged entry -> left-out rows it held whose free is not yet
+        #: counted in its incarnation.
+        self._bumps: Dict[int, int] = {}
 
     def _collection(self, rec: WalRecord):
         name = rec.payload["c"]
@@ -363,10 +338,32 @@ class _Replay:
             self.flush()
             self._kind, self._coll = kind, coll
 
+    def leave_out(self, rec: WalRecord) -> None:
+        """A record outside the net effect: an ADD still creates its
+        collection; a REMOVE's free advanced the entry's incarnation."""
+        if rec.kind == ADD:
+            self._collection(rec)
+        elif rec.kind == REMOVE:
+            entry = int(rec.payload["e"])
+            self._bumps[entry] = self._bumps.get(entry, 0) + 1
+
     def add(self, rec: WalRecord) -> None:
         coll = self._collection(rec)
         self._join(ADD, coll)
         self.lsn = rec.lsn
+        logged = int(rec.payload["e"])
+        table = self.mgr.table
+        if logged in self._pending or self.mgr.live_ref(logged) is not None:
+            raise RecoveryError(
+                f"LSN {rec.lsn}: ADD at entry {logged}, which holds a live row"
+            )
+        if logged < table.size and (
+            table.incarnation(logged) + self._bumps.get(logged, 0) >= INC_MASK
+        ):
+            raise RecoveryError(
+                f"LSN {rec.lsn}: ADD at entry {logged}, which is retired "
+                f"(its incarnation counter is spent)"
+            )
         try:
             row = self._encode(coll, rec.payload["v"])
         except _Flush:
@@ -375,7 +372,6 @@ class _Replay:
             self.flush()
             self._kind, self._coll = ADD, coll
             row = self._encode(coll, rec.payload["v"])
-        logged = int(rec.payload["e"])
         self._logged.append(logged)
         self._items.append(row)
         self._pending.add(logged)
@@ -411,14 +407,30 @@ class _Replay:
         if not items:
             return
         if kind == ADD:
-            for entry, handle in zip(logged, coll.add_many(items)):
-                self.entry_map.bind(entry, handle.ref.entry)
+            self._place(logged)
+            coll.add_many(items)
         else:
             coll.remove_many(items)
             for entry in logged:
-                self.entry_map.drop(entry)
                 self._refs.pop(entry, None)
         self.applied += len(items)
+
+    def _place(self, entries: List[int]) -> None:
+        """Make *entries* the next ones allocated, each carrying the
+        incarnation the writer's next row there got."""
+        table = self.mgr.table
+        self.mgr.recycle_freed_entries()
+        table.hand_out(entries)
+        for entry in entries:
+            for __ in range(self._bumps.pop(entry, 0)):
+                table.increment_incarnation(entry)
+
+    def finish(self) -> None:
+        """Apply the open run, count the left-out rows of entries no ADD
+        took again, and rebuild the free list as an image load does."""
+        self.flush()
+        self._place(list(self._bumps))  # grows the table as the writer's did
+        self.mgr.table.recount_free()
 
     def _encode(self, coll, values):
         with self._malformed():
@@ -438,7 +450,7 @@ class _Replay:
             raise RecoveryError(f"LSN {self.lsn}: {exc}") from None
 
     def _live(self, rec: WalRecord, coll, logged: int):
-        ref = self.mgr.live_ref(self.entry_map.local(logged), coll.context)
+        ref = self.mgr.live_ref(logged, coll.context)
         if ref is None:
             raise RecoveryError(
                 f"LSN {rec.lsn}: {rec.kind_name} targets entry {logged} which "
@@ -461,7 +473,7 @@ class _Replay:
             raise _Flush
         ref = self._refs.get(logged)
         if ref is None:
-            ref = self.mgr.live_ref(self.entry_map.local(logged))
+            ref = self.mgr.live_ref(logged)
             if ref is None:
                 raise RecoveryError(
                     f"LSN {self.lsn}: reference to entry {logged} which "

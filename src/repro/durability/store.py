@@ -200,43 +200,24 @@ class DurableStore:
         shm: bool = False,
         memory_budget: Optional[int] = None,
     ) -> "DurableStore":
-        """Recover *data_dir*; what it recovered becomes the checkpoint.
+        """Recover *data_dir* and resume appending to its log segment.
 
         ``shm`` and ``memory_budget`` shape the recovered manager (see
-        :func:`~repro.durability.recovery.recover`).  Replayed rows hold
-        other entry ids than the log names.  So when the committed tail
-        held a mutation, the store cuts a checkpoint before it is handed
-        out: every later record names rows by the ids the image keeps,
-        and the tail is replayed once, not at every restart.  Otherwise
-        appends resume at the committed boundary recovery's read of the
-        segment found.
+        :func:`~repro.durability.recovery.recover`).  Appends resume at
+        the committed boundary recovery's read of the segment found.
+        When the tail held a mutation the store cuts a checkpoint before
+        it is handed out, so the next restart does not replay it again.
         """
         collections, report = recover(
             data_dir, shm=shm, memory_budget=memory_budget
         )
-        rolls = bool(report.replayed + report.skipped)
-        if rolls:
-            # The segment takes no more appends: the checkpoint is cut
-            # after its last committed record, and its torn tail or
-            # uncommitted trailing batch goes with it.
-            wal = WriteAheadLog(
-                report.wal_path,
-                None,
-                next_lsn=report.next_lsn,
-                offset=report.committed_offset,
-                start_lsn=report.cut_lsn + 1,
-                fsync_policy=fsync_policy,
-            )
-        else:
-            # The torn tail / uncommitted trailing batch recovery skipped
-            # is truncated, and the segment is not read again.
-            wal = WriteAheadLog.resume(
-                report.wal_path,
-                start_lsn=report.cut_lsn + 1,
-                next_lsn=report.next_lsn,
-                committed_offset=report.committed_offset,
-                fsync_policy=fsync_policy,
-            )
+        wal = WriteAheadLog.resume(
+            report.wal_path,
+            start_lsn=report.cut_lsn + 1,
+            next_lsn=report.next_lsn,
+            committed_offset=report.committed_offset,
+            fsync_policy=fsync_policy,
+        )
         store = cls(
             DataDir(data_dir),
             collections,
@@ -245,7 +226,7 @@ class DurableStore:
             owns_manager=True,
             report=report,
         )
-        if rolls:
+        if report.replayed + report.skipped:
             try:
                 store.checkpoint()
             except BaseException:

@@ -320,12 +320,7 @@ def _decode(data, frames: Sequence[Frame], path: str) -> List[WalRecord]:
 
 
 class WriteAheadLog:
-    """Appender over one log segment, with group commit and fsync policy.
-
-    With ``fh=None`` it stands for a segment recovery read to its
-    committed boundary that takes no more appends: a checkpoint cut
-    after its last committed record is all it is for.
-    """
+    """Appender over one log segment, with group commit and fsync policy."""
 
     def __init__(
         self,
@@ -355,7 +350,7 @@ class WriteAheadLog:
         self.fsync_policy = fsync_policy
         self._batch_depth = 0
         self._batch_seq = 0
-        self._dead = fh is None
+        self._closed = False
         self._crashed = False
         # Group-commit buffer: frames appended inside an open batch park
         # here and reach the file in one write at the commit boundary
@@ -504,7 +499,7 @@ class WriteAheadLog:
                 # Injected-crash model: the process is dead; cleanup
                 # paths unwinding through here must not reach the disk.
                 return self._next_lsn - 1
-            if self._dead:
+            if self._closed:
                 raise SmcError(f"write-ahead log {self.path} is closed")
             lsn = self._next_lsn
             size = len(body)
@@ -635,7 +630,7 @@ class WriteAheadLog:
 
     def close(self, sync: bool = True) -> None:
         with self._lock:
-            if self._dead:
+            if self._closed:
                 return
             if not self._crashed:
                 self._flush_buffer()
@@ -644,7 +639,7 @@ class WriteAheadLog:
                     self._synced_offset = self._offset
                     self.fsyncs += 1
             self._fh.close()
-            self._dead = True
+            self._closed = True
 
 
 def fsync_dir(path: str) -> None:

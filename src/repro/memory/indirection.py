@@ -33,7 +33,7 @@ enforced by the compactor (``repro.core.compaction``).
 from __future__ import annotations
 
 import threading
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -161,11 +161,29 @@ class IndirectionTable:
         self._addr[:size] = addr
         self._inc[:size] = inc
         self._size = size
-        dead = addr == NULL_ADDRESS
-        spent = dead & ((inc & np.uint32(INC_MASK)) >= INC_MASK)
-        self._retired = np.nonzero(spent)[0].tolist()
-        # Highest first: pop() hands the lowest free entry out next.
-        self._free = np.nonzero(dead & ~spent)[0][::-1].tolist()
+        self.recount_free()
+
+    def recount_free(self) -> None:
+        """Rebuild the free and retired lists from the entry arrays."""
+        with self._grow_lock:
+            dead = self._addr[: self._size] == NULL_ADDRESS
+            spent = dead & (
+                (self._inc[: self._size] & np.uint32(INC_MASK)) >= INC_MASK
+            )
+            self._retired = np.nonzero(spent)[0].tolist()
+            # Highest first: pop() hands the lowest free entry out next.
+            self._free = np.nonzero(dead & ~spent)[0][::-1].tolist()
+
+    def hand_out(self, entries: Sequence[int]) -> None:
+        """Make *entries* the ones :meth:`allocate` returns next, in order,
+        growing the table over them (log replay: the caller checks each
+        is free, and calls :meth:`recount_free` when replay ends)."""
+        with self._grow_lock:
+            end = max(entries, default=-1) + 1
+            while end > len(self._addr):
+                self._grow()
+            self._size = max(self._size, end)
+            self._free = list(reversed(entries))
 
     # ------------------------------------------------------------------
     # Plain accessors (hot path: GIL-atomic single-element reads/writes)

@@ -396,6 +396,15 @@ class MemoryManager:
             self.table.set_address(item[1], NULL_ADDRESS)
             self.table.release(item[1])
 
+    def recycle_freed_entries(self) -> None:
+        """Recycle every freed entry now, without its grace period: only
+        for a manager no reader can be inside (log replay)."""
+        retired = self._retired_entries
+        while retired:
+            entry = retired.popleft()[1]
+            self.table.set_address(entry, NULL_ADDRESS)
+            self.table.release(entry)
+
     # ------------------------------------------------------------------
     # Dereference slow path (frozen incarnations, section 5.1)
     # ------------------------------------------------------------------

@@ -290,9 +290,9 @@ class TestSingleRead:
         monkeypatch.setattr(wal_module, "_DECODER", decoder)
         store = DurableStore.open(data_dir)
         monkeypatch.undo()
-        # One read; the checkpoint the replayed tail becomes rolls the log
-        # past the segment, which is never opened to append.
-        assert modes == ["rb"]
+        # One read; the appender only truncates the open batch before
+        # the checkpoint the replayed tail becomes rolls the log past it.
+        assert modes == ["rb", "r+b"]
         assert decoder.texts == committed  # each once, the open batch never
         assert store.report.dropped_open_batch == 2
         assert store.report.records_scanned == len(committed) + 2
@@ -304,10 +304,10 @@ class TestSingleRead:
     def test_resumes_where_a_reopen_would(
         self, data_dir, tmp_path, monkeypatch, case
     ):
-        """A tail with committed mutations is read once and becomes the
-        checkpoint: appends resume at the LSN after its last committed
-        record, in a fresh segment, and its torn or uncommitted bytes
-        go with the old one."""
+        """A tail with committed mutations is read once, resumed and
+        made the checkpoint: appends resume at the LSN after its last
+        committed record, in a fresh segment, and its torn or
+        uncommitted bytes go with the old one."""
         path = _tail_store(data_dir)
         _damage(path, case)
         cut = scan_wal(path).next_lsn - 1
@@ -317,7 +317,7 @@ class TestSingleRead:
         modes = _count_opens(monkeypatch, path)
         store = DurableStore.open(data_dir, fsync_policy="none")
         monkeypatch.undo()
-        assert modes == ["rb"]
+        assert modes == ["rb", "r+b"]
         assert store.cut_lsn == cut
         resumed = store.wal
         assert resumed.path == store.datadir.wal_path(cut + 1)
@@ -648,10 +648,9 @@ class TestStoreRecovery:
         reopened.close()
 
     def test_restart_keeps_one_entry_namespace(self, data_dir):
-        """An entry a restarted store hands out names the same row after
-        the next restart.  Replayed rows take other entries than the
-        writer's; a record logged against them must not be read, at the
-        next restart, in the namespace of the writer's log."""
+        """A replayed row comes back at the writer's entry and
+        incarnation, so an entry a client held before a restart names
+        the same row after it — and after the next one."""
         store, colls, manager = _fresh_store(data_dir)
         persons = colls["persons"]
         a = persons.add(name="a", age=1)
@@ -661,17 +660,28 @@ class TestStoreRecovery:
             manager.epochs.try_advance()  # a's entry is handed out again
         persons.add(name="c", age=3)
         persons.add(name="e", age=4)
-        assert {h.name: h.ref.entry for h in persons} == {"b": 1, "c": 0, "e": 2}
+        ids = {h.name: (h.ref.entry, h.ref.inc) for h in persons}
+        assert ids == {"b": (1, 0), "c": (0, 1), "e": (2, 0)}
         store.close()
         manager.close()
 
         store = DurableStore.open(data_dir)
-        entries = {h.name: h.ref.entry for h in store.collections["persons"]}
-        store.apply([{"op": "remove", "collection": "persons", "entry": entries["c"]}])
-        store.close()
-        store = DurableStore.open(data_dir)
-        assert sorted(h.name for h in store.collections["persons"]) == ["b", "e"]
-        store.close()
+        assert store.report.replayed == 3 and store.report.skipped == 2
+        persons = store.collections["persons"]
+        assert {h.name: (h.ref.entry, h.ref.inc) for h in persons} == ids
+        # Entry 0 is c's, as the writer handed it out: this renames c.
+        store.apply([{"op": "update", "collection": "persons", "entry": 0,
+                      "values": {"name": "c2"}}])
+        (f,) = store.apply([{"op": "add", "collection": "persons",
+                             "values": {"name": "f", "age": 5}}])
+        ids = dict(ids, c2=ids.pop("c"), f=(f["entry"], 0))
+        store.close()  # the tail holds the update and the add
+
+        for __ in range(2):
+            store = DurableStore.open(data_dir)
+            persons = store.collections["persons"]
+            assert {h.name: (h.ref.entry, h.ref.inc) for h in persons} == ids
+            store.close()
 
     def test_pre_image_checkpoint_with_log_tail_refused(self, data_dir):
         """A data directory of the row-snapshot era is refused at load,
@@ -710,6 +720,23 @@ class TestStoreRecovery:
         recovered, __ = recover(data_dir)
         assert [h.text for h in recovered["notes"]] == ["kept"]
         recovered["_manager"].close()
+
+    def test_manifest_with_a_columnar_key_recovers(self, data_dir):
+        """A MANIFEST no longer records ``columnar``, which nothing
+        reads; one written with it, as older stores did, recovers."""
+        store, colls, manager = _fresh_store(data_dir)
+        colls["notes"].add(text="kept", stars=1)
+        store.close()
+        manager.close()
+        path = os.path.join(data_dir, "MANIFEST")
+        with open(path) as fh:
+            manifest = json.load(fh)
+        assert "columnar" not in manifest
+        with open(path, "w") as fh:
+            json.dump(dict(manifest, columnar=False), fh, indent=1, sort_keys=True)
+        store = DurableStore.open(data_dir)
+        assert [h.text for h in store.collections["notes"]] == ["kept"]
+        store.close()
 
     def test_uninitialized_dir_refused(self, tmp_path):
         with pytest.raises(RecoveryError):

@@ -2,10 +2,15 @@
 
 import pytest
 
+from repro.core.collection import Collection
+from repro.durability.recovery import apply_batch
+from repro.durability.wal import ADD, REMOVE, RecoveryError, WalRecord
 from repro.errors import ConcurrencyProtocolError, NullReferenceError
 from repro.memory.addressing import NULL_ADDRESS
+from repro.memory.indirection import INC_MASK, IndirectionTable
 from repro.memory.manager import MemoryManager
 from repro.memory.slots import LIMBO, VALID
+from tests.schemas import TPerson
 
 
 @pytest.fixture
@@ -174,3 +179,96 @@ def test_try_address(manager, ctx):
     assert ref.try_address() is not None
     manager.free_object(ref)
     assert ref.try_address() is None
+
+
+# ----------------------------------------------------------------------
+# Log replay places rows at the entries the writer logged
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture
+def persons(manager):
+    return Collection(TPerson, manager=manager, name="persons")
+
+
+def _replay(persons, *ops):
+    """Replay ``(kind, entry)`` records, LSNs from 1, onto *persons*,
+    whose rows stand for a checkpoint's.  Afterwards the table's free
+    and retired lists are what an image load of its arrays computes."""
+    records = []
+    for lsn, (kind, entry) in enumerate(ops, 1):
+        payload = {"c": "persons", "e": entry}
+        if kind == ADD:
+            payload.update(s="TPerson", v={"name": f"r{lsn}", "age": lsn})
+        records.append(WalRecord(lsn, kind, payload, 0, 0))
+    manager = persons.manager
+    result = apply_batch({"persons": persons}, manager, {}, records)
+    adopted = IndirectionTable()
+    adopted.adopt(*manager.table.export())
+    assert manager.table._free == adopted._free
+    assert manager.table._retired == adopted._retired
+    return result
+
+
+def _rows(persons):
+    return {h.name: (h.ref.entry, h.ref.inc) for h in persons}
+
+
+def test_replay_places_a_run_at_free_entries(manager, persons):
+    """The run takes its logged entries in log order, not the
+    allocator's lowest-free-first."""
+    rows = [persons.add(name=f"c{i}", age=i) for i in range(4)]
+    persons.remove(rows[1])
+    persons.remove(rows[2])
+    for __ in range(3):
+        manager.advance_epoch()
+    persons.add(name="c4", age=4)  # recycles 1 and 2, takes 2
+    assert _replay(persons, (ADD, 4), (ADD, 1)) == (2, 0)
+    assert _rows(persons)["r1"] == (4, 0)
+    assert _rows(persons)["r2"] == (1, 1)
+    assert persons.add(name="next", age=0).ref.entry == 5
+
+
+def test_replay_grows_the_table_past_its_size(manager, persons):
+    """A logged entry past the table's end grows it there, as the
+    writer's grew; so does the entry of a row the tail added and
+    removed, which comes back free with its incarnation advanced."""
+    persons.add(name="c0", age=0)
+    assert _replay(persons, (ADD, 5), (ADD, 8), (REMOVE, 8), (ADD, 3)) == (2, 2)
+    assert _rows(persons) == {"c0": (0, 0), "r1": (5, 0), "r4": (3, 0)}
+    table = manager.table
+    assert table.size == 9
+    assert table.incarnation(8) == 1 and manager.live_ref(8) is None
+    assert sorted(table._free) == [1, 2, 4, 6, 7, 8]
+
+
+def test_replay_places_a_row_at_an_entry_it_freed(manager, persons):
+    """An entry replay freed a record earlier waits out no grace
+    period: recovery has no reader.  An ADD/REMOVE pair the replay
+    skipped in between still advances the incarnation."""
+    persons.add(name="c0", age=0)
+    ops = [(REMOVE, 0), (ADD, 0), (REMOVE, 0), (ADD, 0)]
+    assert _replay(persons, *ops) == (2, 2)
+    assert _rows(persons) == {"r4": (0, 2)}
+    assert not manager._retired_entries
+
+
+def test_replay_refuses_an_add_at_a_live_entry(manager, persons):
+    persons.add(name="c0", age=0)
+    persons.add(name="c1", age=1)
+    with pytest.raises(RecoveryError, match="LSN 2: ADD at entry 1, which holds a live row"):
+        _replay(persons, (ADD, 2), (ADD, 1))
+    with pytest.raises(RecoveryError, match="LSN 2: ADD at entry 5, which holds a live row"):
+        _replay(persons, (ADD, 5), (ADD, 5))
+
+
+def test_replay_keeps_a_spent_entry_retired(manager, persons):
+    """A row whose entry's counter the replayed remove spends leaves
+    the entry retired, and an ADD logged at it is refused."""
+    doomed = persons.add(name="c0", age=0)
+    manager.table._inc[doomed.ref.entry] = INC_MASK - 1
+    persons.add(name="c1", age=1)
+    assert _replay(persons, (REMOVE, 0)) == (1, 0)
+    assert manager.table._retired == [0] and 0 not in manager.table._free
+    with pytest.raises(RecoveryError, match="LSN 1: ADD at entry 0, which is retired"):
+        _replay(persons, (ADD, 0))

@@ -227,6 +227,15 @@ def _by_entry(colls):
     return out
 
 
+def _incarnations(colls):
+    """Every collection's live rows: entry id -> incarnation."""
+    return {
+        name: {h.ref.entry: h.ref.inc for h in coll}
+        for name, coll in colls.items()
+        if not name.startswith("_")
+    }
+
+
 # ----------------------------------------------------------------------
 # WAL golden
 # ----------------------------------------------------------------------
@@ -474,6 +483,7 @@ def test_net_effect_replay_matches_the_writer(data):
             for handle in list(visitors):
                 visitors.remove(handle)
         expected = _logical(colls)
+        by_entry, incarnations = _by_entry(colls), _incarnations(colls)
         path = store.wal.path
         store.close(checkpoint=False)
         manager.close()
@@ -481,6 +491,17 @@ def test_net_effect_replay_matches_the_writer(data):
         loaded, report = recover(root)
         assert _logical(loaded) == expected
         assert report.replayed + report.skipped == _tail_mutations(path)
+        # One identity across the crash: every row at the writer's entry
+        # and incarnation, and no row at an entry the tail freed for good.
+        assert _by_entry(loaded) == by_entry
+        assert _incarnations(loaded) == incarnations
+        freed = set()
+        for rec in scan_wal(path).committed_records():
+            if rec.kind == REMOVE:
+                freed.add(rec.payload["e"])
+            elif rec.kind == ADD:
+                freed.discard(rec.payload["e"])
+        assert all(loaded["_manager"].live_ref(e) is None for e in freed)
         loaded["_manager"].close()
 
         for __ in range(2):
