@@ -402,19 +402,6 @@ class WriteAheadLog:
         )
 
     @classmethod
-    def open(cls, path: str, fsync_policy: str = "commit") -> "WriteAheadLog":
-        """Reopen a segment for appending: the framing pass
-        (:func:`scan_wal`), then :meth:`resume` at the boundary it found."""
-        scan = scan_wal(path)
-        return cls.resume(
-            path,
-            start_lsn=scan.start_lsn,
-            next_lsn=scan.next_lsn,
-            committed_offset=scan.committed_offset,
-            fsync_policy=fsync_policy,
-        )
-
-    @classmethod
     def resume(
         cls,
         path: str,

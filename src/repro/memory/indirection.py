@@ -53,15 +53,6 @@ _LOCK_STRIPES = 64
 _GROW_CHUNK = 4096
 
 
-def incarnation_of(word: int) -> int:
-    """Strip flag bits from an incarnation word."""
-    return word & INC_MASK
-
-
-def flags_of(word: int) -> int:
-    return word & FLAG_MASK
-
-
 class IndirectionTable:
     """Growable table of (address, incarnation-word) entries."""
 
@@ -364,7 +355,3 @@ class IndirectionTable:
                 self._inc[idx] = 0
                 self._free.append(idx)
             return len(retired)
-
-    def live_entries(self) -> np.ndarray:
-        """Indices of entries currently pointing at a live address."""
-        return np.nonzero(self._addr[: self._size] != NULL_ADDRESS)[0]

@@ -317,7 +317,7 @@ class _ScanPlan:
     and run by that request's thread alone, its semi-join keys filled in
     once when it executes.  Its expressions are lowered once, at the
     first admitted block (:meth:`program`).  A process-pool worker
-    decodes its own copy and folds its blocks into its own partial
+    unpickles its own copy and folds its blocks into its own partial
     :class:`_Accumulator`.
     """
 
@@ -358,7 +358,7 @@ class _ScanPlan:
         self.terminal = terminal
         self.zone_tests = zone_tests
         #: the prepared scan's estimates (``planner.PlanInfo``, shared and
-        #: read-only) — None on a process worker's decoded plan
+        #: read-only) — None on a process worker's copy
         self.info = info
         #: the ``WhereIn`` ops whose subqueries :meth:`run_subqueries`
         #: resolves into ``inset_ops`` (``(op, _KeyColumns)`` pairs)
@@ -371,8 +371,8 @@ class _ScanPlan:
         self._program: Optional[_Program] = None
 
     def run_subqueries(self) -> None:
-        """Run each semi-join subquery once, before any executor or
-        ``plansnap`` reads ``inset_ops``."""
+        """Run each semi-join subquery once, before any executor or the
+        process pool's pickler reads ``inset_ops``."""
         if self.semijoins and not self.inset_ops:
             self.inset_ops = [
                 (op, _subquery_keys(op.subquery, self.params))

@@ -53,6 +53,13 @@ Protocol overview (full write-up in ``docs/parallel_execution.md``):
   query.  Partials merge in scan order; runs lost to a dead worker are
   re-executed by the parent and counted as ``exec_morsels_redispatched``.
 
+* **Wire.**  Each worker holds one end of a ``multiprocessing`` pipe;
+  every message is a pickle made by :class:`_Pickler`, which names the
+  objects both processes hold — a schema field by ``(owner schema name,
+  field name)``, a string dictionary by its collection — and the
+  receiver resolves the names against its own manager.  A plan is its
+  expression objects; a partial is one folded chunk of NumPy columns.
+
 Any worker error, death-induced inconsistency or end-fingerprint
 mismatch makes :meth:`ProcessScanPool.run` return ``None``; the caller
 falls back to the serial scan, so the process path is strictly an
@@ -62,70 +69,152 @@ optimisation and never a correctness risk.
 from __future__ import annotations
 
 import atexit
+import io
 import os
 import pickle
-import select
 import signal
-import struct
 import threading
+from multiprocessing.connection import Pipe, wait
+from types import SimpleNamespace
 from typing import Dict, List, Optional, Tuple
 
 from repro.memory.block import KIND_STRING
-from repro.memory.stringheap import StringBlock
-from repro.query import plansnap
+from repro.memory.stringheap import StringBlock, StringDict
+from repro.query.columnar_exec import _Accumulator, _ScanPlan
 from repro.query.runtime import BlockCursor
 from repro.sanitizer import hooks as _san
-
-_LEN = struct.Struct("<I")
+from repro.schema.fields import Field
 
 
 # ----------------------------------------------------------------------
-# Frame I/O (length-prefixed pickles over raw pipes)
+# Wire: pickles that name what both processes already hold
 # ----------------------------------------------------------------------
 
 
-def _send_frame(fd: int, obj) -> None:
-    data = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    view = memoryview(_LEN.pack(len(data)) + data)
-    while view:
-        n = os.write(fd, view)
-        view = view[n:]
+class _Pickler(pickle.Pickler):
+    """Pickles a message, naming each schema field by ``(owner schema
+    name, field name)`` and each string dictionary by its collection's
+    name.  Fields carry their schema class and dictionaries their heap,
+    and the receiving process holds its own copy of both (the fork's), so
+    :class:`_Unpickler` resolves the names against its manager instead."""
 
+    def __init__(self, file, manager) -> None:
+        super().__init__(file, pickle.HIGHEST_PROTOCOL)
+        self.strdicts = {
+            id(coll.strdict): name
+            for name, coll in manager.collections.items()
+            if coll.strdict is not None
+        }
 
-def _recv_exact(fd: int, n: int) -> Optional[bytes]:
-    chunks = []
-    while n:
-        chunk = os.read(fd, n)
-        if not chunk:
-            return None
-        chunks.append(chunk)
-        n -= len(chunk)
-    return b"".join(chunks)
-
-
-def _recv_frame(fd: int):
-    header = _recv_exact(fd, _LEN.size)
-    if header is None:
+    def persistent_id(self, obj):
+        if isinstance(obj, Field):
+            return ("field", obj.owner.__name__, obj.name)
+        if isinstance(obj, StringDict):
+            return ("strdict", self.strdicts[id(obj)])
         return None
-    (length,) = _LEN.unpack(header)
-    payload = _recv_exact(fd, length)
-    if payload is None:
-        return None
-    return pickle.loads(payload)
 
 
-def _parse_frames(rec: dict) -> List[tuple]:
-    """Drain complete frames out of a worker record's read buffer."""
-    buf = rec["buf"]
-    frames = []
-    while len(buf) >= _LEN.size:
-        (length,) = _LEN.unpack_from(buf, 0)
-        if len(buf) < _LEN.size + length:
+class _Unpickler(pickle.Unpickler):
+    def __init__(self, file, manager) -> None:
+        super().__init__(file)
+        self.manager = manager
+
+    def persistent_load(self, pid):
+        collections = self.manager.collections
+        if pid[0] == "strdict":
+            return collections[pid[1]].strdict
+        __, owner, name = pid
+        coll = collections.get(owner)
+        if coll is None:
+            raise ValueError(f"unknown schema {owner!r} in plan wire")
+        field = coll.layout.by_name.get(name)
+        if field is None:
+            raise ValueError(f"{owner} has no field {name!r}")
+        return field
+
+
+def _dumps(manager, obj) -> bytes:
+    buf = io.BytesIO()
+    _Pickler(buf, manager).dump(obj)
+    return buf.getvalue()
+
+
+def _loads(manager, data: bytes):
+    return _Unpickler(io.BytesIO(data), manager).load()
+
+
+def _send(conn, manager, msg: tuple) -> None:
+    conn.send_bytes(_dumps(manager, msg))
+
+
+def _recv(conn, manager) -> tuple:
+    return _loads(manager, conn.recv_bytes())
+
+
+def _dump_plan(manager, plan) -> bytes:
+    """*plan* as the bytes every worker of a query receives: the source's
+    name, the parameters, the filters, each semi-join's probe expressions
+    with its key columns, and the terminal.
+
+    Zone tests are deliberately left out: the parent prunes with its
+    authoritative zone maps before dispatching, so workers scan exactly
+    the admitted blocks and never consult (possibly stale copy-on-write)
+    block statistics.  A semi-join's subquery stays behind too; its keys
+    travel as the raw columns it produced.
+    """
+    for name, coll in manager.collections.items():
+        if coll is plan.source:
             break
-        frames.append(pickle.loads(buf[_LEN.size : _LEN.size + length]))
-        buf = buf[_LEN.size + length :]
-    rec["buf"] = buf
-    return frames
+    else:
+        raise ValueError("scan source is not a registered collection")
+    insets = [(op.exprs, bool(op.negated), keys) for op, keys in plan.inset_ops]
+    return _dumps(
+        manager, (name, plan.params, plan.filters, insets, plan.terminal)
+    )
+
+
+def _load_plan(manager, data: bytes) -> _ScanPlan:
+    """Rebuild a :func:`_dump_plan` plan against the worker's manager."""
+    source, params, filters, insets, terminal = _loads(manager, data)
+    inset_ops = [
+        (SimpleNamespace(exprs=exprs, negated=negated), keys)
+        for exprs, negated, keys in insets
+    ]
+    return _ScanPlan(
+        manager,
+        manager.collections[source],
+        params,
+        filters,
+        inset_ops,
+        terminal,
+        [],
+    )
+
+
+def _partial(acc: _Accumulator) -> tuple:
+    """A worker's answer for one unit: its chunks folded to one (None
+    when no row matched), the chunk's dtypes and the two row counters —
+    NumPy arrays and counts, never Python rows."""
+    chunk = acc.fold() if acc.chunks else None
+    return (
+        chunk,
+        acc.key_dtypes,
+        acc.agg_dtypes,
+        acc.rows_scanned,
+        acc.rows_matched,
+    )
+
+
+def _from_partial(terminal, partial: tuple) -> _Accumulator:
+    chunk, key_dtypes, agg_dtypes, scanned, matched = partial
+    acc = _Accumulator(terminal)
+    if chunk is not None:
+        acc.chunks.append(chunk)
+        acc.key_dtypes = key_dtypes
+        acc.agg_dtypes = agg_dtypes
+    acc.rows_scanned = scanned
+    acc.rows_matched = matched
+    return acc
 
 
 # ----------------------------------------------------------------------
@@ -194,22 +283,23 @@ def _space_map(manager) -> Dict[str, Dict[int, object]]:
 # ----------------------------------------------------------------------
 
 
-def _worker_main(manager, rfd: int, wfd: int):
+def _worker_main(manager, conn) -> None:
     space = manager.space
     pid = os.getpid()
     while True:
-        frame = _recv_frame(rfd)
-        if frame is None or frame[0] == "quit":
+        try:
+            msg = _recv(conn, manager)
+        except (EOFError, OSError):
             os._exit(0)
-        if frame[0] != "query":  # pragma: no cover - protocol guard
-            continue
-        __, qid, wire = frame
+        if msg[0] == "quit":
+            os._exit(0)
+        __, qid, plan_bytes, maps, units = msg
         try:
             space.attach_miss = _make_attach_miss(
-                manager, wire["space_map"], wire["heap_map"]
+                manager, maps["space_map"], maps["heap_map"]
             )
-            plan = plansnap.decode_plan(manager, wire["plan"])
-            for seq, block_ids in wire["units"]:
+            plan = _load_plan(manager, plan_bytes)
+            for seq, block_ids in units:
                 if _san.SANITIZER is not None:
                     # Fault-injection point: crash_at("exec.worker") makes
                     # this worker die exactly like a SIGKILLed process.
@@ -223,19 +313,13 @@ def _worker_main(manager, rfd: int, wfd: int):
                 for block_id in block_ids:
                     block = space.block_by_id(block_id)
                     plan.process_block(block, acc)
-                _send_frame(
-                    wfd,
-                    (
-                        "partial",
-                        qid,
-                        seq,
-                        plansnap.encode_accumulator(manager, acc),
-                    ),
-                )
-            _send_frame(wfd, ("done", qid))
+                _send(conn, manager, ("partial", qid, seq, _partial(acc)))
+            _send(conn, manager, ("done", qid))
         except BaseException as exc:
             try:
-                _send_frame(wfd, ("error", qid, f"{type(exc).__name__}: {exc}"))
+                _send(
+                    conn, manager, ("error", qid, f"{type(exc).__name__}: {exc}")
+                )
             except OSError:
                 os._exit(1)
 
@@ -305,37 +389,22 @@ class ProcessScanPool:
     def _spawn(self) -> None:
         self._spawn_fp = self.fingerprint()
         for __ in range(self.workers):
-            p2c_r, p2c_w = os.pipe()
-            c2p_r, c2p_w = os.pipe()
+            conn, child_conn = Pipe()
             pid = os.fork()
             if pid == 0:
-                # Child: drop every parent-side fd (ours and the earlier
-                # siblings' — holding a sibling's pipe open would mask
-                # its EOF-on-death signal to the parent).
-                os.close(p2c_w)
-                os.close(c2p_r)
+                # Child: drop every parent-side end (ours and the earlier
+                # siblings' — a sibling holding one open would keep its
+                # worker from seeing EOF when the parent closes it).
+                conn.close()
                 for rec in self._procs:
-                    try:
-                        os.close(rec["rfd"])
-                        os.close(rec["wfd"])
-                    except OSError:  # pragma: no cover
-                        pass
+                    rec["conn"].close()
                 try:
-                    _worker_main(self.manager, p2c_r, c2p_w)
+                    _worker_main(self.manager, child_conn)
                 except BaseException:  # pragma: no cover - last resort
                     pass
                 os._exit(1)
-            os.close(p2c_r)
-            os.close(c2p_w)
-            self._procs.append(
-                {
-                    "pid": pid,
-                    "rfd": c2p_r,
-                    "wfd": p2c_w,
-                    "alive": True,
-                    "buf": b"",
-                }
-            )
+            child_conn.close()
+            self._procs.append({"pid": pid, "conn": conn, "alive": True})
 
     def _stop_workers(self) -> None:
         for rec in self._procs:
@@ -343,14 +412,10 @@ class ProcessScanPool:
                 continue
             rec["alive"] = False
             try:
-                _send_frame(rec["wfd"], ("quit",))
+                _send(rec["conn"], self.manager, ("quit",))
             except OSError:
                 pass
-            for fd_key in ("rfd", "wfd"):
-                try:
-                    os.close(rec[fd_key])
-                except OSError:
-                    pass
+            rec["conn"].close()
             try:
                 os.waitpid(rec["pid"], 0)
             except ChildProcessError:
@@ -377,13 +442,9 @@ class ProcessScanPool:
 
     def _handle_death(self, rec: dict, reaped: bool = False) -> None:
         """A worker died (or was killed) mid-query: reap it (unless a
-        ``waitpid`` already did) and drop its fds."""
+        ``waitpid`` already did) and close its connection."""
         rec["alive"] = False
-        for fd_key in ("rfd", "wfd"):
-            try:
-                os.close(rec[fd_key])
-            except OSError:
-                pass
+        rec["conn"].close()
         if not reaped:
             try:
                 os.waitpid(rec["pid"], 0)
@@ -494,23 +555,19 @@ class ProcessScanPool:
                     # A worker's contexts are the fork's copies: its
                     # blocks navigate by address.
                     nav.home.fallbacks["worker"] += len(ship)
-                wire = {
-                    "plan": plansnap.encode_plan(manager, plan),
-                    **_space_map(manager),
-                }
+                plan_bytes = _dump_plan(manager, plan)
+                maps = _space_map(manager)
                 for rec in workers:
                     assigned = assignments.get(rec["pid"])
                     if not assigned:
                         continue
                     participants.append(rec)
+                    units_of = sorted(assigned.items())
                     try:
-                        _send_frame(
-                            rec["wfd"],
-                            (
-                                "query",
-                                qid,
-                                dict(wire, units=sorted(assigned.items())),
-                            ),
+                        _send(
+                            rec["conn"],
+                            manager,
+                            ("query", qid, plan_bytes, maps, units_of),
                         )
                     except OSError:
                         # Died before we could even send: everything it
@@ -525,32 +582,29 @@ class ProcessScanPool:
                     for rec in participants
                     if rec["alive"] and rec["pid"] not in answered
                 ]:
-                    ready, __, __ = select.select(
-                        [rec["rfd"] for rec in waiting], [], [], 1.0
-                    )
+                    ready = wait([rec["conn"] for rec in waiting], 1.0)
                     if not ready:
                         # Liveness poll: catch a worker that died without
-                        # the pipe EOF reaching us yet.
+                        # the EOF reaching us yet.
                         for rec in waiting:
                             if os.waitpid(rec["pid"], os.WNOHANG)[0]:
                                 self._handle_death(rec, reaped=True)
                         continue
-                    for fd in ready:
-                        rec = next(r for r in waiting if r["rfd"] == fd)
-                        data = os.read(fd, 1 << 16)
-                        if not data:
+                    for rec in waiting:
+                        if rec["conn"] not in ready:
+                            continue
+                        try:
+                            msg = _recv(rec["conn"], manager)
+                        except (EOFError, OSError):
                             self._handle_death(rec)
                             continue
-                        rec["buf"] += data
-                        for frame in _parse_frames(rec):
-                            tag = frame[0]
-                            if tag == "partial" and frame[1] == qid:
-                                received[rec["pid"]][frame[2]] = frame[3]
-                            elif tag == "done" and frame[1] == qid:
-                                answered.add(rec["pid"])
-                            elif tag == "error" and frame[1] == qid:
-                                failed = True
-                                answered.add(rec["pid"])
+                        if msg[1] != qid:  # pragma: no cover - protocol guard
+                            continue
+                        if msg[0] == "partial":
+                            received[rec["pid"]][msg[2]] = msg[3]
+                        else:  # "done", or "error"
+                            failed = failed or msg[0] == "error"
+                            answered.add(rec["pid"])
 
                 if failed:
                     # A worker *raised* (as opposed to died): the plan or
@@ -563,14 +617,9 @@ class ProcessScanPool:
                 for rec in participants:
                     assigned = assignments[rec["pid"]]
                     got = received[rec["pid"]]
-                    for seq, acc_wire in got.items():
+                    for seq, partial in got.items():
                         local_partials.append(
-                            (
-                                seq,
-                                plansnap.decode_accumulator(
-                                    manager, plan.terminal, acc_wire
-                                ),
-                            )
+                            (seq, _from_partial(plan.terminal, partial))
                         )
                     if rec["alive"]:
                         continue

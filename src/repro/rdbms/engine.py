@@ -49,22 +49,8 @@ def select_in(
     return base[mask]
 
 
-#: Plan-time toggle for the adaptive build-side choice in
-#: :func:`hash_join`.  The join-side ablation turns it off, forcing the
-#: declared build side (hash the unique-key side), which is what every
-#: hand-written plan did before the cost-based planner.
-ADAPTIVE_JOINS = True
-
 #: Lifetime join decisions, scraped into benchmark/service stats.
 JOIN_STATS = {"joins": 0, "build_unique_side": 0, "build_many_side": 0}
-
-
-def set_adaptive_joins(flag: bool) -> bool:
-    """Toggle adaptive build-side choice; returns the previous setting."""
-    global ADAPTIVE_JOINS
-    previous = ADAPTIVE_JOINS
-    ADAPTIVE_JOINS = bool(flag)
-    return previous
 
 
 def hash_join(
@@ -81,14 +67,13 @@ def hash_join(
     hand-written plan uses — so the output is identical no matter which
     side was hashed.
 
-    With :data:`ADAPTIVE_JOINS` on, the smaller input is hashed: when the
-    many side (already filtered by earlier predicates) is smaller than
-    the unique side, hashing it avoids materialising a dictionary over
-    the large unique input and turns the join into a probe-by-scan of the
-    unique column.  The ablation always hashes the unique side.
+    The smaller input is hashed: when the many side (already filtered by
+    earlier predicates) is smaller than the unique side, hashing it avoids
+    materialising a dictionary over the large unique input and turns the
+    join into a probe-by-scan of the unique column.
     """
     JOIN_STATS["joins"] += 1
-    if ADAPTIVE_JOINS and len(many_keys) < len(unique_keys):
+    if len(many_keys) < len(unique_keys):
         JOIN_STATS["build_many_side"] += 1
         built: Dict[int, List[int]] = {}
         for pos, key in enumerate(many_keys.tolist()):

@@ -109,9 +109,23 @@ def _append_raw(path, *frames):
             fh.write(_raw_frame(lsn + i, kind, body))
 
 
+def _reopen(path):
+    """Reopen a segment for appending the way ``DurableStore.open`` does:
+    the framing pass finds the committed boundary, ``resume`` appends
+    there."""
+    scan = scan_wal(path)
+    return WriteAheadLog.resume(
+        path,
+        start_lsn=scan.start_lsn,
+        next_lsn=scan.next_lsn,
+        committed_offset=scan.committed_offset,
+        fsync_policy="none",
+    )
+
+
 def _open_batch(path):
     """Leave a trailing BEGIN + ADD whose COMMIT never landed."""
-    wal = WriteAheadLog.open(path, fsync_policy="none")
+    wal = _reopen(path)
     wal.append(BEGIN, encode_payload({"n": 99}))
     wal.append(ADD, encode_payload({"c": "notes", "s": "TNote", "e": 7, "v": {"stars": 2}}))
     wal.close()
@@ -229,7 +243,7 @@ class TestWal:
         kinds = [r.kind for r in scan.committed_records()]
         assert kinds == [BEGIN, ADD, COMMIT]
 
-        reopened = WriteAheadLog.open(wal_path, fsync_policy="none")
+        reopened = _reopen(wal_path)
         assert reopened.next_lsn == 4  # LSNs 4-5 were dropped
         lsn = reopened.append(ADD, encode_payload({"e": 2}))
         assert lsn == 4

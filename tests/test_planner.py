@@ -16,18 +16,15 @@ import re
 import numpy as np
 import pytest
 
-from repro.core.collection import Collection
 from repro.durability.wal import ADD, WriteAheadLog, encode_payload, scan_wal
 from repro.memory.manager import MemoryManager
 from repro.query import planner
 from repro.query.expressions import BoolOp, param
 from repro.rdbms import engine as rdbms_engine
-from repro.rdbms.queries import run_plan
-from repro.tpch import load_rdbms, load_smc
+from repro.tpch import load_smc
 from repro.tpch.queries import DEFAULT_PARAMS, EXTRA_QUERIES, QUERIES
 from repro.tpch.schema import Lineitem as L
 
-from tests.schemas import TPerson
 from tests.seams import unpruned, unplanned
 
 ALL_QUERIES = dict(QUERIES)
@@ -374,56 +371,37 @@ class TestWalGroupCommit:
 # ----------------------------------------------------------------------
 
 
+def _dict_join(unique_keys, unique_rows, many_keys):
+    """The reference join: hash the unique side, probe in many-side order."""
+    built = dict(zip(unique_keys.tolist(), unique_rows.tolist()))
+    pairs = [
+        (built[key], pos)
+        for pos, key in enumerate(many_keys.tolist())
+        if key in built
+    ]
+    return [u for u, __ in pairs], [m for __, m in pairs]
+
+
 def test_hash_join_identical_either_build_side():
+    """``hash_join`` hashes the smaller input; either way its output is
+    the reference join's, ordered by many-side position with duplicates
+    kept."""
     unique_keys = np.arange(100, dtype=np.int64)
     unique_rows = unique_keys * 10
-    many_keys = np.array([5, 5, 3, 99, 42, 5], dtype=np.int64)
-    prev = rdbms_engine.set_adaptive_joins(True)
-    try:
+    small = np.array([5, 5, 3, 99, 42, 5, 1000], dtype=np.int64)
+    large = np.resize(np.array([7, 3, 3, 250, 99], dtype=np.int64), 300)
+    for many_keys, side in (
+        (small, "build_many_side"),
+        (large, "build_unique_side"),
+    ):
         before = dict(rdbms_engine.JOIN_STATS)
-        adaptive = rdbms_engine.hash_join(unique_keys, unique_rows, many_keys)
-        assert (
-            rdbms_engine.JOIN_STATS["build_many_side"]
-            == before["build_many_side"] + 1
-        )
-        rdbms_engine.set_adaptive_joins(False)
-        forced = rdbms_engine.hash_join(unique_keys, unique_rows, many_keys)
-    finally:
-        rdbms_engine.set_adaptive_joins(prev)
-    np.testing.assert_array_equal(adaptive[0], forced[0])
-    np.testing.assert_array_equal(adaptive[1], forced[1])
-    # Output is ordered by many-side position with duplicates preserved.
-    assert adaptive[1].tolist() == [0, 1, 2, 3, 4, 5]
-    assert adaptive[0].tolist() == [50, 50, 30, 990, 420, 50]
-
-
-def test_query_service_leaves_the_join_toggle_alone(manager):
-    """Building a service must not flip the comparator's process-wide
-    join side."""
-    from repro.service.server import QueryService
-
-    people = Collection(TPerson, manager=manager)
-    prev = rdbms_engine.set_adaptive_joins(True)
-    try:
-        service = QueryService({"people": people}, manager)
-        service.close()
-        assert rdbms_engine.ADAPTIVE_JOINS is True
-    finally:
-        rdbms_engine.set_adaptive_joins(prev)
-
-
-@pytest.mark.parametrize("qname", ["q3", "q5", "q10", "q12"])
-def test_rdbms_plans_identical_under_join_toggle(tpch_tiny, qname):
-    db = load_rdbms(tpch_tiny)
-    prev = rdbms_engine.set_adaptive_joins(True)
-    try:
-        __, on_rows = run_plan(qname, db, DEFAULT_PARAMS)
-        rdbms_engine.set_adaptive_joins(False)
-        __, off_rows = run_plan(qname, db, DEFAULT_PARAMS)
-    finally:
-        rdbms_engine.set_adaptive_joins(prev)
-    assert repr(on_rows) == repr(off_rows)
-    assert on_rows
+        got = rdbms_engine.hash_join(unique_keys, unique_rows, many_keys)
+        assert rdbms_engine.JOIN_STATS[side] == before[side] + 1
+        want = _dict_join(unique_keys, unique_rows, many_keys)
+        assert (got[0].tolist(), got[1].tolist()) == want
+    small_got = rdbms_engine.hash_join(unique_keys, unique_rows, small)
+    assert small_got[1].tolist() == [0, 1, 2, 3, 4, 5]
+    assert small_got[0].tolist() == [50, 50, 30, 990, 420, 50]
 
 
 # ----------------------------------------------------------------------

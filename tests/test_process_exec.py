@@ -16,7 +16,6 @@ from __future__ import annotations
 import glob
 import os
 import threading
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -222,9 +221,9 @@ def test_two_column_semijoin_through_the_pool(pooled_smc):
     """A q2-shaped ``(reference, decimal)`` semi-join: the subquery's
     group-by output reaches the workers as two raw arrays, and every
     part's cheapest offer comes back exactly as the serial scan finds it."""
-    from repro.query import plansnap
     from repro.query.builder import Min, ref_key
     from repro.query.columnar_exec import build_scan_plan
+    from repro.query.procexec import _dump_plan, _load_plan
     from repro.tpch.schema import PartSupp as ps
 
     manager = pooled_smc["_manager"]
@@ -249,9 +248,10 @@ def test_two_column_semijoin_through_the_pool(pooled_smc):
 
     plan, __ = build_scan_plan(query, {})
     plan.run_subqueries()
-    ((__, __, columns, dtypes),) = plansnap.encode_plan(manager, plan)["insets"]
-    assert [c.dtype.kind for c in columns] == ["i", "i"]
-    assert [d[0] for d in dtypes] == ["ref", "decimal"]
+    decoded = _load_plan(manager, _dump_plan(manager, plan))
+    ((__, keys),) = decoded.inset_ops
+    assert [c.dtype.kind for c in keys.columns] == ["i", "i"]
+    assert [d[0] for d in keys.dtypes] == ["ref", "decimal"]
 
 
 def _empty_mirror(columnar):
@@ -315,7 +315,7 @@ def test_attach_hook_binds_the_owners_classes(pooled_smc):
 def test_attach_hook_rejects_foreign_header(pooled_smc):
     """A segment whose header does not fit the context it names (here:
     the other layout) raises, naming the block; in a worker that is the
-    error frame that sends the query back to the serial scan."""
+    error message that sends the query back to the serial scan."""
     from repro.query.procexec import _space_map
 
     manager = pooled_smc["_manager"]
@@ -440,10 +440,10 @@ def test_parent_section_pins_the_epoch_while_workers_read(
 
     collections, manager = _striped_tpch(tpch_tiny)
     epochs = manager.epochs
-    real_select = procexec.select.select
+    real_wait = procexec.wait
     seen = []
 
-    def advancing_select(readable, *args):
+    def advancing_wait(readable, *args):
         if not seen:
             entry = epochs.local_epoch()  # the parent's section
             advancer = threading.Thread(
@@ -454,14 +454,12 @@ def test_parent_section_pins_the_epoch_while_workers_read(
             seen.append(
                 (entry, epochs.global_epoch, len(readable), advancer.is_alive())
             )
-        return real_select(readable, *args)
+        return real_wait(readable, *args)
 
     try:
         query = ALL_QUERIES["q1"](collections)
         expected = repr(query.run(params=DEFAULT_PARAMS, workers=1).rows)
-        monkeypatch.setattr(
-            procexec, "select", SimpleNamespace(select=advancing_select)
-        )
+        monkeypatch.setattr(procexec, "wait", advancing_wait)
         got = query.run(params=DEFAULT_PARAMS, workers=2)
         monkeypatch.undo()
         assert repr(got.rows) == expected
@@ -480,18 +478,16 @@ def test_unwind_mid_fan_out_reaps_every_participant(tpch_tiny, monkeypatch):
     and a pool the next query respawns."""
     from repro.query import procexec
 
-    def failing_select(*args):
-        raise RuntimeError("select failed")
+    def failing_wait(*args):
+        raise RuntimeError("wait failed")
 
     collections, manager = _striped_tpch(tpch_tiny)
     pool = manager.exec_pool
     try:
         query = ALL_QUERIES["q1"](collections)
         expected = repr(query.run(params=DEFAULT_PARAMS, workers=1).rows)
-        monkeypatch.setattr(
-            procexec, "select", SimpleNamespace(select=failing_select)
-        )
-        with pytest.raises(RuntimeError, match="select failed"):
+        monkeypatch.setattr(procexec, "wait", failing_wait)
+        with pytest.raises(RuntimeError, match="wait failed"):
             query.run(params=DEFAULT_PARAMS, workers=2)
         monkeypatch.undo()
         assert len(pool._procs) == 2 and pool.alive_workers() == 0
@@ -513,27 +509,61 @@ def test_unwind_mid_fan_out_reaps_every_participant(tpch_tiny, monkeypatch):
 # ----------------------------------------------------------------------
 
 
-def test_plan_wire_roundtrip_executes(tpch_tiny):
-    """An encoded-then-decoded plan runs to the same rows in-process."""
-    from repro.query import plansnap
-    from repro.query.columnar_exec import build_scan_plan
+def _field_refs(node):
+    """Every ``FieldRef`` in a plan's expressions and terminal."""
+    from repro.query.expressions import FieldRef, Signed
 
-    collections = load_smc(tpch_tiny, shm=True)
-    manager = collections["_manager"]
+    if isinstance(node, FieldRef):
+        yield node
+    elif isinstance(node, (list, tuple)):
+        for item in node:
+            yield from _field_refs(item)
+    elif isinstance(node, Signed):
+        for cls in type(node).__mro__:
+            for slot in getattr(cls, "__slots__", ()):
+                if slot != "_sig" and hasattr(node, slot):
+                    yield from _field_refs(getattr(node, slot))
+
+
+def test_plan_wire_roundtrip_executes(tpch_tiny):
+    """Every query's plan, pickled by the pool against one manager and
+    unpickled against a second loaded from the same data, runs there to
+    the serial rows; each field it names is the receiving layout's own
+    object, not a copy."""
+    from repro.query.columnar_exec import _finish, build_scan_plan
+    from repro.query.procexec import _dump_plan, _load_plan
+
+    sender = load_smc(tpch_tiny)
+    receiver = load_smc(tpch_tiny)
+    manager = receiver["_manager"]
     try:
-        for name in ("q1", "q6", "q12"):
-            query = ALL_QUERIES[name](collections)
-            expected = _canonical(query.run(params=DEFAULT_PARAMS, workers=1))
-            plan, __ = build_scan_plan(query, DEFAULT_PARAMS)
-            wire = plansnap.encode_plan(manager, plan)
-            decoded = plansnap.decode_plan(manager, wire)
+        for name, builder in sorted(ALL_QUERIES.items()):
+            query = builder(sender)
+            expected = repr(query.run(params=DEFAULT_PARAMS, workers=1).rows)
+            plan, post = build_scan_plan(query, DEFAULT_PARAMS)
+            plan.run_subqueries()
+            decoded = _load_plan(manager, _dump_plan(sender["_manager"], plan))
             assert decoded.zone_tests == []  # workers never prune
+            assert decoded.source is manager.collections[plan.source.name]
+
+            refs = list(
+                _field_refs(
+                    [decoded.filters, decoded.terminal]
+                    + [op.exprs for op, __ in decoded.inset_ops]
+                )
+            )
+            assert refs, name
+            for ref in refs:
+                for field in (ref.field, *ref.steps):
+                    layout = manager.collections[field.owner.__name__].layout
+                    assert field is layout.by_name[field.name], name
+
             acc = decoded.make_accumulator()
             for block in decoded.source.context.blocks():
                 decoded.process_block(block, acc)
-            columns, rows = acc.finish(manager)
-            assert (tuple(columns), sorted(map(tuple, rows))) == expected, name
+            assert repr(_finish(decoded, acc, post).rows) == expected, name
     finally:
+        sender["_manager"].close()
         manager.close()
 
 
@@ -545,20 +575,30 @@ def _leaves(obj):
         yield obj
 
 
-@pytest.mark.parametrize("name", ["q1", "q3", "q10"])
-def test_accumulator_wire_is_arrays(tpch_tiny, name):
-    """An encoded partial is one folded chunk of ndarrays plus ``(kind,
-    meta)`` dtype tuples — no Python rows, no dictionary objects — and,
-    decoded and merged after a serial partial, yields the serial rows."""
-    import pickle
+def _by_comment(collections):
+    """Lineitems grouped by a dictionary-coded string: the one output
+    kind whose dtype carries a ``StringDict``."""
+    from repro.query.builder import Count
+    from repro.tpch.schema import Lineitem as L
 
-    from repro.query import plansnap
+    return collections["lineitem"].query().group_by(c=L.comment).aggregate(n=Count())
+
+
+@pytest.mark.parametrize("name", ["q1", "q3", "q10", "by_comment"])
+def test_accumulator_wire_is_arrays(tpch_tiny, name):
+    """A partial crosses the wire as one folded chunk of ndarrays plus
+    ``(kind, meta)`` dtypes — no Python rows — whose string dictionaries
+    arrive as the receiving collection's own; merged after a serial
+    partial, it yields the serial rows."""
     from repro.query.columnar_exec import build_scan_plan
+    from repro.query.procexec import _dumps, _from_partial, _loads, _partial
 
     collections = load_smc(tpch_tiny, manager=MemoryManager(block_shift=16))
+    receiver = load_smc(tpch_tiny, manager=MemoryManager(block_shift=16))
     manager = collections["_manager"]
     try:
-        plan, __ = build_scan_plan(ALL_QUERIES[name](collections), DEFAULT_PARAMS)
+        builder = dict(ALL_QUERIES, by_comment=_by_comment)[name]
+        plan, __ = build_scan_plan(builder(collections), DEFAULT_PARAMS)
         blocks = [b for b in plan.source.context.blocks() if plan.admits(b)]
         assert len(blocks) >= 2
 
@@ -569,20 +609,64 @@ def test_accumulator_wire_is_arrays(tpch_tiny, name):
             return acc
 
         half = len(blocks) // 2
-        wire = pickle.loads(pickle.dumps(
-            plansnap.encode_accumulator(manager, scan(blocks[half:]))
-        ))
-        rows, keys, cells = wire["chunk"]
+        sent = scan(blocks[half:])
+        partial = _loads(receiver["_manager"], _dumps(manager, _partial(sent)))
+        rows, keys, cells = partial[0]
         assert isinstance(rows, int) and rows > 0
         assert all(isinstance(a, np.ndarray) for a in _leaves([keys, cells]))
-        for kind, meta in wire["key_dtypes"] + wire["agg_dtypes"]:
-            assert isinstance(kind, str) and isinstance(meta, (type(None), int, str))
+
+        owners = {
+            id(coll.strdict): coll_name
+            for coll_name, coll in manager.collections.items()
+            if coll.strdict is not None
+        }
+        strcodes = 0
+        for (kind, meta), (__, mine) in zip(
+            partial[1] + partial[2], sent.key_dtypes + sent.agg_dtypes
+        ):
+            if kind == "strcode":
+                strcodes += 1
+                owner = receiver["_manager"].collections[owners[id(mine)]]
+                assert meta is owner.strdict
+            else:
+                assert meta == mine
+        assert strcodes == (name == "by_comment")
 
         merged = scan(blocks[:half])
-        merged.merge(plansnap.decode_accumulator(manager, plan.terminal, wire))
+        merged.merge(_from_partial(plan.terminal, partial))
         want = scan(blocks).finish(manager)
         assert repr(merged.finish(manager)) == repr(want)
         assert want[1]
+    finally:
+        manager.close()
+        receiver["_manager"].close()
+
+
+def test_worker_unpickling_error_falls_back_to_serial(tpch_tiny, monkeypatch):
+    """A worker that cannot unpickle its plan answers ``error``: the query
+    returns the serial rows, is not counted as a process query, and the
+    worker stays alive (an error is not a death)."""
+    import pickle
+
+    from repro.query import procexec
+
+    def refuse(self, pid):
+        raise pickle.UnpicklingError(f"cannot resolve {pid!r}")
+
+    collections, manager = _striped_tpch(tpch_tiny)
+    try:
+        query = ALL_QUERIES["q1"](collections)
+        expected = repr(query.run(params=DEFAULT_PARAMS, workers=1).rows)
+        # Workers fork on the first pooled query, so they inherit this.
+        monkeypatch.setattr(procexec._Unpickler, "persistent_load", refuse)
+        got = query.run(params=DEFAULT_PARAMS, workers=2)
+        monkeypatch.undo()
+        assert repr(got.rows) == expected
+        extra = manager.stats.extra
+        assert extra.get("exec_process_queries", 0) == 0
+        assert extra.get("exec_thread_queries", 0) == 1
+        assert extra.get("exec_morsels_redispatched", 0) == 0
+        assert manager.exec_pool.alive_workers() == 2
     finally:
         manager.close()
 
