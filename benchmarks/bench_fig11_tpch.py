@@ -1,13 +1,13 @@
 """Figure 11 — TPC-H queries 1–6 on managed collections vs SMCs.
 
 Series (all compiled, as in the paper): List<T>, ConcurrentDictionary,
-SMC with managed-equivalent code ("SMC (C#)" → the ``smc-safe`` flavour),
+SMC with managed-equivalent code ("SMC (C#)" → ``engine="smc-safe"``),
 and SMC with raw-representation access ("SMC (unsafe C#)" → the default
-vectorised ``smc-unsafe`` flavour).  Values are evaluation time relative
-to List.
+compiled engine, the vectorised kernels).  Values are evaluation time
+relative to List.
 
 Expected shape (paper): SMC (unsafe) beats List by 47–80%; the gap to
-the safe flavour is largest on the decimal-heavy Q1; ConcurrentDictionary
+the safe engine is largest on the decimal-heavy Q1; ConcurrentDictionary
 never beats List.  Known divergence (see EXPERIMENTS.md): the navigation-
 heavy Q2/Q3/Q5 favour managed Python objects, whose attribute chasing is
 cheaper relative to block gathers than C# object access is relative to
@@ -33,10 +33,10 @@ def report():
     rep.print()
 
 
-def _time_query(collections, qname, flavor=None) -> float:
+def _time_query(collections, qname, engine="compiled") -> float:
     query = QUERIES[qname](collections)
     return time_callable(
-        lambda: query.run(flavor=flavor, params=DEFAULT_PARAMS), repeat=3
+        lambda: query.run(engine=engine, params=DEFAULT_PARAMS), repeat=3
     )
 
 

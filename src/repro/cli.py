@@ -10,7 +10,7 @@ Commands
     Describe a snapshot: format and per-section bytes, load time, tables,
     row counts, memory footprint.
 ``query``
-    Run one of the built-in TPC-H queries (q1–q6, q7/q10/q12/q14)
+    Run one of the built-in TPC-H queries (q1–q7, q9, q10, q12–q14, q20)
     against a snapshot and print the result table.
 ``bench``
     Run one figure-reproduction bench module through pytest.
@@ -32,7 +32,7 @@ Examples::
 
     python -m repro gen --sf 0.01 --out tpch.smcsnap
     python -m repro info tpch.smcsnap
-    python -m repro query tpch.smcsnap q1 --engine compiled
+    python -m repro query tpch.smcsnap q1 --engine interpreted
     python -m repro bench fig11
     python -m repro serve tpch.smcsnap --data-dir state/
     python -m repro recover state/
@@ -518,9 +518,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.set_defaults(fn=_cmd_serve)
 
+    from repro.tpch.queries import EXTRA_QUERIES, QUERIES
+
     query = sub.add_parser("query", help="run a TPC-H query on a snapshot")
     query.add_argument("snapshot")
-    query.add_argument("query", help="q1..q6, q7, q10, q12, q14")
+    query.add_argument("query", help=", ".join([*QUERIES, *EXTRA_QUERIES]))
     query.add_argument(
         "--engine", choices=["compiled", "interpreted"], default="compiled"
     )

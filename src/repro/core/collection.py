@@ -96,9 +96,10 @@ def bulk_add(collection: "Collection", rows: Iterable[Any]) -> List[Any]:
 class Collection:
     """A self-managed collection of one tabular class."""
 
-    #: Default compiled-query backend: raw-block access ("SMC (unsafe C#)"
-    #: in the paper's Figure 11); pass ``flavor="smc-safe"`` to Query.run
-    #: for the handle-level "SMC (C#)" series.
+    #: Compiled-query engine, for either block layout: the vectorised
+    #: raw-block kernels ("SMC (unsafe C#)" in the paper's Figure 11);
+    #: ``Query.run(engine="smc-safe")`` runs the decoding "SMC (C#)"
+    #: series over row blocks.
     compiled_flavor = "smc-unsafe"
 
     #: The handle type ``add`` returns and reference navigation builds.

@@ -147,7 +147,6 @@ class ColumnarHandle:
 class ColumnarCollection(Collection):
     """A self-managed collection with columnar object storage."""
 
-    compiled_flavor = "columnar"
     handle_class = ColumnarHandle
 
     def __init__(

@@ -18,13 +18,14 @@ Execution engines (mirroring the paper's evaluation series):
     pull-based iterator evaluation over row objects — the paper's
     LINQ-to-objects baseline;
 ``compiled``
-    a specialised imperative Python function generated per (query
-    structure, source kind) and cached — the paper's query compilation.
-    The compiled flavour is chosen from the source: attribute loops for
-    managed collections, raw-block scans for SMCs ("unsafe"), handle-level
-    scans (``smc-safe``, the paper's "SMC (C#)" series), vectorised NumPy
-    kernels for columnar collections, and direct-pointer navigation when
-    the memory manager runs in direct mode.
+    the source's own compiled engine — the paper's query compilation:
+    a generated attribute loop, cached per (query structure, source
+    kind), for managed collections; vectorised NumPy kernels over the
+    raw blocks ("SMC (unsafe C#)") for an SMC of either layout and
+    pointer mode;
+``smc-safe``
+    generated code that decodes every field of an SMC's row blocks —
+    the paper's "SMC (C#)" series; indirect references only.
 """
 
 from __future__ import annotations
@@ -101,7 +102,7 @@ class WhereIn(Op):
     probes its result — the semi-join that implements EXISTS-style TPC-H
     predicates (e.g. Query 4).  The vectorised engine keeps the result
     as raw key columns and probes them with one array membership test
-    per block; the scalar flavours build a hash set of key tuples.
+    per block; the generated engines build a hash set of key tuples.
     """
 
     __slots__ = ("exprs", "subquery", "negated")
@@ -344,21 +345,20 @@ class Query(Signed):
         self,
         engine: str = "compiled",
         params: Optional[Dict[str, Any]] = None,
-        flavor: Optional[str] = None,
         workers: Optional[int] = None,
         **kwparams: Any,
     ) -> Result:
         """Execute the query and return a :class:`Result`.
 
-        ``engine`` is ``"compiled"`` (default — the paper's approach) or
-        ``"interpreted"`` (the LINQ-to-objects baseline).  ``flavor``
-        overrides the compiled backend (e.g. ``"smc-safe"`` to model the
-        paper's SMC (C#) series on a collection that defaults to the
-        unsafe backend).  ``workers`` > 1 fans the scan out over the
-        manager's process pool (``exec_pool``) when one is attached and
-        takes the plan (vectorised SMC backends only); without one the
-        scan runs serially, with the same result.  Dynamic
-        parameters may be passed via ``params=`` or as keyword
+        ``engine`` is ``"compiled"`` (default — the paper's approach: the
+        source's own compiled engine), ``"interpreted"`` (the
+        LINQ-to-objects baseline) or ``"smc-safe"`` (the paper's SMC (C#)
+        series: generated code decoding every field, over a row-layout
+        SMC with indirect references only).  ``workers`` > 1 fans the
+        scan out over the manager's process pool (``exec_pool``) when one
+        is attached and takes the plan (the vectorised engine only);
+        without one the scan runs serially, with the same result.
+        Dynamic parameters may be passed via ``params=`` or as keyword
         arguments.
         """
         merged = dict(params or {})
@@ -367,28 +367,19 @@ class Query(Signed):
             from repro.query.interpreter import run_interpreted
 
             return run_interpreted(self, merged)
-        if engine == "compiled":
+        if engine in ("compiled", "smc-safe"):
             from repro.query.compiler import run_compiled
 
-            return run_compiled(self, merged, flavor=flavor, workers=workers)
+            return run_compiled(self, merged, engine, workers=workers)
         raise ValueError(f"unknown engine {engine!r}")
 
-    def explain(
-        self,
-        flavor: Optional[str] = None,
-        params: Optional[Dict[str, Any]] = None,
-    ) -> str:
-        """Human-readable plan: source, operators, compiled backend, and
-        (for the vectorised SMC backends) the cost-based planner's
+    def explain(self, params: Optional[Dict[str, Any]] = None) -> str:
+        """Human-readable plan: source, operators, the source's compiled
+        engine, and (for the vectorised engine) the cost-based planner's
         ordered conjuncts with estimated selectivities, the chosen
         access path, and — once the query has executed — estimated vs
         actual rows from the feedback registry."""
-        from repro.query.compiler import flavor_for
-
-        try:
-            backend = flavor or flavor_for(self.source)
-        except Exception:
-            backend = "interpreted-only"
+        backend = getattr(self.source, "compiled_flavor", "interpreted-only")
         lines = [
             f"Query over {type(self.source).__name__}"
             f"<{getattr(self.source, 'schema', type(None)).__name__}>",
@@ -396,7 +387,7 @@ class Query(Signed):
         ]
         for op in self.ops:
             lines.append(f"  -> {op.signature()}")
-        if backend in ("columnar", "smc-unsafe"):
+        if backend == "smc-unsafe":
             from repro.query import planner as _planner
 
             filters = [op.pred for op in self.ops if isinstance(op, Where)]

@@ -64,7 +64,6 @@ from repro.query.compiler import (
     _field_dtype,
     _to_raw,
     derive_zone_tests,
-    flavor_for,
 )
 from repro.query.expressions import (
     Between,
@@ -230,7 +229,7 @@ def _subquery_keys(subquery: Query, params: Dict[str, Any]) -> "_KeyColumns":
     converts back to raw columns once, so the probe has a single input
     form.
     """
-    if flavor_for(subquery.source) not in ("columnar", "smc-unsafe"):
+    if getattr(subquery.source, "compiled_flavor", None) != "smc-unsafe":
         result = subquery.run(engine="compiled", params=params)
         return _KeyColumns.from_rows(result.rows)
     plan, post = build_scan_plan(subquery, params)

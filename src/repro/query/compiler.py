@@ -4,33 +4,34 @@ The paper transforms every statically-known LINQ query over an SMC into a
 generated imperative function with the dynamic parameters as arguments
 (section 2), and the generated code scans the collection's memory blocks
 directly (section 4).  This module does the same: it fingerprints
-(query structure, source kind, pointer mode), generates Python source
+(engine, query structure and source kind), generates Python source
 specialised to the schema's slot layout, compiles it once, and caches the
 function.  Subsequent executions only re-bind parameters.
 
-Backends ("flavours"), mirroring the evaluation series of the paper:
+Engines, mirroring the evaluation series of the paper's Figure 11:
 
 ``managed``
     attribute-access loop over plain Python record objects — the paper's
     *compiled C# over managed collections* (the ``List<T>`` /
-    ``ConcurrentDictionary`` series of Figure 11);
+    ``ConcurrentDictionary`` series); a managed collection's compiled
+    engine.
 ``smc-safe``
-    scans SMC blocks via the slot directory but decodes every field into
-    Python objects (Decimal, date, str) — the paper's *SMC (C#)* series:
-    compiled code equivalent to the managed one except for enumeration;
-``smc-unsafe`` / ``columnar``
+    scans SMC row blocks via the slot directory but decodes every field
+    into Python objects (Decimal, date, str) — the paper's *SMC (C#)*
+    series: compiled code equivalent to the managed one except for
+    enumeration.  It is written for row blocks whose references go
+    through the indirection table; any other source is refused.
+``smc-unsafe``
     the raw stored representation (scaled-int64 decimals, day-number
     dates, padded bytes, dictionary codes) in vectorised NumPy kernels
     over row or columnar blocks — the paper's *SMC (unsafe C#)* series
-    and section 4.1 — dispatched to :mod:`repro.query.columnar_exec`.
-    No source is generated for them; this module supplies their zone
-    tests and literal conversions.
+    and section 4.1 — dispatched to :mod:`repro.query.columnar_exec`;
+    an SMC's compiled engine, whatever its layout or pointer mode.  No
+    source is generated for it; this module supplies its zone tests and
+    literal conversions.
 
-Both generated flavours operate on Python values, so they need no raw
-dtype algebra.  When the memory manager runs in **direct-pointer mode**
-(section 6) the ``smc-safe`` code navigates references through raw slot
-addresses validated against slot-header incarnations, skipping the
-indirection-table lookup.
+Both generated engines operate on Python values, so they need no raw
+dtype algebra.
 
 Null navigation note: the interpreter evaluates a navigation through a
 null reference to ``None``; the compiled backends *filter out* such rows
@@ -92,18 +93,10 @@ from repro.schema.fields import (
 
 _CACHE: Dict[tuple, "_Compiled"] = {}
 _CACHE_LOCK = threading.Lock()
-_CACHE_HITS = 0
-_CACHE_MISSES = 0
 
 
 class CompileError(TypeError):
     """Raised when a plan cannot be compiled for the requested backend."""
-
-
-#: The source kind (its ``compiled_flavor``) each generated flavour's
-#: code is written for: ``smc-safe`` decodes row-layout slots, ``managed``
-#: reads attributes of plain record objects.
-_GENERATED_FOR = {"smc-safe": "smc-unsafe", "managed": "managed"}
 
 
 # ----------------------------------------------------------------------
@@ -111,84 +104,71 @@ _GENERATED_FOR = {"smc-safe": "smc-unsafe", "managed": "managed"}
 # ----------------------------------------------------------------------
 
 
-def flavor_for(source: Any) -> str:
-    """Default compiled flavour for a source object."""
-    kind = getattr(source, "compiled_flavor", None)
-    if kind is not None:
-        return kind
-    raise CompileError(
-        f"source {type(source).__name__} does not support compiled queries"
-    )
-
-
 def run_compiled(
     query: Query,
     params: Dict[str, Any],
-    flavor: Optional[str] = None,
+    engine: str = "compiled",
     workers: Optional[int] = None,
 ) -> Result:
-    flavor = flavor or flavor_for(query.source)
-    if flavor in ("columnar", "smc-unsafe"):
-        # Both SMC layouts run on the vectorised block engine; row blocks
-        # are accessed through strided views (see columnar_exec).
+    """Run *query* on a compiled engine.
+
+    ``"compiled"`` is the source's own (its ``compiled_flavor``): the
+    vectorised engine over an SMC of either layout, generated
+    ``managed`` code over a managed collection.  ``"smc-safe"`` is the
+    generated slot-decoding code, refused before a byte is decoded on
+    any source but a row-layout SMC with indirect references.
+    """
+    source = query.source
+    kind = getattr(source, "compiled_flavor", None)
+    if engine == "smc-safe":
+        from repro.core.columnar import ColumnarCollection
+
+        if (
+            kind != "smc-unsafe"
+            or isinstance(source, ColumnarCollection)
+            or source.manager.direct_pointers
+        ):
+            raise CompileError(
+                f"smc-safe code reads row blocks through the indirection "
+                f"table and cannot run over this {type(source).__name__}"
+            )
+    elif kind == "smc-unsafe":
         from repro.query.columnar_exec import run_columnar
 
         return run_columnar(query, params, workers=workers)
-    kind = getattr(query.source, "compiled_flavor", None)
-    if flavor in _GENERATED_FOR and kind != _GENERATED_FOR[flavor]:
-        # Generated code over another layout would decode foreign bytes.
+    elif kind == "managed":
+        engine = "managed"
+    else:
         raise CompileError(
-            f"flavour {flavor!r} cannot run over a "
-            f"{type(query.source).__name__} (compiled flavour {kind!r})"
+            f"source {type(source).__name__} does not support compiled queries"
         )
-    compiled = get_compiled(query, flavor)
+    compiled = get_compiled(query, engine)
     columns, rows = compiled.fn(
-        query.source, params, _materialise_insets(query, params)
+        source, params, _materialise_insets(query, params)
     )
     return Result(columns, rows)
 
 
-def get_compiled(query: Query, flavor: str) -> "_Compiled":
-    direct = bool(getattr(query.source, "manager", None))
-    direct = direct and query.source.manager.direct_pointers
-    key = (flavor, direct, query.signature())
-    global _CACHE_HITS, _CACHE_MISSES
+def get_compiled(query: Query, engine: str) -> "_Compiled":
+    key = (engine, query.signature())
     with _CACHE_LOCK:
         hit = _CACHE.get(key)
-        if hit is not None:
-            _CACHE_HITS += 1
     if hit is not None:
         return hit
-    generator = _Generator(query, flavor, direct)
-    compiled = generator.build()
+    compiled = _Generator(query, engine).build()
     with _CACHE_LOCK:
         _CACHE[key] = compiled
-        _CACHE_MISSES += 1
     return compiled
 
 
-def compiled_source(query: Query, flavor: Optional[str] = None) -> str:
+def compiled_source(query: Query, engine: str) -> str:
     """The generated Python source for *query* (introspection/debugging)."""
-    flavor = flavor or flavor_for(query.source)
-    return get_compiled(query, flavor).source
+    return get_compiled(query, engine).source
 
 
 def clear_cache() -> None:
-    global _CACHE_HITS, _CACHE_MISSES
     with _CACHE_LOCK:
         _CACHE.clear()
-        _CACHE_HITS = 0
-        _CACHE_MISSES = 0
-
-
-def cache_stats() -> Dict[str, int]:
-    """Hit/miss/size counters of the compiled-function cache."""
-    with _CACHE_LOCK:
-        return {
-            "hits": _CACHE_HITS,
-            "misses": _CACHE_MISSES,
-            "size": len(_CACHE),
-        }
 
 
 def _materialise_insets(query: Query, params: Dict[str, Any]) -> List[frozenset]:
@@ -610,31 +590,22 @@ def _slow_entry_deref(manager, entry: int, inc: int) -> int:
     raise NullReferenceError(f"entry {entry} dereferenced after removal")
 
 
-def _slow_direct_deref(manager, address: int, inc: int) -> int:
-    """Out-of-line slow path for direct in-row pointers."""
-    from repro.core.handle import resolve_direct_pointer
-
-    return resolve_direct_pointer(manager, address, inc)
-
-
 # ----------------------------------------------------------------------
 # Code generation
 # ----------------------------------------------------------------------
 
 
 class _Generator:
-    def __init__(self, query: Query, flavor: str, direct: bool) -> None:
-        if flavor not in ("managed", "smc-safe"):
-            raise CompileError(f"no generated code for flavour {flavor!r}")
+    def __init__(self, query: Query, engine: str) -> None:
+        if engine not in ("managed", "smc-safe"):
+            raise CompileError(f"no generated code for engine {engine!r}")
         self.query = query
-        self.flavor = flavor
-        self.direct = direct
+        self.engine = engine
         self.schema = query.source.schema
         self.layout = self.schema.__layout__
         self.env: Dict[str, Any] = {
             "_scan": _runtime.scan_blocks,
             "_slow_entry": _slow_entry_deref,
-            "_slow_direct": _slow_direct_deref,
         }
         self._uid = 0
         self.prelude: List[str] = []
@@ -701,14 +672,14 @@ class _Generator:
         src_lines.append(f"    return {columns!r}, _rows")
         source = "\n".join(src_lines)
         scope: Dict[str, Any] = dict(self.env)
-        exec(compile(source, f"<query:{self.flavor}>", "exec"), scope)
+        exec(compile(source, f"<query:{self.engine}>", "exec"), scope)
         return _Compiled(scope["__query"], source)
 
     # -- prelude -----------------------------------------------------------
 
     def _emit_prelude(self) -> None:
         p = self.prelude
-        if self.flavor == "managed":
+        if self.engine == "managed":
             p.append("_records = source.records_list()")
         else:
             p.append("_mgr = source.manager")
@@ -725,7 +696,7 @@ class _Generator:
 
     def _emit_loop(self, row_lines: List[str]) -> None:
         b = self.body
-        if self.flavor == "managed":
+        if self.engine == "managed":
             b.append("for _r in _records:")
             b += ["    " + ln for ln in row_lines]
             return
@@ -767,7 +738,7 @@ class _Generator:
         return self._emit_groupby(row_lines, terminal)
 
     def _emit_enumeration(self, row_lines: List[str]) -> List[str]:
-        if self.flavor == "managed":
+        if self.engine == "managed":
             row_lines.append("_rows.append(_r)")
         else:
             # Yield references to qualifying objects, as the paper's
@@ -911,7 +882,7 @@ class _Generator:
     # -- field access ----------------------------------------------------
 
     def _field_access(self, expr: FieldRef, row_lines: List[str]) -> str:
-        if self.flavor == "managed":
+        if self.engine == "managed":
             path = ".".join(s.name for s in expr.steps)
             prefix = f"_r.{path}." if path else "_r."
             return f"{prefix}{expr.field.name}"
@@ -951,33 +922,19 @@ class _Generator:
         )
         row_lines.append(f"if {w} == {NULL_ADDRESS}: continue")
         addr = self.uid("a")
-        if self.direct:
-            blk = self.uid("b")
-            row_lines.append(f"{blk} = _blocks[{w} >> _shift]")
-            u32 = self.unpacker("I")
-            row_lines.append(
-                f"if {u32}({blk}.buf, {w} & _mask)[0] != {winc}: "
-                f"{w} = _slow_direct(_mgr, {w}, {winc}); "
-                f"{blk} = _blocks[{w} >> _shift]"
-            )
-            bufvar = self.uid("nb")
-            offvar = self.uid("no")
-            row_lines.append(f"{bufvar} = {blk}.buf")
-            row_lines.append(f"{offvar} = {w} & _mask")
-        else:
-            row_lines.append(
-                f"{addr} = _taddr[{w}] if _tinc[{w}] == {winc} "
-                f"else _slow_entry(_mgr, {w}, {winc})"
-            )
-            bufvar = self.uid("nb")
-            offvar = self.uid("no")
-            row_lines.append(f"{bufvar} = _blocks[{addr} >> _shift].buf")
-            row_lines.append(f"{offvar} = {addr} & _mask")
+        row_lines.append(
+            f"{addr} = _taddr[{w}] if _tinc[{w}] == {winc} "
+            f"else _slow_entry(_mgr, {w}, {winc})"
+        )
+        bufvar = self.uid("nb")
+        offvar = self.uid("no")
+        row_lines.append(f"{bufvar} = _blocks[{addr} >> _shift].buf")
+        row_lines.append(f"{offvar} = {addr} & _mask")
         self._nav_cache[steps] = (bufvar, offvar)
         return bufvar, offvar
 
     def _ref_identity(self, expr: RefIdentity, row_lines: List[str]) -> str:
-        if self.flavor == "managed":
+        if self.engine == "managed":
             return "_r." + ".".join(s.name for s in expr.steps)
         bufvar, offvar = self._navigate(expr.steps[:-1], row_lines)
         return self._read_field(expr.steps[-1], bufvar, offvar)

@@ -13,7 +13,7 @@ The service layer turns the query engines into a serving system:
     Bounded admission controller with per-class timeouts and explicit
     ``OVERLOADED`` load-shedding.
 ``plancache``
-    Prepared-plan cache keyed on (query, layout, encoding, engine).
+    Prepared-plan cache keyed on the served query's name.
 ``protocol``
     Length-prefixed JSON wire protocol with exact value round-trips.
 ``server`` / ``client``

@@ -122,8 +122,6 @@ class ServiceClient:
     def query(
         self,
         name: str,
-        engine: str = "compiled",
-        flavor: Optional[str] = None,
         workers: int = 1,
         params: Optional[Dict[str, Any]] = None,
         queue_class: str = "default",
@@ -131,12 +129,9 @@ class ServiceClient:
         message: Dict[str, Any] = {
             "op": "query",
             "query": name,
-            "engine": engine,
             "workers": workers,
             "class": queue_class,
         }
-        if flavor is not None:
-            message["flavor"] = flavor
         if params is not None:
             message["params"] = protocol.encode_value(params)
         if self.session is not None:

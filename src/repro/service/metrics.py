@@ -5,16 +5,18 @@ Python with a lock per instrument, and exposition renders the standard
 ``# HELP`` / ``# TYPE`` text format so any Prometheus-compatible scraper
 (or a test) can parse it.
 
-Two instrumentation bridges tie the registry to the engine:
+Instrumentation bridges tie the registry to the engine:
 
 * :func:`instrument_manager` registers gauges backed by
   :meth:`MemoryManager.telemetry` — global epoch, per-context limbo
   fraction, block counts, string-dict cardinality — plus counter views
   of the manager's lifetime stats (allocation/compaction rates fall out
-  of scraping those counters over time).
-* :func:`engine_snapshot` folds the query engines' counters (rows
-  scanned, blocks pruned, parallel unit counts from ``stats.extra``) and the
-  compiled-function cache's hit/miss numbers into the same exposition.
+  of scraping those counters over time) and of the query engine's
+  counters in ``stats.extra`` (rows scanned, blocks pruned, parallel
+  unit counts).
+* :func:`instrument_exec`, :func:`instrument_tiering` and
+  :func:`instrument_durability` add the process pool's, the pager's and
+  the durable store's gauges when the server runs them.
 """
 
 from __future__ import annotations
@@ -573,23 +575,3 @@ def instrument_durability(registry: MetricsRegistry, store) -> None:
         "Time recovery spent adopting the checkpoint image (replay excluded)",
         callback=lambda: float(store.stats()["snapshot_load_seconds"]),
     )
-
-
-def engine_snapshot(registry: MetricsRegistry) -> None:
-    """Contribute the compiled-function cache stats at scrape time.
-
-    The engines' scan counters live in ``manager.stats.extra`` and are
-    already exported by :func:`instrument_manager`; the compiler cache is
-    process-global, so it gets its own snapshot provider.
-    """
-    from repro.query import compiler
-
-    def _compiler_cache() -> Dict[str, float]:
-        stats = compiler.cache_stats()
-        return {
-            "smc_compiled_cache_hits_total": float(stats["hits"]),
-            "smc_compiled_cache_misses_total": float(stats["misses"]),
-            "smc_compiled_cache_size": float(stats["size"]),
-        }
-
-    registry.add_snapshot("compiler_cache", _compiler_cache)

@@ -8,11 +8,11 @@ order, access path, zone-test templates.  A hit therefore skips plan
 construction and planning alike — the request only binds its
 parameters.  Hit/miss counters feed the service metrics registry.
 
-Nothing else a request names changes what is cached: engine, flavour
-and worker count are execution choices made per run, and the served
-store's layout and string encoding are fixed for a server's lifetime.
-So the name is the whole key, and the cache holds at most one plan per
-registered query — no byte budget bounds it.
+Nothing else a request names changes what is cached: the worker count
+is an execution choice made per run, and the served store's layout and
+string encoding are fixed for a server's lifetime.  So the name is the
+whole key, and the cache holds at most one plan per registered query —
+no byte budget bounds it.
 
 The prepared scan's decisions come from statistics and go stale as the
 store grows; the staleness rule lives with them, not here: a prepared

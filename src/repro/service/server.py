@@ -19,15 +19,18 @@ Error taxonomy (the ``error`` field of a ``{"ok": false}`` response):
     Unknown op/query or malformed arguments (a ``query`` that is not a
     string, ``params`` that are not an object, a known parameter whose
     value is not of its default's type, a ``workers`` that is not an
-    integer >= 1, an unknown ``engine`` or ``flavor``, a flavour the
-    served collections cannot compile for, a ``ttl`` that is not a
-    positive number); the detail names the accepted values.
+    integer >= 1, a ``ttl`` that is not a positive number); the detail
+    names the accepted values.
 ``INTERNAL``
     Unexpected exception during execution (with a detail string).
 
-A query's ``workers`` is capped at the host's CPU count.  A request
-with ``workers > 1`` runs on the exec process pool when the server has
-one and the pool takes the plan; otherwise it runs serially.
+A ``query`` request names a query, its ``params``, ``workers`` and a
+queue ``class``; it always runs on the served collections' compiled
+engine (the vectorised one), and an ``engine`` or ``flavor`` field an
+older client sends is ignored.  A query's ``workers`` is capped at the
+host's CPU count.  A request with ``workers > 1`` runs on the exec
+process pool when the server has one and the pool takes the plan;
+otherwise it runs serially.
 """
 
 from __future__ import annotations
@@ -39,12 +42,10 @@ import time
 from typing import Any, Dict, List, Optional
 
 from repro.query import planner as _planner
-from repro.query.compiler import CompileError
 from repro.service import protocol
 from repro.service.admission import AdmissionController, OverloadedError
 from repro.service.metrics import (
     MetricsRegistry,
-    engine_snapshot,
     instrument_durability,
     instrument_exec,
     instrument_manager,
@@ -57,13 +58,6 @@ from repro.service.session import (
     SessionRegistry,
 )
 from repro.tpch.queries import DEFAULT_PARAMS, EXTRA_QUERIES, QUERIES
-
-
-#: The ``engine`` and ``flavor`` values ``Query.run`` accepts for a
-#: self-managed collection (``managed`` is the baselines' flavour; a
-#: served collection is never one).
-ENGINES = ("compiled", "interpreted")
-FLAVORS = ("columnar", "smc-unsafe", "smc-safe")
 
 
 def _bad_request(detail: str) -> Dict[str, Any]:
@@ -114,12 +108,6 @@ def _bad_params(message: Dict[str, Any]) -> Dict[str, Any]:
     )
 
 
-def _unknown_flavor(flavor: Any) -> Dict[str, Any]:
-    return _bad_request(
-        f"unknown flavor {flavor!r}; choose from {list(FLAVORS)}"
-    )
-
-
 def _is_number(value: Any, kinds=(int, float)) -> bool:
     return isinstance(value, kinds) and not isinstance(value, bool)
 
@@ -165,7 +153,6 @@ class QueryService:
             self.manager.exec_pool = self.exec_pool
         self.metrics = metrics or MetricsRegistry()
         instrument_manager(self.metrics, self.manager)
-        engine_snapshot(self.metrics)
         if getattr(self.manager, "pager", None) is not None:
             instrument_tiering(self.metrics, self.manager.pager)
         if self.exec_pool is not None:
@@ -240,10 +227,6 @@ class QueryService:
                 "error": "LEASE_EXPIRED",
                 "detail": str(exc),
             }
-        except CompileError as exc:
-            # A generated flavour asked of a source it was not written
-            # for (``smc-safe`` over columnar blocks).
-            response = _bad_request(str(exc))
         except Exception as exc:  # noqa: BLE001 - wire boundary
             response = {
                 "ok": False,
@@ -283,14 +266,6 @@ class QueryService:
         builder = _lookup_query(name)
         if builder is None:
             return _unknown_query(name)
-        engine = message.get("engine", "compiled")
-        if engine not in ENGINES:
-            return _bad_request(
-                f"unknown engine {engine!r}; choose from {list(ENGINES)}"
-            )
-        flavor = message.get("flavor")
-        if flavor is not None and flavor not in FLAVORS:
-            return _unknown_flavor(flavor)
         workers = message.get("workers", 1)
         if not (_is_number(workers, int) and workers >= 1):
             return _bad_request(
@@ -334,12 +309,7 @@ class QueryService:
                 session.enter()
             try:
                 start = time.perf_counter()
-                result = plan.run(
-                    engine=engine,
-                    params=params,
-                    flavor=flavor,
-                    workers=effective_workers,
-                )
+                result = plan.run(params=params, workers=effective_workers)
                 elapsed_ms = (time.perf_counter() - start) * 1000
             finally:
                 if session is not None:
@@ -366,14 +336,11 @@ class QueryService:
         builder = _lookup_query(name)
         if builder is None:
             return _unknown_query(name)
-        flavor = message.get("flavor")
-        if flavor is not None and flavor not in FLAVORS:
-            return _unknown_flavor(flavor)
         params = _query_params(message)
         if params is None:
             return _bad_params(message)
         query = builder(self.collections)
-        text = query.explain(flavor=flavor, params=params)
+        text = query.explain(params=params)
         return {"ok": True, "query": str(name), "text": text}
 
     def _op_mutate(self, message: Dict[str, Any]) -> Dict[str, Any]:

@@ -7,7 +7,7 @@ queries.
 
 import importlib
 
-from repro.tpch.queries import DEFAULT_PARAMS, QUERIES, run_query
+from repro.tpch.queries import DEFAULT_PARAMS, QUERIES
 
 _LAZY = {
     "TpchData": "repro.tpch.datagen",
@@ -25,7 +25,6 @@ __all__ = [
     "load_smc",
     "DEFAULT_PARAMS",
     "QUERIES",
-    "run_query",
 ]
 
 

@@ -361,18 +361,3 @@ DEFAULT_PARAMS.update(
         "q14_date_hi": _dt.date(1995, 10, 1),
     }
 )
-
-
-def run_query(
-    name: str,
-    collections: Dict[str, Any],
-    engine: str = "compiled",
-    flavor: str = None,
-    params: Dict[str, Any] = None,
-):
-    """Build and execute one TPC-H query with default parameters."""
-    merged = dict(DEFAULT_PARAMS)
-    if params:
-        merged.update(params)
-    builder = QUERIES.get(name) or EXTRA_QUERIES[name]
-    return builder(collections).run(engine=engine, flavor=flavor, params=merged)

@@ -70,6 +70,18 @@ def test_query_unknown_rejected(snapshot):
     assert "unknown query" in proc.stderr
 
 
+def test_query_help_names_every_query(capsys):
+    from repro.cli import build_parser
+    from repro.tpch.queries import EXTRA_QUERIES, QUERIES
+
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["query", "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert "q20" in out
+    assert all(name in out for name in [*QUERIES, *EXTRA_QUERIES])
+
+
 @pytest.mark.parametrize(
     "argv",
     [

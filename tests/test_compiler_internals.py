@@ -102,7 +102,7 @@ def test_retired_scalar_flavor_is_unknown(rows):
     """The per-row raw-struct flavour is gone, not aliased."""
     q = rows.query().where(TEverything.i32 >= param("lo")).select(v=TEverything.i32)
     with pytest.raises(CompileError):
-        q.run(flavor="smc-unsafe-scalar", params={"lo": 10})
+        get_compiled(q, "smc-unsafe-scalar")
 
 
 def test_cache_distinguishes_flavors(rows):
@@ -122,8 +122,8 @@ def test_cache_distinguishes_query_structure(rows):
 def test_param_does_not_change_cache_identity(rows):
     q = rows.query().where(TEverything.i32 > param("x")).select(v=TEverything.i32)
     before = get_compiled(q, "smc-safe")
-    q.run(flavor="smc-safe", x=10)
-    q.run(flavor="smc-safe", x=40)
+    q.run(engine="smc-safe", x=10)
+    q.run(engine="smc-safe", x=40)
     assert get_compiled(q, "smc-safe") is before
 
 

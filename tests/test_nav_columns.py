@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from repro import sanitizer
+from repro.core.columnar import ColumnarCollection
 from repro.errors import NullReferenceError, ProtocolViolation
 from repro.io.snapshot import load_collections, save_collections
 from repro.memory.manager import MemoryManager
@@ -201,7 +202,7 @@ def _remove_half_the_orders(colls) -> None:
 
 
 def test_churn_differential(tpch, tmp_path):
-    columnar = tpch["orders"].compiled_flavor == "columnar"
+    columnar = isinstance(tpch["orders"], ColumnarCollection)
     _differential(tpch)
     for step in (_add_and_remove_rows, _update_char_target, _update_varstring_target):
         versions = {nav: nav.context.version for nav in _navs(tpch)}

@@ -20,6 +20,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.core.columnar import ColumnarCollection
 from repro.memory.manager import MemoryManager
 from repro.memory.shm import SEGMENT_PREFIX, SharedBuffers
 from repro.query.procexec import ProcessScanPool
@@ -294,7 +295,7 @@ def test_attach_hook_binds_the_owners_classes(pooled_smc):
     from repro.query.procexec import _space_map
 
     manager = pooled_smc["_manager"]
-    columnar = pooled_smc["lineitem"].compiled_flavor == "columnar"
+    columnar = isinstance(pooled_smc["lineitem"], ColumnarCollection)
     mirror = _empty_mirror(columnar)
     try:
         wire = _space_map(manager)
@@ -319,7 +320,7 @@ def test_attach_hook_rejects_foreign_header(pooled_smc):
     from repro.query.procexec import _space_map
 
     manager = pooled_smc["_manager"]
-    columnar = pooled_smc["lineitem"].compiled_flavor == "columnar"
+    columnar = isinstance(pooled_smc["lineitem"], ColumnarCollection)
     mirror = _empty_mirror(not columnar)
     try:
         wire = _space_map(manager)

@@ -1,10 +1,11 @@
 """Query builder + engine agreement on randomized data.
 
-The compiled backends (managed / smc-safe / smc-unsafe / columnar) must
-produce exactly the results of the interpreted reference engine for every
-plan shape.  Hypothesis drives randomized datasets through a fixed set of
-plan shapes covering filters, navigation, grouping, aggregation,
-semi-joins, ordering and limits.
+The compiled engines (generated managed and smc-safe code, the
+vectorised engine on both layouts) must produce exactly the results of
+the interpreted reference engine for every plan shape.  Hypothesis
+drives randomized datasets through a fixed set of plan shapes covering
+filters, navigation, grouping, aggregation, semi-joins, ordering and
+limits.
 """
 
 import datetime
@@ -116,9 +117,7 @@ def _check_plan(sources, build, params):
         interp = _norm(q.run(engine="interpreted", params=params).rows)
         assert got == interp, f"{label} compiled != interpreted"
         if label == "smc":
-            safe = _norm(
-                q.run(engine="compiled", flavor="smc-safe", params=params).rows
-            )
+            safe = _norm(q.run(engine="smc-safe", params=params).rows)
             assert safe == interp, "smc-safe != interpreted"
         if reference is None:
             reference = got
@@ -294,9 +293,28 @@ def test_double_projection_rejected(manager):
 
 
 def test_unknown_engine_rejected(manager):
+    """An engine is named, never aliased: the retired per-row raw-struct
+    engine and the vectorised engine's own name are unknown too."""
     persons = Collection(TPerson, manager=manager)
-    with pytest.raises(ValueError):
-        persons.query().run(engine="quantum")
+    q = persons.query().where(TPerson.age >= param("lo")).select(a=TPerson.age)
+    for engine in ("quantum", "smc-unsafe-scalar", "smc-unsafe", "columnar"):
+        with pytest.raises(ValueError):
+            q.run(engine=engine, params={"lo": 10})
+
+
+def test_smc_safe_refuses_direct_pointers(direct_manager):
+    """Generated ``smc-safe`` code navigates through the indirection
+    table: over direct in-row pointers it is refused before a byte is
+    decoded, while the vectorised engine answers the same query."""
+    persons = Collection(TPerson, manager=direct_manager)
+    orders = Collection(TOrder, manager=direct_manager)
+    owner = persons.add(name="ann", age=30)
+    orders.add(orderkey=1, owner=owner, total=Decimal(5),
+               placed=datetime.date(2000, 1, 1))
+    q = orders.query().select(age=TOrder.owner.ref("age"))
+    with pytest.raises(CompileError):
+        q.run(engine="smc-safe")
+    assert q.run().rows == [(30,)]
 
 
 # ----------------------------------------------------------------------
@@ -355,7 +373,7 @@ def test_char_values_compare_without_trailing_spaces(layout):
         "interpreted": lambda q: q.run(engine="interpreted"),
     }
     if layout is Collection:  # generated slot code reads row blocks only
-        runs["smc-safe"] = lambda q: q.run(flavor="smc-safe")
+        runs["smc-safe"] = lambda q: q.run(engine="smc-safe")
     try:
         for name, query in _char_queries(people, orders).items():
             for engine, run in runs.items():

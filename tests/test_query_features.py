@@ -48,7 +48,7 @@ def _all_engines(build, trio, **params):
         sorted(build(ml).run(params=params).rows, key=repr),
         sorted(build(ml).run(engine="interpreted", params=params).rows, key=repr),
         sorted(
-            build(smc).run(flavor="smc-safe", params=params).rows, key=repr
+            build(smc).run(engine="smc-safe", params=params).rows, key=repr
         ),
     ]
     first = results[0]

@@ -472,9 +472,6 @@ def test_unknown_query_and_op_are_bad_requests(tpch_service):
         {"op": "promote"},
         {"op": "query", "query": "q6", "workers": "abc"},
         {"op": "query", "query": "q6", "workers": -4},
-        {"op": "query", "query": "q6", "engine": "bogus"},
-        {"op": "query", "query": "q6", "flavor": "bogus"},
-        {"op": "query", "query": "q6", "flavor": "managed"},
         {"op": "query", "query": "q6", "params": "garbage"},
         {"op": "query", "query": "q6", "params": {"date": {"$t": "nope"}}},
         {"op": "query", "query": "q6", "params": {"q6_disc_lo": "abc"}},
@@ -492,42 +489,65 @@ def test_unknown_query_and_op_are_bad_requests(tpch_service):
 
 
 def test_generated_flavor_refuses_a_foreign_source(tpch_tiny):
-    """Generated code is written for one source kind: ``smc-safe`` over
-    columnar blocks (or over a managed list) and ``managed`` over an SMC
-    are refused with ``CompileError`` before a byte is decoded, and the
-    served ``query`` op answers ``BAD_REQUEST`` for it."""
+    """Generated ``smc-safe`` code is written for row blocks: over
+    columnar blocks (or over a managed list) it is refused with
+    ``CompileError`` before a byte is decoded."""
     from repro.core.collection import Collection
     from repro.managed.collections_ import ManagedList
     from repro.query.compiler import CompileError
-    from repro.service.server import QueryService
     from repro.tpch.loader import load_smc
     from repro.tpch.queries import DEFAULT_PARAMS, QUERIES
     from tests.schemas import TNote
 
     columnar = load_smc(tpch_tiny, columnar=True)
     manager = columnar["_manager"]
-    service = QueryService(columnar, manager)
     try:
         for name in ("q1", "q3", "q6"):
             query = QUERIES[name](columnar)
             with pytest.raises(CompileError):
-                query.run(flavor="smc-safe", params=DEFAULT_PARAMS)
-            reply = service.handle(
-                {"op": "query", "query": name, "flavor": "smc-safe"}
-            )
-            assert reply["error"] == "BAD_REQUEST", (name, reply)
-        assert service.handle({"op": "query", "query": "q6"})["ok"]
+                query.run(engine="smc-safe", params=DEFAULT_PARAMS)
 
         notes = ManagedList(TNote)
         notes.add(text="a", stars=1)
         with pytest.raises(CompileError):
-            notes.query().select(s=TNote.stars).run(flavor="smc-safe")
+            notes.query().select(s=TNote.stars).run(engine="smc-safe")
         smc = Collection(TNote, manager=manager)
         smc.add(text="a", stars=1)
-        stars = smc.query().select(s=TNote.stars)
-        with pytest.raises(CompileError):
-            stars.run(flavor="managed")
-        assert stars.run(flavor="smc-safe").rows == [(1,)]
+        assert smc.query().select(s=TNote.stars).run(engine="smc-safe").rows == [(1,)]
+    finally:
+        manager.close()
+
+
+def test_query_and_explain_ignore_engine_and_flavor(tpch_tiny):
+    """The wire names a query, not an engine: a served ``query`` or
+    ``explain`` always runs the store's compiled engine, and an
+    ``engine`` or ``flavor`` field is ignored, even one naming code the
+    served columnar blocks cannot run."""
+    import json
+
+    from repro.service.server import QueryService
+    from repro.tpch.loader import load_smc
+
+    columnar = load_smc(tpch_tiny, columnar=True)
+    manager = columnar["_manager"]
+    service = QueryService(columnar, manager)
+    ignored = (
+        {"flavor": "smc-safe"},
+        {"flavor": "bogus"},
+        {"engine": "interpreted"},
+        {"engine": "bogus", "flavor": "managed"},
+    )
+    try:
+        for name in ("q1", "q3", "q6"):
+            plain = service.handle({"op": "query", "query": name})
+            text = service.handle({"op": "explain", "query": name})["text"]
+            assert plain["ok"] and plain["rows"], (name, plain)
+            for extra in ignored:
+                reply = service.handle({"op": "query", "query": name, **extra})
+                assert reply["ok"], (name, extra, reply)
+                assert json.dumps(reply["rows"]) == json.dumps(plain["rows"])
+                reply = service.handle({"op": "explain", "query": name, **extra})
+                assert reply["text"] == text, (name, extra)
     finally:
         service.close()
         manager.close()
@@ -752,7 +772,6 @@ def test_metrics_scrape_over_tcp(tpch_service):
     assert "# TYPE service_requests_total counter" in text
     assert "smc_global_epoch" in text
     assert "service_plan_cache_misses_total" in text
-    assert "smc_compiled_cache_hits_total" in text
     assert 'service_request_seconds_bucket{op="query",le="+Inf"}' in text
     assert "smc_scan_rows_total" in text
 

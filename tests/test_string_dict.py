@@ -118,7 +118,7 @@ def tpch_pair(request, tpch_tiny, tpch_managed):
 @pytest.mark.parametrize("name", sorted({**ALL_QUERIES, **STRING_QUERIES}))
 def test_differential_dict_on_off(tpch_pair, name):
     """Code-space kernels return exactly the rows the managed baseline's
-    compiled flavour computes from Python strings."""
+    compiled engine computes from Python strings."""
     coded, managed = tpch_pair
     build = ALL_QUERIES.get(name) or STRING_QUERIES[name]
     expected = _canonical(build(managed).run(params=DEFAULT_PARAMS))

@@ -101,10 +101,10 @@ def test_query_value_agreement(qname, engines):
             query.run(engine="interpreted", params=DEFAULT_PARAMS).rows
         )
         assert interp == reference, f"{qname}: {label} interpreted diverges"
-    # SMC "safe" compiled flavour (the paper's SMC (C#) series).
+    # The generated smc-safe engine (the paper's SMC (C#) series).
     query = QUERIES[qname](engines["smc"])
     safe = _norm_rows(
-        query.run(flavor="smc-safe", params=DEFAULT_PARAMS).rows
+        query.run(engine="smc-safe", params=DEFAULT_PARAMS).rows
     )
     assert safe == reference, f"{qname}: smc-safe diverges"
     # The relational comparator.
