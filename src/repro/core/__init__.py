@@ -1,7 +1,7 @@
 """Core SMC layer: collections, handles, compaction, columnar storage."""
 
 from repro.core.collection import Collection, default_manager, reset_default_manager
-from repro.core.columnar import ColumnarCollection, ColumnarHandle
+from repro.core.columnar import ColumnarCollection
 from repro.core.compaction import Compactor
 from repro.core.handle import Handle
 from repro.core.repair import repair_in_thread, repair_references
@@ -9,7 +9,6 @@ from repro.core.repair import repair_in_thread, repair_references
 __all__ = [
     "Collection",
     "ColumnarCollection",
-    "ColumnarHandle",
     "Compactor",
     "Handle",
     "default_manager",

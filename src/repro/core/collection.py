@@ -34,8 +34,8 @@ from repro.memory.addressing import NULL_ADDRESS
 from repro.memory.block import SLOT_HEADER_SIZE
 from repro.memory.manager import MemoryManager
 from repro.memory.reference import Ref
-from repro.core.handle import Handle
-from repro.schema.fields import RefField
+from repro.core.handle import Handle, read_reference
+from repro.schema.fields import Field, RefField
 from repro.schema.layout import EncodedRow
 from repro.schema.tabular import Tabular, TabularMeta
 
@@ -101,9 +101,6 @@ class Collection:
     #: ``Query.run(engine="smc-safe")`` runs the decoding "SMC (C#)"
     #: series over row blocks.
     compiled_flavor = "smc-unsafe"
-
-    #: The handle type ``add`` returns and reference navigation builds.
-    handle_class = Handle
 
     def __init__(
         self,
@@ -261,7 +258,7 @@ class Collection:
                 context.commit_slot(block, slot)
                 if mlog is not None:
                     mlog.log_add(self, ref.entry, row)
-                handles.append(self.handle_class(self, ref))
+                handles.append(Handle(self, ref))
         finally:
             if section:
                 manager.epochs.exit_critical_section()
@@ -340,6 +337,24 @@ class Collection:
             block.buf, self.manager.space.offset_of(address), self.manager
         )
 
+    def _read_field(self, block: "Block", address: int, field: Field) -> Any:
+        """Decode *field* of the object at *address* (a reference field
+        as its target's handle, or ``None``)."""
+        off = address - block.base_address + field.offset
+        if isinstance(field, RefField):
+            word, inc = field.decode_words(block.buf, off)
+            return read_reference(self, field, word, inc, block, address)
+        return field.decode_from(block.buf, off, self.manager)
+
+    def _write_field(
+        self, block: "Block", address: int, field: Field, value: Any
+    ) -> None:
+        """Store *value* in *field* of the object at *address*."""
+        off = address - block.base_address
+        if isinstance(field, RefField):
+            value = self._ref_words(field, value)
+        self.layout.write_field(block.buf, off, field.name, value, self.manager)
+
     def _maybe_auto_compact(self, batch: int = 1) -> None:
         """Compact when overall occupancy drops below the policy threshold.
 
@@ -404,13 +419,9 @@ class Collection:
 
         for block in scan_blocks(manager, self.context):
             with manager.critical_section():
-                pairs = [
-                    (int(block.backptrs[slot]), block)
-                    for slot in block.valid_slots()
-                ]
                 handles = [
                     Handle(self, Ref(manager, entry, manager.table.incarnation(entry)))
-                    for entry, __ in pairs
+                    for entry in block.backptrs[block.valid_slots()].tolist()
                 ]
             yield from handles
 
@@ -418,8 +429,8 @@ class Collection:
         return list(self)
 
     def _handle(self, ref: Ref) -> Handle:
-        """Wrap *ref* in this collection's handle type (navigation hook)."""
-        return self.handle_class(self, ref)
+        """Wrap *ref* in a handle of this collection (navigation hook)."""
+        return Handle(self, ref)
 
     # ------------------------------------------------------------------
     # Query surface (language-integrated query)

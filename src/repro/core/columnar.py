@@ -8,6 +8,12 @@ byte pointer — encoded here as the usual block-aligned address whose
 offset part is the slot index — and both reference dereferencing and the
 query compiler access values column-wise.
 
+The layout is the collection's business alone: the program holds the same
+:class:`~repro.core.handle.Handle` over either layout, and
+:class:`ColumnarCollection` overrides only the collection's layout hooks —
+``_place`` and ``_release`` (construction and removal) and ``_read_field``
+and ``_write_field`` (one column entry per field access).
+
 Columnar blocks keep the full slot-directory / back-pointer / slot-header
 machinery of row blocks, so allocation, removal, epochs and limbo
 reclamation work unchanged; compaction is not offered for columnar
@@ -16,19 +22,14 @@ collections (the paper describes relocation for row blocks only).
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Optional, Tuple, Type
+from typing import Any, Optional, Type
 
-import numpy as np
-
-from repro.errors import NullReferenceError, TabularTypeError
-from repro.memory import zonemap as _zonemap
 from repro.memory.addressing import NULL_ADDRESS
 from repro.memory.block import ColumnarBlock
-from repro.memory.context import MemoryContext
-from repro.memory.indirection import INC_MASK
 from repro.memory.manager import MemoryManager
 from repro.memory.reference import Ref
-from repro.core.collection import Collection, default_manager
+from repro.core.collection import Collection
+from repro.core.handle import read_reference
 from repro.schema.fields import (
     CharField,
     Field,
@@ -37,117 +38,11 @@ from repro.schema.fields import (
     char_bytes,
 )
 from repro.schema.layout import FIELD_REF, FIELD_VAR, EncodedRow
-from repro.schema.tabular import Tabular, TabularMeta
-
-
-class ColumnarHandle:
-    """Checked per-object view over a columnar collection."""
-
-    __slots__ = ("_collection", "_ref")
-
-    def __init__(self, collection: "ColumnarCollection", ref: Ref) -> None:
-        object.__setattr__(self, "_collection", collection)
-        object.__setattr__(self, "_ref", ref)
-
-    @property
-    def ref(self) -> Ref:
-        return self._ref
-
-    @property
-    def is_alive(self) -> bool:
-        return self._ref.is_alive
-
-    def __eq__(self, other):
-        if isinstance(other, ColumnarHandle):
-            return self._ref == other._ref
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._ref)
-
-    def _locate(self) -> Tuple[ColumnarBlock, int]:
-        address = self._ref.address()
-        block = self._collection.manager.space.block_at(address)
-        return block, block.slot_of_address(address)
-
-    def __getattr__(self, name: str) -> Any:
-        collection = self._collection
-        field = collection.layout.by_name.get(name)
-        if field is None:
-            raise AttributeError(name)
-        epochs = collection.manager.epochs
-        epochs.enter_critical_section()
-        try:
-            return self._get_field(collection, field, name)
-        finally:
-            epochs.exit_critical_section()
-
-    def _get_field(self, collection, field, name: str) -> Any:
-        block, slot = self._locate()
-        manager = collection.manager
-        if isinstance(field, RefField):
-            word = int(block.columns[name + "__w"][slot])
-            if word == NULL_ADDRESS:
-                return None
-            # The stored incarnation decides, as for a row handle: a
-            # reference to a removed object never reaches the entry's or
-            # the slot's next occupant.
-            inc = int(block.columns[name + "__i"][slot])
-            target = collection.target_collection(field)
-            if not manager.direct_pointers:
-                return target._handle(Ref(manager, word, inc))
-            t_block = manager.space.try_block_at(word)
-            t_slot = -1 if t_block is None else t_block.slot_of_address(word)
-            if t_block is None or (int(t_block.slot_incs[t_slot]) ^ inc) & INC_MASK:
-                raise NullReferenceError("direct pointer to a freed slot")
-            entry = int(t_block.backptrs[t_slot])
-            return target._handle(Ref(manager, entry, manager.table.incarnation(entry)))
-        raw = block.columns[name][slot]
-        if isinstance(field, CharField):
-            return bytes(raw).rstrip(b" \x00").decode("utf-8")
-        if isinstance(field, VarStringField):
-            return collection.strdict.text_of(int(raw))
-        return field.from_raw(
-            raw.item() if isinstance(raw, np.generic) else raw
-        )
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        collection = self._collection
-        field = collection.layout.by_name.get(name)
-        if field is None:
-            raise AttributeError(name)
-        mlog = collection.mutation_log
-        if mlog is None:
-            self._set_field(collection, field, name, value)
-            return
-        with mlog.hold():
-            self._set_field(collection, field, name, value)
-            mlog.log_update(collection, self._ref.entry, name, value)
-
-    def _set_field(self, collection, field, name: str, value: Any) -> None:
-        epochs = collection.manager.epochs
-        epochs.enter_critical_section()
-        try:
-            block, slot = self._locate()
-            pager = collection.manager.pager
-            if pager is not None:
-                pager.ensure_hot(block)  # writable columns; cancels cooling
-            collection._write_field(block, slot, field, value)
-            if _zonemap.is_zoned(field):
-                block.zone_version += 1  # invalidate the zone map
-            collection.context.bump_version()
-        finally:
-            epochs.exit_critical_section()
-
-    def __repr__(self) -> str:  # pragma: no cover
-        name = self._collection.schema.__name__
-        return f"<{name} columnar handle {'alive' if self.is_alive else 'null'}>"
+from repro.schema.tabular import Tabular
 
 
 class ColumnarCollection(Collection):
     """A self-managed collection with columnar object storage."""
-
-    handle_class = ColumnarHandle
 
     def __init__(
         self,
@@ -186,60 +81,51 @@ class ColumnarCollection(Collection):
             else:
                 columns[name][slot] = raw
 
-    def _write_field(
-        self, block: ColumnarBlock, slot: int, field: Field, value: Any
-    ) -> None:
-        if isinstance(field, RefField):
-            pair = self._ref_words(field, value)
-            if pair is None:
-                block.columns[field.name + "__w"][slot] = NULL_ADDRESS
-                block.columns[field.name + "__i"][slot] = 0
-            else:
-                block.columns[field.name + "__w"][slot] = pair[0]
-                block.columns[field.name + "__i"][slot] = pair[1]
-            return
-        if isinstance(field, CharField):
-            data = char_bytes(value)
-            if len(data) > field.width:
-                raise ValueError(
-                    f"string of {len(data)} bytes exceeds CharField({field.width})"
-                )
-            block.columns[field.name][slot] = data
-            return
-        if isinstance(field, VarStringField):
-            self.strdict.release(int(block.columns[field.name][slot]))
-            block.columns[field.name][slot] = self.strdict.intern(
-                "" if value is None else str(value)
-            )
-            return
-        block.columns[field.name][slot] = field.to_raw(value)
-
     def _release(self, block: ColumnarBlock, address: int) -> None:
         slot = block.slot_of_address(address)
         for field in self.layout.var_fields:
             self.strdict.release(int(block.columns[field.name][slot]))
             block.columns[field.name][slot] = 0
 
-    # -- enumeration --------------------------------------------------------
+    # -- field access: one column entry per field ---------------------------
 
-    def __iter__(self) -> Iterator[ColumnarHandle]:
-        manager = self.manager
-        from repro.query.runtime import scan_blocks
+    def _read_field(self, block: ColumnarBlock, address: int, field: Field) -> Any:
+        slot = block.slot_of_address(address)
+        columns = block.columns
+        if isinstance(field, RefField):
+            word = int(columns[field.name + "__w"][slot])
+            inc = int(columns[field.name + "__i"][slot])
+            return read_reference(self, field, word, inc, block, address)
+        raw = columns[field.name][slot]
+        if isinstance(field, CharField):
+            return bytes(raw).rstrip(b" \x00").decode("utf-8")
+        if isinstance(field, VarStringField):
+            return self.strdict.text_of(int(raw))
+        return field.from_raw(raw.item())
 
-        for block in scan_blocks(manager, self.context):
-            with manager.critical_section():
-                handles = [
-                    ColumnarHandle(
-                        self,
-                        Ref(
-                            manager,
-                            int(block.backptrs[slot]),
-                            manager.table.incarnation(int(block.backptrs[slot])),
-                        ),
-                    )
-                    for slot in block.valid_slots()
-                ]
-            yield from handles
+    def _write_field(
+        self, block: ColumnarBlock, address: int, field: Field, value: Any
+    ) -> None:
+        slot = block.slot_of_address(address)
+        columns = block.columns
+        if isinstance(field, RefField):
+            word, inc = self._ref_words(field, value) or (NULL_ADDRESS, 0)
+            columns[field.name + "__w"][slot] = word
+            columns[field.name + "__i"][slot] = inc
+        elif isinstance(field, CharField):
+            data = char_bytes(value)
+            if len(data) > field.width:
+                raise ValueError(
+                    f"string of {len(data)} bytes exceeds CharField({field.width})"
+                )
+            columns[field.name][slot] = data
+        elif isinstance(field, VarStringField):
+            self.strdict.release(int(columns[field.name][slot]))
+            columns[field.name][slot] = self.strdict.intern(
+                "" if value is None else str(value)
+            )
+        else:
+            columns[field.name][slot] = field.to_raw(value)
 
     def compact(self, occupancy_threshold: float = 0.3) -> int:
         raise NotImplementedError(

@@ -803,13 +803,12 @@ class Compactor:
             ]
             if not ref_fields:
                 continue
-            slot_size = coll.layout.slot_size
             for block in coll.context.blocks():
-                for slot in block.valid_slots():
-                    base = block.object_offset + int(slot) * slot_size
+                for slot in block.valid_slots().tolist():
                     for f in ref_fields:
-                        off = base + f.offset
-                        word, inc = f.decode_words(block.buf, off)
+                        # Through the word columns, which serve both
+                        # block layouts.
+                        word = int(block.column(f.name + "__w")[slot])
                         if word == NULL_ADDRESS:
                             continue
                         if (word >> space.block_shift) not in moved_block_ids:
@@ -832,6 +831,7 @@ class Compactor:
                             # The referrer block takes an in-place pointer
                             # rewrite; promote it (and dirty its image).
                             manager.pager.ensure_hot(block)
-                        f.encode_words(block.buf, off, new_addr, new_inc)
+                        block.column(f.name + "__w")[slot] = new_addr
+                        block.column(f.name + "__i")[slot] = new_inc
                         rewritten += 1
         return rewritten

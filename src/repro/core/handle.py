@@ -16,18 +16,18 @@ object is removed from its collection every access raises
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Optional
+from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
 from repro.errors import NullReferenceError
 from repro.memory import zonemap
 from repro.memory.addressing import NULL_ADDRESS
 from repro.memory.indirection import FLAG_MASK, FORWARD, INC_MASK
+from repro.memory.reference import Ref
 from repro.schema.fields import RefField
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.collection import Collection
     from repro.memory.manager import MemoryManager
-    from repro.memory.reference import Ref
 
 
 class Handle:
@@ -85,10 +85,7 @@ class Handle:
         try:
             address = self._ref.address()
             block = manager.space.block_at(address)
-            off = manager.space.offset_of(address) + field.offset
-            if isinstance(field, RefField):
-                return _read_ref_field(collection, field, block.buf, off)
-            return field.decode_from(block.buf, off, manager)
+            return collection._read_field(block, address, field)
         finally:
             epochs.exit_critical_section()
 
@@ -101,13 +98,13 @@ class Handle:
             )
         mlog = collection.mutation_log
         if mlog is None:
-            self._write_field(collection, field, name, value)
+            self._store(collection, field, value)
             return
         with mlog.hold():
-            self._write_field(collection, field, name, value)
+            self._store(collection, field, value)
             mlog.log_update(collection, self._ref.entry, name, value)
 
-    def _write_field(self, collection, field, name: str, value: Any) -> None:
+    def _store(self, collection, field, value: Any) -> None:
         manager = collection.manager
         epochs = manager.epochs
         epochs.enter_critical_section()
@@ -119,18 +116,9 @@ class Handle:
                 # inside the critical section, so demotion cannot race
                 # the write (repro.memory.pager).
                 manager.pager.ensure_hot(block)
-            off = manager.space.offset_of(address)
-            if isinstance(field, RefField):
-                pair = collection._ref_words(field, value)
-                collection.layout.write_field(
-                    block.buf, off, name, pair, manager
-                )
-            else:
-                collection.layout.write_field(
-                    block.buf, off, name, value, manager
-                )
-                if zonemap.is_zoned(field):
-                    block.zone_version += 1  # invalidate the zone map
+            collection._write_field(block, address, field, value)
+            if zonemap.is_zoned(field):
+                block.zone_version += 1  # invalidate the zone map
             collection.context.bump_version()
         finally:
             epochs.exit_critical_section()
@@ -159,25 +147,24 @@ _set_collection = Handle._collection.__set__
 _set_ref = Handle._ref.__set__
 
 
-def _read_ref_field(
-    collection: "Collection", field: RefField, buf, off: int
+def read_reference(
+    collection: "Collection", field: RefField, word: int, inc: int, block, address: int
 ) -> Optional[Handle]:
-    """Decode a stored reference field into a handle of the target class."""
-    word, inc = field.decode_words(buf, off)
+    """The handle a stored reference names, on either block layout.
+
+    *word* and *inc* are the reference's stored pair, as the layout hook
+    read them from the object at *address* in *block*; in direct-pointer
+    mode a forwarded pointer is healed in place there.
+    """
     if word == NULL_ADDRESS:
         return None
     manager = collection.manager
     target = collection.target_collection(field)
-    from repro.memory.reference import Ref
-
     if manager.direct_pointers:
-        address = resolve_direct_pointer(manager, word, inc, buf, off, field)
-        block = manager.space.block_at(address)
-        slot = block.slot_of_address(address)
-        entry = int(block.backptrs[slot])
-        return target._handle(
-            Ref(manager, entry, manager.table.incarnation(entry))
-        )
+        found = resolve_direct_pointer(manager, word, inc, (block, address, field))
+        t_block = manager.space.block_at(found)
+        word = int(t_block.backptrs[t_block.slot_of_address(found)])  # the entry
+        inc = manager.table.incarnation(word)
     return target._handle(Ref(manager, word, inc))
 
 
@@ -185,16 +172,15 @@ def resolve_direct_pointer(
     manager: "MemoryManager",
     address: int,
     inc: int,
-    src_buf=None,
-    src_off: Optional[int] = None,
-    field: Optional[RefField] = None,
+    source: Tuple[Any, int, RefField],
 ) -> int:
-    """Resolve a direct in-row pointer, following forwarding tombstones.
+    """Resolve a stored direct pointer, following forwarding tombstones.
 
     Direct pointers (paper section 6) are validated against the *slot
     header* incarnation.  A relocated object leaves a FORWARD-flagged
     tombstone; readers follow the slot's back-pointer to the indirection
-    entry, pick up the new address, and heal the source field so future
+    entry, pick up the new address, and heal the stored pointer —
+    *source*, the ``(block, address, field)`` holding it — so future
     accesses are direct again.
     """
     space = manager.space
@@ -218,14 +204,7 @@ def resolve_direct_pointer(
             new_block = space.block_at(new_address)
             new_slot = new_block.slot_of_address(new_address)
             new_inc = int(new_block.slot_incs[new_slot]) & INC_MASK
-            if src_buf is not None and field is not None and src_off is not None:
-                try:
-                    field.encode_words(src_buf, src_off, new_address, new_inc)
-                except (TypeError, ValueError):
-                    # Healing is an optimisation; a cold (read-only
-                    # mapped) source block simply keeps its tombstone
-                    # pointer until a real write promotes it.
-                    pass
+            _heal(source, new_address, new_inc)
             address, inc = new_address, new_inc
             hops += 1
             if hops > 64:
@@ -235,3 +214,17 @@ def resolve_direct_pointer(
         # indirection entry, which handles the three relocation cases.
         entry = int(block.backptrs[slot])
         return manager._deref_frozen(entry, manager.table.incarnation(entry))
+
+
+def _heal(source: Tuple[Any, int, RefField], address: int, inc: int) -> None:
+    """Store the pointer pair in *source*'s word columns (either layout)."""
+    block, src_address, field = source
+    slot = block.slot_of_address(src_address)
+    try:
+        block.column(field.name + "__w")[slot] = address
+        block.column(field.name + "__i")[slot] = inc
+    except ValueError:
+        # Healing is an optimisation; a cold (read-only mapped) source
+        # block simply keeps its tombstone pointer until a real write
+        # promotes it.
+        pass

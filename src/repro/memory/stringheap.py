@@ -632,8 +632,11 @@ class StringDict:
         """Vectorised gather: int code array -> object array of texts.
 
         Reads each distinct code's record once, inside a critical
-        section: a caller outside one (a result decoded after its scan)
-        still never reads a record the heap has handed to another text.
+        section, so no record it reads is reused under it.  That section
+        protects the heap records only, not a code's binding: a code
+        read in an earlier section may since have been retired and
+        rebound to another text, so a caller decoding codes it scanned
+        must still hold the section it scanned them in.
         """
         codes = np.asarray(codes)
         distinct, inverse = np.unique(codes, return_inverse=True)

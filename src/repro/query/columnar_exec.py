@@ -214,9 +214,13 @@ class _PreparedScan:
 def run_columnar(
     query: Query, params: Dict[str, Any], workers: Optional[int] = None
 ) -> Result:
-    plan, post = build_scan_plan(query, params)
-    acc = _execute(plan, max(1, int(workers or 1)))
-    return _finish(plan, acc, post)
+    # One critical section spans the whole query (paper section 3.4):
+    # the scan and the decoding of its dictionary codes, which a writer
+    # could otherwise retire and rebind to another text in between.
+    with query.source.manager.critical_section():
+        plan, post = build_scan_plan(query, params)
+        acc = _execute(plan, max(1, int(workers or 1)))
+        return _finish(plan, acc, post)
 
 
 def _subquery_keys(subquery: Query, params: Dict[str, Any]) -> "_KeyColumns":

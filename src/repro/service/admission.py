@@ -9,9 +9,12 @@ that waits longer than its queue class's timeout is shed with
 silent drop, so a closed-loop client can distinguish saturation from
 failure and back off.
 
-Queue classes let cheap control traffic (``interactive``: ping, metrics)
-wait less than bulk query traffic (``batch``): each class carries its
-own admission timeout and its own shed counters.
+Queue classes let a client give its cheap requests (``interactive``)
+less patience than bulk query traffic (``batch``): the class is the
+client's choice, named in the request's ``class`` field, and each class
+carries its own admission timeout and its own shed counters.  Only
+``query`` and ``mutate`` requests pass admission: ping, metrics and the
+other control ops never wait here.
 """
 
 from __future__ import annotations

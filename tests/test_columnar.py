@@ -6,7 +6,8 @@ from decimal import Decimal
 import pytest
 
 from repro.core.collection import Collection
-from repro.core.columnar import ColumnarCollection, ColumnarHandle
+from repro.core.columnar import ColumnarCollection
+from repro.core.handle import Handle
 from repro.errors import NullReferenceError
 from repro.schema.fields import CharField, DecimalField, Int32Field
 
@@ -32,7 +33,7 @@ def test_column_dtypes():
 
 def test_add_and_read(persons):
     h = persons.add(name="Ada", age=36, balance=Decimal("1.25"))
-    assert isinstance(h, ColumnarHandle)
+    assert isinstance(h, Handle)
     assert h.name == "Ada"
     assert h.age == 36
     assert h.balance == Decimal("1.25")

@@ -3,8 +3,10 @@
 import pytest
 
 from repro.core.collection import Collection
+from repro.core.columnar import ColumnarCollection
+from repro.core.compaction import Compactor
 from repro.errors import NullReferenceError
-from repro.memory.indirection import FORWARD
+from repro.memory.indirection import FORWARD, INC_MASK
 from repro.memory.manager import MemoryManager
 
 from tests.schemas import TOrder, TPerson
@@ -112,6 +114,73 @@ def test_pointer_rewrite_after_compaction(world):
         word, inc = field.decode_words(block.buf, off + field.offset)
         # Word must equal the owner's *current* address (not a tombstone).
         assert word == keep[i].ref.address()
+    small.close()
+
+
+def _compacted_owners(order_layout):
+    """A direct-pointer store whose row TPerson collection was compacted
+    under orders of *order_layout*: (manager, kept persons, orders, the
+    persons' addresses before the move)."""
+    small = MemoryManager(block_shift=10, direct_pointers=True)
+    persons = Collection(TPerson, manager=small)
+    orders = order_layout(TOrder, manager=small)
+    handles = []
+    while persons.context.block_count() < 4:
+        handles.append(persons.add(name=f"p{len(handles)}", age=len(handles)))
+    keep = handles[::4]
+    order_handles = [orders.add(orderkey=i, owner=h) for i, h in enumerate(keep)]
+    old_addrs = [h.ref.address() for h in keep]
+    for h in handles:
+        if h not in keep:
+            persons.remove(h)
+    assert persons.compact(occupancy_threshold=0.9) > 0
+    return small, keep, order_handles, old_addrs
+
+
+def _owner_words(manager, order):
+    address = order.ref.address()
+    block = manager.space.block_at(address)
+    slot = block.slot_of_address(address)
+    return int(block.column("owner__w")[slot]), int(block.column("owner__i")[slot])
+
+
+@pytest.mark.parametrize("layout", [Collection, ColumnarCollection])
+def test_handle_read_follows_forward_and_heals(layout, monkeypatch):
+    """A direct pointer into a compacted row collection, from a source of
+    either layout: the handle read follows the FORWARD tombstone to the
+    relocated row and heals the source's stored words."""
+    # Without the rewrite pass every moved owner is still reached
+    # through its tombstone, as by a read that lands between the moving
+    # phase and that pass.
+    monkeypatch.setattr(Compactor, "_rewrite_direct_pointers", lambda *a: 0)
+    small, keep, orders, old_addrs = _compacted_owners(layout)
+    moved = [
+        i for i, h in enumerate(keep) if h.ref.address() != old_addrs[i]
+    ]
+    assert moved
+    for i in moved:
+        word, __ = _owner_words(small, orders[i])
+        block = small.space.block_at(word)
+        assert int(block.slot_incs[block.slot_of_address(word)]) & FORWARD
+    for i, o in enumerate(orders):
+        assert o.owner.name == keep[i].name
+        assert o.owner == keep[i]
+    for i, o in enumerate(orders):
+        address = keep[i].ref.address()
+        block = small.space.block_at(address)
+        inc = int(block.slot_incs[block.slot_of_address(address)]) & INC_MASK
+        assert _owner_words(small, o) == (address, inc)
+    small.close()
+
+
+def test_pointer_rewrite_reaches_columnar_referrers():
+    """The post-compaction rewrite pass updates a columnar referrer's
+    word columns and leaves its other columns alone."""
+    small, keep, orders, __ = _compacted_owners(ColumnarCollection)
+    for i, o in enumerate(orders):
+        assert _owner_words(small, o)[0] == keep[i].ref.address()
+        assert o.orderkey == i
+        assert o.owner.name == keep[i].name
     small.close()
 
 

@@ -1,9 +1,11 @@
 """Model-based property test: Collection vs a plain dict model.
 
 A hypothesis state machine drives random sequences of adds, removes,
-epoch advances, enumerations and compactions against a row SMC, checking
-after every step that the collection's live contents exactly match a
-reference dict — the collection's containment semantics in miniature.
+epoch advances, enumerations and compactions against an SMC of each block
+layout, checking after every step that the collection's live contents
+exactly match a reference dict — the collection's containment semantics
+in miniature, read and written through the one handle type.  Columnar
+collections refuse compaction, so that rule runs on the row layout only.
 """
 
 import pytest
@@ -13,10 +15,12 @@ from hypothesis.stateful import (
     RuleBasedStateMachine,
     initialize,
     invariant,
+    precondition,
     rule,
 )
 
 from repro.core.collection import Collection
+from repro.core.columnar import ColumnarCollection
 from repro.errors import NullReferenceError
 from repro.memory.manager import MemoryManager
 
@@ -24,10 +28,12 @@ from tests.schemas import TPerson
 
 
 class CollectionModel(RuleBasedStateMachine):
+    layout = Collection
+
     @initialize()
     def setup(self):
         self.manager = MemoryManager(block_shift=10, reclamation_threshold=0.1)
-        self.collection = Collection(TPerson, manager=self.manager)
+        self.collection = self.layout(TPerson, manager=self.manager)
         self.model = {}  # handle -> (name, age)
         self.removed = []
         self.counter = 0
@@ -52,6 +58,7 @@ class CollectionModel(RuleBasedStateMachine):
     def advance_epoch(self):
         self.manager.advance_epoch()
 
+    @precondition(lambda self: self.layout is Collection)
     @rule()
     def compact(self):
         self.collection.compact(occupancy_threshold=0.6)
@@ -105,3 +112,11 @@ CollectionModel.TestCase.settings = settings(
     max_examples=25, stateful_step_count=40, deadline=None
 )
 TestCollectionModel = CollectionModel.TestCase
+
+
+class ColumnarCollectionModel(CollectionModel):
+    layout = ColumnarCollection
+
+
+ColumnarCollectionModel.TestCase.settings = CollectionModel.TestCase.settings
+TestColumnarCollectionModel = ColumnarCollectionModel.TestCase

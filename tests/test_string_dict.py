@@ -22,6 +22,7 @@ from __future__ import annotations
 import contextlib
 import gc
 import importlib.util
+import threading
 import tracemalloc
 from decimal import Decimal
 from pathlib import Path
@@ -38,7 +39,7 @@ from repro.managed.collections_ import ManagedList
 from repro.memory import shm
 from repro.memory.manager import MemoryManager
 from repro.memory.stringheap import StringDict, StringHeap
-from repro.query import planner
+from repro.query import columnar_exec, planner
 from repro.query.builder import Count, Sum
 from repro.tpch.datagen import generate
 from repro.tpch.loader import load_managed, load_smc
@@ -349,6 +350,41 @@ def test_record_reads_pin_the_epoch(monkeypatch):
     assert sd.match_codes("contains", "et").tolist() == [codes[1]]
     assert pinned == [True, True, True]
     assert not m.epochs.in_critical()
+    m.close()
+
+
+@pytest.mark.parametrize("layout", [Collection, ColumnarCollection])
+def test_vectorised_query_decodes_inside_its_epoch(monkeypatch, layout):
+    """A vectorised query decodes its dictionary codes inside the
+    critical section it scanned in.  A writer thread that runs between
+    the scan and the decode, removes the last row naming a scanned text
+    and tries to advance the epoch twice cannot get that code handed to
+    a new text before the query has read it."""
+    m = MemoryManager()
+    notes = layout(TNote, manager=m)
+    notes.add(text="alpha", stars=1)
+    last = notes.add(text="zzz", stars=2)
+
+    def writer():
+        notes.remove(last)
+        m.advance_epoch()
+        m.advance_epoch()
+        notes.add(text="NEW", stars=3)
+
+    real = columnar_exec._Accumulator.finish
+
+    def finish_after_writer(acc, manager):
+        thread = threading.Thread(target=writer)
+        thread.start()
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        return real(acc, manager)
+
+    monkeypatch.setattr(columnar_exec._Accumulator, "finish", finish_after_writer)
+    result = notes.query().select(text=TNote.text).run()
+    assert sorted(result.rows) == [("alpha",), ("zzz",)]
+    assert not m.epochs.in_critical()
+    assert sorted(h.text for h in notes) == ["NEW", "alpha"]
     m.close()
 
 
